@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -22,28 +24,43 @@ namespace {
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
-void set_nonblocking_checked(int fd) {
-  // SOCK_NONBLOCK covers sockets we create; accept4 covers accepted ones.
-  (void)fd;
-}
-
 Json error_body(std::string_view message) {
   Json body = Json::object();
   body.set("error", Json::string(std::string(message)));
   return body;
 }
 
-// Strict decimal uint64 (the {id} path segments): digits only, <= 19 of
-// them, non-empty.
+// Strict decimal uint64 (the {id} path segments): digits only, non-empty,
+// overflow-checked over the full range /v1/generate accepts.
 bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 19) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+// A JSON array of int32 token ids; throws (-> 400) on anything else.
+std::vector<std::int32_t> token_ids(const Json& array, const char* what) {
+  MGPT_CHECK(array.is_array(), what << " must be an array of token ids");
+  std::vector<std::int32_t> tokens;
+  for (const Json& token : array.items()) {
+    const std::int64_t v = token.as_int();
+    MGPT_CHECK(v >= 0 && v <= 0x7fffffff,
+               what << " token " << v << " out of int32 range");
+    tokens.push_back(static_cast<std::int32_t>(v));
   }
-  out = value;
-  return true;
+  return tokens;
+}
+
+// Engine on_finish callback: posts the retirement to the loop thread.
+std::function<void(const serve::RequestResult&)> post_finish(
+    EventQueue* queue, std::uint64_t id) {
+  return [queue, id](const serve::RequestResult& result) {
+    EngineEvent event;
+    event.kind = EngineEvent::Kind::kFinish;
+    event.request_id = id;
+    event.result = result;
+    queue->push(std::move(event));
+  };
 }
 
 serve::Priority parse_priority(const std::string& name) {
@@ -156,19 +173,9 @@ void HttpServer::stop() {
 
 HttpCounters HttpServer::counters() const {
   HttpCounters c;
-  c.connections_accepted = c_accepted_.load();
-  c.connections_rejected = c_rejected_.load();
-  c.requests = c_requests_.load();
-  c.protocol_errors = c_protocol_errors_.load();
-  c.streams_started = c_streams_started_.load();
-  c.streams_completed = c_streams_completed_.load();
-  c.shed_429 = c_shed_.load();
-  c.timeout_504 = c_timeout_.load();
-  c.bad_request_400 = c_bad_request_.load();
-  c.cancels_requested = c_cancels_.load();
-  c.client_aborts = c_client_aborts_.load();
-  c.embed_jobs = c_embed_jobs_.load();
-  c.embed_inputs = c_embed_inputs_.load();
+#define MATGPT_HTTP_LOAD(name) c.name = count(Counter::name);
+  MATGPT_HTTP_COUNTERS(MATGPT_HTTP_LOAD)
+#undef MATGPT_HTTP_LOAD
   return c;
 }
 
@@ -258,7 +265,7 @@ void HttpServer::accept_ready() {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a racing close
     if (conns_.size() >= config_.max_connections) {
-      c_rejected_.fetch_add(1);
+      bump(Counter::connections_rejected);
       const std::string busy = make_response(
           503, error_body("connection limit reached").dump(),
           "application/json", false);
@@ -269,7 +276,6 @@ void HttpServer::accept_ready() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    set_nonblocking_checked(fd);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -283,7 +289,7 @@ void HttpServer::accept_ready() {
         {.max_header_bytes = config_.max_header_bytes,
          .max_body_bytes = config_.max_body_bytes});
     conns_.emplace(fd, std::move(conn));
-    c_accepted_.fetch_add(1);
+    bump(Counter::connections_accepted);
   }
 }
 
@@ -316,7 +322,7 @@ void HttpServer::process_requests(int fd) {
     const HttpParser::Status status = conn.parser.next(request);
     if (status == HttpParser::Status::kNeedMore) return;
     if (status == HttpParser::Status::kError) {
-      c_protocol_errors_.fetch_add(1);
+      bump(Counter::protocol_errors);
       send_bytes(conn,
                  make_response(conn.parser.error_status(),
                                error_body(conn.parser.error_reason()).dump(),
@@ -325,7 +331,7 @@ void HttpServer::process_requests(int fd) {
       flush(conn);
       return;
     }
-    c_requests_.fetch_add(1);
+    bump(Counter::requests);
     if (!request.keep_alive) conn.close_after_flush = true;
     dispatch(conn, request);
   }
@@ -333,20 +339,16 @@ void HttpServer::process_requests(int fd) {
 
 void HttpServer::dispatch(Conn& conn, const HttpRequest& request) {
   const std::string& target = request.target;
+  if (stopping_ && request.method == "POST") {  // no new work while stopping
+    send_error(conn, 503, "server stopping", Counter::shed_429);
+    return;
+  }
   if (target == "/v1/generate") {
-    if (request.method != "POST") {
-      send_bytes(conn, make_response(405, error_body("use POST").dump()));
-      return;
-    }
-    handle_generate(conn, request);
+    if (allow(conn, request, "POST")) handle_generate(conn, request);
     return;
   }
   if (target == "/v1/stats") {
-    if (request.method != "GET") {
-      send_bytes(conn, make_response(405, error_body("use GET").dump()));
-      return;
-    }
-    handle_stats(conn);
+    if (allow(conn, request, "GET")) handle_stats(conn);
     return;
   }
   if (target == "/v1/healthz") {
@@ -355,69 +357,49 @@ void HttpServer::dispatch(Conn& conn, const HttpRequest& request) {
   }
   constexpr std::string_view kRequestPrefix = "/v1/requests/";
   if (target.size() > kRequestPrefix.size() &&
-      std::string_view(target).substr(0, kRequestPrefix.size()) ==
-          kRequestPrefix) {
-    const std::string_view id_text =
-        std::string_view(target).substr(kRequestPrefix.size());
+      target.starts_with(kRequestPrefix)) {
+    if (request.method != "GET" && request.method != "DELETE") {
+      send_error(conn, 405, "use GET or DELETE");
+      return;
+    }
+    std::uint64_t id = 0;
+    if (!parse_u64(std::string_view(target).substr(kRequestPrefix.size()),
+                   id)) {
+      send_error(conn, 400, "bad request id", Counter::bad_request_400);
+      return;
+    }
     if (request.method == "DELETE") {
-      handle_cancel(conn, id_text);
-      return;
-    }
-    if (request.method == "GET") {
-      std::uint64_t id = 0;
-      if (!parse_u64(id_text, id)) {
-        c_bad_request_.fetch_add(1);
-        send_bytes(conn,
-                   make_response(400, error_body("bad request id").dump()));
-        return;
-      }
+      handle_cancel(conn, id);
+    } else {
       handle_request_status(conn, id);
-      return;
     }
-    send_bytes(conn,
-               make_response(405, error_body("use GET or DELETE").dump()));
     return;
   }
   if (target == "/v1/embeddings") {
-    if (request.method != "POST") {
-      send_bytes(conn, make_response(405, error_body("use POST").dump()));
-      return;
-    }
-    handle_embeddings(conn, request);
+    if (allow(conn, request, "POST")) handle_embeddings(conn, request);
     return;
   }
   if (target == "/v1/sessions") {
-    if (request.method != "POST") {
-      send_bytes(conn, make_response(405, error_body("use POST").dump()));
-      return;
-    }
-    handle_session_create(conn);
+    if (allow(conn, request, "POST")) handle_session_create(conn);
     return;
   }
   constexpr std::string_view kSessionPrefix = "/v1/sessions/";
   if (target.size() > kSessionPrefix.size() &&
-      std::string_view(target).substr(0, kSessionPrefix.size()) ==
-          kSessionPrefix) {
+      target.starts_with(kSessionPrefix)) {
     std::string_view rest =
         std::string_view(target).substr(kSessionPrefix.size());
     constexpr std::string_view kGenerateSuffix = "/generate";
-    const bool generate =
-        rest.size() > kGenerateSuffix.size() &&
-        rest.substr(rest.size() - kGenerateSuffix.size()) == kGenerateSuffix;
-    if (generate) rest = rest.substr(0, rest.size() - kGenerateSuffix.size());
+    const bool generate = rest.ends_with(kGenerateSuffix);
+    if (generate) rest.remove_suffix(kGenerateSuffix.size());
     std::uint64_t session_id = 0;
     if (!parse_u64(rest, session_id) || session_id == 0) {
-      c_bad_request_.fetch_add(1);
-      send_bytes(conn,
-                 make_response(400, error_body("bad session id").dump()));
+      send_error(conn, 400, "bad session id", Counter::bad_request_400);
       return;
     }
     if (generate) {
-      if (request.method != "POST") {
-        send_bytes(conn, make_response(405, error_body("use POST").dump()));
-        return;
+      if (allow(conn, request, "POST")) {
+        handle_session_generate(conn, request, session_id);
       }
-      handle_session_generate(conn, request, session_id);
       return;
     }
     if (request.method == "GET") {
@@ -428,11 +410,10 @@ void HttpServer::dispatch(Conn& conn, const HttpRequest& request) {
       handle_session_drop(conn, session_id);
       return;
     }
-    send_bytes(conn,
-               make_response(405, error_body("use GET or DELETE").dump()));
+    send_error(conn, 405, "use GET or DELETE");
     return;
   }
-  send_bytes(conn, make_response(404, error_body("no such route").dump()));
+  send_error(conn, 404, "no such route");
 }
 
 void HttpServer::handle_generate(Conn& conn, const HttpRequest& request,
@@ -448,16 +429,7 @@ void HttpServer::handle_generate(Conn& conn, const HttpRequest& request,
     // the plain route always requires one.
     MGPT_CHECK(prompt != nullptr || session_id != 0,
                "\"prompt\" must be an array of token ids");
-    if (prompt != nullptr) {
-      MGPT_CHECK(prompt->is_array(),
-                 "\"prompt\" must be an array of token ids");
-      for (const Json& token : prompt->items()) {
-        const std::int64_t v = token.as_int();
-        MGPT_CHECK(v >= 0 && v <= 0x7fffffff,
-                   "prompt token " << v << " out of int32 range");
-        req.prompt.push_back(static_cast<std::int32_t>(v));
-      }
-    }
+    if (prompt != nullptr) req.prompt = token_ids(*prompt, "\"prompt\"");
     if (const Json* v = body.find("id")) {
       req.id = static_cast<std::uint64_t>(v->as_int());
     } else {
@@ -496,22 +468,13 @@ void HttpServer::handle_generate(Conn& conn, const HttpRequest& request,
     }
     if (const Json* v = body.find("stream")) chunked = v->as_bool();
   } catch (const Error& e) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn, make_response(400, error_body(e.what()).dump()));
+    send_error(conn, 400, e.what(), Counter::bad_request_400);
     return;
   }
 
   if (streams_.find(req.id) != streams_.end()) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn, make_response(
-                         409, error_body("request id already in flight")
-                                  .dump()));
-    return;
-  }
-  if (stopping_) {
-    c_shed_.fetch_add(1);
-    send_bytes(conn,
-               make_response(503, error_body("server stopping").dump()));
+    send_error(conn, 409, "request id already in flight",
+               Counter::bad_request_400);
     return;
   }
 
@@ -523,28 +486,9 @@ void HttpServer::handle_generate(Conn& conn, const HttpRequest& request,
     event.token = token;
     queue->push(std::move(event));
   };
-  req.on_finish = [queue = &queue_, id](const serve::RequestResult& result) {
-    EngineEvent event;
-    event.kind = EngineEvent::Kind::kFinish;
-    event.request_id = id;
-    event.result = result;
-    queue->push(std::move(event));
-  };
+  req.on_finish = post_finish(&queue_, id);
 
-  try {
-    // Backpressure: a full admission queue sheds (429) instead of
-    // blocking the event loop behind the engine.
-    if (!engine_.try_submit(std::move(req)).has_value()) {
-      c_shed_.fetch_add(1);
-      send_bytes(conn, make_response(
-                           429, error_body("admission queue full").dump()));
-      return;
-    }
-  } catch (const Error& e) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn, make_response(400, error_body(e.what()).dump()));
-    return;
-  }
+  if (!submit(conn, std::move(req))) return;
 
   Stream stream;
   stream.conn_fd = conn.fd;
@@ -553,20 +497,12 @@ void HttpServer::handle_generate(Conn& conn, const HttpRequest& request,
   streams_.emplace(id, std::move(stream));
   conn.busy = true;
   conn.stream_id = id;
-  c_streams_started_.fetch_add(1);
+  bump(Counter::streams_started);
 }
 
 void HttpServer::handle_embeddings(Conn& conn, const HttpRequest& request) {
   if (engine_.config().workloads.embedder == nullptr) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn, make_response(
-                         501, error_body("no embedder configured").dump()));
-    return;
-  }
-  if (stopping_) {
-    c_shed_.fetch_add(1);
-    send_bytes(conn,
-               make_response(503, error_body("server stopping").dump()));
+    send_error(conn, 501, "no embedder configured", Counter::bad_request_400);
     return;
   }
   std::vector<std::vector<std::int32_t>> inputs;
@@ -581,17 +517,9 @@ void HttpServer::handle_embeddings(Conn& conn, const HttpRequest& request) {
                "\"inputs\" must be an array of token-id arrays");
     MGPT_CHECK(!in->items().empty(), "\"inputs\" must be non-empty");
     for (const Json& row : in->items()) {
-      MGPT_CHECK(row.is_array(),
-                 "\"inputs\" must be an array of token-id arrays");
-      std::vector<std::int32_t> tokens;
-      for (const Json& token : row.items()) {
-        const std::int64_t v = token.as_int();
-        MGPT_CHECK(v >= 0 && v <= 0x7fffffff,
-                   "input token " << v << " out of int32 range");
-        tokens.push_back(static_cast<std::int32_t>(v));
-      }
-      MGPT_CHECK(!tokens.empty(), "inputs must be non-empty token arrays");
-      inputs.push_back(std::move(tokens));
+      inputs.push_back(token_ids(row, "each input"));
+      MGPT_CHECK(!inputs.back().empty(),
+                 "inputs must be non-empty token arrays");
     }
     if (const Json* v = body.find("reduce")) {
       const std::string name = v->as_string();
@@ -609,8 +537,7 @@ void HttpServer::handle_embeddings(Conn& conn, const HttpRequest& request) {
       priority = parse_priority(v->as_string());
     }
   } catch (const Error& e) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn, make_response(400, error_body(e.what()).dump()));
+    send_error(conn, 400, e.what(), Counter::bad_request_400);
     return;
   }
 
@@ -627,32 +554,9 @@ void HttpServer::handle_embeddings(Conn& conn, const HttpRequest& request) {
     req.embed = true;
     req.embed_reduce = reduce;
     req.priority = priority;
-    const std::uint64_t id = ids[i];
-    req.on_finish = [queue = &queue_,
-                     id](const serve::RequestResult& result) {
-      EngineEvent event;
-      event.kind = EngineEvent::Kind::kFinish;
-      event.request_id = id;
-      event.result = result;
-      queue->push(std::move(event));
-    };
-    bool admitted = false;
-    std::string reason;
-    try {
-      admitted = engine_.try_submit(std::move(req)).has_value();
-      if (!admitted) reason = "admission queue full";
-    } catch (const Error& e) {
-      reason = e.what();
-    }
-    if (!admitted) {
+    req.on_finish = post_finish(&queue_, ids[i]);
+    if (!submit(conn, std::move(req))) {
       for (std::size_t j = 0; j < i; ++j) engine_.cancel(ids[j]);
-      if (reason == "admission queue full") {
-        c_shed_.fetch_add(1);
-        send_bytes(conn, make_response(429, error_body(reason).dump()));
-      } else {
-        c_bad_request_.fetch_add(1);
-        send_bytes(conn, make_response(400, error_body(reason).dump()));
-      }
       return;
     }
   }
@@ -670,8 +574,8 @@ void HttpServer::handle_embeddings(Conn& conn, const HttpRequest& request) {
   }
   conn.busy = true;
   conn.embed_job = job.id;
-  c_embed_jobs_.fetch_add(1);
-  c_embed_inputs_.fetch_add(ids.size());
+  bump(Counter::embed_jobs);
+  bump(Counter::embed_inputs, ids.size());
   embed_jobs_.emplace(job.id, std::move(job));
 }
 
@@ -720,10 +624,12 @@ void HttpServer::finish_embed_job(std::uint64_t job_id) {
       Json body = Json::object();
       body.set("dim", Json::number(dim));
       Json rows = Json::array();
+      Json flat = Json::array();  // the same values, row-major (gnn block)
       for (const std::vector<float>& e : job.embeddings) {
         Json row = Json::array();
         for (const float v : e) {
           row.push_back(Json::number(static_cast<double>(v)));
+          if (job.gnn) flat.push_back(Json::number(static_cast<double>(v)));
         }
         rows.push_back(std::move(row));
       }
@@ -735,12 +641,6 @@ void HttpServer::finish_embed_job(std::uint64_t job_id) {
         g.set("num_nodes", Json::number(static_cast<std::int64_t>(
                                job.embeddings.size())));
         g.set("feature_dim", Json::number(dim));
-        Json flat = Json::array();
-        for (const std::vector<float>& e : job.embeddings) {
-          for (const float v : e) {
-            flat.push_back(Json::number(static_cast<double>(v)));
-          }
-        }
         g.set("features", std::move(flat));
         body.set("gnn", std::move(g));
       }
@@ -751,68 +651,54 @@ void HttpServer::finish_embed_job(std::uint64_t job_id) {
   if (fd >= 0 && conns_.find(fd) != conns_.end()) process_requests(fd);
 }
 
+void HttpServer::send_error(Conn& conn, int status, std::string_view message,
+                            std::optional<Counter> counter) {
+  if (counter.has_value()) bump(*counter);
+  send_bytes(conn, make_response(status, error_body(message).dump()));
+}
+
+bool HttpServer::submit(Conn& conn, serve::Request request) {
+  try {
+    // Backpressure: a full admission queue sheds (429) instead of
+    // blocking the event loop behind the engine.
+    if (engine_.try_submit(std::move(request)).has_value()) return true;
+    send_error(conn, 429, "admission queue full", Counter::shed_429);
+  } catch (const Error& e) {
+    send_error(conn, 400, e.what(), Counter::bad_request_400);
+  }
+  return false;
+}
+
+bool HttpServer::allow(Conn& conn, const HttpRequest& request,
+                       std::string_view method) {
+  if (request.method == method) return true;
+  send_error(conn, 405, "use " + std::string(method));
+  return false;
+}
+
 void HttpServer::handle_stats(Conn& conn) {
+  const HttpCounters c = counters();
+  Json http = Json::object();
+#define MATGPT_HTTP_JSON(name) \
+  http.set(#name, Json::number(static_cast<std::int64_t>(c.name)));
+  MATGPT_HTTP_COUNTERS(MATGPT_HTTP_JSON)
+#undef MATGPT_HTTP_JSON
+  // Loop-thread gauges, not counters.
+  http.set("connections_open",
+           Json::number(static_cast<std::int64_t>(conns_.size())));
+  http.set("streams_active",
+           Json::number(static_cast<std::int64_t>(streams_.size())));
   std::string body = "{\n\"engine\": ";
   body += engine_.stats_json();
   body += ",\n\"http\": ";
-  body += counters_json();
+  body += http.dump();
   body += "\n}";
   send_bytes(conn, make_response(200, body));
 }
 
-std::string HttpServer::counters_json() const {
-  Json c = Json::object();
-  c.set("connections_accepted",
-        Json::number(static_cast<std::int64_t>(c_accepted_.load())));
-  c.set("connections_rejected",
-        Json::number(static_cast<std::int64_t>(c_rejected_.load())));
-  c.set("connections_open",
-        Json::number(static_cast<std::int64_t>(conns_.size())));
-  c.set("requests", Json::number(static_cast<std::int64_t>(
-                        c_requests_.load())));
-  c.set("protocol_errors",
-        Json::number(static_cast<std::int64_t>(c_protocol_errors_.load())));
-  c.set("streams_started",
-        Json::number(static_cast<std::int64_t>(c_streams_started_.load())));
-  c.set("streams_completed",
-        Json::number(static_cast<std::int64_t>(c_streams_completed_.load())));
-  c.set("streams_active",
-        Json::number(static_cast<std::int64_t>(streams_.size())));
-  c.set("shed_429",
-        Json::number(static_cast<std::int64_t>(c_shed_.load())));
-  c.set("timeout_504",
-        Json::number(static_cast<std::int64_t>(c_timeout_.load())));
-  c.set("bad_request_400",
-        Json::number(static_cast<std::int64_t>(c_bad_request_.load())));
-  c.set("cancels_requested",
-        Json::number(static_cast<std::int64_t>(c_cancels_.load())));
-  c.set("client_aborts",
-        Json::number(static_cast<std::int64_t>(c_client_aborts_.load())));
-  c.set("embed_jobs",
-        Json::number(static_cast<std::int64_t>(c_embed_jobs_.load())));
-  c.set("embed_inputs",
-        Json::number(static_cast<std::int64_t>(c_embed_inputs_.load())));
-  return c.dump();
-}
-
-void HttpServer::handle_cancel(Conn& conn, std::string_view id_text) {
-  std::uint64_t id = 0;
-  bool ok = !id_text.empty() && id_text.size() <= 19;
-  for (const char c : id_text) {
-    if (c < '0' || c > '9') {
-      ok = false;
-      break;
-    }
-    id = id * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (!ok) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn,
-               make_response(400, error_body("bad request id").dump()));
-    return;
-  }
+void HttpServer::handle_cancel(Conn& conn, std::uint64_t id) {
   engine_.cancel(id);
-  c_cancels_.fetch_add(1);
+  bump(Counter::cancels_requested);
   Json body = Json::object();
   body.set("id", Json::number(static_cast<std::int64_t>(id)));
   body.set("cancel", Json::string("staged"));
@@ -822,8 +708,7 @@ void HttpServer::handle_cancel(Conn& conn, std::string_view id_text) {
 void HttpServer::handle_request_status(Conn& conn, std::uint64_t id) {
   auto it = streams_.find(id);
   if (it == streams_.end()) {
-    send_bytes(conn,
-               make_response(404, error_body("no such request").dump()));
+    send_error(conn, 404, "no such request");
     return;
   }
   const Stream& stream = it->second;
@@ -837,12 +722,6 @@ void HttpServer::handle_request_status(Conn& conn, std::uint64_t id) {
 }
 
 void HttpServer::handle_session_create(Conn& conn) {
-  if (stopping_) {
-    c_shed_.fetch_add(1);
-    send_bytes(conn,
-               make_response(503, error_body("server stopping").dump()));
-    return;
-  }
   const std::uint64_t session_id = engine_.create_session();
   Json body = Json::object();
   body.set("session_id",
@@ -856,18 +735,12 @@ void HttpServer::handle_session_generate(Conn& conn,
   // Pre-checks give precise status codes; the engine re-checks under its
   // own lock inside submit, so a race just downgrades to a 400.
   if (!engine_.has_session(session_id)) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(conn,
-               make_response(404, error_body("no such session").dump()));
+    send_error(conn, 404, "no such session", Counter::bad_request_400);
     return;
   }
   if (engine_.session_busy(session_id)) {
-    c_bad_request_.fetch_add(1);
-    send_bytes(
-        conn,
-        make_response(
-            409, error_body("session already has a request in flight")
-                     .dump()));
+    send_error(conn, 409, "session already has a request in flight",
+               Counter::bad_request_400);
     return;
   }
   handle_generate(conn, request, session_id);
@@ -877,8 +750,7 @@ void HttpServer::handle_session_info(Conn& conn, std::uint64_t session_id) {
   const std::optional<serve::InferenceEngine::SessionInfo> info =
       engine_.session_info(session_id);
   if (!info.has_value()) {
-    send_bytes(conn,
-               make_response(404, error_body("no such session").dump()));
+    send_error(conn, 404, "no such session");
     return;
   }
   Json body = Json::object();
@@ -894,8 +766,7 @@ void HttpServer::handle_session_info(Conn& conn, std::uint64_t session_id) {
 
 void HttpServer::handle_session_drop(Conn& conn, std::uint64_t session_id) {
   if (!engine_.has_session(session_id)) {
-    send_bytes(conn,
-               make_response(404, error_body("no such session").dump()));
+    send_error(conn, 404, "no such session");
     return;
   }
   engine_.drop_session(session_id);
@@ -947,10 +818,10 @@ void HttpServer::handle_engine_event(EngineEvent& event) {
 
   // Finish.
   const serve::RequestResult& result = event.result;
-  c_streams_completed_.fetch_add(1);
+  bump(Counter::streams_completed);
   const bool timed_out_cold = result.status == serve::RequestStatus::kTimeout &&
                               result.generated_tokens == 0;
-  if (timed_out_cold) c_timeout_.fetch_add(1);
+  if (timed_out_cold) bump(Counter::timeout_504);
   if (conn != nullptr) {
     // Release the response channel BEFORE the terminal write: with busy
     // already false, a Connection: close drain destroys the connection
@@ -1055,13 +926,13 @@ void HttpServer::destroy_conn(int fd) {
         engine_.cancel(id);
       }
     }
-    c_client_aborts_.fetch_add(1);
+    bump(Counter::client_aborts);
   } else if (conn.busy) {
     // The audience left mid-stream: stop spending decode steps on it.
     auto sit = streams_.find(conn.stream_id);
     if (sit != streams_.end()) sit->second.conn_fd = -1;
     engine_.cancel(conn.stream_id);
-    c_client_aborts_.fetch_add(1);
+    bump(Counter::client_aborts);
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);

@@ -71,10 +71,12 @@
 // A client that disconnects mid-stream gets its request cancelled — the
 // engine stops spending tokens on an audience that left.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,21 +117,28 @@ struct HttpServerConfig {
   void validate() const;
 };
 
-/// Monotonic HTTP-level counters (engine-level stats live in ServerStats).
+/// Monotonic HTTP-level counters (engine-level stats live in ServerStats),
+/// declared once: each row is an HttpCounters field, a slot of the
+/// server's atomic table, and a key of the /v1/stats "http" block.
+#define MATGPT_HTTP_COUNTERS(X)                                        \
+  X(connections_accepted)                                              \
+  X(connections_rejected) /* over max_connections -> 503 */            \
+  X(requests)             /* well-formed requests dispatched */        \
+  X(protocol_errors)      /* 400/413/431/501/505 from parse */         \
+  X(streams_started)                                                   \
+  X(streams_completed)                                                 \
+  X(shed_429)                                                          \
+  X(timeout_504)                                                       \
+  X(bad_request_400)      /* body-level rejections */                  \
+  X(cancels_requested)                                                 \
+  X(client_aborts)        /* disconnect mid-stream */                  \
+  X(embed_jobs)           /* /v1/embeddings requests served */         \
+  X(embed_inputs)         /* individual inputs embedded */
+
 struct HttpCounters {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  // over max_connections -> 503
-  std::uint64_t requests = 0;              // well-formed requests dispatched
-  std::uint64_t protocol_errors = 0;       // 400/413/431/501/505 from parse
-  std::uint64_t streams_started = 0;
-  std::uint64_t streams_completed = 0;
-  std::uint64_t shed_429 = 0;
-  std::uint64_t timeout_504 = 0;
-  std::uint64_t bad_request_400 = 0;       // body-level rejections
-  std::uint64_t cancels_requested = 0;
-  std::uint64_t client_aborts = 0;         // disconnect mid-stream
-  std::uint64_t embed_jobs = 0;            // /v1/embeddings requests served
-  std::uint64_t embed_inputs = 0;          // individual inputs embedded
+#define MATGPT_HTTP_FIELD(name) std::uint64_t name = 0;
+  MATGPT_HTTP_COUNTERS(MATGPT_HTTP_FIELD)
+#undef MATGPT_HTTP_FIELD
 };
 
 class HttpServer {
@@ -158,6 +167,19 @@ class HttpServer {
   HttpCounters counters() const;
 
  private:
+  enum class Counter : std::size_t {
+#define MATGPT_HTTP_ENUM(name) name,
+    MATGPT_HTTP_COUNTERS(MATGPT_HTTP_ENUM)
+#undef MATGPT_HTTP_ENUM
+        kCount
+  };
+  void bump(Counter c, std::uint64_t n = 1) {
+    counts_[static_cast<std::size_t>(c)].fetch_add(n);
+  }
+  std::uint64_t count(Counter c) const {
+    return counts_[static_cast<std::size_t>(c)].load();
+  }
+
   struct Conn {
     int fd = -1;
     HttpParser parser;
@@ -203,7 +225,7 @@ class HttpServer {
   void handle_generate(Conn& conn, const HttpRequest& request,
                        std::uint64_t session_id = 0);
   void handle_stats(Conn& conn);
-  void handle_cancel(Conn& conn, std::string_view id_text);
+  void handle_cancel(Conn& conn, std::uint64_t id);
   void handle_request_status(Conn& conn, std::uint64_t id);
   void handle_embeddings(Conn& conn, const HttpRequest& request);
   // True when the event belonged to an embed sub-request (and was
@@ -218,11 +240,19 @@ class HttpServer {
   void handle_session_drop(Conn& conn, std::uint64_t session_id);
   void handle_engine_event(EngineEvent& event);
   void send_bytes(Conn& conn, std::string bytes);
+  /// Answer `status` with an {"error": message} body, counting it under
+  /// `counter` when given.
+  void send_error(Conn& conn, int status, std::string_view message,
+                  std::optional<Counter> counter = std::nullopt);
+  /// engine_.try_submit; on refusal answers 429 (queue full) or 400
+  /// (invalid request) and returns false.
+  bool submit(Conn& conn, serve::Request request);
+  /// True when `request` uses `method`; otherwise answers 405.
+  bool allow(Conn& conn, const HttpRequest& request, std::string_view method);
   void flush(Conn& conn);
   void update_epoll(Conn& conn);
   void destroy_conn(int fd);
   void begin_stop();
-  std::string counters_json() const;
 
   serve::InferenceEngine& engine_;
   HttpServerConfig config_;
@@ -247,10 +277,9 @@ class HttpServer {
   std::uint64_t next_embed_job_ = 1;
 
   // Written by the loop thread, read by counters() from any thread.
-  std::atomic<std::uint64_t> c_accepted_{0}, c_rejected_{0}, c_requests_{0},
-      c_protocol_errors_{0}, c_streams_started_{0}, c_streams_completed_{0},
-      c_shed_{0}, c_timeout_{0}, c_bad_request_{0}, c_cancels_{0},
-      c_client_aborts_{0}, c_embed_jobs_{0}, c_embed_inputs_{0};
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(Counter::kCount)>
+      counts_{};
 };
 
 }  // namespace matgpt::net

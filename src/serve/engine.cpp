@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <utility>
 
@@ -232,13 +233,11 @@ void InferenceEngine::worker_loop() {
     // Nothing active and nothing admitted: park until work (or drain)
     // arrives. Producers notify under queue_mutex_, so no lost wakeups.
     std::unique_lock lock(queue_mutex_);
-    if (draining_ && waiting_.empty() && cancel_ids_.empty() &&
-        park_ids_.empty() && active_.empty()) {
+    if (draining_ && waiting_.empty() && staged_.empty() && active_.empty()) {
       return;
     }
     worker_cv_.wait(lock, [this] {
-      return draining_ || !waiting_.empty() || !cancel_ids_.empty() ||
-             !park_ids_.empty();
+      return draining_ || !waiting_.empty() || !staged_.empty();
     });
   }
 }
@@ -248,7 +247,7 @@ std::string InferenceEngine::stats_json() const {
   return stats_.to_json(secs(Clock::now() - started_at_));
 }
 
-InferenceEngine::Pending InferenceEngine::make_pending(Request request) {
+InferenceEngine::Sequence InferenceEngine::make_sequence(Request request) {
   const bool session = request.session_id != 0;
   MGPT_CHECK(session || !request.prompt.empty(),
              "request requires a non-empty prompt");
@@ -330,7 +329,7 @@ InferenceEngine::Pending InferenceEngine::make_pending(Request request) {
                "request needs " << budget << " tokens; KV slots hold "
                                 << pool_.capacity_tokens());
   };
-  Pending pending;
+  Sequence seq;
   if (session) {
     // Validate against the session's history, then claim its one
     // in-flight slot. Every check precedes the busy flip so a rejected
@@ -351,62 +350,60 @@ InferenceEngine::Pending InferenceEngine::make_pending(Request request) {
     if (!state.tokens.empty()) {
       // Resume: the working token vector is history + new prompt, and the
       // rng stream continues exactly where the last turn left it.
-      pending.session_resume = true;
-      pending.tokens = state.tokens;
-      pending.tokens.insert(pending.tokens.end(), request.prompt.begin(),
-                            request.prompt.end());
-      pending.rng = state.rng;
+      seq.session_resume = true;
+      seq.tokens = state.tokens;
+      seq.rng = state.rng;
     }
     state.busy = true;
   } else {
     check_budget(static_cast<std::int64_t>(request.prompt.size()) +
                  gen_budget);
   }
-  pending.request = std::move(request);
-  pending.submitted = Clock::now();  // client-observed latency includes
-                                     // queue backpressure
-  if (pending.request.deadline_ms > 0.0) {
-    pending.deadline =
-        pending.submitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                pending.request.deadline_ms));
+  if (!seq.session_resume) seq.rng = request.sampling.make_rng();
+  seq.tokens.insert(seq.tokens.end(), request.prompt.begin(),
+                    request.prompt.end());
+  if (request.grammar != nullptr) seq.gstate = request.grammar->start();
+  seq.request = std::move(request);
+  seq.submitted = Clock::now();  // client-observed latency includes
+                                 // queue backpressure
+  if (seq.request.deadline_ms > 0.0) {
+    seq.deadline = seq.submitted +
+                   std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double, std::milli>(
+                           seq.request.deadline_ms));
   }
-  return pending;
+  return seq;
 }
 
 std::future<RequestResult> InferenceEngine::submit(Request request) {
-  Pending pending = make_pending(std::move(request));
-  auto future = pending.promise.get_future();
-  const std::uint64_t sid = pending.request.session_id;
-  {
-    std::unique_lock lock(queue_mutex_);
-    queue_cv_.wait(lock, [this] {
-      return draining_ || waiting_.size() < config_.queue_capacity;
-    });
-    if (draining_) {
-      lock.unlock();
-      if (sid != 0) release_session_slot(sid);
-      MGPT_CHECK(false, "submit on a draining engine");
-    }
-    waiting_.push_back(std::move(pending));
-  }
-  worker_cv_.notify_one();
-  return future;
+  std::optional<std::future<RequestResult>> future =
+      enqueue(make_sequence(std::move(request)), /*block=*/true);
+  MGPT_CHECK(future.has_value(), "submit on a draining engine");
+  return std::move(*future);
 }
 
 std::optional<std::future<RequestResult>> InferenceEngine::try_submit(
     Request request) {
-  Pending pending = make_pending(std::move(request));
-  auto future = pending.promise.get_future();
-  const std::uint64_t sid = pending.request.session_id;
+  return enqueue(make_sequence(std::move(request)), /*block=*/false);
+}
+
+std::optional<std::future<RequestResult>> InferenceEngine::enqueue(
+    Sequence seq, bool block) {
+  auto future = seq.promise.get_future();
+  const std::uint64_t sid = seq.request.session_id;
   {
-    std::lock_guard lock(queue_mutex_);
+    std::unique_lock lock(queue_mutex_);
+    if (block) {
+      queue_cv_.wait(lock, [this] {
+        return draining_ || waiting_.size() < config_.queue_capacity;
+      });
+    }
     if (draining_ || waiting_.size() >= config_.queue_capacity) {
+      lock.unlock();
       if (sid != 0) release_session_slot(sid);
       return std::nullopt;
     }
-    waiting_.push_back(std::move(pending));
+    waiting_.push_back(std::move(seq));
   }
   worker_cv_.notify_one();
   return future;
@@ -426,11 +423,7 @@ std::future<RequestResult> InferenceEngine::resume(Request request) {
 }
 
 void InferenceEngine::park(std::uint64_t id) {
-  {
-    std::lock_guard lock(queue_mutex_);
-    park_ids_.push_back(id);
-  }
-  worker_cv_.notify_one();
+  stage_retirement(id, RequestStatus::kParked);
 }
 
 void InferenceEngine::drop_session(std::uint64_t session_id) {
@@ -479,9 +472,14 @@ void InferenceEngine::release_session_slot(std::uint64_t session_id) {
 }
 
 void InferenceEngine::cancel(std::uint64_t id) {
+  stage_retirement(id, RequestStatus::kCancelled);
+}
+
+void InferenceEngine::stage_retirement(std::uint64_t id,
+                                       RequestStatus status) {
   {
     std::lock_guard lock(queue_mutex_);
-    cancel_ids_.push_back(id);
+    staged_.emplace_back(id, status);
   }
   worker_cv_.notify_one();
 }
@@ -491,69 +489,51 @@ std::size_t InferenceEngine::queue_depth() const {
   return waiting_.size();
 }
 
-void InferenceEngine::retire_staged(std::vector<std::uint64_t>& staged,
-                                    RequestStatus status,
-                                    Clock::time_point now) {
-  // Cancellations and parks share the normal retirement path; a park's
-  // kParked status makes finish()'s session hook store the KV cold instead
-  // of discarding it (a sessionless id just retires — nowhere to park to).
-  std::vector<std::uint64_t> ids;
+template <typename Pred>
+void InferenceEngine::retire_if(Pred pred, RequestStatus status,
+                                Clock::time_point now) {
+  auto keep = [&pred](const Sequence& seq) { return !pred(seq); };
+  std::vector<Sequence> queued;
   {
     std::lock_guard lock(queue_mutex_);
-    ids.swap(staged);
+    const auto first =
+        std::stable_partition(waiting_.begin(), waiting_.end(), keep);
+    std::move(first, waiting_.end(), std::back_inserter(queued));
+    waiting_.erase(first, waiting_.end());
   }
-  for (std::uint64_t id : ids) {
-    Pending victim;
-    bool in_queue = false;
-    {
-      std::lock_guard lock(queue_mutex_);
-      for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-        if (it->request.id != id) continue;
-        victim = std::move(*it);
-        waiting_.erase(it);
-        in_queue = true;
-        break;
-      }
-    }
-    if (in_queue) {
-      finish_pending(victim, status, now);
-      queue_cv_.notify_one();
-      continue;
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (active_[i].request.id != id) continue;
-      finish(active_[i], status, now);
-      active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
+  for (Sequence& seq : queued) {
+    retire(seq, status, now);
+    queue_cv_.notify_one();  // queue space freed; unblock one submitter
+  }
+  const auto done =
+      std::stable_partition(active_.begin(), active_.end(), keep);
+  for (auto it = done; it != active_.end(); ++it) retire(*it, status, now);
+  active_.erase(done, active_.end());
+}
+
+void InferenceEngine::retire_staged(Clock::time_point now) {
+  // Cancellations and parks share the one retirement path; a park's
+  // kParked status is just a status — retire()'s session hook stores the
+  // KV cold at every retirement (a sessionless id just retires). Unknown
+  // or already-retired ids match nothing.
+  std::vector<std::pair<std::uint64_t, RequestStatus>> staged;
+  {
+    std::lock_guard lock(queue_mutex_);
+    staged.swap(staged_);
+  }
+  for (const auto& [id, status] : staged) {
+    retire_if([id](const Sequence& seq) { return seq.request.id == id; },
+              status, now);
   }
 }
 
-void InferenceEngine::expire_deadlines(Clock::time_point now) {
-  std::vector<Pending> expired;
-  {
-    std::lock_guard lock(queue_mutex_);
-    for (auto it = waiting_.begin(); it != waiting_.end();) {
-      if (it->deadline <= now) {
-        expired.push_back(std::move(*it));
-        it = waiting_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+std::optional<InferenceEngine::TierKey> InferenceEngine::restore_key(
+    const Sequence& seq) {
+  if (seq.swapped) return TierKey{kv_tier::Space::kPreempt, seq.request.id};
+  if (seq.session_resume && seq.preemptions == 0) {
+    return TierKey{kv_tier::Space::kSession, seq.request.session_id};
   }
-  for (Pending& pending : expired) {
-    finish_pending(pending, RequestStatus::kTimeout, now);
-    queue_cv_.notify_one();
-  }
-  for (std::size_t i = 0; i < active_.size();) {
-    if (active_[i].deadline <= now) {
-      finish(active_[i], RequestStatus::kTimeout, now);
-      active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
+  return std::nullopt;
 }
 
 void InferenceEngine::prefetch_waiting() {
@@ -563,19 +543,27 @@ void InferenceEngine::prefetch_waiting() {
   // then hand their keys to the tier's worker outside it: the disk->host
   // copy overlaps this admission pass (and the model forwards after it),
   // so by the time the request wins a lease its restore is a host memcpy.
-  std::vector<std::pair<kv_tier::Space, std::uint64_t>> want;
+  std::vector<TierKey> want;
   {
     std::lock_guard lock(queue_mutex_);
-    for (const Pending& p : waiting_) {
+    for (const Sequence& seq : waiting_) {
       if (static_cast<std::int64_t>(want.size()) >= depth) break;
-      if (p.swapped) {
-        want.emplace_back(kv_tier::Space::kPreempt, p.request.id);
-      } else if (p.session_resume && p.preemptions == 0) {
-        want.emplace_back(kv_tier::Space::kSession, p.request.session_id);
+      if (const std::optional<TierKey> key = restore_key(seq)) {
+        want.push_back(*key);
       }
     }
   }
-  for (const auto& [space, id] : want) tier_.request_prefetch(space, id);
+  for (const TierKey& key : want) tier_.request_prefetch(key.space, key.id);
+}
+
+sched::QueueItem InferenceEngine::queue_item(const Sequence& seq) {
+  sched::QueueItem item;
+  item.id = seq.request.id;
+  item.priority = seq.request.priority;
+  item.submitted = seq.submitted;
+  item.deadline = seq.deadline;
+  item.resuming = seq.preemptions > 0;
+  return item;
 }
 
 std::size_t InferenceEngine::admit(Clock::time_point now) {
@@ -585,8 +573,7 @@ std::size_t InferenceEngine::admit(Clock::time_point now) {
   // the queue but hidden from pick_next so admission cannot spin on them.
   std::vector<std::uint64_t> deferred;
   while (static_cast<std::int64_t>(active_.size()) < config_.max_batch) {
-    Pending pending;
-    bool have = false;
+    std::optional<Sequence> pick;
     {
       std::lock_guard lock(queue_mutex_);
       std::vector<sched::QueueItem> items;
@@ -594,31 +581,24 @@ std::size_t InferenceEngine::admit(Clock::time_point now) {
       items.reserve(waiting_.size());
       index.reserve(waiting_.size());
       for (std::size_t i = 0; i < waiting_.size(); ++i) {
-        const Pending& p = waiting_[i];
-        if (std::find(deferred.begin(), deferred.end(), p.request.id) !=
+        const Sequence& seq = waiting_[i];
+        if (std::find(deferred.begin(), deferred.end(), seq.request.id) !=
             deferred.end()) {
           continue;
         }
-        sched::QueueItem item;
-        item.id = p.request.id;
-        item.priority = p.request.priority;
-        item.submitted = p.submitted;
-        item.deadline = p.deadline;
-        item.resuming = p.resuming;
-        items.push_back(item);
+        items.push_back(queue_item(seq));
         index.push_back(i);
       }
-      const std::size_t pick = scheduler_->pick_next(items, now);
-      if (pick != sched::kNone) {
-        const std::size_t pos = index[pick];
-        pending = std::move(waiting_[pos]);
+      const std::size_t chosen = scheduler_->pick_next(items, now);
+      if (chosen != sched::kNone) {
+        const std::size_t pos = index[chosen];
+        pick = std::move(waiting_[pos]);
         waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(pos));
-        have = true;
       }
     }
-    if (!have) break;
-    const std::uint64_t id = pending.request.id;
-    if (try_activate(std::move(pending), now)) {
+    if (!pick.has_value()) break;
+    const std::uint64_t id = pick->request.id;
+    if (try_activate(std::move(*pick), now)) {
       queue_cv_.notify_one();  // queue space freed; unblock one submitter
       activated += 1;
       continue;
@@ -630,45 +610,33 @@ std::size_t InferenceEngine::admit(Clock::time_point now) {
   return activated;
 }
 
-bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
-  const Request& req = pending.request;
+bool InferenceEngine::try_activate(Sequence seq, Clock::time_point now) {
+  const Request& req = seq.request;
   const std::span<const std::int32_t> prompt(req.prompt);
   const auto prompt_len = static_cast<std::int64_t>(prompt.size());
-  const bool fresh = !pending.resuming && !pending.session_resume;
-  // Lease budget: a fresh request needs prompt + max_new; a resumed one
-  // (preempted or session) needs its full working set — history + prompt
-  // + max_new, which pending.tokens minus already-emitted reconstructs.
-  const std::int64_t base =
-      fresh ? prompt_len
-            : static_cast<std::int64_t>(pending.tokens.size()) -
-                  pending.emitted;
-  // Embeddings are prefill-only: they lease the prompt's worth of KV (so
-  // the class shares admission pressure and accounting) but generate
-  // nothing.
-  const std::int64_t budget = base + (req.embed ? 0 : req.max_new_tokens);
+  // Lease budget: the full working set — [history +] prompt + max_new,
+  // which tokens minus already-emitted reconstructs. Embeddings are
+  // prefill-only: they lease the prompt's worth of KV (so the class shares
+  // admission pressure and accounting) but generate nothing.
+  const std::int64_t budget =
+      static_cast<std::int64_t>(seq.tokens.size()) - seq.emitted +
+      (req.embed ? 0 : req.max_new_tokens);
 
   // Match before leasing so the lease can discount the blocks an aliased
   // prefix supplies for free. The match is capped at prompt_len - 1 so at
   // least one token flows through the model — the first sample needs the
   // last position's logits. The pins also shield the matched path from the
   // eviction fallback below. Resumed sequences skip the cache: their rows
-  // come back by swap restore or re-prefill, and hit-rate stats stay a
-  // fresh-admission signal.
+  // come back by tier restore or re-prefill, and hit-rate stats stay a
+  // fresh-admission signal. Embeddings skip it outright: it holds
+  // GPT-computed KV rows an embedding forward never reads.
+  const bool use_prefix =
+      seq.fresh() && !req.embed && prefix_cache_ != nullptr;
   PrefixCache::Match m;
-  std::int64_t reused = 0;
-  // Embeddings skip the prefix cache outright: it holds GPT-computed KV
-  // rows an embedding forward never reads.
-  if (fresh && !req.embed && prefix_cache_ != nullptr) {
-    m = prefix_cache_->match(prompt, prompt_len - 1);
-    reused = m.tokens;
-  }
+  if (use_prefix) m = prefix_cache_->match(prompt, prompt_len - 1);
+  const std::int64_t reused = m.tokens;
 
-  sched::QueueItem incoming;
-  incoming.id = req.id;
-  incoming.priority = req.priority;
-  incoming.submitted = pending.submitted;
-  incoming.deadline = pending.deadline;
-  incoming.resuming = pending.resuming;
+  const sched::QueueItem incoming = queue_item(seq);
 
   auto lease_target = [&]() -> KvLease {
     KvLease slot = pool_.try_lease(budget, reused);
@@ -680,15 +648,12 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
     }
     return slot;
   };
-
-  KvLease slot;
-  KvLease draft_slot;
   auto acquire = [&]() -> bool {
-    if (!slot) slot = lease_target();
-    if (!slot) return false;
+    if (!seq.kv) seq.kv = lease_target();
+    if (!seq.kv) return false;
     if (req.spec_k == 0) return true;
-    if (!draft_slot) draft_slot = draft_pool_->try_lease(budget);
-    return static_cast<bool>(draft_slot);
+    if (!seq.draft_kv) seq.draft_kv = draft_pool_->try_lease(budget);
+    return static_cast<bool>(seq.draft_kv);
   };
 
   // Preemption loop: while memory is short, ask the policy to name an
@@ -697,12 +662,12 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
   while (!acquired) {
     std::vector<sched::ActiveItem> items;
     items.reserve(active_.size());
-    for (const ActiveSeq& seq : active_) {
+    for (const Sequence& other : active_) {
       sched::ActiveItem item;
-      item.id = seq.request.id;
-      item.priority = seq.request.priority;
-      item.submitted = seq.submitted;
-      item.emitted = seq.emitted;
+      item.id = other.request.id;
+      item.priority = other.request.priority;
+      item.submitted = other.submitted;
+      item.emitted = other.emitted;
       items.push_back(item);
     }
     const std::size_t victim = scheduler_->pick_victim(items, incoming, now);
@@ -711,41 +676,13 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
     acquired = acquire();
   }
   if (!acquired) {
-    if (fresh && prefix_cache_ != nullptr) prefix_cache_->unpin(m);
-    slot.release();
-    draft_slot.release();
+    if (use_prefix) prefix_cache_->unpin(m);
+    seq.kv.release();
+    seq.draft_kv.release();
     std::lock_guard lock(queue_mutex_);
-    waiting_.push_front(std::move(pending));
+    waiting_.push_front(std::move(seq));
     return false;
   }
-
-  ActiveSeq seq;
-  seq.request = std::move(pending.request);
-  seq.promise = std::move(pending.promise);
-  seq.submitted = pending.submitted;
-  seq.deadline = pending.deadline;
-  seq.kv = std::move(slot);
-  seq.draft_kv = std::move(draft_slot);
-  if (fresh) {
-    seq.rng = seq.request.sampling.make_rng();
-    seq.tokens = seq.request.prompt;
-    if (seq.request.grammar != nullptr) {
-      seq.gstate = seq.request.grammar->start();
-    }
-  } else {
-    // Byte-identical resume: the rng state, tokens, and grammar DFA state
-    // carry over exactly.
-    seq.rng = pending.rng;
-    seq.tokens = std::move(pending.tokens);
-    seq.gstate = pending.gstate;
-  }
-  seq.emitted = pending.emitted;
-  seq.ttft_s = pending.ttft_s;
-  seq.queue_delay_s = pending.queue_delay_s;
-  seq.preemptions = pending.preemptions;
-  seq.spec = pending.spec;
-  seq.last_token = pending.last_token;
-  seq.session_resume = pending.session_resume;
 
   // Prefill target: a sequence that never sampled needs the whole prompt
   // resident and then samples from the last position's logits; one that
@@ -754,7 +691,7 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
   const auto len = static_cast<std::int64_t>(seq.tokens.size());
   seq.sample_first = seq.emitted == 0;
   seq.prefill_target = seq.sample_first ? len : len - 1;
-  if (seq.request.embed) {
+  if (req.embed) {
     // Prefill-only class: the BERT forward happens in embed_phase; the GPT
     // prefill/decode machinery never touches this sequence (its leased KV
     // stays empty — the lease exists for admission accounting).
@@ -762,40 +699,33 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
     seq.prefill_target = 0;
   }
 
-  if (fresh && !seq.request.embed) {
+  if (use_prefix) {
     // Prefix cache: alias the matched blocks into the lease's table (zero
     // copy). Unpin before the prefill phase so our own pins never block
     // edge splits. Aliased rows ARE the rows a cold prefill would compute,
     // so the chunked prefill (and every later decode) sees exactly the
     // cold-path cache state.
     if (reused > 0) prefix_cache_->restore(m, *seq.kv);
-    if (prefix_cache_ != nullptr) {
-      prefix_cache_->unpin(m);
-      std::lock_guard lock(stats_mutex_);
-      stats_.record_prefix(reused, prompt_len);
-    }
-  } else if (pending.swapped) {
-    // The entry can be gone by now — its spill write failed during a
-    // host->disk demotion, or the file went corrupt. take() then misses
-    // and the prefill below recomputes the rows: byte-identical, because
-    // KV rows depend only on (token, position).
+    prefix_cache_->unpin(m);
+    std::lock_guard lock(stats_mutex_);
+    stats_.record_prefix(reused, prompt_len);
+  } else if (const std::optional<TierKey> key = restore_key(seq)) {
+    // Pull the parked rows out of the tier (host hit, disk read, or — when
+    // a spill write failed or the file went corrupt — nothing, and the
+    // prefill below recomputes them: byte-identical, because KV rows
+    // depend only on (token, position)). Equality with the prefill target
+    // is the mid-decode park + empty-prompt resume case: the cache already
+    // sits exactly where decode expects it and prefill is skipped.
     std::optional<kv_tier::KvTierStore::Entry> entry =
-        tier_.take(kv_tier::Space::kPreempt, seq.request.id);
-    if (entry.has_value()) restore_kv(*seq.kv, *entry);
-  } else if (seq.session_resume && pending.preemptions == 0) {
-    // First activation of a session resume: pull the parked KV out of the
-    // tier (host hit, disk read, or — after a miss/corruption — nothing,
-    // in which case the whole history re-prefills). Equality with the
-    // prefill target is the mid-decode park + empty-prompt resume case:
-    // the cache already sits exactly where decode expects it and prefill
-    // is skipped outright.
-    std::optional<kv_tier::KvTierStore::Entry> entry =
-        tier_.take(kv_tier::Space::kSession, seq.request.session_id);
+        tier_.take(key->space, key->id);
     const bool restored = entry.has_value() && entry->tokens > 0 &&
                           entry->tokens <= seq.prefill_target;
     if (restored) restore_kv(*seq.kv, *entry);
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_session_resume(restored);
+    seq.swapped = false;
+    if (key->space == kv_tier::Space::kSession) {
+      std::lock_guard lock(stats_mutex_);
+      stats_.record_session_resume(restored);
+    }
   }
   seq.prefill_done = seq.kv->length == seq.prefill_target;
   // First prefill chunk happens at admission (with chunking disabled this
@@ -803,23 +733,26 @@ bool InferenceEngine::try_activate(Pending pending, Clock::time_point now) {
   // already in the prefix cache when a sibling admitted later in the same
   // step looks it up — the pre-scheduler admission behaviour.
   if (!seq.prefill_done) {
-    ActiveSeq* one = &seq;
-    prefill(std::span<ActiveSeq* const>(&one, 1), now);
+    Sequence* one = &seq;
+    prefill(std::span<Sequence* const>(&one, 1), now);
   }
   active_.push_back(std::move(seq));
   return true;
 }
 
-void InferenceEngine::prefill(std::span<ActiveSeq* const> seqs,
+void InferenceEngine::note_reached_model(Sequence& seq,
+                                         Clock::time_point now) {
+  if (seq.queue_delay_s >= 0.0) return;
+  // Submission to first model work: pure scheduling delay.
+  seq.queue_delay_s = secs(now - seq.submitted);
+  step_stats_.queue_delay_s.push_back(seq.queue_delay_s);
+}
+
+void InferenceEngine::prefill(std::span<Sequence* const> seqs,
                               Clock::time_point now) {
   nn::RaggedBatch batch;  // kPrefill, one logits row per sequence
-  for (ActiveSeq* seq : seqs) {
-    if (seq->queue_delay_s < 0.0) {
-      // First time this request reaches the model: pure scheduling delay.
-      seq->queue_delay_s = secs(now - seq->submitted);
-      std::lock_guard lock(stats_mutex_);
-      stats_.record_queue_delay(seq->queue_delay_s);
-    }
+  for (Sequence* seq : seqs) {
+    note_reached_model(*seq, now);
     const std::int64_t cur = seq->kv->length;
     const std::int64_t want = seq->prefill_target - cur;
     MGPT_CHECK(want > 0, "prefill step on a fully-prefilled sequence");
@@ -835,12 +768,11 @@ void InferenceEngine::prefill(std::span<ActiveSeq* const> seqs,
   Tape tape;
   Var logits = model_forward(tape, batch);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    ActiveSeq& seq = *seqs[i];
+    Sequence& seq = *seqs[i];
     if (seq.kv->length < seq.prefill_target) continue;  // more chunks later
     seq.prefill_done = true;
     if (!seq.sample_first) continue;  // resume: decode feeds tokens.back()
-    if (seq.preemptions == 0 && !seq.session_resume &&
-        prefix_cache_ != nullptr) {
+    if (seq.fresh() && prefix_cache_ != nullptr) {
       // The lease now holds the full prompt's rows; cache the uncached
       // tail. Session resumes skip the insert: their cache covers history
       // the request's prompt field doesn't spell out.
@@ -855,68 +787,45 @@ void InferenceEngine::prefill(std::span<ActiveSeq* const> seqs,
     seq.tokens.push_back(*first);
     seq.emitted = 1;
     seq.ttft_s = secs(t - seq.submitted);
-    {
-      std::lock_guard lock(stats_mutex_);
-      stats_.record_ttft(seq.ttft_s, seq.request.priority);
-    }
+    step_stats_.ttft_s.emplace_back(seq.ttft_s, seq.request.priority);
     seq.last_token = t;
     if (seq.request.on_token) seq.request.on_token(seq.tokens.back());
   }
 }
 
 void InferenceEngine::preempt(std::size_t idx) {
-  ActiveSeq seq = std::move(active_[idx]);
+  Sequence seq = std::move(active_[idx]);
   active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(idx));
-
-  Pending pending;
-  pending.request = std::move(seq.request);
-  pending.promise = std::move(seq.promise);
-  pending.submitted = seq.submitted;  // original arrival: aging and EDF keep
-                                      // measuring real waiting time
-  pending.deadline = seq.deadline;
-  pending.tokens = std::move(seq.tokens);
-  pending.rng = seq.rng;
-  pending.emitted = seq.emitted;
-  pending.ttft_s = seq.ttft_s;
-  pending.queue_delay_s = seq.queue_delay_s;
-  pending.preemptions = seq.preemptions + 1;
-  pending.resuming = true;
-  pending.session_resume = seq.session_resume;
-  pending.spec = seq.spec;
-  pending.last_token = seq.last_token;
-  pending.gstate = seq.gstate;
-
-  bool swapped = false;
-  if (config_.preempt_mode == sched::PreemptMode::kSwap &&
-      seq.kv->length > 0) {
-    // Park the rows in the tier (host RAM, spilling to disk under
-    // pressure); a full hierarchy falls back to recompute.
-    swapped = tier_.store(kv_tier::Space::kPreempt, pending.request.id,
-                          gather_kv(*seq.kv));
-  }
-  pending.swapped = swapped;
+  // `submitted` stays the original arrival: aging and EDF keep measuring
+  // real waiting time.
+  seq.preemptions += 1;
+  // Swap mode parks the rows in the tier (host RAM, spilling to disk under
+  // pressure); a full hierarchy falls back to recompute.
+  seq.swapped = config_.preempt_mode == sched::PreemptMode::kSwap &&
+                seq.kv->length > 0 &&
+                tier_.store(kv_tier::Space::kPreempt, seq.request.id,
+                            gather_kv(*seq.kv));
   seq.kv.release();
   seq.draft_kv.release();  // the proposer re-prefills deterministically
   {
     std::lock_guard lock(stats_mutex_);
-    stats_.record_preemption(swapped);
+    stats_.record_preemption(seq.swapped);
   }
-
   std::lock_guard lock(queue_mutex_);
-  waiting_.push_front(std::move(pending));
+  waiting_.push_front(std::move(seq));
 }
 
 void InferenceEngine::prefill_phase(Clock::time_point now) {
-  std::vector<ActiveSeq*> pending;
-  for (ActiveSeq& seq : active_) {
-    if (!seq.prefill_done) pending.push_back(&seq);
+  std::vector<Sequence*> chunks;
+  for (Sequence& seq : active_) {
+    if (!seq.prefill_done) chunks.push_back(&seq);
   }
-  if (!pending.empty()) prefill(pending, now);
+  if (!chunks.empty()) prefill(chunks, now);
 }
 
 std::optional<std::int32_t> InferenceEngine::sample_row(const Var& logits,
                                                         std::int64_t row,
-                                                        ActiveSeq& seq) {
+                                                        Sequence& seq) {
   const std::int64_t v = model_.config().vocab_size;
   const std::span<const float> row_logits(logits.value().data() + row * v,
                                           static_cast<std::size_t>(v));
@@ -936,56 +845,71 @@ std::optional<std::int32_t> InferenceEngine::sample_row(const Var& logits,
   const std::int32_t token = nn::sample_token_masked(
       row_logits, mask_scratch_, seq.request.sampling, seq.rng,
       logit_scratch_);
-  bool eos_stop = false;
+  step_stats_.grammar_steps += 1;
   if (dfa->halt_on_eos() && token == dfa->eos() && dfa->eos_legal(seq.gstate)) {
     // EOS at an accepting state: the utterance is complete. The token is
     // still emitted (clients see the stop) but the sequence retires.
     seq.finished = true;
-    eos_stop = true;
+    step_stats_.grammar_eos_stops += 1;
   } else {
     const std::int32_t next = dfa->next(seq.gstate, token);
     MGPT_ASSERT(next >= 0);  // masked sampling can only pick legal tokens
     seq.gstate = next;
   }
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_grammar_step(eos_stop);
-  }
   return token;
 }
 
-void InferenceEngine::park_to_session(ActiveSeq& seq) {
+bool InferenceEngine::park_to_session(Sequence& seq) {
   const std::uint64_t sid = seq.request.session_id;
+  // A turn progressed once it reached the model: it holds a lease, or held
+  // one before a preemption re-queued it. One that never did leaves the
+  // history untouched — its prompt was never consumed; the client
+  // resubmits it.
+  const bool progressed = static_cast<bool>(seq.kv) || seq.preemptions > 0;
   bool live = false;
   {
     std::lock_guard lock(sessions_mutex_);
     auto it = sessions_.find(sid);
     if (it != sessions_.end()) {
-      // The registry copy of tokens + rng is what guarantees resume even
-      // if the KV store below refuses or loses the bytes.
-      it->second.tokens = seq.tokens;
-      it->second.rng = seq.rng;
-      it->second.turns += 1;
+      if (progressed) {
+        // The registry copy of tokens + rng is what guarantees resume even
+        // if the KV store below refuses or loses the bytes.
+        it->second.tokens = seq.tokens;
+        it->second.rng = seq.rng;
+        it->second.turns += 1;
+      }
       it->second.busy = false;
       live = true;
     }
   }
-  if (!live) return;  // session dropped mid-flight: nothing to park to
-  bool stored = false;
-  if (seq.kv->length > 0) {
-    stored = tier_.store(kv_tier::Space::kSession, sid,
-                         gather_kv(*seq.kv));
+  if (!live) return false;  // session dropped mid-flight
+  if (!progressed) return true;
+  // The conversation's KV: the lease's rows, or the rows a swap-mode
+  // preemption parked under the request id, migrated to the session slot.
+  std::optional<kv_tier::KvTierStore::Entry> entry;
+  if (seq.swapped) {
+    entry = tier_.take(kv_tier::Space::kPreempt, seq.request.id);
+  } else if (seq.kv && seq.kv->length > 0) {
+    entry = gather_kv(*seq.kv);
   }
+  const bool stored =
+      entry.has_value() &&
+      tier_.store(kv_tier::Space::kSession, sid, std::move(*entry));
   std::lock_guard lock(stats_mutex_);
   stats_.record_session_park(stored);
+  return true;
 }
 
-void InferenceEngine::finish(ActiveSeq& seq, RequestStatus status,
+void InferenceEngine::retire(Sequence& seq, RequestStatus status,
                              Clock::time_point now) {
-  // Sessions park at EVERY retirement (ok/cancelled/timeout/parked): the
-  // conversation outlives the request, so its KV goes cold instead of
-  // being discarded with the lease.
-  if (seq.request.session_id != 0) park_to_session(seq);
+  // Sessions park at EVERY retirement (ok/cancelled/timeout/parked), queued
+  // or active: the conversation outlives the request, so its KV goes cold
+  // instead of being discarded with the lease.
+  const bool parked =
+      seq.request.session_id != 0 && park_to_session(seq);
+  if (seq.swapped && !parked) {
+    tier_.drop(kv_tier::Space::kPreempt, seq.request.id);
+  }
   RequestResult result;
   result.id = seq.request.id;
   result.status = status;
@@ -1009,8 +933,8 @@ void InferenceEngine::finish(ActiveSeq& seq, RequestStatus status,
   // like with like against a plain request's forward count.
   result.verify_rounds =
       seq.spec.drafts_proposed > 0 ? seq.spec.verify_rounds + 1 : 0;
-  seq.kv.release();
-  seq.draft_kv.release();  // no-op for plain requests
+  seq.kv.release();        // no-op for a queued sequence
+  seq.draft_kv.release();  // and for plain requests
   {
     std::lock_guard lock(stats_mutex_);
     stats_.record_request(result);
@@ -1019,79 +943,12 @@ void InferenceEngine::finish(ActiveSeq& seq, RequestStatus status,
   seq.promise.set_value(std::move(result));
 }
 
-void InferenceEngine::finish_pending(Pending& pending, RequestStatus status,
-                                     Clock::time_point now) {
-  const std::uint64_t sid = pending.request.session_id;
-  if (sid != 0) {
-    bool live = false;
-    {
-      std::lock_guard lock(sessions_mutex_);
-      auto it = sessions_.find(sid);
-      if (it != sessions_.end()) {
-        if (pending.resuming) {
-          // The turn reached the model before being re-queued: fold its
-          // progress back so the next request continues from it. A never-
-          // activated pending leaves the history untouched (its prompt
-          // was never consumed; the client resubmits it).
-          it->second.tokens = pending.tokens;
-          it->second.rng = pending.rng;
-          it->second.turns += 1;
-        }
-        it->second.busy = false;
-        live = true;
-      }
-    }
-    if (pending.swapped) {
-      // The preempt-parked rows ARE this conversation's KV: migrate them
-      // to the session's slot so the next resume restores instead of
-      // re-prefilling.
-      std::optional<kv_tier::KvTierStore::Entry> entry =
-          tier_.take(kv_tier::Space::kPreempt, pending.request.id);
-      if (live && entry.has_value()) {
-        tier_.store(kv_tier::Space::kSession, sid, std::move(*entry));
-      }
-    }
-  } else if (pending.swapped) {
-    tier_.drop(kv_tier::Space::kPreempt, pending.request.id);
-  }
-  RequestResult result;
-  result.id = pending.request.id;
-  result.status = status;
-  result.priority = pending.request.priority;
-  result.generated_tokens = pending.emitted;
-  // Fresh pendings never grew a token vector; keep the prompt-plus-generated
-  // result layout either way.
-  result.tokens = (pending.resuming || pending.session_resume)
-                      ? std::move(pending.tokens)
-                      : std::move(pending.request.prompt);
-  result.ttft_s = pending.ttft_s;
-  result.queue_delay_s = pending.queue_delay_s;
-  result.total_s = secs(now - pending.submitted);
-  result.tokens_per_s =
-      result.total_s > 0.0
-          ? static_cast<double>(result.generated_tokens) / result.total_s
-          : 0.0;
-  result.preemptions = pending.preemptions;
-  result.embed = pending.request.embed;
-  result.constrained = pending.request.grammar != nullptr;
-  result.drafts_proposed = pending.spec.drafts_proposed;
-  result.drafts_accepted = pending.spec.drafts_accepted;
-  result.verify_rounds =
-      pending.spec.drafts_proposed > 0 ? pending.spec.verify_rounds + 1 : 0;
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_request(result);
-  }
-  if (pending.request.on_finish) pending.request.on_finish(result);
-  pending.promise.set_value(std::move(result));
-}
-
 std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
   const nn::BertEncoder* enc = config_.workloads.embedder.get();
   if (enc == nullptr) return 0;
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    const ActiveSeq& seq = active_[i];
+    const Sequence& seq = active_[i];
     if (seq.request.embed && !seq.finished) ready.push_back(i);
   }
   if (ready.empty()) return 0;
@@ -1100,8 +957,8 @@ std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
   // order within a group. Groups cap at max_embed_batch per forward.
   std::stable_sort(ready.begin(), ready.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const ActiveSeq& sa = active_[a];
-                     const ActiveSeq& sb = active_[b];
+                     const Sequence& sa = active_[a];
+                     const Sequence& sb = active_[b];
                      if (sa.tokens.size() != sb.tokens.size()) {
                        return sa.tokens.size() < sb.tokens.size();
                      }
@@ -1122,12 +979,8 @@ std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
     std::vector<std::vector<std::int32_t>> group;
     group.reserve(end - g);
     for (std::size_t j = g; j < end; ++j) {
-      ActiveSeq& seq = active_[ready[j]];
-      if (seq.queue_delay_s < 0.0) {
-        seq.queue_delay_s = secs(now - seq.submitted);
-        std::lock_guard lock(stats_mutex_);
-        stats_.record_queue_delay(seq.queue_delay_s);
-      }
+      Sequence& seq = active_[ready[j]];
+      note_reached_model(seq, now);
       group.push_back(seq.tokens);
     }
     std::vector<std::vector<float>> vectors = workloads::embed_batch(
@@ -1135,7 +988,7 @@ std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
     const auto t = Clock::now();
     std::int64_t group_tokens = 0;
     for (std::size_t j = g; j < end; ++j) {
-      ActiveSeq& seq = active_[ready[j]];
+      Sequence& seq = active_[ready[j]];
       seq.embedding = std::move(vectors[j - g]);
       seq.finished = true;  // finish_status stays kOk
       // TTFT for an embedding is submit-to-vector: the latency the class
@@ -1143,8 +996,7 @@ std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
       seq.ttft_s = secs(t - seq.submitted);
       seq.last_token = t;
       group_tokens += static_cast<std::int64_t>(seq.tokens.size());
-      std::lock_guard lock(stats_mutex_);
-      stats_.record_ttft(seq.ttft_s, seq.request.priority);
+      step_stats_.ttft_s.emplace_back(seq.ttft_s, seq.request.priority);
     }
     {
       std::lock_guard lock(stats_mutex_);
@@ -1166,7 +1018,7 @@ std::size_t InferenceEngine::decode_phase() {
   std::vector<std::size_t> ready;
   ready.reserve(active_.size());
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    const ActiveSeq& seq = active_[i];
+    const Sequence& seq = active_[i];
     if (!seq.prefill_done) continue;
     if (seq.finished) continue;  // EOS-halted / dead grammar: retires below
     if (seq.request.embed) continue;  // prefill-only class, never decodes
@@ -1180,7 +1032,7 @@ std::size_t InferenceEngine::decode_phase() {
   batch.path = nn::FwdPath::kDecode;
   batch.logits = nn::LogitRows::kAll;
   for (std::size_t i = 0; i < ready.size(); ++i) {
-    ActiveSeq& seq = active_[ready[i]];
+    Sequence& seq = active_[ready[i]];
     if (seq.request.spec_k > 0) {
       rounds[i] = spec_decoder_->propose(
           seq.tokens, *seq.draft_kv, seq.request.sampling, seq.rng,
@@ -1199,18 +1051,15 @@ std::size_t InferenceEngine::decode_phase() {
   // Each emitted token is recorded separately, so inter-token quantiles
   // reflect what a streaming client observes even when a verify round lands
   // a burst at once.
-  auto emit = [this, now](ActiveSeq& seq, std::int32_t token) {
+  auto emit = [this, now](Sequence& seq, std::int32_t token) {
     seq.emitted += 1;
-    {
-      std::lock_guard lock(stats_mutex_);
-      stats_.record_inter_token(secs(now - seq.last_token));
-    }
+    step_stats_.inter_token_s.push_back(secs(now - seq.last_token));
     seq.last_token = now;
     if (seq.request.on_token) seq.request.on_token(token);
   };
   std::int64_t row = 0;
   for (std::size_t i = 0; i < ready.size(); ++i) {
-    ActiveSeq& seq = active_[ready[i]];
+    Sequence& seq = active_[ready[i]];
     if (seq.request.spec_k > 0) {
       const std::int64_t got = spec_decoder_->accept(
           rounds[i], logits, row, seq.tokens, *seq.kv, *seq.draft_kv,
@@ -1230,69 +1079,76 @@ std::size_t InferenceEngine::decode_phase() {
   return ready.size();
 }
 
+void InferenceEngine::flush_step_stats() {
+  // Snapshots fetched before stats_mutex_ so the tier, session, TP and
+  // tuner locks never nest inside it.
+  const kv_tier::TierStats tier = tier_.stats();
+  const std::size_t live_sessions = session_count();
+  std::optional<tp::TpStats> tp;
+  if (tp_ != nullptr) tp = tp_->stats();
+  std::optional<gemm_tune::TunerStats> gemm;
+  if (config_.gemm_autotune ||
+      config_.decode_quant != kernels::WeightFormat::kF32) {
+    gemm = gemm_tune::GemmTuner::instance().stats();
+  }
+  StepStats& st = step_stats_;
+  {
+    std::lock_guard lock(stats_mutex_);
+    stats_.record_tier(tier);
+    stats_.record_sessions(live_sessions);
+    // The step's high-water mark: every admission and append is in.
+    stats_.record_kv(active_.size(), pool_.used_blocks(),
+                     pool_.total_blocks(), pool_.shared_blocks(),
+                     pool_.cow_forks(), pool_.cow_rows());
+    for (const double s : st.queue_delay_s) stats_.record_queue_delay(s);
+    for (const auto& [s, cls] : st.ttft_s) stats_.record_ttft(s, cls);
+    for (const double s : st.inter_token_s) stats_.record_inter_token(s);
+    stats_.record_grammar_steps(st.grammar_steps, st.grammar_eos_stops);
+    if (tp.has_value()) {
+      stats_.record_tp(tp->jobs, tp->comm_seconds, tp->bytes_gathered,
+                       tp->bytes_reduced);
+    }
+    if (gemm.has_value()) stats_.record_gemm(*gemm);
+  }
+  st = StepStats{};
+}
+
 void InferenceEngine::retire_finished() {
   // Retire finished sequences; their slots are free for the next admit().
-  std::vector<ActiveSeq> survivors;
-  survivors.reserve(active_.size());
-  for (ActiveSeq& seq : active_) {
-    const bool done =
-        seq.finished ||
-        (!seq.request.embed && seq.emitted == seq.request.max_new_tokens);
-    if (done) {
-      // A sequence that never produced a token (dead grammar state before
-      // the first sample) has no last_token; retire it at "now".
-      const Clock::time_point t = seq.last_token == Clock::time_point{}
-                                      ? Clock::now()
-                                      : seq.last_token;
-      finish(seq, seq.finish_status, t);
-    } else {
-      survivors.push_back(std::move(seq));
-    }
+  const auto first = std::stable_partition(
+      active_.begin(), active_.end(), [](const Sequence& seq) {
+        return !seq.finished && (seq.request.embed ||
+                                 seq.emitted != seq.request.max_new_tokens);
+      });
+  for (auto it = first; it != active_.end(); ++it) {
+    // A sequence that never produced a token (dead grammar state before
+    // the first sample) has no last_token; retire it at "now".
+    const Clock::time_point t =
+        it->last_token == Clock::time_point{} ? Clock::now() : it->last_token;
+    retire(*it, it->finish_status, t);
   }
-  active_ = std::move(survivors);
+  active_.erase(first, active_.end());
 }
 
 std::size_t InferenceEngine::step() {
   // stats_mutex_ is NOT held across the step: the request callbacks
   // (on_token/on_finish) fired below may block on a bounded completion
   // queue whose consumer thread also calls stats_json(); holding the lock
-  // here would deadlock that pair. Each stats_ mutation locks narrowly
-  // instead.
+  // here would deadlock that pair. Per-request events lock narrowly;
+  // per-token samples gather in step_stats_ and land in one acquisition.
   const auto now = Clock::now();
-  retire_staged(cancel_ids_, RequestStatus::kCancelled, now);
-  retire_staged(park_ids_, RequestStatus::kParked, now);
-  expire_deadlines(now);
+  retire_staged(now);
+  retire_if([now](const Sequence& seq) { return seq.deadline <= now; },
+            RequestStatus::kTimeout, now);
   const std::size_t admitted = admit(now);
-  // Tier occupancy + live-session gauge refresh once per step (fetched
-  // before stats_mutex_ so the tier/session locks never nest inside it).
-  const kv_tier::TierStats tier_stats = tier_.stats();
-  const std::size_t live_sessions = session_count();
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_tier(tier_stats);
-    stats_.record_sessions(live_sessions);
-    stats_.record_kv(active_.size(), pool_.used_blocks(),
-                     pool_.total_blocks(), pool_.shared_blocks(),
-                     pool_.cow_forks(), pool_.cow_rows());
-  }
-  if (active_.empty()) return admitted;
   const std::size_t n = active_.size();
-  prefill_phase(now);
-  embed_phase(now);
-  decode_phase();
+  if (n > 0) {
+    prefill_phase(now);
+    embed_phase(now);
+    decode_phase();
+  }
+  flush_step_stats();
   retire_finished();
-  if (tp_ != nullptr) {
-    const tp::TpStats ts = tp_->stats();
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_tp(ts.jobs, ts.comm_seconds, ts.bytes_gathered,
-                     ts.bytes_reduced);
-  }
-  if (config_.gemm_autotune ||
-      config_.decode_quant != kernels::WeightFormat::kF32) {
-    const gemm_tune::TunerStats gs = gemm_tune::GemmTuner::instance().stats();
-    std::lock_guard lock(stats_mutex_);
-    stats_.record_gemm(gs);
-  }
   return admitted + n;
 }
 

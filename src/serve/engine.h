@@ -1,58 +1,57 @@
 #pragma once
 // Continuous-batching inference engine with pluggable scheduling.
 //
-// Requests enter a bounded admission queue (submit() blocks when it is
-// full — backpressure, not a crash; try_submit() refuses instead). Each
-// scheduler step:
+// Every request lives as one Sequence record from submission to
+// retirement: its tokens, sampling rng, grammar DFA state, latency clocks
+// and speculative accounting are set once at submit() and carried as-is.
+// The record waits in a bounded admission queue (submit() blocks when it
+// is full — backpressure, not a crash; try_submit() refuses instead),
+// moves to the decode batch when admitted, and moves back to the queue
+// front when preempted; only its KV leases differ between the two places.
+// Each scheduler step:
 //
-//   1. retire staged cancellations and expired deadlines (waiting AND
-//      active) through the normal retirement path, with
-//      RequestResult::status telling the client what happened;
-//   2. admit: while the decode batch has room, ask the configured
-//      sched::Scheduler which waiting request to admit next (FCFS keeps
-//      arrival order; the priority policy runs aged-class + EDF ordering)
-//      and try to lease KV for its token budget. When the lease fails the
-//      scheduler may name an active victim to PREEMPT (release its blocks
-//      and re-queue it) until the lease fits, set the pick aside and try
-//      another (priority bypass), or stop admission (strict FCFS);
-//   3. prefill: every admitted sequence that has not finished prefilling
-//      feeds up to prefill_chunk_tokens prompt tokens (0 = the whole
-//      remainder), all of them in one ragged forward, so a long prompt no
-//      longer stalls other sequences' decode steps for its entire length.
-//      A sequence whose prefill completes samples its first token (TTFT);
+//   1. retire staged cancellations, parks and expired deadlines (waiting
+//      or active) through the one retirement path; RequestResult::status
+//      tells the client what happened;
+//   2. admit: while the batch has room, ask the configured sched::Scheduler
+//      which waiting sequence to admit next (FCFS keeps arrival order; the
+//      priority policy runs aged-class + EDF ordering) and lease KV for its
+//      token budget. When the lease fails the scheduler may name an active
+//      victim to PREEMPT until the lease fits, set the pick aside and try
+//      another (priority bypass), or stop admission (strict FCFS). An
+//      admitted sequence restores its KV from, in order: the rows a
+//      swap-mode preemption parked, its session's parked rows, or the
+//      prefix cache; whatever is missing is recomputed by prefill;
+//   3. prefill: every sequence not yet fully prefilled feeds up to
+//      prefill_chunk_tokens tokens (0 = the whole remainder), all in one
+//      ragged forward; a sequence whose prefill completes samples its first
+//      token (TTFT);
 //   4. decode: one ragged forward across every fully-prefilled sequence —
 //      a plain sequence feeds its last token, a speculative one its last
 //      token plus the drafts its proposer just guessed (the verify);
-//   5. retire: finished sequences release their KV back to the pool and
-//      resolve their future.
+//   5. stats: the step's latency samples and occupancy snapshots land in
+//      ServerStats under one lock, never one lock per token;
+//   6. retire finished sequences: KV back to the pool, future resolved.
 //
-// Preemption is transparent to the client: a victim's request state
-// (tokens generated so far, its sampling-rng state, its latency clocks) is
-// re-queued, and on re-admission the engine either re-prefills
-// prompt + generated-so-far (PreemptMode::kRecompute) or memcpy-restores
-// the KV rows it parked in the tiered residency store (PreemptMode::kSwap
-// — host RAM, demoted to checksummed disk spill files under pressure; see
-// serve/kv_tier). Cached K/V rows depend only on (token, position), so
-// both paths resume byte-identical to a never-preempted run — including
-// speculative requests, whose draft cache is simply dropped and
-// deterministically re-prefilled by the proposer.
+// KV rows depend only on (token, position), so a preempted sequence
+// resumes byte-identical to a never-preempted run whether its rows were
+// re-prefilled (PreemptMode::kRecompute) or memcpy-restored from the tiered
+// residency store (kSwap — host RAM, demoted to checksummed disk spill
+// files under pressure; see serve/kv_tier). Speculative drafts' caches are
+// simply dropped and deterministically re-prefilled by the proposer.
 //
 // Sessions ride the same store: Request::session_id names a conversation
-// whose KV goes cold in the tier at every retirement (park) and comes
-// back — restored, prefetched, or recomputed — on the next request
-// (resume), byte-identical to never having parked.
+// whose KV goes cold in the tier at every retirement (park), queued or
+// active, and comes back on the next request (resume). Each request's
+// tokens equal a standalone batch-1 GptModel::generate_cached run
+// regardless of batching, chunking, preemption or parking.
 //
-// Per-request sampling streams are seeded from Request::sampling.seed and
-// carried by value across preemptions, so each request's tokens are
-// bit-identical to a standalone batch-1 GptModel::generate_cached run
-// regardless of batching, chunking, or how often it was preempted.
-//
-// Threading: submit()/try_submit()/cancel() are safe from any thread;
-// step()/run_*() must be driven by one scheduler thread. start() spawns
-// that thread internally (the HTTP front end's deployment shape); drain()
-// then stops admission, finishes everything in flight, and joins it — the
-// destructor drains too, so destroying an engine mid-decode cannot race
-// the worker.
+// Threading: submit()/try_submit()/cancel()/park() are safe from any
+// thread; step()/run_*() must be driven by one scheduler thread. start()
+// spawns that thread internally (the HTTP front end's deployment shape);
+// drain() then stops admission, finishes everything in flight, and joins
+// it — the destructor drains too, so destroying an engine mid-decode cannot
+// race the worker.
 
 #include <atomic>
 #include <chrono>
@@ -320,63 +319,42 @@ class InferenceEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// A waiting request. Fresh submissions carry only the request; a
-  /// preempted-requeued one additionally carries everything needed to
-  /// resume byte-identically: tokens generated so far, the sampling-rng
-  /// state, latency clocks, speculative accounting, and (swap mode) a
-  /// tier-store kPreempt entry under its request id.
-  struct Pending {
+  /// One request's serving state from submission to retirement. It waits
+  /// in waiting_ and decodes in active_, moving between the two on
+  /// admission and preemption; only its KV leases are empty while it
+  /// waits. Everything a byte-identical resume needs — tokens, the
+  /// sampling rng, the grammar DFA state, latency clocks, speculative
+  /// accounting — lives here once, set at submission and carried as-is.
+  struct Sequence {
     Request request;
     std::promise<RequestResult> promise;
     Clock::time_point submitted;
     Clock::time_point deadline = Clock::time_point::max();
-    std::vector<std::int32_t> tokens;  // prompt + generated (resume only)
+    Clock::time_point last_token;
+    std::vector<std::int32_t> tokens;  // [session history +] prompt + generated
     Rng rng{0};
+    std::int32_t gstate = 0;  // grammar DFA state (constrained requests)
     std::int64_t emitted = 0;
     double ttft_s = 0.0;
-    double queue_delay_s = -1.0;
+    double queue_delay_s = -1.0;  // < 0 until the request reaches the model
     std::int64_t preemptions = 0;
-    bool resuming = false;
-    bool swapped = false;  // KV parked in tier_ (kPreempt) under request.id
-    /// Continuing a parked session: tokens holds history + new prompt and
-    /// the first activation tries the tier's kSession entry (recompute
-    /// when the tier misses). Unlike `resuming` this survives from
-    /// submission, not preemption.
-    bool session_resume = false;
     spec::SpecStats spec;
-    Clock::time_point last_token;
-    /// Grammar DFA state reached so far (constrained requests only) —
-    /// carried across preemption like the rng so the resumed sequence masks
-    /// exactly as an unpreempted one would.
-    std::int32_t gstate = 0;
-  };
-
-  struct ActiveSeq {
-    Request request;
-    std::promise<RequestResult> promise;
-    Clock::time_point submitted;
-    Clock::time_point deadline = Clock::time_point::max();
-    Clock::time_point last_token;
+    /// Continues a parked session: tokens began as history + new prompt and
+    /// the first activation restores the session's tier entry.
+    bool session_resume = false;
+    /// A swap-mode preemption parked the KV rows in tier_ (kPreempt, keyed
+    /// by request id); the next activation or retirement takes them.
+    bool swapped = false;
     KvLease kv;
     KvLease draft_kv;  // speculative requests only
-    Rng rng{0};
-    std::vector<std::int32_t> tokens;  // prompt + generated so far
-    std::int64_t emitted = 0;
-    double ttft_s = 0.0;
-    double queue_delay_s = -1.0;
-    std::int64_t preemptions = 0;
-    spec::SpecStats spec;
-    // Chunked-prefill state: the KV cache must reach `prefill_target`
-    // tokens before the sequence may decode; `sample_first` samples the
-    // first token from the final chunk's logits (false when resuming a
-    // sequence that already emitted — its cache stops at len - 1 and the
+    // Chunked-prefill state, reset at each activation: the KV cache must
+    // reach `prefill_target` tokens before the sequence may decode;
+    // `sample_first` samples the first token from the final chunk's logits
+    // (false when it already emitted — its cache stops at len - 1 and the
     // next decode step feeds tokens.back()).
     std::int64_t prefill_target = 0;
     bool sample_first = true;
     bool prefill_done = false;
-    bool session_resume = false;
-    // Grammar DFA state (constrained requests; see Pending::gstate).
-    std::int32_t gstate = 0;
     // Terminal before max_new_tokens: a compiled grammar sampled EOS at an
     // accepting state (finish_status stays kOk), the DFA hit a dead state
     // (kGrammarDead), or an embedding finished its forward. retire_finished
@@ -385,6 +363,30 @@ class InferenceEngine {
     RequestStatus finish_status = RequestStatus::kOk;
     // Embedding requests: the pooled vector embed_phase produced.
     std::vector<float> embedding;
+
+    /// Never held KV and carries no history: the prefix cache serves it.
+    bool fresh() const { return preemptions == 0 && !session_resume; }
+  };
+
+  /// A tier-store entry a sequence can restore its KV rows from.
+  struct TierKey {
+    kv_tier::Space space;
+    std::uint64_t id;
+  };
+  /// Where the next activation of `seq` restores from: the rows a swap-mode
+  /// preemption parked, else — on a session resume's first activation —
+  /// the session's parked rows; nullopt = prefix cache or recompute.
+  static std::optional<TierKey> restore_key(const Sequence& seq);
+
+  /// Latency samples and grammar steps one step gathers, folded into
+  /// stats_ under a single stats_mutex_ acquisition after its decode phase
+  /// instead of one per token.
+  struct StepStats {
+    std::vector<double> queue_delay_s;
+    std::vector<std::pair<double, Priority>> ttft_s;
+    std::vector<double> inter_token_s;
+    std::int64_t grammar_steps = 0;
+    std::int64_t grammar_eos_stops = 0;
   };
 
   /// Always-in-RAM per-session record: the token history and rng state a
@@ -399,39 +401,55 @@ class InferenceEngine {
     bool busy = false;
   };
 
-  std::future<RequestResult> enqueue(Pending pending);
-  Pending make_pending(Request request);
-  /// Clear a session's busy flag (submission failed after make_pending
+  /// Validate `request` and build its waiting sequence (a session
+  /// request claims the session's in-flight slot here).
+  Sequence make_sequence(Request request);
+  /// Queue `seq`, blocking for room when `block`; nullopt when the engine
+  /// is draining (or, non-blocking, the queue is full).
+  std::optional<std::future<RequestResult>> enqueue(Sequence seq, bool block);
+  /// Clear a session's busy flag (submission failed after make_sequence
   /// reserved the in-flight slot).
   void release_session_slot(std::uint64_t session_id);
-  /// finish()-side half of park: fold the sequence's tokens/rng back into
-  /// the session registry and store its gathered KV in the tier.
-  void park_to_session(ActiveSeq& seq);
-  /// Retire every id staged in `staged` (cancel_ids_ or park_ids_, taken
-  /// under queue_mutex_), waiting or active, with `status`.
-  void retire_staged(std::vector<std::uint64_t>& staged, RequestStatus status,
-                     Clock::time_point now);
-  void expire_deadlines(Clock::time_point now);
+  /// retire()'s session hook: fold the turn's progress (tokens, rng) into
+  /// the registry and park its KV — the live lease's rows, or the rows a
+  /// swap-mode preemption left in the tier — under the session. A turn
+  /// that never reached the model only frees the session. False when the
+  /// session was dropped mid-flight (nothing to park to).
+  bool park_to_session(Sequence& seq);
+  /// Retire every waiting or active sequence matching `pred` with `status`.
+  template <typename Pred>
+  void retire_if(Pred pred, RequestStatus status, Clock::time_point now);
+  /// Stage `id` for retirement with `status` at the next step (cancel,
+  /// park). Safe from any thread.
+  void stage_retirement(std::uint64_t id, RequestStatus status);
+  /// Retire every staged id, waiting or active, in staging order.
+  void retire_staged(Clock::time_point now);
   /// Admit-time prefetch hook: ask the tier to stage the first
   /// kv_tier.prefetch_depth waiting resumable requests' disk entries into
   /// host RAM, so their restore is a memcpy by the time they admit.
   void prefetch_waiting();
+  static sched::QueueItem queue_item(const Sequence& seq);
   std::size_t admit(Clock::time_point now);
-  bool try_activate(Pending pending, Clock::time_point now);
-  /// Preempt active_[idx]: release its KV (after parking it host-side in
-  /// swap mode), fold its state back into a Pending, and push it to the
-  /// queue FRONT so FCFS snapshots keep it ahead of younger arrivals.
+  bool try_activate(Sequence seq, Clock::time_point now);
+  /// Preempt active_[idx]: release its KV (after parking it in the tier in
+  /// swap mode) and push it to the queue FRONT so FCFS snapshots keep it
+  /// ahead of younger arrivals.
   void preempt(std::size_t idx);
+  /// The first time `seq` reaches the model: its queue delay is known.
+  void note_reached_model(Sequence& seq, Clock::time_point now);
   /// Feed the next prefill chunk of every sequence in `seqs` through one
   /// ragged forward; a sequence whose prefill completes samples its first
   /// token.
-  void prefill(std::span<ActiveSeq* const> seqs, Clock::time_point now);
+  void prefill(std::span<Sequence* const> seqs, Clock::time_point now);
   void prefill_phase(Clock::time_point now);
   /// Run every ready embedding sequence through the BERT encoder, batching
   /// same-(length, reduce) groups up to workloads.max_embed_batch per
   /// forward. Returns the number of sequences embedded.
   std::size_t embed_phase(Clock::time_point now);
   std::size_t decode_phase();
+  /// Fold step_stats_ and the step's tier, session, KV, TP and GEMM-tuner
+  /// snapshots into stats_.
+  void flush_step_stats();
   void retire_finished();
   /// Sample the next token for `seq` from `logits` row `row`, masking to
   /// the grammar's legal set when the request is constrained (all-ones
@@ -439,10 +457,10 @@ class InferenceEngine {
   /// hit a dead state; seq.finished/finish_status are set and the caller
   /// must not advance the sequence.
   std::optional<std::int32_t> sample_row(const Var& logits, std::int64_t row,
-                                         ActiveSeq& seq);
-  void finish(ActiveSeq& seq, RequestStatus status, Clock::time_point now);
-  void finish_pending(Pending& pending, RequestStatus status,
-                      Clock::time_point now);
+                                         Sequence& seq);
+  /// The one retirement path, for waiting and active sequences alike:
+  /// session hook, KV release, stats, on_finish, then the future.
+  void retire(Sequence& seq, RequestStatus status, Clock::time_point now);
 
   /// Dispatch to the tensor-parallel model when configured, else model_.
   Var model_forward(Tape& tape, const nn::RaggedBatch& batch);
@@ -466,9 +484,9 @@ class InferenceEngine {
 
   void worker_loop();
 
-  std::deque<Pending> waiting_;
-  std::vector<std::uint64_t> cancel_ids_;  // staged by cancel()
-  std::vector<std::uint64_t> park_ids_;    // staged by park()
+  std::deque<Sequence> waiting_;
+  // Retirements staged by cancel() / park(), guarded by queue_mutex_.
+  std::vector<std::pair<std::uint64_t, RequestStatus>> staged_;
   bool draining_ = false;  // guarded by queue_mutex_
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -490,8 +508,9 @@ class InferenceEngine {
   // every constrained decode step instead of a per-token vocab-sized alloc).
   std::vector<std::uint8_t> mask_scratch_;
   std::vector<float> logit_scratch_;
+  StepStats step_stats_;
 
-  std::vector<ActiveSeq> active_;
+  std::vector<Sequence> active_;
 };
 
 }  // namespace matgpt::serve

@@ -1,11 +1,41 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 
 namespace matgpt::serve {
+
+namespace {
+
+// Table rows as rendered: the JSON key, the report section, and the value.
+struct StatRow {
+  std::string_view name;
+  std::string_view section;
+  double (*value)(const ServerStats&);
+};
+
+#define MATGPT_STAT_ROW(name, type, kind, section)                          \
+  {#name, section,                                                          \
+   [](const ServerStats& s) { return static_cast<double>(s.name()); }},
+#define MATGPT_RATIO_ROW(name, num, den, section) \
+  {#name, section, [](const ServerStats& s) { return s.name(); }},
+constexpr StatRow kRows[] = {
+    MATGPT_SERVER_STATS(MATGPT_STAT_ROW, MATGPT_RATIO_ROW)};
+#undef MATGPT_STAT_ROW
+#undef MATGPT_RATIO_ROW
+
+#define MATGPT_STAT_KIND(name, type, kind, section) StatKind::kind,
+#define MATGPT_RATIO_SKIP(name, num, den, section)
+constexpr StatKind kKinds[] = {
+    MATGPT_SERVER_STATS(MATGPT_STAT_KIND, MATGPT_RATIO_SKIP)};
+#undef MATGPT_STAT_KIND
+#undef MATGPT_RATIO_SKIP
+
+}  // namespace
 
 ServerStats::ServerStats(const StatsConfig& config)
     : ttft_ms_(0.0, config.max_ttft_ms, config.bins),
@@ -17,6 +47,21 @@ ServerStats::ServerStats(const StatsConfig& config)
   ttft_class_ms_.reserve(kPriorityClasses);
   for (std::size_t i = 0; i < kPriorityClasses; ++i) {
     ttft_class_ms_.emplace_back(0.0, config.max_ttft_ms, config.bins);
+  }
+}
+
+void ServerStats::record(Stat stat, double v) {
+  const auto i = static_cast<std::size_t>(stat);
+  switch (kKinds[i]) {
+    case StatKind::kCounter:
+      values_[i] += v;
+      break;
+    case StatKind::kGauge:
+      values_[i] = v;
+      break;
+    case StatKind::kPeak:
+      values_[i] = std::max(values_[i], v);
+      break;
   }
 }
 
@@ -34,24 +79,27 @@ void ServerStats::record_queue_delay(double seconds) {
 }
 
 void ServerStats::record_preemption(bool swapped) {
-  (swapped ? preempt_swaps_ : preempt_recomputes_) += 1;
+  record(Stat::preemptions, 1);
+  record(swapped ? Stat::preempt_swaps : Stat::preempt_recomputes, 1);
 }
 
 void ServerStats::record_request(const RequestResult& result) {
-  requests_completed_ += 1;
-  if (result.status == RequestStatus::kCancelled) cancelled_ += 1;
-  if (result.status == RequestStatus::kTimeout) timed_out_ += 1;
-  if (result.status == RequestStatus::kParked) parked_ += 1;
-  if (result.status == RequestStatus::kGrammarDead) grammar_dead_ += 1;
-  if (result.constrained) grammar_requests_ += 1;
-  if (result.embed) embed_requests_ += 1;
-  tokens_generated_ += static_cast<std::uint64_t>(result.generated_tokens);
+  record(Stat::requests_completed, 1);
+  if (result.status == RequestStatus::kCancelled) record(Stat::cancelled, 1);
+  if (result.status == RequestStatus::kTimeout) record(Stat::timed_out, 1);
+  if (result.status == RequestStatus::kParked) record(Stat::parked, 1);
+  if (result.status == RequestStatus::kGrammarDead) {
+    record(Stat::grammar_dead, 1);
+  }
+  if (result.constrained) record(Stat::grammar_requests, 1);
+  if (result.embed) record(Stat::embed_requests, 1);
+  record(Stat::tokens_generated, result.generated_tokens);
   sum_request_tokens_per_s_ += result.tokens_per_s;
-  drafts_proposed_ += static_cast<std::uint64_t>(result.drafts_proposed);
-  drafts_accepted_ += static_cast<std::uint64_t>(result.drafts_accepted);
+  record(Stat::drafts_proposed, result.drafts_proposed);
+  record(Stat::drafts_accepted, result.drafts_accepted);
   if (result.drafts_proposed > 0) {
-    spec_steps_saved_ += static_cast<std::uint64_t>(
-        result.generated_tokens - result.verify_rounds);
+    record(Stat::spec_steps_saved,
+           result.generated_tokens - result.verify_rounds);
   }
 }
 
@@ -60,21 +108,21 @@ void ServerStats::record_prefix(std::int64_t tokens_reused,
   MGPT_CHECK(tokens_reused >= 0 && tokens_reused <= prompt_tokens,
              "prefix reuse of " << tokens_reused << " tokens from a "
                                 << prompt_tokens << "-token prompt");
-  (tokens_reused > 0 ? prefix_hits_ : prefix_misses_) += 1;
-  prefix_tokens_reused_ += static_cast<std::uint64_t>(tokens_reused);
-  prefix_prompt_tokens_ += static_cast<std::uint64_t>(prompt_tokens);
+  record(tokens_reused > 0 ? Stat::prefix_hits : Stat::prefix_misses, 1);
+  record(Stat::prefix_tokens_reused, tokens_reused);
+  record(Stat::prefix_prompt_tokens, prompt_tokens);
 }
 
 void ServerStats::record_kv(std::size_t active, std::int64_t used_blocks,
                             std::int64_t total_blocks,
                             std::int64_t shared_blocks,
                             std::uint64_t cow_forks, std::uint64_t cow_rows) {
-  peak_active_ = std::max(peak_active_, active);
-  peak_used_blocks_ = std::max(peak_used_blocks_, used_blocks);
-  peak_shared_blocks_ = std::max(peak_shared_blocks_, shared_blocks);
-  kv_total_blocks_ = total_blocks;
-  cow_forks_ = cow_forks;
-  cow_rows_ = cow_rows;
+  record(Stat::peak_active, active);
+  record(Stat::peak_used_blocks, used_blocks);
+  record(Stat::peak_shared_blocks, shared_blocks);
+  record(Stat::kv_total_blocks, total_blocks);
+  record(Stat::cow_forks, cow_forks);
+  record(Stat::cow_rows, cow_rows);
 }
 
 void ServerStats::set_tp(std::int64_t degree, std::string layout) {
@@ -85,28 +133,44 @@ void ServerStats::set_tp(std::int64_t degree, std::string layout) {
 void ServerStats::record_tp(std::uint64_t jobs, double comm_seconds,
                             std::uint64_t bytes_gathered,
                             std::uint64_t bytes_reduced) {
-  tp_jobs_ = jobs;
-  tp_comm_seconds_ = comm_seconds;
-  tp_bytes_gathered_ = bytes_gathered;
-  tp_bytes_reduced_ = bytes_reduced;
+  record(Stat::tp_jobs, jobs);
+  record(Stat::tp_comm_seconds, comm_seconds);
+  record(Stat::tp_bytes_gathered, bytes_gathered);
+  record(Stat::tp_bytes_reduced, bytes_reduced);
 }
 
 void ServerStats::record_tier(const kv_tier::TierStats& tier) {
-  tier_ = tier;
+  record(Stat::kv_tier_host_bytes, tier.host_bytes_used);
+  record(Stat::kv_tier_host_budget, tier.host_budget);
+  record(Stat::kv_tier_host_entries, tier.host_entries);
+  record(Stat::kv_tier_disk_bytes, tier.disk_bytes_used);
+  record(Stat::kv_tier_disk_budget, tier.disk_budget);
+  record(Stat::kv_tier_disk_entries, tier.disk_entries);
+  record(Stat::kv_tier_stores, tier.stores);
+  record(Stat::kv_tier_takes, tier.takes);
+  record(Stat::kv_tier_host_hits, tier.host_hits);
+  record(Stat::kv_tier_disk_hits, tier.disk_hits);
+  record(Stat::kv_tier_prefetch_hits, tier.prefetch_hits);
+  record(Stat::kv_tier_demotions, tier.demotions);
+  record(Stat::kv_tier_promotions, tier.promotions);
+  record(Stat::kv_tier_disk_evictions, tier.disk_evictions);
+  record(Stat::kv_tier_store_refusals, tier.store_refusals);
+  record(Stat::kv_tier_spill_failures, tier.spill_failures);
+  record(Stat::kv_tier_corrupt_drops, tier.corrupt_drops);
 }
 
 void ServerStats::record_session_park(bool kv_stored) {
-  session_parks_ += 1;
-  if (!kv_stored) session_park_drops_ += 1;
+  record(Stat::session_parks, 1);
+  if (!kv_stored) record(Stat::session_park_drops, 1);
 }
 
 void ServerStats::record_session_resume(bool kv_restored) {
-  session_resumes_ += 1;
-  if (!kv_restored) session_resume_recomputes_ += 1;
+  record(Stat::session_resumes, 1);
+  if (!kv_restored) record(Stat::session_resume_recomputes, 1);
 }
 
 void ServerStats::record_sessions(std::size_t live) {
-  sessions_live_ = live;
+  record(Stat::sessions_live, live);
 }
 
 void ServerStats::set_gemm_config(bool autotune, std::string decode_quant) {
@@ -115,226 +179,110 @@ void ServerStats::set_gemm_config(bool autotune, std::string decode_quant) {
 }
 
 void ServerStats::record_gemm(const gemm_tune::TunerStats& gemm) {
-  gemm_ = gemm;
+  record(Stat::gemm_tune_lookups, gemm.lookups);
+  record(Stat::gemm_tune_hits, gemm.hits);
+  record(Stat::gemm_tune_tunes, gemm.tunes);
+  record(Stat::gemm_tune_entries, gemm.entries);
+  record(Stat::gemm_tune_evictions, gemm.evictions);
+  record(Stat::gemm_f32_calls, gemm.f32_calls);
+  record(Stat::gemm_bf16_calls, gemm.bf16_calls);
+  record(Stat::gemm_int8_calls, gemm.int8_calls);
 }
 
-void ServerStats::record_grammar_step(bool eos_stop) {
-  grammar_masked_tokens_ += 1;
-  if (eos_stop) grammar_eos_stops_ += 1;
+void ServerStats::record_grammar_steps(std::int64_t steps,
+                                       std::int64_t eos_stops) {
+  record(Stat::grammar_masked_tokens, steps);
+  record(Stat::grammar_eos_stops, eos_stops);
 }
 
 void ServerStats::record_embed_forward(std::int64_t batch,
                                        std::int64_t tokens) {
-  embed_forwards_ += 1;
+  record(Stat::embed_forwards, 1);
   embed_batched_seqs_ += static_cast<std::uint64_t>(batch);
-  embed_tokens_ += static_cast<std::uint64_t>(tokens);
-}
-
-double ServerStats::mean_request_tokens_per_s() const {
-  return requests_completed_ == 0
-             ? 0.0
-             : sum_request_tokens_per_s_ /
-                   static_cast<double>(requests_completed_);
+  record(Stat::embed_tokens, tokens);
 }
 
 std::string ServerStats::report(double wall_s) const {
   std::ostringstream os;
-  os << "requests completed:  " << requests_completed_ << "\n";
-  os << "tokens generated:    " << tokens_generated_ << "\n";
-  if (wall_s > 0.0) {
-    os << "aggregate tokens/s:  "
-       << static_cast<double>(tokens_generated_) / wall_s << "\n";
-  }
-  auto row = [&os](const char* label, const Histogram& h) {
-    os << label << "p50 " << h.quantile(0.50) << " ms, p95 "
-       << h.quantile(0.95) << " ms, p99 " << h.quantile(0.99) << " ms\n";
+  auto label = [&os](std::string_view text) {
+    os << text << ':'
+       << std::string(text.size() < 20 ? 20 - text.size() : 1, ' ');
   };
-  if (ttft_ms_.total() > 0.0) row("ttft:                ", ttft_ms_);
-  for (std::size_t c = 0; c < ttft_class_ms_.size(); ++c) {
-    const Histogram& h = ttft_class_ms_[c];
-    if (h.total() == 0.0 || h.total() == ttft_ms_.total()) continue;
-    os << "  ttft[" << priority_name(static_cast<Priority>(c)) << "]:      "
-       << "p50 " << h.quantile(0.50) << " ms, p95 " << h.quantile(0.95)
+  // Rows of a section are adjacent in the table.
+  for (const StatRow* row = std::begin(kRows); row != std::end(kRows);) {
+    const StatRow* end = row;
+    bool any = false;
+    for (; end != std::end(kRows) && end->section == row->section; ++end) {
+      any = any || end->value(*this) != 0.0;
+    }
+    if (any) {
+      label(row->section);
+      for (const StatRow* r = row; r != end; ++r) {
+        os << (r == row ? "" : ", ") << r->name << ' ' << r->value(*this);
+      }
+      os << '\n';
+    }
+    row = end;
+  }
+  if (wall_s > 0.0) {
+    label("aggregate tokens/s");
+    os << static_cast<double>(tokens_generated()) / wall_s << '\n';
+  }
+  if (tp_degree_ > 1 || gemm_autotune_ || decode_quant_ != "f32") {
+    label("deployment");
+    os << "tp_degree " << tp_degree_ << " (" << tp_layout_
+       << "), gemm_autotune " << (gemm_autotune_ ? "on" : "off")
+       << ", decode_quant " << decode_quant_ << '\n';
+  }
+  auto hist = [&](std::string_view name, const Histogram& h) {
+    if (h.total() == 0.0) return;
+    label(name);
+    os << "p50 " << h.quantile(0.50) << " ms, p95 " << h.quantile(0.95)
        << " ms, p99 " << h.quantile(0.99) << " ms\n";
+  };
+  hist("ttft", ttft_ms_);
+  for (std::size_t c = 0; c < ttft_class_ms_.size(); ++c) {
+    // A single populated class repeats the aggregate row; skip it.
+    if (ttft_class_ms_[c].total() == ttft_ms_.total()) continue;
+    hist(std::string("  ttft[") + priority_name(static_cast<Priority>(c)) +
+             "]",
+         ttft_class_ms_[c]);
   }
-  if (queue_delay_ms_.total() > 0.0) {
-    row("queue delay:         ", queue_delay_ms_);
-  }
-  if (inter_token_ms_.total() > 0.0) {
-    row("inter-token latency: ", inter_token_ms_);
-  }
-  if (preemptions() > 0) {
-    os << "preemptions:         " << preemptions() << " (" << preempt_swaps_
-       << " swapped, " << preempt_recomputes_ << " recompute)\n";
-  }
-  if (cancelled_ + timed_out_ + parked_ > 0) {
-    os << "early retirements:   " << cancelled_ << " cancelled, "
-       << timed_out_ << " timed out, " << parked_ << " parked\n";
-  }
-  if (session_parks_ + session_resumes_ > 0) {
-    os << "sessions:            " << sessions_live_ << " live, "
-       << session_parks_ << " parks (" << session_park_drops_
-       << " kv-dropped), " << session_resumes_ << " resumes ("
-       << session_resume_recomputes_ << " recomputed)\n";
-  }
-  if (tier_.stores > 0) {
-    os << "kv tier:             host " << tier_.host_bytes_used << "/"
-       << tier_.host_budget << " B (" << tier_.host_entries
-       << " entries), disk " << tier_.disk_bytes_used << "/"
-       << tier_.disk_budget << " B (" << tier_.disk_entries << " entries), "
-       << tier_.demotions << " demotions, " << tier_.promotions
-       << " promotions, " << tier_.prefetch_hits << " prefetch hits, "
-       << tier_.corrupt_drops + tier_.spill_failures << " spill faults\n";
-  }
-  if (grammar_requests_ > 0) {
-    os << "grammar decoding:    " << grammar_requests_ << " requests, "
-       << grammar_masked_tokens_ << " masked tokens, " << grammar_eos_stops_
-       << " EOS stops, " << grammar_dead_ << " dead states\n";
-  }
-  if (embed_requests_ > 0) {
-    os << "embeddings:          " << embed_requests_ << " requests, "
-       << embed_forwards_ << " forwards (mean batch " << embed_mean_batch()
-       << "), " << embed_tokens_ << " input tokens\n";
-  }
-  if (drafts_proposed_ > 0) {
-    os << "spec acceptance:     " << 100.0 * acceptance_rate() << "% ("
-       << drafts_accepted_ << "/" << drafts_proposed_ << " drafts, "
-       << spec_steps_saved_ << " decode steps saved)\n";
-  }
-  if (prefix_hits_ + prefix_misses_ > 0) {
-    os << "prefix cache:        " << 100.0 * prefix_hit_rate() << "% hit rate ("
-       << prefix_hits_ << "/" << prefix_hits_ + prefix_misses_
-       << " admissions), " << prefix_tokens_reused_ << "/"
-       << prefix_prompt_tokens_ << " prompt tokens skipped prefill\n";
-  }
-  if (peak_active_ > 0) {
-    os << "kv concurrency:      peak " << peak_active_ << " active sequences\n";
-  }
-  if (kv_total_blocks_ > 0) {
-    os << "kv blocks:           peak " << peak_used_blocks_ << "/"
-       << kv_total_blocks_ << " used ("
-       << 100.0 * peak_block_utilization() << "% utilization), peak "
-       << peak_shared_blocks_ << " shared, " << cow_forks_
-       << " CoW forks (" << cow_rows_ << " rows copied)\n";
-  }
-  if (tp_degree_ > 1) {
-    os << "tensor parallel:     TP=" << tp_degree_ << " (" << tp_layout_
-       << "), " << tp_jobs_ << " sharded forwards, "
-       << tp_comm_ms_per_job() << " ms collectives/step\n";
-  }
-  if (gemm_autotune_ || decode_quant_ != "f32") {
-    os << "gemm:                autotune "
-       << (gemm_autotune_ ? "on" : "off") << ", decode quant "
-       << decode_quant_ << ", " << gemm_.lookups << " tuned lookups ("
-       << 100.0 * gemm_hit_rate() << "% cached), " << gemm_.tunes
-       << " shapes tuned, " << gemm_.entries << " cached, calls f32 "
-       << gemm_.f32_calls << " / bf16 " << gemm_.bf16_calls << " / int8 "
-       << gemm_.int8_calls << "\n";
-  }
+  hist("queue delay", queue_delay_ms_);
+  hist("inter-token latency", inter_token_ms_);
   return os.str();
 }
 
 std::string ServerStats::to_json(double wall_s) const {
   std::ostringstream os;
   os.precision(17);
-  auto hist = [&os](const char* name, const Histogram& h) {
-    os << "\"" << name << "\": {\"count\": " << h.total();
+  os << "{\n  \"wall_s\": " << wall_s;
+  os << ",\n  \"aggregate_tokens_per_s\": "
+     << (wall_s > 0.0 ? static_cast<double>(tokens_generated()) / wall_s
+                      : 0.0);
+  for (const StatRow& row : kRows) {
+    os << ",\n  \"" << row.name << "\": " << row.value(*this);
+  }
+  os << ",\n  \"tp_degree\": " << tp_degree_;
+  os << ",\n  \"tp_layout\": \"" << tp_layout_ << "\"";
+  os << ",\n  \"gemm_autotune\": " << (gemm_autotune_ ? "true" : "false");
+  os << ",\n  \"decode_quant\": \"" << decode_quant_ << "\"";
+  auto hist = [&os](const std::string& name, const Histogram& h) {
+    os << ",\n  \"" << name << "\": {\"count\": " << h.total();
     if (h.total() > 0.0) {
       os << ", \"p50\": " << h.quantile(0.50) << ", \"p95\": "
          << h.quantile(0.95) << ", \"p99\": " << h.quantile(0.99);
     }
     os << "}";
   };
-  os << "{\n  \"wall_s\": " << wall_s;
-  os << ",\n  \"requests_completed\": " << requests_completed_;
-  os << ",\n  \"tokens_generated\": " << tokens_generated_;
-  os << ",\n  \"aggregate_tokens_per_s\": "
-     << (wall_s > 0.0 ? static_cast<double>(tokens_generated_) / wall_s
-                      : 0.0);
-  os << ",\n  \"mean_request_tokens_per_s\": " << mean_request_tokens_per_s();
-  os << ",\n  \"cancelled\": " << cancelled_;
-  os << ",\n  \"timed_out\": " << timed_out_;
-  os << ",\n  \"preemptions\": " << preemptions();
-  os << ",\n  \"preempt_swaps\": " << preempt_swaps_;
-  os << ",\n  \"preempt_recomputes\": " << preempt_recomputes_;
-  os << ",\n  ";
   hist("ttft_ms", ttft_ms_);
   for (std::size_t c = 0; c < ttft_class_ms_.size(); ++c) {
-    os << ",\n  ";
-    const std::string name =
-        std::string("ttft_") + priority_name(static_cast<Priority>(c)) +
-        "_ms";
-    hist(name.c_str(), ttft_class_ms_[c]);
+    hist(std::string("ttft_") + priority_name(static_cast<Priority>(c)) +
+             "_ms",
+         ttft_class_ms_[c]);
   }
-  os << ",\n  ";
   hist("queue_delay_ms", queue_delay_ms_);
-  os << ",\n  ";
   hist("inter_token_ms", inter_token_ms_);
-  os << ",\n  \"drafts_proposed\": " << drafts_proposed_;
-  os << ",\n  \"drafts_accepted\": " << drafts_accepted_;
-  os << ",\n  \"spec_steps_saved\": " << spec_steps_saved_;
-  os << ",\n  \"acceptance_rate\": " << acceptance_rate();
-  os << ",\n  \"prefix_hits\": " << prefix_hits_;
-  os << ",\n  \"prefix_misses\": " << prefix_misses_;
-  os << ",\n  \"prefix_hit_rate\": " << prefix_hit_rate();
-  os << ",\n  \"prefix_tokens_reused\": " << prefix_tokens_reused_;
-  os << ",\n  \"prefix_prompt_tokens\": " << prefix_prompt_tokens_;
-  os << ",\n  \"peak_active\": " << peak_active_;
-  os << ",\n  \"peak_used_blocks\": " << peak_used_blocks_;
-  os << ",\n  \"peak_shared_blocks\": " << peak_shared_blocks_;
-  os << ",\n  \"kv_total_blocks\": " << kv_total_blocks_;
-  os << ",\n  \"peak_block_utilization\": " << peak_block_utilization();
-  os << ",\n  \"cow_forks\": " << cow_forks_;
-  os << ",\n  \"cow_rows\": " << cow_rows_;
-  os << ",\n  \"tp_degree\": " << tp_degree_;
-  os << ",\n  \"tp_layout\": \"" << tp_layout_ << "\"";
-  os << ",\n  \"tp_jobs\": " << tp_jobs_;
-  os << ",\n  \"tp_comm_seconds\": " << tp_comm_seconds_;
-  os << ",\n  \"tp_comm_ms_per_step\": " << tp_comm_ms_per_job();
-  os << ",\n  \"tp_bytes_gathered\": " << tp_bytes_gathered_;
-  os << ",\n  \"tp_bytes_reduced\": " << tp_bytes_reduced_;
-  os << ",\n  \"parked\": " << parked_;
-  os << ",\n  \"sessions_live\": " << sessions_live_;
-  os << ",\n  \"session_parks\": " << session_parks_;
-  os << ",\n  \"session_park_drops\": " << session_park_drops_;
-  os << ",\n  \"session_resumes\": " << session_resumes_;
-  os << ",\n  \"session_resume_recomputes\": " << session_resume_recomputes_;
-  os << ",\n  \"kv_tier_host_bytes\": " << tier_.host_bytes_used;
-  os << ",\n  \"kv_tier_host_budget\": " << tier_.host_budget;
-  os << ",\n  \"kv_tier_host_entries\": " << tier_.host_entries;
-  os << ",\n  \"kv_tier_disk_bytes\": " << tier_.disk_bytes_used;
-  os << ",\n  \"kv_tier_disk_budget\": " << tier_.disk_budget;
-  os << ",\n  \"kv_tier_disk_entries\": " << tier_.disk_entries;
-  os << ",\n  \"kv_tier_stores\": " << tier_.stores;
-  os << ",\n  \"kv_tier_takes\": " << tier_.takes;
-  os << ",\n  \"kv_tier_host_hits\": " << tier_.host_hits;
-  os << ",\n  \"kv_tier_disk_hits\": " << tier_.disk_hits;
-  os << ",\n  \"kv_tier_prefetch_hits\": " << tier_.prefetch_hits;
-  os << ",\n  \"kv_tier_demotions\": " << tier_.demotions;
-  os << ",\n  \"kv_tier_promotions\": " << tier_.promotions;
-  os << ",\n  \"kv_tier_disk_evictions\": " << tier_.disk_evictions;
-  os << ",\n  \"kv_tier_store_refusals\": " << tier_.store_refusals;
-  os << ",\n  \"kv_tier_spill_failures\": " << tier_.spill_failures;
-  os << ",\n  \"kv_tier_corrupt_drops\": " << tier_.corrupt_drops;
-  os << ",\n  \"grammar_requests\": " << grammar_requests_;
-  os << ",\n  \"grammar_masked_tokens\": " << grammar_masked_tokens_;
-  os << ",\n  \"grammar_eos_stops\": " << grammar_eos_stops_;
-  os << ",\n  \"grammar_dead\": " << grammar_dead_;
-  os << ",\n  \"embed_requests\": " << embed_requests_;
-  os << ",\n  \"embed_forwards\": " << embed_forwards_;
-  os << ",\n  \"embed_tokens\": " << embed_tokens_;
-  os << ",\n  \"embed_mean_batch\": " << embed_mean_batch();
-  os << ",\n  \"gemm_autotune\": " << (gemm_autotune_ ? "true" : "false");
-  os << ",\n  \"decode_quant\": \"" << decode_quant_ << "\"";
-  os << ",\n  \"gemm_tune_lookups\": " << gemm_.lookups;
-  os << ",\n  \"gemm_tune_hits\": " << gemm_.hits;
-  os << ",\n  \"gemm_tune_hit_rate\": " << gemm_hit_rate();
-  os << ",\n  \"gemm_tune_tunes\": " << gemm_.tunes;
-  os << ",\n  \"gemm_tune_entries\": " << gemm_.entries;
-  os << ",\n  \"gemm_tune_evictions\": " << gemm_.evictions;
-  os << ",\n  \"gemm_f32_calls\": " << gemm_.f32_calls;
-  os << ",\n  \"gemm_bf16_calls\": " << gemm_.bf16_calls;
-  os << ",\n  \"gemm_int8_calls\": " << gemm_.int8_calls;
   os << "\n}";
   return os.str();
 }

@@ -1,11 +1,17 @@
 #pragma once
-// Serving latency metrics: time-to-first-token, inter-token latency, and
-// per-request throughput, recorded into common/histogram with p50/p95/p99
-// quantile queries.
+// Serving metrics: four latency histograms (TTFT overall and per priority
+// class, queue delay, inter-token latency) recorded into common/histogram
+// with p50/p95/p99 quantile queries, plus one declared table of scalar
+// stats.
 //
-// Written only by the engine's scheduler thread; read once the run settles
-// (or from the same thread) — no internal locking.
+// Every /v1/stats scalar is one row of MATGPT_SERVER_STATS below. The row
+// generates the typed accessor, and report() and to_json() render the
+// table, so a stat is named in exactly one place.
+//
+// Written only by the engine's scheduler thread; the engine serializes
+// those writes with stats_json() — no internal locking.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +22,101 @@
 #include "tensor/gemm_tune.h"
 
 namespace matgpt::serve {
+
+/// How a stored stat takes a recorded value: a counter adds it, a gauge
+/// overwrites with it (snapshots of another component's lifetime totals
+/// are gauges too), a peak keeps the maximum.
+enum class StatKind { kCounter, kGauge, kPeak };
+
+// The scalar stats, in /v1/stats order:
+//   STAT(name, accessor type, StatKind, report section)
+//   RATIO(name, numerator, denominator, report section) — derived, never
+//     stored: numerator / denominator, 0 while the denominator is 0. The
+//     operands are expressions over the other accessors.
+// report() prints one line per section that has a non-zero value.
+#define MATGPT_SERVER_STATS(STAT, RATIO)                                     \
+  STAT(requests_completed, std::uint64_t, kCounter, "requests")             \
+  STAT(tokens_generated, std::uint64_t, kCounter, "requests")               \
+  RATIO(mean_request_tokens_per_s, sum_request_tokens_per_s_,               \
+        requests_completed(), "requests")                                   \
+  STAT(cancelled, std::uint64_t, kCounter, "early retirements")             \
+  STAT(timed_out, std::uint64_t, kCounter, "early retirements")             \
+  STAT(parked, std::uint64_t, kCounter, "early retirements")                \
+  STAT(preemptions, std::uint64_t, kCounter, "preemptions")                 \
+  STAT(preempt_swaps, std::uint64_t, kCounter, "preemptions")               \
+  STAT(preempt_recomputes, std::uint64_t, kCounter, "preemptions")          \
+  STAT(drafts_proposed, std::uint64_t, kCounter, "spec acceptance")         \
+  STAT(drafts_accepted, std::uint64_t, kCounter, "spec acceptance")         \
+  /* Sequential decode steps avoided by accepted drafts. */                 \
+  STAT(spec_steps_saved, std::uint64_t, kCounter, "spec acceptance")        \
+  RATIO(acceptance_rate, drafts_accepted(), drafts_proposed(),              \
+        "spec acceptance")                                                  \
+  /* A hit is an admission that reused >= 1 cached prompt token. */         \
+  STAT(prefix_hits, std::uint64_t, kCounter, "prefix cache")                \
+  STAT(prefix_misses, std::uint64_t, kCounter, "prefix cache")              \
+  RATIO(prefix_hit_rate, prefix_hits(), prefix_hits() + prefix_misses(),    \
+        "prefix cache")                                                     \
+  STAT(prefix_tokens_reused, std::uint64_t, kCounter, "prefix cache")       \
+  STAT(prefix_prompt_tokens, std::uint64_t, kCounter, "prefix cache")       \
+  /* Largest post-admission decode batch: the paged capacity numerator. */  \
+  STAT(peak_active, std::uint64_t, kPeak, "kv blocks")                      \
+  STAT(peak_used_blocks, std::uint64_t, kPeak, "kv blocks")                 \
+  STAT(peak_shared_blocks, std::uint64_t, kPeak, "kv blocks")               \
+  STAT(kv_total_blocks, std::uint64_t, kGauge, "kv blocks")                 \
+  RATIO(peak_block_utilization, peak_used_blocks(), kv_total_blocks(),      \
+        "kv blocks")                                                        \
+  STAT(cow_forks, std::uint64_t, kGauge, "kv blocks")                       \
+  STAT(cow_rows, std::uint64_t, kGauge, "kv blocks")                        \
+  /* Model forwards through the rank pool, and rank-0 wall seconds spent */ \
+  /* inside collectives. */                                                 \
+  STAT(tp_jobs, std::uint64_t, kGauge, "tensor parallel")                   \
+  STAT(tp_comm_seconds, double, kGauge, "tensor parallel")                  \
+  RATIO(tp_comm_ms_per_step, 1000.0 * tp_comm_seconds(), tp_jobs(),         \
+        "tensor parallel")                                                  \
+  STAT(tp_bytes_gathered, std::uint64_t, kGauge, "tensor parallel")         \
+  STAT(tp_bytes_reduced, std::uint64_t, kGauge, "tensor parallel")          \
+  STAT(sessions_live, std::uint64_t, kGauge, "sessions")                    \
+  STAT(session_parks, std::uint64_t, kCounter, "sessions")                  \
+  /* Parks whose KV the tier refused: the next resume re-prefills. */       \
+  STAT(session_park_drops, std::uint64_t, kCounter, "sessions")             \
+  STAT(session_resumes, std::uint64_t, kCounter, "sessions")                \
+  STAT(session_resume_recomputes, std::uint64_t, kCounter, "sessions")      \
+  STAT(kv_tier_host_bytes, std::uint64_t, kGauge, "kv tier")                \
+  STAT(kv_tier_host_budget, std::uint64_t, kGauge, "kv tier")               \
+  STAT(kv_tier_host_entries, std::uint64_t, kGauge, "kv tier")              \
+  STAT(kv_tier_disk_bytes, std::uint64_t, kGauge, "kv tier")                \
+  STAT(kv_tier_disk_budget, std::uint64_t, kGauge, "kv tier")               \
+  STAT(kv_tier_disk_entries, std::uint64_t, kGauge, "kv tier")              \
+  STAT(kv_tier_stores, std::uint64_t, kGauge, "kv tier")                    \
+  STAT(kv_tier_takes, std::uint64_t, kGauge, "kv tier")                     \
+  STAT(kv_tier_host_hits, std::uint64_t, kGauge, "kv tier")                 \
+  STAT(kv_tier_disk_hits, std::uint64_t, kGauge, "kv tier")                 \
+  STAT(kv_tier_prefetch_hits, std::uint64_t, kGauge, "kv tier")             \
+  STAT(kv_tier_demotions, std::uint64_t, kGauge, "kv tier")                 \
+  STAT(kv_tier_promotions, std::uint64_t, kGauge, "kv tier")                \
+  STAT(kv_tier_disk_evictions, std::uint64_t, kGauge, "kv tier")            \
+  STAT(kv_tier_store_refusals, std::uint64_t, kGauge, "kv tier")            \
+  STAT(kv_tier_spill_failures, std::uint64_t, kGauge, "kv tier")            \
+  STAT(kv_tier_corrupt_drops, std::uint64_t, kGauge, "kv tier")             \
+  STAT(grammar_requests, std::uint64_t, kCounter, "grammar decoding")       \
+  STAT(grammar_masked_tokens, std::uint64_t, kCounter, "grammar decoding")  \
+  STAT(grammar_eos_stops, std::uint64_t, kCounter, "grammar decoding")      \
+  STAT(grammar_dead, std::uint64_t, kCounter, "grammar decoding")           \
+  STAT(embed_requests, std::uint64_t, kCounter, "embeddings")               \
+  STAT(embed_forwards, std::uint64_t, kCounter, "embeddings")               \
+  STAT(embed_tokens, std::uint64_t, kCounter, "embeddings")                 \
+  /* Mean sequences per embedding forward: the class's batching win. */     \
+  RATIO(embed_mean_batch, embed_batched_seqs_, embed_forwards(),            \
+        "embeddings")                                                       \
+  STAT(gemm_tune_lookups, std::uint64_t, kGauge, "gemm")                    \
+  STAT(gemm_tune_hits, std::uint64_t, kGauge, "gemm")                       \
+  RATIO(gemm_tune_hit_rate, gemm_tune_hits(), gemm_tune_lookups(), "gemm")  \
+  STAT(gemm_tune_tunes, std::uint64_t, kGauge, "gemm")                      \
+  STAT(gemm_tune_entries, std::uint64_t, kGauge, "gemm")                    \
+  STAT(gemm_tune_evictions, std::uint64_t, kGauge, "gemm")                  \
+  STAT(gemm_f32_calls, std::uint64_t, kGauge, "gemm")                       \
+  STAT(gemm_bf16_calls, std::uint64_t, kGauge, "gemm")                      \
+  STAT(gemm_int8_calls, std::uint64_t, kGauge, "gemm")
 
 /// Bounds for the fixed-bin latency histograms. Samples above the bound are
 /// clamped into the top bin (Histogram semantics), so quantiles saturate
@@ -44,20 +145,17 @@ class ServerStats {
   /// One admission's prefix-cache outcome: `tokens_reused` of a
   /// `prompt_tokens`-long prompt were restored from cache (0 = miss).
   void record_prefix(std::int64_t tokens_reused, std::int64_t prompt_tokens);
-  /// Per-step KV occupancy snapshot (peaks are kept; counters overwrite).
-  /// `active` is the post-admission batch.
+  /// Per-step KV occupancy snapshot. `active` is the post-admission batch.
   void record_kv(std::size_t active, std::int64_t used_blocks,
                  std::int64_t total_blocks, std::int64_t shared_blocks,
                  std::uint64_t cow_forks, std::uint64_t cow_rows);
   /// Tensor-parallel identity: degree and shard layout (set once at engine
   /// construction when tensor_parallel > 1).
   void set_tp(std::int64_t degree, std::string layout);
-  /// Tensor-parallel per-step accounting snapshot (lifetime totals from the
-  /// rank pool; counters overwrite).
+  /// Tensor-parallel lifetime totals from the rank pool.
   void record_tp(std::uint64_t jobs, double comm_seconds,
                  std::uint64_t bytes_gathered, std::uint64_t bytes_reduced);
-  /// KV tier-store per-step snapshot (lifetime totals from the store;
-  /// counters overwrite).
+  /// KV tier-store lifetime totals and occupancy.
   void record_tier(const kv_tier::TierStats& tier);
   /// One session park event; `kv_stored` = the tier kept the KV bytes
   /// (vs refused — the next resume re-prefills from the registry tokens).
@@ -65,134 +163,38 @@ class ServerStats {
   /// One session resume activation; `kv_restored` = KV came back from the
   /// tier (vs recompute fallback).
   void record_session_resume(bool kv_restored);
-  /// Live-session gauge (overwrites).
+  /// Live-session gauge.
   void record_sessions(std::size_t live);
   /// GEMM autotune / quantized-decode identity (set once at engine
   /// construction when either knob is on).
   void set_gemm_config(bool autotune, std::string decode_quant);
-  /// Autotuner per-step snapshot (lifetime totals from the process-global
-  /// tuner; counters overwrite).
+  /// Autotuner lifetime totals from the process-global tuner.
   void record_gemm(const gemm_tune::TunerStats& gemm);
-  /// One grammar-masked sampling step; `eos_stop` = the step sampled EOS at
-  /// an accepting state and ended the utterance.
-  void record_grammar_step(bool eos_stop);
+  /// `steps` grammar-masked sampling steps, `eos_stops` of which sampled
+  /// EOS at an accepting state and ended the utterance.
+  void record_grammar_steps(std::int64_t steps, std::int64_t eos_stops);
   /// One batched embedding forward of `batch` sequences totalling `tokens`
   /// input tokens.
   void record_embed_forward(std::int64_t batch, std::int64_t tokens);
 
-  std::uint64_t requests_completed() const { return requests_completed_; }
-  std::uint64_t tokens_generated() const { return tokens_generated_; }
+  // One accessor per table row.
+#define MATGPT_STAT_ACCESSOR(name, type, kind, section) \
+  type name() const { return static_cast<type>(value(Stat::name)); }
+#define MATGPT_RATIO_ACCESSOR(name, num, den, section) \
+  double name() const { return ratio(num, den); }
+  MATGPT_SERVER_STATS(MATGPT_STAT_ACCESSOR, MATGPT_RATIO_ACCESSOR)
+#undef MATGPT_STAT_ACCESSOR
+#undef MATGPT_RATIO_ACCESSOR
 
-  /// Prefix-cache aggregates over admissions (all zero when the cache is
-  /// disabled). A hit is any admission that reused >= 1 cached token.
-  std::uint64_t prefix_hits() const { return prefix_hits_; }
-  std::uint64_t prefix_misses() const { return prefix_misses_; }
-  std::uint64_t prefix_tokens_reused() const { return prefix_tokens_reused_; }
-  std::uint64_t prefix_prompt_tokens() const { return prefix_prompt_tokens_; }
-  double prefix_hit_rate() const {
-    const std::uint64_t lookups = prefix_hits_ + prefix_misses_;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(prefix_hits_) /
-                              static_cast<double>(lookups);
-  }
+  /// Sequences over all embedding forwards (embed_mean_batch's numerator).
+  std::uint64_t embed_batched_seqs() const { return embed_batched_seqs_; }
 
-  /// Speculative-decoding aggregates over completed requests (all zero when
-  /// no request speculated).
-  std::uint64_t drafts_proposed() const { return drafts_proposed_; }
-  std::uint64_t drafts_accepted() const { return drafts_accepted_; }
-  /// Sequential decode steps avoided by accepted drafts.
-  std::uint64_t spec_steps_saved() const { return spec_steps_saved_; }
-  double acceptance_rate() const {
-    return drafts_proposed_ == 0
-               ? 0.0
-               : static_cast<double>(drafts_accepted_) /
-                     static_cast<double>(drafts_proposed_);
-  }
-
-  /// KV occupancy aggregates (record_kv). peak_active is the largest
-  /// concurrent decode batch observed — the paged capacity gate's
-  /// numerator.
-  std::size_t peak_active() const { return peak_active_; }
-  std::int64_t peak_used_blocks() const { return peak_used_blocks_; }
-  std::int64_t peak_shared_blocks() const { return peak_shared_blocks_; }
-  std::int64_t kv_total_blocks() const { return kv_total_blocks_; }
-  std::uint64_t cow_forks() const { return cow_forks_; }
-  std::uint64_t cow_rows() const { return cow_rows_; }
-  double peak_block_utilization() const {
-    return kv_total_blocks_ == 0
-               ? 0.0
-               : static_cast<double>(peak_used_blocks_) /
-                     static_cast<double>(kv_total_blocks_);
-  }
-
-  /// Tensor-parallel aggregates (degree 1 = TP disabled; jobs are model
-  /// forwards through the rank pool, comm time is rank-0 wall seconds inside
-  /// collectives).
+  /// Identity of the deployment (not measured): TP degree (1 = off) and
+  /// layout, autotuning, and the decode weight format ("f32" = off).
   std::int64_t tp_degree() const { return tp_degree_; }
   const std::string& tp_layout() const { return tp_layout_; }
-  std::uint64_t tp_jobs() const { return tp_jobs_; }
-  double tp_comm_seconds() const { return tp_comm_seconds_; }
-  /// Mean collective wall time per forward job (the per-step allreduce /
-  /// gather cost /v1/stats exposes).
-  double tp_comm_ms_per_job() const {
-    return tp_jobs_ == 0
-               ? 0.0
-               : 1000.0 * tp_comm_seconds_ / static_cast<double>(tp_jobs_);
-  }
-
-  /// Scheduling aggregates: preemption events by KV disposition, and
-  /// retirements that did not complete normally (record_request's status).
-  std::uint64_t preemptions() const {
-    return preempt_swaps_ + preempt_recomputes_;
-  }
-  std::uint64_t preempt_swaps() const { return preempt_swaps_; }
-  std::uint64_t preempt_recomputes() const { return preempt_recomputes_; }
-  std::uint64_t cancelled() const { return cancelled_; }
-  std::uint64_t timed_out() const { return timed_out_; }
-  std::uint64_t parked() const { return parked_; }
-
-  /// Session + KV-tier aggregates (all zero without sessions/tiering).
-  std::uint64_t session_parks() const { return session_parks_; }
-  std::uint64_t session_park_drops() const { return session_park_drops_; }
-  std::uint64_t session_resumes() const { return session_resumes_; }
-  std::uint64_t session_resume_recomputes() const {
-    return session_resume_recomputes_;
-  }
-  std::size_t sessions_live() const { return sessions_live_; }
-  const kv_tier::TierStats& tier() const { return tier_; }
-
-  /// Workload-class aggregates (all zero when no constrained/embedding
-  /// request was served). Counted at retirement via record_request's
-  /// constrained/embed flags except the per-step token counters.
-  std::uint64_t grammar_requests() const { return grammar_requests_; }
-  std::uint64_t grammar_masked_tokens() const {
-    return grammar_masked_tokens_;
-  }
-  std::uint64_t grammar_eos_stops() const { return grammar_eos_stops_; }
-  std::uint64_t grammar_dead() const { return grammar_dead_; }
-  std::uint64_t embed_requests() const { return embed_requests_; }
-  std::uint64_t embed_forwards() const { return embed_forwards_; }
-  std::uint64_t embed_tokens() const { return embed_tokens_; }
-  std::uint64_t embed_batched_seqs() const { return embed_batched_seqs_; }
-  /// Mean sequences per embedding forward — the batching win the embedding
-  /// class exists for.
-  double embed_mean_batch() const {
-    return embed_forwards_ == 0
-               ? 0.0
-               : static_cast<double>(embed_batched_seqs_) /
-                     static_cast<double>(embed_forwards_);
-  }
-
-  /// GEMM autotuner aggregates (all zero / "f32" when neither gemm_autotune
-  /// nor decode_quant is configured).
   bool gemm_autotune() const { return gemm_autotune_; }
   const std::string& decode_quant() const { return decode_quant_; }
-  const gemm_tune::TunerStats& gemm() const { return gemm_; }
-  double gemm_hit_rate() const {
-    return gemm_.lookups == 0 ? 0.0
-                              : static_cast<double>(gemm_.hits) /
-                                    static_cast<double>(gemm_.lookups);
-  }
 
   /// Quantiles in milliseconds (q in [0, 1]); require recorded samples.
   double ttft_ms(double q) const { return ttft_ms_.quantile(q); }
@@ -204,75 +206,49 @@ class ServerStats {
   double ttft_class_ms(Priority cls, double q) const {
     return ttft_class_ms_[static_cast<std::size_t>(cls)].quantile(q);
   }
-  double ttft_count() const { return ttft_ms_.total(); }
-  double inter_token_count() const { return inter_token_ms_.total(); }
-  double queue_delay_count() const { return queue_delay_ms_.total(); }
-  double ttft_class_count(Priority cls) const {
-    return ttft_class_ms_[static_cast<std::size_t>(cls)].total();
-  }
 
-  /// Mean per-request decode throughput (tokens/s) over completed requests.
-  double mean_request_tokens_per_s() const;
-
-  /// Human-readable report: aggregate throughput over `wall_s` plus the
-  /// p50/p95/p99 latency table.
+  /// Human-readable report: one line per table section with a non-zero
+  /// value, aggregate throughput over `wall_s`, the deployment identity
+  /// when it is not the default, and the p50/p95/p99 latency table.
   std::string report(double wall_s) const;
 
-  /// Machine-readable mirror of report(): one JSON object with the
-  /// counters, per-histogram {count, p50, p95, p99} blocks (count 0 when a
-  /// histogram has no samples), and the spec/prefix/kv aggregates. The
-  /// HTTP /v1/stats endpoint and `serve-bench --json` both emit this.
+  /// Machine-readable mirror of report(): one JSON object with every
+  /// table row, the identity fields, and per-histogram {count, p50, p95,
+  /// p99} blocks (count 0 when a histogram has no samples). The HTTP
+  /// /v1/stats endpoint and `serve-bench --json` both emit this.
   std::string to_json(double wall_s) const;
 
  private:
+  enum class Stat : std::size_t {
+#define MATGPT_STAT_ENUM(name, type, kind, section) name,
+#define MATGPT_RATIO_SKIP(name, num, den, section)
+    MATGPT_SERVER_STATS(MATGPT_STAT_ENUM, MATGPT_RATIO_SKIP)
+#undef MATGPT_STAT_ENUM
+#undef MATGPT_RATIO_SKIP
+        kCount
+  };
+
+  /// Apply `v` to a stored stat by its row's kind.
+  void record(Stat stat, double v);
+  double value(Stat stat) const {
+    return values_[static_cast<std::size_t>(stat)];
+  }
+  static double ratio(double num, double den) {
+    return den == 0.0 ? 0.0 : num / den;
+  }
+
   Histogram ttft_ms_;
   Histogram inter_token_ms_;
   Histogram queue_delay_ms_;
   std::vector<Histogram> ttft_class_ms_;  // indexed by Priority
-  std::uint64_t preempt_swaps_ = 0;
-  std::uint64_t preempt_recomputes_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t timed_out_ = 0;
-  std::uint64_t requests_completed_ = 0;
-  std::uint64_t tokens_generated_ = 0;
+  std::array<double, static_cast<std::size_t>(Stat::kCount)> values_{};
+  // Ratio operands that are not published themselves.
   double sum_request_tokens_per_s_ = 0.0;
-  std::uint64_t drafts_proposed_ = 0;
-  std::uint64_t drafts_accepted_ = 0;
-  std::uint64_t spec_steps_saved_ = 0;
-  std::uint64_t prefix_hits_ = 0;
-  std::uint64_t prefix_misses_ = 0;
-  std::uint64_t prefix_tokens_reused_ = 0;
-  std::uint64_t prefix_prompt_tokens_ = 0;
-  std::size_t peak_active_ = 0;
-  std::int64_t peak_used_blocks_ = 0;
-  std::int64_t peak_shared_blocks_ = 0;
-  std::int64_t kv_total_blocks_ = 0;
-  std::uint64_t cow_forks_ = 0;
-  std::uint64_t cow_rows_ = 0;
+  std::uint64_t embed_batched_seqs_ = 0;
   std::int64_t tp_degree_ = 1;
   std::string tp_layout_;
-  std::uint64_t tp_jobs_ = 0;
-  double tp_comm_seconds_ = 0.0;
-  std::uint64_t tp_bytes_gathered_ = 0;
-  std::uint64_t tp_bytes_reduced_ = 0;
-  std::uint64_t parked_ = 0;
-  std::uint64_t session_parks_ = 0;
-  std::uint64_t session_park_drops_ = 0;
-  std::uint64_t session_resumes_ = 0;
-  std::uint64_t session_resume_recomputes_ = 0;
-  std::size_t sessions_live_ = 0;
-  kv_tier::TierStats tier_;
   bool gemm_autotune_ = false;
   std::string decode_quant_ = "f32";
-  gemm_tune::TunerStats gemm_;
-  std::uint64_t grammar_requests_ = 0;
-  std::uint64_t grammar_masked_tokens_ = 0;
-  std::uint64_t grammar_eos_stops_ = 0;
-  std::uint64_t grammar_dead_ = 0;
-  std::uint64_t embed_requests_ = 0;
-  std::uint64_t embed_forwards_ = 0;
-  std::uint64_t embed_tokens_ = 0;
-  std::uint64_t embed_batched_seqs_ = 0;
 };
 
 }  // namespace matgpt::serve

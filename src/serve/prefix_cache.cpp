@@ -236,6 +236,20 @@ void PrefixCache::insert(std::span<const std::int32_t> tokens,
   }
   if (pos >= len) return;  // everything already cached
 
+  // A partial last block stays the lease's write target: sharing it makes
+  // the lease's next append copy-on-write fork it into one block beyond the
+  // ceil(total / bs) it reserved at admission. Charge that block to the
+  // lease now; when the arena has no unreserved block for it, cache only
+  // the whole blocks.
+  if (len % block_tokens_ != 0) {
+    if (pool_->arena()->try_reserve(1)) {
+      kv.seq()->adopt_reservation(1);
+    } else {
+      len -= len % block_tokens_;
+      if (pos >= len) return;
+    }
+  }
+
   // Create one leaf holding the whole uncached suffix [pos, len): the leaf
   // takes one arena reference per block of the freshly prefilled lease that
   // the suffix touches — zero rows copied. The lease keeps decoding into

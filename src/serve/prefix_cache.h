@@ -115,9 +115,12 @@ class PrefixCache {
   /// Cache tokens[0, len) whose K/V rows live in `kv` (a lease that
   /// just prefilled this prompt). Already-cached spans are deduplicated by
   /// the walk; the uncached suffix is cached by taking arena references on
-  /// kv's own blocks — no rows are copied. Finishes by evicting LRU
-  /// unpinned leaves until bytes_used() <= byte_budget() (pinned paths can
-  /// transiently hold the total above budget).
+  /// kv's own blocks — no rows are copied. A shared partial last block
+  /// costs kv one more reservation unit (its next append forks the block);
+  /// when the arena has none to give, only the whole blocks are cached.
+  /// Finishes by evicting LRU unpinned leaves until bytes_used() <=
+  /// byte_budget() (pinned paths can transiently hold the total above
+  /// budget).
   void insert(std::span<const std::int32_t> tokens, std::int64_t len,
               const nn::KvCache& kv);
 

@@ -630,6 +630,94 @@ TEST(ServeSessions, CorruptSpillResumeRecomputesByteIdentical) {
   EXPECT_GE(engine.tier().stats().corrupt_drops, 1u);
 }
 
+// A session turn that is preempted and then cancelled while it waits to
+// re-admit still parks its progress: the registry keeps the tokens and rng
+// it reached, swap mode hands its preempt-parked KV to the session, and the
+// next turn continues byte-identically to one uninterrupted request.
+void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
+  nn::GptModel model(tier_model_config());
+  serve::EngineConfig ec;
+  ec.max_batch = 4;
+  ec.kv_slots = 2;  // 16 blocks of 4: two 32-token lows leave no room
+  ec.kv_capacity_tokens = 32;
+  ec.kv_block_tokens = 4;
+  ec.scheduler = serve::sched::Policy::kPriority;
+  ec.preempt_mode = mode;
+  serve::InferenceEngine engine(model, ec);
+
+  const std::int64_t total_new = 24;
+  serve::Request filler = flavored_request(60, Flavor::kGreedy,
+                                           prompt_for(60), total_new);
+  filler.priority = serve::Priority::kLow;
+  auto f_filler = engine.submit(std::move(filler));
+
+  // Submitted second, so the youngest low: the victim the policy names.
+  const std::uint64_t sid = engine.create_session();
+  serve::Request turn1 = flavored_request(61, Flavor::kStochastic,
+                                          prompt_for(61), total_new);
+  turn1.priority = serve::Priority::kLow;
+  turn1.session_id = sid;
+  std::atomic<std::int64_t> seen{0};
+  turn1.on_token = [&seen](std::int32_t) { seen.fetch_add(1); };
+  auto f1 = engine.resume(std::move(turn1));
+  for (int guard = 0; seen.load() < 4 && guard < 200; ++guard) {
+    engine.step();
+  }
+  ASSERT_GE(seen.load(), 4);
+
+  serve::Request high = flavored_request(62, Flavor::kGreedy, prompt_for(62),
+                                         8);
+  high.priority = serve::Priority::kHigh;
+  auto f_high = engine.submit(std::move(high));
+  engine.step();  // admits the high by preempting the session turn
+  ASSERT_EQ(engine.stats().preemptions(), 1u);
+  engine.cancel(61);  // retires the re-queued turn before it re-admits
+  engine.run_until_idle();
+  EXPECT_EQ(f_filler.get().status, serve::RequestStatus::kOk);
+  EXPECT_EQ(f_high.get().status, serve::RequestStatus::kOk);
+
+  const serve::RequestResult r1 = f1.get();
+  ASSERT_EQ(r1.status, serve::RequestStatus::kCancelled);
+  EXPECT_EQ(r1.preemptions, 1);
+  ASSERT_GE(r1.generated_tokens, 4);
+  ASSERT_LT(r1.generated_tokens, total_new);
+
+  const auto info = engine.session_info(sid);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->tokens, static_cast<std::int64_t>(r1.tokens.size()));
+  EXPECT_EQ(info->turns, 1);
+  EXPECT_FALSE(info->busy);
+  EXPECT_FALSE(engine.tier().contains(Space::kPreempt, 61));
+  if (mode == serve::sched::PreemptMode::kSwap) {
+    EXPECT_EQ(info->residency, Residency::kHost);
+  }
+
+  serve::Request turn2 = flavored_request(63, Flavor::kStochastic, {},
+                                          total_new - r1.generated_tokens);
+  turn2.session_id = sid;
+  auto f2 = engine.resume(std::move(turn2));
+  engine.run_until_idle();
+  const serve::RequestResult r2 = f2.get();
+  ASSERT_EQ(r2.status, serve::RequestStatus::kOk);
+  if (mode == serve::sched::PreemptMode::kSwap) {
+    EXPECT_EQ(engine.stats().session_resume_recomputes(), 0u);
+  }
+  EXPECT_EQ(r2.tokens,
+            reference_tokens(model, Flavor::kStochastic, 61, total_new))
+      << "resume after a cancelled preempted turn diverged ("
+      << serve::sched::preempt_mode_name(mode) << ")";
+  EXPECT_TRUE(engine.kv_pool().all_free());
+}
+
+TEST(ServeSessions, PreemptedThenCancelledTurnParksProgressRecompute) {
+  check_preempted_then_cancelled_session(
+      serve::sched::PreemptMode::kRecompute);
+}
+
+TEST(ServeSessions, PreemptedThenCancelledTurnParksProgressSwap) {
+  check_preempted_then_cancelled_session(serve::sched::PreemptMode::kSwap);
+}
+
 TEST(ServeSessions, MultiTurnNewPromptMatchesFreshFullHistory) {
   nn::GptModel model(tier_model_config());
   serve::InferenceEngine engine(model,

@@ -605,6 +605,145 @@ TEST(HttpServerE2E, StatsEndpointReportsEngineAndHttp) {
   EXPECT_GE(stats.find("http")->find("streams_completed")->as_int(), 1);
 }
 
+// JSON kind of every top-level member of `obj`, by key.
+std::map<std::string, std::string> key_kinds(const net::Json& obj) {
+  std::map<std::string, std::string> out;
+  for (const auto& [key, value] : obj.members()) {
+    const char* kind = value.is_number()   ? "number"
+                       : value.is_string() ? "string"
+                       : value.is_bool()   ? "bool"
+                       : value.is_object() ? "object"
+                                           : "other";
+    EXPECT_TRUE(out.emplace(key, kind).second) << "duplicate key " << key;
+  }
+  return out;
+}
+
+TEST(HttpServerE2E, StatsKeySetIsStable) {
+  // The /v1/stats schema is an API: dashboards and servebench read these
+  // keys. A missing, added or renamed key, or a changed JSON kind, fails
+  // here — update the literal only on purpose.
+  const std::map<std::string, std::string> engine_keys = {
+      {"wall_s", "number"},
+      {"requests_completed", "number"},
+      {"tokens_generated", "number"},
+      {"aggregate_tokens_per_s", "number"},
+      {"mean_request_tokens_per_s", "number"},
+      {"cancelled", "number"},
+      {"timed_out", "number"},
+      {"preemptions", "number"},
+      {"preempt_swaps", "number"},
+      {"preempt_recomputes", "number"},
+      {"ttft_ms", "object"},
+      {"ttft_high_ms", "object"},
+      {"ttft_normal_ms", "object"},
+      {"ttft_low_ms", "object"},
+      {"queue_delay_ms", "object"},
+      {"inter_token_ms", "object"},
+      {"drafts_proposed", "number"},
+      {"drafts_accepted", "number"},
+      {"spec_steps_saved", "number"},
+      {"acceptance_rate", "number"},
+      {"prefix_hits", "number"},
+      {"prefix_misses", "number"},
+      {"prefix_hit_rate", "number"},
+      {"prefix_tokens_reused", "number"},
+      {"prefix_prompt_tokens", "number"},
+      {"peak_active", "number"},
+      {"peak_used_blocks", "number"},
+      {"peak_shared_blocks", "number"},
+      {"kv_total_blocks", "number"},
+      {"peak_block_utilization", "number"},
+      {"cow_forks", "number"},
+      {"cow_rows", "number"},
+      {"tp_degree", "number"},
+      {"tp_layout", "string"},
+      {"tp_jobs", "number"},
+      {"tp_comm_seconds", "number"},
+      {"tp_comm_ms_per_step", "number"},
+      {"tp_bytes_gathered", "number"},
+      {"tp_bytes_reduced", "number"},
+      {"parked", "number"},
+      {"sessions_live", "number"},
+      {"session_parks", "number"},
+      {"session_park_drops", "number"},
+      {"session_resumes", "number"},
+      {"session_resume_recomputes", "number"},
+      {"kv_tier_host_bytes", "number"},
+      {"kv_tier_host_budget", "number"},
+      {"kv_tier_host_entries", "number"},
+      {"kv_tier_disk_bytes", "number"},
+      {"kv_tier_disk_budget", "number"},
+      {"kv_tier_disk_entries", "number"},
+      {"kv_tier_stores", "number"},
+      {"kv_tier_takes", "number"},
+      {"kv_tier_host_hits", "number"},
+      {"kv_tier_disk_hits", "number"},
+      {"kv_tier_prefetch_hits", "number"},
+      {"kv_tier_demotions", "number"},
+      {"kv_tier_promotions", "number"},
+      {"kv_tier_disk_evictions", "number"},
+      {"kv_tier_store_refusals", "number"},
+      {"kv_tier_spill_failures", "number"},
+      {"kv_tier_corrupt_drops", "number"},
+      {"grammar_requests", "number"},
+      {"grammar_masked_tokens", "number"},
+      {"grammar_eos_stops", "number"},
+      {"grammar_dead", "number"},
+      {"embed_requests", "number"},
+      {"embed_forwards", "number"},
+      {"embed_tokens", "number"},
+      {"embed_mean_batch", "number"},
+      {"gemm_autotune", "bool"},
+      {"decode_quant", "string"},
+      {"gemm_tune_lookups", "number"},
+      {"gemm_tune_hits", "number"},
+      {"gemm_tune_hit_rate", "number"},
+      {"gemm_tune_tunes", "number"},
+      {"gemm_tune_entries", "number"},
+      {"gemm_tune_evictions", "number"},
+      {"gemm_f32_calls", "number"},
+      {"gemm_bf16_calls", "number"},
+      {"gemm_int8_calls", "number"},
+  };
+  const std::map<std::string, std::string> http_keys = {
+      {"connections_accepted", "number"},
+      {"connections_rejected", "number"},
+      {"connections_open", "number"},
+      {"requests", "number"},
+      {"protocol_errors", "number"},
+      {"streams_started", "number"},
+      {"streams_completed", "number"},
+      {"streams_active", "number"},
+      {"shed_429", "number"},
+      {"timeout_504", "number"},
+      {"bad_request_400", "number"},
+      {"cancels_requested", "number"},
+      {"client_aborts", "number"},
+      {"embed_jobs", "number"},
+      {"embed_inputs", "number"},
+  };
+
+  Harness h;
+  auto trace = serve::synth_trace(tiny_trace_spec(2));
+  exchange(h.port(), request_text("POST", "/v1/generate",
+                                  net::generate_body(trace[0], true)));
+  const auto resp =
+      exchange(h.port(), request_text("GET", "/v1/stats", ""));
+  ASSERT_EQ(resp.status_code(), 200);
+  const net::Json stats = net::Json::parse(resp.body());
+  EXPECT_EQ(key_kinds(stats),
+            (std::map<std::string, std::string>{{"engine", "object"},
+                                                {"http", "object"}}));
+  ASSERT_NE(stats.find("engine"), nullptr);
+  ASSERT_NE(stats.find("http"), nullptr);
+  EXPECT_EQ(key_kinds(*stats.find("engine")), engine_keys);
+  EXPECT_EQ(key_kinds(*stats.find("http")), http_keys);
+  // The engine block is also what InferenceEngine::stats_json() serves
+  // in-process (the servebench path).
+  EXPECT_EQ(key_kinds(net::Json::parse(h.engine.stats_json())), engine_keys);
+}
+
 TEST(HttpServerE2E, SessionsTwoTurnsByteIdenticalToFullHistory) {
   Harness h;
   const auto created =
@@ -839,6 +978,40 @@ TEST(HttpServerE2E, CancelBeforeFirstTokenReturnsCancelledBody) {
   const net::Json body = net::Json::parse(resp.body());
   EXPECT_EQ(body.find("status")->as_string(), "cancelled");
   EXPECT_EQ(body.find("tokens")->items().size(), 0u);
+}
+
+TEST(HttpServerE2E, MaxUint64RequestIdIsReachableForStatusAndCancel) {
+  // /v1/generate accepts any uint64 id; the {id} routes must reach the
+  // same range — 20 digits included — and reject one past it.
+  Harness h({}, {}, /*start_engine=*/false);
+  const int fd = connect_loopback(h.port());
+  send_all(fd, request_text("POST", "/v1/generate",
+                            R"({"id": 18446744073709551615, )"
+                            R"("prompt": [1, 2, 3], "max_new_tokens": 4})"));
+  while (h.server.counters().streams_started < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto status = exchange(
+      h.port(), request_text("GET", "/v1/requests/18446744073709551615", ""));
+  EXPECT_EQ(status.status_code(), 200);
+  EXPECT_EQ(exchange(h.port(), request_text(
+                                   "GET", "/v1/requests/18446744073709551616",
+                                   ""))
+                .status_code(),
+            400);
+  const auto cancel = exchange(
+      h.port(),
+      request_text("DELETE", "/v1/requests/18446744073709551615", ""));
+  ASSERT_EQ(cancel.status_code(), 202);
+  EXPECT_EQ(h.server.counters().cancels_requested, 1u);
+
+  h.engine.start();
+  net::HttpResponseParser resp;
+  read_response(fd, resp);
+  ::close(fd);
+  ASSERT_EQ(resp.status_code(), 200);
+  EXPECT_EQ(net::Json::parse(resp.body()).find("status")->as_string(),
+            "cancelled");
 }
 
 TEST(HttpServerE2E, DeadlineBeforeFirstTokenMapsTo504) {

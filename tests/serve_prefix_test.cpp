@@ -548,6 +548,50 @@ TEST(ServePrefixEngine, TinyBudgetEvictsButStaysByteIdentical) {
   EXPECT_LE(engine.prefix_cache()->bytes_used(), ec.prefix_cache_bytes);
 }
 
+TEST(ServePrefixEngine, SharedPartialTailUnderFullReservationStaysInBudget) {
+  // Caching a prompt whose last block is partial shares that block with
+  // the lease that just prefilled it; the lease's next decode write then
+  // copy-on-write forks it into one block beyond its ceil(total / bs)
+  // reservation. With KV fully reserved by later admissions there is no
+  // slack for that fork, so the cache must charge it up front.
+  const nn::GptConfig c = prefix_config();
+  nn::GptModel model(c);
+  serve::EngineConfig ec;
+  ec.max_batch = 8;
+  ec.kv_slots = 2;
+  ec.kv_capacity_tokens = 32;
+  ec.kv_block_tokens = 16;
+  ec.prefix_cache_bytes = 2 * 16 * (2 * 2 * static_cast<std::size_t>(
+                                               c.n_layers * c.kv_heads() *
+                                               c.head_dim()));
+  std::vector<serve::Request> reqs;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    serve::Request r;
+    r.id = i;
+    for (std::int32_t t = 0; t < 20; ++t) r.prompt.push_back((t * 7 + 3) % 50);
+    r.max_new_tokens = 12;
+    r.sampling.temperature = i % 2 == 0 ? 0.0f : 0.9f;
+    r.sampling.seed = 500 + i;
+    reqs.push_back(std::move(r));
+  }
+  const auto reference = reqs;
+
+  serve::InferenceEngine engine(model, ec);
+  const auto results = engine.run_trace(std::move(reqs));
+  ASSERT_EQ(results.size(), reference.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status, serve::RequestStatus::kOk);
+    Rng rng(reference[i].sampling.seed);
+    EXPECT_EQ(results[i].tokens,
+              model.generate_cached(reference[i].prompt,
+                                    reference[i].max_new_tokens,
+                                    reference[i].sampling, rng))
+        << "request " << i;
+  }
+  EXPECT_GE(engine.stats().prefix_hits(), 1u);
+  EXPECT_TRUE(engine.kv_pool().all_free());
+}
+
 TEST(ServePrefixEngine, SpeculativeRequestsDecodeIdenticallyThroughTheCache) {
   const nn::GptConfig c = prefix_config();
   nn::GptModel model(c);

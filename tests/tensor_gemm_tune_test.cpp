@@ -542,8 +542,8 @@ TEST(DecodeQuant, EngineStatsReportQuantAndTunerCounters) {
 
   EXPECT_EQ(engine.stats().decode_quant(), std::string("int8"));
   EXPECT_TRUE(engine.stats().gemm_autotune());
-  EXPECT_GT(engine.stats().gemm().int8_calls, 0u);
-  EXPECT_GT(engine.stats().gemm().f32_calls, 0u);  // prefill stays fp32
+  EXPECT_GT(engine.stats().gemm_int8_calls(), 0u);
+  EXPECT_GT(engine.stats().gemm_f32_calls(), 0u);  // prefill stays fp32
   const std::string json = engine.stats().to_json(1.0);
   EXPECT_NE(json.find("\"decode_quant\": \"int8\""), std::string::npos);
   EXPECT_NE(json.find("\"gemm_tune_lookups\""), std::string::npos);
