@@ -22,10 +22,8 @@
 //       --host-tier-mb/--disk-tier-mb/--spill-dir budget the tiered KV
 //       store (parked sessions + preemption survival; 0 = unbounded host,
 //       disk disabled);
-//       --gemm-tune turns on the per-shape GEMM autotuner (byte-neutral),
 //       --decode-quant int8|bf16|off runs decode/verify forwards on
-//       weight-quantized kernels (prefill stays fp32), and
-//       --tune-cache FILE persists the tuner's shape cache as JSON;
+//       weight-quantized kernels (prefill stays fp32);
 //       --embed-fraction/--constrained-fraction mix embedding and
 //       JSON-grammar-constrained requests into the trace (--embed-batch
 //       caps sequences per embedding forward; --map-classes maps
@@ -35,7 +33,7 @@
 //       the human-readable report
 //   matgpt_cli serve-http [--port P] [--tp N] [--host-tier-mb B]
 //       [--disk-tier-mb B] [--spill-dir DIR] [--embed] [--grammar]
-//       [--gemm-tune] [--decode-quant F] [--tune-cache FILE]
+//       [--decode-quant F]
 //       start the epoll HTTP front end (POST /v1/generate streams tokens as
 //       chunked transfer encoding, DELETE /v1/requests/{id} cancels,
 //       POST /v1/sessions + /v1/sessions/{id}/generate run multi-turn
@@ -102,12 +100,10 @@ int usage() {
                " [--spill-dir DIR]\n"
                "      [--embed-fraction F] [--constrained-fraction F]"
                " [--embed-batch N] [--map-classes]\n"
-               "      [--gemm-tune] [--decode-quant int8|bf16|off]"
-               " [--tune-cache FILE] [--json]\n"
+               "      [--decode-quant int8|bf16|off] [--json]\n"
                "  matgpt_cli serve-http [--port P] [--tp N]"
                " [--host-tier-mb B] [--disk-tier-mb B] [--spill-dir DIR]\n"
-               "      [--embed] [--grammar] [--gemm-tune]"
-               " [--decode-quant int8|bf16|off] [--tune-cache FILE]\n"
+               "      [--embed] [--grammar] [--decode-quant int8|bf16|off]\n"
                "  matgpt_cli load-gen --port P [--requests N] [--rate R]"
                " [--concurrency C] [--seed S] [--slo-ms M]\n");
   return 2;
@@ -245,13 +241,6 @@ int cmd_search(double min_b, double max_b) {
   return 0;
 }
 
-/// The CLI's GEMM knobs, shared by serve-bench and serve-http.
-struct GemmOpts {
-  bool autotune = false;
-  kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
-  std::string tune_cache;
-};
-
 /// --decode-quant spellings; returns false on an unknown format name.
 bool parse_decode_quant(const std::string& name,
                         kernels::WeightFormat* format) {
@@ -267,21 +256,9 @@ bool parse_decode_quant(const std::string& name,
   return true;
 }
 
-void apply_gemm_opts(serve::EngineConfig& ec, const GemmOpts& opts) {
-  ec.gemm_autotune = opts.autotune;
-  ec.decode_quant = opts.decode_quant;
-  ec.tune_cache_path = opts.tune_cache;
-}
-
-void print_gemm_banner(const GemmOpts& opts) {
-  if (!opts.autotune && opts.decode_quant == kernels::WeightFormat::kF32) {
-    return;
-  }
-  std::printf("gemm: autotune %s, decode quant %s%s%s\n",
-              opts.autotune ? "on" : "off",
-              kernels::format_name(opts.decode_quant),
-              opts.tune_cache.empty() ? "" : ", tune cache ",
-              opts.tune_cache.c_str());
+void print_decode_quant_banner(kernels::WeightFormat decode_quant) {
+  if (decode_quant == kernels::WeightFormat::kF32) return;
+  std::printf("gemm: decode quant %s\n", kernels::format_name(decode_quant));
 }
 
 // Continuous-batching serving demo: client threads (a dedicated ThreadPool)
@@ -308,7 +285,7 @@ struct ServeBenchOpts {
   double constrained_fraction = 0.0;  // fraction -> JSON-constrained decode
   std::int64_t embed_batch = 8;       // max sequences per embed forward
   bool map_classes = false;           // workload class -> sched priority
-  GemmOpts gemm;
+  kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
   bool json = false;
 };
 
@@ -423,7 +400,7 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
   // divisibility check in TpModel's constructor with a precise message.
   ec.tensor_parallel = opts.tp;
   apply_tier_opts(ec, opts.host_tier_mb, opts.disk_tier_mb, opts.spill_dir);
-  apply_gemm_opts(ec, opts.gemm);
+  ec.decode_quant = opts.decode_quant;
   ec.workloads.grammar = opts.constrained_fraction > 0.0;
   if (opts.embed_fraction > 0.0) {
     ec.workloads.embedder = std::make_shared<const nn::BertEncoder>(
@@ -482,7 +459,7 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
                   100.0 * opts.constrained_fraction,
                   opts.map_classes ? "on" : "off");
     }
-    print_gemm_banner(opts.gemm);
+    print_decode_quant_banner(opts.decode_quant);
   }
 
   std::vector<std::future<serve::RequestResult>> futures(trace.size());
@@ -542,7 +519,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 int cmd_serve_http(std::uint16_t port, std::int64_t tp,
                    std::int64_t host_tier_mb, std::int64_t disk_tier_mb,
                    const std::string& spill_dir, bool embed, bool grammar,
-                   const GemmOpts& gemm) {
+                   kernels::WeightFormat decode_quant) {
   const nn::GptConfig mc = serving_model_config();
   nn::GptModel model(mc);
 
@@ -552,7 +529,7 @@ int cmd_serve_http(std::uint16_t port, std::int64_t tp,
   ec.queue_capacity = 16;
   ec.tensor_parallel = tp;
   apply_tier_opts(ec, host_tier_mb, disk_tier_mb, spill_dir);
-  apply_gemm_opts(ec, gemm);
+  ec.decode_quant = decode_quant;
   ec.workloads.grammar = grammar;
   if (embed) {
     ec.workloads.embedder =
@@ -606,7 +583,7 @@ int cmd_serve_http(std::uint16_t port, std::int64_t tp,
                 static_cast<long long>(host_tier_mb),
                 static_cast<long long>(disk_tier_mb), spill_dir.c_str());
   }
-  print_gemm_banner(gemm);
+  print_decode_quant_banner(decode_quant);
   std::printf("Ctrl-C to drain and exit.\n");
 
   struct sigaction sa = {};
@@ -764,14 +741,10 @@ int main(int argc, char** argv) {
           opts.embed_batch = std::atoll(argv[++i]);
         } else if (arg == "--map-classes") {
           opts.map_classes = true;
-        } else if (arg == "--gemm-tune") {
-          opts.gemm.autotune = true;
         } else if (arg == "--decode-quant" && i + 1 < argc) {
-          if (!parse_decode_quant(argv[++i], &opts.gemm.decode_quant)) {
+          if (!parse_decode_quant(argv[++i], &opts.decode_quant)) {
             return usage();
           }
-        } else if (arg == "--tune-cache" && i + 1 < argc) {
-          opts.gemm.tune_cache = argv[++i];
         } else if (arg == "--json") {
           opts.json = true;
         } else if (pos < positional.size()) {
@@ -801,7 +774,7 @@ int main(int argc, char** argv) {
       std::int64_t host_tier_mb = 0, disk_tier_mb = 0;
       std::string spill_dir = "matgpt_spill";
       bool embed = false, grammar = false;
-      GemmOpts gemm;
+      kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
@@ -818,14 +791,10 @@ int main(int argc, char** argv) {
           embed = true;
         } else if (arg == "--grammar") {
           grammar = true;
-        } else if (arg == "--gemm-tune") {
-          gemm.autotune = true;
         } else if (arg == "--decode-quant" && i + 1 < argc) {
-          if (!parse_decode_quant(argv[++i], &gemm.decode_quant)) {
+          if (!parse_decode_quant(argv[++i], &decode_quant)) {
             return usage();
           }
-        } else if (arg == "--tune-cache" && i + 1 < argc) {
-          gemm.tune_cache = argv[++i];
         } else {
           return usage();
         }
@@ -835,7 +804,7 @@ int main(int argc, char** argv) {
         return usage();
       }
       return cmd_serve_http(port, tp, host_tier_mb, disk_tier_mb, spill_dir,
-                            embed, grammar, gemm);
+                            embed, grammar, decode_quant);
     }
     if (cmd == "load-gen") {
       LoadGenOpts opts;

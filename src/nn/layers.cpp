@@ -30,7 +30,7 @@ Var Linear::forward(Tape& tape, const Var& x, FwdPath path) const {
                  : ops::reshape(tape, x, {-1, in_});
   const gemm_tune::QuantWeights* qw =
       path == FwdPath::kDecode ? quant_.get() : nullptr;
-  Var y = ops::linear_matmul(tape, flat, weight_, qw);
+  Var y = ops::matmul(tape, flat, weight_, qw);
   if (bias_.defined()) y = ops::add_bias(tape, y, bias_);
   return y;
 }

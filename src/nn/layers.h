@@ -30,8 +30,7 @@ class Linear : public Module {
   Linear(std::int64_t in_features, std::int64_t out_features, bool bias,
          Rng& rng, float init_scale = 1.0f);
 
-  /// x: [N, in] -> [N, out]. The GEMM goes through the autotuner's
-  /// per-shape tiling cache (byte-neutral); kDecode additionally uses the
+  /// x: [N, in] -> [N, out] through ops::matmul; kDecode uses the
   /// quantized decode weights when set_decode_weights installed them.
   Var forward(Tape& tape, const Var& x,
               FwdPath path = FwdPath::kPrefill) const;

@@ -10,7 +10,7 @@
 #include "nn/sampling.h"
 #include "serve/workloads/embed.h"
 #include "serve/workloads/grammar.h"
-#include "tensor/gemm_tune.h"
+#include "tensor/ops.h"
 
 namespace matgpt::serve {
 
@@ -54,9 +54,6 @@ void EngineConfig::validate() const {
   MGPT_CHECK(kv_tier.disk_tier_bytes == 0 || !kv_tier.spill_dir.empty(),
              "EngineConfig: kv_tier.disk_tier_bytes > 0 requires a "
              "spill_dir for the spill files");
-  MGPT_CHECK(tune_cache_path.empty() || gemm_autotune,
-             "EngineConfig: tune_cache_path persists the autotuner cache; "
-             "enable gemm_autotune or clear the path");
   MGPT_CHECK(decode_quant == kernels::WeightFormat::kF32 ||
                  tensor_parallel == 1,
              "EngineConfig: decode_quant requires tensor_parallel == 1 (the "
@@ -156,25 +153,12 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
     std::lock_guard lock(stats_mutex_);
     stats_.set_tp(config_.tensor_parallel, tp::layout_name(config_.tp_layout));
   }
-  // The tuner is process-global, so the engine always states its intent —
-  // kOff when autotuning is off — rather than inheriting whatever mode a
-  // previously constructed engine left behind.
-  gemm_tune::GemmTuner::Config tuner_config;
-  tuner_config.mode = config_.gemm_autotune
-                          ? gemm_tune::GemmTuner::Mode::kMeasure
-                          : gemm_tune::GemmTuner::Mode::kOff;
-  gemm_tune::GemmTuner::instance().configure(tuner_config);
-  if (!config_.tune_cache_path.empty()) {
-    gemm_tune::GemmTuner::instance().load(config_.tune_cache_path);
-  }
   // Install (or with kF32: drop) the model's quantized decode sidecars.
   // Always called so a model previously served quantized comes back clean.
   model_.prepare_decode_quant(config_.decode_quant);
-  if (config_.gemm_autotune ||
-      config_.decode_quant != kernels::WeightFormat::kF32) {
+  if (config_.decode_quant != kernels::WeightFormat::kF32) {
     std::lock_guard lock(stats_mutex_);
-    stats_.set_gemm_config(config_.gemm_autotune,
-                           kernels::format_name(config_.decode_quant));
+    stats_.set_decode_quant(kernels::format_name(config_.decode_quant));
   }
 }
 
@@ -188,13 +172,7 @@ Var InferenceEngine::model_forward(Tape& tape, const nn::RaggedBatch& batch) {
 InferenceEngine::~InferenceEngine() {
   // A worker mid-decode must be joined before members destruct; drain()
   // also resolves every outstanding promise so no future is left broken.
-  if (worker_.joinable()) {
-    drain();
-  } else if (!config_.tune_cache_path.empty()) {
-    // Worker-less engines (step() driven by the caller) never pass through
-    // drain(), so the tuner cache persists here instead.
-    gemm_tune::GemmTuner::instance().save(config_.tune_cache_path);
-  }
+  if (worker_.joinable()) drain();
 }
 
 void InferenceEngine::start() {
@@ -222,9 +200,6 @@ void InferenceEngine::drain() {
     run_until_idle();
   }
   worker_running_.store(false);
-  if (!config_.tune_cache_path.empty()) {
-    gemm_tune::GemmTuner::instance().save(config_.tune_cache_path);
-  }
 }
 
 void InferenceEngine::worker_loop() {
@@ -1080,17 +1055,12 @@ std::size_t InferenceEngine::decode_phase() {
 }
 
 void InferenceEngine::flush_step_stats() {
-  // Snapshots fetched before stats_mutex_ so the tier, session, TP and
-  // tuner locks never nest inside it.
+  // Snapshots fetched before stats_mutex_ so the tier, session and TP
+  // locks never nest inside it.
   const kv_tier::TierStats tier = tier_.stats();
   const std::size_t live_sessions = session_count();
   std::optional<tp::TpStats> tp;
   if (tp_ != nullptr) tp = tp_->stats();
-  std::optional<gemm_tune::TunerStats> gemm;
-  if (config_.gemm_autotune ||
-      config_.decode_quant != kernels::WeightFormat::kF32) {
-    gemm = gemm_tune::GemmTuner::instance().stats();
-  }
   StepStats& st = step_stats_;
   {
     std::lock_guard lock(stats_mutex_);
@@ -1108,7 +1078,11 @@ void InferenceEngine::flush_step_stats() {
       stats_.record_tp(tp->jobs, tp->comm_seconds, tp->bytes_gathered,
                        tp->bytes_reduced);
     }
-    if (gemm.has_value()) stats_.record_gemm(*gemm);
+    if (config_.decode_quant != kernels::WeightFormat::kF32) {
+      stats_.record_gemm(ops::matmul_calls(kernels::WeightFormat::kF32),
+                         ops::matmul_calls(kernels::WeightFormat::kBf16),
+                         ops::matmul_calls(kernels::WeightFormat::kInt8));
+    }
   }
   st = StepStats{};
 }

@@ -167,17 +167,6 @@ struct EngineConfig {
   std::int64_t tensor_parallel = 1;
   /// Shard layout (see tp::TpLayout); only read when tensor_parallel > 1.
   tp::TpLayout tp_layout = tp::TpLayout::kColumnGather;
-  /// Per-shape GEMM autotuning (see tensor/gemm_tune): on first sight of a
-  /// (M, N, K, format) GEMM shape, measure the analytic cost model's top
-  /// tilings and cache the winner. Byte-neutral — every tiling produces
-  /// identical output bytes — so it composes with every identity the
-  /// engine guarantees. The tuner is process-global; the most recently
-  /// constructed engine's setting wins.
-  bool gemm_autotune = false;
-  /// JSON persistence for the tuner's shape->tiling cache: loaded at
-  /// engine construction, saved by drain(). Empty = in-memory only.
-  /// Requires gemm_autotune.
-  std::string tune_cache_path;
   /// Weight format for decode/verify forwards (kF32 = off). Prefill always
   /// runs fp32, so prefill identities (chunked == whole, prefix-cache hit
   /// == cold) are untouched; decode and speculative verify always run the
@@ -195,8 +184,8 @@ struct EngineConfig {
   /// kv_slots == 0, queue_capacity == 0, paged_kv == false,
   /// kv_block_tokens <= 0, prefill_chunk_tokens < 0,
   /// sched_aging_ms < 0, a disk tier without a spill_dir, a negative
-  /// kv_tier.prefetch_depth, a tune_cache_path without gemm_autotune,
-  /// decode_quant != kF32 with tensor_parallel > 1, workloads.map_classes
+  /// kv_tier.prefetch_depth, decode_quant != kF32 with
+  /// tensor_parallel > 1, workloads.map_classes
   /// without the priority scheduler, or non-positive workloads batch/state
   /// bounds. Called by the engine constructor before any
   /// allocation; the prefix-cache budget-vs-block check lives in the
@@ -447,7 +436,7 @@ class InferenceEngine {
   /// forward. Returns the number of sequences embedded.
   std::size_t embed_phase(Clock::time_point now);
   std::size_t decode_phase();
-  /// Fold step_stats_ and the step's tier, session, KV, TP and GEMM-tuner
+  /// Fold step_stats_ and the step's tier, session, KV, TP and GEMM-call
   /// snapshots into stats_.
   void flush_step_stats();
   void retire_finished();

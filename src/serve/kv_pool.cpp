@@ -152,16 +152,6 @@ nn::KvCache* KvCachePool::checkout(std::int64_t total_tokens,
   return &slot->cache;
 }
 
-KvLease KvCachePool::lease(std::int64_t total_tokens,
-                           std::int64_t aliased_tokens) {
-  validate_budget(total_tokens, aliased_tokens);
-  const std::int64_t needed = blocks_needed(total_tokens, aliased_tokens);
-  std::unique_lock lock(mutex_);
-  // The predicate reserves on success, so waking up means admission.
-  cv_.wait(lock, [&] { return arena_->try_reserve(needed); });
-  return KvLease(this, checkout(total_tokens, needed));
-}
-
 KvLease KvCachePool::try_lease(std::int64_t total_tokens,
                                std::int64_t aliased_tokens) {
   validate_budget(total_tokens, aliased_tokens);
@@ -170,8 +160,6 @@ KvLease KvCachePool::try_lease(std::int64_t total_tokens,
   if (!arena_->try_reserve(needed)) return KvLease();
   return KvLease(this, checkout(total_tokens, needed));
 }
-
-void KvCachePool::notify_freed() { cv_.notify_all(); }
 
 KvCachePool::Slot* KvCachePool::leased_slot(const nn::KvCache* cache,
                                             const char* what) const {
@@ -188,13 +176,10 @@ KvCachePool::Slot* KvCachePool::leased_slot(const nn::KvCache* cache,
 }
 
 void KvCachePool::release(nn::KvCache* cache) {
-  {
-    std::lock_guard lock(mutex_);
-    Slot* slot = leased_slot(cache, "release");
-    cache->reset();  // drops block refs and any leftover reservation
-    free_.push_back(slot);
-  }
-  cv_.notify_all();
+  std::lock_guard lock(mutex_);
+  Slot* slot = leased_slot(cache, "release");
+  cache->reset();  // drops block refs and any leftover reservation
+  free_.push_back(slot);
 }
 
 void KvCachePool::truncate(nn::KvCache* cache, std::int64_t len) {

@@ -13,7 +13,6 @@
 // on destruction, so a lease cannot leak on an early return or an
 // exception, and a double release is unrepresentable.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,9 +27,9 @@ namespace matgpt::serve {
 class KvCachePool;
 
 /// Move-only ownership of one pooled KV slot. Destroying (or release()-ing)
-/// the lease resets the slot and returns it to the pool, waking blocked
-/// lease() calls. A default-constructed or moved-from lease is empty
-/// (`!lease`); dereferencing it is a checked error.
+/// the lease resets the slot and returns it to the pool. A
+/// default-constructed or moved-from lease is empty (`!lease`);
+/// dereferencing it is a checked error.
 class KvLease {
  public:
   KvLease() = default;
@@ -102,26 +101,19 @@ class KvCachePool {
   std::int64_t shared_blocks() const;
   std::uint64_t cow_forks() const;
   std::uint64_t cow_rows() const;
-  /// Blocks a lease(total, aliased) call must reserve: ceil(total / bs)
+  /// Blocks a try_lease(total, aliased) call must reserve: ceil(total / bs)
   /// minus the full blocks an aliased prefix supplies for free.
   std::int64_t blocks_needed(std::int64_t total_tokens,
                              std::int64_t aliased_tokens) const;
 
-  /// Take a slot, blocking until admissible. `total_tokens` is the
-  /// request's worst-case KV length (< 0 = capacity_tokens()); the lease
-  /// reserves exactly the blocks that budget needs, of which
-  /// `aliased_tokens` worth of full blocks are expected to arrive by prefix
-  /// aliasing instead of allocation. The leased cache is empty; it returns
-  /// to the pool when the lease dies.
-  KvLease lease(std::int64_t total_tokens = -1,
-                std::int64_t aliased_tokens = 0);
-  /// Non-blocking lease; empty (`!lease`) when the pool cannot admit.
+  /// Take a slot, or return an empty lease (`!lease`) when the pool cannot
+  /// admit. `total_tokens` is the request's worst-case KV length (< 0 =
+  /// capacity_tokens()); the lease reserves exactly the blocks that budget
+  /// needs, of which `aliased_tokens` worth of full blocks are expected to
+  /// arrive by prefix aliasing instead of allocation. The leased cache is
+  /// empty; it returns to the pool when the lease dies.
   KvLease try_lease(std::int64_t total_tokens = -1,
                     std::int64_t aliased_tokens = 0);
-
-  /// Wake blocked lease() calls after blocks were freed outside the lease
-  /// lifecycle (prefix-cache eviction releases arena refs directly).
-  void notify_freed();
 
  private:
   friend class KvLease;
@@ -151,7 +143,6 @@ class KvCachePool {
   std::vector<Slot*> free_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
 };
 
 }  // namespace matgpt::serve

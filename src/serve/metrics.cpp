@@ -173,20 +173,16 @@ void ServerStats::record_sessions(std::size_t live) {
   record(Stat::sessions_live, live);
 }
 
-void ServerStats::set_gemm_config(bool autotune, std::string decode_quant) {
-  gemm_autotune_ = autotune;
+void ServerStats::set_decode_quant(std::string decode_quant) {
   decode_quant_ = std::move(decode_quant);
 }
 
-void ServerStats::record_gemm(const gemm_tune::TunerStats& gemm) {
-  record(Stat::gemm_tune_lookups, gemm.lookups);
-  record(Stat::gemm_tune_hits, gemm.hits);
-  record(Stat::gemm_tune_tunes, gemm.tunes);
-  record(Stat::gemm_tune_entries, gemm.entries);
-  record(Stat::gemm_tune_evictions, gemm.evictions);
-  record(Stat::gemm_f32_calls, gemm.f32_calls);
-  record(Stat::gemm_bf16_calls, gemm.bf16_calls);
-  record(Stat::gemm_int8_calls, gemm.int8_calls);
+void ServerStats::record_gemm(std::uint64_t f32_calls,
+                              std::uint64_t bf16_calls,
+                              std::uint64_t int8_calls) {
+  record(Stat::gemm_f32_calls, f32_calls);
+  record(Stat::gemm_bf16_calls, bf16_calls);
+  record(Stat::gemm_int8_calls, int8_calls);
 }
 
 void ServerStats::record_grammar_steps(std::int64_t steps,
@@ -228,11 +224,10 @@ std::string ServerStats::report(double wall_s) const {
     label("aggregate tokens/s");
     os << static_cast<double>(tokens_generated()) / wall_s << '\n';
   }
-  if (tp_degree_ > 1 || gemm_autotune_ || decode_quant_ != "f32") {
+  if (tp_degree_ > 1 || decode_quant_ != "f32") {
     label("deployment");
     os << "tp_degree " << tp_degree_ << " (" << tp_layout_
-       << "), gemm_autotune " << (gemm_autotune_ ? "on" : "off")
-       << ", decode_quant " << decode_quant_ << '\n';
+       << "), decode_quant " << decode_quant_ << '\n';
   }
   auto hist = [&](std::string_view name, const Histogram& h) {
     if (h.total() == 0.0) return;
@@ -265,7 +260,6 @@ std::string ServerStats::to_json(double wall_s) const {
   }
   os << ",\n  \"tp_degree\": " << tp_degree_;
   os << ",\n  \"tp_layout\": \"" << tp_layout_ << "\"";
-  os << ",\n  \"gemm_autotune\": " << (gemm_autotune_ ? "true" : "false");
   os << ",\n  \"decode_quant\": \"" << decode_quant_ << "\"";
   auto hist = [&os](const std::string& name, const Histogram& h) {
     os << ",\n  \"" << name << "\": {\"count\": " << h.total();

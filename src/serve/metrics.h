@@ -19,7 +19,6 @@
 #include "common/histogram.h"
 #include "serve/kv_tier/kv_tier.h"
 #include "serve/request.h"
-#include "tensor/gemm_tune.h"
 
 namespace matgpt::serve {
 
@@ -108,12 +107,6 @@ enum class StatKind { kCounter, kGauge, kPeak };
   /* Mean sequences per embedding forward: the class's batching win. */     \
   RATIO(embed_mean_batch, embed_batched_seqs_, embed_forwards(),            \
         "embeddings")                                                       \
-  STAT(gemm_tune_lookups, std::uint64_t, kGauge, "gemm")                    \
-  STAT(gemm_tune_hits, std::uint64_t, kGauge, "gemm")                       \
-  RATIO(gemm_tune_hit_rate, gemm_tune_hits(), gemm_tune_lookups(), "gemm")  \
-  STAT(gemm_tune_tunes, std::uint64_t, kGauge, "gemm")                      \
-  STAT(gemm_tune_entries, std::uint64_t, kGauge, "gemm")                    \
-  STAT(gemm_tune_evictions, std::uint64_t, kGauge, "gemm")                  \
   STAT(gemm_f32_calls, std::uint64_t, kGauge, "gemm")                       \
   STAT(gemm_bf16_calls, std::uint64_t, kGauge, "gemm")                      \
   STAT(gemm_int8_calls, std::uint64_t, kGauge, "gemm")
@@ -165,11 +158,12 @@ class ServerStats {
   void record_session_resume(bool kv_restored);
   /// Live-session gauge.
   void record_sessions(std::size_t live);
-  /// GEMM autotune / quantized-decode identity (set once at engine
-  /// construction when either knob is on).
-  void set_gemm_config(bool autotune, std::string decode_quant);
-  /// Autotuner lifetime totals from the process-global tuner.
-  void record_gemm(const gemm_tune::TunerStats& gemm);
+  /// Quantized-decode identity (set once at engine construction when
+  /// decode_quant is on).
+  void set_decode_quant(std::string decode_quant);
+  /// Process-lifetime matmul forwards by weight format (ops::matmul_calls).
+  void record_gemm(std::uint64_t f32_calls, std::uint64_t bf16_calls,
+                   std::uint64_t int8_calls);
   /// `steps` grammar-masked sampling steps, `eos_stops` of which sampled
   /// EOS at an accepting state and ended the utterance.
   void record_grammar_steps(std::int64_t steps, std::int64_t eos_stops);
@@ -190,10 +184,9 @@ class ServerStats {
   std::uint64_t embed_batched_seqs() const { return embed_batched_seqs_; }
 
   /// Identity of the deployment (not measured): TP degree (1 = off) and
-  /// layout, autotuning, and the decode weight format ("f32" = off).
+  /// layout, and the decode weight format ("f32" = off).
   std::int64_t tp_degree() const { return tp_degree_; }
   const std::string& tp_layout() const { return tp_layout_; }
-  bool gemm_autotune() const { return gemm_autotune_; }
   const std::string& decode_quant() const { return decode_quant_; }
 
   /// Quantiles in milliseconds (q in [0, 1]); require recorded samples.
@@ -247,7 +240,6 @@ class ServerStats {
   std::uint64_t embed_batched_seqs_ = 0;
   std::int64_t tp_degree_ = 1;
   std::string tp_layout_;
-  bool gemm_autotune_ = false;
   std::string decode_quant_ = "f32";
 };
 

@@ -319,25 +319,19 @@ Node* find_victim(Node* root) {
 }  // namespace
 
 void PrefixCache::trim(std::size_t target_bytes) {
-  bool freed = false;
   while (bytes_used_ > target_bytes) {
     Node* victim = find_victim(root_.get());
     if (victim == nullptr) break;  // everything left is pinned or interior
     evict_leaf(victim);
-    freed = true;
   }
-  if (freed) pool_->notify_freed();
 }
 
 bool PrefixCache::evict_for_blocks(std::int64_t needed) {
-  bool freed = false;
   while (pool_->arena()->unreserved_free_blocks() < needed) {
     Node* victim = find_victim(root_.get());
     if (victim == nullptr) break;
     evict_leaf(victim);
-    freed = true;
   }
-  if (freed) pool_->notify_freed();
   return pool_->arena()->unreserved_free_blocks() >= needed;
 }
 

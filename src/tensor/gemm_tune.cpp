@@ -1,15 +1,12 @@
 #include "tensor/gemm_tune.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <mutex>
 #include <sstream>
+#include <string>
 
-#include "common/error.h"
 #include "tensor/dtype.h"
 
 namespace matgpt::gemm_tune {
@@ -83,17 +80,10 @@ double now_seconds() {
 
 void run_variant(const float* a, const float* b, const QuantWeights* qw,
                  float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                 bool accumulate, const GemmVariant& variant) {
-  if (qw == nullptr || qw->format == WeightFormat::kF32) {
-    kernels::gemm_nn_variant(a, b, c, m, n, k, accumulate, variant);
-    return;
-  }
-  MGPT_CHECK(!accumulate, "quantized gemm does not support accumulate");
-  MGPT_CHECK(qw->k == k && qw->n == n,
-             "quantized weights shape mismatch: have " << qw->k << "x" << qw->n
-                                                       << ", need " << k << "x"
-                                                       << n);
-  if (qw->format == WeightFormat::kBf16) {
+                 const GemmVariant& variant) {
+  if (qw == nullptr) {
+    kernels::gemm_nn_variant(a, b, c, m, n, k, /*accumulate=*/false, variant);
+  } else if (qw->format == WeightFormat::kBf16) {
     kernels::gemm_nn_bf16(a, qw->bf16.data(), c, m, n, k, variant);
   } else {
     kernels::gemm_nn_int8(a, qw->q8.data(), qw->scale.data(), c, m, n, k,
@@ -101,24 +91,17 @@ void run_variant(const float* a, const float* b, const QuantWeights* qw,
   }
 }
 
-// Best-of-N wall time for one variant on the real operands. Every variant
-// writes identical bytes, so timing runs double as the actual computation.
+// Best-of-N wall time for one variant.
 double time_variant(const float* a, const float* b, const QuantWeights* qw,
                     float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                     const GemmVariant& variant, int reps) {
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_seconds();
-    run_variant(a, b, qw, c, m, n, k, /*accumulate=*/false, variant);
+    run_variant(a, b, qw, c, m, n, k, variant);
     best = std::min(best, now_seconds() - t0);
   }
   return best;
-}
-
-WeightFormat format_from_name(const std::string& name) {
-  if (name == "bf16") return WeightFormat::kBf16;
-  if (name == "int8") return WeightFormat::kInt8;
-  return WeightFormat::kF32;
 }
 
 // Fill a buffer with a cheap deterministic pseudo-random pattern in
@@ -208,8 +191,14 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
       const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
       qw.scale[static_cast<std::size_t>(j)] = scale;
       const float inv = 1.0f / scale;
+      // A column below ~3.7e-37 has a subnormal scale whose reciprocal
+      // overflows to inf (0 * inf = NaN); divide instead. Other columns
+      // keep the multiply: x * inv and x / scale can round differently,
+      // and served int8 sidecars must stay byte-stable.
+      const bool divide = !std::isfinite(inv);
       for (std::int64_t l = 0; l < k; ++l) {
-        const float q = std::nearbyintf(w[l * n + j] * inv);
+        const float x = w[l * n + j];
+        const float q = std::nearbyintf(divide ? x / scale : x * inv);
         qw.q8[static_cast<std::size_t>(l * n + j)] = static_cast<std::int8_t>(
             std::clamp(q, -127.0f, 127.0f));
       }
@@ -283,265 +272,6 @@ std::vector<GemmVariant> candidate_space(std::int64_t m, std::int64_t n,
     for (std::int64_t nc : kNcs) add(GemmVariant{mr, nc});
   }
   return out;
-}
-
-const char* mode_name(GemmTuner::Mode mode) {
-  switch (mode) {
-    case GemmTuner::Mode::kOff: return "off";
-    case GemmTuner::Mode::kModel: return "model";
-    case GemmTuner::Mode::kMeasure: return "measure";
-  }
-  return "?";
-}
-
-std::size_t GemmTuner::KeyHash::operator()(const Key& key) const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(key.m));
-  mix(static_cast<std::uint64_t>(key.n));
-  mix(static_cast<std::uint64_t>(key.k));
-  mix(static_cast<std::uint64_t>(key.format));
-  return static_cast<std::size_t>(h);
-}
-
-GemmTuner& GemmTuner::instance() {
-  static GemmTuner tuner;
-  return tuner;
-}
-
-void GemmTuner::configure(const Config& config) {
-  std::unique_lock lock(mu_);
-  config_ = config;
-  config_.top_candidates = std::max(1, config_.top_candidates);
-  config_.max_entries = std::max<std::size_t>(1, config_.max_entries);
-  cache_.clear();
-  tick_ = 0;
-  lookups_ = hits_ = tunes_ = evictions_ = 0;
-  f32_calls_ = bf16_calls_ = int8_calls_ = 0;
-}
-
-GemmTuner::Config GemmTuner::config() const {
-  std::shared_lock lock(mu_);
-  return config_;
-}
-
-void GemmTuner::reset() {
-  std::unique_lock lock(mu_);
-  cache_.clear();
-  tick_ = 0;
-  lookups_ = hits_ = tunes_ = evictions_ = 0;
-  f32_calls_ = bf16_calls_ = int8_calls_ = 0;
-}
-
-void GemmTuner::gemm(const float* a, const float* b, const QuantWeights* qw,
-                     float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                     bool accumulate) {
-  const WeightFormat format =
-      (qw != nullptr) ? qw->format : WeightFormat::kF32;
-  switch (format) {
-    case WeightFormat::kF32: f32_calls_.fetch_add(1, std::memory_order_relaxed); break;
-    case WeightFormat::kBf16: bf16_calls_.fetch_add(1, std::memory_order_relaxed); break;
-    case WeightFormat::kInt8: int8_calls_.fetch_add(1, std::memory_order_relaxed); break;
-  }
-  GemmVariant variant = kernels::gemm_default_variant();
-  if (config().mode != Mode::kOff && kernels::gemm_simd_active()) {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
-    bool ran = false;
-    variant = lookup_or_tune(Key{m, n, k, format},
-                             accumulate ? nullptr : a, b, qw, c, &ran);
-    if (ran) return;  // measurement runs already produced C's bytes
-  }
-  run_variant(a, b, qw, c, m, n, k, accumulate, variant);
-}
-
-kernels::GemmVariant GemmTuner::lookup_or_tune(const Key& key, const float* a,
-                                               const float* b,
-                                               const QuantWeights* qw, float* c,
-                                               bool* ran_gemm) {
-  {
-    std::shared_lock lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      it->second->last_used.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      return it->second->variant;
-    }
-  }
-  // Miss: rank candidates with the analytic model, optionally measure the
-  // survivors on the real operands (outside any lock; concurrent misses on
-  // the same shape just race to insert the same deterministic answer).
-  const Config cfg = config();
-  std::vector<GemmVariant> cands =
-      candidate_space(key.m, key.n, key.k, key.format);
-  const HostAnchors& anchors = host_anchors();
-  std::stable_sort(cands.begin(), cands.end(),
-                   [&](const GemmVariant& x, const GemmVariant& y) {
-                     return predict_seconds(key.m, key.n, key.k, key.format, x,
-                                            anchors) <
-                            predict_seconds(key.m, key.n, key.k, key.format, y,
-                                            anchors);
-                   });
-  GemmVariant best = cands.front();
-  if (cfg.mode == Mode::kMeasure && a != nullptr) {
-    const int top =
-        std::min<int>(cfg.top_candidates, static_cast<int>(cands.size()));
-    double best_t = 1e30;
-    for (int i = 0; i < top; ++i) {
-      const double t = time_variant(a, b, qw, c, key.m, key.n, key.k,
-                                    cands[static_cast<std::size_t>(i)], 2);
-      if (t < best_t) {
-        best_t = t;
-        best = cands[static_cast<std::size_t>(i)];
-      }
-    }
-    // C now holds the LAST measured candidate's bytes, which are identical
-    // to every other variant's bytes — the caller need not re-run.
-    if (ran_gemm != nullptr) *ran_gemm = true;
-  }
-  tunes_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock lock(mu_);
-  insert_locked(key, best);
-  return best;
-}
-
-void GemmTuner::insert_locked(const Key& key,
-                              const kernels::GemmVariant& variant) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    it->second->variant = variant;
-    return;
-  }
-  if (cache_.size() >= config_.max_entries) {
-    auto victim = cache_.begin();
-    std::uint64_t oldest = victim->second->last_used.load();
-    for (auto jt = cache_.begin(); jt != cache_.end(); ++jt) {
-      const std::uint64_t used = jt->second->last_used.load();
-      if (used < oldest) {
-        oldest = used;
-        victim = jt;
-      }
-    }
-    cache_.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->variant = variant;
-  entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1);
-  cache_.emplace(key, std::move(entry));
-}
-
-std::optional<kernels::GemmVariant> GemmTuner::peek(
-    std::int64_t m, std::int64_t n, std::int64_t k,
-    WeightFormat format) const {
-  std::shared_lock lock(mu_);
-  auto it = cache_.find(Key{m, n, k, format});
-  if (it == cache_.end()) return std::nullopt;
-  return it->second->variant;
-}
-
-kernels::GemmVariant GemmTuner::tune(std::int64_t m, std::int64_t n,
-                                     std::int64_t k, WeightFormat format,
-                                     const float* a, const float* b,
-                                     const QuantWeights* qw, float* c) {
-  bool ran = false;
-  return lookup_or_tune(Key{m, n, k, format}, a, b, qw, c, &ran);
-}
-
-TunerStats GemmTuner::stats() const {
-  TunerStats s;
-  s.lookups = lookups_.load();
-  s.hits = hits_.load();
-  s.tunes = tunes_.load();
-  s.evictions = evictions_.load();
-  s.f32_calls = f32_calls_.load();
-  s.bf16_calls = bf16_calls_.load();
-  s.int8_calls = int8_calls_.load();
-  std::shared_lock lock(mu_);
-  s.entries = cache_.size();
-  return s;
-}
-
-bool GemmTuner::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  std::shared_lock lock(mu_);
-  out << "{\n  \"entries\": [";
-  bool first = true;
-  for (const auto& [key, entry] : cache_) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"m\": " << key.m << ", \"n\": " << key.n
-        << ", \"k\": " << key.k << ", \"format\": \""
-        << kernels::format_name(key.format) << "\", \"mr\": "
-        << entry->variant.mr << ", \"nc\": " << entry->variant.nc << "}";
-  }
-  out << "\n  ]\n}\n";
-  return out.good();
-}
-
-std::size_t GemmTuner::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  // Hand-rolled scan over {...} objects inside "entries" (the repo stays
-  // dependency-free). Tolerates whitespace/ordering; skips bad objects.
-  auto field_i64 = [](const std::string& obj, const char* name,
-                      std::int64_t* out) {
-    const std::string tag = std::string("\"") + name + "\"";
-    const std::size_t at = obj.find(tag);
-    if (at == std::string::npos) return false;
-    const std::size_t colon = obj.find(':', at);
-    if (colon == std::string::npos) return false;
-    *out = std::strtoll(obj.c_str() + colon + 1, nullptr, 10);
-    return true;
-  };
-  auto field_str = [](const std::string& obj, const char* name,
-                      std::string* out) {
-    const std::string tag = std::string("\"") + name + "\"";
-    std::size_t at = obj.find(tag);
-    if (at == std::string::npos) return false;
-    at = obj.find('"', obj.find(':', at) + 1);
-    if (at == std::string::npos) return false;
-    const std::size_t end = obj.find('"', at + 1);
-    if (end == std::string::npos) return false;
-    *out = obj.substr(at + 1, end - at - 1);
-    return true;
-  };
-
-  std::size_t loaded = 0;
-  std::size_t pos = text.find("\"entries\"");
-  if (pos == std::string::npos) return 0;
-  pos = text.find('[', pos);
-  if (pos == std::string::npos) return 0;
-  const std::size_t stop = text.find(']', pos);
-  std::unique_lock lock(mu_);
-  while (true) {
-    const std::size_t open = text.find('{', pos);
-    if (open == std::string::npos || open > stop) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    pos = close + 1;
-    const std::string obj = text.substr(open, close - open + 1);
-    std::int64_t m = 0, n = 0, k = 0, mr = 0, nc = 0;
-    std::string fmt;
-    if (!field_i64(obj, "m", &m) || !field_i64(obj, "n", &n) ||
-        !field_i64(obj, "k", &k) || !field_i64(obj, "mr", &mr) ||
-        !field_i64(obj, "nc", &nc) || !field_str(obj, "format", &fmt)) {
-      continue;
-    }
-    if (m <= 0 || n <= 0 || k <= 0 || mr <= 0 || nc < 8) continue;
-    insert_locked(Key{m, n, k, format_from_name(fmt)},
-                  GemmVariant{static_cast<int>(mr), nc});
-    ++loaded;
-  }
-  return loaded;
 }
 
 }  // namespace matgpt::gemm_tune

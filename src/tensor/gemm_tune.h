@@ -1,31 +1,22 @@
 #pragma once
-// Analytic-model-guided GEMM autotuning + weight-quantized decode storage.
+// Weight-quantized decode storage + the analytic GEMM cost model.
 //
-// The serving engine produces a handful of distinct GEMM shapes — skinny
-// decode GEMMs (M = running batch) and fat prefill GEMMs — and the fixed
-// {mr=8, nc=512} tiling in kernels.cpp is the right answer for none of the
-// extremes. This module closes AMOS's predicted-vs-measured loop at CPU
-// scale: a small (mr, nc) variant space over the streaming kernel, an
-// analytic per-shape cost model (FLOP throughput with pairing/fringe
-// efficiency terms vs. weight-streaming traffic with a segment-length
-// term) re-anchored to measured host numbers exactly the way tp_predict
-// anchors simfrontier's alpha-beta model, and a shape-keyed cache so each
-// (M, N, K, format) tunes once and serves forever.
+// QuantWeights is the bf16/int8 sidecar a Linear layer keeps for its
+// decode forwards; ops::matmul runs the matching quantized kernel. The
+// weight FORMAT is a whole-engine config mode (EngineConfig::decode_quant),
+// never a per-shape decision: per-shape format switching would break
+// batched-vs-batch-1 token identity.
 //
-// Because every variant of every format is byte-identical by construction
-// (see kernels.h), tuning NEVER changes model outputs — only wall time.
-// The one knob that does change numerics is the weight FORMAT (bf16/int8
-// sidecars built by quantize_weights), which is a whole-engine config
-// mode, never a per-shape tuner decision: per-shape format switching
-// would break batched-vs-batch-1 token identity.
+// The cost model prices one GEMM of a given shape, format and tiling in the
+// streaming (cold-weights) regime the serving engine lives in: FLOP
+// throughput with pairing/fringe efficiency terms vs weight-streaming
+// traffic with a segment-length term, re-anchored to measured host numbers
+// the way tp_predict anchors simfrontier's alpha-beta model. It predicts;
+// it does not choose. The tiling that runs comes from the fixed rule in
+// kernels::pick_variant, and every tiling writes identical bytes (see
+// kernels.h).
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <shared_mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -78,106 +69,5 @@ std::vector<kernels::GemmVariant> candidate_space(std::int64_t m,
                                                   std::int64_t n,
                                                   std::int64_t k,
                                                   kernels::WeightFormat format);
-
-/// Lifetime counters, snapshot under the cache lock.
-struct TunerStats {
-  std::uint64_t lookups = 0;    // tuned-path gemm calls (mode != kOff)
-  std::uint64_t hits = 0;       // served from the shape cache
-  std::uint64_t tunes = 0;      // shapes tuned (model-pruned +/- measured)
-  std::uint64_t evictions = 0;  // LRU evictions
-  std::uint64_t entries = 0;    // current cache size
-  std::uint64_t f32_calls = 0;  // gemm calls by weight format (all modes)
-  std::uint64_t bf16_calls = 0;
-  std::uint64_t int8_calls = 0;
-};
-
-/// Process-global shape-keyed autotuner. Thread-safe: lookups take a
-/// shared lock (hits only touch an atomic recency stamp), tuning measures
-/// outside any lock and inserts under an exclusive lock with a re-check.
-class GemmTuner {
- public:
-  enum class Mode : std::uint8_t {
-    kOff = 0,      // always the default variant; cache untouched
-    kModel = 1,    // pick the cost model's best candidate, no measuring
-    kMeasure = 2,  // measure the model's top candidates on first sight
-  };
-
-  struct Config {
-    Mode mode = Mode::kOff;
-    int top_candidates = 3;       // measured per shape in kMeasure
-    std::size_t max_entries = 1024;
-  };
-
-  static GemmTuner& instance();
-
-  /// Replace the config and clear the cache + counters.
-  void configure(const Config& config);
-  Config config() const;
-
-  /// Clear cache + counters, keep config.
-  void reset();
-
-  /// Run C[m,n] (+)= A[m,k] * W for the Linear forward path. When `qw` is
-  /// null or holds kF32, W is `b` (fp32). Otherwise the quantized sidecar
-  /// is used and `accumulate` must be false. Tiling comes from the cache /
-  /// tuner per (m, n, k, format); with mode kOff the default variant runs.
-  void gemm(const float* a, const float* b, const QuantWeights* qw, float* c,
-            std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate);
-
-  /// Cached variant for a shape, if present (test/bench introspection).
-  std::optional<kernels::GemmVariant> peek(std::int64_t m, std::int64_t n,
-                                           std::int64_t k,
-                                           kernels::WeightFormat format) const;
-
-  /// Tune a shape now (as gemm would on a miss) and return the choice.
-  kernels::GemmVariant tune(std::int64_t m, std::int64_t n, std::int64_t k,
-                            kernels::WeightFormat format, const float* a,
-                            const float* b, const QuantWeights* qw, float* c);
-
-  TunerStats stats() const;
-
-  /// Persist / restore the shape->variant cache as JSON. Load inserts on
-  /// top of the current cache (subject to max_entries) and returns the
-  /// number of entries read; a missing file loads 0 without error.
-  bool save(const std::string& path) const;
-  std::size_t load(const std::string& path);
-
- private:
-  struct Key {
-    std::int64_t m, n, k;
-    kernels::WeightFormat format;
-    bool operator==(const Key& o) const {
-      return m == o.m && n == o.n && k == o.k && format == o.format;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct Entry {
-    kernels::GemmVariant variant;
-    mutable std::atomic<std::uint64_t> last_used{0};
-  };
-
-  GemmTuner() = default;
-
-  kernels::GemmVariant lookup_or_tune(const Key& key, const float* a,
-                                      const float* b, const QuantWeights* qw,
-                                      float* c, bool* ran_gemm);
-  void insert_locked(const Key& key, const kernels::GemmVariant& variant);
-
-  mutable std::shared_mutex mu_;
-  Config config_;
-  std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> cache_;
-  std::atomic<std::uint64_t> tick_{0};
-  std::atomic<std::uint64_t> lookups_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> tunes_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> f32_calls_{0};
-  std::atomic<std::uint64_t> bf16_calls_{0};
-  std::atomic<std::uint64_t> int8_calls_{0};
-};
-
-const char* mode_name(GemmTuner::Mode mode);
 
 }  // namespace matgpt::gemm_tune

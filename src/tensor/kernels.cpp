@@ -101,8 +101,8 @@ void gemm_int8_scalar_rows(const float* a, const std::int8_t* b,
 #pragma GCC target("avx2,fma")
 
 // Streaming NN microkernel, templated on the number of C rows it carries,
-// with a runtime column-chunk size `nc` (the autotuner's cache-block knob;
-// the historical fixed kernel is ROWS=8, nc=512).
+// with a runtime column-chunk size `nc` (the cache-block knob pick_variant
+// sets; the historical fixed kernel is ROWS=8, nc=512).
 //
 // Loop order is (column chunk, k-block of 4, columns): B is read exactly
 // once per call in contiguous row segments (prefetch-friendly — a
@@ -117,7 +117,7 @@ void gemm_int8_scalar_rows(const float* a, const std::int8_t* b,
 // tail, and for every ROWS/nc. A row's result depends only on (its A row,
 // B), never on how many rows share the call or how columns are chunked,
 // which is what keeps the serving engine's ragged-batch decode (and any
-// autotuner tiling choice) bit-identical to batch-1 decoding.
+// tiling choice) bit-identical to batch-1 decoding.
 template <int ROWS>
 void gemm_nn_stream_avx2(const float* a, const float* b, float* c,
                          std::int64_t i0, std::int64_t n, std::int64_t k,
@@ -470,6 +470,12 @@ const char* format_name(WeightFormat format) {
 
 GemmVariant gemm_default_variant() { return GemmVariant{8, 512}; }
 
+GemmVariant pick_variant(std::int64_t m, WeightFormat format) {
+  GemmVariant variant = gemm_default_variant();
+  if (format != WeightFormat::kF32 && m <= 4) variant.nc = 4096;
+  return variant;
+}
+
 bool gemm_simd_active() {
 #ifdef MATGPT_X86_DISPATCH
   return use_avx2_fma();
@@ -499,7 +505,7 @@ void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
   }
 #endif
   // Without SIMD every variant runs the one scalar loop: tiling cannot
-  // change results OR behavior, so tuned and untuned builds stay identical.
+  // change results OR behavior.
   for_rows(m, [=](std::size_t lo, std::size_t hi) {
     gemm_nn_scalar_rows(a, b, c, lo, hi, n, k, accumulate);
   });

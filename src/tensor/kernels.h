@@ -16,13 +16,13 @@
 //
 // The microkernel's tiling is a GemmVariant: `mr` rows of C per block and
 // `nc` floats of C per row per column chunk. gemm_nn always runs the
-// default variant; gemm_nn_variant lets the autotuner (tensor/gemm_tune)
-// pick a per-shape tiling. Every variant accumulates each C element's k
-// terms in ascending order with single-rounding FMAs — identical in the
-// vector body, the scalar column tail, and for every mr/nc — so variant
-// choice NEVER changes output bytes. That is the property the serving
-// engine's batched-vs-batch-1 (and tuned-vs-untuned) token identity rests
-// on.
+// default variant; pick_variant chooses a tiling from the shape and weight
+// format by a fixed rule, and gemm_nn_variant runs any explicit one. Every
+// variant accumulates each C element's k terms in ascending order with
+// single-rounding FMAs — identical in the vector body, the scalar column
+// tail, and for every mr/nc — so variant choice NEVER changes output
+// bytes. That is the property the serving engine's batched-vs-batch-1
+// token identity rests on.
 //
 // gemm_nn_bf16 / gemm_nn_int8 are the weight-quantized decode GEMMs: B is
 // stored as bf16 bit patterns or int8 with per-output-column scales, every
@@ -53,6 +53,18 @@ struct GemmVariant {
 
 /// The fixed tiling gemm_nn has always used ({8, 512}).
 GemmVariant gemm_default_variant();
+
+/// The tiling to run an [m, k] x [k, n] GEMM with, by a rule fixed from
+/// measurement rather than searched at run time. fp32 B always gets
+/// gemm_default_variant(): at every serving shape the fp32 kernel is
+/// weight-bandwidth-bound and no tiling beats it by more than the noise.
+/// Quantized B at m <= 4 gets one column chunk of up to 4096 floats, so
+/// each short weight row streams as one long contiguous run (on a 4-core
+/// AVX2 host, int8 256 -> 8192 at m = 1 runs ~2x faster than with
+/// nc = 512); at larger m the wide chunk stops paying off.
+/// With mr = 8 every m <= 8 splits into the same power-of-two row blocks,
+/// so only nc changes.
+GemmVariant pick_variant(std::int64_t m, WeightFormat format);
 
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).

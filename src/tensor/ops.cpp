@@ -1,5 +1,7 @@
 #include "tensor/ops.h"
 
+#include <array>
+#include <atomic>
 #include <cmath>
 
 #include "common/error.h"
@@ -9,6 +11,11 @@
 namespace matgpt::ops {
 
 namespace {
+
+using kernels::WeightFormat;
+
+/// matmul forwards by weight format (indexed by WeightFormat).
+std::array<std::atomic<std::uint64_t>, 3> g_matmul_calls{};
 
 /// Number of rows when treating the last dim as features.
 std::int64_t leading_rows(const Tensor& t) {
@@ -117,7 +124,8 @@ Var scale(Tape& tape, const Var& a, float s) {
   return result;
 }
 
-Var matmul(Tape& tape, const Var& a, const Var& b) {
+Var matmul(Tape& tape, const Var& a, const Var& b,
+           const gemm_tune::QuantWeights* qw) {
   MGPT_CHECK(a.value().ndim() == 2 && b.value().ndim() == 2,
              "matmul requires rank-2 operands");
   const std::int64_t m = a.value().dim(0);
@@ -126,10 +134,34 @@ Var matmul(Tape& tape, const Var& a, const Var& b) {
   MGPT_CHECK(b.value().dim(0) == k,
              "matmul inner-dim mismatch: " << a.value().shape_str() << " x "
                                            << b.value().shape_str());
+  const bool needs_grad = any_requires_grad({&a, &b});
+  // The sidecar has no gradient story: a result the backward will read
+  // always comes from the fp32 weights.
+  const WeightFormat format = qw != nullptr && !(tape.recording() && needs_grad)
+                                  ? qw->format
+                                  : WeightFormat::kF32;
+  MGPT_CHECK(format == WeightFormat::kF32 || (qw->k == k && qw->n == n),
+             "quantized weights shape mismatch: have "
+                 << qw->k << "x" << qw->n << ", need " << k << "x" << n);
+  g_matmul_calls[static_cast<std::size_t>(format)].fetch_add(
+      1, std::memory_order_relaxed);
   Tensor out({m, n});
-  kernels::gemm_nn(a.value().data(), b.value().data(), out.data(), m, n, k,
-                   /*accumulate=*/false);
-  Var result = tape.intermediate(std::move(out), any_requires_grad({&a, &b}));
+  const kernels::GemmVariant tiling = kernels::pick_variant(m, format);
+  switch (format) {
+    case WeightFormat::kF32:
+      kernels::gemm_nn_variant(a.value().data(), b.value().data(), out.data(),
+                               m, n, k, /*accumulate=*/false, tiling);
+      break;
+    case WeightFormat::kBf16:
+      kernels::gemm_nn_bf16(a.value().data(), qw->bf16.data(), out.data(), m,
+                            n, k, tiling);
+      break;
+    case WeightFormat::kInt8:
+      kernels::gemm_nn_int8(a.value().data(), qw->q8.data(), qw->scale.data(),
+                            out.data(), m, n, k, tiling);
+      break;
+  }
+  Var result = tape.intermediate(std::move(out), needs_grad);
   if (result.requires_grad()) {
     tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {
       const float* g = rn->grad.data();
@@ -150,45 +182,9 @@ Var matmul(Tape& tape, const Var& a, const Var& b) {
   return result;
 }
 
-Var linear_matmul(Tape& tape, const Var& a, const Var& w,
-                  const gemm_tune::QuantWeights* qw) {
-  MGPT_CHECK(a.value().ndim() == 2 && w.value().ndim() == 2,
-             "linear_matmul requires rank-2 operands");
-  const std::int64_t m = a.value().dim(0);
-  const std::int64_t k = a.value().dim(1);
-  const std::int64_t n = w.value().dim(1);
-  MGPT_CHECK(w.value().dim(0) == k,
-             "linear_matmul inner-dim mismatch: "
-                 << a.value().shape_str() << " x " << w.value().shape_str());
-  const bool needs_grad = any_requires_grad({&a, &w});
-  // Quantized forward only when no backward will read this result — the
-  // sidecar has no gradient story; training always sees fp32 weights.
-  const gemm_tune::QuantWeights* use_qw =
-      (qw != nullptr && qw->format != kernels::WeightFormat::kF32 &&
-       !(tape.recording() && needs_grad))
-          ? qw
-          : nullptr;
-  Tensor out({m, n});
-  gemm_tune::GemmTuner::instance().gemm(a.value().data(), w.value().data(),
-                                        use_qw, out.data(), m, n, k,
-                                        /*accumulate=*/false);
-  Var result = tape.intermediate(std::move(out), needs_grad);
-  if (result.requires_grad()) {
-    tape.record([an = a.node(), bn = w.node(), rn = result.node(), m, n, k] {
-      const float* g = rn->grad.data();
-      if (an->requires_grad) {
-        Tensor& ag = an->ensure_grad();
-        kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n,
-                         /*accumulate=*/true);
-      }
-      if (bn->requires_grad) {
-        Tensor& bg = bn->ensure_grad();
-        kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m,
-                         /*accumulate=*/true);
-      }
-    });
-  }
-  return result;
+std::uint64_t matmul_calls(WeightFormat format) {
+  return g_matmul_calls[static_cast<std::size_t>(format)].load(
+      std::memory_order_relaxed);
 }
 
 Var reshape(Tape& tape, const Var& x, std::vector<std::int64_t> shape) {

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
 
 namespace matgpt::gemm_tune {
 struct QuantWeights;
@@ -29,16 +30,15 @@ Var add_bias(Tape& tape, const Var& x, const Var& bias);
 Var mul(Tape& tape, const Var& a, const Var& b);
 /// a * s.
 Var scale(Tape& tape, const Var& a, float s);
-/// Row-major [m,k] x [k,n] matrix product.
-Var matmul(Tape& tape, const Var& a, const Var& b);
-/// matmul for Linear forwards: routes through the GEMM autotuner's
-/// per-shape tiling cache when enabled, and — when `qw` carries a
-/// bf16/int8 sidecar of `w` and nothing needs gradients — runs the
-/// weight-quantized kernel instead of the fp32 one. Gradients (when
-/// recording) always flow through the fp32 weights, identically to
-/// matmul. Tiling never changes output bytes; the format does.
-Var linear_matmul(Tape& tape, const Var& a, const Var& w,
-                  const gemm_tune::QuantWeights* qw);
+/// Row-major [m,k] x [k,n] matrix product, tiled by kernels::pick_variant.
+/// When `qw` carries a bf16/int8 sidecar of `b` and no backward will read
+/// the result, the weight-quantized kernel runs instead of the fp32 one;
+/// a recording tape with gradients always sees the fp32 weights. Tiling
+/// never changes output bytes; the format does.
+Var matmul(Tape& tape, const Var& a, const Var& b,
+           const gemm_tune::QuantWeights* qw = nullptr);
+/// Process-lifetime count of matmul forwards that ran with `format`.
+std::uint64_t matmul_calls(kernels::WeightFormat format);
 /// Zero-copy view with a new shape (one -1 dimension may be inferred).
 Var reshape(Tape& tape, const Var& x, std::vector<std::int64_t> shape);
 

@@ -694,14 +694,7 @@ TEST(HttpServerE2E, StatsKeySetIsStable) {
       {"embed_forwards", "number"},
       {"embed_tokens", "number"},
       {"embed_mean_batch", "number"},
-      {"gemm_autotune", "bool"},
       {"decode_quant", "string"},
-      {"gemm_tune_lookups", "number"},
-      {"gemm_tune_hits", "number"},
-      {"gemm_tune_hit_rate", "number"},
-      {"gemm_tune_tunes", "number"},
-      {"gemm_tune_entries", "number"},
-      {"gemm_tune_evictions", "number"},
       {"gemm_f32_calls", "number"},
       {"gemm_bf16_calls", "number"},
       {"gemm_int8_calls", "number"},

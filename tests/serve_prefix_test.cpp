@@ -98,7 +98,8 @@ TEST(PrefixCacheRadix, InsertThenLongestPrefixMatchAliasesBlocks) {
   serve::PrefixCache pc(c, 1 << 20, &pool);
   const std::vector<std::int32_t> prompt{4, 8, 15, 16, 23, 42};
 
-  serve::KvLease kv = pool.lease();
+  serve::KvLease kv = pool.try_lease();
+  ASSERT_TRUE(kv);
   fill_cache(*kv, c, uniform_salts(6, 1.0f));
   pc.insert(prompt, 6, *kv);
   EXPECT_EQ(pc.cached_tokens(), 6);
@@ -143,7 +144,8 @@ TEST(PrefixCacheRadix, PartialEdgeMatchRestoresOnlySharedRows) {
   serve::KvCachePool pool(c, radix_pool_config());
   serve::PrefixCache pc(c, 1 << 20, &pool);
   const std::vector<std::int32_t> cached{1, 2, 3, 4, 5};
-  serve::KvLease kv = pool.lease();
+  serve::KvLease kv = pool.try_lease();
+  ASSERT_TRUE(kv);
   fill_cache(*kv, c, uniform_salts(5, 2.0f));
   pc.insert(cached, 5, *kv);
 
@@ -164,8 +166,10 @@ TEST(PrefixCacheRadix, DivergingInsertSplitsTheSharedEdge) {
   serve::PrefixCache pc(c, 1 << 20, &pool);
   const std::vector<std::int32_t> a{1, 2, 3, 4};
   const std::vector<std::int32_t> b{1, 2, 8, 9};
-  serve::KvLease kva = pool.lease();
-  serve::KvLease kvb = pool.lease();
+  serve::KvLease kva = pool.try_lease();
+  ASSERT_TRUE(kva);
+  serve::KvLease kvb = pool.try_lease();
+  ASSERT_TRUE(kvb);
   // Identical token prefixes have identical rows (the model is a pure
   // function of the prefix) — mirror that invariant in the synthetic data
   // so the shared "1 2" span's rows are valid for both prompts.
@@ -205,7 +209,8 @@ TEST(PrefixCacheRadix, EvictionIsLruAndSkipsPinnedNodes) {
   const std::vector<std::int32_t> a{10, 11, 12, 13};
   const std::vector<std::int32_t> b{20, 21, 22, 23};
   const std::vector<std::int32_t> d{30, 31, 32, 33};
-  serve::KvLease kv = pool.lease();
+  serve::KvLease kv = pool.try_lease();
+  ASSERT_TRUE(kv);
   fill_cache(*kv, c, uniform_salts(4, 5.0f));
 
   pc.insert(a, 4, *kv);
@@ -262,7 +267,8 @@ TEST(PrefixCacheRadix, EvictForBlocksFreesAdmissionHeadroom) {
 
   const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5, 6, 7, 8};
   {
-    serve::KvLease kv = pool.lease();
+    serve::KvLease kv = pool.try_lease();
+    ASSERT_TRUE(kv);
     fill_cache(*kv, c, uniform_salts(8, 1.0f));
     pc.insert(prompt, 8, *kv);
   }
@@ -282,8 +288,10 @@ TEST(PrefixCacheRadix, SplitOfPinnedEdgeIsRefused) {
   serve::PrefixCache pc(c, 1 << 20, &pool);
   const std::vector<std::int32_t> a{1, 2, 3, 4};
   const std::vector<std::int32_t> b{1, 2, 8, 9};
-  serve::KvLease kva = pool.lease();
-  serve::KvLease kvb = pool.lease();
+  serve::KvLease kva = pool.try_lease();
+  ASSERT_TRUE(kva);
+  serve::KvLease kvb = pool.try_lease();
+  ASSERT_TRUE(kvb);
   fill_cache(*kva, c, {{6.0f, 6.0f, 6.0f, 6.0f}});
   fill_cache(*kvb, c, {{6.0f, 6.0f, 7.0f, 7.0f}});
   pc.insert(a, 4, *kva);
@@ -373,7 +381,8 @@ TEST(KvLease, MoveTransfersOwnershipWithoutDoubleRelease) {
   const nn::GptConfig c = prefix_config();
   serve::KvCachePool pool(c, 2);
   const std::size_t idle = pool.available();
-  serve::KvLease a = pool.lease();
+  serve::KvLease a = pool.try_lease();
+  ASSERT_TRUE(a);
   const std::size_t after_one = pool.available();
   EXPECT_LT(after_one, idle);
   serve::KvLease b = std::move(a);
@@ -382,7 +391,8 @@ TEST(KvLease, MoveTransfersOwnershipWithoutDoubleRelease) {
   EXPECT_EQ(pool.available(), after_one);
 
   // Move-assign over a live lease releases the overwritten slot.
-  serve::KvLease d = pool.lease();
+  serve::KvLease d = pool.try_lease();
+  ASSERT_TRUE(d);
   EXPECT_LT(pool.available(), after_one);
   d = std::move(b);
   EXPECT_EQ(pool.available(), after_one);
@@ -397,7 +407,8 @@ TEST(KvLease, TruncateRollsBackThroughTheHandle) {
   const nn::GptConfig c = prefix_config();
   nn::GptModel model(c);
   serve::KvCachePool pool(c, 1);
-  serve::KvLease lease = pool.lease();
+  serve::KvLease lease = pool.try_lease();
+  ASSERT_TRUE(lease);
   Tape tape;
   const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5};
   model.forward_incremental(tape, prompt, *lease);

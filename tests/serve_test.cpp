@@ -212,7 +212,7 @@ TEST(ServeEngine, SubmitAndStepFromCallerThread) {
   EXPECT_GE(result.total_s, result.ttft_s);
 }
 
-TEST(ServeKvPool, LeaseBlocksUntilReleaseAndRecyclesSlot) {
+TEST(ServeKvPool, ReleaseRecyclesSlotAndClearsHistory) {
   {
     const nn::GptConfig c = serve_config(nn::ArchFamily::kLLaMA, 1);
     serve::KvPoolConfig pc;
@@ -222,7 +222,7 @@ TEST(ServeKvPool, LeaseBlocksUntilReleaseAndRecyclesSlot) {
     EXPECT_EQ(pool.capacity_tokens(), c.max_seq);
     EXPECT_GT(pool.reserved_bytes(), 0.0);
 
-    serve::KvLease slot = pool.lease();
+    serve::KvLease slot = pool.try_lease();
     ASSERT_TRUE(slot);
     EXPECT_EQ(pool.available(), 0u);
     EXPECT_FALSE(pool.try_lease());
@@ -236,32 +236,27 @@ TEST(ServeKvPool, LeaseBlocksUntilReleaseAndRecyclesSlot) {
     EXPECT_EQ(slot->length, 3);
 
     nn::KvCache* raw = slot.get();
-    std::atomic<bool> acquired{false};
-    std::thread waiter([&] {
-      serve::KvLease again = pool.lease();  // blocks until release below
-      acquired.store(true);
-      EXPECT_EQ(again.get(), raw);    // same storage recycled
-      EXPECT_EQ(again->length, 0);    // history cleared
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(acquired.load());
     slot.release();
-    waiter.join();
-    EXPECT_TRUE(acquired.load());
     EXPECT_TRUE(pool.all_free());
+    serve::KvLease again = pool.try_lease();
+    ASSERT_TRUE(again);
+    EXPECT_EQ(again.get(), raw);  // same storage recycled
+    EXPECT_EQ(again->length, 0);  // history cleared
   }
 }
 
 TEST(ServeKvPool, EmptyLeaseIsCheckedAndReleaseIdempotent) {
   const nn::GptConfig c = serve_config(nn::ArchFamily::kNeoX, 0);
   serve::KvCachePool pool(c, 2);
-  serve::KvLease lease = pool.lease();
+  serve::KvLease lease = pool.try_lease();
+  ASSERT_TRUE(lease);
   lease.release();
   lease.release();  // idempotent, not a double free
   EXPECT_TRUE(pool.all_free());
   EXPECT_THROW((void)*lease, Error);
   EXPECT_THROW((void)lease->length, Error);
-  serve::KvLease moved = pool.lease();
+  serve::KvLease moved = pool.try_lease();
+  ASSERT_TRUE(moved);
   serve::KvLease stolen = std::move(moved);
   EXPECT_FALSE(moved);  // NOLINT(bugprone-use-after-move): checked empty
   EXPECT_TRUE(stolen);
@@ -273,7 +268,8 @@ TEST(ServeKvPool, TryLeaseEmptyWhenExhausted) {
     serve::KvPoolConfig pc;
     pc.slots = 2;
     serve::KvCachePool pool(c, pc);
-    serve::KvLease a = pool.lease();
+    serve::KvLease a = pool.try_lease();
+    ASSERT_TRUE(a);
     serve::KvLease b = pool.try_lease();
     ASSERT_TRUE(b);
     EXPECT_FALSE(pool.try_lease());
@@ -290,7 +286,8 @@ TEST(ServeKvPool, LeaseTruncateRollsBack) {
     pc.slots = 2;
     serve::KvCachePool pool(c, pc);
     nn::GptModel model(c);
-    serve::KvLease slot = pool.lease();
+    serve::KvLease slot = pool.try_lease();
+    ASSERT_TRUE(slot);
     const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5};
     Tape tape;
     model.forward_incremental(tape, prompt, *slot);
@@ -316,7 +313,8 @@ TEST(ServeKvPool, SlotCapacityIsEnforced) {
     pc.capacity_tokens = 4;
     serve::KvCachePool pool(c, pc);
     nn::GptModel model(c);
-    serve::KvLease slot = pool.lease();
+    serve::KvLease slot = pool.try_lease();
+    ASSERT_TRUE(slot);
     const std::vector<std::int32_t> too_long{1, 2, 3, 4, 5};
     Tape tape;
     EXPECT_THROW(model.forward_incremental(tape, too_long, *slot), Error);

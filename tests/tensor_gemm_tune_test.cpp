@@ -1,18 +1,16 @@
 // Unit tests for src/tensor/gemm_tune + the quantized decode path: every
 // kernel variant is byte-identical to the reference tiling (the invariant
-// that makes autotuning safe), the tuner cache keys/evicts/persists
-// correctly and survives concurrent lookups, quantized sidecars stay
-// within their accuracy bounds, and the serving engine's decode_quant mode
-// is token-identical to batch-1 generate_cached under the same format —
-// including speculative decoding and chunked prefill.
+// that lets pick_variant choose tilings freely), pick_variant keeps fp32 on
+// the default tiling, quantized sidecars stay within their accuracy
+// bounds, ops::matmul routes a sidecar only where no gradient reads it, and
+// the serving engine's decode_quant mode is token-identical to batch-1
+// generate_cached under the same format — including speculative decoding
+// and chunked prefill.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -27,7 +25,6 @@
 namespace matgpt {
 namespace {
 
-using gemm_tune::GemmTuner;
 using kernels::GemmVariant;
 using kernels::WeightFormat;
 
@@ -40,14 +37,8 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
   return m;
 }
 
-/// Restores the process-global tuner to kOff when a test scope ends, so no
-/// test leaks tuner state into another.
-struct TunerGuard {
-  ~TunerGuard() { GemmTuner::instance().configure({}); }
-};
-
 // ---------------------------------------------------------------------------
-// Variant byte identity: the invariant the whole tuner rests on
+// Variant byte identity: the invariant every tiling choice rests on
 // ---------------------------------------------------------------------------
 
 TEST(GemmVariants, F32AllTilingsMatchReferenceBytes) {
@@ -147,6 +138,20 @@ TEST(QuantizeWeights, Bf16RoundTripWithinRelativeUlp) {
   }
 }
 
+TEST(QuantizeWeights, Int8TinyColumnRoundTripsWithinHalfScale) {
+  // amax / 127 is subnormal here, so 1 / scale overflows to +inf.
+  const std::vector<float> w{3e-37f, 0.0f, -1e-37f};
+  const auto qw = gemm_tune::quantize_weights(w.data(), 3, 1,
+                                              WeightFormat::kInt8);
+  const float scale = qw.scale[0];
+  EXPECT_GT(scale, 0.0f);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const float back = static_cast<float>(qw.q8[i]) * scale;
+    EXPECT_LE(std::abs(back - w[i]), 0.5f * scale)
+        << i << ": q=" << static_cast<int>(qw.q8[i]);
+  }
+}
+
 TEST(QuantizeWeights, Int8ZeroColumnGetsUnitScale) {
   std::vector<float> w(8 * 2, 0.0f);
   for (int i = 0; i < 8; ++i) w[i * 2 + 1] = 0.5f;  // column 0 all-zero
@@ -183,169 +188,87 @@ TEST(CandidateSpace, ContainsDefaultAndDeduplicates) {
   }
 }
 
+TEST(PickVariant, Fp32AlwaysRunsTheDefaultTiling) {
+  for (const std::int64_t m : {1, 2, 4, 5, 8, 16, 128, 4096}) {
+    EXPECT_TRUE(kernels::pick_variant(m, WeightFormat::kF32) ==
+                kernels::gemm_default_variant())
+        << "m=" << m;
+  }
+}
+
+TEST(PickVariant, QuantizedSmallMTakesWideColumnChunks) {
+  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+    for (const std::int64_t m : {1, 2, 3, 4}) {
+      const GemmVariant v = kernels::pick_variant(m, format);
+      EXPECT_EQ(v.mr, kernels::gemm_default_variant().mr);
+      EXPECT_EQ(v.nc, 4096);
+    }
+    for (const std::int64_t m : {5, 8, 16, 64}) {
+      EXPECT_TRUE(kernels::pick_variant(m, format) ==
+                  kernels::gemm_default_variant())
+          << kernels::format_name(format) << " m=" << m;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Tuner cache behaviour
+// ops::matmul: quantized sidecar vs fp32 training path
 // ---------------------------------------------------------------------------
 
-TEST(GemmTuner, CachesPerShapeAndFormat) {
-  TunerGuard guard;
-  GemmTuner::Config cfg;
-  cfg.mode = GemmTuner::Mode::kModel;  // deterministic, no timing
-  GemmTuner::instance().configure(cfg);
-
-  const std::int64_t m = 2, n = 48, k = 32;
-  const auto a = random_matrix(m, k, 7);
-  const auto w = random_matrix(k, n, 8);
-  const auto qw = gemm_tune::quantize_weights(w.data(), k, n,
+TEST(MatmulOp, QuantSidecarRunsInt8KernelWithoutGradients) {
+  const std::int64_t m = 3, k = 40, n = 24;
+  const auto a_data = random_matrix(m, k, 17);
+  const auto w_data = random_matrix(k, n, 18);
+  const auto qw = gemm_tune::quantize_weights(w_data.data(), k, n,
                                               WeightFormat::kInt8);
-  std::vector<float> c(static_cast<std::size_t>(m * n));
+  std::vector<float> expected(static_cast<std::size_t>(m * n));
+  kernels::gemm_nn_int8(a_data.data(), qw.q8.data(), qw.scale.data(),
+                        expected.data(), m, n, k,
+                        kernels::gemm_default_variant());
 
-  GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), m, n, k,
-                             false);
-  GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), m, n, k,
-                             false);
-  GemmTuner::instance().gemm(a.data(), w.data(), &qw, c.data(), m, n, k,
-                             false);
-
-  const auto stats = GemmTuner::instance().stats();
-  if (kernels::gemm_simd_active()) {
-    EXPECT_EQ(stats.lookups, 3u);
-    EXPECT_EQ(stats.hits, 1u);    // second f32 call
-    EXPECT_EQ(stats.tunes, 2u);   // f32 entry + int8 entry
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_TRUE(GemmTuner::instance()
-                    .peek(m, n, k, WeightFormat::kF32)
-                    .has_value());
-    EXPECT_TRUE(GemmTuner::instance()
-                    .peek(m, n, k, WeightFormat::kInt8)
-                    .has_value());
-    EXPECT_FALSE(GemmTuner::instance()
-                     .peek(m, n, k, WeightFormat::kBf16)
-                     .has_value());
-  }
-  EXPECT_EQ(stats.f32_calls, 2u);
-  EXPECT_EQ(stats.int8_calls, 1u);
+  Tape tape;  // recording, but nothing requires gradients
+  Var a = tape.leaf(Tensor::from_data({m, k}, a_data), false);
+  Var w = tape.leaf(Tensor::from_data({k, n}, w_data), false);
+  Var y = ops::matmul(tape, a, w, &qw);
+  ASSERT_EQ(y.value().numel(), m * n);
+  EXPECT_EQ(0, std::memcmp(y.value().data(), expected.data(),
+                           expected.size() * sizeof(float)));
+  EXPECT_EQ(tape.op_count(), 0u);
 }
 
-TEST(GemmTuner, EvictsLeastRecentlyUsedAtCapacity) {
-  if (!kernels::gemm_simd_active()) GTEST_SKIP() << "portable build";
-  TunerGuard guard;
-  GemmTuner::Config cfg;
-  cfg.mode = GemmTuner::Mode::kModel;
-  cfg.max_entries = 3;
-  GemmTuner::instance().configure(cfg);
+TEST(MatmulOp, RecordingTapeUsesFp32WeightsAndGradients) {
+  const std::int64_t m = 4, k = 20, n = 12;
+  const auto a_data = random_matrix(m, k, 19);
+  const auto w_data = random_matrix(k, n, 20);
+  const auto g_data = random_matrix(m, n, 21);
+  const auto qw = gemm_tune::quantize_weights(w_data.data(), k, n,
+                                              WeightFormat::kInt8);
 
-  const auto a = random_matrix(4, 64, 9);
-  const auto w = random_matrix(64, 64, 10);
-  std::vector<float> c(4 * 64);
-  // Shapes keyed by m: 1..3 fill the cache; re-touch m=1 so m=2 is LRU.
-  for (const std::int64_t m : {1, 2, 3, 1}) {
-    GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), m, 64,
-                               64, false);
-  }
-  GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), 4, 64, 64,
-                             false);
-  const auto stats = GemmTuner::instance().stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_TRUE(GemmTuner::instance().peek(1, 64, 64, WeightFormat::kF32));
-  EXPECT_FALSE(GemmTuner::instance().peek(2, 64, 64, WeightFormat::kF32));
-  EXPECT_TRUE(GemmTuner::instance().peek(4, 64, 64, WeightFormat::kF32));
-}
-
-TEST(GemmTuner, ConcurrentLookupsRaceSafely) {
-  TunerGuard guard;
-  GemmTuner::Config cfg;
-  cfg.mode = GemmTuner::Mode::kModel;
-  GemmTuner::instance().configure(cfg);
-
-  const auto a = random_matrix(8, 32, 11);
-  const auto w = random_matrix(32, 40, 12);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<float> c(8 * 40);
-      for (int i = 0; i < 200; ++i) {
-        const std::int64_t m = 1 + (i + t) % 8;  // same 8 shapes, all threads
-        GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), m,
-                                   40, 32, false);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto stats = GemmTuner::instance().stats();
-  // Portable builds bypass the tuned path entirely (scalar kernel, no
-  // lookup), so the cache counters only move with SIMD dispatch active;
-  // the concurrent gemm() calls above still exercise thread safety.
-  if (kernels::gemm_simd_active()) {
-    EXPECT_EQ(stats.lookups, 800u);
-    EXPECT_EQ(stats.entries, 8u);
-  } else {
-    EXPECT_EQ(stats.lookups, 0u);
-  }
-}
-
-TEST(GemmTuner, SaveLoadRoundTripsVariants) {
-  if (!kernels::gemm_simd_active()) GTEST_SKIP() << "portable build";
-  TunerGuard guard;
-  GemmTuner::Config cfg;
-  cfg.mode = GemmTuner::Mode::kModel;
-  GemmTuner::instance().configure(cfg);
-
-  const auto a = random_matrix(8, 96, 13);
-  const auto w = random_matrix(96, 80, 14);
-  std::vector<float> c(8 * 80);
-  for (const std::int64_t m : {1, 3, 8}) {
-    GemmTuner::instance().gemm(a.data(), w.data(), nullptr, c.data(), m, 80,
-                               96, false);
-  }
-  const auto v1 = GemmTuner::instance().peek(1, 80, 96, WeightFormat::kF32);
-  const auto v8 = GemmTuner::instance().peek(8, 80, 96, WeightFormat::kF32);
-  ASSERT_TRUE(v1.has_value());
-  ASSERT_TRUE(v8.has_value());
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "matgpt_tune_cache_test.json")
-          .string();
-  ASSERT_TRUE(GemmTuner::instance().save(path));
-  GemmTuner::instance().reset();
-  EXPECT_FALSE(GemmTuner::instance().peek(1, 80, 96, WeightFormat::kF32));
-  EXPECT_EQ(GemmTuner::instance().load(path), 3u);
-  const auto r1 = GemmTuner::instance().peek(1, 80, 96, WeightFormat::kF32);
-  const auto r8 = GemmTuner::instance().peek(8, 80, 96, WeightFormat::kF32);
-  ASSERT_TRUE(r1.has_value());
-  ASSERT_TRUE(r8.has_value());
-  EXPECT_TRUE(*r1 == *v1);
-  EXPECT_TRUE(*r8 == *v8);
-  std::remove(path.c_str());
-  // A missing file loads zero entries without throwing.
-  EXPECT_EQ(GemmTuner::instance().load(path), 0u);
-}
-
-TEST(GemmTuner, TunedOutputMatchesUntunedBytesThroughOps) {
-  TunerGuard guard;
-  const auto a_data = random_matrix(5, 24, 15);
-  const auto w_data = random_matrix(24, 36, 16);
-
-  auto run = [&](GemmTuner::Mode mode) {
-    GemmTuner::Config cfg;
-    cfg.mode = mode;
-    GemmTuner::instance().configure(cfg);
-    Tape tape;
-    Var a = tape.leaf(Tensor::from_data({5, 24}, a_data), false);
-    Var w = tape.leaf(Tensor::from_data({24, 36}, w_data), false);
-    Var y = ops::linear_matmul(tape, a, w, nullptr);
-    return std::vector<float>(y.value().data(),
-                              y.value().data() + y.value().numel());
+  struct Result {
+    std::vector<float> y, da, dw;
   };
-
-  const auto off = run(GemmTuner::Mode::kOff);
-  const auto model = run(GemmTuner::Mode::kModel);
-  const auto measured = run(GemmTuner::Mode::kMeasure);
-  EXPECT_EQ(0, std::memcmp(off.data(), model.data(),
-                           off.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(off.data(), measured.data(),
-                           off.size() * sizeof(float)));
+  auto run = [&](const gemm_tune::QuantWeights* sidecar) {
+    Tape tape;
+    Var a = tape.leaf(Tensor::from_data({m, k}, a_data), true);
+    Var w = tape.leaf(Tensor::from_data({k, n}, w_data), true);
+    Var g = tape.leaf(Tensor::from_data({m, n}, g_data), false);
+    Var y = ops::matmul(tape, a, w, sidecar);
+    tape.backward(ops::sum_all(tape, ops::mul(tape, y, g)));
+    auto copy = [](const Tensor& t) {
+      return std::vector<float>(t.data(), t.data() + t.numel());
+    };
+    return Result{copy(y.value()), copy(a.grad()), copy(w.grad())};
+  };
+  const Result fp32 = run(nullptr);
+  const Result quant = run(&qw);
+  auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same(fp32.y, quant.y));
+  EXPECT_TRUE(same(fp32.da, quant.da));
+  EXPECT_TRUE(same(fp32.dw, quant.dw));
+  EXPECT_EQ(fp32.dw.size(), static_cast<std::size_t>(k * n));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +361,6 @@ TEST(DecodeQuant, EngineTokensIdenticalToGenerateCachedSameFormat) {
   ec.max_batch = 4;
   ec.kv_slots = 4;
   ec.decode_quant = WeightFormat::kInt8;
-  ec.gemm_autotune = true;  // tuned tilings must not change bytes either
   serve::InferenceEngine engine(model, ec);
 
   auto trace = serve::synth_trace(quant_trace_spec());
@@ -457,7 +379,6 @@ TEST(DecodeQuant, EngineTokensIdenticalToGenerateCachedSameFormat) {
                                                 req.sampling, rng);
     EXPECT_EQ(results[i].tokens, expected) << "request " << i;
   }
-  GemmTuner::instance().configure({});
 }
 
 TEST(DecodeQuant, ChunkedPrefillIdenticalToWholePrefillUnderQuant) {
@@ -514,40 +435,30 @@ TEST(DecodeQuant, SpeculativeIdenticalToPlainUnderQuant) {
 
 TEST(DecodeQuant, EngineValidatesKnobCombinations) {
   nn::GptModel model(quant_model_config());
-  {
-    serve::EngineConfig ec;
-    ec.tune_cache_path = "/tmp/never_written.json";  // without gemm_autotune
-    EXPECT_THROW(serve::InferenceEngine(model, ec), Error);
-  }
-  {
-    serve::EngineConfig ec;
-    ec.decode_quant = WeightFormat::kInt8;
-    ec.tensor_parallel = 2;
-    EXPECT_THROW(serve::InferenceEngine(model, ec), Error);
-  }
+  serve::EngineConfig ec;
+  ec.decode_quant = WeightFormat::kInt8;
+  ec.tensor_parallel = 2;
+  EXPECT_THROW(serve::InferenceEngine(model, ec), Error);
 }
 
-TEST(DecodeQuant, EngineStatsReportQuantAndTunerCounters) {
+TEST(DecodeQuant, EngineStatsReportQuantAndGemmCounters) {
   const nn::GptConfig c = quant_model_config();
   nn::GptModel model(c);
   serve::EngineConfig ec;
   ec.max_batch = 2;
   ec.kv_slots = 2;
   ec.decode_quant = WeightFormat::kInt8;
-  ec.gemm_autotune = true;
   serve::InferenceEngine engine(model, ec);
   auto spec = quant_trace_spec();
   spec.n_requests = 3;
   engine.run_trace(serve::synth_trace(spec));
 
   EXPECT_EQ(engine.stats().decode_quant(), std::string("int8"));
-  EXPECT_TRUE(engine.stats().gemm_autotune());
   EXPECT_GT(engine.stats().gemm_int8_calls(), 0u);
   EXPECT_GT(engine.stats().gemm_f32_calls(), 0u);  // prefill stays fp32
   const std::string json = engine.stats().to_json(1.0);
   EXPECT_NE(json.find("\"decode_quant\": \"int8\""), std::string::npos);
-  EXPECT_NE(json.find("\"gemm_tune_lookups\""), std::string::npos);
-  GemmTuner::instance().configure({});
+  EXPECT_NE(json.find("\"gemm_int8_calls\""), std::string::npos);
 }
 
 }  // namespace
