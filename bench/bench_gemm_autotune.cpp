@@ -102,21 +102,10 @@ struct ColdWeights {
 double one_cycle(const ColdWeights& w, WeightFormat format, const float* a,
                  float* c, std::int64_t m, const GemmVariant& variant) {
   const double t0 = now_s();
+  const bool f32 = format == WeightFormat::kF32;
   for (std::size_t i = 0; i < w.copies; ++i) {
-    switch (format) {
-      case WeightFormat::kF32:
-        kernels::gemm_nn_variant(a, w.f32[i].data(), c, m, w.n, w.k, false,
-                                 variant);
-        break;
-      case WeightFormat::kBf16:
-        kernels::gemm_nn_bf16(a, w.quant[i].bf16.data(), c, m, w.n, w.k,
-                              variant);
-        break;
-      case WeightFormat::kInt8:
-        kernels::gemm_nn_int8(a, w.quant[i].q8.data(), w.quant[i].scale.data(),
-                              c, m, w.n, w.k, variant);
-        break;
-    }
+    gemm_tune::run_gemm(a, f32 ? w.f32[i].data() : nullptr,
+                        f32 ? nullptr : &w.quant[i], c, m, w.n, w.k, variant);
   }
   return (now_s() - t0) / static_cast<double>(w.copies);
 }

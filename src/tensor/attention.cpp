@@ -10,6 +10,12 @@
 //
 // Both produce bit-comparable outputs (up to float summation order), which a
 // property test asserts.
+//
+// There is one flash and one materialized per-query-row forward kernel. They
+// read K/V through a block table, so the ragged paged-KV decode op runs them
+// directly and the full [B, T, H, D] forwards run them over a one-block view
+// of contiguous K/V: attention over paged storage is bit-identical to
+// attention() over the same rows.
 
 #include <algorithm>
 #include <cmath>
@@ -19,11 +25,7 @@
 #include "common/error.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MATGPT_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace matgpt::ops {
 
@@ -76,12 +78,6 @@ __attribute__((noinline)) void axpy_d_avx2(float* out, float w, const float* v,
 }
 
 #pragma GCC pop_options
-
-bool attn_use_avx2() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-}
 #endif  // MATGPT_X86_DISPATCH
 
 // Every attention path — full forwards, ragged decode, flash and
@@ -90,7 +86,7 @@ bool attn_use_avx2() {
 // process) can never make two paths disagree bitwise.
 inline float dot_d(const float* a, const float* b, std::int64_t d) {
 #ifdef MATGPT_X86_DISPATCH
-  if (attn_use_avx2()) return dot_d_avx2(a, b, d);
+  if (kernels::simd_active()) return dot_d_avx2(a, b, d);
 #endif
   float acc = 0.0f;
   for (std::int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
@@ -100,7 +96,7 @@ inline float dot_d(const float* a, const float* b, std::int64_t d) {
 /// out[0..d) += w * v[0..d)
 inline void axpy_d(float* out, float w, const float* v, std::int64_t d) {
 #ifdef MATGPT_X86_DISPATCH
-  if (attn_use_avx2()) {
+  if (kernels::simd_active()) {
     axpy_d_avx2(out, w, v, d);
     return;
   }
@@ -108,24 +104,45 @@ inline void axpy_d(float* out, float w, const float* v, std::int64_t d) {
   for (std::int64_t i = 0; i < d; ++i) out[i] = std::fmaf(w, v[i], out[i]);
 }
 
-// The two per-query-row attention kernels. Both the full [B, T, H, D]
-// forwards below and the ragged-batch decode_attention op run these exact
-// routines, so batched serving decode is bit-identical to the batch-1 path.
-// Consecutive kv time steps are `stride` floats apart starting at k0/v0
-// (already offset to the right batch and kv head).
+// One query row's causal KV history: `len` rows held in blocks of `bt`
+// rows, row tk of K at k[tk / bt] + off + (tk % bt) * stride (V likewise).
+// Contiguous K/V is the one-block view {&k0, &v0, len, len, 0, stride}.
+struct KvRows {
+  const float* const* k;
+  const float* const* v;
+  std::int64_t len, bt, off, stride;
+};
 
-/// Flash variant: online softmax over `len` kv rows. Writes the attended
+/// Calls fn(k_row, v_row) for rows 0..len-1 in ascending order, walking the
+/// block table one block at a time.
+template <typename Fn>
+inline void for_each_kv_row(const KvRows& kv, Fn&& fn) {
+  for (std::int64_t blk = 0, t0 = 0; t0 < kv.len; ++blk, t0 += kv.bt) {
+    const std::int64_t rows = std::min(kv.bt, kv.len - t0);
+    const float* kr = kv.k[blk] + kv.off;
+    const float* vr = kv.v[blk] + kv.off;
+    for (std::int64_t r = 0; r < rows; ++r, kr += kv.stride, vr += kv.stride) {
+      fn(kr, vr);
+    }
+  }
+}
+
+// The two per-query-row attention kernels. The full [B, T, H, D] forwards
+// below and the ragged-batch decode_attention op run these exact routines,
+// so batched serving decode is bit-identical to the batch-1 path and paged
+// KV storage is bit-identical to contiguous K/V.
+
+/// Flash variant: online softmax over the history. Writes the attended
 /// output to `out` and returns the row's logsumexp. `acc` is caller scratch
 /// of length d.
-inline float flash_attend_row(const float* qv, const float* k0,
-                              const float* v0, std::int64_t len,
-                              std::int64_t stride, std::int64_t d, float scl,
-                              float* out, float* acc) {
+inline float flash_attend_row(const float* qv, const KvRows& kv,
+                              std::int64_t d, float scl, float* out,
+                              float* acc) {
   float m = -std::numeric_limits<float>::infinity();
   double l = 0.0;
   std::fill(acc, acc + d, 0.0f);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    const float sc = scl * dot_d(qv, k0 + tk * stride, d);
+  for_each_kv_row(kv, [&](const float* kr, const float* vr) {
+    const float sc = scl * dot_d(qv, kr, d);
     if (sc > m) {
       const float rescale = std::exp(m - sc);
       for (std::int64_t i = 0; i < d; ++i) acc[i] *= rescale;
@@ -134,8 +151,8 @@ inline float flash_attend_row(const float* qv, const float* k0,
     }
     const float w = std::exp(sc - m);
     l += w;
-    axpy_d(acc, w, v0 + tk * stride, d);
-  }
+    axpy_d(acc, w, vr, d);
+  });
   const auto inv = static_cast<float>(1.0 / l);
   for (std::int64_t i = 0; i < d; ++i) out[i] = acc[i] * inv;
   return m + static_cast<float>(std::log(l));
@@ -143,66 +160,18 @@ inline float flash_attend_row(const float* qv, const float* k0,
 
 /// Materialized variant: scores into `prow` (softmaxed in place, length >=
 /// len), attended output accumulated into `out` (caller provides zeros).
-inline void materialized_attend_row(const float* qv, const float* k0,
-                                    const float* v0, std::int64_t len,
-                                    std::int64_t stride, std::int64_t d,
-                                    float scl, float* out, float* prow) {
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    prow[tk] = scl * dot_d(qv, k0 + tk * stride, d);
-  }
-  kernels::softmax_row(prow, len);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    axpy_d(out, prow[tk], v0 + tk * stride, d);
-  }
-}
-
-// Paged counterparts: kv row tk lives at kb[tk / bt] + off + (tk % bt) *
-// stride (a gather over block base pointers) instead of k0 + tk * stride.
-// Everything else — the visit order, dot_d/axpy_d, the online-softmax
-// rescale — is byte-for-byte the same sequence of float ops as the
-// contiguous kernels above, which is what makes attention over block-paged
-// KV storage bit-identical to attention() over contiguous K/V.
-
-inline float flash_attend_row_paged(const float* qv, const float* const* kb,
-                                    const float* const* vb, std::int64_t len,
-                                    std::int64_t bt, std::int64_t off,
-                                    std::int64_t stride, std::int64_t d,
-                                    float scl, float* out, float* acc) {
-  float m = -std::numeric_limits<float>::infinity();
-  double l = 0.0;
-  std::fill(acc, acc + d, 0.0f);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    const std::int64_t boff = off + (tk % bt) * stride;
-    const float sc = scl * dot_d(qv, kb[tk / bt] + boff, d);
-    if (sc > m) {
-      const float rescale = std::exp(m - sc);
-      for (std::int64_t i = 0; i < d; ++i) acc[i] *= rescale;
-      l *= rescale;
-      m = sc;
-    }
-    const float w = std::exp(sc - m);
-    l += w;
-    axpy_d(acc, w, vb[tk / bt] + boff, d);
-  }
-  const auto inv = static_cast<float>(1.0 / l);
-  for (std::int64_t i = 0; i < d; ++i) out[i] = acc[i] * inv;
-  return m + static_cast<float>(std::log(l));
-}
-
-inline void materialized_attend_row_paged(const float* qv,
-                                          const float* const* kb,
-                                          const float* const* vb,
-                                          std::int64_t len, std::int64_t bt,
-                                          std::int64_t off, std::int64_t stride,
-                                          std::int64_t d, float scl, float* out,
-                                          float* prow) {
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    prow[tk] = scl * dot_d(qv, kb[tk / bt] + off + (tk % bt) * stride, d);
-  }
-  kernels::softmax_row(prow, len);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    axpy_d(out, prow[tk], vb[tk / bt] + off + (tk % bt) * stride, d);
-  }
+inline void materialized_attend_row(const float* qv, const KvRows& kv,
+                                    std::int64_t d, float scl, float* out,
+                                    float* prow) {
+  std::int64_t tk = 0;
+  for_each_kv_row(kv, [&](const float* kr, const float*) {
+    prow[tk++] = scl * dot_d(qv, kr, d);
+  });
+  kernels::softmax_row(prow, kv.len);
+  tk = 0;
+  for_each_kv_row(kv, [&](const float*, const float* vr) {
+    axpy_d(out, prow[tk++], vr, d);
+  });
 }
 
 }  // namespace
@@ -305,9 +274,9 @@ Var attention_materialized(Tape& tape, const Var& q, const Var& k,
         const std::int64_t limit = causal ? tq + 1 : skv.t;
         float* prow = pp + static_cast<std::size_t>(
                                  ((b * s.h + h) * s.t + tq) * skv.t);
-        materialized_attend_row(qp + bthd_off(s, b, tq, h), k0, v0, limit,
-                                kv_stride, s.d, scl,
-                                op + bthd_off(s, b, tq, h), prow);
+        materialized_attend_row(qp + bthd_off(s, b, tq, h),
+                                {&k0, &v0, limit, limit, 0, kv_stride}, s.d,
+                                scl, op + bthd_off(s, b, tq, h), prow);
       }
     }
   }
@@ -387,8 +356,8 @@ Var attention_flash(Tape& tape, const Var& q, const Var& k, const Var& v,
       for (std::int64_t tq = 0; tq < s.t; ++tq) {
         const std::int64_t limit = causal ? tq + 1 : skv.t;
         lp[(b * s.h + h) * s.t + tq] = flash_attend_row(
-            qp + bthd_off(s, b, tq, h), k0, v0, limit, kv_stride, s.d, scl,
-            op + bthd_off(s, b, tq, h), acc.data());
+            qp + bthd_off(s, b, tq, h), {&k0, &v0, limit, limit, 0, kv_stride},
+            s.d, scl, op + bthd_off(s, b, tq, h), acc.data());
       }
     }
   }
@@ -494,17 +463,24 @@ Var rope_rows(Tape& tape, const Var& x,
   }
   Tensor out = xv.clone();
   float* o = out.data();
+  std::vector<float> cos_row(static_cast<std::size_t>(half));
+  std::vector<float> sin_row(static_cast<std::size_t>(half));
   for (std::int64_t row = 0; row < n; ++row) {
     MGPT_CHECK(positions[static_cast<std::size_t>(row)] >= 0,
                "rope_rows positions must be non-negative");
     const auto pos =
         static_cast<double>(positions[static_cast<std::size_t>(row)]);
+    // One angle table per row, shared by all of its heads.
+    for (std::int64_t i = 0; i < half; ++i) {
+      const double angle = pos * freqs[static_cast<std::size_t>(i)];
+      cos_row[static_cast<std::size_t>(i)] = static_cast<float>(std::cos(angle));
+      sin_row[static_cast<std::size_t>(i)] = static_cast<float>(std::sin(angle));
+    }
     for (std::int64_t h = 0; h < heads; ++h) {
       float* vec = o + (row * heads + h) * d;
       for (std::int64_t i = 0; i < half; ++i) {
-        const double angle = pos * freqs[static_cast<std::size_t>(i)];
-        const auto c = static_cast<float>(std::cos(angle));
-        const auto sn = static_cast<float>(std::sin(angle));
+        const float c = cos_row[static_cast<std::size_t>(i)];
+        const float sn = sin_row[static_cast<std::size_t>(i)];
         const float x0 = vec[i];
         const float x1 = vec[i + half];
         vec[i] = x0 * c - x1 * sn;
@@ -551,17 +527,14 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
     const std::int64_t stride =
         s.kv_stride > 0 ? s.kv_stride : n_kv_heads * d;
     for (std::int64_t h = 0; h < hq; ++h) {
-      const std::int64_t hkv = s.head_offset + h / group;
+      const KvRows rows{s.k_blocks, s.v_blocks, s.len, s.block_tokens,
+                        (s.head_offset + h / group) * d, stride};
       const float* qrow = qp + (row * hq + h) * d;
       float* orow = op + row * hq * d + h * d;
       if (flash) {
-        flash_attend_row_paged(qrow, s.k_blocks, s.v_blocks, s.len,
-                               s.block_tokens, hkv * d, stride, d, scl, orow,
-                               acc.data());
+        flash_attend_row(qrow, rows, d, scl, orow, acc.data());
       } else {
-        materialized_attend_row_paged(qrow, s.k_blocks, s.v_blocks, s.len,
-                                      s.block_tokens, hkv * d, stride, d, scl,
-                                      orow, prow.data());
+        materialized_attend_row(qrow, rows, d, scl, orow, prow.data());
       }
     }
   }

@@ -25,27 +25,13 @@ double elem_bytes(WeightFormat format) {
   return 4.0;
 }
 
-// Mirror kernels.cpp's row-block decomposition so the cost model prices
-// exactly the blocks that will run. fp32 blocks: mr until the remainder is
-// short, then 8s, then one fringe block. Quant blocks: the largest power
-// of two <= min(mr, 8), then greedy 4/2/1.
-void row_blocks(std::int64_t m, int mr, WeightFormat format,
-                std::vector<int>* out) {
-  out->clear();
-  std::int64_t rem = m;
-  if (format == WeightFormat::kF32) {
-    int mrc = mr >= 32 ? 32 : (mr >= 16 ? 16 : std::clamp(mr, 1, 8));
-    while (rem >= mrc) { out->push_back(mrc); rem -= mrc; }
-    while (rem >= 8) { out->push_back(8); rem -= 8; }
-    if (rem > 0) out->push_back(static_cast<int>(rem));
-  } else {
-    int qmr = 1;
-    while (qmr * 2 <= std::min(mr, 8)) qmr *= 2;
-    while (rem >= qmr) { out->push_back(qmr); rem -= qmr; }
-    for (int rows = 4; rows >= 1; rows /= 2) {
-      while (rem >= rows) { out->push_back(rows); rem -= rows; }
-    }
+// The row blocks kernels::row_block will run for m rows at tiling mr.
+std::vector<int> row_blocks(std::int64_t m, int mr) {
+  std::vector<int> out;
+  for (std::int64_t rem = m; rem > 0; rem -= out.back()) {
+    out.push_back(kernels::row_block(rem, mr));
   }
+  return out;
 }
 
 // Fraction of peak row throughput given the pairing structure: a paired C
@@ -78,19 +64,6 @@ double now_seconds() {
       .count();
 }
 
-void run_variant(const float* a, const float* b, const QuantWeights* qw,
-                 float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const GemmVariant& variant) {
-  if (qw == nullptr) {
-    kernels::gemm_nn_variant(a, b, c, m, n, k, /*accumulate=*/false, variant);
-  } else if (qw->format == WeightFormat::kBf16) {
-    kernels::gemm_nn_bf16(a, qw->bf16.data(), c, m, n, k, variant);
-  } else {
-    kernels::gemm_nn_int8(a, qw->q8.data(), qw->scale.data(), c, m, n, k,
-                          variant);
-  }
-}
-
 // Best-of-N wall time for one variant.
 double time_variant(const float* a, const float* b, const QuantWeights* qw,
                     float* c, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -98,7 +71,7 @@ double time_variant(const float* a, const float* b, const QuantWeights* qw,
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_seconds();
-    run_variant(a, b, qw, c, m, n, k, variant);
+    run_gemm(a, b, qw, c, m, n, k, variant);
     best = std::min(best, now_seconds() - t0);
   }
   return best;
@@ -207,6 +180,24 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
   return qw;
 }
 
+void run_gemm(const float* a, const float* b, const QuantWeights* qw,
+              float* c, std::int64_t m, std::int64_t n, std::int64_t k,
+              const GemmVariant& variant) {
+  switch (qw != nullptr ? qw->format : WeightFormat::kF32) {
+    case WeightFormat::kF32:
+      kernels::gemm_nn_variant(a, b, c, m, n, k, /*accumulate=*/false,
+                               variant);
+      break;
+    case WeightFormat::kBf16:
+      kernels::gemm_nn_bf16(a, qw->bf16.data(), c, m, n, k, variant);
+      break;
+    case WeightFormat::kInt8:
+      kernels::gemm_nn_int8(a, qw->q8.data(), qw->scale.data(), c, m, n, k,
+                            variant);
+      break;
+  }
+}
+
 const HostAnchors& host_anchors() {
   static const HostAnchors anchors = measure_anchors();
   return anchors;
@@ -216,8 +207,7 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
                        WeightFormat format, const GemmVariant& variant,
                        const HostAnchors& anchors) {
   const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
-  std::vector<int> blocks;
-  row_blocks(m, variant.mr, format, &blocks);
+  const std::vector<int> blocks = row_blocks(m, variant.mr);
 
   double peak_gflops = anchors.f32_gflops;
   if (format == WeightFormat::kBf16) peak_gflops = anchors.bf16_gflops;
@@ -247,28 +237,22 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
 std::vector<GemmVariant> candidate_space(std::int64_t m, std::int64_t n,
                                          std::int64_t k, WeightFormat format) {
   (void)k;
-  static const int kF32Mrs[] = {1, 2, 4, 8, 16, 32};
-  static const int kQuantMrs[] = {1, 2, 4, 8};
+  (void)format;
+  static const int kMrs[] = {1, 2, 4, 8, 16, 32};
   static const std::int64_t kNcs[] = {128, 256, 512, 1024, 4096};
 
   std::vector<GemmVariant> out;
   std::vector<std::string> seen;
-  std::vector<int> blocks;
   auto add = [&](const GemmVariant& v) {
-    row_blocks(m, v.mr, format, &blocks);
     std::ostringstream sig;
-    for (int bs : blocks) sig << bs << ',';
+    for (int bs : row_blocks(m, v.mr)) sig << bs << ',';
     sig << '|' << std::min(v.nc, n);
     if (std::find(seen.begin(), seen.end(), sig.str()) != seen.end()) return;
     seen.push_back(sig.str());
     out.push_back(v);
   };
   add(kernels::gemm_default_variant());
-  const bool quant = format != WeightFormat::kF32;
-  for (int mr : quant ? std::vector<int>(std::begin(kQuantMrs),
-                                         std::end(kQuantMrs))
-                      : std::vector<int>(std::begin(kF32Mrs),
-                                         std::end(kF32Mrs))) {
+  for (int mr : kMrs) {
     for (std::int64_t nc : kNcs) add(GemmVariant{mr, nc});
   }
   return out;

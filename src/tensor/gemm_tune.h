@@ -2,7 +2,8 @@
 // Weight-quantized decode storage + the analytic GEMM cost model.
 //
 // QuantWeights is the bf16/int8 sidecar a Linear layer keeps for its
-// decode forwards; ops::matmul runs the matching quantized kernel. The
+// decode forwards; run_gemm is the one place a weight format picks its
+// kernel, for ops::matmul and the cost model's measurements alike. The
 // weight FORMAT is a whole-engine config mode (EngineConfig::decode_quant),
 // never a per-shape decision: per-shape format switching would break
 // batched-vs-batch-1 token identity.
@@ -11,7 +12,8 @@
 // streaming (cold-weights) regime the serving engine lives in: FLOP
 // throughput with pairing/fringe efficiency terms vs weight-streaming
 // traffic with a segment-length term, re-anchored to measured host numbers
-// the way tp_predict anchors simfrontier's alpha-beta model. It predicts;
+// the way tp_predict anchors simfrontier's alpha-beta model. It prices the
+// row blocks kernels::row_block says will run, for every format. It predicts;
 // it does not choose. The tiling that runs comes from the fixed rule in
 // kernels::pick_variant, and every tiling writes identical bytes (see
 // kernels.h).
@@ -39,6 +41,12 @@ struct QuantWeights {
 QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
                               kernels::WeightFormat format);
 
+/// C[m,n] = A[m,k] * W[k,n] at the given tiling. W is read from `qw` in
+/// its format when `qw` is non-null and not fp32, else from the fp32 `b`.
+void run_gemm(const float* a, const float* b, const QuantWeights* qw,
+              float* c, std::int64_t m, std::int64_t n, std::int64_t k,
+              const kernels::GemmVariant& variant);
+
 /// Measured host anchors for the cost model (the tp_predict idiom:
 /// measure a reference shape, calibrate the model so prediction matches
 /// there, extrapolate everywhere else). Peaks are hot-L2 compute rates at
@@ -64,7 +72,8 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
 /// Candidate tilings for a shape, deduplicated by effective row-block
 /// decomposition (mr > m collapses onto the remainder path) and effective
 /// column chunk (nc >= n collapses onto one chunk). Always contains the
-/// default variant.
+/// default variant. Every format shares one row-block rule, so the space
+/// does not depend on `format` (nor on `k`).
 std::vector<kernels::GemmVariant> candidate_space(std::int64_t m,
                                                   std::int64_t n,
                                                   std::int64_t k,

@@ -6,11 +6,7 @@
 #include <type_traits>
 
 #include "parallel/thread_pool.h"
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(MATGPT_PORTABLE)
-#define MATGPT_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace matgpt::kernels {
 
@@ -28,15 +24,24 @@ void for_rows(std::int64_t m,
   }
 }
 
-inline float bf16_value(std::uint16_t bits) {
-  const std::uint32_t u = static_cast<std::uint32_t>(bits) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
+// One B element widened to fp32. Exact for all three formats: int8 and
+// bf16 both embed losslessly in fp32.
+template <typename BT>
+inline float b_value(BT v) {
+  if constexpr (std::is_same_v<BT, std::int8_t>) {
+    return static_cast<float>(v);
+  } else if constexpr (std::is_same_v<BT, std::uint16_t>) {
+    const std::uint32_t u = static_cast<std::uint32_t>(v) << 16;
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+  } else {
+    return v;
+  }
 }
 
-// Portable scalar NN loop (also the tail behind the AVX2 dispatch when the
-// host lacks the ISA). l-outer/j-inner keeps B reads contiguous. The
+// Portable scalar fp32 NN loop (also the path behind the AVX2 dispatch when
+// the host lacks the ISA). l-outer/j-inner keeps B reads contiguous. The
 // zero-skip makes one-hot rows (embedding-style products) cheap.
 void gemm_nn_scalar_rows(const float* a, const float* b, float* c,
                          std::size_t lo, std::size_t hi, std::int64_t n,
@@ -54,45 +59,28 @@ void gemm_nn_scalar_rows(const float* a, const float* b, float* c,
   }
 }
 
-// Portable quantized NN loops. Ascending-k single-rounding FMA per C
-// element, then (int8) one single-rounding multiply by the column scale —
-// the exact operation sequence of the AVX2 kernels below (int8->fp32 and
-// bf16->fp32 widening are both value-exact), so SIMD and portable builds
-// produce identical bytes.
-void gemm_bf16_scalar_rows(const float* a, const std::uint16_t* b, float* c,
-                           std::size_t lo, std::size_t hi, std::int64_t n,
-                           std::int64_t k) {
+// Portable quantized NN loop. Ascending-k single-rounding FMA per C
+// element, then (int8, `scale` non-null) one single-rounding multiply by
+// the column scale — the exact operation sequence of the AVX2 kernel below,
+// so SIMD and portable builds produce identical bytes.
+template <typename BT>
+void gemm_quant_scalar_rows(const float* a, const BT* b, const float* scale,
+                            float* c, std::size_t lo, std::size_t hi,
+                            std::int64_t n, std::int64_t k) {
   for (std::size_t i = lo; i < hi; ++i) {
     float* crow = c + i * static_cast<std::size_t>(n);
     std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));
     const float* arow = a + i * static_cast<std::size_t>(k);
     for (std::int64_t l = 0; l < k; ++l) {
       const float av = arow[l];
-      const std::uint16_t* brow =
-          b + static_cast<std::size_t>(l) * static_cast<std::size_t>(n);
+      const BT* brow = b + static_cast<std::size_t>(l) * static_cast<std::size_t>(n);
       for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] = std::fmaf(av, bf16_value(brow[j]), crow[j]);
+        crow[j] = std::fmaf(av, b_value(brow[j]), crow[j]);
       }
     }
-  }
-}
-
-void gemm_int8_scalar_rows(const float* a, const std::int8_t* b,
-                           const float* scale, float* c, std::size_t lo,
-                           std::size_t hi, std::int64_t n, std::int64_t k) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* crow = c + i * static_cast<std::size_t>(n);
-    std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));
-    const float* arow = a + i * static_cast<std::size_t>(k);
-    for (std::int64_t l = 0; l < k; ++l) {
-      const float av = arow[l];
-      const std::int8_t* brow =
-          b + static_cast<std::size_t>(l) * static_cast<std::size_t>(n);
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] = std::fmaf(av, static_cast<float>(brow[j]), crow[j]);
-      }
+    if (scale != nullptr) {
+      for (std::int64_t j = 0; j < n; ++j) crow[j] *= scale[j];
     }
-    for (std::int64_t j = 0; j < n; ++j) crow[j] *= scale[j];
   }
 }
 
@@ -100,9 +88,25 @@ void gemm_int8_scalar_rows(const float* a, const std::int8_t* b,
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 
-// Streaming NN microkernel, templated on the number of C rows it carries,
-// with a runtime column-chunk size `nc` (the cache-block knob pick_variant
-// sets; the historical fixed kernel is ROWS=8, nc=512).
+// Eight B elements widened to fp32 (fp32: a plain load).
+template <typename BT>
+inline __m256 load_b(const BT* p) {
+  if constexpr (std::is_same_v<BT, std::int8_t>) {
+    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+  } else if constexpr (std::is_same_v<BT, std::uint16_t>) {
+    return _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+        16));
+  } else {
+    return _mm256_loadu_ps(p);
+  }
+}
+
+// The streaming NN microkernel, templated on the number of C rows it
+// carries and on the B storage format (fp32, bf16 bits, int8), with a
+// runtime column-chunk size `nc` (the cache-block knob pick_variant sets).
 //
 // Loop order is (column chunk, k-block of 4, columns): B is read exactly
 // once per call in contiguous row segments (prefetch-friendly — a
@@ -113,15 +117,19 @@ void gemm_int8_scalar_rows(const float* a, const std::int8_t* b,
 // (a full serving batch) run at FMA throughput from the same traffic.
 //
 // Numerics: every C element accumulates its k terms in ascending order with
-// single-rounding FMAs — identical in the vector body, the scalar column
-// tail, and for every ROWS/nc. A row's result depends only on (its A row,
-// B), never on how many rows share the call or how columns are chunked,
-// which is what keeps the serving engine's ragged-batch decode (and any
-// tiling choice) bit-identical to batch-1 decoding.
-template <int ROWS>
-void gemm_nn_stream_avx2(const float* a, const float* b, float* c,
-                         std::int64_t i0, std::int64_t n, std::int64_t k,
-                         bool accumulate, std::int64_t nc) {
+// single-rounding FMAs over the widened B value — identical in the vector
+// body, the scalar column tail, and for every ROWS/nc. With a non-null
+// `scale` (int8) each C element then takes one single-rounding multiply by
+// its column scale, after the chunk's k loop completes; quantized callers
+// never accumulate, since the scale pass could not compose with existing
+// partial sums. A row's result depends only on (its A row, B), never on
+// how many rows share the call or how columns are chunked, which is what
+// keeps the serving engine's ragged-batch decode (and any tiling choice)
+// bit-identical to batch-1 decoding.
+template <int ROWS, typename BT>
+void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
+                      float* c, std::int64_t i0, std::int64_t n,
+                      std::int64_t k, bool accumulate, std::int64_t nc) {
   const float* arow[ROWS];
   float* crow[ROWS];
   for (int r = 0; r < ROWS; ++r) {
@@ -139,10 +147,10 @@ void gemm_nn_stream_avx2(const float* a, const float* b, float* c,
     }
     std::int64_t l = 0;
     for (; l + 4 <= k; l += 4) {
-      const float* b0 = b + static_cast<std::size_t>(l) * n;
-      const float* b1 = b0 + n;
-      const float* b2 = b1 + n;
-      const float* b3 = b2 + n;
+      const BT* b0 = b + static_cast<std::size_t>(l) * n;
+      const BT* b1 = b0 + n;
+      const BT* b2 = b1 + n;
+      const BT* b3 = b2 + n;
       // Row pairs with all eight broadcasts hoisted into registers: each
       // B load feeds two C rows, and after the first pair streams this
       // 4-row B segment in, later pairs re-read it from L1.
@@ -159,10 +167,10 @@ void gemm_nn_stream_avx2(const float* a, const float* b, float* c,
         float* c0 = crow[r];
         float* c1 = crow[r + 1];
         for (std::int64_t j = j0; j < jvec; j += 8) {
-          const __m256 bv0 = _mm256_loadu_ps(b0 + j);
-          const __m256 bv1 = _mm256_loadu_ps(b1 + j);
-          const __m256 bv2 = _mm256_loadu_ps(b2 + j);
-          const __m256 bv3 = _mm256_loadu_ps(b3 + j);
+          const __m256 bv0 = load_b(b0 + j);
+          const __m256 bv1 = load_b(b1 + j);
+          const __m256 bv2 = load_b(b2 + j);
+          const __m256 bv3 = load_b(b3 + j);
           __m256 cv0 = _mm256_loadu_ps(c0 + j);
           cv0 = _mm256_fmadd_ps(a0, bv0, cv0);
           cv0 = _mm256_fmadd_ps(a1, bv1, cv0);
@@ -185,193 +193,10 @@ void gemm_nn_stream_avx2(const float* a, const float* b, float* c,
         float* crr = crow[r];
         for (std::int64_t j = j0; j < jvec; j += 8) {
           __m256 cv = _mm256_loadu_ps(crr + j);
-          cv = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + j), cv);
-          cv = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + j), cv);
-          cv = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b2 + j), cv);
-          cv = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b3 + j), cv);
-          _mm256_storeu_ps(crr + j, cv);
-        }
-      }
-      for (std::int64_t j = jvec; j < jend; ++j) {
-        for (int rr = 0; rr < ROWS; ++rr) {
-          float acc = crow[rr][j];
-          acc = std::fmaf(arow[rr][l], b0[j], acc);
-          acc = std::fmaf(arow[rr][l + 1], b1[j], acc);
-          acc = std::fmaf(arow[rr][l + 2], b2[j], acc);
-          acc = std::fmaf(arow[rr][l + 3], b3[j], acc);
-          crow[rr][j] = acc;
-        }
-      }
-    }
-    for (; l < k; ++l) {
-      const float* brow = b + static_cast<std::size_t>(l) * n;
-      for (int r = 0; r < ROWS; ++r) {
-        const __m256 av = _mm256_broadcast_ss(arow[r] + l);
-        float* crr = crow[r];
-        for (std::int64_t j = j0; j < jvec; j += 8) {
-          const __m256 cv = _mm256_loadu_ps(crr + j);
-          _mm256_storeu_ps(crr + j,
-                           _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), cv));
-        }
-        for (std::int64_t j = jvec; j < jend; ++j) {
-          crr[j] = std::fmaf(arow[r][l], brow[j], crr[j]);
-        }
-      }
-    }
-  }
-}
-
-// One row-block of `rows` C rows at the given tiling.
-void gemm_nn_avx2_block(const float* a, const float* b, float* c,
-                        std::int64_t i0, std::int64_t n, std::int64_t k,
-                        bool accumulate, int rows, std::int64_t nc) {
-  switch (rows) {
-    case 32: gemm_nn_stream_avx2<32>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 16: gemm_nn_stream_avx2<16>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 8: gemm_nn_stream_avx2<8>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 7: gemm_nn_stream_avx2<7>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 6: gemm_nn_stream_avx2<6>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 5: gemm_nn_stream_avx2<5>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 4: gemm_nn_stream_avx2<4>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 3: gemm_nn_stream_avx2<3>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 2: gemm_nn_stream_avx2<2>(a, b, c, i0, n, k, accumulate, nc); break;
-    case 1: gemm_nn_stream_avx2<1>(a, b, c, i0, n, k, accumulate, nc); break;
-    default: break;
-  }
-}
-
-// fp32 row blocks supported as a primary tiling (the remainder always
-// decomposes into 8..1 blocks, which exist as templates anyway).
-int clamp_mr_f32(int mr) {
-  if (mr >= 32) return 32;
-  if (mr >= 16) return 16;
-  return std::clamp(mr, 1, 8);
-}
-
-void gemm_nn_avx2_rows(const float* a, const float* b, float* c,
-                       std::int64_t lo, std::int64_t hi, std::int64_t n,
-                       std::int64_t k, bool accumulate, int mr,
-                       std::int64_t nc) {
-  std::int64_t i = lo;
-  for (; i + mr <= hi; i += mr) {
-    gemm_nn_avx2_block(a, b, c, i, n, k, accumulate, mr, nc);
-  }
-  for (; i + 8 <= hi; i += 8) {
-    gemm_nn_avx2_block(a, b, c, i, n, k, accumulate, 8, nc);
-  }
-  if (i < hi) {
-    gemm_nn_avx2_block(a, b, c, i, n, k, accumulate,
-                       static_cast<int>(hi - i), nc);
-  }
-}
-
-// ---- Weight-quantized streaming kernels ------------------------------------
-//
-// Same skeleton as the fp32 kernel: (column chunk, k-block of 4, columns),
-// B read once contiguously, each widened B vector shared across a row
-// pair's hoisted broadcasts. The only differences are the B widening at
-// load time (exact: int8 and bf16 both embed losslessly in fp32) and, for
-// int8, a per-chunk scale pass after the chunk's k loop completes — one
-// single-rounding multiply per C element, mirrored exactly by the scalar
-// tail and portable fallback. No accumulate mode: the scale pass could not
-// compose with pre-existing partial sums.
-
-inline __m256 widen_q8(const std::int8_t* p) {
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
-}
-
-inline __m256 widen_bf16(const std::uint16_t* p) {
-  return _mm256_castsi256_ps(_mm256_slli_epi32(
-      _mm256_cvtepu16_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-      16));
-}
-
-template <typename BT>
-inline __m256 widen_b(const BT* p) {
-  if constexpr (std::is_same_v<BT, std::int8_t>) {
-    return widen_q8(p);
-  } else {
-    return widen_bf16(p);
-  }
-}
-
-template <typename BT>
-inline float b_value(BT v) {
-  if constexpr (std::is_same_v<BT, std::int8_t>) {
-    return static_cast<float>(v);
-  } else {
-    return bf16_value(v);
-  }
-}
-
-template <int ROWS, typename BT>
-void gemm_quant_stream_avx2(const float* a, const BT* b, const float* scale,
-                            float* c, std::int64_t i0, std::int64_t n,
-                            std::int64_t k, std::int64_t nc) {
-  const float* arow[ROWS];
-  float* crow[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    arow[r] = a + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(k);
-    crow[r] = c + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(n);
-  }
-  for (std::int64_t j0 = 0; j0 < n; j0 += nc) {
-    const std::int64_t jend = std::min(n, j0 + nc);
-    const std::int64_t jvec = j0 + ((jend - j0) / 8) * 8;
-    for (int r = 0; r < ROWS; ++r) {
-      std::memset(crow[r] + j0, 0,
-                  sizeof(float) * static_cast<std::size_t>(jend - j0));
-    }
-    std::int64_t l = 0;
-    for (; l + 4 <= k; l += 4) {
-      const BT* b0 = b + static_cast<std::size_t>(l) * n;
-      const BT* b1 = b0 + n;
-      const BT* b2 = b1 + n;
-      const BT* b3 = b2 + n;
-      int r = 0;
-      for (; r + 2 <= ROWS; r += 2) {
-        const __m256 a0 = _mm256_broadcast_ss(arow[r] + l);
-        const __m256 a1 = _mm256_broadcast_ss(arow[r] + l + 1);
-        const __m256 a2 = _mm256_broadcast_ss(arow[r] + l + 2);
-        const __m256 a3 = _mm256_broadcast_ss(arow[r] + l + 3);
-        const __m256 a4 = _mm256_broadcast_ss(arow[r + 1] + l);
-        const __m256 a5 = _mm256_broadcast_ss(arow[r + 1] + l + 1);
-        const __m256 a6 = _mm256_broadcast_ss(arow[r + 1] + l + 2);
-        const __m256 a7 = _mm256_broadcast_ss(arow[r + 1] + l + 3);
-        float* c0 = crow[r];
-        float* c1 = crow[r + 1];
-        for (std::int64_t j = j0; j < jvec; j += 8) {
-          const __m256 bv0 = widen_b(b0 + j);
-          const __m256 bv1 = widen_b(b1 + j);
-          const __m256 bv2 = widen_b(b2 + j);
-          const __m256 bv3 = widen_b(b3 + j);
-          __m256 cv0 = _mm256_loadu_ps(c0 + j);
-          cv0 = _mm256_fmadd_ps(a0, bv0, cv0);
-          cv0 = _mm256_fmadd_ps(a1, bv1, cv0);
-          cv0 = _mm256_fmadd_ps(a2, bv2, cv0);
-          cv0 = _mm256_fmadd_ps(a3, bv3, cv0);
-          _mm256_storeu_ps(c0 + j, cv0);
-          __m256 cv1 = _mm256_loadu_ps(c1 + j);
-          cv1 = _mm256_fmadd_ps(a4, bv0, cv1);
-          cv1 = _mm256_fmadd_ps(a5, bv1, cv1);
-          cv1 = _mm256_fmadd_ps(a6, bv2, cv1);
-          cv1 = _mm256_fmadd_ps(a7, bv3, cv1);
-          _mm256_storeu_ps(c1 + j, cv1);
-        }
-      }
-      for (; r < ROWS; ++r) {
-        const __m256 a0 = _mm256_broadcast_ss(arow[r] + l);
-        const __m256 a1 = _mm256_broadcast_ss(arow[r] + l + 1);
-        const __m256 a2 = _mm256_broadcast_ss(arow[r] + l + 2);
-        const __m256 a3 = _mm256_broadcast_ss(arow[r] + l + 3);
-        float* crr = crow[r];
-        for (std::int64_t j = j0; j < jvec; j += 8) {
-          __m256 cv = _mm256_loadu_ps(crr + j);
-          cv = _mm256_fmadd_ps(a0, widen_b(b0 + j), cv);
-          cv = _mm256_fmadd_ps(a1, widen_b(b1 + j), cv);
-          cv = _mm256_fmadd_ps(a2, widen_b(b2 + j), cv);
-          cv = _mm256_fmadd_ps(a3, widen_b(b3 + j), cv);
+          cv = _mm256_fmadd_ps(a0, load_b(b0 + j), cv);
+          cv = _mm256_fmadd_ps(a1, load_b(b1 + j), cv);
+          cv = _mm256_fmadd_ps(a2, load_b(b2 + j), cv);
+          cv = _mm256_fmadd_ps(a3, load_b(b3 + j), cv);
           _mm256_storeu_ps(crr + j, cv);
         }
       }
@@ -393,7 +218,7 @@ void gemm_quant_stream_avx2(const float* a, const BT* b, const float* scale,
         float* crr = crow[r];
         for (std::int64_t j = j0; j < jvec; j += 8) {
           const __m256 cv = _mm256_loadu_ps(crr + j);
-          _mm256_storeu_ps(crr + j, _mm256_fmadd_ps(av, widen_b(brow + j), cv));
+          _mm256_storeu_ps(crr + j, _mm256_fmadd_ps(av, load_b(brow + j), cv));
         }
         for (std::int64_t j = jvec; j < jend; ++j) {
           crr[j] = std::fmaf(arow[r][l], b_value(brow[j]), crr[j]);
@@ -413,49 +238,61 @@ void gemm_quant_stream_avx2(const float* a, const BT* b, const float* scale,
   }
 }
 
+// One row block of `rows` C rows (a size row_block can return).
 template <typename BT>
-void gemm_quant_avx2_block(const float* a, const BT* b, const float* scale,
-                           float* c, std::int64_t i0, std::int64_t n,
-                           std::int64_t k, int rows, std::int64_t nc) {
+void gemm_avx2_block(const float* a, const BT* b, const float* scale,
+                     float* c, std::int64_t i0, std::int64_t n,
+                     std::int64_t k, bool accumulate, int rows,
+                     std::int64_t nc) {
   switch (rows) {
-    case 8: gemm_quant_stream_avx2<8, BT>(a, b, scale, c, i0, n, k, nc); break;
-    case 4: gemm_quant_stream_avx2<4, BT>(a, b, scale, c, i0, n, k, nc); break;
-    case 2: gemm_quant_stream_avx2<2, BT>(a, b, scale, c, i0, n, k, nc); break;
-    case 1: gemm_quant_stream_avx2<1, BT>(a, b, scale, c, i0, n, k, nc); break;
+    case 32: gemm_stream_avx2<32>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 16: gemm_stream_avx2<16>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 8: gemm_stream_avx2<8>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 7: gemm_stream_avx2<7>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 6: gemm_stream_avx2<6>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 5: gemm_stream_avx2<5>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 4: gemm_stream_avx2<4>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 3: gemm_stream_avx2<3>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 2: gemm_stream_avx2<2>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 1: gemm_stream_avx2<1>(a, b, scale, c, i0, n, k, accumulate, nc); break;
     default: break;
   }
 }
 
-// Quant row blocks come in powers of two up to 8; the remainder decomposes
-// greedily (e.g. 7 rows -> 4 + 2 + 1).
-template <typename BT>
-void gemm_quant_avx2_rows(const float* a, const BT* b, const float* scale,
-                          float* c, std::int64_t lo, std::int64_t hi,
-                          std::int64_t n, std::int64_t k, int mr,
-                          std::int64_t nc) {
-  int qmr = 1;
-  while (qmr * 2 <= std::min(mr, 8)) qmr *= 2;
-  std::int64_t i = lo;
-  for (; i + qmr <= hi; i += qmr) {
-    gemm_quant_avx2_block<BT>(a, b, scale, c, i, n, k, qmr, nc);
-  }
-  for (int rows = 4; rows >= 1; rows /= 2) {
-    for (; i + rows <= hi; i += rows) {
-      gemm_quant_avx2_block<BT>(a, b, scale, c, i, n, k, rows, nc);
-    }
-  }
-}
-
 #pragma GCC pop_options
-
-bool use_avx2_fma() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-}
 #endif  // MATGPT_X86_DISPATCH
 
-std::int64_t clamp_nc(std::int64_t nc) { return std::max<std::int64_t>(nc, 8); }
+// The one GEMM driver behind every public entry point: rows [lo, hi) of C
+// in row_block() blocks through the SIMD kernel, else the portable loop.
+template <typename BT>
+void gemm_run(const float* a, const BT* b, const float* scale, float* c,
+              std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate,
+              [[maybe_unused]] const GemmVariant& variant) {
+#ifdef MATGPT_X86_DISPATCH
+  if (simd_active()) {
+    const int mr = variant.mr;
+    const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
+    for_rows(m, [=](std::size_t lo, std::size_t hi) {
+      for (auto i = static_cast<std::int64_t>(lo);
+           i < static_cast<std::int64_t>(hi);) {
+        const int rows = row_block(static_cast<std::int64_t>(hi) - i, mr);
+        gemm_avx2_block<BT>(a, b, scale, c, i, n, k, accumulate, rows, nc);
+        i += rows;
+      }
+    });
+    return;
+  }
+#endif
+  // Without SIMD every variant runs the one scalar loop: tiling cannot
+  // change results OR behavior.
+  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+    if constexpr (std::is_same_v<BT, float>) {
+      gemm_nn_scalar_rows(a, b, c, lo, hi, n, k, accumulate);
+    } else {
+      gemm_quant_scalar_rows(a, b, scale, c, lo, hi, n, k);
+    }
+  });
+}
 
 }  // namespace
 
@@ -476,77 +313,36 @@ GemmVariant pick_variant(std::int64_t m, WeightFormat format) {
   return variant;
 }
 
-bool gemm_simd_active() {
-#ifdef MATGPT_X86_DISPATCH
-  return use_avx2_fma();
-#else
-  return false;
-#endif
+int row_block(std::int64_t rows_left, int mr) {
+  const int block = mr >= 32 ? 32 : (mr >= 16 ? 16 : std::clamp(mr, 1, 8));
+  if (rows_left >= block) return block;
+  if (rows_left >= 8) return 8;
+  return static_cast<int>(rows_left);
 }
+
+bool gemm_simd_active() { return simd_active(); }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
-  gemm_nn_variant(a, b, c, m, n, k, accumulate, gemm_default_variant());
+  gemm_run(a, b, nullptr, c, m, n, k, accumulate, gemm_default_variant());
 }
 
 void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t n, std::int64_t k, bool accumulate,
                      const GemmVariant& variant) {
-#ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
-    const int mr = clamp_mr_f32(variant.mr);
-    const std::int64_t nc = clamp_nc(variant.nc);
-    for_rows(m, [=](std::size_t lo, std::size_t hi) {
-      gemm_nn_avx2_rows(a, b, c, static_cast<std::int64_t>(lo),
-                        static_cast<std::int64_t>(hi), n, k, accumulate, mr,
-                        nc);
-    });
-    return;
-  }
-#endif
-  // Without SIMD every variant runs the one scalar loop: tiling cannot
-  // change results OR behavior.
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
-    gemm_nn_scalar_rows(a, b, c, lo, hi, n, k, accumulate);
-  });
+  gemm_run(a, b, nullptr, c, m, n, k, accumulate, variant);
 }
 
 void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant) {
-#ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
-    const std::int64_t nc = clamp_nc(variant.nc);
-    for_rows(m, [=](std::size_t lo, std::size_t hi) {
-      gemm_quant_avx2_rows<std::uint16_t>(
-          a, b, nullptr, c, static_cast<std::int64_t>(lo),
-          static_cast<std::int64_t>(hi), n, k, variant.mr, nc);
-    });
-    return;
-  }
-#endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
-    gemm_bf16_scalar_rows(a, b, c, lo, hi, n, k);
-  });
+  gemm_run(a, b, nullptr, c, m, n, k, /*accumulate=*/false, variant);
 }
 
 void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant) {
-#ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
-    const std::int64_t nc = clamp_nc(variant.nc);
-    for_rows(m, [=](std::size_t lo, std::size_t hi) {
-      gemm_quant_avx2_rows<std::int8_t>(
-          a, b, scale, c, static_cast<std::int64_t>(lo),
-          static_cast<std::int64_t>(hi), n, k, variant.mr, nc);
-    });
-    return;
-  }
-#endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
-    gemm_int8_scalar_rows(a, b, scale, c, lo, hi, n, k);
-  });
+  gemm_run(a, b, scale, c, m, n, k, /*accumulate=*/false, variant);
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,

@@ -8,28 +8,30 @@
 // degrades to serial on one core.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
-// gemm_nn uses a streaming multi-row microkernel: B is read once per row
-// block in contiguous, prefetch-friendly segments while an L1-resident
-// chunk of C accumulates. Batch-1 decode is therefore weight-bandwidth-
-// bound and a full serving batch rides the same B traffic at FMA
-// throughput.
+// every NN GEMM — fp32, bf16 and int8 weights alike — runs one streaming
+// multi-row microkernel: B is read once per row block in contiguous,
+// prefetch-friendly segments while an L1-resident chunk of C accumulates.
+// Batch-1 decode is therefore weight-bandwidth-bound and a full serving
+// batch rides the same B traffic at FMA throughput. The weight formats
+// differ only in how a B vector is loaded (bf16 and int8 are widened to
+// fp32, exactly) and in int8's final per-column scale multiply.
 //
 // The microkernel's tiling is a GemmVariant: `mr` rows of C per block and
-// `nc` floats of C per row per column chunk. gemm_nn always runs the
+// `nc` floats of C per row per column chunk. Rows split into blocks by the
+// one rule in row_block(), for every format. gemm_nn always runs the
 // default variant; pick_variant chooses a tiling from the shape and weight
 // format by a fixed rule, and gemm_nn_variant runs any explicit one. Every
 // variant accumulates each C element's k terms in ascending order with
-// single-rounding FMAs — identical in the vector body, the scalar column
-// tail, and for every mr/nc — so variant choice NEVER changes output
-// bytes. That is the property the serving engine's batched-vs-batch-1
-// token identity rests on.
+// single-rounding FMAs over the widened B value — identical in the vector
+// body, the scalar column tail, and for every mr/nc — so variant choice
+// NEVER changes output bytes. That is the property the serving engine's
+// batched-vs-batch-1 token identity rests on.
 //
 // gemm_nn_bf16 / gemm_nn_int8 are the weight-quantized decode GEMMs: B is
-// stored as bf16 bit patterns or int8 with per-output-column scales, every
-// element is widened to fp32 before the same ascending-k FMA chain, and
-// (int8) one single-rounding multiply by the column scale lands at the
-// end. The scalar fallbacks replay the identical operation sequence, so
+// stored as bf16 bit patterns or int8 with per-output-column scales. Their
+// portable scalar fallback replays the identical operation sequence, so
 // quantized results match across the SIMD and portable builds bit-for-bit.
+// The portable fp32 loop is a plain multiply-add, not an FMA chain.
 
 #include <cstdint>
 #include <span>
@@ -62,9 +64,15 @@ GemmVariant gemm_default_variant();
 /// each short weight row streams as one long contiguous run (on a 4-core
 /// AVX2 host, int8 256 -> 8192 at m = 1 runs ~2x faster than with
 /// nc = 512); at larger m the wide chunk stops paying off.
-/// With mr = 8 every m <= 8 splits into the same power-of-two row blocks,
-/// so only nc changes.
+/// With mr = 8 every m <= 8 runs as one row block, so only nc changes.
 GemmVariant pick_variant(std::int64_t m, WeightFormat format);
+
+/// The row-block rule every NN GEMM runs and the cost model prices: with
+/// `rows_left` C rows still to do at tiling `mr`, the size of the next
+/// block. That is mr (taken as 32, 16, or clamped to 1..8) while that many
+/// rows remain, then 8 while 8 remain, then one fringe block of the rest,
+/// so every row range is covered and B streams once per block.
+int row_block(std::int64_t rows_left, int mr);
 
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).
@@ -83,15 +91,14 @@ void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
 
 /// C[m,n] = A[m,k] * widen(B[k,n]) where B holds bf16 bit patterns
 /// (value = bits << 16). No accumulate mode (the decode forward never
-/// accumulates). mr > 8 is clamped to 8.
+/// accumulates).
 void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant);
 
 /// C[m,n] = (A[m,k] * widen(B[k,n])) * scale[col] where B is int8 and
 /// `scale` has one fp32 factor per output column (per-output-channel
-/// weight-only quantization, fp32 accumulate). No accumulate mode; mr > 8
-/// is clamped to 8.
+/// weight-only quantization, fp32 accumulate). No accumulate mode.
 void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant);

@@ -146,21 +146,9 @@ Var matmul(Tape& tape, const Var& a, const Var& b,
   g_matmul_calls[static_cast<std::size_t>(format)].fetch_add(
       1, std::memory_order_relaxed);
   Tensor out({m, n});
-  const kernels::GemmVariant tiling = kernels::pick_variant(m, format);
-  switch (format) {
-    case WeightFormat::kF32:
-      kernels::gemm_nn_variant(a.value().data(), b.value().data(), out.data(),
-                               m, n, k, /*accumulate=*/false, tiling);
-      break;
-    case WeightFormat::kBf16:
-      kernels::gemm_nn_bf16(a.value().data(), qw->bf16.data(), out.data(), m,
-                            n, k, tiling);
-      break;
-    case WeightFormat::kInt8:
-      kernels::gemm_nn_int8(a.value().data(), qw->q8.data(), qw->scale.data(),
-                            out.data(), m, n, k, tiling);
-      break;
-  }
+  gemm_tune::run_gemm(a.value().data(), b.value().data(),
+                      format == WeightFormat::kF32 ? nullptr : qw, out.data(),
+                      m, n, k, kernels::pick_variant(m, format));
   Var result = tape.intermediate(std::move(out), needs_grad);
   if (result.requires_grad()) {
     tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {

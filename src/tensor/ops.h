@@ -111,9 +111,8 @@ Var rope_rows(Tape& tape, const Var& x,
 /// One query row's KV history in a block-paged cache: `len` time steps,
 /// row tk living at k_blocks[tk / block_tokens] + (tk % block_tokens) *
 /// stride (+ head offset), same for v_blocks — a gather over possibly
-/// non-contiguous blocks. The paged kernels visit rows in the same
-/// ascending-tk order with the same per-row ops as attention()'s contiguous
-/// kernels, so outputs are bit-identical.
+/// non-contiguous blocks. attention() runs the same row kernels over a
+/// one-block view of contiguous K/V, so outputs are bit-identical.
 struct RaggedKv {
   std::int64_t len = 0;
   const float* const* k_blocks = nullptr;

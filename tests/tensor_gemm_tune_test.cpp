@@ -1,6 +1,7 @@
 // Unit tests for src/tensor/gemm_tune + the quantized decode path: every
 // kernel variant is byte-identical to the reference tiling (the invariant
-// that lets pick_variant choose tilings freely), pick_variant keeps fp32 on
+// that lets pick_variant choose tilings freely) and to an explicit fmaf-chain
+// reference for every weight format, pick_variant keeps fp32 on
 // the default tiling, quantized sidecars stay within their accuracy
 // bounds, ops::matmul routes a sidecar only where no gradient reads it, and
 // the serving engine's decode_quant mode is token-identical to batch-1
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -98,6 +100,110 @@ TEST(GemmVariants, QuantTilingsMatchEachOtherBytes) {
           ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
                                    c.size() * sizeof(float)))
               << kernels::format_name(format) << " " << s.m << "x" << s.n
+              << "x" << s.k << " mr=" << v.mr << " nc=" << v.nc;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The GEMM contract against an explicit reference: each C element is the
+// ascending-k fmaf chain over the widened B column, then (int8) one multiply
+// by the column scale. Byte-exact for every format, row count and tiling.
+// ---------------------------------------------------------------------------
+
+struct ContractShape {
+  std::int64_t n, k;
+};
+constexpr ContractShape kContractShapes[] = {{17, 5}, {33, 13}, {9, 31}};
+constexpr GemmVariant kContractTilings[] = {{1, 8},    {2, 16},  {4, 4096},
+                                            {8, 512},  {16, 24}, {32, 128}};
+
+// C = fma-chain(A, widen(B)) (+ c0 when accumulating), then * scale[col].
+std::vector<float> fma_chain_reference(const std::vector<float>& a,
+                                       const std::vector<float>& b_wide,
+                                       const float* scale,
+                                       std::vector<float> c, std::int64_t m,
+                                       std::int64_t n, std::int64_t k) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::int64_t l = 0; l < k; ++l) {
+        acc = std::fmaf(a[i * k + l], b_wide[l * n + j], acc);
+      }
+      c[i * n + j] = scale != nullptr ? acc * scale[j] : acc;
+    }
+  }
+  return c;
+}
+
+std::vector<float> widen_quantized(const gemm_tune::QuantWeights& qw) {
+  std::vector<float> wide(static_cast<std::size_t>(qw.k * qw.n));
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    if (qw.format == WeightFormat::kInt8) {
+      wide[i] = static_cast<float>(qw.q8[i]);
+    } else {
+      const std::uint32_t bits = static_cast<std::uint32_t>(qw.bf16[i]) << 16;
+      std::memcpy(&wide[i], &bits, sizeof(float));
+    }
+  }
+  return wide;
+}
+
+TEST(GemmContract, F32MatchesFmaChainReferenceBytes) {
+  // The portable scalar fp32 loop is not an FMA chain; only the SIMD kernel
+  // carries this contract.
+  if (!kernels::gemm_simd_active()) GTEST_SKIP() << "SIMD dispatch inactive";
+  for (std::int64_t m = 1; m <= 9; ++m) {
+    for (const auto& s : kContractShapes) {
+      const auto a = random_matrix(m, s.k, 31);
+      const auto b = random_matrix(s.k, s.n, 32);
+      const auto c0 = random_matrix(m, s.n, 33);
+      for (const bool accumulate : {false, true}) {
+        const auto ref = fma_chain_reference(
+            a, b, nullptr,
+            accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), m, s.n,
+            s.k);
+        for (const auto& v : kContractTilings) {
+          std::vector<float> c = c0;
+          kernels::gemm_nn_variant(a.data(), b.data(), c.data(), m, s.n, s.k,
+                                   accumulate, v);
+          ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                   c.size() * sizeof(float)))
+              << m << "x" << s.n << "x" << s.k << " mr=" << v.mr
+              << " nc=" << v.nc << " acc=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmContract, QuantizedMatchesFmaChainReferenceBytes) {
+  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+    for (std::int64_t m = 1; m <= 9; ++m) {
+      for (const auto& s : kContractShapes) {
+        const auto a = random_matrix(m, s.k, 34);
+        const auto w = random_matrix(s.k, s.n, 35);
+        const auto qw =
+            gemm_tune::quantize_weights(w.data(), s.k, s.n, format);
+        const auto ref = fma_chain_reference(
+            a, widen_quantized(qw),
+            format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
+            std::vector<float>(static_cast<std::size_t>(m * s.n), 0.0f), m,
+            s.n, s.k);
+        for (const auto& v : kContractTilings) {
+          std::vector<float> c(static_cast<std::size_t>(m * s.n), -7.0f);
+          if (format == WeightFormat::kBf16) {
+            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c.data(), m, s.n,
+                                  s.k, v);
+          } else {
+            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(),
+                                  c.data(), m, s.n, s.k, v);
+          }
+          ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                   c.size() * sizeof(float)))
+              << kernels::format_name(format) << " " << m << "x" << s.n
               << "x" << s.k << " mr=" << v.mr << " nc=" << v.nc;
         }
       }
