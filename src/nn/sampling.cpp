@@ -18,8 +18,31 @@ void SamplingParams::validate() const {
 
 std::int32_t argmax_token(std::span<const float> logits) {
   MGPT_CHECK(!logits.empty(), "argmax_token requires logits");
-  return static_cast<std::int32_t>(
-      std::max_element(logits.begin(), logits.end()) - logits.begin());
+  // std::max_element's answer in two streaming passes: the max as maxps
+  // takes it (x > m ? x : m, so a NaN never wins), in independent lanes,
+  // then the first index equal to it. max_element itself reloads *largest
+  // on every element. A NaN at index 0 is max_element's answer, since
+  // nothing compares greater than it; a NaN anywhere else never is.
+  const float* x = logits.data();
+  const std::size_t n = logits.size();
+  if (std::isnan(x[0])) return 0;
+  constexpr std::size_t kLanes = 8;
+  float lane[kLanes];
+  std::fill(lane, lane + kLanes, x[0]);
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lane[l] = x[i + l] > lane[l] ? x[i + l] : lane[l];
+    }
+  }
+  for (; i < n; ++i) lane[0] = x[i] > lane[0] ? x[i] : lane[0];
+  float mx = lane[0];
+  for (std::size_t l = 1; l < kLanes; ++l) mx = lane[l] > mx ? lane[l] : mx;
+  // -0.0 == +0.0, so the first element equal to the max is max_element's
+  // first maximal element whichever signed zero the lanes kept.
+  i = 0;
+  while (x[i] != mx) ++i;
+  return static_cast<std::int32_t>(i);
 }
 
 namespace {

@@ -1,11 +1,38 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
+#include <utility>
 
 #include "common/error.h"
 
 namespace matgpt {
+
+namespace {
+
+// Chunks per thread in a parallel_for, so uneven chunks still balance.
+constexpr std::size_t kChunksPerThread = 4;
+// Waits for in-flight chunks that last longer than this yield the core.
+constexpr int kCallerSpinsBeforeYield = 4096;
+
+// Ticket layout: [63..40] job id, [39..20] chunk count, [19..0] next chunk.
+// A claim that finds no chunk left still increments the index, at most
+// once per thread per job, so the index field never carries into the count
+// while jobs stay under kMaxChunks.
+constexpr unsigned kIndexBits = 20;
+constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kIndexBits) - 1;
+constexpr unsigned kIdShift = 2 * kIndexBits;
+constexpr std::uint64_t kIdMask = (std::uint64_t{1} << (64 - kIdShift)) - 1;
+constexpr std::size_t kMaxChunks = std::size_t{1} << 16;
+
+std::uint64_t ticket_job(std::uint64_t t) { return t >> kIdShift; }
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   threads_.reserve(workers);
@@ -17,7 +44,7 @@ ThreadPool::ThreadPool(std::size_t workers) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
-    stopping_ = true;
+    stopping_.store(true);
   }
   cv_.notify_all();
   for (auto& t : threads_) t.join();
@@ -32,7 +59,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   }
   {
     std::lock_guard lock(mutex_);
-    MGPT_CHECK(!stopping_, "submit on a stopped ThreadPool");
+    MGPT_CHECK(!stopping_.load(), "submit on a stopped ThreadPool");
     queue_.push_back(std::move(packaged));
   }
   cv_.notify_one();
@@ -44,28 +71,62 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t parallelism = threads_.empty() ? 1 : threads_.size();
-  const std::size_t chunks = std::min(n, parallelism * 4);
-  if (chunks <= 1) {
+  const std::size_t chunks = std::min(
+      {n, (threads_.size() + 1) * kChunksPerThread, kMaxChunks});
+  bool idle = false;
+  if (threads_.empty() || chunks <= 1 ||
+      !busy_.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
     fn(begin, end);
     return;
   }
-  const std::size_t step = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = begin; c < end; c += step) {
-    const std::size_t hi = std::min(c + step, end);
-    futures.push_back(submit([&fn, c, hi] { fn(c, hi); }));
+  job_fn_ = &fn;
+  job_begin_ = begin;
+  job_end_ = end;
+  job_step_ = (n + chunks - 1) / chunks;
+  const std::size_t count = (n + job_step_ - 1) / job_step_;
+  job_id_ = (job_id_ + 1) & kIdMask;
+  done_.store(0, std::memory_order_relaxed);
+  // Publishing and the sleeper check are both seq_cst: a worker that
+  // registers as a sleeper after this load re-reads the ticket and sees the
+  // job; one registered before it is woken here.
+  ticket_.store((job_id_ << kIdShift) | (std::uint64_t{count} << kIndexBits));
+  if (sleepers_.load() > 0) {
+    { std::lock_guard lock(mutex_); }
+    cv_.notify_all();
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  run_chunks();
+  for (int spins = 0; done_.load(std::memory_order_acquire) < count;) {
+    if (++spins < kCallerSpinsBeforeYield) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  std::exception_ptr error;
+  {
+    std::lock_guard lock(error_mutex_);
+    error = std::exchange(job_error_, nullptr);
+  }
+  busy_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
+}
+
+std::uint64_t ThreadPool::run_chunks() {
+  for (;;) {
+    const std::uint64_t t = ticket_.fetch_add(1, std::memory_order_acq_rel);
+    const std::uint64_t index = t & kIndexMask;
+    if (index >= ((t >> kIndexBits) & kIndexMask)) return ticket_job(t);
+    const std::size_t lo =
+        job_begin_ + static_cast<std::size_t>(index) * job_step_;
+    const std::size_t hi = std::min(lo + job_step_, job_end_);
+    try {
+      (*job_fn_)(lo, hi);
+    } catch (...) {
+      std::lock_guard lock(error_mutex_);
+      if (!job_error_) job_error_ = std::current_exception();
+    }
+    done_.fetch_add(1, std::memory_order_release);
+  }
 }
 
 ThreadPool& ThreadPool::global() {
@@ -77,16 +138,29 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // id of the last job this worker looked at
   for (;;) {
     std::packaged_task<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ with drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      sleepers_.fetch_add(1);
+      cv_.wait(lock, [&] {
+        return stopping_.load() || !queue_.empty() ||
+               ticket_job(ticket_.load()) != seen;
+      });
+      sleepers_.fetch_sub(1);
+      if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      } else if (ticket_job(ticket_.load()) == seen) {
+        return;  // stopping; no job can be in flight once the destructor runs
+      }
     }
-    task();
+    if (task.valid()) {
+      task();
+    } else {
+      seen = run_chunks();
+    }
   }
 }
 

@@ -1,13 +1,26 @@
 #pragma once
-// Work-stealing-free, queue-based thread pool with a parallel_for helper.
+// Fork-join thread pool: parallel_for splits a range over the calling thread
+// and the workers; submit() queues standalone tasks.
 //
-// The tensor kernels are written against parallel_for so they scale with
-// available cores but degrade gracefully to a serial loop on one core
-// (the pool executes inline when constructed with zero workers).
+// parallel_for publishes one job at a time. The caller claims chunks of it
+// from the job's atomic ticket exactly as the workers do, so a pool of W
+// workers runs a range on W + 1 threads and the caller never idles waiting.
+// Idle workers block on one condition variable, which a new job or task
+// wakes.
+//
+// The inline rule: only one job is in flight per pool. A nested call (from
+// inside a chunk) or a second caller while a job runs executes its whole
+// range inline on its own thread, so concurrent callers (tensor-parallel
+// rank threads, a second engine) never wait on each other's chunks. A pool
+// with zero workers runs everything inline, so the tensor kernels degrade
+// to a serial loop on one core.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -30,9 +43,11 @@ class ThreadPool {
   /// Enqueue a task; the returned future resolves when it completes.
   std::future<void> submit(std::function<void()> task);
 
-  /// Run fn(i) for i in [begin, end), partitioned into contiguous chunks.
-  /// Blocks until all chunks complete. Exceptions from fn propagate to the
-  /// caller (the first one captured wins).
+  /// Run fn(lo, hi) over contiguous chunks covering [begin, end), each index
+  /// exactly once, on the caller and the workers (or all inline, see the
+  /// inline rule above). A range of at most (workers + 1) * 4 indices gets
+  /// one chunk per index. Blocks until every chunk completes. Exceptions
+  /// from fn propagate to the caller (the first one captured wins).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -42,12 +57,33 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Claims and runs chunks of the published job until none is left;
+  /// returns the id of the job it last looked at.
+  std::uint64_t run_chunks();
 
-  std::vector<std::thread> threads_;
-  std::deque<std::packaged_task<void()>> queue_;
+  // The job in flight. The caller holding busy_ writes these before it
+  // publishes the job's ticket; another thread reads them only after a
+  // successful claim, which the caller cannot outlive (it waits on done_).
+  const std::function<void(std::size_t, std::size_t)>* job_fn_ = nullptr;
+  std::size_t job_begin_ = 0;
+  std::size_t job_end_ = 0;
+  std::size_t job_step_ = 0;
+  std::uint64_t job_id_ = 0;
+  std::mutex error_mutex_;
+  std::exception_ptr job_error_;  // guarded by error_mutex_
+
+  std::atomic<bool> busy_{false};
+  // Job id, chunk count and next unclaimed chunk, packed so one fetch_add
+  // both claims a chunk and names the job it belongs to.
+  alignas(64) std::atomic<std::uint64_t> ticket_{0};
+  alignas(64) std::atomic<std::size_t> done_{0};
+  std::atomic<std::size_t> sleepers_{0};
+
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_ = false;
+  std::deque<std::packaged_task<void()>> queue_;  // guarded by mutex_
+  std::atomic<bool> stopping_{false};             // written under mutex_
+  std::vector<std::thread> threads_;  // last: the workers use all of the above
 };
 
 }  // namespace matgpt

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "parallel/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -30,6 +31,14 @@
 namespace matgpt::ops {
 
 namespace {
+
+// The query-key multiply-adds (history rows x query heads x head dim) from
+// which decode_attention splits its (row, head) pairs over the thread pool.
+// Set from measurement on a 4-core AVX2 host at the serving geometry (8
+// query heads of 32): the split lost at 4 Ki (one 16-token row, ~5 -> ~8 us)
+// and won from 16 Ki (one 64-token row ~17 -> ~14 us, four 16-token rows
+// ~21 -> ~13 us), so 32 Ki keeps a 2x margin over the crossover.
+constexpr std::int64_t kParallelAttentionFmas = 32 * 1024;
 
 struct AttnShape {
   std::int64_t b, t, h, d;
@@ -509,34 +518,47 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
   const std::int64_t group = hq / n_kv_heads;
   const float scl = 1.0f / std::sqrt(static_cast<float>(d));
   std::int64_t max_len = 0;
+  std::int64_t total_len = 0;
   for (const RaggedKv& s : kv) {
     MGPT_CHECK(s.len > 0 && s.k_blocks != nullptr && s.v_blocks != nullptr &&
                    s.block_tokens > 0,
                "decode_attention needs a primed paged history per row");
     max_len = std::max(max_len, s.len);
+    total_len += s.len;
   }
   Tensor out({n, hq * d});  // 2D, ready for the output projection
   float* op = out.data();
   const float* qp = qv.data();
-  std::vector<float> acc(static_cast<std::size_t>(d));
-  std::vector<float> prow(static_cast<std::size_t>(max_len));
-  for (std::int64_t row = 0; row < n; ++row) {
-    const RaggedKv& s = kv[static_cast<std::size_t>(row)];
-    // A head-slice view reads heads [head_offset, head_offset + n_kv_heads)
-    // out of rows `stride` floats wide; the defaults make this the whole row.
-    const std::int64_t stride =
-        s.kv_stride > 0 ? s.kv_stride : n_kv_heads * d;
-    for (std::int64_t h = 0; h < hq; ++h) {
+  // Each (row, head) pair is independent and writes its own output slice,
+  // so pairs split over the pool without changing a byte.
+  const auto attend = [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> scratch(static_cast<std::size_t>(flash ? d : max_len));
+    for (auto pair = static_cast<std::int64_t>(lo);
+         pair < static_cast<std::int64_t>(hi); ++pair) {
+      const std::int64_t row = pair / hq;
+      const std::int64_t h = pair % hq;
+      const RaggedKv& s = kv[static_cast<std::size_t>(row)];
+      // A head-slice view reads heads [head_offset, head_offset +
+      // n_kv_heads) out of rows `stride` floats wide; the defaults make this
+      // the whole row.
+      const std::int64_t stride =
+          s.kv_stride > 0 ? s.kv_stride : n_kv_heads * d;
       const KvRows rows{s.k_blocks, s.v_blocks, s.len, s.block_tokens,
                         (s.head_offset + h / group) * d, stride};
-      const float* qrow = qp + (row * hq + h) * d;
-      float* orow = op + row * hq * d + h * d;
+      const float* qrow = qp + pair * d;
+      float* orow = op + pair * d;
       if (flash) {
-        flash_attend_row(qrow, rows, d, scl, orow, acc.data());
+        flash_attend_row(qrow, rows, d, scl, orow, scratch.data());
       } else {
-        materialized_attend_row(qrow, rows, d, scl, orow, prow.data());
+        materialized_attend_row(qrow, rows, d, scl, orow, scratch.data());
       }
     }
+  };
+  const auto pairs = static_cast<std::size_t>(n * hq);
+  if (total_len * hq * d >= kParallelAttentionFmas) {
+    ThreadPool::global().parallel_for(0, pairs, attend);
+  } else {
+    attend(0, pairs);
   }
   return tape.intermediate(std::move(out), false);
 }

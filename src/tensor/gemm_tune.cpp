@@ -116,7 +116,9 @@ HostAnchors measure_anchors() {
   // matrices (so neither survives in cache), long column chunks so the
   // segment-length term sits at 1.0. Effective bytes/s includes whatever
   // compute overlap the kernel achieves — which is exactly what the memory
-  // term should use.
+  // term should use. On a multi-core host this shape runs as column panels
+  // on every pool thread (kernels::column_panels), so the rate is the
+  // pool's aggregate one.
   const std::int64_t sk = 4096, sn = 2048;
   std::vector<float> sa(static_cast<std::size_t>(sk));
   std::vector<float> sb0(static_cast<std::size_t>(sk * sn));

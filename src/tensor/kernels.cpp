@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "parallel/thread_pool.h"
 #include "tensor/simd.h"
@@ -11,16 +13,15 @@
 namespace matgpt::kernels {
 
 namespace {
-// Rows-of-C below which threading overhead outweighs the win.
-constexpr std::int64_t kParallelRowThreshold = 64;
+
+constexpr std::int64_t kLineFloats = 64 / sizeof(float);  // one cache line
 
 void for_rows(std::int64_t m,
               const std::function<void(std::size_t, std::size_t)>& body) {
-  auto& pool = ThreadPool::global();
-  if (m < kParallelRowThreshold || pool.worker_count() == 0) {
+  if (m < kParallelRowThreshold) {
     body(0, static_cast<std::size_t>(m));
   } else {
-    pool.parallel_for(0, static_cast<std::size_t>(m), body);
+    ThreadPool::global().parallel_for(0, static_cast<std::size_t>(m), body);
   }
 }
 
@@ -44,17 +45,21 @@ inline float b_value(BT v) {
 // the host lacks the ISA). l-outer/j-inner keeps B reads contiguous. The
 // zero-skip makes one-hot rows (embedding-style products) cheap.
 void gemm_nn_scalar_rows(const float* a, const float* b, float* c,
-                         std::size_t lo, std::size_t hi, std::int64_t n,
+                         std::int64_t i_lo, std::int64_t i_hi,
+                         std::int64_t j_lo, std::int64_t j_hi, std::int64_t n,
                          std::int64_t k, bool accumulate) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* crow = c + i * static_cast<std::size_t>(n);
-    if (!accumulate) std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));
-    const float* arow = a + i * static_cast<std::size_t>(k);
+  for (std::int64_t i = i_lo; i < i_hi; ++i) {
+    float* crow = c + i * n;
+    if (!accumulate) {
+      std::memset(crow + j_lo, 0,
+                  sizeof(float) * static_cast<std::size_t>(j_hi - j_lo));
+    }
+    const float* arow = a + i * k;
     for (std::int64_t l = 0; l < k; ++l) {
       const float av = arow[l];
       if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(l) * static_cast<std::size_t>(n);
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      const float* brow = b + l * n;
+      for (std::int64_t j = j_lo; j < j_hi; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -65,21 +70,23 @@ void gemm_nn_scalar_rows(const float* a, const float* b, float* c,
 // so SIMD and portable builds produce identical bytes.
 template <typename BT>
 void gemm_quant_scalar_rows(const float* a, const BT* b, const float* scale,
-                            float* c, std::size_t lo, std::size_t hi,
+                            float* c, std::int64_t i_lo, std::int64_t i_hi,
+                            std::int64_t j_lo, std::int64_t j_hi,
                             std::int64_t n, std::int64_t k) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* crow = c + i * static_cast<std::size_t>(n);
-    std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));
-    const float* arow = a + i * static_cast<std::size_t>(k);
+  for (std::int64_t i = i_lo; i < i_hi; ++i) {
+    float* crow = c + i * n;
+    std::memset(crow + j_lo, 0,
+                sizeof(float) * static_cast<std::size_t>(j_hi - j_lo));
+    const float* arow = a + i * k;
     for (std::int64_t l = 0; l < k; ++l) {
       const float av = arow[l];
-      const BT* brow = b + static_cast<std::size_t>(l) * static_cast<std::size_t>(n);
-      for (std::int64_t j = 0; j < n; ++j) {
+      const BT* brow = b + l * n;
+      for (std::int64_t j = j_lo; j < j_hi; ++j) {
         crow[j] = std::fmaf(av, b_value(brow[j]), crow[j]);
       }
     }
     if (scale != nullptr) {
-      for (std::int64_t j = 0; j < n; ++j) crow[j] *= scale[j];
+      for (std::int64_t j = j_lo; j < j_hi; ++j) crow[j] *= scale[j];
     }
   }
 }
@@ -128,16 +135,17 @@ inline __m256 load_b(const BT* p) {
 // bit-identical to batch-1 decoding.
 template <int ROWS, typename BT>
 void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
-                      float* c, std::int64_t i0, std::int64_t n,
-                      std::int64_t k, bool accumulate, std::int64_t nc) {
+                      float* c, std::int64_t i0, std::int64_t j_lo,
+                      std::int64_t j_hi, std::int64_t n, std::int64_t k,
+                      bool accumulate, std::int64_t nc) {
   const float* arow[ROWS];
   float* crow[ROWS];
   for (int r = 0; r < ROWS; ++r) {
     arow[r] = a + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(k);
     crow[r] = c + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(n);
   }
-  for (std::int64_t j0 = 0; j0 < n; j0 += nc) {
-    const std::int64_t jend = std::min(n, j0 + nc);
+  for (std::int64_t j0 = j_lo; j0 < j_hi; j0 += nc) {
+    const std::int64_t jend = std::min(j_hi, j0 + nc);
     const std::int64_t jvec = j0 + ((jend - j0) / 8) * 8;
     if (!accumulate) {
       for (int r = 0; r < ROWS; ++r) {
@@ -238,23 +246,24 @@ void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
   }
 }
 
-// One row block of `rows` C rows (a size row_block can return).
+// One row block of `rows` C rows (a size row_block can return) over
+// columns [j_lo, j_hi).
 template <typename BT>
 void gemm_avx2_block(const float* a, const BT* b, const float* scale,
-                     float* c, std::int64_t i0, std::int64_t n,
-                     std::int64_t k, bool accumulate, int rows,
-                     std::int64_t nc) {
+                     float* c, std::int64_t i0, std::int64_t j_lo,
+                     std::int64_t j_hi, std::int64_t n, std::int64_t k,
+                     bool accumulate, int rows, std::int64_t nc) {
   switch (rows) {
-    case 32: gemm_stream_avx2<32>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 16: gemm_stream_avx2<16>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 8: gemm_stream_avx2<8>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 7: gemm_stream_avx2<7>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 6: gemm_stream_avx2<6>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 5: gemm_stream_avx2<5>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 4: gemm_stream_avx2<4>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 3: gemm_stream_avx2<3>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 2: gemm_stream_avx2<2>(a, b, scale, c, i0, n, k, accumulate, nc); break;
-    case 1: gemm_stream_avx2<1>(a, b, scale, c, i0, n, k, accumulate, nc); break;
+    case 32: gemm_stream_avx2<32>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 16: gemm_stream_avx2<16>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 8: gemm_stream_avx2<8>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 7: gemm_stream_avx2<7>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 6: gemm_stream_avx2<6>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 5: gemm_stream_avx2<5>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 4: gemm_stream_avx2<4>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 3: gemm_stream_avx2<3>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 2: gemm_stream_avx2<2>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+    case 1: gemm_stream_avx2<1>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
     default: break;
   }
 }
@@ -262,35 +271,57 @@ void gemm_avx2_block(const float* a, const BT* b, const float* scale,
 #pragma GCC pop_options
 #endif  // MATGPT_X86_DISPATCH
 
-// The one GEMM driver behind every public entry point: rows [lo, hi) of C
-// in row_block() blocks through the SIMD kernel, else the portable loop.
+// The block of C rows [i_lo, i_hi) x columns [j_lo, j_hi), in row_block()
+// blocks through the SIMD kernel, else the portable loop.
 template <typename BT>
-void gemm_run(const float* a, const BT* b, const float* scale, float* c,
-              std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate,
-              [[maybe_unused]] const GemmVariant& variant) {
+void gemm_tile(const float* a, const BT* b, const float* scale, float* c,
+               std::int64_t i_lo, std::int64_t i_hi, std::int64_t j_lo,
+               std::int64_t j_hi, std::int64_t n, std::int64_t k,
+               bool accumulate, [[maybe_unused]] const GemmVariant& variant) {
 #ifdef MATGPT_X86_DISPATCH
   if (simd_active()) {
-    const int mr = variant.mr;
     const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
-    for_rows(m, [=](std::size_t lo, std::size_t hi) {
-      for (auto i = static_cast<std::int64_t>(lo);
-           i < static_cast<std::int64_t>(hi);) {
-        const int rows = row_block(static_cast<std::int64_t>(hi) - i, mr);
-        gemm_avx2_block<BT>(a, b, scale, c, i, n, k, accumulate, rows, nc);
-        i += rows;
-      }
-    });
+    for (std::int64_t i = i_lo; i < i_hi;) {
+      const int rows = row_block(i_hi - i, variant.mr);
+      gemm_avx2_block<BT>(a, b, scale, c, i, j_lo, j_hi, n, k, accumulate,
+                          rows, nc);
+      i += rows;
+    }
     return;
   }
 #endif
   // Without SIMD every variant runs the one scalar loop: tiling cannot
   // change results OR behavior.
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
-    if constexpr (std::is_same_v<BT, float>) {
-      gemm_nn_scalar_rows(a, b, c, lo, hi, n, k, accumulate);
-    } else {
-      gemm_quant_scalar_rows(a, b, scale, c, lo, hi, n, k);
-    }
+  if constexpr (std::is_same_v<BT, float>) {
+    gemm_nn_scalar_rows(a, b, c, i_lo, i_hi, j_lo, j_hi, n, k, accumulate);
+  } else {
+    gemm_quant_scalar_rows(a, b, scale, c, i_lo, i_hi, j_lo, j_hi, n, k);
+  }
+}
+
+// The one GEMM driver behind every public entry point, and its one split
+// decision: rows over the pool from kParallelRowThreshold rows, else
+// column_panels()' line-aligned N panels, else one serial tile.
+template <typename BT>
+void gemm_run(const float* a, const BT* b, const float* scale, float* c,
+              std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate,
+              const GemmVariant& variant) {
+  if (m >= kParallelRowThreshold) {
+    for_rows(m, [&](std::size_t lo, std::size_t hi) {
+      gemm_tile(a, b, scale, c, static_cast<std::int64_t>(lo),
+                static_cast<std::int64_t>(hi), 0, n, n, k, accumulate, variant);
+    });
+    return;
+  }
+  auto& pool = ThreadPool::global();
+  const auto cuts = column_panels(c, m, n, k, pool.worker_count() + 1);
+  if (cuts.size() == 2) {
+    gemm_tile(a, b, scale, c, 0, m, 0, n, n, k, accumulate, variant);
+    return;
+  }
+  pool.parallel_for(0, cuts.size() - 1, [&](std::size_t lo, std::size_t hi) {
+    gemm_tile(a, b, scale, c, 0, m, cuts[lo], cuts[hi], n, k, accumulate,
+              variant);
   });
 }
 
@@ -318,6 +349,31 @@ int row_block(std::int64_t rows_left, int mr) {
   if (rows_left >= block) return block;
   if (rows_left >= 8) return 8;
   return static_cast<int>(rows_left);
+}
+
+std::vector<std::int64_t> column_panels(const float* c, std::int64_t m,
+                                        std::int64_t n, std::int64_t k,
+                                        std::size_t threads) {
+  std::vector<std::int64_t> cuts{0};
+  const auto panels = std::min(static_cast<std::int64_t>(threads),
+                               n / kMinPanelColumns);
+  if (panels >= 2 && m < kParallelRowThreshold && n % kLineFloats == 0 &&
+      m * n * k >= kParallelPanelFmas) {
+    // C is float-aligned, so its first line starts a whole number of
+    // floats in; with n % kLineFloats == 0 every row has the same phase.
+    const auto misalign = reinterpret_cast<std::uintptr_t>(c) % 64;
+    const auto first = static_cast<std::int64_t>((64 - misalign) % 64 / 4);
+    for (std::int64_t p = 1; p < panels; ++p) {
+      // The line start nearest this panel's even share of n.
+      const std::int64_t target = p * n / panels;
+      const std::int64_t lines =
+          (target - first + kLineFloats / 2) / kLineFloats;
+      const std::int64_t cut = first + kLineFloats * lines;
+      if (cut > cuts.back() && cut < n) cuts.push_back(cut);
+    }
+  }
+  cuts.push_back(n);
+  return cuts;
 }
 
 bool gemm_simd_active() { return simd_active(); }

@@ -4,8 +4,16 @@
 // All matmuls are row-major. Loop orders are chosen so the innermost loop
 // streams contiguously (i-k-j for NN, l-i-j for TN, dot-rows for NT), which
 // is the same cache-blocking reasoning the paper applies at the MI250X
-// matrix-core level. Row-parallelism goes through ThreadPool::global() and
-// degrades to serial on one core.
+// matrix-core level.
+//
+// Threading goes through ThreadPool::global(), whose parallel_for runs on
+// the caller plus the workers, and degrades to serial on one core. An NN
+// GEMM makes one split decision: from kParallelRowThreshold rows of C it
+// splits rows (prefill, training); below that (decode, M = batch) a GEMM of
+// at least kParallelPanelFmas multiply-adds and wide enough for panels of
+// kMinPanelColumns splits N into one column panel per thread, cut on 64-byte
+// lines of C by column_panels(). Either way each C element is computed
+// whole by one thread, so threading never changes output bytes.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
 // every NN GEMM — fp32, bf16 and int8 weights alike — runs one streaming
@@ -33,10 +41,29 @@
 // quantized results match across the SIMD and portable builds bit-for-bit.
 // The portable fp32 loop is a plain multiply-add, not an FMA chain.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace matgpt::kernels {
+
+/// Rows of C from which a GEMM splits its rows over the thread pool.
+inline constexpr std::int64_t kParallelRowThreshold = 64;
+
+/// Below kParallelRowThreshold rows, the multiply-add count (m * n * k) from
+/// which an NN GEMM splits its columns over the thread pool. Set from
+/// measurement on a 4-core AVX2 host: it threads the serving model's
+/// lm_head (256 x 8192) from batch 1, where waking the workers (~25 us) is
+/// small next to the ~100 us each panel still takes.
+inline constexpr std::int64_t kParallelPanelFmas = 2'000'000;
+
+/// The narrowest column panel a GEMM splits into (2 KB of each B row).
+/// Narrower panels cut B's rows into short strided runs the prefetcher does
+/// not follow: on a 4-core AVX2 host, splitting the serving model's MLP
+/// (n = 704 and 256) at batch 16 made the decode step ~20% slower, while
+/// lm_head's 2048-column panels ran ~3x faster than one thread.
+inline constexpr std::int64_t kMinPanelColumns = 512;
 
 /// Storage format of a GEMM's B (weight) operand.
 enum class WeightFormat : std::uint8_t { kF32 = 0, kBf16 = 1, kInt8 = 2 };
@@ -73,6 +100,26 @@ GemmVariant pick_variant(std::int64_t m, WeightFormat format);
 /// rows remain, then 8 while 8 remain, then one fringe block of the rest,
 /// so every row range is covered and B streams once per block.
 int row_block(std::int64_t rows_left, int mr);
+
+/// The column split of an [m, k] x [k, n] NN GEMM writing C at `c` on
+/// `threads` threads: cut points 0 = cuts[0] < cuts[1] < ... < cuts.back()
+/// = n bounding panels of near-equal width. It splits into
+/// min(threads, n / kMinPanelColumns) panels when that is at least two,
+/// m < kParallelRowThreshold, m * n * k >= kParallelPanelFmas and n is a
+/// multiple of 16 floats (so every row starts at the same line offset);
+/// otherwise it returns {0, n}, one serial panel. Every interior cut falls
+/// on the start of a 64-byte line of C, measured from C's address, so
+/// within a row no two panels share a line: the kernel re-reads and
+/// re-writes its C chunk every 4 k terms, and a shared line would bounce
+/// between cores. Rows wrap, so when C itself is not line-aligned (Tensor
+/// storage is only 16-byte aligned) the line holding the end of row i and
+/// the start of row i + 1 is written by the last and the first panel:
+/// m - 1 shared lines per GEMM, against one per interior cut per row for
+/// cuts that ignore the address. For lm_head at m = 16 on a 4-core AVX2
+/// host those m - 1 lines cost nothing measurable.
+std::vector<std::int64_t> column_panels(const float* c, std::int64_t m,
+                                        std::int64_t n, std::int64_t k,
+                                        std::size_t threads);
 
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).

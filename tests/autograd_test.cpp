@@ -434,6 +434,45 @@ TEST(PagedAttention, DecodeRowsMatchContiguousAttentionBytes) {
   }
 }
 
+// A batch long enough that decode_attention splits its (row, head) pairs
+// over the thread pool: every row still matches the serial contiguous
+// attention() byte for byte.
+TEST(PagedAttention, SplitOverRowsAndHeadsMatchesContiguousAttentionBytes) {
+  const std::int64_t t = 160, hq = 8, hkv = 2, d = 32, bt = 16;
+  Rng rng(37);
+  const Tensor q0 = Tensor::randn({1, t, hq, d}, rng);
+  const Tensor k0 = Tensor::randn({1, t, hkv, d}, rng);
+  const Tensor v0 = Tensor::randn({1, t, hkv, d}, rng);
+  // Row tq attends over tq + 1 cached rows straight out of k0/v0, viewed
+  // as blocks of bt rows.
+  std::vector<const float*> kb, vb;
+  for (std::int64_t b0 = 0; b0 < t; b0 += bt) {
+    kb.push_back(k0.data() + b0 * hkv * d);
+    vb.push_back(v0.data() + b0 * hkv * d);
+  }
+  std::vector<ops::RaggedKv> kv(static_cast<std::size_t>(t));
+  for (std::int64_t tq = 0; tq < t; ++tq) {
+    ops::RaggedKv& h = kv[static_cast<std::size_t>(tq)];
+    h.len = tq + 1;
+    h.k_blocks = kb.data();
+    h.v_blocks = vb.data();
+    h.block_tokens = bt;
+  }
+  for (const bool flash : {true, false}) {
+    Tape ref_tape;
+    const Var ref = ops::attention(ref_tape, ref_tape.leaf(q0.clone(), false),
+                                   ref_tape.leaf(k0.clone(), false),
+                                   ref_tape.leaf(v0.clone(), false),
+                                   /*causal=*/true, flash);
+    Tape tape;
+    const Var q = tape.leaf(q0.clone().reshape({t, hq, d}), false);
+    const Var out = ops::decode_attention(tape, q, kv, hkv, flash);
+    ASSERT_EQ(0, std::memcmp(out.value().data(), ref.value().data(),
+                             sizeof(float) * t * hq * d))
+        << "flash=" << flash;
+  }
+}
+
 TEST(FlashMemory, FlashUsesLessActivationMemory) {
   // The structural claim behind Fig. 5: materialized attention allocates the
   // [B, H, T, T] probability tensor, flash only the [B, H, T] logsumexp.

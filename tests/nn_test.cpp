@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "grad_check.h"
@@ -286,6 +288,49 @@ TEST(Sampling, GreedyTieBreaksToLowestTokenId) {
   Rng rng(1);
   EXPECT_EQ(nn::sample_token(tied, greedy, rng), 1);
   EXPECT_EQ(nn::sample_token(all_equal, greedy, rng), 0);
+}
+
+TEST(Sampling, ArgmaxMatchesMaxElementOnEdgeCases) {
+  // argmax_token promises std::max_element's index exactly, including the
+  // cases a two-pass max-then-find could get wrong.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto max_element_index = [](const std::vector<float>& v) {
+    return static_cast<std::int32_t>(std::max_element(v.begin(), v.end()) -
+                                     v.begin());
+  };
+  std::vector<std::vector<float>> cases = {
+      {1.0f, 3.0f, 3.0f, 2.0f},                  // tie: first wins
+      {nan, 5.0f, 1.0f},                         // NaN at 0 is the answer
+      {1.0f, nan, 5.0f, nan, 2.0f},              // NaN elsewhere never is
+      {-1.0f, inf, 2.0f, inf},                   // +inf, tied
+      {-inf, -inf, -inf},                        // all -inf
+      {-inf, -2.0f, -inf},
+      {-1.0f, 0.0f, -0.0f},                      // signed zeros compare equal
+      {-0.0f, 0.0f},
+      {nan},
+      {nan, nan, 1.0f},
+  };
+  // Ties, NaNs and infinities in every position relative to the 8-lane
+  // body and its tail.
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 16u, 17u, 8192u}) {
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<float> v(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = static_cast<float>((i * 37) % 11) - 5.0f;
+      }
+      v[at] = inf;
+      cases.push_back(v);
+      v[at] = nan;
+      cases.push_back(v);
+      v[at] = 5.0f;  // ties the existing maximum
+      cases.push_back(v);
+    }
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(nn::argmax_token(cases[c]), max_element_index(cases[c]))
+        << "case " << c;
+  }
 }
 
 TEST(Sampling, SamplingProbsIsFilteredRenormalizedDistribution) {

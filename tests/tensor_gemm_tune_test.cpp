@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -206,6 +210,122 @@ TEST(GemmContract, QuantizedMatchesFmaChainReferenceBytes) {
               << kernels::format_name(format) << " " << m << "x" << s.n
               << "x" << s.k << " mr=" << v.mr << " nc=" << v.nc;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Column panels: the small-M split over the thread pool
+// ---------------------------------------------------------------------------
+
+// A float-aligned C at `offset` floats past the start of a 64-byte line
+// inside `buf` (which needs 16 floats of slack).
+float* line_offset_ptr(std::vector<float>& buf, std::int64_t offset) {
+  const auto misalign = reinterpret_cast<std::uintptr_t>(buf.data()) % 64;
+  const auto to_line = static_cast<std::int64_t>((64 - misalign) % 64 / 4);
+  return buf.data() + to_line + offset;
+}
+
+TEST(GemmPanels, CutsCoverColumnsInOrderOnLineStarts) {
+  // column_panels only reads C's address, so it is checked on any host,
+  // including one whose global pool has no workers.
+  std::vector<float> buf(64);
+  const std::int64_t big_k = kernels::kParallelPanelFmas;  // always enough work
+  for (std::int64_t offset = 0; offset < 16; ++offset) {
+    const float* c = line_offset_ptr(buf, offset);
+    for (const std::int64_t n : {17, 64, 704, 1024, 1040, 4096, 8192, 8200}) {
+      for (std::size_t threads = 1; threads <= 8; ++threads) {
+        const auto cuts = kernels::column_panels(c, 1, n, big_k, threads);
+        ASSERT_GE(cuts.size(), 2u);
+        EXPECT_EQ(cuts.front(), 0);
+        EXPECT_EQ(cuts.back(), n);
+        const auto panels = static_cast<std::int64_t>(cuts.size()) - 1;
+        const bool splits = threads >= 2 && n % 16 == 0 &&
+                            n / kernels::kMinPanelColumns >= 2;
+        EXPECT_EQ(panels,
+                  splits ? std::min<std::int64_t>(
+                               static_cast<std::int64_t>(threads),
+                               n / kernels::kMinPanelColumns)
+                         : 1)
+            << "n=" << n << " threads=" << threads << " offset=" << offset;
+        for (std::int64_t p = 1; p < panels; ++p) {
+          const std::int64_t cut = cuts[static_cast<std::size_t>(p)];
+          EXPECT_LT(cuts[static_cast<std::size_t>(p - 1)], cut);
+          EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c + cut) % 64, 0u)
+              << "n=" << n << " threads=" << threads << " offset=" << offset
+              << " cut " << p;
+          // The nearest line start to an even share.
+          EXPECT_LE(std::abs(cut - p * n / panels), 8);
+        }
+      }
+    }
+  }
+  // Too little work stays one panel, enough splits one panel per thread,
+  // and from kParallelRowThreshold rows the GEMM splits rows instead.
+  const float* c = line_offset_ptr(buf, 0);
+  EXPECT_EQ(kernels::column_panels(c, 1, 8192, 16, 4).size(), 2u);
+  EXPECT_EQ(kernels::column_panels(c, 4, 8192, 256, 4).size(), 5u);
+  EXPECT_EQ(kernels::column_panels(c, kernels::kParallelRowThreshold, 8192,
+                                   256, 4)
+                .size(),
+            2u);
+}
+
+TEST(GemmContract, ColumnPanelsMatchFmaChainReferenceBytes) {
+  // m = 1..17 rows, n from serial-only widths through lm_head's (17 and 8200
+  // are not multiples of 16 and stay serial), odd k large enough that the
+  // wide GEMMs cross kParallelPanelFmas from m = 1, and C at every float
+  // offset 0..15 from a 64-byte line for each (format, n). Byte-exact
+  // against the fmaf-chain reference whether or not the host has workers
+  // to split over. A row's reference depends only on its own A row, so one
+  // 17-row reference per (format, n) serves every m.
+  constexpr std::int64_t kRows = 17;
+  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
+                                  WeightFormat::kInt8};
+  const std::int64_t widths[] = {17, 64, 704, 8192, 8200};
+  for (std::size_t fi = 0; fi < std::size(formats); ++fi) {
+    const WeightFormat format = formats[fi];
+    // The portable scalar fp32 loop is not an FMA chain.
+    if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) continue;
+    for (std::size_t ni = 0; ni < std::size(widths); ++ni) {
+      const std::int64_t n = widths[ni];
+      const std::int64_t k =
+          std::min<std::int64_t>(1001, kernels::kParallelPanelFmas / n + 1) | 1;
+      const auto a = random_matrix(kRows, k, 41);
+      const auto w = random_matrix(k, n, 42);
+      const auto c0 = random_matrix(kRows, n, 43);
+      const auto qw = format == WeightFormat::kF32
+                          ? gemm_tune::QuantWeights{}
+                          : gemm_tune::quantize_weights(w.data(), k, n, format);
+      const bool accumulate = format == WeightFormat::kF32;
+      const auto ref = fma_chain_reference(
+          a, format == WeightFormat::kF32 ? w : widen_quantized(qw),
+          format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
+          accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), kRows, n, k);
+      std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
+      for (std::int64_t m = 1; m <= kRows; ++m) {
+        const std::int64_t offset =
+            (m + static_cast<std::int64_t>(fi * 5 + ni * 3)) % 16;
+        float* c = line_offset_ptr(buf, offset);
+        const auto cn = static_cast<std::size_t>(m * n);
+        std::copy_n(c0.begin(), cn, c);
+        switch (format) {
+          case WeightFormat::kF32:
+            kernels::gemm_nn(a.data(), w.data(), c, m, n, k, accumulate);
+            break;
+          case WeightFormat::kBf16:
+            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c, m, n, k,
+                                  kernels::pick_variant(m, format));
+            break;
+          case WeightFormat::kInt8:
+            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(), c,
+                                  m, n, k, kernels::pick_variant(m, format));
+            break;
+        }
+        ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
+            << kernels::format_name(format) << " " << m << "x" << n << "x" << k
+            << " C offset " << offset;
       }
     }
   }
