@@ -245,9 +245,13 @@ int main() {
   // --- 1. calibration -------------------------------------------------------
   bench::print_section("host anchors (measured, tp_predict idiom)");
   const auto& anchors = gemm_tune::host_anchors();
-  std::printf("hot compute peaks: f32 %.1f / bf16 %.1f / int8 %.1f GFLOP/s\n",
-              anchors.f32_gflops, anchors.bf16_gflops, anchors.int8_gflops);
-  std::printf("streaming weight bandwidth: %.1f GB/s\n", anchors.stream_gbs);
+  std::printf("hot compute peaks: f32 %.1f / bf16 %.1f / int8 %.1f GFLOP/s "
+              "on one thread, f32 %.1f GFLOP/s on %zu\n",
+              anchors.f32_gflops, anchors.bf16_gflops, anchors.int8_gflops,
+              anchors.pool_f32_gflops, anchors.threads);
+  std::printf("streaming weight bandwidth: %.1f GB/s on one thread, %.1f GB/s "
+              "on %zu\n",
+              anchors.stream_gbs, anchors.pool_stream_gbs, anchors.threads);
 
   // --- 2. predicted vs measured --------------------------------------------
   bench::print_section("cost model: predicted vs measured (cold weights)");

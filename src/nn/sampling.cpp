@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -47,6 +48,20 @@ std::int32_t argmax_token(std::span<const float> logits) {
 
 namespace {
 
+/// One thread's sampler buffers, reused across tokens: once a thread has
+/// seen the vocabulary size, a draw allocates nothing. Per thread because
+/// the serving engine draws a step's rows on several pool threads at once.
+struct SamplerScratch {
+  std::vector<float> probs;
+  std::vector<std::int32_t> order;
+  std::vector<double> weights;
+};
+
+SamplerScratch& sampler_scratch() {
+  thread_local SamplerScratch scratch;
+  return scratch;
+}
+
 /// Shared stochastic-path filtering: softmax at temperature, then rank and
 /// clip to the top-k/top-p survivor set. Fills `probs` with the full-vocab
 /// softmax and `order` with token ids ranked by probability; returns how
@@ -54,7 +69,7 @@ namespace {
 std::size_t filtered_ranking(std::span<const float> logits,
                              const SamplingParams& options,
                              std::vector<float>& probs,
-                             std::vector<std::size_t>& order) {
+                             std::vector<std::int32_t>& order) {
   probs.assign(logits.begin(), logits.end());
   for (float& z : probs) z /= options.temperature;
   kernels::softmax_row(probs.data(), static_cast<std::int64_t>(probs.size()));
@@ -65,8 +80,9 @@ std::size_t filtered_ranking(std::span<const float> logits,
   // the full sort would dominate the decode step itself.
   order.resize(probs.size());
   std::iota(order.begin(), order.end(), 0);
-  const auto by_prob = [&](std::size_t a, std::size_t b) {
-    return probs[a] > probs[b];
+  const auto by_prob = [&](std::int32_t a, std::int32_t b) {
+    return probs[static_cast<std::size_t>(a)] >
+           probs[static_cast<std::size_t>(b)];
   };
   std::size_t keep = probs.size();
   if (options.top_k > 0) {
@@ -84,7 +100,7 @@ std::size_t filtered_ranking(std::span<const float> logits,
     double cumulative = 0.0;
     std::size_t nucleus = 0;
     while (nucleus < keep && cumulative < options.top_p) {
-      cumulative += probs[order[nucleus]];
+      cumulative += probs[static_cast<std::size_t>(order[nucleus])];
       ++nucleus;
     }
     keep = std::max<std::size_t>(1, nucleus);
@@ -101,14 +117,13 @@ std::int32_t sample_token(std::span<const float> logits,
   if (options.temperature <= 0.0f) {
     return argmax_token(logits);
   }
-  std::vector<float> probs;
-  std::vector<std::size_t> order;
-  const std::size_t keep = filtered_ranking(logits, options, probs, order);
-  std::vector<double> weights(keep);
+  SamplerScratch& s = sampler_scratch();
+  const std::size_t keep = filtered_ranking(logits, options, s.probs, s.order);
+  s.weights.resize(keep);
   for (std::size_t i = 0; i < keep; ++i) {
-    weights[i] = probs[order[i]];
+    s.weights[i] = s.probs[static_cast<std::size_t>(s.order[i])];
   }
-  return static_cast<std::int32_t>(order[rng.categorical(weights)]);
+  return s.order[rng.categorical(s.weights)];
 }
 
 std::int32_t sample_token_masked(std::span<const float> logits,
@@ -140,15 +155,17 @@ std::vector<float> sampling_probs(std::span<const float> logits,
   MGPT_CHECK(options.temperature > 0.0f,
              "sampling_probs requires temperature > 0 (greedy decoding "
              "compares argmax tokens, not distributions)");
-  std::vector<float> probs;
-  std::vector<std::size_t> order;
-  const std::size_t keep = filtered_ranking(logits, options, probs, order);
-  std::vector<float> filtered(probs.size(), 0.0f);
+  SamplerScratch& s = sampler_scratch();
+  const std::size_t keep = filtered_ranking(logits, options, s.probs, s.order);
+  std::vector<float> filtered(s.probs.size(), 0.0f);
   double total = 0.0;
-  for (std::size_t i = 0; i < keep; ++i) total += probs[order[i]];
+  for (std::size_t i = 0; i < keep; ++i) {
+    total += s.probs[static_cast<std::size_t>(s.order[i])];
+  }
   const auto inv = static_cast<float>(1.0 / total);
   for (std::size_t i = 0; i < keep; ++i) {
-    filtered[order[i]] = probs[order[i]] * inv;
+    const auto token = static_cast<std::size_t>(s.order[i]);
+    filtered[token] = s.probs[token] * inv;
   }
   return filtered;
 }

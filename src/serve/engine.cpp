@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "nn/bert.h"
 #include "nn/sampling.h"
+#include "parallel/thread_pool.h"
 #include "serve/workloads/embed.h"
 #include "serve/workloads/grammar.h"
 #include "tensor/ops.h"
@@ -757,7 +758,7 @@ void InferenceEngine::prefill(std::span<Sequence* const> seqs,
     }
     const auto t = Clock::now();
     const std::optional<std::int32_t> first =
-        sample_row(logits, static_cast<std::int64_t>(i), seq);
+        count_draw(sample_row(logits, static_cast<std::int64_t>(i), seq));
     if (!first.has_value()) continue;  // dead grammar state: retires below
     seq.tokens.push_back(*first);
     seq.emitted = 1;
@@ -798,40 +799,50 @@ void InferenceEngine::prefill_phase(Clock::time_point now) {
   if (!chunks.empty()) prefill(chunks, now);
 }
 
-std::optional<std::int32_t> InferenceEngine::sample_row(const Var& logits,
-                                                        std::int64_t row,
-                                                        Sequence& seq) {
+InferenceEngine::Draw InferenceEngine::sample_row(const Var& logits,
+                                                  std::int64_t row,
+                                                  Sequence& seq) const {
   const std::int64_t v = model_.config().vocab_size;
   const std::span<const float> row_logits(logits.value().data() + row * v,
                                           static_cast<std::size_t>(v));
   const workloads::TokenDfa* dfa = seq.request.grammar.get();
   if (dfa == nullptr) {
-    return nn::sample_token(row_logits, seq.request.sampling, seq.rng);
+    return {nn::sample_token(row_logits, seq.request.sampling, seq.rng)};
   }
-  mask_scratch_.resize(static_cast<std::size_t>(v));
-  const std::int64_t legal = dfa->legal_mask(seq.gstate, mask_scratch_);
+  // Per thread, reused across constrained steps instead of a per-token
+  // vocab-sized allocation.
+  thread_local std::vector<std::uint8_t> mask;
+  thread_local std::vector<float> masked_logits;
+  mask.resize(static_cast<std::size_t>(v));
+  const std::int64_t legal = dfa->legal_mask(seq.gstate, mask);
   if (legal == 0) {
     // Dead state: no token and no EOS can extend the utterance. Fail the
     // request deterministically instead of hanging or sampling illegally.
     seq.finished = true;
     seq.finish_status = RequestStatus::kGrammarDead;
-    return std::nullopt;
+    return {};
   }
-  const std::int32_t token = nn::sample_token_masked(
-      row_logits, mask_scratch_, seq.request.sampling, seq.rng,
-      logit_scratch_);
-  step_stats_.grammar_steps += 1;
+  Draw draw{nn::sample_token_masked(row_logits, mask, seq.request.sampling,
+                                    seq.rng, masked_logits),
+            /*grammar_step=*/true};
+  const std::int32_t token = *draw.token;
   if (dfa->halt_on_eos() && token == dfa->eos() && dfa->eos_legal(seq.gstate)) {
     // EOS at an accepting state: the utterance is complete. The token is
     // still emitted (clients see the stop) but the sequence retires.
     seq.finished = true;
-    step_stats_.grammar_eos_stops += 1;
+    draw.grammar_eos_stop = true;
   } else {
     const std::int32_t next = dfa->next(seq.gstate, token);
     MGPT_ASSERT(next >= 0);  // masked sampling can only pick legal tokens
     seq.gstate = next;
   }
-  return token;
+  return draw;
+}
+
+std::optional<std::int32_t> InferenceEngine::count_draw(const Draw& draw) {
+  step_stats_.grammar_steps += draw.grammar_step ? 1 : 0;
+  step_stats_.grammar_eos_stops += draw.grammar_eos_stop ? 1 : 0;
+  return draw.token;
 }
 
 bool InferenceEngine::park_to_session(Sequence& seq) {
@@ -1023,6 +1034,25 @@ std::size_t InferenceEngine::decode_phase() {
   Var logits = model_forward(tape, batch);
   const auto now = Clock::now();
 
+  // Draw every plain row's token in one parallel pass before emitting any.
+  // A draw reads its own logits row and touches only its own sequence, so
+  // each token is the one a serial loop would draw. Speculative rows keep
+  // their serial accept() below: it truncates pool-owned KV.
+  std::vector<std::int64_t> first_row(ready.size());
+  for (std::size_t i = 1; i < ready.size(); ++i) {
+    first_row[i] = first_row[i - 1] + batch.counts[i - 1];
+  }
+  std::vector<Draw> draws(ready.size());
+  ThreadPool::global().parallel_for(
+      0, ready.size(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          Sequence& seq = active_[ready[i]];
+          if (seq.request.spec_k == 0) {
+            draws[i] = sample_row(logits, first_row[i], seq);
+          }
+        }
+      });
+
   // Each emitted token is recorded separately, so inter-token quantiles
   // reflect what a streaming client observes even when a verify round lands
   // a burst at once.
@@ -1032,24 +1062,19 @@ std::size_t InferenceEngine::decode_phase() {
     seq.last_token = now;
     if (seq.request.on_token) seq.request.on_token(token);
   };
-  std::int64_t row = 0;
   for (std::size_t i = 0; i < ready.size(); ++i) {
     Sequence& seq = active_[ready[i]];
     if (seq.request.spec_k > 0) {
       const std::int64_t got = spec_decoder_->accept(
-          rounds[i], logits, row, seq.tokens, *seq.kv, *seq.draft_kv,
-          seq.request.sampling, seq.rng, seq.spec);
+          rounds[i], logits, first_row[i], seq.tokens, *seq.kv,
+          *seq.draft_kv, seq.request.sampling, seq.rng, seq.spec);
       for (std::int64_t t = got; t > 0; --t) {
         emit(seq, seq.tokens[seq.tokens.size() - static_cast<std::size_t>(t)]);
       }
-    } else {
-      const std::optional<std::int32_t> token = sample_row(logits, row, seq);
-      if (token.has_value()) {
-        seq.tokens.push_back(*token);
-        emit(seq, *token);
-      }
+    } else if (const std::optional<std::int32_t> token = count_draw(draws[i])) {
+      seq.tokens.push_back(*token);
+      emit(seq, *token);
     }
-    row += batch.counts[i];
   }
   return ready.size();
 }

@@ -440,13 +440,22 @@ class InferenceEngine {
   /// snapshots into stats_.
   void flush_step_stats();
   void retire_finished();
+  /// One row's draw: the token (nullopt = the grammar hit a dead state;
+  /// seq.finished/finish_status are set and the caller must not advance
+  /// the sequence) and the grammar step it adds to step_stats_.
+  struct Draw {
+    std::optional<std::int32_t> token;
+    bool grammar_step = false;
+    bool grammar_eos_stop = false;
+  };
   /// Sample the next token for `seq` from `logits` row `row`, masking to
   /// the grammar's legal set when the request is constrained (all-ones
-  /// masks are byte-identical to the unmasked path). nullopt = the grammar
-  /// hit a dead state; seq.finished/finish_status are set and the caller
-  /// must not advance the sequence.
-  std::optional<std::int32_t> sample_row(const Var& logits, std::int64_t row,
-                                         Sequence& seq);
+  /// masks are byte-identical to the unmasked path). Touches only `seq`
+  /// (rng, grammar state, finished) and per-thread scratch, so the rows of
+  /// one step may draw on different threads at once.
+  Draw sample_row(const Var& logits, std::int64_t row, Sequence& seq) const;
+  /// Fold `draw`'s grammar step into step_stats_ and return its token.
+  std::optional<std::int32_t> count_draw(const Draw& draw);
   /// The one retirement path, for waiting and active sequences alike:
   /// session hook, KV release, stats, on_finish, then the future.
   void retire(Sequence& seq, RequestStatus status, Clock::time_point now);
@@ -493,10 +502,6 @@ class InferenceEngine {
   mutable std::mutex stats_mutex_;
   Clock::time_point started_at_ = Clock::now();
 
-  // Worker-thread scratch for masked sampling (one allocation reused across
-  // every constrained decode step instead of a per-token vocab-sized alloc).
-  std::vector<std::uint8_t> mask_scratch_;
-  std::vector<float> logit_scratch_;
   StepStats step_stats_;
 
   std::vector<Sequence> active_;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "parallel/thread_pool.h"
 #include "tensor/dtype.h"
 
 namespace matgpt::gemm_tune {
@@ -88,10 +89,32 @@ void fill_pattern(float* p, std::size_t count) {
   }
 }
 
+// Best-of-6 rate at which a one-row GEMM streams [k, n] fp32 weights,
+// alternating two copies (`b0`, `b1`) so neither survives in cache. Long
+// column chunks keep the segment-length term at 1.0, and the effective
+// bytes/s includes whatever compute overlap the kernel achieves — which is
+// exactly what the memory term should use.
+double stream_anchor_gbs(const float* b0, const float* b1, std::int64_t n,
+                         std::int64_t k) {
+  std::vector<float> a(static_cast<std::size_t>(k));
+  std::vector<float> c(static_cast<std::size_t>(n));
+  fill_pattern(a.data(), a.size());
+  double best = 1e30;
+  for (int r = 0; r < 6; ++r) {
+    const double t0 = now_seconds();
+    kernels::gemm_nn_variant(a.data(), r % 2 == 0 ? b0 : b1, c.data(), 1, n,
+                             k, /*accumulate=*/false, GemmVariant{1, 4096});
+    best = std::min(best, now_seconds() - t0);
+  }
+  return static_cast<double>(k * n) * 4.0 / best / 1e9;
+}
+
 HostAnchors measure_anchors() {
   HostAnchors anchors;
-  // Hot compute peaks: an all-paired 8x512x512 block whose B fits in L2.
-  const std::int64_t m = 8, n = 512, k = 512;
+  anchors.threads = ThreadPool::global().worker_count() + 1;
+  // Hot compute peaks: an all-paired 4x512x512 block whose B fits in L2.
+  // One row group and one column panel, so it runs on one thread.
+  const std::int64_t m = 4, n = 512, k = 512;
   std::vector<float> a(static_cast<std::size_t>(m * k));
   std::vector<float> b(static_cast<std::size_t>(k * n));
   std::vector<float> c(static_cast<std::size_t>(m * n));
@@ -111,32 +134,26 @@ HostAnchors measure_anchors() {
   anchors.int8_gflops =
       flops /
       time_variant(a.data(), nullptr, &qi, c.data(), m, n, k, ref, 12) / 1e9;
+  // The same block once per thread: one row group each, sharing B.
+  const auto pm = static_cast<std::int64_t>(m * anchors.threads);
+  std::vector<float> pa(static_cast<std::size_t>(pm * k));
+  std::vector<float> pc(static_cast<std::size_t>(pm * n));
+  fill_pattern(pa.data(), pa.size());
+  anchors.pool_f32_gflops =
+      static_cast<double>(anchors.threads) * flops /
+      time_variant(pa.data(), b.data(), nullptr, pc.data(), pm, n, k, ref,
+                   12) /
+      1e9;
 
-  // Streaming bandwidth: a one-row GEMM over two alternating 32 MB weight
-  // matrices (so neither survives in cache), long column chunks so the
-  // segment-length term sits at 1.0. Effective bytes/s includes whatever
-  // compute overlap the kernel achieves — which is exactly what the memory
-  // term should use. On a multi-core host this shape runs as column panels
-  // on every pool thread (kernels::column_panels), so the rate is the
-  // pool's aggregate one.
-  const std::int64_t sk = 4096, sn = 2048;
-  std::vector<float> sa(static_cast<std::size_t>(sk));
-  std::vector<float> sb0(static_cast<std::size_t>(sk * sn));
-  std::vector<float> sb1(static_cast<std::size_t>(sk * sn));
-  std::vector<float> sc(static_cast<std::size_t>(sn));
-  fill_pattern(sa.data(), sa.size());
-  fill_pattern(sb0.data(), sb0.size());
-  fill_pattern(sb1.data(), sb1.size());
-  const GemmVariant sv{1, 4096};
-  double best = 1e30;
-  for (int r = 0; r < 6; ++r) {
-    const float* sb = (r % 2 == 0) ? sb0.data() : sb1.data();
-    const double t0 = now_seconds();
-    kernels::gemm_nn_variant(sa.data(), sb, sc.data(), 1, sn, sk,
-                             /*accumulate=*/false, sv);
-    best = std::min(best, now_seconds() - t0);
-  }
-  anchors.stream_gbs = static_cast<double>(sk * sn) * 4.0 / best / 1e9;
+  // Streaming bandwidth over two 32 MB weight matrices, read as 512
+  // columns (one panel: one thread) and as 2048 (one panel per thread).
+  std::vector<float> b0(std::size_t{8} << 20);
+  std::vector<float> b1(b0.size());
+  fill_pattern(b0.data(), b0.size());
+  fill_pattern(b1.data(), b1.size());
+  anchors.stream_gbs = stream_anchor_gbs(b0.data(), b1.data(), 512, 16384);
+  anchors.pool_stream_gbs =
+      stream_anchor_gbs(b0.data(), b1.data(), 2048, 4096);
   return anchors;
 }
 
@@ -208,32 +225,58 @@ const HostAnchors& host_anchors() {
 double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
                        WeightFormat format, const GemmVariant& variant,
                        const HostAnchors& anchors) {
+  // The widest tile of the split prices the GEMM. Concurrent tiles share
+  // the pool's aggregate compute rate; a row group reads all of B (shared
+  // with the other groups through L3) at one thread's streaming rate, a
+  // column panel its own slice of B at its share of the pool's.
+  const std::size_t threads = std::max<std::size_t>(anchors.threads, 1);
+  const kernels::GemmSplit split = kernels::gemm_split(m, n, k, threads);
+  std::int64_t widest = 0;
+  for (std::size_t t = 0; t < split.tiles(); ++t) {
+    widest = std::max(widest, split.cuts[t + 1] - split.cuts[t]);
+  }
+  const std::int64_t tile_m = split.by_rows ? widest : m;
+  const std::int64_t tile_n = split.by_rows ? n : widest;
+  const auto concurrent =
+      static_cast<double>(std::min(split.tiles(), threads));
+  const double compute_share = std::min(
+      1.0, anchors.pool_f32_gflops / (concurrent * anchors.f32_gflops));
+  const double stream_gbs = split.by_rows
+                                ? anchors.stream_gbs
+                                : anchors.pool_stream_gbs / concurrent;
+  // Tiles beyond one per thread run in further rounds.
+  const double rounds = std::ceil(static_cast<double>(split.tiles()) /
+                                  static_cast<double>(threads));
+
   const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
-  const std::vector<int> blocks = row_blocks(m, variant.mr);
+  const std::vector<int> blocks = row_blocks(tile_m, variant.mr);
 
   double peak_gflops = anchors.f32_gflops;
   if (format == WeightFormat::kBf16) peak_gflops = anchors.bf16_gflops;
   if (format == WeightFormat::kInt8) peak_gflops = anchors.int8_gflops;
+  peak_gflops *= compute_share;
 
-  const double flops = 2.0 * static_cast<double>(m) * n * k;
+  const double flops = 2.0 * static_cast<double>(tile_m) * tile_n * k;
   const double t_compute = flops / (peak_gflops * 1e9 *
-                                    pair_efficiency(blocks, m) *
-                                    column_efficiency(n, nc));
+                                    pair_efficiency(blocks, tile_m) *
+                                    column_efficiency(tile_n, nc));
 
-  // Each row block streams the whole weight matrix once. Short contiguous
+  // Each row block streams the tile's weights once. Short contiguous
   // segments (nc * element bytes) defeat the hardware prefetchers; the
   // clamp floor matches the measured worst case (int8 at nc=512 runs at
   // ~1/3 of long-segment bandwidth on this host).
   const double bytes_per_pass =
-      static_cast<double>(k) * static_cast<double>(n) * elem_bytes(format);
+      static_cast<double>(k) * static_cast<double>(tile_n) *
+      elem_bytes(format);
   const double seg_bytes =
-      static_cast<double>(std::min(nc, n)) * elem_bytes(format);
+      static_cast<double>(std::min(nc, tile_n)) * elem_bytes(format);
   const double seg = std::clamp(seg_bytes / 2048.0, 0.35, 1.0);
   const double t_mem = static_cast<double>(blocks.size()) * bytes_per_pass /
-                       (anchors.stream_gbs * 1e9 * seg);
+                       (stream_gbs * 1e9 * seg);
 
   // Imperfect overlap between the FMA chain and the weight stream.
-  return std::max(t_compute, t_mem) + 0.3 * std::min(t_compute, t_mem);
+  return rounds *
+         (std::max(t_compute, t_mem) + 0.3 * std::min(t_compute, t_mem));
 }
 
 std::vector<GemmVariant> candidate_space(std::int64_t m, std::int64_t n,

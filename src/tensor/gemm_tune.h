@@ -13,11 +13,14 @@
 // throughput with pairing/fringe efficiency terms vs weight-streaming
 // traffic with a segment-length term, re-anchored to measured host numbers
 // the way tp_predict anchors simfrontier's alpha-beta model. It prices the
-// row blocks kernels::row_block says will run, for every format. It predicts;
+// split kernels::gemm_split says will run (its widest tile, once per round
+// of tiles over the pool) and, within a tile, the row blocks
+// kernels::row_block says will run, for every format. It predicts;
 // it does not choose. The tiling that runs comes from the fixed rule in
 // kernels::pick_variant, and every tiling writes identical bytes (see
 // kernels.h).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,21 +52,29 @@ void run_gemm(const float* a, const float* b, const QuantWeights* qw,
 
 /// Measured host anchors for the cost model (the tp_predict idiom:
 /// measure a reference shape, calibrate the model so prediction matches
-/// there, extrapolate everywhere else). Peaks are hot-L2 compute rates at
-/// the reference tiling; stream_bw is the effective rate at which a
-/// single-row GEMM streams a RAM-resident weight matrix.
+/// there, extrapolate everywhere else). Peaks are one thread's hot-L2
+/// compute rates at the reference tiling, and pool_f32_gflops the fp32
+/// aggregate when every thread of the pool (`threads` of them) computes
+/// its own row group. stream_gbs is the effective rate at which one
+/// thread's single-row GEMM streams a RAM-resident weight matrix, and
+/// pool_stream_gbs the aggregate when every thread streams its own column
+/// panel of one.
 struct HostAnchors {
   double f32_gflops = 0.0;
   double bf16_gflops = 0.0;
   double int8_gflops = 0.0;
+  double pool_f32_gflops = 0.0;
   double stream_gbs = 0.0;
+  double pool_stream_gbs = 0.0;
+  std::size_t threads = 1;
 };
 
 /// Measure (and memoize) this host's anchors. First call costs ~100 ms.
 const HostAnchors& host_anchors();
 
 /// Analytic time for one gemm of the given shape/format/tiling in the
-/// streaming (cold-weights) regime the serving engine lives in.
+/// streaming (cold-weights) regime the serving engine lives in, run with
+/// the split kernels::gemm_split picks on anchors.threads threads.
 double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
                        kernels::WeightFormat format,
                        const kernels::GemmVariant& variant,

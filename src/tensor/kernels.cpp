@@ -299,30 +299,29 @@ void gemm_tile(const float* a, const BT* b, const float* scale, float* c,
   }
 }
 
-// The one GEMM driver behind every public entry point, and its one split
-// decision: rows over the pool from kParallelRowThreshold rows, else
-// column_panels()' line-aligned N panels, else one serial tile.
+// The one GEMM driver behind every public entry point: the tiles of
+// gemm_split() over the pool, each one row group or one column panel.
 template <typename BT>
 void gemm_run(const float* a, const BT* b, const float* scale, float* c,
               std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate,
               const GemmVariant& variant) {
-  if (m >= kParallelRowThreshold) {
-    for_rows(m, [&](std::size_t lo, std::size_t hi) {
-      gemm_tile(a, b, scale, c, static_cast<std::int64_t>(lo),
-                static_cast<std::int64_t>(hi), 0, n, n, k, accumulate, variant);
-    });
-    return;
-  }
   auto& pool = ThreadPool::global();
-  const auto cuts = column_panels(c, m, n, k, pool.worker_count() + 1);
-  if (cuts.size() == 2) {
-    gemm_tile(a, b, scale, c, 0, m, 0, n, n, k, accumulate, variant);
-    return;
+  const GemmSplit split = gemm_split(m, n, k, pool.worker_count() + 1);
+  const auto& cuts = split.cuts;
+  auto tiles = [&](std::size_t lo, std::size_t hi) {
+    if (split.by_rows) {
+      gemm_tile(a, b, scale, c, cuts[lo], cuts[hi], 0, n, n, k, accumulate,
+                variant);
+    } else {
+      gemm_tile(a, b, scale, c, 0, m, cuts[lo], cuts[hi], n, k, accumulate,
+                variant);
+    }
+  };
+  if (split.tiles() == 1) {
+    tiles(0, 1);
+  } else {
+    pool.parallel_for(0, split.tiles(), tiles);
   }
-  pool.parallel_for(0, cuts.size() - 1, [&](std::size_t lo, std::size_t hi) {
-    gemm_tile(a, b, scale, c, 0, m, cuts[lo], cuts[hi], n, k, accumulate,
-              variant);
-  });
 }
 
 }  // namespace
@@ -351,29 +350,33 @@ int row_block(std::int64_t rows_left, int mr) {
   return static_cast<int>(rows_left);
 }
 
-std::vector<std::int64_t> column_panels(const float* c, std::int64_t m,
-                                        std::int64_t n, std::int64_t k,
-                                        std::size_t threads) {
-  std::vector<std::int64_t> cuts{0};
-  const auto panels = std::min(static_cast<std::int64_t>(threads),
-                               n / kMinPanelColumns);
-  if (panels >= 2 && m < kParallelRowThreshold && n % kLineFloats == 0 &&
-      m * n * k >= kParallelPanelFmas) {
-    // C is float-aligned, so its first line starts a whole number of
-    // floats in; with n % kLineFloats == 0 every row has the same phase.
-    const auto misalign = reinterpret_cast<std::uintptr_t>(c) % 64;
-    const auto first = static_cast<std::int64_t>((64 - misalign) % 64 / 4);
-    for (std::int64_t p = 1; p < panels; ++p) {
-      // The line start nearest this panel's even share of n.
-      const std::int64_t target = p * n / panels;
-      const std::int64_t lines =
-          (target - first + kLineFloats / 2) / kLineFloats;
-      const std::int64_t cut = first + kLineFloats * lines;
-      if (cut > cuts.back() && cut < n) cuts.push_back(cut);
+GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                     std::size_t threads) {
+  const auto t = static_cast<std::int64_t>(threads);
+  // `parts` near-even cuts of [0, extent), each a multiple of `unit`.
+  auto even = [](bool by_rows, std::int64_t extent, std::int64_t parts,
+                 std::int64_t unit) {
+    GemmSplit split{by_rows, {0}};
+    for (std::int64_t p = 1; p < parts; ++p) {
+      const std::int64_t cut = (p * extent / parts + unit / 2) / unit * unit;
+      if (cut > split.cuts.back() && cut < extent) split.cuts.push_back(cut);
     }
+    split.cuts.push_back(extent);
+    return split;
+  };
+  if (t <= 1) return GemmSplit{true, {0, m}};
+  const std::int64_t groups = std::min(
+      t * (m >= kParallelRowThreshold ? 4 : 1), m / kMinGroupRows);
+  if (m >= kParallelRowThreshold) return even(true, m, groups, 1);
+  if (m * n * k >= kParallelPanelFmas) {
+    const std::int64_t panels =
+        n % kLineFloats == 0 ? std::min(t, n / kMinPanelColumns) : 1;
+    if (panels >= 2 && panels >= groups) {
+      return even(false, n, panels, kLineFloats);
+    }
+    if (groups >= 2) return even(true, m, groups, 1);
   }
-  cuts.push_back(n);
-  return cuts;
+  return GemmSplit{true, {0, m}};
 }
 
 bool gemm_simd_active() { return simd_active(); }

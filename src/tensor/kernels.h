@@ -7,13 +7,43 @@
 // matrix-core level.
 //
 // Threading goes through ThreadPool::global(), whose parallel_for runs on
-// the caller plus the workers, and degrades to serial on one core. An NN
-// GEMM makes one split decision: from kParallelRowThreshold rows of C it
-// splits rows (prefill, training); below that (decode, M = batch) a GEMM of
-// at least kParallelPanelFmas multiply-adds and wide enough for panels of
-// kMinPanelColumns splits N into one column panel per thread, cut on 64-byte
-// lines of C by column_panels(). Either way each C element is computed
-// whole by one thread, so threading never changes output bytes.
+// the caller plus the workers, and degrades to serial on one core. Every NN
+// GEMM makes one split decision, gemm_split(m, n, k, threads), from its
+// shape alone: C is cut into tiles, either row groups (whole rows of C,
+// each group streaming all of B) or column panels (all rows, a slice of B's
+// columns), and each tile runs on one thread. A row's result depends only
+// on (its A row, B), and every C element keeps its ascending-k FMA chain
+// whichever tile computes it, so threading never changes output bytes.
+//
+// The rule, with the measurements that set it (4-vCPU AVX2 KVM host, the
+// serving model's fp32 decode GEMMs, hot weights, medians of 3 alternating
+// rounds in us; panels need n >= 2 x kMinPanelColumns):
+//
+//   m x n x k                  serial   row groups   column panels   runs
+//   16 x  704 x 256 (gate, up)    132           55               -   rows
+//   16 x  256 x 704 (down)        117           74               -   rows
+//   16 x  256 x 256 (q, o)         45           38               -   serial
+//    8 x  256 x 256 (q, o)         21           22               -   serial
+//   16 x 8192 x 256 (lm_head)    1970          680             554   panels
+//    8 x 8192 x 256 (lm_head)    1015          632             300   panels
+//
+//  * From kParallelRowThreshold rows (prefill, training) rows split into up
+//    to four groups per thread, so uneven groups still balance.
+//  * Below it (decode, m = batch) a GEMM of at least kParallelPanelFmas
+//    multiply-adds splits into one tile per thread. Wide N (room for a
+//    column panel of kMinPanelColumns per thread, i.e. lm_head) takes
+//    column panels: each thread then streams only its slice of a B too big
+//    for cache. Otherwise, given two or more groups of kMinGroupRows rows,
+//    rows split: B (the layer weights) is small enough to stay in L2/L3
+//    across groups, and each group reads it in long contiguous runs.
+//  * Anything smaller runs as one serial tile.
+//
+// Tensor storage starts on a 64-byte line, and panel cuts fall on multiples
+// of 16 floats, so when n is a multiple of 16 no two panels of a Tensor's
+// C write one cache line (the kernel re-reads and re-writes its C chunk
+// every 4 k terms, and a shared line would bounce between cores). Row
+// groups share at most the one line straddling each group boundary, and
+// only when n is not a multiple of 16.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
 // every NN GEMM — fp32, bf16 and int8 weights alike — runs one streaming
@@ -48,22 +78,31 @@
 
 namespace matgpt::kernels {
 
-/// Rows of C from which a GEMM splits its rows over the thread pool.
+/// Rows of C from which a GEMM splits its rows whatever its size (and from
+/// which gemm_nt / gemm_tn split at all).
 inline constexpr std::int64_t kParallelRowThreshold = 64;
 
 /// Below kParallelRowThreshold rows, the multiply-add count (m * n * k) from
-/// which an NN GEMM splits its columns over the thread pool. Set from
-/// measurement on a 4-core AVX2 host: it threads the serving model's
-/// lm_head (256 x 8192) from batch 1, where waking the workers (~25 us) is
-/// small next to the ~100 us each panel still takes.
+/// which an NN GEMM splits over the thread pool, into row groups or column
+/// panels. Set from measurement on a 4-core AVX2 host: it threads the
+/// serving model's lm_head (256 x 8192) from batch 1 and its MLP from
+/// batch 12. Half of it also splits q and o at batch 16 (45 -> 38 us, see
+/// the table above) but moves every 1-2e6 GEMM onto the pool; with both
+/// sides of bench_gemm_autotune's int8-vs-fp32 decode ratio (512 -> 2048 at
+/// batch 1) split, that ratio read ~0.8-1.1 against ~1.2-1.5.
 inline constexpr std::int64_t kParallelPanelFmas = 2'000'000;
 
 /// The narrowest column panel a GEMM splits into (2 KB of each B row).
 /// Narrower panels cut B's rows into short strided runs the prefetcher does
 /// not follow: on a 4-core AVX2 host, splitting the serving model's MLP
-/// (n = 704 and 256) at batch 16 made the decode step ~20% slower, while
-/// lm_head's 2048-column panels ran ~3x faster than one thread.
+/// (n = 704 and 256) at batch 16 into panels made the decode step ~20%
+/// slower, while lm_head's 2048-column panels ran ~3x faster than one
+/// thread.
 inline constexpr std::int64_t kMinPanelColumns = 512;
+
+/// The fewest C rows a row group gets: below that, streaming all of B per
+/// group costs more than the group's FMAs save.
+inline constexpr std::int64_t kMinGroupRows = 4;
 
 /// Storage format of a GEMM's B (weight) operand.
 enum class WeightFormat : std::uint8_t { kF32 = 0, kBf16 = 1, kInt8 = 2 };
@@ -101,25 +140,21 @@ GemmVariant pick_variant(std::int64_t m, WeightFormat format);
 /// so every row range is covered and B streams once per block.
 int row_block(std::int64_t rows_left, int mr);
 
-/// The column split of an [m, k] x [k, n] NN GEMM writing C at `c` on
-/// `threads` threads: cut points 0 = cuts[0] < cuts[1] < ... < cuts.back()
-/// = n bounding panels of near-equal width. It splits into
-/// min(threads, n / kMinPanelColumns) panels when that is at least two,
-/// m < kParallelRowThreshold, m * n * k >= kParallelPanelFmas and n is a
-/// multiple of 16 floats (so every row starts at the same line offset);
-/// otherwise it returns {0, n}, one serial panel. Every interior cut falls
-/// on the start of a 64-byte line of C, measured from C's address, so
-/// within a row no two panels share a line: the kernel re-reads and
-/// re-writes its C chunk every 4 k terms, and a shared line would bounce
-/// between cores. Rows wrap, so when C itself is not line-aligned (Tensor
-/// storage is only 16-byte aligned) the line holding the end of row i and
-/// the start of row i + 1 is written by the last and the first panel:
-/// m - 1 shared lines per GEMM, against one per interior cut per row for
-/// cuts that ignore the address. For lm_head at m = 16 on a 4-core AVX2
-/// host those m - 1 lines cost nothing measurable.
-std::vector<std::int64_t> column_panels(const float* c, std::int64_t m,
-                                        std::int64_t n, std::int64_t k,
-                                        std::size_t threads);
+/// How an NN GEMM splits C over the thread pool: `cuts` bound its tiles,
+/// 0 = cuts[0] < cuts[1] < ... < cuts.back(), over rows of C (`by_rows`,
+/// back() == m) or over its columns (back() == n). One tile is serial.
+struct GemmSplit {
+  bool by_rows = true;
+  std::vector<std::int64_t> cuts;
+  std::size_t tiles() const { return cuts.size() - 1; }
+};
+
+/// The split an [m, k] x [k, n] NN GEMM runs with on `threads` threads, by
+/// the rule in the header comment. It depends on the shape alone. Row
+/// groups hold at least kMinGroupRows rows each (unless serial), and
+/// interior panel cuts fall on multiples of 16 floats, near even shares.
+GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                     std::size_t threads);
 
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).

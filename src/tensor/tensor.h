@@ -2,8 +2,10 @@
 // Dense row-major float32 tensor with shared storage.
 //
 // Design notes:
-//  * Storage is always contiguous; reshape is a zero-copy view, transpose
-//    copies. This keeps every kernel a flat loop over pointers.
+//  * Storage is always contiguous and starts on a 64-byte cache line;
+//    reshape is a zero-copy view, transpose copies. This keeps every kernel
+//    a flat loop over pointers, and threads splitting a GEMM's C by column
+//    panels off one another's lines (see kernels.h).
 //  * A process-wide allocation tracker records current/peak storage bytes so
 //    experiments can measure activation-memory effects (e.g. flash vs.
 //    materialized attention, Fig. 5) on the real engine.

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,7 +16,9 @@
 #include "serve/engine.h"
 #include "serve/kv_pool.h"
 #include "serve/metrics.h"
+#include "serve/spec/proposer.h"
 #include "serve/trace.h"
+#include "serve/workloads/grammar.h"
 
 namespace matgpt {
 namespace {
@@ -210,6 +213,88 @@ TEST(ServeEngine, SubmitAndStepFromCallerThread) {
             model.generate_cached(req.prompt, 5, req.sampling, rng));
   EXPECT_GE(result.ttft_s, 0.0);
   EXPECT_GE(result.total_s, result.ttft_s);
+}
+
+TEST(ServeEngine, MixedDecodeStepOfSixteenRowsMatchesGenerateCached) {
+  // Sixteen sequences decode in one step, mixing greedy, top-k/top-p and a
+  // third kind: grammar-constrained (an all-ones mask, so generate_cached
+  // is its reference) in one engine, greedy speculative in another (an
+  // engine rejects a grammar and a draft proposer together). The step
+  // draws its plain rows in one parallel pass; every request must still
+  // equal batch-1 generate_cached, and its on_token stream must arrive on
+  // the stepping thread in generation order.
+  nn::GptConfig config = serve_config(nn::ArchFamily::kLLaMA, 1);
+  config.n_layers = 3;
+  nn::GptModel model(config);
+  const auto pass_through = std::make_shared<const serve::workloads::TokenDfa>(
+      serve::workloads::TokenDfa::pass_through(config.vocab_size, 0));
+  for (const bool speculative : {false, true}) {
+    serve::EngineConfig ec;
+    ec.max_batch = 16;
+    ec.kv_slots = 16;
+    ec.queue_capacity = 16;
+    if (speculative) {
+      ec.proposer = std::make_shared<serve::spec::LayerSkipDraft>(model, 2);
+    } else {
+      ec.workloads.grammar = true;
+    }
+    serve::InferenceEngine engine(model, ec);
+
+    constexpr std::size_t kRequests = 16;
+    constexpr std::int64_t kMaxNew = 6;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::vector<std::int32_t>> streamed(kRequests);
+    std::atomic<int> off_thread{0};
+    std::vector<serve::Request> requests;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      serve::Request req;
+      req.id = 1 + i;
+      for (std::size_t t = 0; t < 3 + i % 4; ++t) {
+        req.prompt.push_back(static_cast<std::int32_t>((i * 7 + t * 3) % 50));
+      }
+      req.max_new_tokens = kMaxNew;
+      req.sampling.seed = 0xab5 + i;
+      req.sampling.temperature = 0.0f;
+      if (i % 3 != 0) {
+        req.sampling.temperature = 0.8f;
+        req.sampling.top_k = 10;
+        req.sampling.top_p = 0.9f;
+      }
+      if (i % 3 == 2 && !speculative) req.grammar = pass_through;
+      if (i % 3 == 0 && speculative && i % 2 == 0) req.spec_k = 2;
+      req.on_token = [&streamed, &off_thread, caller, i](std::int32_t token) {
+        if (std::this_thread::get_id() != caller) off_thread += 1;
+        streamed[i].push_back(token);
+      };
+      requests.push_back(req);
+    }
+    std::vector<std::future<serve::RequestResult>> futures;
+    for (const auto& req : requests) futures.push_back(engine.submit(req));
+    // The first step admits and prefills all sixteen, so the next one
+    // decodes every one of them in one forward.
+    engine.step();
+    ASSERT_EQ(engine.active_count(), kRequests);
+    engine.run_until_idle();
+
+    const char* label = speculative ? "speculative mix" : "grammar mix";
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const serve::Request& req = requests[i];
+      const serve::RequestResult result = futures[i].get();
+      Rng rng(req.sampling.seed);
+      const auto expected =
+          model.generate_cached(req.prompt, kMaxNew, req.sampling, rng);
+      EXPECT_EQ(result.tokens, expected) << label << ", request " << i;
+      EXPECT_EQ(streamed[i],
+                std::vector<std::int32_t>(expected.end() - kMaxNew,
+                                          expected.end()))
+          << label << ", request " << i;
+      if (req.spec_k > 0) {
+        EXPECT_GT(result.verify_rounds, 0) << label << ", request " << i;
+      }
+    }
+    EXPECT_EQ(off_thread.load(), 0) << label;
+    EXPECT_EQ(engine.stats().grammar_requests(), speculative ? 0u : 5u);
+  }
 }
 
 TEST(ServeKvPool, ReleaseRecyclesSlotAndClearsHistory) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -216,7 +217,7 @@ TEST(GemmContract, QuantizedMatchesFmaChainReferenceBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Column panels: the small-M split over the thread pool
+// gemm_split: the one split rule over the thread pool
 // ---------------------------------------------------------------------------
 
 // A float-aligned C at `offset` floats past the start of a 64-byte line
@@ -227,49 +228,153 @@ float* line_offset_ptr(std::vector<float>& buf, std::int64_t offset) {
   return buf.data() + to_line + offset;
 }
 
-TEST(GemmPanels, CutsCoverColumnsInOrderOnLineStarts) {
-  // column_panels only reads C's address, so it is checked on any host,
-  // including one whose global pool has no workers.
-  std::vector<float> buf(64);
-  const std::int64_t big_k = kernels::kParallelPanelFmas;  // always enough work
-  for (std::int64_t offset = 0; offset < 16; ++offset) {
-    const float* c = line_offset_ptr(buf, offset);
-    for (const std::int64_t n : {17, 64, 704, 1024, 1040, 4096, 8192, 8200}) {
-      for (std::size_t threads = 1; threads <= 8; ++threads) {
-        const auto cuts = kernels::column_panels(c, 1, n, big_k, threads);
-        ASSERT_GE(cuts.size(), 2u);
-        EXPECT_EQ(cuts.front(), 0);
-        EXPECT_EQ(cuts.back(), n);
-        const auto panels = static_cast<std::int64_t>(cuts.size()) - 1;
-        const bool splits = threads >= 2 && n % 16 == 0 &&
-                            n / kernels::kMinPanelColumns >= 2;
-        EXPECT_EQ(panels,
-                  splits ? std::min<std::int64_t>(
-                               static_cast<std::int64_t>(threads),
-                               n / kernels::kMinPanelColumns)
-                         : 1)
-            << "n=" << n << " threads=" << threads << " offset=" << offset;
-        for (std::int64_t p = 1; p < panels; ++p) {
-          const std::int64_t cut = cuts[static_cast<std::size_t>(p)];
-          EXPECT_LT(cuts[static_cast<std::size_t>(p - 1)], cut);
-          EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c + cut) % 64, 0u)
-              << "n=" << n << " threads=" << threads << " offset=" << offset
-              << " cut " << p;
-          // The nearest line start to an even share.
-          EXPECT_LE(std::abs(cut - p * n / panels), 8);
+// The split's tiles cover C exactly once, row groups hold at least
+// kMinGroupRows rows, panel cuts fall on 16-float boundaries, and a small-M
+// split has at most one tile per thread.
+void expect_valid_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                        std::size_t threads) {
+  const kernels::GemmSplit split = kernels::gemm_split(m, n, k, threads);
+  const std::string where = std::to_string(m) + "x" + std::to_string(n) +
+                            "x" + std::to_string(k) + " threads " +
+                            std::to_string(threads);
+  ASSERT_GE(split.cuts.size(), 2u) << where;
+  const std::int64_t extent = split.by_rows ? m : n;
+  ASSERT_EQ(split.cuts.front(), 0) << where;
+  ASSERT_EQ(split.cuts.back(), extent) << where;
+  std::vector<int> covered(static_cast<std::size_t>(extent), 0);
+  for (std::size_t t = 0; t < split.tiles(); ++t) {
+    ASSERT_LT(split.cuts[t], split.cuts[t + 1]) << where;
+    for (std::int64_t i = split.cuts[t]; i < split.cuts[t + 1]; ++i) {
+      covered[static_cast<std::size_t>(i)] += 1;
+    }
+  }
+  EXPECT_EQ(std::count(covered.begin(), covered.end(), 1), extent) << where;
+  if (threads == 1) {
+    EXPECT_EQ(split.tiles(), 1u) << where;
+  }
+  if (split.tiles() == 1) return;
+  if (m < kernels::kParallelRowThreshold) {
+    EXPECT_LE(split.tiles(), threads) << where;
+    EXPECT_GE(m * n * k, kernels::kParallelPanelFmas) << where;
+  }
+  for (std::size_t t = 0; t < split.tiles(); ++t) {
+    if (split.by_rows) {
+      EXPECT_GE(split.cuts[t + 1] - split.cuts[t], kernels::kMinGroupRows)
+          << where << " group " << t;
+    } else {
+      EXPECT_EQ(split.cuts[t] % 16, 0) << where << " panel " << t;
+    }
+  }
+}
+
+TEST(GemmSplit, TilesCoverCOnceWithGroupsOfFourRowsAndPanelsOnLines) {
+  // Shape-only, so it is checked on any host, including one whose global
+  // pool has no workers. The serving model's decode and prefill GEMMs
+  // ([k, n] of qkv, o, gate_up, down, lm_head) at the benchmark's row
+  // counts, then random shapes.
+  const std::int64_t kn[][2] = {{256, 256}, {256, 64},  {256, 704},
+                                {704, 256}, {256, 8192}};
+  for (std::size_t threads = 1; threads <= 8; ++threads) {
+    for (const std::int64_t m : {1, 4, 8, 16, 63, 64, 128}) {
+      for (const auto& s : kn) expect_valid_split(m, s[1], s[0], threads);
+    }
+  }
+  std::mt19937 gen(17);
+  std::uniform_int_distribution<std::int64_t> rows(1, 200), cols(1, 9000),
+      depth(1, 1200);
+  for (int i = 0; i < 2000; ++i) {
+    const std::int64_t m = rows(gen), n = cols(gen), k = depth(gen);
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+      expect_valid_split(m, n, k, threads);
+    }
+  }
+}
+
+TEST(GemmSplit, ServingShapesSplitByTheRule) {
+  // The serving model on four threads: lm_head takes column panels from
+  // m = 1, gate, up and down take row groups at m = 16, and q, o, k, v and
+  // everything at m = 8 but lm_head stay serial.
+  const auto split = [](std::int64_t m, std::int64_t n, std::int64_t k) {
+    return kernels::gemm_split(m, n, k, 4);
+  };
+  for (const std::int64_t m : {1, 4, 16, 63}) {
+    EXPECT_FALSE(split(m, 8192, 256).by_rows) << m;
+    EXPECT_EQ(split(m, 8192, 256).tiles(), 4u) << m;
+  }
+  for (const auto& [n, k] : {std::pair<std::int64_t, std::int64_t>{704, 256},
+                             {256, 704}}) {
+    EXPECT_TRUE(split(16, n, k).by_rows) << n << "x" << k;
+    EXPECT_EQ(split(16, n, k).tiles(), 4u) << n << "x" << k;
+    EXPECT_EQ(split(12, n, k).tiles(), 3u) << n << "x" << k;
+    EXPECT_EQ(split(8, n, k).tiles(), 1u) << n << "x" << k;
+  }
+  EXPECT_EQ(split(16, 256, 256).tiles(), 1u);
+  EXPECT_EQ(split(16, 64, 256).tiles(), 1u);
+  // Enough work but only one group of four rows, or two panels against
+  // four row groups, and from kParallelRowThreshold rows the GEMM splits
+  // rows, up to four groups per thread.
+  EXPECT_EQ(split(4, 704, 2048).tiles(), 1u);
+  EXPECT_TRUE(split(16, 1024, 256).by_rows);
+  EXPECT_EQ(split(16, 1024, 256).tiles(), 4u);
+  EXPECT_TRUE(split(kernels::kParallelRowThreshold, 8192, 256).by_rows);
+  EXPECT_EQ(split(kernels::kParallelRowThreshold, 8192, 256).tiles(), 16u);
+  EXPECT_EQ(split(kernels::kParallelRowThreshold, 1, 1).tiles(), 16u);
+}
+
+TEST(GemmContract, RowGroupsMatchFmaChainReferenceBytes) {
+  // m = 5..63 rows (serial, two-group and one-group-per-thread splits) at
+  // the serving widths (n = 64/256/704 split rows, 8192 columns), k large
+  // enough that most m cross kParallelPanelFmas, C at a float offset that
+  // cycles through 0..15 from a 64-byte line. Byte-exact against the
+  // fmaf-chain reference whether or not the host has workers to split over.
+  constexpr std::int64_t kRows = 63;
+  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
+                                  WeightFormat::kInt8};
+  const std::int64_t widths[] = {64, 256, 704, 8192};
+  for (const WeightFormat format : formats) {
+    // The portable scalar fp32 loop is not an FMA chain.
+    if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) continue;
+    for (const std::int64_t n : widths) {
+      const std::int64_t k =
+          std::min<std::int64_t>(1001, kernels::kParallelPanelFmas / (5 * n) +
+                                           1) |
+          1;
+      const auto a = random_matrix(kRows, k, 51);
+      const auto w = random_matrix(k, n, 52);
+      const auto c0 = random_matrix(kRows, n, 53);
+      const auto qw = format == WeightFormat::kF32
+                          ? gemm_tune::QuantWeights{}
+                          : gemm_tune::quantize_weights(w.data(), k, n, format);
+      const bool accumulate = format == WeightFormat::kF32;
+      const auto ref = fma_chain_reference(
+          a, format == WeightFormat::kF32 ? w : widen_quantized(qw),
+          format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
+          accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), kRows, n, k);
+      std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
+      for (std::int64_t m = 5; m <= kRows; ++m) {
+        float* c = line_offset_ptr(buf, m % 16);
+        const auto cn = static_cast<std::size_t>(m * n);
+        std::copy_n(c0.begin(), cn, c);
+        switch (format) {
+          case WeightFormat::kF32:
+            kernels::gemm_nn(a.data(), w.data(), c, m, n, k, accumulate);
+            break;
+          case WeightFormat::kBf16:
+            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c, m, n, k,
+                                  kernels::pick_variant(m, format));
+            break;
+          case WeightFormat::kInt8:
+            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(), c,
+                                  m, n, k, kernels::pick_variant(m, format));
+            break;
         }
+        ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
+            << kernels::format_name(format) << " " << m << "x" << n << "x"
+            << k << " split into "
+            << kernels::gemm_split(m, n, k, 4).tiles() << " on 4 threads";
       }
     }
   }
-  // Too little work stays one panel, enough splits one panel per thread,
-  // and from kParallelRowThreshold rows the GEMM splits rows instead.
-  const float* c = line_offset_ptr(buf, 0);
-  EXPECT_EQ(kernels::column_panels(c, 1, 8192, 16, 4).size(), 2u);
-  EXPECT_EQ(kernels::column_panels(c, 4, 8192, 256, 4).size(), 5u);
-  EXPECT_EQ(kernels::column_panels(c, kernels::kParallelRowThreshold, 8192,
-                                   256, 4)
-                .size(),
-            2u);
 }
 
 TEST(GemmContract, ColumnPanelsMatchFmaChainReferenceBytes) {
