@@ -17,7 +17,8 @@
 // Phases:
 //   1. calibration — the measured host anchors the model extrapolates from;
 //   2. predicted vs measured — relative error over a shape x format x
-//      tiling grid (gate: median error <= 50%, the tp_predict discipline);
+//      tiling grid, row-major and packed weights (gate: median error <=
+//      50%, the tp_predict discipline);
 //   3. rule vs fixed — autotune_speedup (int8 decode shape, gate >= 1.3x),
 //      fp32_autotune_speedup (geomean over M in {1,4,8}; the rule keeps
 //      fp32 on the default, so this reads ~1.0x), and int8_decode_speedup
@@ -71,14 +72,18 @@ std::vector<float> pattern_matrix(std::int64_t rows, std::int64_t cols,
 
 /// One GEMM shape's cold-weights working set: enough weight copies that
 /// cycling through them defeats the last-level cache between timed calls.
+/// `packed` copies hold kernels::pack_panels' layout, as a served model's
+/// layers do.
 struct ColdWeights {
   std::int64_t k = 0, n = 0;
+  bool packed = false;
   std::size_t copies = 0;
   std::vector<std::vector<float>> f32;
   std::vector<gemm_tune::QuantWeights> quant;
 
-  ColdWeights(std::int64_t k_, std::int64_t n_, WeightFormat format)
-      : k(k_), n(n_) {
+  ColdWeights(std::int64_t k_, std::int64_t n_, WeightFormat format,
+              bool packed_ = false)
+      : k(k_), n(n_), packed(packed_) {
     // >= 96 MB in the format actually streamed — int8 weights are 4x
     // smaller than fp32, so sizing by the fp32 footprint would leave the
     // int8 working set LLC-resident and the "cold" numbers hot.
@@ -90,10 +95,12 @@ struct ColdWeights {
     copies = std::max<std::size_t>(4, (96u << 20) / bytes);
     for (std::size_t i = 0; i < copies; ++i) {
       auto w = pattern_matrix(k, n, 77 + i);
+      if (packed) kernels::pack_panels(w.data(), k, n);
       if (format == WeightFormat::kF32) {
         f32.push_back(std::move(w));
       } else {
-        quant.push_back(gemm_tune::quantize_weights(w.data(), k, n, format));
+        quant.push_back(
+            gemm_tune::quantize_weights(w.data(), k, n, format, packed));
       }
     }
   }
@@ -104,8 +111,14 @@ double one_cycle(const ColdWeights& w, WeightFormat format, const float* a,
   const double t0 = now_s();
   const bool f32 = format == WeightFormat::kF32;
   for (std::size_t i = 0; i < w.copies; ++i) {
-    gemm_tune::run_gemm(a, f32 ? w.f32[i].data() : nullptr,
-                        f32 ? nullptr : &w.quant[i], c, m, w.n, w.k, variant);
+    const float* b = f32 ? w.f32[i].data() : nullptr;
+    const gemm_tune::QuantWeights* qw = f32 ? nullptr : &w.quant[i];
+    if (w.packed) {
+      const gemm_tune::PackedOperand op{b, qw, c, w.n};
+      gemm_tune::run_gemm_packed(a, m, w.k, {&op, 1}, variant);
+    } else {
+      gemm_tune::run_gemm(a, b, qw, c, m, w.n, w.k, variant);
+    }
   }
   return (now_s() - t0) / static_cast<double>(w.copies);
 }
@@ -264,27 +277,35 @@ int main() {
   double worst_err = 0.0;
   for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
     for (const auto& s : grid) {
-      ColdWeights w(s.k, s.n, format);
-      // The default tiling plus the rule's pick: the two tilings the
-      // dispatcher will actually run.
-      std::vector<GemmVariant> tilings{kernels::gemm_default_variant()};
-      const GemmVariant pick = kernels::pick_variant(s.m, format);
-      if (!(pick == tilings[0])) tilings.push_back(pick);
-      for (const auto& v : tilings) {
-        const double predicted =
-            gemm_tune::predict_seconds(s.m, s.n, s.k, format, v, anchors);
+      auto check = [&](const ColdWeights& w, const GemmVariant& v) {
+        const double predicted = gemm_tune::predict_seconds(
+            s.m, s.n, s.k, format, v, anchors, w.packed);
         const double measured = time_cold(w, format, s.m, v);
         const double err = std::abs(predicted - measured) / measured;
         rel_errors.push_back(err);
         worst_err = std::max(worst_err, err);
-        std::printf("  %4s %2lldx%lldx%lld mr=%2d nc=%4lld: predicted %7.1f "
+        std::printf("  %4s %2lldx%lldx%lld %s: predicted %7.1f "
                     "us, measured %7.1f us (%.1f GFLOP/s), err %4.0f%%\n",
                     kernels::format_name(format),
                     static_cast<long long>(s.m), static_cast<long long>(s.n),
-                    static_cast<long long>(s.k), v.mr,
-                    static_cast<long long>(v.nc), predicted * 1e6,
-                    measured * 1e6, gflops(s.m, s.n, s.k, measured), 100 * err);
+                    static_cast<long long>(s.k),
+                    w.packed ? "packed     "
+                             : ("mr=" + std::to_string(v.mr) + " nc=" +
+                                std::to_string(v.nc))
+                                   .c_str(),
+                    predicted * 1e6, measured * 1e6,
+                    gflops(s.m, s.n, s.k, measured), 100 * err);
+      };
+      // The default tiling plus the rule's pick over row-major weights:
+      // the two tilings the dispatcher will actually run.
+      const GemmVariant pick = kernels::pick_variant(s.m, format);
+      {
+        ColdWeights w(s.k, s.n, format);
+        check(w, kernels::gemm_default_variant());
+        if (!(pick == kernels::gemm_default_variant())) check(w, pick);
       }
+      // And the packed panels a served model's layers run.
+      check(ColdWeights(s.k, s.n, format, /*packed=*/true), pick);
     }
   }
   const double predict_error_median = median(rel_errors);

@@ -9,7 +9,13 @@ fails on a >tolerance regression vs the committed baseline.
 
 Usage:
     python3 bench/compare_baselines.py --results-dir build \
-        [--baselines-dir bench/baselines]
+        [--baselines-dir bench/baselines] [--append bench/trajectory.jsonl]
+
+--append FILE adds one JSON line to FILE recording this comparison: the
+commit (`git describe --always --dirty`), the host's fingerprint (nproc and
+its AVX2/FMA/AVX-512 flags) and every gate's value and verdict, so the
+performance trajectory can be read across commits without comparing
+numbers from different machines by accident.
 
 Exit status: 0 when every gate holds, 1 otherwise. A bench that produced no
 results file fails its gates (the bench crashed before writing JSON).
@@ -18,6 +24,7 @@ results file fails its gates (the bench crashed before writing JSON).
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 
@@ -30,6 +37,32 @@ def load_json(path):
         return None
 
 
+def commit_id():
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def host_fingerprint():
+    flags = set()
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name") and cpu == "unknown":
+                    cpu = line.split(":", 1)[1].strip()
+                if line.startswith("flags") and not flags:
+                    flags = set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu": cpu,
+            "avx2": "avx2" in flags, "fma": "fma" in flags,
+            "avx512f": "avx512f" in flags}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--results-dir", required=True,
@@ -37,6 +70,9 @@ def main():
                              "benches just wrote")
     parser.add_argument("--baselines-dir", default="bench/baselines",
                         help="directory with committed baselines + gates.json")
+    parser.add_argument("--append", metavar="FILE",
+                        help="append one JSON line with the commit, host and "
+                             "every gate's value and verdict to FILE")
     args = parser.parse_args()
 
     manifest = load_json(os.path.join(args.baselines_dir, "gates.json"))
@@ -47,6 +83,7 @@ def main():
 
     failures = 0
     checked = 0
+    records = []
     results_cache = {}
     baselines_cache = {}
     for gate in manifest["gates"]:
@@ -60,6 +97,9 @@ def main():
         current_doc, baseline_doc = results_cache[fname], baselines_cache[fname]
         label = f"{fname}:{metric}"
         checked += 1
+        record = {"file": fname, "metric": metric, "value": None,
+                  "verdict": "FAIL"}
+        records.append(record)
         if current_doc is None:
             print(f"FAIL  {label}: no results file (bench crashed?)")
             failures += 1
@@ -85,6 +125,14 @@ def main():
                       f"(floor {floor:.4g})")
         print(f"{'ok   ' if ok else 'FAIL '} {label}: {detail}")
         failures += 0 if ok else 1
+        record["value"] = current
+        record["verdict"] = "ok" if ok else "FAIL"
+
+    if args.append:
+        row = {"commit": commit_id(), "host": host_fingerprint(),
+               "gates_held": checked - failures, "gates": records}
+        with open(args.append, "a", encoding="utf-8") as f:
+            f.write(json.dumps(row, sort_keys=True) + "\n")
 
     print(f"\n{checked - failures}/{checked} bench gates hold "
           f"(tolerance {tolerance:.0%})")

@@ -188,15 +188,17 @@ Var SelfAttention::forward(Tape& tape, const Var& x, const RaggedBatch& batch,
                            std::int64_t layer) const {
   const std::int64_t rows = x.value().dim(0);
   const std::int64_t head_dim = hidden_ / n_heads_;
-  auto heads = [&](const Linear& proj, std::int64_t n_heads) {
-    return ops::reshape(tape, proj.forward(tape, x, batch.path),
-                        {rows, n_heads, head_dim});
+  const Linear* qkv_proj[] = {&q_proj_, &k_proj_, &v_proj_};
+  const std::vector<Var> qkv =
+      Linear::forward_many(tape, x, qkv_proj, batch.path);
+  auto heads = [&](const Var& proj, std::int64_t n_heads) {
+    return ops::reshape(tape, proj, {rows, n_heads, head_dim});
   };
-  Var q = ops::rope_rows(tape, heads(q_proj_, n_heads_), positions,
+  Var q = ops::rope_rows(tape, heads(qkv[0], n_heads_), positions,
                          rope_theta_, rotary_fraction_);
-  Var k = ops::rope_rows(tape, heads(k_proj_, n_kv_heads_), positions,
+  Var k = ops::rope_rows(tape, heads(qkv[1], n_kv_heads_), positions,
                          rope_theta_, rotary_fraction_);
-  Var v = heads(v_proj_, n_kv_heads_);
+  Var v = heads(qkv[2], n_kv_heads_);
   // Append every sequence's rows before taking block pointers: an append
   // may allocate or copy-on-write-fork the blocks the histories read.
   const std::int64_t row = n_kv_heads_ * head_dim;

@@ -158,8 +158,10 @@ class SelfAttention : public Module {
               std::span<const std::int64_t> positions,
               std::int64_t layer) const;
 
-  /// Install (kF32: drop) quantized decode sidecars on all four
-  /// projections. Call before serving; not thread-safe vs. forwards.
+  /// Pack all four projections and install (kF32: drop) their quantized
+  /// decode sidecars (see GptModel::prepare_decode_quant). Call before
+  /// serving; not thread-safe vs. forwards. The ragged forward runs q|k|v
+  /// as one packed job.
   void prepare_decode_quant(kernels::WeightFormat format) const;
 
  private:
@@ -273,11 +275,17 @@ class GptModel : public Module {
       std::span<const std::int32_t> prompt, std::int64_t max_new_tokens,
       float temperature, Rng& rng) const;
 
-  /// Install (kF32: drop) bf16/int8 decode sidecars on every attention and
-  /// MLP projection plus the lm_head (token embedding stays fp32). Decode,
-  /// ragged-batch decode, and speculative verify then run the quantized
-  /// kernels; prefill, training, and gradients always stay fp32. Call
-  /// before serving traffic — not thread-safe against running forwards.
+  /// Prepare the model for serving (every InferenceEngine constructor
+  /// calls this): pack every attention and MLP projection and the lm_head
+  /// in place into kernels::pack_panels' panels (once; see Linear), and
+  /// install (kF32: drop) bf16/int8 decode sidecars in the same layout
+  /// (token embedding stays fp32 and row-major). Decode, ragged-batch
+  /// decode, and speculative verify then run the quantized kernels;
+  /// prefill stays fp32. Every logit byte is unchanged by the packing.
+  /// A packed model no longer takes gradients: train before serving, or
+  /// load a checkpoint (nn::save writes row-major) into a fresh model.
+  /// Call before serving traffic — not thread-safe against running
+  /// forwards.
   void prepare_decode_quant(kernels::WeightFormat format) const;
   kernels::WeightFormat decode_quant_format() const { return decode_quant_; }
 

@@ -22,26 +22,46 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, bool bias,
 }
 
 Var Linear::forward(Tape& tape, const Var& x, FwdPath path) const {
-  MGPT_CHECK(x.value().dim(-1) == in_,
-             "Linear expects feature dim " << in_ << ", got "
+  const Linear* self = this;
+  return forward_many(tape, x, {&self, 1}, path)[0];
+}
+
+std::vector<Var> Linear::forward_many(Tape& tape, const Var& x,
+                                      std::span<const Linear* const> group,
+                                      FwdPath path) {
+  const std::int64_t in = group[0]->in_;
+  MGPT_CHECK(x.value().dim(-1) == in,
+             "Linear expects feature dim " << in << ", got "
                                            << x.value().shape_str());
-  Var flat = x.value().ndim() == 2
-                 ? x
-                 : ops::reshape(tape, x, {-1, in_});
-  const gemm_tune::QuantWeights* qw =
-      path == FwdPath::kDecode ? quant_.get() : nullptr;
-  Var y = ops::matmul(tape, flat, weight_, qw);
-  if (bias_.defined()) y = ops::add_bias(tape, y, bias_);
-  return y;
+  Var flat = x.value().ndim() == 2 ? x : ops::reshape(tape, x, {-1, in});
+  std::vector<Var> weights;
+  std::vector<const gemm_tune::QuantWeights*> quants;
+  for (const Linear* lin : group) {
+    weights.push_back(lin->weight_);
+    quants.push_back(path == FwdPath::kDecode ? lin->quant_.get() : nullptr);
+  }
+  std::vector<Var> ys = ops::matmul_many(tape, flat, weights, quants);
+  for (std::size_t i = 0; i < ys.size(); ++i) {
+    if (group[i]->bias_.defined()) {
+      ys[i] = ops::add_bias(tape, ys[i], group[i]->bias_);
+    }
+  }
+  return ys;
 }
 
 void Linear::set_decode_weights(kernels::WeightFormat format) const {
+  VarNode& w = *weight_.node();
+  if (!w.packed) {
+    kernels::pack_panels(w.value.data(), in_, out_);
+    w.packed = true;
+  }
   if (format == kernels::WeightFormat::kF32) {
     quant_.reset();
     return;
   }
   quant_ = std::make_shared<const gemm_tune::QuantWeights>(
-      gemm_tune::quantize_weights(weight_.value().data(), in_, out_, format));
+      gemm_tune::quantize_weights(w.value.data(), in_, out_, format,
+                                  /*packed=*/true));
 }
 
 kernels::WeightFormat Linear::decode_format() const {
@@ -105,9 +125,10 @@ SwiGluMlp::SwiGluMlp(std::int64_t hidden, Rng& rng, float out_init_scale,
 }
 
 Var SwiGluMlp::forward(Tape& tape, const Var& x, FwdPath path) const {
-  Var g = ops::silu(tape, gate_.forward(tape, x, path));
-  Var u = up_.forward(tape, x, path);
-  return down_.forward(tape, ops::mul(tape, g, u), path);
+  const Linear* gate_up[] = {&gate_, &up_};
+  std::vector<Var> gu = Linear::forward_many(tape, x, gate_up, path);
+  Var g = ops::silu(tape, gu[0]);
+  return down_.forward(tape, ops::mul(tape, g, gu[1]), path);
 }
 
 void SwiGluMlp::set_decode_weights(kernels::WeightFormat format) const {

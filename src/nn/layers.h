@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/module.h"
@@ -25,6 +27,15 @@ namespace matgpt::nn {
 enum class FwdPath : std::uint8_t { kPrefill, kDecode };
 
 /// y = x W (+ b); weight stored [in, out] so forward is a plain NN GEMM.
+///
+/// Serving packs the weight: set_decode_weights re-lays it IN PLACE as
+/// kernels::pack_panels' contiguous 64-column panels (VarNode::packed), so
+/// every GEMM thread streams its own contiguous slice and no weight exists
+/// twice. Packing is one-way and changes no parameter name, shape or
+/// logit byte. Afterwards only the GEMM kernels read the raw weight bytes:
+/// nn::save and the tensor-parallel shards read it through ops::row_major,
+/// nn::load re-packs what it reads, and a gradient-recording forward
+/// throws (train before serving, or reload into a fresh model).
 class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, bool bias,
@@ -35,9 +46,15 @@ class Linear : public Module {
   Var forward(Tape& tape, const Var& x,
               FwdPath path = FwdPath::kPrefill) const;
 
-  /// Build (or with kF32: drop) the quantized decode sidecar of the
-  /// current fp32 weights. Not thread-safe against concurrent forwards —
-  /// call before serving starts. Gradients and prefill are unaffected.
+  /// forward() of every Linear in `group` (all [in, *]) on the same x, as
+  /// one ops::matmul_many job once they are packed: q|k|v, gate|up.
+  static std::vector<Var> forward_many(Tape& tape, const Var& x,
+                                       std::span<const Linear* const> group,
+                                       FwdPath path);
+
+  /// Pack the weight in place (once) and build (or with kF32: drop) the
+  /// quantized decode sidecar in the same layout. Not thread-safe against
+  /// concurrent forwards — call before serving starts. Prefill stays fp32.
   void set_decode_weights(kernels::WeightFormat format) const;
   kernels::WeightFormat decode_format() const;
 

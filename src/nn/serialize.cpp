@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "tensor/kernels.h"
+#include "tensor/ops.h"
 
 namespace matgpt::nn {
 
@@ -24,7 +26,8 @@ void save_parameters(const Module& module, std::ostream& os) {
     os << "\n";
   }
   for (const auto& p : params) {
-    const auto& t = p.var.value();
+    // Checkpoints are row-major whatever layout serving packed a weight in.
+    const Tensor t = ops::row_major(p.var);
     os.write(reinterpret_cast<const char*>(t.data()),
              static_cast<std::streamsize>(t.numel() *
                                           static_cast<std::int64_t>(
@@ -72,6 +75,10 @@ void load_parameters(Module& module, std::istream& is) {
                                                 static_cast<std::int64_t>(
                                                     sizeof(float))),
                "truncated checkpoint payload at " << p.name);
+    // A weight serving packed stays packed: re-lay the row-major payload.
+    if (p.var.node()->packed) {
+      kernels::pack_panels(t.data(), t.dim(0), t.dim(1));
+    }
   }
 }
 

@@ -154,8 +154,9 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
     std::lock_guard lock(stats_mutex_);
     stats_.set_tp(config_.tensor_parallel, tp::layout_name(config_.tp_layout));
   }
-  // Install (or with kF32: drop) the model's quantized decode sidecars.
-  // Always called so a model previously served quantized comes back clean.
+  // Pack the model's weights in place (once) and install (or with kF32:
+  // drop) its quantized decode sidecars. Always called so a model
+  // previously served quantized comes back clean.
   model_.prepare_decode_quant(config_.decode_quant);
   if (config_.decode_quant != kernels::WeightFormat::kF32) {
     std::lock_guard lock(stats_mutex_);

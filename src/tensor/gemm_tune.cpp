@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.h"
 #include "parallel/thread_pool.h"
 #include "tensor/dtype.h"
 
@@ -160,11 +161,12 @@ HostAnchors measure_anchors() {
 }  // namespace
 
 QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
-                              WeightFormat format) {
+                              WeightFormat format, bool packed) {
   QuantWeights qw;
   qw.format = format;
   qw.k = k;
   qw.n = n;
+  qw.packed = packed;
   const std::size_t count = static_cast<std::size_t>(k * n);
   if (format == WeightFormat::kBf16) {
     qw.bf16.resize(count);
@@ -173,12 +175,16 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
           std::bit_cast<std::uint32_t>(round_bf16(w[i])) >> 16);
     }
   } else if (format == WeightFormat::kInt8) {
+    auto at = [&](std::int64_t l, std::int64_t j) {
+      return static_cast<std::size_t>(
+          packed ? kernels::packed_index(l, j, k, n) : l * n + j);
+    };
     qw.q8.resize(count);
     qw.scale.resize(static_cast<std::size_t>(n));
     for (std::int64_t j = 0; j < n; ++j) {
       float amax = 0.0f;
       for (std::int64_t l = 0; l < k; ++l) {
-        amax = std::max(amax, std::fabs(w[l * n + j]));
+        amax = std::max(amax, std::fabs(w[at(l, j)]));
       }
       const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
       qw.scale[static_cast<std::size_t>(j)] = scale;
@@ -189,10 +195,10 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
       // and served int8 sidecars must stay byte-stable.
       const bool divide = !std::isfinite(inv);
       for (std::int64_t l = 0; l < k; ++l) {
-        const float x = w[l * n + j];
+        const float x = w[at(l, j)];
         const float q = std::nearbyintf(divide ? x / scale : x * inv);
-        qw.q8[static_cast<std::size_t>(l * n + j)] = static_cast<std::int8_t>(
-            std::clamp(q, -127.0f, 127.0f));
+        qw.q8[at(l, j)] =
+            static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
       }
     }
   }
@@ -217,6 +223,34 @@ void run_gemm(const float* a, const float* b, const QuantWeights* qw,
   }
 }
 
+void run_gemm_packed(const float* a, std::int64_t m, std::int64_t k,
+                     std::span<const PackedOperand> ops,
+                     const GemmVariant& variant) {
+  WeightFormat format = WeightFormat::kF32;
+  std::vector<kernels::PackedGemm> gemms;
+  gemms.reserve(ops.size());
+  for (const PackedOperand& op : ops) {
+    const bool quant = op.qw != nullptr && op.qw->format != WeightFormat::kF32;
+    const WeightFormat f = quant ? op.qw->format : WeightFormat::kF32;
+    if (gemms.empty()) format = f;
+    MGPT_CHECK(f == format, "a packed job runs one weight format");
+    MGPT_CHECK(!quant || op.qw->packed, "quantized weights are not packed");
+    kernels::PackedGemm g;
+    g.c = op.c;
+    g.n = op.n;
+    switch (f) {
+      case WeightFormat::kF32: g.b = op.b; break;
+      case WeightFormat::kBf16: g.b = op.qw->bf16.data(); break;
+      case WeightFormat::kInt8:
+        g.b = op.qw->q8.data();
+        g.scale = op.qw->scale.data();
+        break;
+    }
+    gemms.push_back(g);
+  }
+  kernels::gemm_packed(a, m, k, format, gemms, variant);
+}
+
 const HostAnchors& host_anchors() {
   static const HostAnchors anchors = measure_anchors();
   return anchors;
@@ -224,23 +258,36 @@ const HostAnchors& host_anchors() {
 
 double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
                        WeightFormat format, const GemmVariant& variant,
-                       const HostAnchors& anchors) {
+                       const HostAnchors& anchors, bool packed) {
   // The widest tile of the split prices the GEMM. Concurrent tiles share
   // the pool's aggregate compute rate; a row group reads all of B (shared
   // with the other groups through L3) at one thread's streaming rate, a
-  // column panel its own slice of B at its share of the pool's.
+  // column panel (row-major) or panel range (packed) its own slice of B at
+  // its share of the pool's.
   const std::size_t threads = std::max<std::size_t>(anchors.threads, 1);
-  const kernels::GemmSplit split = kernels::gemm_split(m, n, k, threads);
+  const std::int64_t panels =
+      (n + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
+  const kernels::GemmSplit split =
+      packed ? kernels::packed_split(m, n, k, panels, threads)
+             : kernels::gemm_split(m, n, k, threads);
   std::int64_t widest = 0;
   for (std::size_t t = 0; t < split.tiles(); ++t) {
     widest = std::max(widest, split.cuts[t + 1] - split.cuts[t]);
+  }
+  if (packed && !split.by_rows) {
+    widest = std::min(n, widest * kernels::kPanelFloats);
   }
   const std::int64_t tile_m = split.by_rows ? widest : m;
   const std::int64_t tile_n = split.by_rows ? n : widest;
   const auto concurrent =
       static_cast<double>(std::min(split.tiles(), threads));
-  const double compute_share = std::min(
-      1.0, anchors.pool_f32_gflops / (concurrent * anchors.f32_gflops));
+  // Row groups contend for the one B they share; packed panel ranges
+  // compute on disjoint panels, each at a whole thread's rate.
+  const double compute_share =
+      packed && !split.by_rows
+          ? 1.0
+          : std::min(1.0, anchors.pool_f32_gflops /
+                              (concurrent * anchors.f32_gflops));
   const double stream_gbs = split.by_rows
                                 ? anchors.stream_gbs
                                 : anchors.pool_stream_gbs / concurrent;
@@ -248,8 +295,20 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
   const double rounds = std::ceil(static_cast<double>(split.tiles()) /
                                   static_cast<double>(threads));
 
-  const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
+  // Packed panels run the register kernel: one column chunk per panel and
+  // rows four at a time, a lone row at half rate.
+  const std::int64_t nc =
+      packed ? kernels::kPanelFloats : std::max<std::int64_t>(variant.nc, 8);
   const std::vector<int> blocks = row_blocks(tile_m, variant.mr);
+  double efficiency = pair_efficiency(blocks, tile_m);
+  if (packed) {
+    double weighted = 0.0;
+    for (std::int64_t rem = tile_m; rem > 0; rem -= 4) {
+      weighted +=
+          rem == 1 ? 0.5 : static_cast<double>(std::min<std::int64_t>(rem, 4));
+    }
+    efficiency = weighted / static_cast<double>(tile_m);
+  }
 
   double peak_gflops = anchors.f32_gflops;
   if (format == WeightFormat::kBf16) peak_gflops = anchors.bf16_gflops;
@@ -257,20 +316,21 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
   peak_gflops *= compute_share;
 
   const double flops = 2.0 * static_cast<double>(tile_m) * tile_n * k;
-  const double t_compute = flops / (peak_gflops * 1e9 *
-                                    pair_efficiency(blocks, tile_m) *
+  const double t_compute = flops / (peak_gflops * 1e9 * efficiency *
                                     column_efficiency(tile_n, nc));
 
   // Each row block streams the tile's weights once. Short contiguous
   // segments (nc * element bytes) defeat the hardware prefetchers; the
   // clamp floor matches the measured worst case (int8 at nc=512 runs at
-  // ~1/3 of long-segment bandwidth on this host).
+  // ~1/3 of long-segment bandwidth on this host). A packed tile's panels
+  // are one contiguous run.
   const double bytes_per_pass =
       static_cast<double>(k) * static_cast<double>(tile_n) *
       elem_bytes(format);
   const double seg_bytes =
       static_cast<double>(std::min(nc, tile_n)) * elem_bytes(format);
-  const double seg = std::clamp(seg_bytes / 2048.0, 0.35, 1.0);
+  const double seg =
+      packed ? 1.0 : std::clamp(seg_bytes / 2048.0, 0.35, 1.0);
   const double t_mem = static_cast<double>(blocks.size()) * bytes_per_pass /
                        (stream_gbs * 1e9 * seg);
 

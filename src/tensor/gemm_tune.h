@@ -13,8 +13,9 @@
 // throughput with pairing/fringe efficiency terms vs weight-streaming
 // traffic with a segment-length term, re-anchored to measured host numbers
 // the way tp_predict anchors simfrontier's alpha-beta model. It prices the
-// split kernels::gemm_split says will run (its widest tile, once per round
-// of tiles over the pool) and, within a tile, the row blocks
+// split that will run — kernels::gemm_split's over row-major B,
+// kernels::packed_split's over packed panels — by its widest tile, once
+// per round of tiles over the pool, and, within a tile, the row blocks
 // kernels::row_block says will run, for every format. It predicts;
 // it does not choose. The tiling that runs comes from the fixed rule in
 // kernels::pick_variant, and every tiling writes identical bytes (see
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -30,25 +32,45 @@ namespace matgpt::gemm_tune {
 
 /// A weight matrix [k, n] re-encoded for the quantized decode GEMMs.
 /// bf16: raw bit patterns (value = bits << 16). int8: per-output-column
-/// symmetric scales, q = round(w / scale) clamped to [-127, 127].
+/// symmetric scales, q = round(w / scale) clamped to [-127, 127]. `packed`
+/// elements sit in kernels::pack_panels' layout, else row-major.
 struct QuantWeights {
   kernels::WeightFormat format = kernels::WeightFormat::kF32;
   std::int64_t k = 0;
   std::int64_t n = 0;
+  bool packed = false;
   std::vector<std::uint16_t> bf16;  // [k * n] when format == kBf16
   std::vector<std::int8_t> q8;      // [k * n] when format == kInt8
   std::vector<float> scale;         // [n] when format == kInt8
 };
 
-/// Build the quantized sidecar for a row-major [k, n] fp32 weight matrix.
+/// Build the quantized sidecar for a [k, n] fp32 weight matrix, in the
+/// layout `w` has: row-major, or packed panels when `packed`. Every element
+/// and scale is the same either way; only its position differs.
 QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
-                              kernels::WeightFormat format);
+                              kernels::WeightFormat format,
+                              bool packed = false);
 
 /// C[m,n] = A[m,k] * W[k,n] at the given tiling. W is read from `qw` in
 /// its format when `qw` is non-null and not fp32, else from the fp32 `b`.
 void run_gemm(const float* a, const float* b, const QuantWeights* qw,
               float* c, std::int64_t m, std::int64_t n, std::int64_t k,
               const kernels::GemmVariant& variant);
+
+/// One GEMM of a packed job: C[m, n] = A * W, W read from `qw` in its
+/// format when `qw` is non-null and not fp32, else from the fp32 `b`.
+/// Either one holds packed panels.
+struct PackedOperand {
+  const float* b = nullptr;
+  const QuantWeights* qw = nullptr;
+  float* c = nullptr;
+  std::int64_t n = 0;
+};
+
+/// The GEMMs of `ops` (all in one format) as one kernels::gemm_packed job.
+void run_gemm_packed(const float* a, std::int64_t m, std::int64_t k,
+                     std::span<const PackedOperand> ops,
+                     const kernels::GemmVariant& variant);
 
 /// Measured host anchors for the cost model (the tp_predict idiom:
 /// measure a reference shape, calibrate the model so prediction matches
@@ -74,11 +96,14 @@ const HostAnchors& host_anchors();
 
 /// Analytic time for one gemm of the given shape/format/tiling in the
 /// streaming (cold-weights) regime the serving engine lives in, run with
-/// the split kernels::gemm_split picks on anchors.threads threads.
+/// the split kernels::gemm_split picks on anchors.threads threads, or with
+/// `packed` B (what a prepared model's layers run) kernels::packed_split's:
+/// below kParallelRowThreshold rows each tile streams only its own panels,
+/// 1/T of B in one contiguous run, at its share of the pool's rate.
 double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
                        kernels::WeightFormat format,
                        const kernels::GemmVariant& variant,
-                       const HostAnchors& anchors);
+                       const HostAnchors& anchors, bool packed = false);
 
 /// Candidate tilings for a shape, deduplicated by effective row-block
 /// decomposition (mr > m collapses onto the remainder path) and effective

@@ -41,55 +41,68 @@ inline float b_value(BT v) {
   }
 }
 
-// Portable scalar fp32 NN loop (also the path behind the AVX2 dispatch when
-// the host lacks the ISA). l-outer/j-inner keeps B reads contiguous. The
-// zero-skip makes one-hot rows (embedding-style products) cheap.
-void gemm_nn_scalar_rows(const float* a, const float* b, float* c,
-                         std::int64_t i_lo, std::int64_t i_hi,
-                         std::int64_t j_lo, std::int64_t j_hi, std::int64_t n,
-                         std::int64_t k, bool accumulate) {
+// Portable scalar fp32 NN loop over one panel (also the path behind the
+// AVX2 dispatch when the host lacks the ISA): C rows [i_lo, i_hi), `width`
+// columns. l-outer/j-inner keeps B reads contiguous. The zero-skip makes
+// one-hot rows (embedding-style products) cheap.
+void gemm_nn_scalar_rows(const float* a, std::int64_t k, const float* b,
+                         std::int64_t ldb, float* c, std::int64_t ldc,
+                         std::int64_t width, std::int64_t i_lo,
+                         std::int64_t i_hi, bool accumulate) {
   for (std::int64_t i = i_lo; i < i_hi; ++i) {
-    float* crow = c + i * n;
+    float* crow = c + i * ldc;
     if (!accumulate) {
-      std::memset(crow + j_lo, 0,
-                  sizeof(float) * static_cast<std::size_t>(j_hi - j_lo));
+      std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(width));
     }
     const float* arow = a + i * k;
     for (std::int64_t l = 0; l < k; ++l) {
       const float av = arow[l];
       if (av == 0.0f) continue;
-      const float* brow = b + l * n;
-      for (std::int64_t j = j_lo; j < j_hi; ++j) crow[j] += av * brow[j];
+      const float* brow = b + l * ldb;
+      for (std::int64_t j = 0; j < width; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-// Portable quantized NN loop. Ascending-k single-rounding FMA per C
-// element, then (int8, `scale` non-null) one single-rounding multiply by
-// the column scale — the exact operation sequence of the AVX2 kernel below,
-// so SIMD and portable builds produce identical bytes.
+// Portable quantized NN loop over one panel. Ascending-k single-rounding
+// FMA per C element, then (int8, `scale` non-null) one single-rounding
+// multiply by the column scale — the exact operation sequence of the AVX2
+// kernel below, so SIMD and portable builds produce identical bytes.
 template <typename BT>
-void gemm_quant_scalar_rows(const float* a, const BT* b, const float* scale,
-                            float* c, std::int64_t i_lo, std::int64_t i_hi,
-                            std::int64_t j_lo, std::int64_t j_hi,
-                            std::int64_t n, std::int64_t k) {
+void gemm_quant_scalar_rows(const float* a, std::int64_t k, const BT* b,
+                            std::int64_t ldb, const float* scale, float* c,
+                            std::int64_t ldc, std::int64_t width,
+                            std::int64_t i_lo, std::int64_t i_hi) {
   for (std::int64_t i = i_lo; i < i_hi; ++i) {
-    float* crow = c + i * n;
-    std::memset(crow + j_lo, 0,
-                sizeof(float) * static_cast<std::size_t>(j_hi - j_lo));
+    float* crow = c + i * ldc;
+    std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(width));
     const float* arow = a + i * k;
     for (std::int64_t l = 0; l < k; ++l) {
       const float av = arow[l];
-      const BT* brow = b + l * n;
-      for (std::int64_t j = j_lo; j < j_hi; ++j) {
+      const BT* brow = b + l * ldb;
+      for (std::int64_t j = 0; j < width; ++j) {
         crow[j] = std::fmaf(av, b_value(brow[j]), crow[j]);
       }
     }
     if (scale != nullptr) {
-      for (std::int64_t j = j_lo; j < j_hi; ++j) crow[j] *= scale[j];
+      for (std::int64_t j = 0; j < width; ++j) crow[j] *= scale[j];
     }
   }
 }
+
+// One panel of a GEMM: `width` columns of B starting at `b`, whose rows
+// lie `ldb` elements apart (the panel width when packed, n when B is
+// row-major), and the matching columns of C (rows `ldc` floats apart) and,
+// for int8, of the column scales.
+template <typename BT>
+struct Panel {
+  const BT* b;
+  std::int64_t ldb;
+  std::int64_t width;
+  const float* scale;
+  float* c;
+  std::int64_t ldc;
+};
 
 #ifdef MATGPT_X86_DISPATCH
 #pragma GCC push_options
@@ -111,17 +124,20 @@ inline __m256 load_b(const BT* p) {
   }
 }
 
-// The streaming NN microkernel, templated on the number of C rows it
-// carries and on the B storage format (fp32, bf16 bits, int8), with a
-// runtime column-chunk size `nc` (the cache-block knob pick_variant sets).
+// The streaming NN microkernel over one wide panel of B (row-major B as
+// one panel, or one of its column panels): ROWS rows of A (`k` floats
+// apart) times `width` columns of B whose rows lie `ldb` elements apart,
+// into C rows `ldc` floats apart. Templated on the row count and on the B
+// storage format (fp32, bf16 bits, int8), with a runtime column-chunk
+// size `nc` (the cache-block knob pick_variant sets).
 //
 // Loop order is (column chunk, k-block of 4, columns): B is read exactly
-// once per call in contiguous row segments (prefetch-friendly — a
-// column-tiled kernel would walk B at stride n and die of cache-miss
-// latency on serving-sized weight matrices), while the ROWS x nc-float C
-// chunk stays L1-resident. Sharing each B load across ROWS rows is the
-// whole point: one row (batch-1 decode) is B-bandwidth-bound, eight rows
-// (a full serving batch) run at FMA throughput from the same traffic.
+// once per call in row segments (prefetch-friendly — a column-tiled kernel
+// would walk B at stride n and die of cache-miss latency on serving-sized
+// weight matrices), while the ROWS x nc-float C chunk stays L1-resident.
+// Sharing each B load across ROWS rows is the whole point: one row
+// (batch-1 decode) is B-bandwidth-bound, eight rows (a full serving batch)
+// run at FMA throughput from the same traffic.
 //
 // Numerics: every C element accumulates its k terms in ascending order with
 // single-rounding FMAs over the widened B value — identical in the vector
@@ -134,18 +150,18 @@ inline __m256 load_b(const BT* p) {
 // keeps the serving engine's ragged-batch decode (and any tiling choice)
 // bit-identical to batch-1 decoding.
 template <int ROWS, typename BT>
-void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
-                      float* c, std::int64_t i0, std::int64_t j_lo,
-                      std::int64_t j_hi, std::int64_t n, std::int64_t k,
-                      bool accumulate, std::int64_t nc) {
+void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
+                      std::int64_t ldb, const float* scale, float* c,
+                      std::int64_t ldc, std::int64_t width, bool accumulate,
+                      std::int64_t nc) {
   const float* arow[ROWS];
   float* crow[ROWS];
   for (int r = 0; r < ROWS; ++r) {
-    arow[r] = a + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(k);
-    crow[r] = c + static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(n);
+    arow[r] = a + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
+    crow[r] = c + static_cast<std::size_t>(r) * static_cast<std::size_t>(ldc);
   }
-  for (std::int64_t j0 = j_lo; j0 < j_hi; j0 += nc) {
-    const std::int64_t jend = std::min(j_hi, j0 + nc);
+  for (std::int64_t j0 = 0; j0 < width; j0 += nc) {
+    const std::int64_t jend = std::min(width, j0 + nc);
     const std::int64_t jvec = j0 + ((jend - j0) / 8) * 8;
     if (!accumulate) {
       for (int r = 0; r < ROWS; ++r) {
@@ -155,10 +171,10 @@ void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
     }
     std::int64_t l = 0;
     for (; l + 4 <= k; l += 4) {
-      const BT* b0 = b + static_cast<std::size_t>(l) * n;
-      const BT* b1 = b0 + n;
-      const BT* b2 = b1 + n;
-      const BT* b3 = b2 + n;
+      const BT* b0 = b + static_cast<std::size_t>(l) * ldb;
+      const BT* b1 = b0 + ldb;
+      const BT* b2 = b1 + ldb;
+      const BT* b3 = b2 + ldb;
       // Row pairs with all eight broadcasts hoisted into registers: each
       // B load feeds two C rows, and after the first pair streams this
       // 4-row B segment in, later pairs re-read it from L1.
@@ -220,7 +236,7 @@ void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
       }
     }
     for (; l < k; ++l) {
-      const BT* brow = b + static_cast<std::size_t>(l) * n;
+      const BT* brow = b + static_cast<std::size_t>(l) * ldb;
       for (int r = 0; r < ROWS; ++r) {
         const __m256 av = _mm256_broadcast_ss(arow[r] + l);
         float* crr = crow[r];
@@ -246,45 +262,147 @@ void gemm_stream_avx2(const float* a, const BT* b, const float* scale,
   }
 }
 
-// One row block of `rows` C rows (a size row_block can return) over
-// columns [j_lo, j_hi).
+// One row block of `rows` C rows (a size row_block can return) over one
+// panel.
 template <typename BT>
-void gemm_avx2_block(const float* a, const BT* b, const float* scale,
-                     float* c, std::int64_t i0, std::int64_t j_lo,
-                     std::int64_t j_hi, std::int64_t n, std::int64_t k,
-                     bool accumulate, int rows, std::int64_t nc) {
+void gemm_avx2_block(const float* a, std::int64_t k, const BT* b,
+                     std::int64_t ldb, const float* scale, float* c,
+                     std::int64_t ldc, std::int64_t width, bool accumulate,
+                     int rows, std::int64_t nc) {
   switch (rows) {
-    case 32: gemm_stream_avx2<32>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 16: gemm_stream_avx2<16>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 8: gemm_stream_avx2<8>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 7: gemm_stream_avx2<7>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 6: gemm_stream_avx2<6>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 5: gemm_stream_avx2<5>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 4: gemm_stream_avx2<4>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 3: gemm_stream_avx2<3>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 2: gemm_stream_avx2<2>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
-    case 1: gemm_stream_avx2<1>(a, b, scale, c, i0, j_lo, j_hi, n, k, accumulate, nc); break;
+#define MATGPT_GEMM_ROWS(R)                                                \
+  case R:                                                                  \
+    gemm_stream_avx2<R>(a, k, b, ldb, scale, c, ldc, width, accumulate, nc); \
+    break;
+    MATGPT_GEMM_ROWS(32)
+    MATGPT_GEMM_ROWS(16)
+    MATGPT_GEMM_ROWS(8)
+    MATGPT_GEMM_ROWS(7)
+    MATGPT_GEMM_ROWS(6)
+    MATGPT_GEMM_ROWS(5)
+    MATGPT_GEMM_ROWS(4)
+    MATGPT_GEMM_ROWS(3)
+    MATGPT_GEMM_ROWS(2)
+    MATGPT_GEMM_ROWS(1)
+#undef MATGPT_GEMM_ROWS
     default: break;
+  }
+}
+
+// The register kernel for a panel at most kPanelFloats wide (every packed
+// panel): R C rows by V vectors of 8 columns accumulate in registers over
+// all k, one B row segment loaded per step and shared by the R rows, and C
+// is written once. The k terms of each element still form one ascending
+// single-rounding FMA chain from zero, then (int8) one multiply by the
+// column scale, so the bytes equal the streaming kernel's.
+template <int R, int V, typename BT>
+inline void panel_strip_avx2(const float* a, std::int64_t k, const BT* b,
+                             std::int64_t ldb, const float* scale, float* c,
+                             std::int64_t ldc) {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (std::int64_t l = 0; l < k; ++l) {
+    const BT* brow = b + static_cast<std::size_t>(l) * ldb;
+    __m256 av[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) av[r] = _mm256_broadcast_ss(a + r * k + l);
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      const __m256 bv = load_b(brow + 8 * v);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        acc[r][v] = _mm256_fmadd_ps(av[r], bv, acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      __m256 x = acc[r][v];
+      if (scale != nullptr) {
+        x = _mm256_mul_ps(x, _mm256_loadu_ps(scale + 8 * v));
+      }
+      _mm256_storeu_ps(c + r * ldc + 8 * v, x);
+    }
+  }
+}
+
+// R rows of one narrow panel: strips of 8V columns (V = 8 / R vectors, so
+// R x V <= 8 accumulators), then single vectors, then scalar columns.
+template <int R, typename BT>
+void panel_rows_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
+                     float* c) {
+  constexpr int V = R == 1 ? 8 : (R == 2 ? 4 : 2);
+  const float* scale = pn.scale;
+  std::int64_t j = 0;
+  for (; j + 8 * V <= pn.width; j += 8 * V) {
+    panel_strip_avx2<R, V>(a, k, pn.b + j, pn.ldb,
+                           scale != nullptr ? scale + j : nullptr, c + j,
+                           pn.ldc);
+  }
+  for (; j + 8 <= pn.width; j += 8) {
+    panel_strip_avx2<R, 1>(a, k, pn.b + j, pn.ldb,
+                           scale != nullptr ? scale + j : nullptr, c + j,
+                           pn.ldc);
+  }
+  for (; j < pn.width; ++j) {
+    for (int r = 0; r < R; ++r) {
+      float acc = 0.0f;
+      for (std::int64_t l = 0; l < k; ++l) {
+        acc = std::fmaf(a[r * k + l], b_value(pn.b[l * pn.ldb + j]), acc);
+      }
+      c[r * pn.ldc + j] = scale != nullptr ? acc * scale[j] : acc;
+    }
+  }
+}
+
+// `rows` C rows of one narrow panel, four at a time.
+template <typename BT>
+void panel_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
+                float* c, std::int64_t rows) {
+  for (std::int64_t i = 0; i < rows;) {
+    const float* ai = a + i * k;
+    float* ci = c + i * pn.ldc;
+    switch (std::min<std::int64_t>(rows - i, 4)) {
+      case 4: panel_rows_avx2<4>(ai, k, pn, ci); i += 4; break;
+      case 3: panel_rows_avx2<3>(ai, k, pn, ci); i += 3; break;
+      case 2: panel_rows_avx2<2>(ai, k, pn, ci); i += 2; break;
+      default: panel_rows_avx2<1>(ai, k, pn, ci); i += 1; break;
+    }
   }
 }
 
 #pragma GCC pop_options
 #endif  // MATGPT_X86_DISPATCH
 
-// The block of C rows [i_lo, i_hi) x columns [j_lo, j_hi), in row_block()
-// blocks through the SIMD kernel, else the portable loop.
+// C rows [i_lo, i_hi) of panels [p_lo, p_hi), in row_block() blocks, each
+// block walking the panels in order, through the SIMD kernel, else the
+// portable loop.
 template <typename BT>
-void gemm_tile(const float* a, const BT* b, const float* scale, float* c,
-               std::int64_t i_lo, std::int64_t i_hi, std::int64_t j_lo,
-               std::int64_t j_hi, std::int64_t n, std::int64_t k,
-               bool accumulate, [[maybe_unused]] const GemmVariant& variant) {
+void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
+               std::size_t p_lo, std::size_t p_hi, std::int64_t i_lo,
+               std::int64_t i_hi, bool accumulate,
+               [[maybe_unused]] const GemmVariant& variant) {
 #ifdef MATGPT_X86_DISPATCH
   if (simd_active()) {
     const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
     for (std::int64_t i = i_lo; i < i_hi;) {
       const int rows = row_block(i_hi - i, variant.mr);
-      gemm_avx2_block<BT>(a, b, scale, c, i, j_lo, j_hi, n, k, accumulate,
-                          rows, nc);
+      for (std::size_t p = p_lo; p < p_hi; ++p) {
+        const Panel<BT>& pn = panels[p];
+        if (pn.width <= kPanelFloats && !accumulate) {
+          panel_avx2<BT>(a + i * k, k, pn, pn.c + i * pn.ldc, rows);
+        } else {
+          gemm_avx2_block<BT>(a + i * k, k, pn.b, pn.ldb, pn.scale,
+                              pn.c + i * pn.ldc, pn.ldc, pn.width, accumulate,
+                              rows, nc);
+        }
+      }
       i += rows;
     }
     return;
@@ -292,36 +410,93 @@ void gemm_tile(const float* a, const BT* b, const float* scale, float* c,
 #endif
   // Without SIMD every variant runs the one scalar loop: tiling cannot
   // change results OR behavior.
-  if constexpr (std::is_same_v<BT, float>) {
-    gemm_nn_scalar_rows(a, b, c, i_lo, i_hi, j_lo, j_hi, n, k, accumulate);
-  } else {
-    gemm_quant_scalar_rows(a, b, scale, c, i_lo, i_hi, j_lo, j_hi, n, k);
+  for (std::size_t p = p_lo; p < p_hi; ++p) {
+    const Panel<BT>& pn = panels[p];
+    if constexpr (std::is_same_v<BT, float>) {
+      gemm_nn_scalar_rows(a, k, pn.b, pn.ldb, pn.c, pn.ldc, pn.width, i_lo,
+                          i_hi, accumulate);
+    } else {
+      gemm_quant_scalar_rows(a, k, pn.b, pn.ldb, pn.scale, pn.c, pn.ldc,
+                             pn.width, i_lo, i_hi);
+    }
   }
 }
 
 // The one GEMM driver behind every public entry point: the tiles of
-// gemm_split() over the pool, each one row group or one column panel.
+// `split` over the pool, each a range of C rows over every panel or a
+// range of panels over every row.
 template <typename BT>
-void gemm_run(const float* a, const BT* b, const float* scale, float* c,
-              std::int64_t m, std::int64_t n, std::int64_t k, bool accumulate,
-              const GemmVariant& variant) {
-  auto& pool = ThreadPool::global();
-  const GemmSplit split = gemm_split(m, n, k, pool.worker_count() + 1);
+void gemm_run(const float* a, std::int64_t m, std::int64_t k,
+              const std::vector<Panel<BT>>& panels, const GemmSplit& split,
+              bool accumulate, const GemmVariant& variant) {
   const auto& cuts = split.cuts;
   auto tiles = [&](std::size_t lo, std::size_t hi) {
     if (split.by_rows) {
-      gemm_tile(a, b, scale, c, cuts[lo], cuts[hi], 0, n, n, k, accumulate,
-                variant);
+      gemm_tile(a, k, panels.data(), 0, panels.size(), cuts[lo], cuts[hi],
+                accumulate, variant);
     } else {
-      gemm_tile(a, b, scale, c, 0, m, cuts[lo], cuts[hi], n, k, accumulate,
-                variant);
+      gemm_tile(a, k, panels.data(), static_cast<std::size_t>(cuts[lo]),
+                static_cast<std::size_t>(cuts[hi]), 0, m, accumulate, variant);
     }
   };
   if (split.tiles() == 1) {
     tiles(0, 1);
   } else {
-    pool.parallel_for(0, split.tiles(), tiles);
+    ThreadPool::global().parallel_for(0, split.tiles(), tiles);
   }
+}
+
+// A GEMM over row-major B, split by gemm_split(): row groups run B as one
+// panel, column panels as one slice of B's columns each.
+template <typename BT>
+void gemm_row_major(const float* a, const BT* b, const float* scale,
+                    float* c, std::int64_t m, std::int64_t n, std::int64_t k,
+                    bool accumulate, const GemmVariant& variant) {
+  GemmSplit split =
+      gemm_split(m, n, k, ThreadPool::global().worker_count() + 1);
+  if (split.by_rows) {
+    gemm_run<BT>(a, m, k, {{b, n, n, scale, c, n}}, split, accumulate,
+                 variant);
+    return;
+  }
+  std::vector<Panel<BT>> panels;
+  for (std::size_t t = 0; t < split.tiles(); ++t) {
+    const std::int64_t j0 = split.cuts[t];
+    panels.push_back({b + j0, n, split.cuts[t + 1] - j0,
+                      scale != nullptr ? scale + j0 : nullptr, c + j0, n});
+    split.cuts[t] = static_cast<std::int64_t>(t);
+  }
+  split.cuts.back() = static_cast<std::int64_t>(panels.size());
+  gemm_run(a, m, k, panels, split, accumulate, variant);
+}
+
+// Every kPanelFloats-column panel of every packed GEMM of a job, in order.
+template <typename BT>
+std::vector<Panel<BT>> packed_panels(std::span<const PackedGemm> gemms,
+                                     std::int64_t k) {
+  std::vector<Panel<BT>> panels;
+  for (const PackedGemm& g : gemms) {
+    const BT* b = static_cast<const BT*>(g.b);
+    for (std::int64_t j0 = 0; j0 < g.n; j0 += kPanelFloats) {
+      const std::int64_t width = std::min(kPanelFloats, g.n - j0);
+      panels.push_back({b + j0 * k, width, width,
+                        g.scale != nullptr ? g.scale + j0 : nullptr, g.c + j0,
+                        g.n});
+    }
+  }
+  return panels;
+}
+
+// `parts` near-even cuts of [0, extent), each a multiple of `unit`.
+GemmSplit even_split(bool by_rows, std::int64_t extent, std::int64_t parts,
+                     std::int64_t unit) {
+  GemmSplit split{by_rows, {0}};
+  for (std::int64_t p = 1; p < parts; ++p) {
+    const std::int64_t cut = (p * extent / parts + unit / 2) / unit * unit;
+    if (cut > split.cuts.back() && cut < extent) split.cuts.push_back(cut);
+  }
+  split.cuts.push_back(extent);
+  return split;
 }
 
 }  // namespace
@@ -353,55 +528,146 @@ int row_block(std::int64_t rows_left, int mr) {
 GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
                      std::size_t threads) {
   const auto t = static_cast<std::int64_t>(threads);
-  // `parts` near-even cuts of [0, extent), each a multiple of `unit`.
-  auto even = [](bool by_rows, std::int64_t extent, std::int64_t parts,
-                 std::int64_t unit) {
-    GemmSplit split{by_rows, {0}};
-    for (std::int64_t p = 1; p < parts; ++p) {
-      const std::int64_t cut = (p * extent / parts + unit / 2) / unit * unit;
-      if (cut > split.cuts.back() && cut < extent) split.cuts.push_back(cut);
-    }
-    split.cuts.push_back(extent);
-    return split;
-  };
   if (t <= 1) return GemmSplit{true, {0, m}};
   const std::int64_t groups = std::min(
       t * (m >= kParallelRowThreshold ? 4 : 1), m / kMinGroupRows);
-  if (m >= kParallelRowThreshold) return even(true, m, groups, 1);
+  if (m >= kParallelRowThreshold) return even_split(true, m, groups, 1);
   if (m * n * k >= kParallelPanelFmas) {
     const std::int64_t panels =
         n % kLineFloats == 0 ? std::min(t, n / kMinPanelColumns) : 1;
     if (panels >= 2 && panels >= groups) {
-      return even(false, n, panels, kLineFloats);
+      return even_split(false, n, panels, kLineFloats);
     }
-    if (groups >= 2) return even(true, m, groups, 1);
+    if (groups >= 2) return even_split(true, m, groups, 1);
   }
   return GemmSplit{true, {0, m}};
+}
+
+GemmSplit packed_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                       std::int64_t panels, std::size_t threads) {
+  const auto t = static_cast<std::int64_t>(threads);
+  if (t <= 1) return GemmSplit{true, {0, m}};
+  if (m >= kParallelRowThreshold) {
+    return even_split(true, m, std::min(4 * t, m / kMinGroupRows), 1);
+  }
+  if (m * n * k >= kPackedSplitFmas && panels >= 2) {
+    return even_split(false, panels, std::min(t, panels), 1);
+  }
+  return GemmSplit{true, {0, m}};
+}
+
+std::int64_t packed_index(std::int64_t l, std::int64_t j, std::int64_t k,
+                          std::int64_t n) {
+  const std::int64_t j0 = j / kPanelFloats * kPanelFloats;
+  return j0 * k + l * std::min(kPanelFloats, n - j0) + (j - j0);
+}
+
+void pack_panels(float* w, std::int64_t k, std::int64_t n) {
+  const std::int64_t full = n / kPanelFloats;  // full-width panels
+  const std::int64_t tail = n - full * kPanelFloats;
+  const auto row_bytes = [](std::int64_t floats) {
+    return sizeof(float) * static_cast<std::size_t>(floats);
+  };
+  // Set the tail columns aside and close up the rows, so B is a k x full
+  // matrix of 64-float blocks; the tail panel goes back in at the end.
+  std::vector<float> tail_cols(static_cast<std::size_t>(k * tail));
+  if (tail > 0) {
+    for (std::int64_t l = 0; l < k; ++l) {
+      std::memcpy(tail_cols.data() + l * tail, w + l * n + full * kPanelFloats,
+                  row_bytes(tail));
+      if (l > 0) {
+        std::memmove(w + l * full * kPanelFloats, w + l * n,
+                     row_bytes(full * kPanelFloats));
+      }
+    }
+  }
+  // Transpose the block matrix in place by following each permutation
+  // cycle: block (l, p) moves to panel position p * k + l.
+  const std::int64_t blocks = k * full;
+  std::vector<bool> moved(static_cast<std::size_t>(blocks), false);
+  float held[kPanelFloats];
+  auto block = [&](std::int64_t at) { return w + at * kPanelFloats; };
+  for (std::int64_t start = 0; start < blocks; ++start) {
+    if (moved[static_cast<std::size_t>(start)]) continue;
+    std::memcpy(held, block(start), sizeof(held));
+    for (std::int64_t at = start;;) {
+      moved[static_cast<std::size_t>(at)] = true;
+      const std::int64_t from = at % k * full + at / k;
+      if (from == start) {
+        std::memcpy(block(at), held, sizeof(held));
+        break;
+      }
+      std::memcpy(block(at), block(from), sizeof(held));
+      at = from;
+    }
+  }
+  if (tail > 0) {
+    std::memcpy(w + blocks * kPanelFloats, tail_cols.data(),
+                row_bytes(k * tail));
+  }
+}
+
+void unpack_panels(const float* packed, float* out, std::int64_t k,
+                   std::int64_t n) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kPanelFloats) {
+    const std::int64_t width = std::min(kPanelFloats, n - j0);
+    const float* panel = packed + j0 * k;
+    for (std::int64_t l = 0; l < k; ++l) {
+      std::memcpy(out + l * n + j0, panel + l * width,
+                  sizeof(float) * static_cast<std::size_t>(width));
+    }
+  }
 }
 
 bool gemm_simd_active() { return simd_active(); }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
-  gemm_run(a, b, nullptr, c, m, n, k, accumulate, gemm_default_variant());
+  gemm_row_major(a, b, nullptr, c, m, n, k, accumulate,
+                 gemm_default_variant());
 }
 
 void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t n, std::int64_t k, bool accumulate,
                      const GemmVariant& variant) {
-  gemm_run(a, b, nullptr, c, m, n, k, accumulate, variant);
+  gemm_row_major(a, b, nullptr, c, m, n, k, accumulate, variant);
 }
 
 void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant) {
-  gemm_run(a, b, nullptr, c, m, n, k, /*accumulate=*/false, variant);
+  gemm_row_major(a, b, nullptr, c, m, n, k, /*accumulate=*/false, variant);
 }
 
 void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant) {
-  gemm_run(a, b, scale, c, m, n, k, /*accumulate=*/false, variant);
+  gemm_row_major(a, b, scale, c, m, n, k, /*accumulate=*/false, variant);
+}
+
+void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
+                 WeightFormat format, std::span<const PackedGemm> gemms,
+                 const GemmVariant& variant, std::size_t threads) {
+  std::int64_t n = 0;
+  for (const PackedGemm& g : gemms) n += g.n;
+  if (threads == 0) threads = ThreadPool::global().worker_count() + 1;
+  auto run = [&](auto panels) {
+    gemm_run(a, m, k, panels,
+             packed_split(m, n, k, static_cast<std::int64_t>(panels.size()),
+                          threads),
+             /*accumulate=*/false, variant);
+  };
+  switch (format) {
+    case WeightFormat::kF32:
+      run(packed_panels<float>(gemms, k));
+      break;
+    case WeightFormat::kBf16:
+      run(packed_panels<std::uint16_t>(gemms, k));
+      break;
+    case WeightFormat::kInt8:
+      run(packed_panels<std::int8_t>(gemms, k));
+      break;
+  }
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,

@@ -1,54 +1,97 @@
 #pragma once
 // Raw float kernels beneath the autograd layer.
 //
-// All matmuls are row-major. Loop orders are chosen so the innermost loop
-// streams contiguously (i-k-j for NN, l-i-j for TN, dot-rows for NT), which
-// is the same cache-blocking reasoning the paper applies at the MI250X
+// Matmuls read row-major operands, except that an NN GEMM's B may also be
+// packed (below). Loop orders are chosen so the innermost loop streams
+// contiguously (i-k-j for NN, l-i-j for TN, dot-rows for NT), which is the
+// same cache-blocking reasoning the paper applies at the MI250X
 // matrix-core level.
+//
+// Packed weights. When an inference engine prepares its model, every
+// Linear weight [k, n] is re-laid IN PLACE (pack_panels) as contiguous
+// k-major panels of kPanelFloats = 64 columns: panel p holds columns
+// [64p, 64p + w) as k rows of w floats, w = 64 except for a narrower last
+// panel. The bf16/int8 decode sidecars use the same layout. A packed GEMM
+// is a list of panels, so a thread that owns a range of panels streams one
+// contiguous run, 1/T of B. Over row-major B the same column split would
+// read short strided runs the prefetcher does not follow (see
+// kMinPanelColumns), which is why the row-major rule below never splits
+// the layer GEMMs by columns.
+// gemm_packed runs GEMMs that share A (q|k|v, gate|up) as ONE job over the
+// union of their panels: one split, one fork-join. The fusion lives in the
+// job, not in storage (no concatenated weight exists), so parameter
+// names, checkpoints and training are unchanged and nothing exists twice.
 //
 // Threading goes through ThreadPool::global(), whose parallel_for runs on
 // the caller plus the workers, and degrades to serial on one core. Every NN
-// GEMM makes one split decision, gemm_split(m, n, k, threads), from its
-// shape alone: C is cut into tiles, either row groups (whole rows of C,
-// each group streaming all of B) or column panels (all rows, a slice of B's
-// columns), and each tile runs on one thread. A row's result depends only
-// on (its A row, B), and every C element keeps its ascending-k FMA chain
-// whichever tile computes it, so threading never changes output bytes.
-//
-// The rule, with the measurements that set it (4-vCPU AVX2 KVM host, the
-// serving model's fp32 decode GEMMs, hot weights, medians of 3 alternating
-// rounds in us; panels need n >= 2 x kMinPanelColumns):
-//
-//   m x n x k                  serial   row groups   column panels   runs
-//   16 x  704 x 256 (gate, up)    132           55               -   rows
-//   16 x  256 x 704 (down)        117           74               -   rows
-//   16 x  256 x 256 (q, o)         45           38               -   serial
-//    8 x  256 x 256 (q, o)         21           22               -   serial
-//   16 x 8192 x 256 (lm_head)    1970          680             554   panels
-//    8 x 8192 x 256 (lm_head)    1015          632             300   panels
+// GEMM makes one split decision from its shape alone — gemm_split over
+// row-major B, packed_split over packed panels: C is cut into tiles, each
+// run on one thread, of three kinds: row groups (whole rows of C, each
+// group streaming all of B), column panels (all rows, a slice of
+// row-major B's columns) or panel ranges (all rows, a run of whole packed
+// panels). A row's result depends only on (its A row, B), and every C
+// element keeps its ascending-k FMA chain whichever tile computes it, so
+// threading and layout never change output bytes.
 //
 //  * From kParallelRowThreshold rows (prefill, training) rows split into up
-//    to four groups per thread, so uneven groups still balance.
-//  * Below it (decode, m = batch) a GEMM of at least kParallelPanelFmas
+//    to four groups per thread, so uneven groups still balance; a row
+//    group walks every panel.
+//  * Below it (decode, m = batch), a packed job of at least
+//    kPackedSplitFmas multiply-adds splits into contiguous panel ranges,
+//    one per thread.
+//  * Below it, a row-major GEMM of at least kParallelPanelFmas
 //    multiply-adds splits into one tile per thread. Wide N (room for a
 //    column panel of kMinPanelColumns per thread, i.e. lm_head) takes
-//    column panels: each thread then streams only its slice of a B too big
-//    for cache. Otherwise, given two or more groups of kMinGroupRows rows,
-//    rows split: B (the layer weights) is small enough to stay in L2/L3
-//    across groups, and each group reads it in long contiguous runs.
+//    column panels; otherwise, given two or more groups of kMinGroupRows
+//    rows, rows split.
 //  * Anything smaller runs as one serial tile.
 //
-// Tensor storage starts on a 64-byte line, and panel cuts fall on multiples
-// of 16 floats, so when n is a multiple of 16 no two panels of a Tensor's
-// C write one cache line (the kernel re-reads and re-writes its C chunk
-// every 4 k terms, and a shared line would bounce between cores). Row
-// groups share at most the one line straddling each group boundary, and
-// only when n is not a multiple of 16.
+// The measurements behind the packed rule (4-vCPU AVX2 KVM host, the
+// serving model's fp32 decode GEMMs with q|k|v and gate|up as one job
+// each, hot weights, median of 3 rounds of 41-call medians, in us):
+// serial = the packed job on one thread; row groups = row-major B in
+// min(4, m / 4) groups, one per thread; row-major rule = gemm_split over
+// row-major B, what the layers ran before packing; packed = packed_split.
+//
+//     m x    n x   k                serial  row groups  row-major  packed
+//     1 x  384 x 256 (q|k|v)             5           -          6       5
+//     4 x  384 x 256 (q|k|v)            15           -         15      12
+//    16 x  384 x 256 (q|k|v)            61          37         58      27
+//     1 x  256 x 256 (o)                 4           -          5       4
+//     4 x  256 x 256 (o)                 9           -         10       9
+//    16 x  256 x 256 (o)                38          33         39      18
+//     1 x 1376 x 256 (gate|up)          20           -         25      15
+//     4 x 1376 x 256 (gate|up)          47           -         56      22
+//    16 x 1376 x 256 (gate|up)         219          78         86      70
+//     1 x  256 x 688 (down)              9           -         12       9
+//     4 x  256 x 688 (down)             22           -         29      14
+//    16 x  256 x 688 (down)             99          79         80      35
+//     1 x 8192 x 256 (lm_head)         259           -         93      51
+//     4 x 8192 x 256 (lm_head)         461           -        132     137
+//    16 x 8192 x 256 (lm_head)        1600         477        368     395
+//
+// The layer GEMMs of one decode step (four layers) fall from ~0.44 to
+// ~0.23 ms at m = 4 and from ~1.05 to ~0.60 ms at m = 16. lm_head, which
+// row-major column panels already split, stays level from m = 4: there
+// the register kernel takes four rows per pass over a panel, the
+// streaming kernel eight.
+//
+// Tensor storage starts on a 64-byte line, and row-major panel cuts fall on
+// multiples of 16 floats, so when n is a multiple of 16 no two panels of a
+// Tensor's C write one cache line (the streaming kernel re-reads and
+// re-writes its C chunk every 4 k terms, and a shared line would bounce
+// between cores). A packed panel range writes whole 64-column chunks of C,
+// and row groups share at most the one line straddling each group
+// boundary, and only when n is not a multiple of 16.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
 // every NN GEMM — fp32, bf16 and int8 weights alike — runs one streaming
-// multi-row microkernel: B is read once per row block in contiguous,
-// prefetch-friendly segments while an L1-resident chunk of C accumulates.
+// multi-row microkernel over each panel (row-major B is the one-panel case;
+// the kernel takes B's row stride separately from C's): B is read once per
+// row block in contiguous, prefetch-friendly segments while an L1-resident
+// chunk of C accumulates. A panel at most kPanelFloats wide (every packed
+// panel) instead keeps up to four rows' 64 columns of C in registers over
+// all k and writes C once; the FMA chain per element is the same.
 // Batch-1 decode is therefore weight-bandwidth-bound and a full serving
 // batch rides the same B traffic at FMA throughput. The weight formats
 // differ only in how a B vector is loaded (bf16 and int8 are widened to
@@ -83,26 +126,42 @@ namespace matgpt::kernels {
 inline constexpr std::int64_t kParallelRowThreshold = 64;
 
 /// Below kParallelRowThreshold rows, the multiply-add count (m * n * k) from
-/// which an NN GEMM splits over the thread pool, into row groups or column
-/// panels. Set from measurement on a 4-core AVX2 host: it threads the
-/// serving model's lm_head (256 x 8192) from batch 1 and its MLP from
-/// batch 12. Half of it also splits q and o at batch 16 (45 -> 38 us, see
-/// the table above) but moves every 1-2e6 GEMM onto the pool; with both
-/// sides of bench_gemm_autotune's int8-vs-fp32 decode ratio (512 -> 2048 at
-/// batch 1) split, that ratio read ~0.8-1.1 against ~1.2-1.5.
+/// which an NN GEMM over row-major B splits over the thread pool, into row
+/// groups or column panels. Set from measurement on a 4-core AVX2 host,
+/// before serving packed its weights: it threaded the serving model's
+/// lm_head (256 x 8192) from batch 1 and its MLP from batch 12. Half of it
+/// also split q and o at batch 16 (45 -> 38 us) but moved every 1-2e6 GEMM
+/// onto the pool; with both sides of bench_gemm_autotune's int8-vs-fp32
+/// decode ratio (512 -> 2048 at batch 1, row-major) split, that ratio read
+/// ~0.8-1.1 against ~1.2-1.5.
 inline constexpr std::int64_t kParallelPanelFmas = 2'000'000;
 
-/// The narrowest column panel a GEMM splits into (2 KB of each B row).
-/// Narrower panels cut B's rows into short strided runs the prefetcher does
-/// not follow: on a 4-core AVX2 host, splitting the serving model's MLP
-/// (n = 704 and 256) at batch 16 into panels made the decode step ~20%
-/// slower, while lm_head's 2048-column panels ran ~3x faster than one
-/// thread.
+/// The narrowest column panel a GEMM over row-major B splits into (2 KB of
+/// each B row). Narrower panels cut B's rows into short strided runs the
+/// prefetcher does not follow: on a 4-core AVX2 host, splitting the
+/// serving model's MLP (n = 688 and 256) at batch 16 into panels made the
+/// decode step ~20% slower, while lm_head's 2048-column panels ran ~3x
+/// faster than one thread. Packed B has no such floor: its panels are
+/// contiguous.
 inline constexpr std::int64_t kMinPanelColumns = 512;
 
 /// The fewest C rows a row group gets: below that, streaming all of B per
 /// group costs more than the group's FMAs save.
 inline constexpr std::int64_t kMinGroupRows = 4;
+
+/// Columns per panel of a packed weight (one 256-byte run of each fp32 B
+/// row). Packed B stores its panels one after another, each k-major: panel
+/// p holds columns [64p, 64p + w) as k rows of w floats, w = 64 except for
+/// a narrower last panel when 64 does not divide n.
+inline constexpr std::int64_t kPanelFloats = 64;
+
+/// Below kParallelRowThreshold rows, the multiply-add count (m * n * k,
+/// over every GEMM of the job) from which a packed job splits its panels
+/// over the thread pool. Measured on a 4-core AVX2 host with hot weights,
+/// a split pays from ~3.5e5 (q|k|v at m = 4: 21 -> 19 us; down at m = 3:
+/// 22 -> 19 us) and breaks even just below (down at m = 2, gate|up at
+/// m = 1); the fork-join costs a few us.
+inline constexpr std::int64_t kPackedSplitFmas = 300'000;
 
 /// Storage format of a GEMM's B (weight) operand.
 enum class WeightFormat : std::uint8_t { kF32 = 0, kBf16 = 1, kInt8 = 2 };
@@ -142,7 +201,9 @@ int row_block(std::int64_t rows_left, int mr);
 
 /// How an NN GEMM splits C over the thread pool: `cuts` bound its tiles,
 /// 0 = cuts[0] < cuts[1] < ... < cuts.back(), over rows of C (`by_rows`,
-/// back() == m) or over its columns (back() == n). One tile is serial.
+/// back() == m) or else over its columns (gemm_split: back() == n) or its
+/// packed panels (packed_split: back() == the panel count). One tile is
+/// serial.
 struct GemmSplit {
   bool by_rows = true;
   std::vector<std::int64_t> cuts;
@@ -155,6 +216,28 @@ struct GemmSplit {
 /// interior panel cuts fall on multiples of 16 floats, near even shares.
 GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
                      std::size_t threads);
+
+/// The split a packed job of total width `n` (the sum over its GEMMs) and
+/// `panels` panels runs with on `threads` threads: from
+/// kParallelRowThreshold rows, row groups as in gemm_split, each walking
+/// every panel; below it, from kPackedSplitFmas multiply-adds, contiguous
+/// panel ranges, one per thread (cuts count panels, not columns); anything
+/// smaller one serial tile.
+GemmSplit packed_split(std::int64_t m, std::int64_t n, std::int64_t k,
+                       std::int64_t panels, std::size_t threads);
+
+/// Where element (l, j) of a [k, n] matrix lives once packed.
+std::int64_t packed_index(std::int64_t l, std::int64_t j, std::int64_t k,
+                          std::int64_t n);
+
+/// Re-lay a row-major [k, n] matrix as packed panels, in place. The only
+/// scratch is the tail columns (k x (n % 64) floats) and a bit per
+/// 64-float block, so a weight never exists twice.
+void pack_panels(float* w, std::int64_t k, std::int64_t n);
+
+/// Write packed [k, n] `packed` out row-major into `out`.
+void unpack_panels(const float* packed, float* out, std::int64_t k,
+                   std::int64_t n);
 
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).
@@ -184,6 +267,26 @@ void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
 void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                   const GemmVariant& variant);
+
+/// One GEMM of a packed job: C[m, n] = A[m, k] * B, B packed (fp32 floats,
+/// bf16 bits or int8 by the job's format), then for int8 times the
+/// per-column `scale`. C rows are n floats apart.
+struct PackedGemm {
+  const void* b = nullptr;
+  const float* scale = nullptr;
+  float* c = nullptr;
+  std::int64_t n = 0;
+};
+
+/// Run GEMMs that share A (q|k|v, gate|up, or one alone) as one job over
+/// the union of their panels: one split by packed_split, one fork-join.
+/// Every C element gets the bytes gemm_nn / gemm_nn_bf16 / gemm_nn_int8
+/// write for the same B row-major (accumulate = false). `threads` = 0
+/// splits for the global pool; another count only changes the split
+/// (tests use it).
+void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
+                 WeightFormat format, std::span<const PackedGemm> gemms,
+                 const GemmVariant& variant, std::size_t threads = 0);
 
 /// C[m,n] (+)= A[m,k] * B[n,k]^T
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,

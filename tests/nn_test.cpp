@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <limits>
 #include <set>
 
@@ -270,6 +272,71 @@ TEST(Gpt, CachedGenerationMatchesFullForwardWithGqa) {
   Rng rs1(23), rs2(23);
   EXPECT_EQ(model.generate(prompt, 6, sampled, rs1),
             model.generate_cached(prompt, 6, sampled, rs2));
+}
+
+// The weights an inference engine packs in place (prepare_decode_quant)
+// give every forward the same logits bytes, and a gradient forward through
+// them throws instead of back-propagating through the wrong layout.
+bool lm_head_packed(const nn::GptModel& model) {
+  for (const auto& p : model.parameters()) {
+    if (p.name == "lm_head.weight") return p.var.node()->packed;
+  }
+  return false;
+}
+
+TEST(PackedLinear, PackedModelLogitsMatchUnpackedBytes) {
+  for (auto arch : {nn::ArchFamily::kNeoX, nn::ArchFamily::kLLaMA}) {
+    nn::GptConfig c = tiny_config(arch);
+    c.hidden = 96;  // two panels and a narrow third in every projection
+    c.n_heads = 3;
+    nn::GptModel row_major(c), packed(c);  // same seed: same weights
+    packed.prepare_decode_quant(kernels::WeightFormat::kF32);
+    ASSERT_TRUE(lm_head_packed(packed));
+    ASSERT_FALSE(lm_head_packed(row_major));
+    const std::vector<std::int32_t> tokens{3, 1, 4, 1, 5, 9, 2, 6};
+    Tape ta, tb;
+    NoGradGuard ga(ta), gb(tb);
+    const Var la = row_major.forward(ta, tokens, 2, 4);
+    const Var lb = packed.forward(tb, tokens, 2, 4);
+    ASSERT_EQ(la.value().numel(), lb.value().numel());
+    EXPECT_EQ(0, std::memcmp(la.value().data(), lb.value().data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(la.value().numel())))
+        << nn::arch_name(arch);
+    Rng r1(5), r2(5);
+    EXPECT_EQ(row_major.generate_cached(tokens, 6, 0.8f, r1),
+              packed.generate_cached(tokens, 6, 0.8f, r2))
+        << nn::arch_name(arch);
+  }
+}
+
+TEST(PackedLinear, GradientForwardThroughPackedWeightsThrows) {
+  nn::GptModel model(tiny_config(nn::ArchFamily::kLLaMA));
+  const std::vector<std::int32_t> tokens{1, 2, 3, 4};
+  const std::vector<std::int32_t> targets{2, 3, 4, 5};
+  {
+    Tape tape;
+    tape.backward(model.loss(tape, tokens, targets, 1, 4));
+  }
+  model.prepare_decode_quant(kernels::WeightFormat::kF32);
+  Tape tape;
+  try {
+    model.loss(tape, tokens, targets, 1, 4);
+    FAIL() << "a gradient forward through packed weights must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("packed"), std::string::npos)
+        << e.what();
+  }
+  // A second prepare leaves the weights packed once, not re-packed.
+  model.prepare_decode_quant(kernels::WeightFormat::kInt8);
+  nn::GptModel fresh(tiny_config(nn::ArchFamily::kLLaMA));
+  Tape ta, tb;
+  NoGradGuard ga(ta), gb(tb);
+  const Var la = fresh.forward(ta, tokens, 1, 4);
+  const Var lb = model.forward(tb, tokens, 1, 4);
+  EXPECT_EQ(0, std::memcmp(la.value().data(), lb.value().data(),
+                           sizeof(float) *
+                               static_cast<std::size_t>(la.value().numel())));
 }
 
 TEST(Sampling, GreedyTieBreaksToLowestTokenId) {

@@ -8,11 +8,13 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "nn/gpt.h"
+#include "nn/serialize.h"
 #include "serve/engine.h"
 #include "serve/kv_pool.h"
 #include "serve/metrics.h"
@@ -171,6 +173,53 @@ TEST(ServeEngine, TokenIdenticalToGenerateCached) {
     EXPECT_EQ(engine.queue_depth(), 0u);
     EXPECT_EQ(engine.stats().requests_completed(), reference_trace.size());
   }
+}
+
+TEST(ServeEngine, SaveAfterServingWritesTheRowMajorCheckpoint) {
+  // An engine packs its model's weights in place; a checkpoint saved
+  // afterwards is byte-for-byte the pre-serving one, and loading it (into a
+  // fresh model, or back into the packed one) reproduces its tokens.
+  nn::GptConfig c = serve_config(nn::ArchFamily::kLLaMA, 1);
+  c.hidden = 96;  // wider than one 64-column panel, so packed != row-major
+  c.vocab_size = 200;
+  nn::GptModel model(c);
+  std::stringstream before;
+  nn::save_parameters(model, before);
+  const std::vector<std::int32_t> prompt{5, 3, 8};
+  nn::SamplingParams sampling;
+  sampling.temperature = 0.9f;
+  sampling.top_k = 8;
+  Rng r0(11);
+  const auto expected = model.generate_cached(prompt, 10, sampling, r0);
+  {
+    serve::EngineConfig ec;
+    ec.max_batch = 3;
+    ec.kv_slots = 3;
+    serve::InferenceEngine engine(model, ec);
+    EXPECT_EQ(engine.run_trace(serve::synth_trace(tiny_trace_spec())).size(),
+              10u);
+  }
+  bool packed = false;
+  for (const auto& p : model.parameters()) {
+    if (p.name == "blocks.0.mlp.gate.weight") packed = p.var.node()->packed;
+  }
+  ASSERT_TRUE(packed);
+  std::stringstream after;
+  nn::save_parameters(model, after);
+  EXPECT_TRUE(before.str() == after.str());
+
+  nn::GptConfig other = c;
+  other.seed = c.seed + 1;
+  nn::GptModel fresh(other);
+  std::stringstream in(after.str());
+  nn::load_parameters(fresh, in);
+  Rng r1(11);
+  EXPECT_EQ(fresh.generate_cached(prompt, 10, sampling, r1), expected);
+
+  std::stringstream again(before.str());
+  nn::load_parameters(model, again);
+  Rng r2(11);
+  EXPECT_EQ(model.generate_cached(prompt, 10, sampling, r2), expected);
 }
 
 TEST(ServeEngine, SequentialFallbackMatchesBatchedTokens) {

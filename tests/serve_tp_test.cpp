@@ -431,6 +431,42 @@ TEST(TpEngine, RunTraceTokensIdenticalToTp1) {
   EXPECT_GT(sharded.stats().tp_jobs(), 0u);
 }
 
+TEST(TpEngine, BuiltOnAPackedModelTokensIdenticalToTp1) {
+  // An earlier engine packed the model's weights in place; the TP = 2
+  // engine shards them from their row-major reading, for both families.
+  for (auto arch : {nn::ArchFamily::kNeoX, nn::ArchFamily::kLLaMA}) {
+    const nn::GptConfig c = tp_config(arch);
+    nn::GptModel model(c);
+    serve::EngineConfig base;
+    base.max_batch = 3;
+    base.kv_slots = 3;
+    auto first = std::make_unique<serve::InferenceEngine>(model, base);
+    first.reset();
+    bool packed = false;
+    for (const auto& p : model.parameters()) {
+      if (p.name == "blocks.0.attn.q.weight") packed = p.var.node()->packed;
+    }
+    ASSERT_TRUE(packed) << nn::arch_name(arch);
+
+    serve::EngineConfig tp = base;
+    tp.tensor_parallel = 2;
+    serve::InferenceEngine sharded(model, tp);
+    const auto spec = tp_trace_spec(c);
+    const auto trace = serve::synth_trace(spec);
+    const auto results = sharded.run_trace(serve::synth_trace(spec));
+    ASSERT_EQ(results.size(), trace.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      Rng rng(trace[i].sampling.seed);
+      EXPECT_EQ(results[i].tokens,
+                model.generate_cached(trace[i].prompt,
+                                      trace[i].max_new_tokens,
+                                      trace[i].sampling, rng))
+          << nn::arch_name(arch) << " request " << i;
+    }
+    EXPECT_GT(sharded.stats().tp_jobs(), 0u);
+  }
+}
+
 TEST(TpEngine, SpeculativeTokensIdenticalToTp1) {
   const nn::GptConfig c = tp_config(nn::ArchFamily::kLLaMA);
   nn::GptModel model(c);

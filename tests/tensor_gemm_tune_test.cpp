@@ -272,8 +272,9 @@ TEST(GemmSplit, TilesCoverCOnceWithGroupsOfFourRowsAndPanelsOnLines) {
   // pool has no workers. The serving model's decode and prefill GEMMs
   // ([k, n] of qkv, o, gate_up, down, lm_head) at the benchmark's row
   // counts, then random shapes.
-  const std::int64_t kn[][2] = {{256, 256}, {256, 64},  {256, 704},
-                                {704, 256}, {256, 8192}};
+  const std::int64_t kn[][2] = {{256, 256}, {256, 64},  {256, 688},
+                                {688, 256}, {256, 704}, {704, 256},
+                                {256, 8192}};
   for (std::size_t threads = 1; threads <= 8; ++threads) {
     for (const std::int64_t m : {1, 4, 8, 16, 63, 64, 128}) {
       for (const auto& s : kn) expect_valid_split(m, s[1], s[0], threads);
@@ -301,8 +302,8 @@ TEST(GemmSplit, ServingShapesSplitByTheRule) {
     EXPECT_FALSE(split(m, 8192, 256).by_rows) << m;
     EXPECT_EQ(split(m, 8192, 256).tiles(), 4u) << m;
   }
-  for (const auto& [n, k] : {std::pair<std::int64_t, std::int64_t>{704, 256},
-                             {256, 704}}) {
+  for (const auto& [n, k] : {std::pair<std::int64_t, std::int64_t>{688, 256},
+                             {256, 688}, {704, 256}, {256, 704}}) {
     EXPECT_TRUE(split(16, n, k).by_rows) << n << "x" << k;
     EXPECT_EQ(split(16, n, k).tiles(), 4u) << n << "x" << k;
     EXPECT_EQ(split(12, n, k).tiles(), 3u) << n << "x" << k;
@@ -330,7 +331,7 @@ TEST(GemmContract, RowGroupsMatchFmaChainReferenceBytes) {
   constexpr std::int64_t kRows = 63;
   const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
                                   WeightFormat::kInt8};
-  const std::int64_t widths[] = {64, 256, 704, 8192};
+  const std::int64_t widths[] = {64, 256, 688, 704, 8192};
   for (const WeightFormat format : formats) {
     // The portable scalar fp32 loop is not an FMA chain.
     if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) continue;
@@ -431,6 +432,289 @@ TEST(GemmContract, ColumnPanelsMatchFmaChainReferenceBytes) {
         ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
             << kernels::format_name(format) << " " << m << "x" << n << "x" << k
             << " C offset " << offset;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packed weights: panels, the packed split, and the packed job
+// ---------------------------------------------------------------------------
+
+// A packed copy of row-major [k, n] `w`.
+std::vector<float> packed_copy(std::vector<float> w, std::int64_t k,
+                               std::int64_t n) {
+  kernels::pack_panels(w.data(), k, n);
+  return w;
+}
+
+TEST(PackPanels, InPlacePackMatchesPackedIndexAndUnpacks) {
+  const std::int64_t shapes[][2] = {{1, 1},   {3, 17},  {5, 64},  {7, 65},
+                                    {256, 64}, {256, 688}, {33, 200},
+                                    {2, 8200}};
+  for (const auto& [k, n] : shapes) {
+    const auto w = random_matrix(k, n, 61);
+    const auto packed = packed_copy(w, k, n);
+    for (std::int64_t l = 0; l < k; ++l) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(packed[static_cast<std::size_t>(
+                      kernels::packed_index(l, j, k, n))],
+                  w[static_cast<std::size_t>(l * n + j)])
+            << k << "x" << n << " at " << l << "," << j;
+      }
+    }
+    std::vector<float> back(w.size());
+    kernels::unpack_panels(packed.data(), back.data(), k, n);
+    EXPECT_EQ(0, std::memcmp(back.data(), w.data(), w.size() * sizeof(float)))
+        << k << "x" << n;
+  }
+}
+
+// One packed job: the GEMMs of `ns` share A [m, k]. Runs it on `threads`
+// (0: the global pool) in `format` and returns every C, concatenated.
+struct PackedJob {
+  std::int64_t k;
+  std::vector<std::int64_t> ns;
+  std::vector<std::vector<float>> w;          // row-major fp32
+  std::vector<gemm_tune::QuantWeights> rowq;  // row-major sidecars
+  std::vector<std::vector<float>> wp;         // packed fp32
+  std::vector<gemm_tune::QuantWeights> q;     // packed sidecars
+
+  PackedJob(std::int64_t k_, std::vector<std::int64_t> ns_,
+            WeightFormat format, std::uint32_t seed)
+      : k(k_), ns(std::move(ns_)) {
+    for (const std::int64_t n : ns) {
+      w.push_back(random_matrix(k, n, seed++));
+      wp.push_back(packed_copy(w.back(), k, n));
+      if (format != WeightFormat::kF32) {
+        rowq.push_back(
+            gemm_tune::quantize_weights(w.back().data(), k, n, format));
+        q.push_back(gemm_tune::quantize_weights(wp.back().data(), k, n,
+                                                format, /*packed=*/true));
+      }
+    }
+  }
+
+  std::vector<float> run(const std::vector<float>& a, std::int64_t m,
+                         WeightFormat format, std::size_t threads,
+                         std::int64_t c_offset = 0) const {
+    std::int64_t total = 0;
+    for (const std::int64_t n : ns) total += m * n;
+    std::vector<float> buf(static_cast<std::size_t>(total + 32), -7.0f);
+    float* c = line_offset_ptr(buf, c_offset);
+    std::vector<kernels::PackedGemm> gemms;
+    float* at = c;
+    for (std::size_t g = 0; g < ns.size(); ++g) {
+      kernels::PackedGemm pg;
+      pg.c = at;
+      pg.n = ns[g];
+      switch (format) {
+        case WeightFormat::kF32: pg.b = wp[g].data(); break;
+        case WeightFormat::kBf16: pg.b = q[g].bf16.data(); break;
+        case WeightFormat::kInt8:
+          pg.b = q[g].q8.data();
+          pg.scale = q[g].scale.data();
+          break;
+      }
+      gemms.push_back(pg);
+      at += m * ns[g];
+    }
+    kernels::gemm_packed(a.data(), m, k, format, gemms,
+                         kernels::pick_variant(m, format), threads);
+    return std::vector<float>(c, c + total);
+  }
+
+  // The row-major reference for the first m rows: the fmaf chain (fp32 with
+  // SIMD, bf16, int8), else the portable build's row-major gemm_nn.
+  std::vector<float> reference(const std::vector<float>& a, std::int64_t m,
+                               WeightFormat format) const {
+    std::vector<float> out;
+    for (std::size_t g = 0; g < ns.size(); ++g) {
+      const std::int64_t n = ns[g];
+      std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+      if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) {
+        kernels::gemm_nn(a.data(), w[g].data(), c.data(), m, n, k,
+                         /*accumulate=*/false);
+      } else {
+        c = fma_chain_reference(
+            a, format == WeightFormat::kF32 ? w[g] : widen_quantized(rowq[g]),
+            format == WeightFormat::kInt8 ? rowq[g].scale.data() : nullptr, c,
+            m, n, k);
+      }
+      out.insert(out.end(), c.begin(), c.end());
+    }
+    return out;
+  }
+};
+
+TEST(GemmContract, PackedPanelsMatchFmaChainReferenceBytes) {
+  // fp32 / bf16 / int8 packed jobs: one GEMM at the serving widths (64, 256,
+  // 688 and 8192, plus 704) and odd widths with a narrow last panel (17,
+  // 8200), and the two multi-GEMM groups the serving layers run (q|k|v,
+  // gate|up). m = 1..17, 63, 64, 65 and 128 cover serial jobs, panel
+  // ranges and row groups; k is odd and sized so most small-m jobs cross
+  // kPackedSplitFmas. Every C byte equals the row-major fmaf-chain
+  // reference (the portable build's fp32 loop is not an FMA chain, so
+  // there fp32 is held to the row-major gemm_nn's bytes instead).
+  const std::vector<std::vector<std::int64_t>> jobs = {
+      {64}, {256}, {688}, {704}, {8192}, {17}, {8200},
+      {256, 64, 64}, {688, 688}};
+  std::vector<std::int64_t> rows;
+  for (std::int64_t m = 1; m <= 17; ++m) rows.push_back(m);
+  for (const std::int64_t m : {63, 64, 65, 128}) rows.push_back(m);
+  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
+                                  WeightFormat::kInt8};
+  for (const WeightFormat format : formats) {
+    for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
+      std::int64_t n = 0;
+      for (const std::int64_t w : jobs[ji]) n += w;
+      const std::int64_t k =
+          std::min<std::int64_t>(301, kernels::kPackedSplitFmas / (4 * n) + 1) |
+          1;
+      const PackedJob job(k, jobs[ji], format, 70);
+      const auto a = random_matrix(128, k, 71);
+      const auto ref = job.reference(a, 128, format);
+      for (const std::int64_t m : rows) {
+        const auto c = job.run(a, m, format, /*threads=*/0, (m + ji) % 16);
+        // The reference's first m rows of each GEMM.
+        std::vector<float> expect;
+        std::size_t at = 0;
+        for (const std::int64_t w : jobs[ji]) {
+          expect.insert(expect.end(), ref.begin() + at,
+                        ref.begin() + at + m * w);
+          at += 128 * w;
+        }
+        ASSERT_EQ(0, std::memcmp(expect.data(), c.data(),
+                                 c.size() * sizeof(float)))
+            << kernels::format_name(format) << " job " << ji << " m=" << m
+            << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
+  // Over threads 1..8 the packed split computes every (row, panel) tile of
+  // the serving jobs exactly once: row groups of at least kMinGroupRows
+  // rows from kParallelRowThreshold rows, else at most one contiguous
+  // panel range per thread, and one serial tile on one thread or below
+  // kPackedSplitFmas. The jobs' bytes are then the same at every count.
+  struct Job {
+    std::int64_t k;
+    std::vector<std::int64_t> ns;
+  };
+  const Job jobs[] = {{256, {256, 64, 64}}, {256, {256}}, {256, {688, 688}},
+                      {688, {256}},         {256, {8192}}, {31, {17, 100}}};
+  for (const Job& job : jobs) {
+    std::int64_t n = 0, panels = 0;
+    for (const std::int64_t w : job.ns) {
+      n += w;
+      panels += (w + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
+    }
+    for (const std::int64_t m : {1, 2, 4, 8, 16, 63, 64, 65, 128}) {
+      for (std::size_t threads = 1; threads <= 8; ++threads) {
+        const kernels::GemmSplit split =
+            kernels::packed_split(m, n, job.k, panels, threads);
+        const std::string where = std::to_string(m) + "x" + std::to_string(n) +
+                                  "x" + std::to_string(job.k) + " threads " +
+                                  std::to_string(threads);
+        const std::int64_t extent = split.by_rows ? m : panels;
+        ASSERT_GE(split.cuts.size(), 2u) << where;
+        ASSERT_EQ(split.cuts.front(), 0) << where;
+        ASSERT_EQ(split.cuts.back(), extent) << where;
+        for (std::size_t t = 0; t < split.tiles(); ++t) {
+          ASSERT_LT(split.cuts[t], split.cuts[t + 1]) << where;
+        }
+        if (threads == 1 ||
+            (m < kernels::kParallelRowThreshold &&
+             m * n * job.k < kernels::kPackedSplitFmas)) {
+          EXPECT_EQ(split.tiles(), 1u) << where;
+        } else if (m >= kernels::kParallelRowThreshold) {
+          EXPECT_TRUE(split.by_rows) << where;
+          for (std::size_t t = 0; t < split.tiles(); ++t) {
+            EXPECT_GE(split.cuts[t + 1] - split.cuts[t],
+                      kernels::kMinGroupRows)
+                << where;
+          }
+        } else {
+          EXPECT_FALSE(split.by_rows) << where;
+          EXPECT_EQ(split.tiles(),
+                    std::min<std::size_t>(threads,
+                                          static_cast<std::size_t>(panels)))
+              << where;
+        }
+      }
+    }
+  }
+  // Bytes at every thread count, for each format, on jobs that split.
+  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
+                                  WeightFormat::kInt8};
+  for (const WeightFormat format : formats) {
+    for (const Job& job : {Job{256, {256, 64, 64}}, Job{77, {688, 688}},
+                           Job{41, {8200}}}) {
+      const PackedJob packed(job.k, job.ns, format, 80);
+      for (const std::int64_t m : {5, 16, 64}) {
+        const auto a = random_matrix(m, job.k, 81);
+        const auto one = packed.run(a, m, format, 1);
+        for (std::size_t threads = 2; threads <= 8; ++threads) {
+          const auto c = packed.run(a, m, format, threads);
+          ASSERT_EQ(0, std::memcmp(one.data(), c.data(),
+                                   c.size() * sizeof(float)))
+              << kernels::format_name(format) << " m=" << m << " k=" << job.k
+              << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmSplit, PackedServingJobsSplitByTheRule) {
+  // The serving jobs on four threads: lm_head and gate|up split their
+  // panels from m = 1, q|k|v from m = 4, down from m = 2, o from m = 5;
+  // from kParallelRowThreshold rows every job runs sixteen row groups.
+  const auto tiles = [](std::int64_t m, std::int64_t n, std::int64_t k) {
+    const std::int64_t panels =
+        (n + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
+    return kernels::packed_split(m, n, k, panels, 4).tiles();
+  };
+  EXPECT_EQ(tiles(1, 8192, 256), 4u);
+  EXPECT_EQ(tiles(1, 2 * 688, 256), 4u);
+  EXPECT_EQ(tiles(1, 384, 256), 1u);
+  EXPECT_EQ(tiles(4, 384, 256), 4u);
+  EXPECT_EQ(tiles(1, 256, 688), 1u);
+  EXPECT_EQ(tiles(2, 256, 688), 4u);
+  EXPECT_EQ(tiles(4, 256, 256), 1u);
+  EXPECT_EQ(tiles(5, 256, 256), 4u);
+  for (const std::int64_t n : {256, 384, 2 * 688, 8192}) {
+    const std::int64_t panels =
+        (n + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
+    const auto split = kernels::packed_split(
+        kernels::kParallelRowThreshold, n, 256, panels, 4);
+    EXPECT_TRUE(split.by_rows) << n;
+    EXPECT_EQ(split.tiles(), 16u) << n;
+  }
+}
+
+TEST(GemmTune, PackedSidecarHoldsTheRowMajorSidecarsElements) {
+  const std::int64_t k = 37, n = 150;
+  const auto w = random_matrix(k, n, 90);
+  const auto wp = packed_copy(w, k, n);
+  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
+    const auto row = gemm_tune::quantize_weights(w.data(), k, n, format);
+    const auto packed =
+        gemm_tune::quantize_weights(wp.data(), k, n, format, /*packed=*/true);
+    EXPECT_TRUE(packed.packed);
+    EXPECT_EQ(row.scale, packed.scale);
+    for (std::int64_t l = 0; l < k; ++l) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        const auto r = static_cast<std::size_t>(l * n + j);
+        const auto p =
+            static_cast<std::size_t>(kernels::packed_index(l, j, k, n));
+        if (format == WeightFormat::kInt8) {
+          ASSERT_EQ(row.q8[r], packed.q8[p]) << l << "," << j;
+        } else {
+          ASSERT_EQ(row.bf16[r], packed.bf16[p]) << l << "," << j;
+        }
       }
     }
   }
