@@ -17,8 +17,9 @@
 // Phases:
 //   1. calibration — the measured host anchors the model extrapolates from;
 //   2. predicted vs measured — relative error over a shape x format x
-//      tiling grid, row-major and packed weights (gate: median error <=
-//      50%, the tp_predict discipline);
+//      tiling grid of row-major weights (gate: median error <= 50%, the
+//      tp_predict discipline), and for the record the same shapes over
+//      packed panels;
 //   3. rule vs fixed — autotune_speedup (int8 decode shape, gate >= 1.3x),
 //      fp32_autotune_speedup (geomean over M in {1,4,8}; the rule keeps
 //      fp32 on the default, so this reads ~1.0x), and int8_decode_speedup
@@ -114,8 +115,12 @@ double one_cycle(const ColdWeights& w, WeightFormat format, const float* a,
     const float* b = f32 ? w.f32[i].data() : nullptr;
     const gemm_tune::QuantWeights* qw = f32 ? nullptr : &w.quant[i];
     if (w.packed) {
-      const gemm_tune::PackedOperand op{b, qw, c, w.n};
-      gemm_tune::run_gemm_packed(a, m, w.k, {&op, 1}, variant);
+      kernels::PackedGemm g{b, nullptr, c, w.n};
+      if (format == WeightFormat::kInt8) {
+        g.b = qw->q8.data();
+        g.scale = qw->scale.data();
+      }
+      kernels::gemm_packed(a, m, w.k, format, {&g, 1}, variant);
     } else {
       gemm_tune::run_gemm(a, b, qw, c, m, w.n, w.k, variant);
     }
@@ -273,44 +278,54 @@ int main() {
   };
   const GridShape grid[] = {{1, 2048, 512}, {4, 2048, 512}, {8, 2048, 512},
                             {1, 8192, 256}, {8, 512, 512}};
+  auto check = [&](const GridShape& s, WeightFormat format,
+                   const ColdWeights& w, const GemmVariant& v) {
+    const double predicted = gemm_tune::predict_seconds(
+        s.m, s.n, s.k, format, v, anchors, w.packed);
+    const double measured = time_cold(w, format, s.m, v);
+    const double err = std::abs(predicted - measured) / measured;
+    std::printf("  %4s %2lldx%lldx%lld mr=%2d nc=%4lld%s: predicted %7.1f "
+                "us, measured %7.1f us (%.1f GFLOP/s), err %4.0f%%\n",
+                kernels::format_name(format), static_cast<long long>(s.m),
+                static_cast<long long>(s.n), static_cast<long long>(s.k),
+                v.mr, static_cast<long long>(v.nc), w.packed ? " packed" : "",
+                predicted * 1e6, measured * 1e6,
+                gflops(s.m, s.n, s.k, measured), 100 * err);
+    return err;
+  };
+  // The gate: row-major weights at the default tiling plus the rule's
+  // pick, the two tilings the dispatcher will actually run.
   std::vector<double> rel_errors;
   double worst_err = 0.0;
   for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
     for (const auto& s : grid) {
-      auto check = [&](const ColdWeights& w, const GemmVariant& v) {
-        const double predicted = gemm_tune::predict_seconds(
-            s.m, s.n, s.k, format, v, anchors, w.packed);
-        const double measured = time_cold(w, format, s.m, v);
-        const double err = std::abs(predicted - measured) / measured;
+      ColdWeights w(s.k, s.n, format);
+      std::vector<GemmVariant> tilings{kernels::gemm_default_variant()};
+      const GemmVariant pick = kernels::pick_variant(s.m, format);
+      if (!(pick == tilings[0])) tilings.push_back(pick);
+      for (const auto& v : tilings) {
+        const double err = check(s, format, w, v);
         rel_errors.push_back(err);
         worst_err = std::max(worst_err, err);
-        std::printf("  %4s %2lldx%lldx%lld %s: predicted %7.1f "
-                    "us, measured %7.1f us (%.1f GFLOP/s), err %4.0f%%\n",
-                    kernels::format_name(format),
-                    static_cast<long long>(s.m), static_cast<long long>(s.n),
-                    static_cast<long long>(s.k),
-                    w.packed ? "packed     "
-                             : ("mr=" + std::to_string(v.mr) + " nc=" +
-                                std::to_string(v.nc))
-                                   .c_str(),
-                    predicted * 1e6, measured * 1e6,
-                    gflops(s.m, s.n, s.k, measured), 100 * err);
-      };
-      // The default tiling plus the rule's pick over row-major weights:
-      // the two tilings the dispatcher will actually run.
-      const GemmVariant pick = kernels::pick_variant(s.m, format);
-      {
-        ColdWeights w(s.k, s.n, format);
-        check(w, kernels::gemm_default_variant());
-        if (!(pick == kernels::gemm_default_variant())) check(w, pick);
       }
-      // And the packed panels a served model's layers run.
-      check(ColdWeights(s.k, s.n, format, /*packed=*/true), pick);
     }
   }
   const double predict_error_median = median(rel_errors);
   std::printf("relative error: median %.0f%%, worst %.0f%% over %zu points\n",
               100 * predict_error_median, 100 * worst_err, rel_errors.size());
+  // For the record (no gate): the same grid over packed panels, the
+  // layout a served model's layers run.
+  std::vector<double> packed_errors;
+  for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
+    for (const auto& s : grid) {
+      packed_errors.push_back(
+          check(s, format, ColdWeights(s.k, s.n, format, /*packed=*/true),
+                kernels::pick_variant(s.m, format)));
+    }
+  }
+  const double packed_predict_error_median = median(packed_errors);
+  std::printf("packed relative error: median %.0f%% over %zu points\n",
+              100 * packed_predict_error_median, packed_errors.size());
 
   // --- 3. rule vs fixed tiling ---------------------------------------------
   bench::print_section("rule vs fixed tiling (decode shapes, cold weights)");
@@ -481,6 +496,7 @@ int main() {
        {"fp32_autotune_speedup", fp32_autotune_speedup},
        {"int8_decode_speedup", int8_decode_speedup},
        {"predict_error_median", predict_error_median},
+       {"packed_predict_error_median", packed_predict_error_median},
        {"predict_error_worst", worst_err},
        {"int8_logit_max_abs_err", int8_logit_max_abs_err},
        {"int8_argmax_agreement",

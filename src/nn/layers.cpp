@@ -34,19 +34,90 @@ std::vector<Var> Linear::forward_many(Tape& tape, const Var& x,
              "Linear expects feature dim " << in << ", got "
                                            << x.value().shape_str());
   Var flat = x.value().ndim() == 2 ? x : ops::reshape(tape, x, {-1, in});
-  std::vector<Var> weights;
-  std::vector<const gemm_tune::QuantWeights*> quants;
-  for (const Linear* lin : group) {
-    weights.push_back(lin->weight_);
-    quants.push_back(path == FwdPath::kDecode ? lin->quant_.get() : nullptr);
+  std::vector<Var> ys;
+  if (group[0]->weight_.node()->packed) {
+    ys = forward_packed(tape, flat, group, path);
+  } else {
+    for (const Linear* lin : group) {
+      ys.push_back(ops::matmul(
+          tape, flat, lin->weight_,
+          path == FwdPath::kDecode ? lin->quant_.get() : nullptr));
+    }
   }
-  std::vector<Var> ys = ops::matmul_many(tape, flat, weights, quants);
   for (std::size_t i = 0; i < ys.size(); ++i) {
     if (group[i]->bias_.defined()) {
       ys[i] = ops::add_bias(tape, ys[i], group[i]->bias_);
     }
   }
   return ys;
+}
+
+// The packed products of `group` as one job. Like ops::matmul, a prefill
+// (or a forward with no sidecar) reads the fp32 weights; unlike it, there
+// is no backward.
+std::vector<Var> Linear::forward_packed(Tape& tape, const Var& x,
+                                        std::span<const Linear* const> group,
+                                        FwdPath path) {
+  bool needs_grad = x.requires_grad();
+  for (const Linear* lin : group) {
+    needs_grad = needs_grad || lin->weight_.requires_grad();
+  }
+  MGPT_CHECK(!(tape.recording() && needs_grad),
+             "Linear: the weights are packed into decode panels (an inference "
+             "engine prepared this model), and a gradient needs them "
+             "row-major; train a model no engine has prepared, or load its "
+             "checkpoint into a fresh one");
+  const std::int64_t m = x.value().dim(0);
+  const std::int64_t k = x.value().dim(1);
+  // Holding the sidecars keeps them alive if set_decode_weights swaps them.
+  std::vector<std::shared_ptr<const gemm_tune::QuantWeights>> quants;
+  for (const Linear* lin : group) {
+    quants.push_back(path == FwdPath::kDecode ? lin->quant_ : nullptr);
+  }
+  const kernels::WeightFormat format =
+      quants[0] ? quants[0]->format : kernels::WeightFormat::kF32;
+  std::vector<Tensor> outs;
+  std::vector<kernels::PackedGemm> gemms;
+  outs.reserve(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const Linear& lin = *group[i];
+    const gemm_tune::QuantWeights* qw = quants[i].get();
+    MGPT_CHECK(lin.in_ == k && lin.weight_.node()->packed &&
+                   (qw ? qw->format : kernels::WeightFormat::kF32) == format,
+               "a packed Linear group shares its input, layout and format");
+    outs.emplace_back(std::vector<std::int64_t>{m, lin.out_});
+    kernels::PackedGemm g{lin.weight_.value().data(), nullptr,
+                          outs.back().data(), lin.out_};
+    if (format == kernels::WeightFormat::kBf16) g.b = qw->bf16.data();
+    if (format == kernels::WeightFormat::kInt8) {
+      g.b = qw->q8.data();
+      g.scale = qw->scale.data();
+    }
+    gemms.push_back(g);
+  }
+  kernels::gemm_packed(x.value().data(), m, k, format, gemms,
+                       kernels::pick_variant(m, format));
+  ops::count_matmuls(format, group.size());
+  std::vector<Var> ys;
+  for (Tensor& out : outs) {
+    ys.push_back(tape.intermediate(std::move(out), /*requires_grad=*/false));
+  }
+  return ys;
+}
+
+Tensor Linear::row_major(const Var& param) {
+  if (!param.node()->packed) return param.value();
+  const Tensor& packed = param.value();
+  Tensor out(packed.shape());
+  kernels::unpack_panels(packed.data(), out.data(), packed.dim(0),
+                         packed.dim(1));
+  return out;
+}
+
+void Linear::repack(const Var& param) {
+  if (!param.node()->packed) return;
+  Tensor& value = param.node()->value;
+  kernels::pack_panels(value.data(), value.dim(0), value.dim(1));
 }
 
 void Linear::set_decode_weights(kernels::WeightFormat format) const {
@@ -61,7 +132,7 @@ void Linear::set_decode_weights(kernels::WeightFormat format) const {
   }
   quant_ = std::make_shared<const gemm_tune::QuantWeights>(
       gemm_tune::quantize_weights(w.value.data(), in_, out_, format,
-                                  /*packed=*/true));
+                                  w.packed));
 }
 
 kernels::WeightFormat Linear::decode_format() const {

@@ -29,28 +29,40 @@ enum class FwdPath : std::uint8_t { kPrefill, kDecode };
 /// y = x W (+ b); weight stored [in, out] so forward is a plain NN GEMM.
 ///
 /// Serving packs the weight: set_decode_weights re-lays it IN PLACE as
-/// kernels::pack_panels' contiguous 64-column panels (VarNode::packed), so
-/// every GEMM thread streams its own contiguous slice and no weight exists
-/// twice. Packing is one-way and changes no parameter name, shape or
-/// logit byte. Afterwards only the GEMM kernels read the raw weight bytes:
-/// nn::save and the tensor-parallel shards read it through ops::row_major,
-/// nn::load re-packs what it reads, and a gradient-recording forward
-/// throws (train before serving, or reload into a fresh model).
+/// kernels::pack_panels' contiguous 64-column panels, flagged on the
+/// weight itself (VarNode::packed), so every GEMM thread streams its own
+/// contiguous slice and no weight exists twice. Packing is one-way and
+/// changes no parameter name, shape or logit byte. The layout stays inside
+/// this class and the kernels: forward runs packed weights through
+/// kernels::gemm_packed (ops::matmul refuses them), and any other reader of
+/// a parameter's bytes goes through Linear::row_major (nn::save, the
+/// tensor-parallel shards) or, after writing row-major bytes into it,
+/// Linear::repack (nn::load). A gradient-recording forward through packed
+/// weights throws: train before serving, or load into a fresh model.
 class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, bool bias,
          Rng& rng, float init_scale = 1.0f);
 
-  /// x: [N, in] -> [N, out] through ops::matmul; kDecode uses the
-  /// quantized decode weights when set_decode_weights installed them.
+  /// x: [N, in] -> [N, out]; kDecode uses the quantized decode weights
+  /// when set_decode_weights installed them.
   Var forward(Tape& tape, const Var& x,
               FwdPath path = FwdPath::kPrefill) const;
 
-  /// forward() of every Linear in `group` (all [in, *]) on the same x, as
-  /// one ops::matmul_many job once they are packed: q|k|v, gate|up.
+  /// forward() of every Linear in `group` (all [in, *], all prepared alike)
+  /// on the same x: separate ops::matmul products, or once packed one
+  /// kernels::gemm_packed job over the union of their panels (q|k|v,
+  /// gate|up). Same bytes either way.
   static std::vector<Var> forward_many(Tape& tape, const Var& x,
                                        std::span<const Linear* const> group,
                                        FwdPath path);
+
+  /// A parameter's value row-major: the value itself, or an unpacked copy
+  /// of a weight set_decode_weights packed.
+  static Tensor row_major(const Var& param);
+  /// Re-lay a packed parameter whose value was just overwritten with
+  /// row-major bytes; anything else is left as it is.
+  static void repack(const Var& param);
 
   /// Pack the weight in place (once) and build (or with kF32: drop) the
   /// quantized decode sidecar in the same layout. Not thread-safe against
@@ -62,6 +74,10 @@ class Linear : public Module {
   std::int64_t out_features() const { return out_; }
 
  private:
+  static std::vector<Var> forward_packed(Tape& tape, const Var& x,
+                                         std::span<const Linear* const> group,
+                                         FwdPath path);
+
   std::int64_t in_;
   std::int64_t out_;
   Var weight_;

@@ -4,8 +4,7 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "tensor/kernels.h"
-#include "tensor/ops.h"
+#include "nn/layers.h"
 
 namespace matgpt::nn {
 
@@ -27,7 +26,7 @@ void save_parameters(const Module& module, std::ostream& os) {
   }
   for (const auto& p : params) {
     // Checkpoints are row-major whatever layout serving packed a weight in.
-    const Tensor t = ops::row_major(p.var);
+    const Tensor t = Linear::row_major(p.var);
     os.write(reinterpret_cast<const char*>(t.data()),
              static_cast<std::streamsize>(t.numel() *
                                           static_cast<std::int64_t>(
@@ -76,9 +75,7 @@ void load_parameters(Module& module, std::istream& is) {
                                                     sizeof(float))),
                "truncated checkpoint payload at " << p.name);
     // A weight serving packed stays packed: re-lay the row-major payload.
-    if (p.var.node()->packed) {
-      kernels::pack_panels(t.data(), t.dim(0), t.dim(1));
-    }
+    Linear::repack(p.var);
   }
 }
 

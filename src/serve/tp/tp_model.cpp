@@ -201,12 +201,13 @@ std::unique_ptr<TpModel::RankState> TpModel::build_rank_state(int rank) const {
   };
   auto col_shard = [&](const std::string& name, std::int64_t begin,
                        std::int64_t end) {
-    return make_var(column_slice(ops::row_major(find(name)), begin, end),
-                    false);
+    return make_var(
+        column_slice(nn::Linear::row_major(find(name)), begin, end), false);
   };
   auto row_shard = [&](const std::string& name, std::int64_t begin,
                        std::int64_t end) {
-    return make_var(row_slice(ops::row_major(find(name)), begin, end), false);
+    return make_var(row_slice(nn::Linear::row_major(find(name)), begin, end),
+                    false);
   };
   auto bias_shard = [&](const std::string& name, std::int64_t begin,
                         std::int64_t end) {

@@ -20,9 +20,9 @@ struct VarNode {
   Tensor value;
   Tensor grad;  // undefined until the first accumulation
   bool requires_grad = false;
-  /// `value` is a [k, n] weight re-laid in place as kernels::pack_panels'
-  /// panels (an inference engine prepared its model). Only the GEMM
-  /// kernels read it so; everything else goes through ops::row_major.
+  /// `value` is a [k, n] weight nn::Linear re-laid in place as
+  /// kernels::pack_panels' panels (an inference engine prepared its
+  /// model); read its bytes through nn::Linear::row_major.
   bool packed = false;
 
   /// Allocate (zeros like value) if needed, then return the grad tensor.

@@ -166,7 +166,6 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
   qw.format = format;
   qw.k = k;
   qw.n = n;
-  qw.packed = packed;
   const std::size_t count = static_cast<std::size_t>(k * n);
   if (format == WeightFormat::kBf16) {
     qw.bf16.resize(count);
@@ -221,34 +220,6 @@ void run_gemm(const float* a, const float* b, const QuantWeights* qw,
                             variant);
       break;
   }
-}
-
-void run_gemm_packed(const float* a, std::int64_t m, std::int64_t k,
-                     std::span<const PackedOperand> ops,
-                     const GemmVariant& variant) {
-  WeightFormat format = WeightFormat::kF32;
-  std::vector<kernels::PackedGemm> gemms;
-  gemms.reserve(ops.size());
-  for (const PackedOperand& op : ops) {
-    const bool quant = op.qw != nullptr && op.qw->format != WeightFormat::kF32;
-    const WeightFormat f = quant ? op.qw->format : WeightFormat::kF32;
-    if (gemms.empty()) format = f;
-    MGPT_CHECK(f == format, "a packed job runs one weight format");
-    MGPT_CHECK(!quant || op.qw->packed, "quantized weights are not packed");
-    kernels::PackedGemm g;
-    g.c = op.c;
-    g.n = op.n;
-    switch (f) {
-      case WeightFormat::kF32: g.b = op.b; break;
-      case WeightFormat::kBf16: g.b = op.qw->bf16.data(); break;
-      case WeightFormat::kInt8:
-        g.b = op.qw->q8.data();
-        g.scale = op.qw->scale.data();
-        break;
-    }
-    gemms.push_back(g);
-  }
-  kernels::gemm_packed(a, m, k, format, gemms, variant);
 }
 
 const HostAnchors& host_anchors() {

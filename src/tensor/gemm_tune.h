@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -32,13 +31,12 @@ namespace matgpt::gemm_tune {
 
 /// A weight matrix [k, n] re-encoded for the quantized decode GEMMs.
 /// bf16: raw bit patterns (value = bits << 16). int8: per-output-column
-/// symmetric scales, q = round(w / scale) clamped to [-127, 127]. `packed`
-/// elements sit in kernels::pack_panels' layout, else row-major.
+/// symmetric scales, q = round(w / scale) clamped to [-127, 127]. The
+/// elements sit in the layout of the weight they were built from.
 struct QuantWeights {
   kernels::WeightFormat format = kernels::WeightFormat::kF32;
   std::int64_t k = 0;
   std::int64_t n = 0;
-  bool packed = false;
   std::vector<std::uint16_t> bf16;  // [k * n] when format == kBf16
   std::vector<std::int8_t> q8;      // [k * n] when format == kInt8
   std::vector<float> scale;         // [n] when format == kInt8
@@ -56,21 +54,6 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
 void run_gemm(const float* a, const float* b, const QuantWeights* qw,
               float* c, std::int64_t m, std::int64_t n, std::int64_t k,
               const kernels::GemmVariant& variant);
-
-/// One GEMM of a packed job: C[m, n] = A * W, W read from `qw` in its
-/// format when `qw` is non-null and not fp32, else from the fp32 `b`.
-/// Either one holds packed panels.
-struct PackedOperand {
-  const float* b = nullptr;
-  const QuantWeights* qw = nullptr;
-  float* c = nullptr;
-  std::int64_t n = 0;
-};
-
-/// The GEMMs of `ops` (all in one format) as one kernels::gemm_packed job.
-void run_gemm_packed(const float* a, std::int64_t m, std::int64_t k,
-                     std::span<const PackedOperand> ops,
-                     const kernels::GemmVariant& variant);
 
 /// Measured host anchors for the cost model (the tp_predict idiom:
 /// measure a reference shape, calibrate the model so prediction matches

@@ -380,9 +380,11 @@ void panel_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
 #pragma GCC pop_options
 #endif  // MATGPT_X86_DISPATCH
 
-// C rows [i_lo, i_hi) of panels [p_lo, p_hi), in row_block() blocks, each
-// block walking the panels in order, through the SIMD kernel, else the
-// portable loop.
+// C rows [i_lo, i_hi) of panels [p_lo, p_hi), panel by panel, so a tile
+// streams each panel of B in once and its later rows re-read it from
+// cache: through the register kernel when the panel is at most
+// kPanelFloats wide (every packed panel), else the streaming kernel in
+// row_block() blocks; without SIMD, the portable loop.
 template <typename BT>
 void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
                std::size_t p_lo, std::size_t p_hi, std::int64_t i_lo,
@@ -391,19 +393,20 @@ void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
 #ifdef MATGPT_X86_DISPATCH
   if (simd_active()) {
     const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
-    for (std::int64_t i = i_lo; i < i_hi;) {
-      const int rows = row_block(i_hi - i, variant.mr);
-      for (std::size_t p = p_lo; p < p_hi; ++p) {
-        const Panel<BT>& pn = panels[p];
-        if (pn.width <= kPanelFloats && !accumulate) {
-          panel_avx2<BT>(a + i * k, k, pn, pn.c + i * pn.ldc, rows);
-        } else {
-          gemm_avx2_block<BT>(a + i * k, k, pn.b, pn.ldb, pn.scale,
-                              pn.c + i * pn.ldc, pn.ldc, pn.width, accumulate,
-                              rows, nc);
-        }
+    for (std::size_t p = p_lo; p < p_hi; ++p) {
+      const Panel<BT>& pn = panels[p];
+      if (pn.width <= kPanelFloats && !accumulate) {
+        panel_avx2<BT>(a + i_lo * k, k, pn, pn.c + i_lo * pn.ldc,
+                       i_hi - i_lo);
+        continue;
       }
-      i += rows;
+      for (std::int64_t i = i_lo; i < i_hi;) {
+        const int rows = row_block(i_hi - i, variant.mr);
+        gemm_avx2_block<BT>(a + i * k, k, pn.b, pn.ldb, pn.scale,
+                            pn.c + i * pn.ldc, pn.ldc, pn.width, accumulate,
+                            rows, nc);
+        i += rows;
+      }
     }
     return;
   }

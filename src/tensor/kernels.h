@@ -46,35 +46,35 @@
 //    rows, rows split.
 //  * Anything smaller runs as one serial tile.
 //
-// The measurements behind the packed rule (4-vCPU AVX2 KVM host, the
-// serving model's fp32 decode GEMMs with q|k|v and gate|up as one job
-// each, hot weights, median of 3 rounds of 41-call medians, in us):
-// serial = the packed job on one thread; row groups = row-major B in
-// min(4, m / 4) groups, one per thread; row-major rule = gemm_split over
-// row-major B, what the layers ran before packing; packed = packed_split.
+// The measurements behind the packed rule (4-vCPU AVX2 KVM host shared
+// with other guests, the serving model's fp32 decode GEMMs with q|k|v and
+// gate|up as one job each, hot weights, median of 3 runs of 3-round
+// medians of 41-call medians, in us; run-to-run spread ~10%, up to 30% on
+// lm_head): serial = the packed job on one thread; row groups = row-major
+// B in min(4, m / 4) groups, one per thread; row-major rule = gemm_split
+// over row-major B, what the layers ran before packing; packed =
+// packed_split.
 //
 //     m x    n x   k                serial  row groups  row-major  packed
-//     1 x  384 x 256 (q|k|v)             5           -          6       5
-//     4 x  384 x 256 (q|k|v)            15           -         15      12
-//    16 x  384 x 256 (q|k|v)            61          37         58      27
-//     1 x  256 x 256 (o)                 4           -          5       4
-//     4 x  256 x 256 (o)                 9           -         10       9
-//    16 x  256 x 256 (o)                38          33         39      18
-//     1 x 1376 x 256 (gate|up)          20           -         25      15
-//     4 x 1376 x 256 (gate|up)          47           -         56      22
-//    16 x 1376 x 256 (gate|up)         219          78         86      70
-//     1 x  256 x 688 (down)              9           -         12       9
-//     4 x  256 x 688 (down)             22           -         29      14
-//    16 x  256 x 688 (down)             99          79         80      35
-//     1 x 8192 x 256 (lm_head)         259           -         93      51
-//     4 x 8192 x 256 (lm_head)         461           -        132     137
-//    16 x 8192 x 256 (lm_head)        1600         477        368     395
+//     1 x  384 x 256 (q|k|v)             7           -          9       7
+//     4 x  384 x 256 (q|k|v)            20           -         20      19
+//    16 x  384 x 256 (q|k|v)            84          52         74      42
+//     1 x  256 x 256 (o)                 5           -          6       5
+//     4 x  256 x 256 (o)                13           -         14      13
+//    16 x  256 x 256 (o)                52          47         52      27
+//     1 x 1376 x 256 (gate|up)          34           -         37      26
+//     4 x 1376 x 256 (gate|up)          99           -         82      40
+//    16 x 1376 x 256 (gate|up)         342         125        150     108
+//     1 x  256 x 688 (down)             13           -         17      13
+//     4 x  256 x 688 (down)             38           -         41      26
+//    16 x  256 x 688 (down)            152         124        123      60
+//     1 x 8192 x 256 (lm_head)         421           -        128     129
+//     4 x 8192 x 256 (lm_head)         798           -        227     249
+//    16 x 8192 x 256 (lm_head)        2846         728        738     681
 //
-// The layer GEMMs of one decode step (four layers) fall from ~0.44 to
-// ~0.23 ms at m = 4 and from ~1.05 to ~0.60 ms at m = 16. lm_head, which
-// row-major column panels already split, stays level from m = 4: there
-// the register kernel takes four rows per pass over a panel, the
-// streaming kernel eight.
+// The layer GEMMs of one decode step (four layers) fall from ~0.63 to
+// ~0.39 ms at m = 4 and from ~1.6 to ~0.95 ms at m = 16. lm_head, which
+// row-major column panels already split, stays level within the noise.
 //
 // Tensor storage starts on a 64-byte line, and row-major panel cuts fall on
 // multiples of 16 floats, so when n is a multiple of 16 no two panels of a
@@ -85,13 +85,35 @@
 // boundary, and only when n is not a multiple of 16.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
-// every NN GEMM — fp32, bf16 and int8 weights alike — runs one streaming
-// multi-row microkernel over each panel (row-major B is the one-panel case;
-// the kernel takes B's row stride separately from C's): B is read once per
-// row block in contiguous, prefetch-friendly segments while an L1-resident
-// chunk of C accumulates. A panel at most kPanelFloats wide (every packed
-// panel) instead keeps up to four rows' 64 columns of C in registers over
-// all k and writes C once; the FMA chain per element is the same.
+// every NN GEMM — fp32, bf16 and int8 weights alike — walks its tile's
+// panels one at a time (B's row stride is taken separately from C's, so
+// row-major B is the one-panel case) with one of two microkernels:
+//
+//  * A panel wider than kPanelFloats (row-major B, or one of its column
+//    panels) runs the streaming kernel: B is read once per row block in
+//    contiguous, prefetch-friendly segments while an L1-resident chunk of
+//    C accumulates, re-read and re-written every 4 k terms.
+//  * A panel at most kPanelFloats wide (every packed panel) runs the
+//    register kernel: up to four rows' 64 columns of C stay in registers
+//    over all k and C is written once.
+//
+// The FMA chain per element is the same in both. The register kernel
+// exists because the streaming kernel loses on packed panels at every
+// served shape and row count. Packed jobs on the pool, hot weights,
+// register vs streaming kernel in us (3 alternating runs, same host):
+//
+//     fp32      m = 1      m = 4        m = 16         m = 64
+//     q|k|v     8 / 11    22 / 28      51 / 123       112 / 162
+//     o         4 / 5     11 / 14      27 / 145        69 / 90
+//     gate|up  24 / 24    38 / 47     120 / 118       434 / 460
+//     down     10 / 12    24 / 112     48 / 407       169 / 238
+//     lm_head 124 / 128  225 / 226    623 / 745      3663 / 3544
+//
+// int8 reads the same way, with lm_head 1.2-1.4x slower streaming. The
+// streaming kernel ties at best (fp32 lm_head and gate|up, within the
+// noise), so there is no row count from which it should take packed
+// panels over.
+//
 // Batch-1 decode is therefore weight-bandwidth-bound and a full serving
 // batch rides the same B traffic at FMA throughput. The weight formats
 // differ only in how a B vector is loaded (bf16 and int8 are widened to

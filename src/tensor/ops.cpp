@@ -134,24 +134,20 @@ Var matmul(Tape& tape, const Var& a, const Var& b,
   MGPT_CHECK(b.value().dim(0) == k,
              "matmul inner-dim mismatch: " << a.value().shape_str() << " x "
                                            << b.value().shape_str());
-  const bool needs_grad = any_requires_grad({&a, &b});
-  const bool backward = tape.recording() && needs_grad;
-  MGPT_CHECK(!(backward && b.node()->packed),
+  MGPT_CHECK(!b.node()->packed,
              "matmul: the " << k << "x" << n
-                            << " weight is packed into decode panels (an "
-                               "inference engine prepared this model), and "
-                               "a gradient needs it row-major; train a model "
-                               "no engine has prepared, or reload it");
+                            << " weight is packed into decode panels; only "
+                               "nn::Linear multiplies by it");
+  const bool needs_grad = any_requires_grad({&a, &b});
   // The sidecar has no gradient story: a result the backward will read
   // always comes from the fp32 weights.
-  const WeightFormat format =
-      qw != nullptr && !backward ? qw->format : WeightFormat::kF32;
+  const WeightFormat format = qw != nullptr && !(tape.recording() && needs_grad)
+                                  ? qw->format
+                                  : WeightFormat::kF32;
   MGPT_CHECK(format == WeightFormat::kF32 || (qw->k == k && qw->n == n),
              "quantized weights shape mismatch: have "
                  << qw->k << "x" << qw->n << ", need " << k << "x" << n);
-  if (b.node()->packed) return matmul_many(tape, a, {&b, 1}, {&qw, 1})[0];
-  g_matmul_calls[static_cast<std::size_t>(format)].fetch_add(
-      1, std::memory_order_relaxed);
+  count_matmuls(format, 1);
   Tensor out({m, n});
   gemm_tune::run_gemm(a.value().data(), b.value().data(),
                       format == WeightFormat::kF32 ? nullptr : qw, out.data(),
@@ -177,64 +173,9 @@ Var matmul(Tape& tape, const Var& a, const Var& b,
   return result;
 }
 
-std::vector<Var> matmul_many(
-    Tape& tape, const Var& a, std::span<const Var> weights,
-    std::span<const gemm_tune::QuantWeights* const> qws) {
-  MGPT_CHECK(weights.size() == qws.size() && !weights.empty(),
-             "matmul_many needs one sidecar slot per weight");
-  MGPT_CHECK(a.value().ndim() == 2, "matmul requires rank-2 operands");
-  const std::int64_t m = a.value().dim(0);
-  const std::int64_t k = a.value().dim(1);
-  auto format_of = [](const gemm_tune::QuantWeights* qw) {
-    return qw != nullptr ? qw->format : WeightFormat::kF32;
-  };
-  bool backward = a.requires_grad();
-  bool fused = true;
-  for (const Var& w : weights) {
-    backward = backward || w.requires_grad();
-    fused = fused && w.node()->packed;
-  }
-  fused = fused && !(tape.recording() && backward);
-  std::vector<Var> out;
-  if (!fused) {
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      out.push_back(matmul(tape, a, weights[i], qws[i]));
-    }
-    return out;
-  }
-  std::vector<Tensor> results;
-  std::vector<gemm_tune::PackedOperand> ops;
-  results.reserve(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const Tensor& w = weights[i].value();
-    MGPT_CHECK(w.ndim() == 2 && w.dim(0) == k,
-               "matmul inner-dim mismatch: " << a.value().shape_str() << " x "
-                                             << w.shape_str());
-    const std::int64_t n = w.dim(1);
-    const gemm_tune::QuantWeights* qw = qws[i];
-    MGPT_CHECK(qw == nullptr || (qw->k == k && qw->n == n),
-               "quantized weights shape mismatch: have "
-                   << qw->k << "x" << qw->n << ", need " << k << "x" << n);
-    results.emplace_back(std::vector<std::int64_t>{m, n});
-    ops.push_back({w.data(), qw, results.back().data(), n});
-    g_matmul_calls[static_cast<std::size_t>(format_of(qw))].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  gemm_tune::run_gemm_packed(a.value().data(), m, k, ops,
-                             kernels::pick_variant(m, format_of(qws[0])));
-  for (Tensor& r : results) {
-    out.push_back(tape.intermediate(std::move(r), /*requires_grad=*/false));
-  }
-  return out;
-}
-
-Tensor row_major(const Var& w) {
-  if (!w.node()->packed) return w.value();
-  const Tensor& packed = w.value();
-  Tensor out(packed.shape());
-  kernels::unpack_panels(packed.data(), out.data(), packed.dim(0),
-                         packed.dim(1));
-  return out;
+void count_matmuls(WeightFormat format, std::uint64_t calls) {
+  g_matmul_calls[static_cast<std::size_t>(format)].fetch_add(
+      calls, std::memory_order_relaxed);
 }
 
 std::uint64_t matmul_calls(WeightFormat format) {

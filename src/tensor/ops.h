@@ -30,28 +30,19 @@ Var add_bias(Tape& tape, const Var& x, const Var& bias);
 Var mul(Tape& tape, const Var& a, const Var& b);
 /// a * s.
 Var scale(Tape& tape, const Var& a, float s);
-/// [m,k] x [k,n] matrix product, tiled by kernels::pick_variant.
+/// Row-major [m,k] x [k,n] matrix product, tiled by kernels::pick_variant.
 /// When `qw` carries a bf16/int8 sidecar of `b` and no backward will read
 /// the result, the weight-quantized kernel runs instead of the fp32 one;
-/// a recording tape with gradients always sees the fp32 weights. A packed
-/// `b` (VarNode::packed) runs the packed kernel and has no backward: a
-/// recording tape with gradients throws. Tiling and layout never change
-/// output bytes; the format does.
+/// a recording tape with gradients always sees the fp32 weights. Tiling
+/// never changes output bytes; the format does. `b` must not be packed
+/// (VarNode::packed): nn::Linear runs its packed weights itself.
 Var matmul(Tape& tape, const Var& a, const Var& b,
            const gemm_tune::QuantWeights* qw = nullptr);
-/// matmul of `a` by each of `weights` (with its sidecar `qws[i]`, may be
-/// null; all in one format). When every weight is packed and no backward
-/// will read the results, the products run as one kernels::gemm_packed job
-/// over the union of their panels; otherwise as separate matmuls. Same
-/// bytes either way.
-std::vector<Var> matmul_many(
-    Tape& tape, const Var& a, std::span<const Var> weights,
-    std::span<const gemm_tune::QuantWeights* const> qws);
-/// A weight's value in row-major layout: `w.value()` itself, or an
-/// unpacked copy when it is packed.
-Tensor row_major(const Var& w);
-/// Process-lifetime count of matmul forwards that ran with `format`.
+/// Process-lifetime count of matmul forwards that ran with `format`:
+/// ops::matmul's, plus those count_matmuls records for products run
+/// outside it (nn::Linear's packed jobs).
 std::uint64_t matmul_calls(kernels::WeightFormat format);
+void count_matmuls(kernels::WeightFormat format, std::uint64_t calls);
 /// Zero-copy view with a new shape (one -1 dimension may be inferred).
 Var reshape(Tape& tape, const Var& x, std::vector<std::int64_t> shape);
 
