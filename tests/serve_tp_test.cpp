@@ -467,6 +467,37 @@ TEST(TpEngine, BuiltOnAPackedModelTokensIdenticalToTp1) {
   }
 }
 
+TEST(TpForward, ShardsOfAPackedModelMatchTheUnpackedModelsBytes) {
+  // Hidden 96 spans two packed panels, so every weight either layout
+  // shards (column slices of q|k|v, gate|up, lm_head; row slices of o and
+  // down) reads differently packed than row-major.
+  for (auto layout : {serve::tp::TpLayout::kColumnGather,
+                      serve::tp::TpLayout::kRowAllreduce}) {
+    nn::GptConfig c = tp_config(nn::ArchFamily::kLLaMA);
+    c.hidden = 96;
+    nn::GptModel row_major(c), packed(c);  // same seed: same weights
+    packed.prepare_decode_quant(kernels::WeightFormat::kF32);
+    serve::tp::TpConfig tc;
+    tc.ranks = 2;
+    tc.layout = layout;
+    const std::vector<std::int32_t> prompt{3, 14, 15, 9, 2};
+    auto logits = [&](const nn::GptModel& model) {
+      serve::tp::TpModel sharded(model, tc);
+      nn::KvCache cache;
+      cache.reserve(c);
+      Tape tape;
+      const Var out = sharded.forward(tape, one_seq(prompt, cache));
+      return std::vector<float>(out.value().data(),
+                                out.value().data() + out.value().numel());
+    };
+    const std::vector<float> a = logits(row_major);
+    const std::vector<float> b = logits(packed);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+        << serve::tp::layout_name(layout);
+  }
+}
+
 TEST(TpEngine, SpeculativeTokensIdenticalToTp1) {
   const nn::GptConfig c = tp_config(nn::ArchFamily::kLLaMA);
   nn::GptModel model(c);
