@@ -17,9 +17,9 @@
 // Phases:
 //   1. calibration — the measured host anchors the model extrapolates from;
 //   2. predicted vs measured — relative error over a shape x format x
-//      tiling grid of row-major weights (gate: median error <= 50%, the
-//      tp_predict discipline), and for the record the same shapes over
-//      packed panels;
+//      tiling grid of row-major weights (gate: median error <= 50%: a
+//      model anchored on measured reference shapes must extrapolate to
+//      the rest), and for the record the same shapes over packed panels;
 //   3. rule vs fixed — autotune_speedup (int8 decode shape, gate >= 1.3x),
 //      fp32_autotune_speedup (geomean over M in {1,4,8}; the rule keeps
 //      fp32 on the default, so this reads ~1.0x), and int8_decode_speedup
@@ -261,7 +261,7 @@ int main() {
   }
 
   // --- 1. calibration -------------------------------------------------------
-  bench::print_section("host anchors (measured, tp_predict idiom)");
+  bench::print_section("host anchors (measured reference shapes)");
   const auto& anchors = gemm_tune::host_anchors();
   std::printf("hot compute peaks: f32 %.1f / bf16 %.1f / int8 %.1f GFLOP/s "
               "on one thread, f32 %.1f GFLOP/s on %zu\n",

@@ -17,8 +17,6 @@
 //       policy, --prefill-chunk caps prefill slices at C tokens,
 //       --priority-mix tags fractions H/L of requests high/low priority, and
 //       --deadline-ms gives high-priority requests a D-ms SLO deadline;
-//       --tp N shards the model across N rank threads (byte-identical
-//       output; the serving model's 2 kv heads cap it at 2);
 //       --host-tier-mb/--disk-tier-mb/--spill-dir budget the tiered KV
 //       store (parked sessions + preemption survival; 0 = unbounded host,
 //       disk disabled);
@@ -31,9 +29,8 @@
 //       priority);
 //       --json prints the run's ServerStats as one JSON document instead of
 //       the human-readable report
-//   matgpt_cli serve-http [--port P] [--tp N] [--host-tier-mb B]
-//       [--disk-tier-mb B] [--spill-dir DIR] [--embed] [--grammar]
-//       [--decode-quant F]
+//   matgpt_cli serve-http [--port P] [--host-tier-mb B] [--disk-tier-mb B]
+//       [--spill-dir DIR] [--embed] [--grammar] [--decode-quant F]
 //       start the epoll HTTP front end (POST /v1/generate streams tokens as
 //       chunked transfer encoding, DELETE /v1/requests/{id} cancels,
 //       POST /v1/sessions + /v1/sessions/{id}/generate run multi-turn
@@ -95,13 +92,13 @@ int usage() {
                "  matgpt_cli serve-bench [requests] [clients]"
                " [--spec-k N] [--draft-layers M] [--prefix-cache-mb B]\n"
                "      [--scheduler fcfs|priority] [--prefill-chunk C]"
-               " [--priority-mix H:L] [--deadline-ms D] [--tp N]\n"
+               " [--priority-mix H:L] [--deadline-ms D]\n"
                "      [--host-tier-mb B] [--disk-tier-mb B]"
                " [--spill-dir DIR]\n"
                "      [--embed-fraction F] [--constrained-fraction F]"
                " [--embed-batch N] [--map-classes]\n"
                "      [--decode-quant int8|bf16|off] [--json]\n"
-               "  matgpt_cli serve-http [--port P] [--tp N]"
+               "  matgpt_cli serve-http [--port P]"
                " [--host-tier-mb B] [--disk-tier-mb B] [--spill-dir DIR]\n"
                "      [--embed] [--grammar] [--decode-quant int8|bf16|off]\n"
                "  matgpt_cli load-gen --port P [--requests N] [--rate R]"
@@ -277,7 +274,6 @@ struct ServeBenchOpts {
   double high_fraction = 0.0;
   double low_fraction = 0.0;
   double deadline_ms = 0.0;
-  std::int64_t tp = 1;
   std::int64_t host_tier_mb = 0;  // 0 = unbounded host tier
   std::int64_t disk_tier_mb = 0;  // 0 = disk tier disabled
   std::string spill_dir = "matgpt_spill";
@@ -396,9 +392,6 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
       static_cast<std::size_t>(prefix_cache_mb) * 1000 * 1000;
   ec.scheduler = opts.scheduler;
   ec.prefill_chunk_tokens = opts.prefill_chunk;
-  // The serving model has 2 kv heads, so --tp beyond 2 fails the shard
-  // divisibility check in TpModel's constructor with a precise message.
-  ec.tensor_parallel = opts.tp;
   apply_tier_opts(ec, opts.host_tier_mb, opts.disk_tier_mb, opts.spill_dir);
   ec.decode_quant = opts.decode_quant;
   ec.workloads.grammar = opts.constrained_fraction > 0.0;
@@ -425,11 +418,6 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
                 serve::sched::policy_name(ec.scheduler),
                 static_cast<long long>(ec.prefill_chunk_tokens),
                 ec.prefill_chunk_tokens == 0 ? " (whole-prompt)" : "");
-    if (opts.tp > 1) {
-      std::printf("tensor parallel: %lld ranks (%s layout)\n",
-                  static_cast<long long>(opts.tp),
-                  serve::tp::layout_name(ec.tp_layout));
-    }
     if (opts.high_fraction + opts.low_fraction > 0.0) {
       std::printf("priority mix: %.0f%% high / %.0f%% normal / %.0f%% low, "
                   "high-class deadline %.0f ms\n",
@@ -516,9 +504,9 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
 // sig_atomic_t, so the run loop polls this and does the real teardown.
 volatile std::sig_atomic_t g_stop_requested = 0;
 
-int cmd_serve_http(std::uint16_t port, std::int64_t tp,
-                   std::int64_t host_tier_mb, std::int64_t disk_tier_mb,
-                   const std::string& spill_dir, bool embed, bool grammar,
+int cmd_serve_http(std::uint16_t port, std::int64_t host_tier_mb,
+                   std::int64_t disk_tier_mb, const std::string& spill_dir,
+                   bool embed, bool grammar,
                    kernels::WeightFormat decode_quant) {
   const nn::GptConfig mc = serving_model_config();
   nn::GptModel model(mc);
@@ -527,7 +515,6 @@ int cmd_serve_http(std::uint16_t port, std::int64_t tp,
   ec.max_batch = 8;
   ec.kv_slots = 8;
   ec.queue_capacity = 16;
-  ec.tensor_parallel = tp;
   apply_tier_opts(ec, host_tier_mb, disk_tier_mb, spill_dir);
   ec.decode_quant = decode_quant;
   ec.workloads.grammar = grammar;
@@ -549,12 +536,6 @@ int cmd_serve_http(std::uint16_t port, std::int64_t tp,
               server.port(), "llama",
               static_cast<long long>(mc.vocab_size),
               static_cast<long long>(mc.max_seq));
-  if (tp > 1) {
-    std::printf("tensor parallel: %lld ranks (%s layout); /v1/stats reports "
-                "tp_degree and per-step collective time\n",
-                static_cast<long long>(tp),
-                serve::tp::layout_name(ec.tp_layout));
-  }
   std::printf("  curl -N -d '{\"id\":1,\"prompt\":[1,2,3],"
               "\"max_new_tokens\":16}' http://127.0.0.1:%u/v1/generate\n",
               server.port());
@@ -725,8 +706,6 @@ int main(int argc, char** argv) {
           }
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
           opts.deadline_ms = std::atof(argv[++i]);
-        } else if (arg == "--tp" && i + 1 < argc) {
-          opts.tp = std::atoll(argv[++i]);
         } else if (arg == "--host-tier-mb" && i + 1 < argc) {
           opts.host_tier_mb = std::atoll(argv[++i]);
         } else if (arg == "--disk-tier-mb" && i + 1 < argc) {
@@ -757,7 +736,7 @@ int main(int argc, char** argv) {
           opts.prefix_cache_mb < 0 || opts.prefill_chunk < 0 ||
           opts.high_fraction < 0.0 || opts.low_fraction < 0.0 ||
           opts.high_fraction + opts.low_fraction > 1.0 ||
-          opts.deadline_ms < 0.0 || opts.tp < 1 || opts.host_tier_mb < 0 ||
+          opts.deadline_ms < 0.0 || opts.host_tier_mb < 0 ||
           opts.disk_tier_mb < 0 || opts.spill_dir.empty() ||
           opts.embed_fraction < 0.0 || opts.constrained_fraction < 0.0 ||
           opts.embed_fraction + opts.constrained_fraction > 1.0 ||
@@ -770,7 +749,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "serve-http") {
       std::uint16_t port = 0;
-      std::int64_t tp = 1;
       std::int64_t host_tier_mb = 0, disk_tier_mb = 0;
       std::string spill_dir = "matgpt_spill";
       bool embed = false, grammar = false;
@@ -779,8 +757,6 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
           port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-        } else if (arg == "--tp" && i + 1 < argc) {
-          tp = std::atoll(argv[++i]);
         } else if (arg == "--host-tier-mb" && i + 1 < argc) {
           host_tier_mb = std::atoll(argv[++i]);
         } else if (arg == "--disk-tier-mb" && i + 1 < argc) {
@@ -799,12 +775,11 @@ int main(int argc, char** argv) {
           return usage();
         }
       }
-      if (tp < 1 || host_tier_mb < 0 || disk_tier_mb < 0 ||
-          spill_dir.empty()) {
+      if (host_tier_mb < 0 || disk_tier_mb < 0 || spill_dir.empty()) {
         return usage();
       }
-      return cmd_serve_http(port, tp, host_tier_mb, disk_tier_mb, spill_dir,
-                            embed, grammar, decode_quant);
+      return cmd_serve_http(port, host_tier_mb, disk_tier_mb, spill_dir, embed,
+                            grammar, decode_quant);
     }
     if (cmd == "load-gen") {
       LoadGenOpts opts;

@@ -128,8 +128,7 @@ struct RaggedBatch {
     return static_cast<std::int64_t>(counts.size());
   }
 
-  // Shared bookkeeping of every ragged forward (GptModel's and the
-  // tensor-parallel one).
+  // Bookkeeping of the ragged forward.
   /// Check the batch against `config` (binding unbound caches to private
   /// arenas of the forward's layer count) and return each fed row's
   /// absolute position.

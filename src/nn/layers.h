@@ -35,10 +35,10 @@ enum class FwdPath : std::uint8_t { kPrefill, kDecode };
 /// changes no parameter name, shape or logit byte. The layout stays inside
 /// this class and the kernels: forward runs packed weights through
 /// kernels::gemm_packed (ops::matmul refuses them), and any other reader of
-/// a parameter's bytes goes through Linear::row_major (nn::save, the
-/// tensor-parallel shards) or, after writing row-major bytes into it,
-/// Linear::repack (nn::load). A gradient-recording forward through packed
-/// weights throws: train before serving, or load into a fresh model.
+/// a parameter's bytes goes through Linear::row_major (nn::save) or, after
+/// writing row-major bytes into it, Linear::repack (nn::load). A
+/// gradient-recording forward through packed weights throws: train before
+/// serving, or load into a fresh model.
 class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, bool bias,

@@ -281,56 +281,6 @@ void PagedKvSeq::append(std::int64_t layer, const float* k, const float* v,
   lengths_[static_cast<std::size_t>(layer)] = len;
 }
 
-void PagedKvSeq::extend(std::int64_t layer, std::int64_t n_tokens) {
-  MGPT_CHECK(n_tokens > 0, "KV extend requires tokens");
-  const std::int64_t bs = arena_->layout().block_tokens;
-  std::int64_t len = lengths_[static_cast<std::size_t>(layer)];
-  MGPT_CHECK(token_capacity_ == 0 || len + n_tokens <= token_capacity_,
-             "kv slot capacity " << token_capacity_ << " exceeded (have "
-                                 << len << ", extending " << n_tokens << ")");
-  std::int64_t remaining = n_tokens;
-  while (remaining > 0) {
-    const std::int64_t b = len / bs;
-    const std::int64_t o = len % bs;
-    ensure_block(b);
-    make_private(b);
-    const std::int64_t take = std::min(remaining, bs - o);
-    len += take;
-    remaining -= take;
-  }
-  lengths_[static_cast<std::size_t>(layer)] = len;
-}
-
-void PagedKvSeq::write_rows(std::int64_t layer, std::int64_t pos,
-                            std::int64_t n_tokens, std::int64_t col,
-                            std::int64_t width, const float* k,
-                            const float* v) {
-  const PagedKvLayout& layout = arena_->layout();
-  const std::int64_t bs = layout.block_tokens;
-  const std::int64_t row = layout.row();
-  MGPT_CHECK(pos >= 0 && n_tokens > 0 &&
-                 pos + n_tokens <= lengths_[static_cast<std::size_t>(layer)],
-             "write_rows range [" << pos << ", " << pos + n_tokens
-                                  << ") outside extended length "
-                                  << lengths_[static_cast<std::size_t>(layer)]);
-  MGPT_CHECK(col >= 0 && width > 0 && col + width <= row,
-             "write_rows column slice [" << col << ", " << col + width
-                                         << ") outside row width " << row);
-  for (std::int64_t t = 0; t < n_tokens; ++t) {
-    const std::int64_t tk = pos + t;
-    const std::int64_t b = tk / bs;
-    const std::int64_t o = tk % bs;
-    std::copy_n(k + t * width, width,
-                k_ptrs_[static_cast<std::size_t>(layer)]
-                       [static_cast<std::size_t>(b)] +
-                    o * row + col);
-    std::copy_n(v + t * width, width,
-                v_ptrs_[static_cast<std::size_t>(layer)]
-                       [static_cast<std::size_t>(b)] +
-                    o * row + col);
-  }
-}
-
 void PagedKvSeq::free_tail_blocks() {
   const std::int64_t bs = arena_->layout().block_tokens;
   const std::int64_t keep = ceil_div(max_length(), bs);

@@ -139,18 +139,6 @@ class PagedKvSeq {
   /// supply no block (reservation exhausted and no unreserved slack).
   void append(std::int64_t layer, const float* k, const float* v,
               std::int64_t n_tokens);
-  /// Tensor-parallel split of append(): grow `layer` by `n_tokens` rows —
-  /// allocating and copy-on-write-forking blocks exactly as append() would —
-  /// without writing row data. One rank extends; then every rank fills its
-  /// column slice of the new rows via write_rows().
-  void extend(std::int64_t layer, std::int64_t n_tokens);
-  /// Write floats [col, col+width) of rows [pos, pos+n_tokens) of `layer`
-  /// from tight [n_tokens, width] buffers. The rows must already exist and
-  /// their blocks be private (extend() guarantees both), so concurrent
-  /// writers on disjoint column ranges never touch the same bytes.
-  void write_rows(std::int64_t layer, std::int64_t pos, std::int64_t n_tokens,
-                  std::int64_t col, std::int64_t width, const float* k,
-                  const float* v);
   /// Shrink `layer` to `len` tokens; whole blocks beyond every layer's
   /// length are released back to this sequence's reservation.
   void truncate_layer(std::int64_t layer, std::int64_t len);

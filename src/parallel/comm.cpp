@@ -102,39 +102,6 @@ void Communicator::allreduce(std::span<float> data, ReduceOp op) {
   barrier();
 }
 
-void Communicator::allreduce_det(std::span<float> data) {
-  auto& gs = *state_;
-  if (gs.size == 1) return;
-  const std::size_t n = data.size();
-  const std::size_t world = static_cast<std::size_t>(gs.size);
-  {
-    std::lock_guard lock(gs.scratch_mutex);
-    if (gs.det_contributors == 0) gs.det_slots.resize(n * world);
-    MGPT_CHECK(gs.det_slots.size() == n * world,
-               "allreduce_det length mismatch across ranks");
-    std::copy(data.begin(), data.end(),
-              gs.det_slots.begin() +
-                  static_cast<std::ptrdiff_t>(n) * rank_);
-    if (++gs.det_contributors == gs.size) gs.det_contributors = 0;
-  }
-  barrier();
-  // Every rank redundantly reduces in ascending rank order: one double
-  // accumulator per element, one rounding to float at the end. The bits
-  // depend only on the contributions, never on scheduling.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < world; ++r) {
-      acc += static_cast<double>(gs.det_slots[r * n + i]);
-    }
-    data[i] = static_cast<float>(acc);
-  }
-  {
-    std::lock_guard lock(gs.stats_mutex);
-    gs.bytes_reduced += n * sizeof(float);
-  }
-  barrier();
-}
-
 void Communicator::allgather(std::span<const float> send,
                              std::span<float> recv) {
   auto& gs = *state_;
@@ -148,36 +115,6 @@ void Communicator::allgather(std::span<const float> send,
     std::copy(send.begin(), send.end(),
               gs.gather_buf.begin() +
                   static_cast<std::ptrdiff_t>(send.size()) * rank_);
-    if (++gs.scratch_contributors == gs.size) gs.scratch_contributors = 0;
-  }
-  barrier();
-  std::copy(gs.gather_buf.begin(), gs.gather_buf.end(), recv.begin());
-  {
-    std::lock_guard lock(gs.stats_mutex);
-    gs.bytes_gathered += send.size() * sizeof(float);
-  }
-  barrier();
-}
-
-void Communicator::allgather_cols(std::span<const float> send,
-                                  std::span<float> recv, std::size_t rows) {
-  auto& gs = *state_;
-  MGPT_CHECK(rows > 0 && send.size() % rows == 0,
-             "allgather_cols send must be a whole [rows, w] matrix");
-  MGPT_CHECK(recv.size() == send.size() * static_cast<std::size_t>(gs.size),
-             "allgather_cols recv must be size() * send length");
-  const std::size_t w = send.size() / rows;
-  const std::size_t full_w = w * static_cast<std::size_t>(gs.size);
-  {
-    std::lock_guard lock(gs.scratch_mutex);
-    if (gs.scratch_contributors == 0) gs.gather_buf.assign(recv.size(), 0.0f);
-    for (std::size_t row = 0; row < rows; ++row) {
-      std::copy(send.begin() + static_cast<std::ptrdiff_t>(row * w),
-                send.begin() + static_cast<std::ptrdiff_t>((row + 1) * w),
-                gs.gather_buf.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        row * full_w + w * static_cast<std::size_t>(rank_)));
-    }
     if (++gs.scratch_contributors == gs.size) gs.scratch_contributors = 0;
   }
   barrier();

@@ -48,13 +48,6 @@ struct GroupState {
   std::vector<float> gather_buf;
   int scratch_contributors = 0;
 
-  // Deterministic-allreduce publication slots: rank r's contribution lives
-  // at [r*n, (r+1)*n) so every rank can re-reduce in ascending rank order.
-  // Separate from reduce_accum so an in-flight ordered reduce never shares
-  // scratch with the arrival-order path.
-  std::vector<float> det_slots;
-  int det_contributors = 0;
-
   // Split bookkeeping. This used to live in a process-global registry keyed
   // by GroupState address, which aliased when a freed group's address was
   // reused by a new allocation — concurrent groups could then share split
@@ -101,25 +94,9 @@ class Communicator {
   /// Element-wise reduce across ranks; result replicated to all ranks.
   void allreduce(std::span<float> data, ReduceOp op = ReduceOp::kSum);
 
-  /// Deterministic sum allreduce: every rank independently computes
-  /// fl(sum_r double(x_r[i])) over the published per-rank slots in ascending
-  /// rank order with one final rounding. The result is a pure function of
-  /// the ordered contributions — bitwise identical across runs regardless of
-  /// thread arrival order, unlike allreduce() whose accumulation order is
-  /// whoever-takes-the-lock-first.
-  void allreduce_det(std::span<float> data);
-
   /// Concatenate each rank's `send` (all equal length) into `recv`
   /// (length size() * send.size()), rank-major.
   void allgather(std::span<const float> send, std::span<float> recv);
-
-  /// Column-interleaved allgather for row-major matrices: each rank sends a
-  /// [rows, w] slice (w = send.size() / rows) and rank r's columns land at
-  /// column offset r*w of the [rows, size()*w] result every rank receives.
-  /// Pure data movement — no floating-point arithmetic — so recombining
-  /// column-sharded activations through it is bitwise exact.
-  void allgather_cols(std::span<const float> send, std::span<float> recv,
-                      std::size_t rows);
 
   /// Sum-reduce the full vector then scatter contiguous shards: rank r
   /// receives shard r of the reduction into `recv`

@@ -26,6 +26,11 @@ constexpr std::size_t kMaxChunks = std::size_t{1} << 16;
 
 std::uint64_t ticket_job(std::uint64_t t) { return t >> kIdShift; }
 
+// ThreadPool::current()'s override for this thread: the innermost live
+// ScopedThreadPool, or for a worker its own pool, so a nested call from a
+// chunk stays on the pool that ran it.
+thread_local ThreadPool* tls_current = nullptr;
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -137,7 +142,17 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+ThreadPool& ThreadPool::current() {
+  return tls_current != nullptr ? *tls_current : global();
+}
+
+ScopedThreadPool::ScopedThreadPool(std::size_t workers)
+    : pool_(workers), previous_(std::exchange(tls_current, &pool_)) {}
+
+ScopedThreadPool::~ScopedThreadPool() { tls_current = previous_; }
+
 void ThreadPool::worker_loop() {
+  tls_current = this;
   std::uint64_t seen = 0;  // id of the last job this worker looked at
   for (;;) {
     std::packaged_task<void()> task;

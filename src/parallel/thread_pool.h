@@ -10,10 +10,15 @@
 //
 // The inline rule: only one job is in flight per pool. A nested call (from
 // inside a chunk) or a second caller while a job runs executes its whole
-// range inline on its own thread, so concurrent callers (tensor-parallel
-// rank threads, a second engine) never wait on each other's chunks. A pool
-// with zero workers runs everything inline, so the tensor kernels degrade
-// to a serial loop on one core.
+// range inline on its own thread, so concurrent callers (two engines, an
+// HTTP thread beside the engine's worker) never wait on each other's
+// chunks. A pool with zero workers runs everything inline, so the tensor
+// kernels degrade to a serial loop on one core.
+//
+// The compute kernels run on ThreadPool::current(): global(), unless the
+// calling thread holds a ScopedThreadPool. Tests and benches use that scope
+// to run one computation at several pool sizes; the kernels split work so
+// that the pool size never changes an output byte.
 
 #include <atomic>
 #include <condition_variable>
@@ -55,6 +60,11 @@ class ThreadPool {
   /// caller, never below zero workers).
   static ThreadPool& global();
 
+  /// The pool the calling thread's kernels run on: the innermost live
+  /// ScopedThreadPool of this thread, else (for a pool's own workers) that
+  /// pool, else global().
+  static ThreadPool& current();
+
  private:
   void worker_loop();
   /// Claims and runs chunks of the published job until none is left;
@@ -84,6 +94,22 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_;  // guarded by mutex_
   std::atomic<bool> stopping_{false};             // written under mutex_
   std::vector<std::thread> threads_;  // last: the workers use all of the above
+};
+
+/// Runs the calling thread's kernels on a pool of `workers` workers of its
+/// own while in scope: ThreadPool::current() returns it, on this thread
+/// only. The previous override comes back when the scope ends.
+class ScopedThreadPool {
+ public:
+  explicit ScopedThreadPool(std::size_t workers);
+  ~ScopedThreadPool();
+
+  ScopedThreadPool(const ScopedThreadPool&) = delete;
+  ScopedThreadPool& operator=(const ScopedThreadPool&) = delete;
+
+ private:
+  ThreadPool pool_;
+  ThreadPool* previous_;
 };
 
 }  // namespace matgpt

@@ -46,19 +46,12 @@ void EngineConfig::validate() const {
   MGPT_CHECK(sched_aging_ms >= 0.0,
              "EngineConfig: sched_aging_ms must be >= 0 (got "
                  << sched_aging_ms << "); 0 disables aging");
-  MGPT_CHECK(tensor_parallel >= 1,
-             "EngineConfig: tensor_parallel must be >= 1 (got "
-                 << tensor_parallel << ")");
   MGPT_CHECK(kv_tier.prefetch_depth >= 0,
              "EngineConfig: kv_tier.prefetch_depth must be >= 0 (got "
                  << kv_tier.prefetch_depth << "); 0 disables prefetch");
   MGPT_CHECK(kv_tier.disk_tier_bytes == 0 || !kv_tier.spill_dir.empty(),
              "EngineConfig: kv_tier.disk_tier_bytes > 0 requires a "
              "spill_dir for the spill files");
-  MGPT_CHECK(decode_quant == kernels::WeightFormat::kF32 ||
-                 tensor_parallel == 1,
-             "EngineConfig: decode_quant requires tensor_parallel == 1 (the "
-             "sharded forwards have no quantized kernels)");
   MGPT_CHECK(workloads.max_embed_batch >= 1,
              "EngineConfig: workloads.max_embed_batch must be >= 1 (got "
                  << workloads.max_embed_batch << ")");
@@ -146,14 +139,6 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
     spec_decoder_ =
         std::make_unique<spec::SpeculativeDecoder>(model_, config_.proposer);
   }
-  if (config_.tensor_parallel > 1) {
-    tp::TpConfig tc;
-    tc.ranks = static_cast<int>(config_.tensor_parallel);
-    tc.layout = config_.tp_layout;
-    tp_ = std::make_unique<tp::TpModel>(model_, tc);
-    std::lock_guard lock(stats_mutex_);
-    stats_.set_tp(config_.tensor_parallel, tp::layout_name(config_.tp_layout));
-  }
   // Pack the model's weights in place (once) and install (or with kF32:
   // drop) its quantized decode sidecars. Always called so a model
   // previously served quantized comes back clean.
@@ -162,13 +147,6 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
     std::lock_guard lock(stats_mutex_);
     stats_.set_decode_quant(kernels::format_name(config_.decode_quant));
   }
-}
-
-Var InferenceEngine::model_forward(Tape& tape, const nn::RaggedBatch& batch) {
-  // The TP forward has no quantized kernels (decode_quant rejects TP > 1 in
-  // validate()), so the path tag only matters on the local model.
-  if (tp_ != nullptr) return tp_->forward(tape, batch);
-  return model_.forward(tape, batch);
 }
 
 InferenceEngine::~InferenceEngine() {
@@ -743,7 +721,7 @@ void InferenceEngine::prefill(std::span<Sequence* const> seqs,
               *seq->kv);
   }
   Tape tape;
-  Var logits = model_forward(tape, batch);
+  Var logits = model_.forward(tape, batch);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     Sequence& seq = *seqs[i];
     if (seq.kv->length < seq.prefill_target) continue;  // more chunks later
@@ -1032,7 +1010,7 @@ std::size_t InferenceEngine::decode_phase() {
     }
   }
   Tape tape;
-  Var logits = model_forward(tape, batch);
+  Var logits = model_.forward(tape, batch);
   const auto now = Clock::now();
 
   // Draw every plain row's token in one parallel pass before emitting any.
@@ -1044,7 +1022,7 @@ std::size_t InferenceEngine::decode_phase() {
     first_row[i] = first_row[i - 1] + batch.counts[i - 1];
   }
   std::vector<Draw> draws(ready.size());
-  ThreadPool::global().parallel_for(
+  ThreadPool::current().parallel_for(
       0, ready.size(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           Sequence& seq = active_[ready[i]];
@@ -1081,12 +1059,10 @@ std::size_t InferenceEngine::decode_phase() {
 }
 
 void InferenceEngine::flush_step_stats() {
-  // Snapshots fetched before stats_mutex_ so the tier, session and TP
-  // locks never nest inside it.
+  // Snapshots fetched before stats_mutex_ so the tier and session locks
+  // never nest inside it.
   const kv_tier::TierStats tier = tier_.stats();
   const std::size_t live_sessions = session_count();
-  std::optional<tp::TpStats> tp;
-  if (tp_ != nullptr) tp = tp_->stats();
   StepStats& st = step_stats_;
   {
     std::lock_guard lock(stats_mutex_);
@@ -1100,10 +1076,6 @@ void InferenceEngine::flush_step_stats() {
     for (const auto& [s, cls] : st.ttft_s) stats_.record_ttft(s, cls);
     for (const double s : st.inter_token_s) stats_.record_inter_token(s);
     stats_.record_grammar_steps(st.grammar_steps, st.grammar_eos_stops);
-    if (tp.has_value()) {
-      stats_.record_tp(tp->jobs, tp->comm_seconds, tp->bytes_gathered,
-                       tp->bytes_reduced);
-    }
     if (config_.decode_quant != kernels::WeightFormat::kF32) {
       stats_.record_gemm(ops::matmul_calls(kernels::WeightFormat::kF32),
                          ops::matmul_calls(kernels::WeightFormat::kBf16),

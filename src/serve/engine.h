@@ -77,7 +77,6 @@
 #include "serve/request.h"
 #include "serve/sched/scheduler.h"
 #include "serve/spec/speculative.h"
-#include "serve/tp/tp_model.h"
 #include "tensor/kernels.h"
 
 namespace matgpt::nn {
@@ -158,15 +157,6 @@ struct EngineConfig {
   /// eats admission headroom. Draft slots never touch the cache — it holds
   /// target-model rows only.
   std::size_t prefix_cache_bytes = 0;
-  /// Tensor-parallel degree: > 1 shards the model across this many persistent
-  /// rank threads (serve/tp) and routes every prefill / decode / verify
-  /// forward through the sharded model. Must divide the model's n_heads and
-  /// kv_heads (checked at engine construction). With the default
-  /// kColumnGather layout the engine's output is byte-identical to
-  /// tensor_parallel = 1.
-  std::int64_t tensor_parallel = 1;
-  /// Shard layout (see tp::TpLayout); only read when tensor_parallel > 1.
-  tp::TpLayout tp_layout = tp::TpLayout::kColumnGather;
   /// Weight format for decode/verify forwards (kF32 = off). Prefill always
   /// runs fp32, so prefill identities (chunked == whole, prefix-cache hit
   /// == cold) are untouched; decode and speculative verify always run the
@@ -174,7 +164,6 @@ struct EngineConfig {
   /// hold WITHIN the format. Tokens differ from an fp32 engine (that is
   /// the point), and recompute-mode preemption resume — which re-prefills
   /// previously decoded tokens — loses bit-identity to an unpreempted run.
-  /// Requires tensor_parallel == 1.
   kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
   /// Grammar-constrained decoding + batched embedding workload classes.
   WorkloadsConfig workloads;
@@ -184,12 +173,11 @@ struct EngineConfig {
   /// kv_slots == 0, queue_capacity == 0, paged_kv == false,
   /// kv_block_tokens <= 0, prefill_chunk_tokens < 0,
   /// sched_aging_ms < 0, a disk tier without a spill_dir, a negative
-  /// kv_tier.prefetch_depth, decode_quant != kF32 with
-  /// tensor_parallel > 1, workloads.map_classes
-  /// without the priority scheduler, or non-positive workloads batch/state
-  /// bounds. Called by the engine constructor before any
-  /// allocation; the prefix-cache budget-vs-block check lives in the
-  /// PrefixCache constructor on the same path.
+  /// kv_tier.prefetch_depth, workloads.map_classes without the priority
+  /// scheduler, or non-positive workloads batch/state bounds. Called by the
+  /// engine constructor before any allocation; the prefix-cache
+  /// budget-vs-block check lives in the PrefixCache constructor on the same
+  /// path.
   void validate() const;
 };
 
@@ -436,7 +424,7 @@ class InferenceEngine {
   /// forward. Returns the number of sequences embedded.
   std::size_t embed_phase(Clock::time_point now);
   std::size_t decode_phase();
-  /// Fold step_stats_ and the step's tier, session, KV, TP and GEMM-call
+  /// Fold step_stats_ and the step's tier, session, KV and GEMM-call
   /// snapshots into stats_.
   void flush_step_stats();
   void retire_finished();
@@ -460,12 +448,8 @@ class InferenceEngine {
   /// session hook, KV release, stats, on_finish, then the future.
   void retire(Sequence& seq, RequestStatus status, Clock::time_point now);
 
-  /// Dispatch to the tensor-parallel model when configured, else model_.
-  Var model_forward(Tape& tape, const nn::RaggedBatch& batch);
-
   const nn::GptModel& model_;
   EngineConfig config_;
-  std::unique_ptr<tp::TpModel> tp_;
   KvCachePool pool_;
   std::unique_ptr<KvCachePool> draft_pool_;
   std::unique_ptr<PrefixCache> prefix_cache_;

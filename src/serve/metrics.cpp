@@ -125,20 +125,6 @@ void ServerStats::record_kv(std::size_t active, std::int64_t used_blocks,
   record(Stat::cow_rows, cow_rows);
 }
 
-void ServerStats::set_tp(std::int64_t degree, std::string layout) {
-  tp_degree_ = degree;
-  tp_layout_ = std::move(layout);
-}
-
-void ServerStats::record_tp(std::uint64_t jobs, double comm_seconds,
-                            std::uint64_t bytes_gathered,
-                            std::uint64_t bytes_reduced) {
-  record(Stat::tp_jobs, jobs);
-  record(Stat::tp_comm_seconds, comm_seconds);
-  record(Stat::tp_bytes_gathered, bytes_gathered);
-  record(Stat::tp_bytes_reduced, bytes_reduced);
-}
-
 void ServerStats::record_tier(const kv_tier::TierStats& tier) {
   record(Stat::kv_tier_host_bytes, tier.host_bytes_used);
   record(Stat::kv_tier_host_budget, tier.host_budget);
@@ -224,10 +210,9 @@ std::string ServerStats::report(double wall_s) const {
     label("aggregate tokens/s");
     os << static_cast<double>(tokens_generated()) / wall_s << '\n';
   }
-  if (tp_degree_ > 1 || decode_quant_ != "f32") {
+  if (decode_quant_ != "f32") {
     label("deployment");
-    os << "tp_degree " << tp_degree_ << " (" << tp_layout_
-       << "), decode_quant " << decode_quant_ << '\n';
+    os << "decode_quant " << decode_quant_ << '\n';
   }
   auto hist = [&](std::string_view name, const Histogram& h) {
     if (h.total() == 0.0) return;
@@ -258,8 +243,6 @@ std::string ServerStats::to_json(double wall_s) const {
   for (const StatRow& row : kRows) {
     os << ",\n  \"" << row.name << "\": " << row.value(*this);
   }
-  os << ",\n  \"tp_degree\": " << tp_degree_;
-  os << ",\n  \"tp_layout\": \"" << tp_layout_ << "\"";
   os << ",\n  \"decode_quant\": \"" << decode_quant_ << "\"";
   auto hist = [&os](const std::string& name, const Histogram& h) {
     os << ",\n  \"" << name << "\": {\"count\": " << h.total();

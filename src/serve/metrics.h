@@ -66,14 +66,6 @@ enum class StatKind { kCounter, kGauge, kPeak };
         "kv blocks")                                                        \
   STAT(cow_forks, std::uint64_t, kGauge, "kv blocks")                       \
   STAT(cow_rows, std::uint64_t, kGauge, "kv blocks")                        \
-  /* Model forwards through the rank pool, and rank-0 wall seconds spent */ \
-  /* inside collectives. */                                                 \
-  STAT(tp_jobs, std::uint64_t, kGauge, "tensor parallel")                   \
-  STAT(tp_comm_seconds, double, kGauge, "tensor parallel")                  \
-  RATIO(tp_comm_ms_per_step, 1000.0 * tp_comm_seconds(), tp_jobs(),         \
-        "tensor parallel")                                                  \
-  STAT(tp_bytes_gathered, std::uint64_t, kGauge, "tensor parallel")         \
-  STAT(tp_bytes_reduced, std::uint64_t, kGauge, "tensor parallel")          \
   STAT(sessions_live, std::uint64_t, kGauge, "sessions")                    \
   STAT(session_parks, std::uint64_t, kCounter, "sessions")                  \
   /* Parks whose KV the tier refused: the next resume re-prefills. */       \
@@ -142,12 +134,6 @@ class ServerStats {
   void record_kv(std::size_t active, std::int64_t used_blocks,
                  std::int64_t total_blocks, std::int64_t shared_blocks,
                  std::uint64_t cow_forks, std::uint64_t cow_rows);
-  /// Tensor-parallel identity: degree and shard layout (set once at engine
-  /// construction when tensor_parallel > 1).
-  void set_tp(std::int64_t degree, std::string layout);
-  /// Tensor-parallel lifetime totals from the rank pool.
-  void record_tp(std::uint64_t jobs, double comm_seconds,
-                 std::uint64_t bytes_gathered, std::uint64_t bytes_reduced);
   /// KV tier-store lifetime totals and occupancy.
   void record_tier(const kv_tier::TierStats& tier);
   /// One session park event; `kv_stored` = the tier kept the KV bytes
@@ -183,10 +169,8 @@ class ServerStats {
   /// Sequences over all embedding forwards (embed_mean_batch's numerator).
   std::uint64_t embed_batched_seqs() const { return embed_batched_seqs_; }
 
-  /// Identity of the deployment (not measured): TP degree (1 = off) and
-  /// layout, and the decode weight format ("f32" = off).
-  std::int64_t tp_degree() const { return tp_degree_; }
-  const std::string& tp_layout() const { return tp_layout_; }
+  /// Identity of the deployment (not measured): the decode weight format
+  /// ("f32" = off).
   const std::string& decode_quant() const { return decode_quant_; }
 
   /// Quantiles in milliseconds (q in [0, 1]); require recorded samples.
@@ -238,8 +222,6 @@ class ServerStats {
   // Ratio operands that are not published themselves.
   double sum_request_tokens_per_s_ = 0.0;
   std::uint64_t embed_batched_seqs_ = 0;
-  std::int64_t tp_degree_ = 1;
-  std::string tp_layout_;
   std::string decode_quant_ = "f32";
 };
 

@@ -36,9 +36,8 @@ struct FrontierTopology {
   double inter_node_latency_s = 2.5e-6;
 
   /// Fixed per-collective cost (RCCL kernel launch + host synchronization on
-  /// Frontier). Platforms whose collectives are not GPU kernels — e.g. the
-  /// host-calibrated thread-TP predictor — override it with their measured
-  /// per-call overhead.
+  /// Frontier). A platform whose collectives are not GPU kernels sets its
+  /// own measured per-call overhead here.
   double collective_launch_overhead_s = 50.0e-6;
 
   int total_gcds() const { return gcds_per_node * nodes; }

@@ -529,6 +529,7 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
   Tensor out({n, hq * d});  // 2D, ready for the output projection
   float* op = out.data();
   const float* qp = qv.data();
+  const std::int64_t stride = n_kv_heads * d;
   // Each (row, head) pair is independent and writes its own output slice,
   // so pairs split over the pool without changing a byte.
   const auto attend = [&](std::size_t lo, std::size_t hi) {
@@ -538,13 +539,8 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
       const std::int64_t row = pair / hq;
       const std::int64_t h = pair % hq;
       const RaggedKv& s = kv[static_cast<std::size_t>(row)];
-      // A head-slice view reads heads [head_offset, head_offset +
-      // n_kv_heads) out of rows `stride` floats wide; the defaults make this
-      // the whole row.
-      const std::int64_t stride =
-          s.kv_stride > 0 ? s.kv_stride : n_kv_heads * d;
       const KvRows rows{s.k_blocks, s.v_blocks, s.len, s.block_tokens,
-                        (s.head_offset + h / group) * d, stride};
+                        h / group * d, stride};
       const float* qrow = qp + pair * d;
       float* orow = op + pair * d;
       if (flash) {
@@ -556,7 +552,7 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
   };
   const auto pairs = static_cast<std::size_t>(n * hq);
   if (total_len * hq * d >= kParallelAttentionFmas) {
-    ThreadPool::global().parallel_for(0, pairs, attend);
+    ThreadPool::current().parallel_for(0, pairs, attend);
   } else {
     attend(0, pairs);
   }

@@ -112,7 +112,7 @@ double stream_anchor_gbs(const float* b0, const float* b1, std::int64_t n,
 
 HostAnchors measure_anchors() {
   HostAnchors anchors;
-  anchors.threads = ThreadPool::global().worker_count() + 1;
+  anchors.threads = ThreadPool::current().worker_count() + 1;
   // Hot compute peaks: an all-paired 4x512x512 block whose B fits in L2.
   // One row group and one column panel, so it runs on one thread.
   const std::int64_t m = 4, n = 512, k = 512;

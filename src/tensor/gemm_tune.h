@@ -11,8 +11,9 @@
 // The cost model prices one GEMM of a given shape, format and tiling in the
 // streaming (cold-weights) regime the serving engine lives in: FLOP
 // throughput with pairing/fringe efficiency terms vs weight-streaming
-// traffic with a segment-length term, re-anchored to measured host numbers
-// the way tp_predict anchors simfrontier's alpha-beta model. It prices the
+// traffic with a segment-length term, anchored to this host: measure a
+// reference shape, scale the model so it predicts that shape exactly, and
+// extrapolate to every other shape from there. It prices the
 // split that will run — kernels::gemm_split's over row-major B,
 // kernels::packed_split's over packed panels — by its widest tile, once
 // per round of tiles over the pool, and, within a tile, the row blocks
@@ -55,9 +56,9 @@ void run_gemm(const float* a, const float* b, const QuantWeights* qw,
               float* c, std::int64_t m, std::int64_t n, std::int64_t k,
               const kernels::GemmVariant& variant);
 
-/// Measured host anchors for the cost model (the tp_predict idiom:
-/// measure a reference shape, calibrate the model so prediction matches
-/// there, extrapolate everywhere else). Peaks are one thread's hot-L2
+/// Measured host anchors for the cost model: rates measured on reference
+/// shapes, which calibrate the model so its prediction matches there and
+/// extrapolates everywhere else. Peaks are one thread's hot-L2
 /// compute rates at the reference tiling, and pool_f32_gflops the fp32
 /// aggregate when every thread of the pool (`threads` of them) computes
 /// its own row group. stream_gbs is the effective rate at which one

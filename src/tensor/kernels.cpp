@@ -21,7 +21,7 @@ void for_rows(std::int64_t m,
   if (m < kParallelRowThreshold) {
     body(0, static_cast<std::size_t>(m));
   } else {
-    ThreadPool::global().parallel_for(0, static_cast<std::size_t>(m), body);
+    ThreadPool::current().parallel_for(0, static_cast<std::size_t>(m), body);
   }
 }
 
@@ -445,7 +445,7 @@ void gemm_run(const float* a, std::int64_t m, std::int64_t k,
   if (split.tiles() == 1) {
     tiles(0, 1);
   } else {
-    ThreadPool::global().parallel_for(0, split.tiles(), tiles);
+    ThreadPool::current().parallel_for(0, split.tiles(), tiles);
   }
 }
 
@@ -456,7 +456,7 @@ void gemm_row_major(const float* a, const BT* b, const float* scale,
                     float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                     bool accumulate, const GemmVariant& variant) {
   GemmSplit split =
-      gemm_split(m, n, k, ThreadPool::global().worker_count() + 1);
+      gemm_split(m, n, k, ThreadPool::current().worker_count() + 1);
   if (split.by_rows) {
     gemm_run<BT>(a, m, k, {{b, n, n, scale, c, n}}, split, accumulate,
                  variant);
@@ -650,10 +650,10 @@ void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
 
 void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
                  WeightFormat format, std::span<const PackedGemm> gemms,
-                 const GemmVariant& variant, std::size_t threads) {
+                 const GemmVariant& variant) {
   std::int64_t n = 0;
   for (const PackedGemm& g : gemms) n += g.n;
-  if (threads == 0) threads = ThreadPool::global().worker_count() + 1;
+  const std::size_t threads = ThreadPool::current().worker_count() + 1;
   auto run = [&](auto panels) {
     gemm_run(a, m, k, panels,
              packed_split(m, n, k, static_cast<std::int64_t>(panels.size()),

@@ -22,7 +22,7 @@
 // job, not in storage (no concatenated weight exists), so parameter
 // names, checkpoints and training are unchanged and nothing exists twice.
 //
-// Threading goes through ThreadPool::global(), whose parallel_for runs on
+// Threading goes through ThreadPool::current(), whose parallel_for runs on
 // the caller plus the workers, and degrades to serial on one core. Every NN
 // GEMM makes one split decision from its shape alone — gemm_split over
 // row-major B, packed_split over packed panels: C is cut into tiles, each
@@ -303,12 +303,10 @@ struct PackedGemm {
 /// Run GEMMs that share A (q|k|v, gate|up, or one alone) as one job over
 /// the union of their panels: one split by packed_split, one fork-join.
 /// Every C element gets the bytes gemm_nn / gemm_nn_bf16 / gemm_nn_int8
-/// write for the same B row-major (accumulate = false). `threads` = 0
-/// splits for the global pool; another count only changes the split
-/// (tests use it).
+/// write for the same B row-major (accumulate = false), on every pool.
 void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
                  WeightFormat format, std::span<const PackedGemm> gemms,
-                 const GemmVariant& variant, std::size_t threads = 0);
+                 const GemmVariant& variant);
 
 /// C[m,n] (+)= A[m,k] * B[n,k]^T
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,

@@ -114,7 +114,7 @@ Var rope_rows(Tape& tape, const Var& x,
 
 /// One query row's KV history in a block-paged cache: `len` time steps,
 /// row tk living at k_blocks[tk / block_tokens] + (tk % block_tokens) *
-/// stride (+ head offset), same for v_blocks — a gather over possibly
+/// n_kv_heads * head_dim, same for v_blocks — a gather over possibly
 /// non-contiguous blocks. attention() runs the same row kernels over a
 /// one-block view of contiguous K/V, so outputs are bit-identical.
 struct RaggedKv {
@@ -122,14 +122,6 @@ struct RaggedKv {
   const float* const* k_blocks = nullptr;
   const float* const* v_blocks = nullptr;
   std::int64_t block_tokens = 0;
-  // Head-slice view (tensor-parallel ranks reading their heads out of a
-  // full-geometry cache): the kernel attends over n_kv_heads heads starting
-  // at kv head `head_offset` of a row whose full width is `kv_stride` floats
-  // (0 = derive n_kv_heads * head_dim, the whole-row default). Offsets only
-  // change which bytes are read, never the per-row FP op sequence, so a
-  // slice view stays bit-identical to the same heads in a dedicated cache.
-  std::int64_t head_offset = 0;
-  std::int64_t kv_stride = 0;
 };
 
 /// Ragged-batch attention for inference: q is [N, Hq, D], one query row per

@@ -369,8 +369,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // decode_attention reads each row's history through a block table; row tq of
 // a causal attention() over the same K/V must come out byte-identical, for
-// any block size, any block order in memory, GQA, and a head-slice view of a
-// wider cache (the tensor-parallel layout).
+// any block size, any block order in memory, and GQA.
 TEST(PagedAttention, DecodeRowsMatchContiguousAttentionBytes) {
   const std::int64_t t = 20, hq = 4, hkv = 2, d = 12;
   Rng rng(31);
@@ -378,6 +377,7 @@ TEST(PagedAttention, DecodeRowsMatchContiguousAttentionBytes) {
   const Tensor k0 = Tensor::randn({1, t, hkv, d}, rng);
   const Tensor v0 = Tensor::randn({1, t, hkv, d}, rng);
   std::mt19937 shuffle_rng(5);
+  const std::int64_t width = hkv * d;
   for (const bool flash : {true, false}) {
     Tape ref_tape;
     const Var ref = ops::attention(ref_tape, ref_tape.leaf(q0.clone(), false),
@@ -385,50 +385,37 @@ TEST(PagedAttention, DecodeRowsMatchContiguousAttentionBytes) {
                                    ref_tape.leaf(v0.clone(), false),
                                    /*causal=*/true, flash);
     for (const std::int64_t bt : {1, 3, 16}) {
-      // head_offset 0 with the default whole-row stride, then heads [1, 3)
-      // of a 3-head-wide cache whose other head is NaN (never read).
-      for (const std::int64_t head_offset : {0, 1}) {
-        const std::int64_t row_heads = head_offset == 0 ? hkv : hkv + 1;
-        const std::int64_t width = row_heads * d;
-        const std::int64_t n_blocks = (t + bt - 1) / bt;
-        std::vector<std::int64_t> perm(static_cast<std::size_t>(n_blocks));
-        std::iota(perm.begin(), perm.end(), 0);
-        std::shuffle(perm.begin(), perm.end(), shuffle_rng);
-        std::vector<float> k_pool(static_cast<std::size_t>(n_blocks * bt * width),
-                                  std::nanf(""));
-        std::vector<float> v_pool = k_pool;
-        std::vector<const float*> kb, vb;
-        for (const std::int64_t p : perm) {
-          kb.push_back(k_pool.data() + p * bt * width);
-          vb.push_back(v_pool.data() + p * bt * width);
-        }
-        for (std::int64_t tk = 0; tk < t; ++tk) {
-          const std::int64_t dst =
-              (perm[static_cast<std::size_t>(tk / bt)] * bt + tk % bt) * width +
-              head_offset * d;
-          std::copy_n(k0.data() + tk * hkv * d, hkv * d, k_pool.data() + dst);
-          std::copy_n(v0.data() + tk * hkv * d, hkv * d, v_pool.data() + dst);
-        }
-        std::vector<ops::RaggedKv> kv(static_cast<std::size_t>(t));
-        for (std::int64_t tq = 0; tq < t; ++tq) {
-          ops::RaggedKv& h = kv[static_cast<std::size_t>(tq)];
-          h.len = tq + 1;
-          h.k_blocks = kb.data();
-          h.v_blocks = vb.data();
-          h.block_tokens = bt;
-          h.head_offset = head_offset;
-          h.kv_stride = head_offset == 0 ? 0 : width;
-        }
-        Tape tape;
-        const Var q = tape.leaf(q0.clone().reshape({t, hq, d}), false);
-        const Var out = ops::decode_attention(tape, q, kv, hkv, flash);
-        for (std::int64_t tq = 0; tq < t; ++tq) {
-          ASSERT_EQ(0, std::memcmp(out.value().data() + tq * hq * d,
-                                   ref.value().data() + tq * hq * d,
-                                   sizeof(float) * hq * d))
-              << "flash=" << flash << " block_tokens=" << bt
-              << " head_offset=" << head_offset << " row " << tq;
-        }
+      const std::int64_t n_blocks = (t + bt - 1) / bt;
+      std::vector<std::int64_t> perm(static_cast<std::size_t>(n_blocks));
+      std::iota(perm.begin(), perm.end(), 0);
+      std::shuffle(perm.begin(), perm.end(), shuffle_rng);
+      // Slots past the history stay NaN: a read of one would show.
+      std::vector<float> k_pool(static_cast<std::size_t>(n_blocks * bt * width),
+                                std::nanf(""));
+      std::vector<float> v_pool = k_pool;
+      std::vector<const float*> kb, vb;
+      for (const std::int64_t p : perm) {
+        kb.push_back(k_pool.data() + p * bt * width);
+        vb.push_back(v_pool.data() + p * bt * width);
+      }
+      for (std::int64_t tk = 0; tk < t; ++tk) {
+        const std::int64_t dst =
+            (perm[static_cast<std::size_t>(tk / bt)] * bt + tk % bt) * width;
+        std::copy_n(k0.data() + tk * width, width, k_pool.data() + dst);
+        std::copy_n(v0.data() + tk * width, width, v_pool.data() + dst);
+      }
+      std::vector<ops::RaggedKv> kv(static_cast<std::size_t>(t));
+      for (std::int64_t tq = 0; tq < t; ++tq) {
+        kv[static_cast<std::size_t>(tq)] = {tq + 1, kb.data(), vb.data(), bt};
+      }
+      Tape tape;
+      const Var q = tape.leaf(q0.clone().reshape({t, hq, d}), false);
+      const Var out = ops::decode_attention(tape, q, kv, hkv, flash);
+      for (std::int64_t tq = 0; tq < t; ++tq) {
+        ASSERT_EQ(0, std::memcmp(out.value().data() + tq * hq * d,
+                                 ref.value().data() + tq * hq * d,
+                                 sizeof(float) * hq * d))
+            << "flash=" << flash << " block_tokens=" << bt << " row " << tq;
       }
     }
   }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
@@ -197,6 +196,32 @@ TEST(ThreadPool, DestructionRightAfterAJobJoinsCleanly) {
   }
 }
 
+TEST(ThreadPool, ScopedPoolIsCurrentOnItsThreadOnly) {
+  // Scopes nest and unwind, other threads keep global(), and a chunk on a
+  // scoped pool's worker sees that pool, so a nested call stays on it.
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
+  {
+    const ScopedThreadPool outer(2);
+    ThreadPool* outer_pool = &ThreadPool::current();
+    EXPECT_NE(outer_pool, &ThreadPool::global());
+    EXPECT_EQ(outer_pool->worker_count(), 2u);
+    {
+      const ScopedThreadPool inner(0);
+      EXPECT_EQ(ThreadPool::current().worker_count(), 0u);
+    }
+    EXPECT_EQ(&ThreadPool::current(), outer_pool);
+    ThreadPool* elsewhere = nullptr;
+    std::thread([&] { elsewhere = &ThreadPool::current(); }).join();
+    EXPECT_EQ(elsewhere, &ThreadPool::global());
+    std::atomic<int> off_pool{0};
+    outer_pool->parallel_for(0, 12, [&](std::size_t, std::size_t) {
+      if (&ThreadPool::current() != outer_pool) off_pool.fetch_add(1);
+    });
+    EXPECT_EQ(off_pool.load(), 0);
+  }
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
+}
+
 TEST(Comm, WorldSizeAndRankAssignment) {
   std::vector<std::atomic<int>> seen(4);
   run_ranks(4, [&](Communicator& comm) {
@@ -352,148 +377,25 @@ TEST(Comm, SingleRankCollectivesAreIdentity) {
   });
 }
 
-TEST(Comm, AllreduceDetMatchesOrderedDoubleSum) {
-  // The contract: element i becomes fl(sum_r double(x_r[i])) in ascending
-  // rank order with ONE final rounding. Pin it against a serial reference.
-  constexpr int kRanks = 4;
-  constexpr std::size_t kElems = 7;
-  auto contribution = [](int rank, std::size_t i) {
-    return 0.1f * static_cast<float>(rank + 1) -
-           0.37f * static_cast<float>(i) +
-           static_cast<float>(rank * 7 + static_cast<int>(i) * 3) * 1e-3f;
-  };
-  std::vector<float> expected(kElems);
-  for (std::size_t i = 0; i < kElems; ++i) {
-    double acc = 0.0;
-    for (int r = 0; r < kRanks; ++r) {
-      acc += static_cast<double>(contribution(r, i));
-    }
-    expected[i] = static_cast<float>(acc);
-  }
-  run_ranks(kRanks, [&](Communicator& comm) {
-    std::vector<float> data(kElems);
-    for (std::size_t i = 0; i < kElems; ++i) {
-      data[i] = contribution(comm.rank(), i);
-    }
-    comm.allreduce_det(data);
-    for (std::size_t i = 0; i < kElems; ++i) {
-      const std::uint32_t got = std::bit_cast<std::uint32_t>(data[i]);
-      const std::uint32_t want = std::bit_cast<std::uint32_t>(expected[i]);
-      EXPECT_EQ(got, want) << "elem " << i;
-    }
-  });
-}
-
-TEST(Comm, AllreduceDetIsArrivalOrderInvariant) {
-  // Repeat the same reduction many times with rank-skewed arrival (each
-  // rank burns a different amount of work first). allreduce() would
-  // accumulate in whatever order threads take the lock; allreduce_det must
-  // produce one bit pattern every time.
-  constexpr int kRanks = 4;
-  constexpr int kIters = 64;
-  std::mutex mu;
-  std::vector<std::vector<float>> results(kIters);
-  run_ranks(kRanks, [&](Communicator& comm) {
-    for (int it = 0; it < kIters; ++it) {
-      volatile float sink = 0.0f;
-      const int spin = ((comm.rank() + it) % kRanks) * 500;
-      for (int i = 0; i < spin; ++i) sink = sink + 1.0f;
-      std::vector<float> data{0.1f * static_cast<float>(comm.rank() + 1),
-                              -2.7f, 3.14159f * comm.rank(), sink * 0.0f + 7e-3f};
-      comm.allreduce_det(data);
-      if (comm.rank() == 0) {
-        std::lock_guard lock(mu);
-        results[static_cast<std::size_t>(it)] = data;
-      }
-      comm.barrier();
-    }
-  });
-  for (int it = 1; it < kIters; ++it) {
-    ASSERT_EQ(results[0].size(), results[static_cast<std::size_t>(it)].size());
-    for (std::size_t i = 0; i < results[0].size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(results[0][i]),
-                std::bit_cast<std::uint32_t>(
-                    results[static_cast<std::size_t>(it)][i]))
-          << "iteration " << it << " elem " << i;
-    }
-  }
-}
-
-TEST(Comm, AllreduceDetIsRankCountInvariantOnExactSplits) {
-  // Split a fixed vector across N ranks as base/N (exact for power-of-two
-  // N: a float divided by 2^k only shifts its exponent, and the partial
-  // double sums of <= 8 copies round nowhere). allreduce_det must then
-  // reconstruct the SAME bit pattern for every N — the property that makes
-  // TP=N the same model as TP=1.
-  const std::vector<float> base{1.5f, -0.1f, 3.25f, 0.007812f, -42.0f};
-  for (int n : {1, 2, 4, 8}) {
-    std::mutex mu;
-    std::vector<float> result;
-    run_ranks(n, [&](Communicator& comm) {
-      std::vector<float> data(base.size());
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        data[i] = base[i] / static_cast<float>(n);
-      }
-      comm.allreduce_det(data);
-      if (comm.rank() == 0) {
-        std::lock_guard lock(mu);
-        result = data;
-      }
-    });
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(result[i]),
-                std::bit_cast<std::uint32_t>(base[i]))
-          << "n=" << n << " elem " << i;
-    }
-  }
-}
-
-TEST(Comm, AllgatherColsInterleavesColumnSlices) {
-  // Each rank sends a [2, 2] slice; rank r's columns must land at column
-  // offset r*2 of the [2, 6] result on every rank.
-  run_ranks(3, [](Communicator& comm) {
-    constexpr std::size_t kRows = 2, kW = 2;
-    std::vector<float> send(kRows * kW);
-    for (std::size_t row = 0; row < kRows; ++row) {
-      for (std::size_t col = 0; col < kW; ++col) {
-        send[row * kW + col] =
-            static_cast<float>(comm.rank() * 100 + row * 10 + col);
-      }
-    }
-    std::vector<float> recv(kRows * kW * 3);
-    comm.allgather_cols(send, recv, kRows);
-    for (std::size_t row = 0; row < kRows; ++row) {
-      for (int r = 0; r < 3; ++r) {
-        for (std::size_t col = 0; col < kW; ++col) {
-          EXPECT_FLOAT_EQ(recv[row * kW * 3 + r * kW + col],
-                          static_cast<float>(r * 100 + row * 10 + col))
-              << "row " << row << " rank " << r << " col " << col;
-        }
-      }
-    }
-  });
-}
-
 TEST(Comm, ConcurrentSplitGroupsKeepSeparateScratch) {
   // Two sub-groups cut from one parent stay live simultaneously and
-  // interleave collectives. Each split's GroupState owns its own scratch
-  // and det slots, so neither group can see the other's partial sums.
+  // interleave collectives. Each split's GroupState owns its own scratch,
+  // so neither group can see the other's partial sums.
   run_ranks(4, [](Communicator& comm) {
     Communicator pair = comm.split(comm.rank() / 2, comm.rank());   // {0,1},{2,3}
     Communicator stripe = comm.split(comm.rank() % 2, comm.rank()); // {0,2},{1,3}
     for (int it = 0; it < 16; ++it) {
       std::vector<float> a{static_cast<float>(comm.rank() + 1)};
       std::vector<float> b{static_cast<float>((comm.rank() + 1) * 10)};
-      pair.allreduce_det(a);
-      stripe.allreduce_det(b);
+      pair.allreduce(a);
+      stripe.allreduce(b);
       const float want_pair = comm.rank() < 2 ? 3.0f : 7.0f;    // 1+2 / 3+4
       const float want_stripe =
           comm.rank() % 2 == 0 ? 40.0f : 60.0f;                 // 10+30 / 20+40
       EXPECT_FLOAT_EQ(a[0], want_pair) << "iter " << it;
       EXPECT_FLOAT_EQ(b[0], want_stripe) << "iter " << it;
       std::vector<float> g(2);
-      pair.allgather_cols(std::vector<float>{static_cast<float>(comm.rank())},
-                          g, 1);
+      pair.allgather(std::vector<float>{static_cast<float>(comm.rank())}, g);
       EXPECT_FLOAT_EQ(g[0] + g[1], comm.rank() < 2 ? 1.0f : 5.0f);
     }
   });

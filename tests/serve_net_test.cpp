@@ -656,13 +656,6 @@ TEST(HttpServerE2E, StatsKeySetIsStable) {
       {"peak_block_utilization", "number"},
       {"cow_forks", "number"},
       {"cow_rows", "number"},
-      {"tp_degree", "number"},
-      {"tp_layout", "string"},
-      {"tp_jobs", "number"},
-      {"tp_comm_seconds", "number"},
-      {"tp_comm_ms_per_step", "number"},
-      {"tp_bytes_gathered", "number"},
-      {"tp_bytes_reduced", "number"},
       {"parked", "number"},
       {"sessions_live", "number"},
       {"session_parks", "number"},

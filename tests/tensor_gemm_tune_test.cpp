@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "nn/gpt.h"
+#include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/spec/proposer.h"
 #include "serve/trace.h"
@@ -470,8 +470,8 @@ TEST(PackPanels, InPlacePackMatchesPackedIndexAndUnpacks) {
   }
 }
 
-// One packed job: the GEMMs of `ns` share A [m, k]. Runs it on `threads`
-// (0: the global pool) in `format` and returns every C, concatenated.
+// One packed job: the GEMMs of `ns` share A [m, k]. Runs it on the
+// calling thread's pool in `format` and returns every C, concatenated.
 struct PackedJob {
   std::int64_t k;
   std::vector<std::int64_t> ns;
@@ -496,7 +496,7 @@ struct PackedJob {
   }
 
   std::vector<float> run(const std::vector<float>& a, std::int64_t m,
-                         WeightFormat format, std::size_t threads,
+                         WeightFormat format,
                          std::int64_t c_offset = 0) const {
     std::int64_t total = 0;
     for (const std::int64_t n : ns) total += m * n;
@@ -520,7 +520,7 @@ struct PackedJob {
       at += m * ns[g];
     }
     kernels::gemm_packed(a.data(), m, k, format, gemms,
-                         kernels::pick_variant(m, format), threads);
+                         kernels::pick_variant(m, format));
     return std::vector<float>(c, c + total);
   }
 
@@ -575,7 +575,7 @@ TEST(GemmContract, PackedPanelsMatchFmaChainReferenceBytes) {
       const auto a = random_matrix(128, k, 71);
       const auto ref = job.reference(a, 128, format);
       for (const std::int64_t m : rows) {
-        const auto c = job.run(a, m, format, /*threads=*/0, (m + ji) % 16);
+        const auto c = job.run(a, m, format, (m + ji) % 16);
         // The reference's first m rows of each GEMM.
         std::vector<float> expect;
         std::size_t at = 0;
@@ -646,7 +646,8 @@ TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
       }
     }
   }
-  // Bytes at every thread count, for each format, on jobs that split.
+  // Bytes on pools of 0, 1 and 3 workers, for each format, on jobs that
+  // split.
   const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
                                   WeightFormat::kInt8};
   for (const WeightFormat format : formats) {
@@ -655,13 +656,18 @@ TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
       const PackedJob packed(job.k, job.ns, format, 80);
       for (const std::int64_t m : {5, 16, 64}) {
         const auto a = random_matrix(m, job.k, 81);
-        const auto one = packed.run(a, m, format, 1);
-        for (std::size_t threads = 2; threads <= 8; ++threads) {
-          const auto c = packed.run(a, m, format, threads);
-          ASSERT_EQ(0, std::memcmp(one.data(), c.data(),
+        std::vector<float> serial;
+        for (const std::size_t workers : {0u, 1u, 3u}) {
+          const ScopedThreadPool scope(workers);
+          const auto c = packed.run(a, m, format);
+          if (workers == 0) {
+            serial = c;
+            continue;
+          }
+          ASSERT_EQ(0, std::memcmp(serial.data(), c.data(),
                                    c.size() * sizeof(float)))
               << kernels::format_name(format) << " m=" << m << " k=" << job.k
-              << " threads " << threads;
+              << " workers " << workers;
         }
       }
     }
@@ -1045,14 +1051,6 @@ TEST(DecodeQuant, SpeculativeIdenticalToPlainUnderQuant) {
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].tokens, rb[i].tokens) << "request " << i;
   }
-}
-
-TEST(DecodeQuant, EngineValidatesKnobCombinations) {
-  nn::GptModel model(quant_model_config());
-  serve::EngineConfig ec;
-  ec.decode_quant = WeightFormat::kInt8;
-  ec.tensor_parallel = 2;
-  EXPECT_THROW(serve::InferenceEngine(model, ec), Error);
 }
 
 TEST(DecodeQuant, EngineStatsReportQuantAndGemmCounters) {
