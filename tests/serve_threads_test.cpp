@@ -2,9 +2,11 @@
 // every pool size. One mixed ragged step (a prefill chunk, decode rows and
 // a verify span) writes byte-identical logits and K/V for NeoX and LLaMA
 // (GQA), with fp32, bf16 and int8 decode weights, and the packed model
-// matches its row-major twin on every pool. Four engine traces (seeded
-// sampling, speculative decoding, recompute preemption under KV pressure,
-// an engine built on an already-packed model) emit identical tokens.
+// matches its row-major twin on every pool. Sequences sharing one arena of
+// small blocks keep identical paged K/V across steps. Four engine traces
+// (seeded sampling, speculative decoding, recompute preemption under KV
+// pressure, an engine built on an already-packed model) emit identical
+// tokens.
 //
 // Every computation runs under a ScopedThreadPool of 0 (serial), 1, 2, 3
 // and 7 workers; the serial run is the reference.
@@ -150,6 +152,78 @@ TEST(ThreadInvariance, NeoxStepLogitsIdenticalAcrossPools) {
 
 TEST(ThreadInvariance, LlamaGqaStepLogitsIdenticalAcrossPools) {
   expect_step_identical_across_pools(nn::ArchFamily::kLLaMA);
+}
+
+// Three sequences share one arena of 8-token blocks and grow in lockstep,
+// so each block table interleaves with the others' and every history
+// crosses block boundaries. A prefill and four ragged decode steps must give
+// the same logits and the same paged K/V bytes on every pool.
+StepBytes shared_arena_steps(const nn::GptModel& model) {
+  const nn::GptConfig& c = model.config();
+  nn::PagedKvLayout layout;
+  layout.block_tokens = 8;
+  layout.n_layers = c.n_layers;
+  layout.kv_heads = c.kv_heads();
+  layout.head_dim = c.head_dim();
+  nn::PagedKvArena arena(layout, 16);
+  std::vector<std::unique_ptr<nn::PagedKvSeq>> seqs;
+  std::vector<nn::KvCache> caches(3);
+  for (nn::KvCache& cache : caches) {
+    seqs.push_back(std::make_unique<nn::PagedKvSeq>(&arena));
+    cache.attach_paged(seqs.back().get());
+  }
+  const std::vector<std::vector<std::int32_t>> prompts{
+      {3, 14, 15, 9, 2, 6, 5, 35, 8, 41},
+      {11, 4, 30, 2, 19},
+      {7, 1, 22, 60, 13, 12, 9, 44, 50, 17, 5, 3, 28}};
+  StepBytes out;
+  auto keep_logits = [&](const Var& logits) {
+    out.logits.insert(out.logits.end(), logits.value().data(),
+                      logits.value().data() + logits.value().numel());
+  };
+  {
+    nn::RaggedBatch prefill;
+    prefill.logits = nn::LogitRows::kAll;
+    for (std::size_t s = 0; s < caches.size(); ++s) {
+      prefill.add(prompts[s], caches[s]);
+    }
+    Tape tape;
+    keep_logits(model.forward(tape, prefill));
+  }
+  for (const std::int32_t base : {7, 21, 33, 2}) {
+    std::vector<std::vector<std::int32_t>> toks;
+    nn::RaggedBatch step;
+    step.path = nn::FwdPath::kDecode;
+    step.logits = nn::LogitRows::kAll;
+    for (std::size_t s = 0; s < caches.size(); ++s) {
+      toks.push_back({static_cast<std::int32_t>(base + 5 * s)});
+    }
+    for (std::size_t s = 0; s < caches.size(); ++s) {
+      step.add(toks[s], caches[s]);
+    }
+    Tape tape;
+    keep_logits(model.forward(tape, step));
+  }
+  for (const nn::KvCache& cache : caches) {
+    std::vector<float> rows;
+    cache.seq()->swap_out(rows);
+    out.kv.insert(out.kv.end(), rows.begin(), rows.end());
+  }
+  return out;
+}
+
+TEST(ThreadInvariance, SharedArenaPagedCacheIdenticalAcrossPools) {
+  const nn::GptConfig c = pool_config(nn::ArchFamily::kLLaMA);
+  nn::GptModel model(c);
+  model.prepare_decode_quant(WeightFormat::kF32);
+  const auto runs = on_every_pool([&] { return shared_arena_steps(model); });
+  ASSERT_FALSE(runs[0].kv.empty());
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_TRUE(same_bytes(runs[i].logits, runs[0].logits))
+        << "logits on " << kWorkers[i] << " workers differ from serial";
+    EXPECT_TRUE(same_bytes(runs[i].kv, runs[0].kv))
+        << "paged K/V on " << kWorkers[i] << " workers differ from serial";
+  }
 }
 
 TEST(ThreadInvariance, PackedStepMatchesRowMajorModelOnEveryPool) {
