@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -52,8 +52,11 @@ namespace {
 /// seen the vocabulary size, a draw allocates nothing. Per thread because
 /// the serving engine draws a step's rows on several pool threads at once.
 struct SamplerScratch {
-  std::vector<float> probs;
-  std::vector<std::int32_t> order;
+  std::vector<float> exps;        // exp(x/T - max), one per id
+  std::vector<float> block_max;   // their maxima per kExpBlockIds ids
+  std::vector<float> bound;       // block_max, partly reordered
+  std::vector<TokenProb> survivors;
+  std::vector<TokenProb> candidates;
   std::vector<double> weights;
 };
 
@@ -62,53 +65,82 @@ SamplerScratch& sampler_scratch() {
   return scratch;
 }
 
-/// Shared stochastic-path filtering: softmax at temperature, then rank and
-/// clip to the top-k/top-p survivor set. Fills `probs` with the full-vocab
-/// softmax and `order` with token ids ranked by probability; returns how
-/// many leading ranks survive the filters.
-std::size_t filtered_ranking(std::span<const float> logits,
-                             const SamplingParams& options,
-                             std::vector<float>& probs,
-                             std::vector<std::int32_t>& order) {
-  probs.assign(logits.begin(), logits.end());
-  for (float& z : probs) z /= options.temperature;
-  kernels::softmax_row(probs.data(), static_cast<std::int64_t>(probs.size()));
+/// The rank order: probability descending, then id ascending. A total
+/// order, so the ranking never depends on how a sort treats ties.
+bool ranks_before(const TokenProb& a, const TokenProb& b) {
+  return a.prob > b.prob || (a.prob == b.prob && a.id < b.id);
+}
 
-  // Rank tokens by probability once; both filters work on the ranking.
-  // With top-k active only the leading k ranks matter, so a partial sort
-  // (O(n + k log k)) replaces the full vocab sort — at serving vocab sizes
-  // the full sort would dominate the decode step itself.
-  order.resize(probs.size());
-  std::iota(order.begin(), order.end(), 0);
-  const auto by_prob = [&](std::int32_t a, std::int32_t b) {
-    return probs[static_cast<std::size_t>(a)] >
-           probs[static_cast<std::size_t>(b)];
-  };
-  std::size_t keep = probs.size();
-  if (options.top_k > 0) {
-    keep = std::min<std::size_t>(keep,
-                                 static_cast<std::size_t>(options.top_k));
+}  // namespace
+
+void sampling_candidates(std::span<const float> logits,
+                         const SamplingParams& options,
+                         std::vector<TokenProb>& out) {
+  MGPT_CHECK(!logits.empty(), "sampling needs logits");
+  options.validate();
+  MGPT_CHECK(options.temperature > 0.0f,
+             "stochastic sampling requires temperature > 0");
+  SamplerScratch& s = sampler_scratch();
+  const auto n = static_cast<std::int64_t>(logits.size());
+  const std::int64_t blocks =
+      (n + kernels::kExpBlockIds - 1) / kernels::kExpBlockIds;
+  s.exps.resize(logits.size());
+  s.block_max.resize(static_cast<std::size_t>(blocks));
+  const double sum =
+      kernels::scaled_exp_row(logits.data(), n, options.temperature,
+                              s.exps.data(), s.block_max.data());
+  MGPT_CHECK(std::isfinite(sum),
+             "sampling needs finite logits: a NaN or +inf logit, or a row "
+             "with no finite logit, has no distribution");
+  const auto inv = static_cast<float>(1.0 / sum);
+  const std::int64_t k =
+      options.top_k > 0 ? std::min<std::int64_t>(n, options.top_k) : n;
+  // Every id ranked in the top k has a probability at or above `lowest`.
+  // With k blocks or more, the k-th largest block maximum is such a bound:
+  // k distinct blocks each hold an id at or above it. Multiplying by inv
+  // keeps the order, so the bound carries over to probabilities; only
+  // blocks that reach it are scanned, and only their survivors are sorted.
+  float lowest = std::numeric_limits<float>::denorm_min();
+  if (k < n && k <= blocks) {
+    s.bound.assign(s.block_max.begin(), s.block_max.end());
+    std::nth_element(s.bound.begin(), s.bound.begin() + (k - 1),
+                     s.bound.end(), std::greater<float>());
+    lowest = std::max(lowest, s.bound[static_cast<std::size_t>(k - 1)] * inv);
   }
-  if (keep < order.size()) {
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(keep),
-                      order.end(), by_prob);
+  // Branch-free: every scanned id is written, and the count moves past it
+  // only if it survives.
+  s.survivors.resize(logits.size());
+  std::size_t count = 0;
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    if (s.block_max[static_cast<std::size_t>(b)] * inv < lowest) continue;
+    const std::int64_t end = std::min(n, (b + 1) * kernels::kExpBlockIds);
+    for (std::int64_t i = b * kernels::kExpBlockIds; i < end; ++i) {
+      const float p = s.exps[static_cast<std::size_t>(i)] * inv;
+      s.survivors[count] = {static_cast<std::int32_t>(i), p};
+      count += p >= lowest ? 1 : 0;
+    }
+  }
+  out.assign(s.survivors.begin(),
+             s.survivors.begin() + static_cast<std::ptrdiff_t>(count));
+  // No filter: the survivors are every id of nonzero probability, in id
+  // order, which Rng::categorical walks as well as any; nothing is ranked.
+  if (k == n && options.top_p >= 1.0f) return;
+  if (static_cast<std::size_t>(k) < out.size()) {
+    std::partial_sort(out.begin(), out.begin() + k, out.end(), ranks_before);
+    out.resize(static_cast<std::size_t>(k));
   } else {
-    std::sort(order.begin(), order.end(), by_prob);
+    std::sort(out.begin(), out.end(), ranks_before);
   }
   if (options.top_p < 1.0f) {
     double cumulative = 0.0;
     std::size_t nucleus = 0;
-    while (nucleus < keep && cumulative < options.top_p) {
-      cumulative += probs[static_cast<std::size_t>(order[nucleus])];
+    while (nucleus < out.size() && cumulative < options.top_p) {
+      cumulative += out[nucleus].prob;
       ++nucleus;
     }
-    keep = std::max<std::size_t>(1, nucleus);
+    out.resize(std::max<std::size_t>(1, nucleus));
   }
-  return keep;
 }
-
-}  // namespace
 
 std::int32_t sample_token(std::span<const float> logits,
                           const SamplingParams& options, Rng& rng) {
@@ -118,12 +150,12 @@ std::int32_t sample_token(std::span<const float> logits,
     return argmax_token(logits);
   }
   SamplerScratch& s = sampler_scratch();
-  const std::size_t keep = filtered_ranking(logits, options, s.probs, s.order);
-  s.weights.resize(keep);
-  for (std::size_t i = 0; i < keep; ++i) {
-    s.weights[i] = s.probs[static_cast<std::size_t>(s.order[i])];
+  sampling_candidates(logits, options, s.candidates);
+  s.weights.resize(s.candidates.size());
+  for (std::size_t i = 0; i < s.candidates.size(); ++i) {
+    s.weights[i] = s.candidates[i].prob;
   }
-  return s.order[rng.categorical(s.weights)];
+  return s.candidates[rng.categorical(s.weights)].id;
 }
 
 std::int32_t sample_token_masked(std::span<const float> logits,
@@ -150,22 +182,14 @@ std::int32_t sample_token_masked(std::span<const float> logits,
 
 std::vector<float> sampling_probs(std::span<const float> logits,
                                   const SamplingParams& options) {
-  MGPT_CHECK(!logits.empty(), "sampling_probs requires logits");
-  options.validate();
-  MGPT_CHECK(options.temperature > 0.0f,
-             "sampling_probs requires temperature > 0 (greedy decoding "
-             "compares argmax tokens, not distributions)");
   SamplerScratch& s = sampler_scratch();
-  const std::size_t keep = filtered_ranking(logits, options, s.probs, s.order);
-  std::vector<float> filtered(s.probs.size(), 0.0f);
+  sampling_candidates(logits, options, s.candidates);
+  std::vector<float> filtered(logits.size(), 0.0f);
   double total = 0.0;
-  for (std::size_t i = 0; i < keep; ++i) {
-    total += s.probs[static_cast<std::size_t>(s.order[i])];
-  }
+  for (const TokenProb& c : s.candidates) total += c.prob;
   const auto inv = static_cast<float>(1.0 / total);
-  for (std::size_t i = 0; i < keep; ++i) {
-    const auto token = static_cast<std::size_t>(s.order[i]);
-    filtered[token] = s.probs[token] * inv;
+  for (const TokenProb& c : s.candidates) {
+    filtered[static_cast<std::size_t>(c.id)] = c.prob * inv;
   }
   return filtered;
 }

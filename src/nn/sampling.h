@@ -72,6 +72,27 @@ std::int32_t sample_token_masked(std::span<const float> logits,
 /// the same token.
 std::int32_t argmax_token(std::span<const float> logits);
 
+/// A token the stochastic sampler may draw, with its temperature-softmax
+/// probability over the whole vocabulary (before the filters renormalize).
+struct TokenProb {
+  std::int32_t id;
+  float prob;
+};
+
+/// The stochastic sampler's candidates, which sample_token draws from and
+/// sampling_probs renormalizes. Requires temperature > 0. `prob` is
+/// softmax_row's: exp(x/T - max) times one float reciprocal of the row's
+/// double sum. Ids of probability 0 (-inf logits) are never candidates.
+/// With a filter (top_k in [1, vocab) or top_p < 1) the candidates are the
+/// top-k/top-p survivors ranked by (prob descending, id ascending), a total
+/// order; without one they are every id, in id order, and nothing is
+/// ranked. A NaN or +inf logit, or a row with no finite logit, throws
+/// Error. Fills `out`; allocates nothing once a thread has seen the
+/// vocabulary size and `out` has grown to it.
+void sampling_candidates(std::span<const float> logits,
+                         const SamplingParams& params,
+                         std::vector<TokenProb>& out);
+
 /// The filtered next-token distribution the stochastic sampler draws from:
 /// temperature softmax with top-k/top-p zeroing, renormalized to sum 1.
 /// Requires temperature > 0. Speculative decoding's residual sampling needs

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -715,6 +716,169 @@ void softmax_row(float* row, std::int64_t n) {
   }
   const auto inv = static_cast<float>(1.0 / denom);
   for (std::int64_t i = 0; i < n; ++i) row[i] *= inv;
+}
+
+namespace {
+
+#ifdef MATGPT_X86_DISPATCH
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+// Below this exp underflows to 0 even as a subnormal.
+constexpr float kExpZeroBelow = -104.0f;
+// From here up exp is a normal float.
+constexpr float kExpNormalFrom = -86.5f;
+
+// Cephes' expf: z = n ln2 + r with |r| <= ln2 / 2, then a polynomial for
+// exp(r). Returns exp(r) and sets n.
+inline __m256 exp_reduce_avx2(__m256 z, __m256* n) {
+  *n = _mm256_round_ps(_mm256_mul_ps(z, _mm256_set1_ps(1.44269504088896341f)),
+                       _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(*n, _mm256_set1_ps(0.693359375f), z);
+  r = _mm256_fnmadd_ps(*n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.3981999507e-3f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(8.3334519073e-3f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(4.1665795894e-2f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.6666665459e-1f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(5.0000001201e-1f));
+  return _mm256_fmadd_ps(y, _mm256_mul_ps(r, r),
+                         _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
+}
+
+// 2^n for integer n in [-126, 127].
+inline __m256 pow2_avx2(__m256i n) {
+  return _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
+}
+
+// exp(z) for z in [kExpZeroBelow, kExpNormalFrom): 2^n as two normal
+// factors, so the subnormal result rounds once. Out of line: producing a
+// subnormal costs a microcode assist per lane, so no row pays for it
+// unless one of its values lands in this range.
+__attribute__((noinline)) __m256 exp_subnormal_avx2(__m256 z) {
+  __m256 n;
+  const __m256 y =
+      exp_reduce_avx2(_mm256_max_ps(_mm256_set1_ps(kExpZeroBelow), z), &n);
+  const __m256i ni = _mm256_cvtps_epi32(n);
+  const __m256i n1 = _mm256_srai_epi32(ni, 1);
+  return _mm256_mul_ps(_mm256_mul_ps(y, pow2_avx2(n1)),
+                       pow2_avx2(_mm256_sub_epi32(ni, n1)));
+}
+
+// exp(z) for z <= 0, within a few ulp of std::exp: exactly 1 at z = 0 and
+// exactly 0 below kExpZeroBelow (-inf included); a NaN stays NaN. Lanes
+// below kExpNormalFrom are computed at the clamp, so -inf costs no assist.
+inline __m256 exp_nonpos_avx2(__m256 z) {
+  const __m256 normal_from = _mm256_set1_ps(kExpNormalFrom);
+  __m256 n;
+  // max_ps returns its second operand when either is NaN.
+  const __m256 y = exp_reduce_avx2(_mm256_max_ps(normal_from, z), &n);
+  const __m256 below = _mm256_cmp_ps(z, normal_from, _CMP_LT_OQ);
+  __m256 e = _mm256_andnot_ps(
+      below, _mm256_mul_ps(y, pow2_avx2(_mm256_cvtps_epi32(n))));
+  const __m256 subnormal = _mm256_andnot_ps(
+      _mm256_cmp_ps(z, _mm256_set1_ps(kExpZeroBelow), _CMP_LT_OQ), below);
+  if (_mm256_movemask_ps(subnormal) != 0) {
+    e = _mm256_or_ps(e, _mm256_and_ps(subnormal, exp_subnormal_avx2(z)));
+  }
+  return e;
+}
+
+inline float hmax_avx2(__m256 v) {
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
+                        _mm256_extractf128_ps(v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
+
+// Lanes [0, count) of an 8-float load; the rest read as -inf.
+inline __m256i tail_mask(std::int64_t count) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)), lane);
+}
+
+inline __m256 load_or_neg_inf(const float* p, std::int64_t count) {
+  if (count >= 8) return _mm256_loadu_ps(p);
+  const __m256i mask = tail_mask(count);
+  return _mm256_blendv_ps(
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity()),
+      _mm256_maskload_ps(p, mask), _mm256_castsi256_ps(mask));
+}
+
+__attribute__((noinline)) double scaled_exp_row_avx2(const float* x,
+                                                     std::int64_t n, float t,
+                                                     float* out,
+                                                     float* block_max) {
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 m0 = neg_inf, m1 = neg_inf, m2 = neg_inf, m3 = neg_inf;
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    m0 = _mm256_max_ps(m0, _mm256_loadu_ps(x + i));
+    m1 = _mm256_max_ps(m1, _mm256_loadu_ps(x + i + 8));
+    m2 = _mm256_max_ps(m2, _mm256_loadu_ps(x + i + 16));
+    m3 = _mm256_max_ps(m3, _mm256_loadu_ps(x + i + 24));
+  }
+  for (; i < n; i += 8) m0 = _mm256_max_ps(m0, load_or_neg_inf(x + i, n - i));
+  const __m256 mv =
+      _mm256_max_ps(_mm256_max_ps(m0, m1), _mm256_max_ps(m2, m3));
+  // Division by t > 0 is monotone, so this is the largest x[i] / t.
+  const __m256 mx = _mm256_set1_ps(hmax_avx2(mv) / t);
+  const __m256 tv = _mm256_set1_ps(t);
+  __m256d sum_lo = _mm256_setzero_pd();
+  __m256d sum_hi = _mm256_setzero_pd();
+  for (std::int64_t b = 0; b * kExpBlockIds < n; ++b) {
+    const std::int64_t end = std::min(n, (b + 1) * kExpBlockIds);
+    __m256 bmax = _mm256_setzero_ps();
+    for (i = b * kExpBlockIds; i < end; i += 8) {
+      const __m256 z =
+          _mm256_sub_ps(_mm256_div_ps(load_or_neg_inf(x + i, end - i), tv), mx);
+      const __m256 e = exp_nonpos_avx2(z);
+      if (end - i >= 8) {
+        _mm256_storeu_ps(out + i, e);
+      } else {
+        _mm256_maskstore_ps(out + i, tail_mask(end - i), e);
+      }
+      bmax = _mm256_max_ps(bmax, e);
+      sum_lo = _mm256_add_pd(sum_lo,
+                             _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
+      sum_hi = _mm256_add_pd(sum_hi,
+                             _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
+    }
+    block_max[b] = hmax_avx2(bmax);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_add_pd(sum_lo, sum_hi));
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+#pragma GCC pop_options
+#endif  // MATGPT_X86_DISPATCH
+
+}  // namespace
+
+double scaled_exp_row(const float* x, std::int64_t n, float t, float* out,
+                      float* block_max) {
+#ifdef MATGPT_X86_DISPATCH
+  if (simd_active()) return scaled_exp_row_avx2(x, n, t, out, block_max);
+#endif
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < n; ++i) mx = x[i] > mx ? x[i] : mx;
+  mx /= t;
+  double sum = 0.0;
+  for (std::int64_t b = 0; b * kExpBlockIds < n; ++b) {
+    const std::int64_t end = std::min(n, (b + 1) * kExpBlockIds);
+    float bmax = 0.0f;
+    for (std::int64_t i = b * kExpBlockIds; i < end; ++i) {
+      out[i] = std::exp(x[i] / t - mx);
+      bmax = out[i] > bmax ? out[i] : bmax;
+      sum += out[i];
+    }
+    block_max[b] = bmax;
+  }
+  return sum;
 }
 
 double logsumexp_row(const float* row, std::int64_t n) {

@@ -322,4 +322,23 @@ void softmax_row(float* row, std::int64_t n);
 /// log(sum(exp(row))) with the max-subtraction trick.
 double logsumexp_row(const float* row, std::int64_t n);
 
+/// Ids per block of scaled_exp_row's block maxima.
+inline constexpr std::int64_t kExpBlockIds = 64;
+
+/// The stochastic sampler's row pass: softmax_row's unnormalized exps at
+/// temperature `t` > 0 (softmax_row itself stays as it is for attention
+/// and the loss). With m = max_i fl(x[i] / t), writes
+/// out[i] = exp(fl(x[i] / t) - m), so the largest id gets exactly 1 and a
+/// -inf logit exactly 0; block_max[b] = the largest out[i] over ids
+/// [b * kExpBlockIds, (b + 1) * kExpBlockIds), ceil(n / kExpBlockIds)
+/// entries; and returns
+/// the sum of out in double. A NaN or +inf logit, or a row with no finite
+/// logit, makes the sum NaN. Vectorized under simd_active(): a polynomial
+/// exp within a few ulp of std::exp down to the smallest subnormal, summed
+/// in eight double lanes that are combined in one fixed order, so a row
+/// always gives the same bytes on one build. The scalar fallback calls
+/// std::exp and sums in id order.
+double scaled_exp_row(const float* x, std::int64_t n, float t, float* out,
+                      float* block_max);
+
 }  // namespace matgpt::kernels

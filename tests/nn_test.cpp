@@ -8,13 +8,17 @@
 #include <cstring>
 #include <string>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "grad_check.h"
 #include "nn/bert.h"
 #include "tokenizer/bpe.h"
 #include "nn/gpt.h"
+#include "nn/sampling.h"
 #include "optim/optimizer.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace matgpt {
@@ -414,6 +418,303 @@ TEST(Sampling, SamplingProbsIsFilteredRenormalizedDistribution) {
   float sum = 0.0f;
   for (float p : probs) sum += p;
   EXPECT_NEAR(sum, 1.0f, 1e-5f);
+}
+
+// The sampler as it was before the one-pass rewrite, kept as the oracle:
+// softmax_row at temperature over the whole row, then every id sorted by
+// (probability descending, id ascending).
+struct OracleRanking {
+  std::vector<float> logits;
+  std::vector<float> probs;
+  std::vector<std::int32_t> order;
+};
+
+OracleRanking oracle_rank(const std::vector<float>& logits, float t) {
+  OracleRanking r;
+  r.logits = logits;
+  r.probs = logits;
+  for (float& z : r.probs) z /= t;
+  kernels::softmax_row(r.probs.data(),
+                       static_cast<std::int64_t>(r.probs.size()));
+  r.order.resize(logits.size());
+  std::iota(r.order.begin(), r.order.end(), 0);
+  std::sort(r.order.begin(), r.order.end(),
+            [&](std::int32_t a, std::int32_t b) {
+              const float pa = r.probs[static_cast<std::size_t>(a)];
+              const float pb = r.probs[static_cast<std::size_t>(b)];
+              return pa > pb || (pa == pb && a < b);
+            });
+  return r;
+}
+
+// The ids the oracle keeps under (top_k, top_p), those of probability 0
+// left out, and the smaller relative margin of the two cuts: how far the
+// probabilities at the top-k cut, and the cumulative sums around the top-p
+// cut, lie from flipping it. A cut between equal logits has no margin
+// problem, since both samplers break the tie by id.
+std::set<std::int32_t> oracle_keep(const OracleRanking& r, int top_k,
+                                   float top_p, double& margin) {
+  const std::size_t n = r.probs.size();
+  const auto p = [&](std::size_t rank) {
+    return static_cast<double>(
+        r.probs[static_cast<std::size_t>(r.order[rank])]);
+  };
+  std::size_t keep =
+      top_k > 0 ? std::min(n, static_cast<std::size_t>(top_k)) : n;
+  margin = std::numeric_limits<double>::infinity();
+  if (keep < n && p(keep) > 0.0 &&
+      r.logits[static_cast<std::size_t>(r.order[keep - 1])] !=
+          r.logits[static_cast<std::size_t>(r.order[keep])]) {
+    margin = (p(keep - 1) - p(keep)) / p(keep - 1);
+  }
+  if (top_p < 1.0f) {
+    double cumulative = 0.0;
+    std::size_t nucleus = 0;
+    while (nucleus < keep && cumulative < top_p) cumulative += p(nucleus++);
+    const double gap = cumulative >= top_p
+                           ? std::min(cumulative - top_p,
+                                      top_p - (cumulative - p(nucleus - 1)))
+                           : top_p - cumulative;
+    margin = std::min(margin, gap / top_p);
+    keep = std::max<std::size_t>(1, nucleus);
+  }
+  std::set<std::int32_t> kept;
+  for (std::size_t i = 0; i < keep; ++i) {
+    if (p(i) > 0.0) kept.insert(r.order[i]);
+  }
+  return kept;
+}
+
+TEST(Sampling, CandidatesMatchTheSoftmaxAndSortOracle) {
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  enum Kind { kNormal1, kNormal8, kTies, kMasked };
+  Rng rng(2024);
+  std::size_t compared = 0, cut_checked = 0;
+  for (const std::int64_t v : {1, 7, 8, 9, 63, 64, 65, 1000, 8192, 8200}) {
+    const std::int64_t blocks =
+        (v + kernels::kExpBlockIds - 1) / kernels::kExpBlockIds;
+    for (const Kind kind : {kNormal1, kNormal8, kTies, kMasked}) {
+      std::vector<float> logits(static_cast<std::size_t>(v));
+      for (float& x : logits) {
+        switch (kind) {
+          case kNormal1: x = static_cast<float>(rng.normal()); break;
+          case kNormal8: x = static_cast<float>(8.0 * rng.normal()); break;
+          case kTies:  // nine values, so every cut falls inside a tie
+            x = 0.25f * static_cast<float>(rng.uniform_int(-4, 4));
+            break;
+          case kMasked:
+            x = rng.bernoulli(0.7) ? neg_inf
+                                   : static_cast<float>(2.0 * rng.normal());
+            break;
+        }
+      }
+      logits[static_cast<std::size_t>(rng.uniform_int(0, v - 1))] = 1.5f;
+      const float t = 0.8f;
+      const OracleRanking oracle = oracle_rank(logits, t);
+      for (const std::int64_t top_k :
+           {std::int64_t{0}, std::int64_t{1}, std::int64_t{39},
+            std::int64_t{40}, std::int64_t{41}, blocks - 1, blocks,
+            blocks + 1, v, v + 7}) {
+        if (top_k < 0) continue;
+        for (const float top_p : {0.5f, 0.95f, 1.0f}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "vocab " << v << " kind " << kind << " top_k "
+                       << top_k << " top_p " << top_p);
+          nn::SamplingParams params;
+          params.temperature = t;
+          params.top_k = static_cast<int>(top_k);
+          params.top_p = top_p;
+          std::vector<nn::TokenProb> cands;
+          nn::sampling_candidates(logits, params, cands);
+          ASSERT_FALSE(cands.empty());
+          ++compared;
+
+          const bool filtered = (top_k > 0 && top_k < v) || top_p < 1.0f;
+          for (std::size_t i = 0; i < cands.size(); ++i) {
+            const float ref =
+                oracle.probs[static_cast<std::size_t>(cands[i].id)];
+            ASSERT_GT(cands[i].prob, 0.0f);
+            ASSERT_LE(std::fabs(cands[i].prob - ref), 1e-6f * ref)
+                << "id " << cands[i].id;
+            if (i == 0) continue;
+            const nn::TokenProb& a = cands[i - 1];
+            const nn::TokenProb& b = cands[i];
+            if (filtered) {
+              ASSERT_TRUE(a.prob > b.prob || (a.prob == b.prob && a.id < b.id))
+                  << "rank " << i;
+            } else {
+              ASSERT_LT(a.id, b.id) << "rank " << i;
+            }
+          }
+
+          double margin = 0.0;
+          const std::set<std::int32_t> kept =
+              oracle_keep(oracle, params.top_k, top_p, margin);
+          const std::vector<float> probs = nn::sampling_probs(logits, params);
+          for (std::size_t id = 0; id < logits.size(); ++id) {
+            if (logits[id] == neg_inf) {
+              ASSERT_EQ(probs[id], 0.0f) << "id " << id;
+            }
+          }
+          if (margin <= 1e-5) continue;
+          ++cut_checked;
+          std::set<std::int32_t> got;
+          for (const nn::TokenProb& c : cands) got.insert(c.id);
+          ASSERT_EQ(got, kept);
+          double total = 0.0;
+          for (const std::int32_t id : kept) {
+            total += oracle.probs[static_cast<std::size_t>(id)];
+          }
+          for (std::size_t id = 0; id < logits.size(); ++id) {
+            const double ref =
+                kept.count(static_cast<std::int32_t>(id)) > 0
+                    ? static_cast<double>(oracle.probs[id]) / total
+                    : 0.0;
+            ASSERT_LE(std::fabs(probs[id] - ref), 1e-6 * ref) << "id " << id;
+          }
+        }
+      }
+    }
+  }
+  // The margin skips only the rare near-tie cut.
+  EXPECT_GT(cut_checked, compared * 9 / 10);
+}
+
+TEST(Sampling, StochasticDrawsMatchTheOracleDraws) {
+  // One uniform per draw either way, so the two samplers pick the same id
+  // unless it lands within ~1e-7 of a bucket edge. Without a filter the
+  // new sampler walks ids in id order.
+  const std::int64_t v = 8192;
+  Rng gen(5);
+  std::vector<float> logits(static_cast<std::size_t>(v));
+  for (const bool filter : {true, false}) {
+    nn::SamplingParams params;
+    params.temperature = 0.8f;
+    if (filter) {
+      params.top_k = 40;
+      params.top_p = 0.95f;
+    }
+    Rng a(9), b(9);
+    OracleRanking oracle;
+    int same = 0;
+    constexpr int kDraws = 2000;
+    for (int d = 0; d < kDraws; ++d) {
+      if (d % 100 == 0) {
+        for (float& x : logits) x = static_cast<float>(3.0 * gen.normal());
+        oracle = oracle_rank(logits, params.temperature);
+      }
+      std::vector<double> weights;
+      std::vector<std::int32_t> ids;
+      if (filter) {
+        // The oracle's walk: the top 40 ranks, cut at the 0.95 nucleus.
+        std::size_t keep = 40;
+        double cumulative = 0.0;
+        std::size_t nucleus = 0;
+        while (nucleus < keep && cumulative < params.top_p) {
+          cumulative += oracle.probs[static_cast<std::size_t>(
+              oracle.order[nucleus++])];
+        }
+        keep = std::max<std::size_t>(1, nucleus);
+        ids.assign(oracle.order.begin(),
+                   oracle.order.begin() + static_cast<std::ptrdiff_t>(keep));
+      } else {
+        ids.resize(logits.size());
+        std::iota(ids.begin(), ids.end(), 0);
+      }
+      for (const std::int32_t id : ids) {
+        weights.push_back(oracle.probs[static_cast<std::size_t>(id)]);
+      }
+      const std::int32_t want = ids[b.categorical(weights)];
+      same += nn::sample_token(logits, params, a) == want ? 1 : 0;
+    }
+    EXPECT_GE(same, kDraws - 2) << "filter " << filter;
+  }
+}
+
+TEST(Sampling, MaskedIdsAreNeverDrawn) {
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  const std::size_t v = 8192;
+  std::vector<float> logits(v, neg_inf);
+  const std::set<std::int32_t> finite{17, 4000, 8191};
+  logits[17] = 0.0f;
+  logits[4000] = 0.5f;
+  logits[8191] = 1.0f;
+  nn::SamplingParams params;
+  params.temperature = 0.8f;
+  params.top_k = 40;
+  params.top_p = 0.95f;
+  const std::vector<float> probs = nn::sampling_probs(logits, params);
+  for (std::size_t id = 0; id < v; ++id) {
+    if (finite.count(static_cast<std::int32_t>(id)) == 0) {
+      ASSERT_EQ(probs[id], 0.0f) << "id " << id;
+    }
+  }
+
+  // The same three ids through the grammar mask, over a row of finite
+  // logits that favour every other id.
+  std::vector<float> dense(v, 5.0f);
+  std::vector<std::uint8_t> allowed(v, 0);
+  for (const std::int32_t id : finite) {
+    dense[static_cast<std::size_t>(id)] = logits[static_cast<std::size_t>(id)];
+    allowed[static_cast<std::size_t>(id)] = 1;
+  }
+  std::vector<float> scratch;
+  for (const float top_p : {0.8f, 1.0f}) {
+    params.top_p = top_p;
+    std::set<std::int32_t> drawn, drawn_masked;
+    Rng rng(3);
+    for (int d = 0; d < 10000; ++d) {
+      drawn.insert(nn::sample_token(logits, params, rng));
+      drawn_masked.insert(
+          nn::sample_token_masked(dense, allowed, params, rng, scratch));
+    }
+    EXPECT_EQ(drawn_masked, drawn);
+    if (top_p == 1.0f) {
+      EXPECT_EQ(drawn, finite);
+    } else {
+      // Id 17 (probability 0.16) lies outside the 0.8 nucleus.
+      EXPECT_EQ(drawn, (std::set<std::int32_t>{4000, 8191}));
+    }
+  }
+}
+
+TEST(Sampling, NonFiniteRowsThrow) {
+  // A NaN or +inf logit, or a row with no finite logit, has no
+  // distribution: every stochastic entry point throws Error (the draw
+  // always did, from Rng::categorical's weight check). Greedy decoding
+  // still answers, as argmax_token defines.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t v : {1u, 9u, 8192u}) {
+    for (const int top_k : {0, 40}) {
+      nn::SamplingParams params;
+      params.temperature = 0.8f;
+      params.top_k = top_k;
+      std::vector<std::vector<float>> rows;
+      for (const std::size_t at : {std::size_t{0}, v / 2, v - 1}) {
+        for (const float bad : {nan, inf}) {
+          std::vector<float> row(v, 0.25f);
+          row[at] = bad;
+          rows.push_back(row);
+        }
+      }
+      rows.emplace_back(v, -inf);
+      const std::vector<std::uint8_t> allowed(v, 1);
+      std::vector<float> scratch;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        SCOPED_TRACE(::testing::Message()
+                     << "vocab " << v << " top_k " << top_k << " row " << r);
+        Rng rng(1);
+        EXPECT_THROW(nn::sample_token(rows[r], params, rng), Error);
+        EXPECT_THROW(nn::sample_token_masked(rows[r], allowed, params, rng,
+                                             scratch),
+                     Error);
+        EXPECT_THROW(nn::sampling_probs(rows[r], params), Error);
+        EXPECT_NO_THROW(nn::sample_token(
+            rows[r], nn::SamplingParams::greedy_params(), rng));
+      }
+    }
+  }
 }
 
 TEST(Gpt, LossIgnoresMaskedTargets) {

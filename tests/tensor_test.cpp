@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -269,6 +272,84 @@ TEST(Kernels, LogSumExpMatchesDirectComputation) {
   std::vector<float> big{500.0f, 500.0f};
   EXPECT_NEAR(kernels::logsumexp_row(big.data(), 2), 500.0 + std::log(2.0),
               1e-4);
+}
+
+TEST(Kernels, ScaledExpRowMatchesStdExpToTheSmallestSubnormal) {
+  // Widths around the 8-lane body, its tail and the 64-id blocks; values
+  // spread over the whole underflow range, -inf among them.
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  Rng rng(17);
+  for (const std::int64_t n : {1, 7, 8, 9, 63, 64, 65, 200, 8192, 8200}) {
+    for (const float t : {1.0f, 0.8f}) {
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (float& v : x) {
+        v = static_cast<float>(rng.uniform(-115.0, 5.0)) * t;
+        if (rng.bernoulli(0.05)) v = neg_inf;
+      }
+      x[static_cast<std::size_t>(n / 2)] = 5.0f * t;  // one finite maximum
+      const std::int64_t blocks =
+          (n + kernels::kExpBlockIds - 1) / kernels::kExpBlockIds;
+      std::vector<float> out(x.size());
+      std::vector<float> block_max(static_cast<std::size_t>(blocks));
+      const double sum =
+          kernels::scaled_exp_row(x.data(), n, t, out.data(), block_max.data());
+
+      float mx = neg_inf;
+      for (float v : x) mx = std::max(mx, v);
+      mx /= t;
+      double ref_sum = 0.0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const float ref = std::exp(x[i] / t - mx);
+        ref_sum += ref;
+        if (x[i] == neg_inf) {
+          EXPECT_EQ(out[i], 0.0f) << "n " << n << " id " << i;
+        } else {
+          EXPECT_LE(std::fabs(out[i] - ref), 3e-7f * ref + 2.0f * tiny)
+              << "n " << n << " id " << i << " z " << x[i] / t - mx;
+        }
+      }
+      EXPECT_EQ(out[static_cast<std::size_t>(n / 2)], 1.0f);
+      EXPECT_NEAR(sum, ref_sum, 1e-6 * ref_sum);
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        const auto lo = out.begin() + b * kernels::kExpBlockIds;
+        const auto hi =
+            out.begin() + std::min(n, (b + 1) * kernels::kExpBlockIds);
+        EXPECT_EQ(block_max[static_cast<std::size_t>(b)],
+                  *std::max_element(lo, hi));
+      }
+      // The same row gives the same bytes.
+      std::vector<float> again(x.size()), again_max(block_max.size());
+      EXPECT_EQ(kernels::scaled_exp_row(x.data(), n, t, again.data(),
+                                        again_max.data()),
+                sum);
+      EXPECT_EQ(0, std::memcmp(again.data(), out.data(),
+                               sizeof(float) * out.size()));
+    }
+  }
+}
+
+TEST(Kernels, ScaledExpRowSumIsNanWithoutAFiniteMaximum) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t n : {1u, 9u, 64u, 100u}) {
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<float> x(n, 0.5f), out(n), block_max((n + 63) / 64);
+      const auto run = [&] {
+        return kernels::scaled_exp_row(x.data(), static_cast<std::int64_t>(n),
+                                       0.8f, out.data(), block_max.data());
+      };
+      x[at] = nan;
+      EXPECT_TRUE(std::isnan(run())) << "NaN, n " << n << " at " << at;
+      x[at] = inf;
+      EXPECT_TRUE(std::isnan(run())) << "+inf, n " << n << " at " << at;
+    }
+    std::vector<float> x(n, -inf), out(n), block_max((n + 63) / 64);
+    EXPECT_TRUE(std::isnan(kernels::scaled_exp_row(
+        x.data(), static_cast<std::int64_t>(n), 1.0f, out.data(),
+        block_max.data())))
+        << "all -inf, n " << n;
+  }
 }
 
 }  // namespace
