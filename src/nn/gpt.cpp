@@ -50,76 +50,6 @@ SelfAttention::SelfAttention(const GptConfig& config, bool causal, Rng& rng)
   register_submodule("o", o_proj_);
 }
 
-void KvCache::reserve(const GptConfig& config, std::int64_t capacity_tokens) {
-  MGPT_CHECK(seq() == nullptr && length == 0,
-             "KvCache::reserve requires an empty, unbound cache");
-  const std::int64_t cap =
-      capacity_tokens > 0 ? capacity_tokens : config.max_seq;
-  PagedKvLayout layout;
-  layout.n_layers = config.n_layers;
-  layout.kv_heads = config.kv_heads();
-  layout.head_dim = config.head_dim();
-  own_arena_ = std::make_unique<PagedKvArena>(
-      layout, (cap + layout.block_tokens - 1) / layout.block_tokens);
-  own_seq_ = std::make_unique<PagedKvSeq>(own_arena_.get(), cap);
-}
-
-void KvCache::attach_paged(PagedKvSeq* table) {
-  MGPT_CHECK(table != nullptr, "attach_paged requires a block table");
-  MGPT_CHECK(length == 0, "attach_paged requires an empty cache");
-  own_seq_.reset();
-  own_arena_.reset();
-  table_ = table;
-}
-
-void KvCache::reset() {
-  if (seq() != nullptr) seq()->reset();
-  length = 0;
-}
-
-void KvCache::truncate(std::int64_t len) {
-  MGPT_CHECK(len >= 0 && len <= length,
-             "truncate length " << len << " outside cached history of "
-                                << length << " tokens");
-  if (PagedKvSeq* table = seq()) {
-    for (std::int64_t l = 0; l < table->arena()->layout().n_layers; ++l) {
-      table->truncate_layer(l, len);
-    }
-  }
-  length = len;
-}
-
-void KvCache::copy_prefix_from(const KvCache& src, std::int64_t len) {
-  MGPT_CHECK(length == 0 && seq() != nullptr,
-             "copy_prefix_from requires an empty, bound destination");
-  MGPT_CHECK(len > 0 && len <= src.length,
-             "prefix length " << len << " outside source history of "
-                              << src.length << " tokens");
-  const PagedKvLayout& layout = seq()->arena()->layout();
-  const PagedKvLayout& from = src.seq()->arena()->layout();
-  MGPT_CHECK(layout.n_layers == from.n_layers && layout.row() == from.row(),
-             "copy_prefix_from geometry mismatch");
-  std::vector<float> k(static_cast<std::size_t>(len * layout.row()));
-  std::vector<float> v(k.size());
-  for (std::int64_t l = 0; l < layout.n_layers; ++l) {
-    src.seq()->copy_rows(l, 0, len, k.data(), v.data());
-    seq()->append(l, k.data(), v.data(), len);
-  }
-  length = len;
-}
-
-double KvCache::bytes() const {
-  const PagedKvSeq* table = seq();
-  if (table == nullptr) return 0.0;
-  const PagedKvLayout& layout = table->arena()->layout();
-  double elems = 0.0;
-  for (std::int64_t l = 0; l < layout.n_layers; ++l) {
-    elems += 2.0 * static_cast<double>(table->length(l)) *
-             static_cast<double>(layout.row());
-  }
-  return 2.0 * elems;  // bf16 on the accelerator
-}
-
 void RaggedBatch::add(std::span<const std::int32_t> seq_tokens,
                       KvCache& cache) {
   tokens.insert(tokens.end(), seq_tokens.begin(), seq_tokens.end());
@@ -140,14 +70,14 @@ std::vector<std::int64_t> RaggedBatch::prepare(const GptConfig& config) const {
     KvCache& cache = *caches[i];
     MGPT_CHECK(counts[i] > 0, "ragged forward sequence " << i
                                                          << " feeds no tokens");
-    MGPT_CHECK(cache.length + counts[i] <= config.max_seq,
+    MGPT_CHECK(cache.length() + counts[i] <= config.max_seq,
                "kv cache would exceed max_seq");
-    if (cache.seq() == nullptr) {
+    if (cache.arena() == nullptr) {
       GptConfig used = config;
       used.n_layers = n_used;
       cache.reserve(used);
     }
-    const PagedKvLayout& layout = cache.seq()->arena()->layout();
+    const PagedKvLayout& layout = cache.arena()->layout();
     MGPT_CHECK(layout.n_layers == n_used &&
                    layout.kv_heads == config.kv_heads() &&
                    layout.head_dim == config.head_dim(),
@@ -155,10 +85,8 @@ std::vector<std::int64_t> RaggedBatch::prepare(const GptConfig& config) const {
                                      << layout.kv_heads << "x"
                                      << layout.head_dim
                                      << ") does not fit the forward");
-    MGPT_CHECK(cache.seq()->max_length() == cache.length,
-               "kv cache length disagrees with its block table");
     for (std::int64_t t = 0; t < counts[i]; ++t) {
-      positions.push_back(cache.length + t);
+      positions.push_back(cache.length() + t);
     }
   }
   MGPT_CHECK(positions.size() == tokens.size(),
@@ -179,7 +107,7 @@ std::vector<std::int64_t> RaggedBatch::last_rows() const {
 
 void RaggedBatch::commit() const {
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    caches[i]->length += counts[i];
+    caches[i]->commit(counts[i]);
   }
 }
 
@@ -204,8 +132,8 @@ Var SelfAttention::forward(Tape& tape, const Var& x, const RaggedBatch& batch,
   const std::int64_t row = n_kv_heads_ * head_dim;
   std::int64_t r = 0;
   for (std::size_t i = 0; i < batch.caches.size(); ++i) {
-    batch.caches[i]->seq()->append(layer, k.value().data() + r * row,
-                                 v.value().data() + r * row, batch.counts[i]);
+    batch.caches[i]->append(layer, k.value().data() + r * row,
+                            v.value().data() + r * row, batch.counts[i]);
     r += batch.counts[i];
   }
   // Causal masking by construction: the row at position p sees the first
@@ -213,7 +141,7 @@ Var SelfAttention::forward(Tape& tape, const Var& x, const RaggedBatch& batch,
   std::vector<ops::RaggedKv> histories(static_cast<std::size_t>(rows));
   r = 0;
   for (std::size_t i = 0; i < batch.caches.size(); ++i) {
-    const PagedKvSeq& s = *batch.caches[i]->seq();
+    const KvCache& s = *batch.caches[i];
     for (std::int64_t t = 0; t < batch.counts[i]; ++t, ++r) {
       ops::RaggedKv& h = histories[static_cast<std::size_t>(r)];
       h.len = positions[static_cast<std::size_t>(r)] + 1;
@@ -413,7 +341,7 @@ Var GptModel::forward_incremental(Tape& tape,
                                   KvCache& cache) const {
   // A single token against a primed cache is a decode step; everything else
   // (cold prefill, partial prefill) is prompt processing.
-  const FwdPath path = (cache.length > 0 && tokens.size() == 1)
+  const FwdPath path = (cache.length() > 0 && tokens.size() == 1)
                            ? FwdPath::kDecode
                            : FwdPath::kPrefill;
   return forward_incremental(tape, tokens, cache, path);
@@ -435,7 +363,7 @@ Var GptModel::decode_batch(Tape& tape, std::span<const std::int32_t> tokens,
   RaggedBatch batch;
   batch.path = FwdPath::kDecode;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
-    MGPT_CHECK(caches[i]->length > 0,
+    MGPT_CHECK(caches[i]->length() > 0,
                "decode_batch requires prefilled caches (prime each sequence "
                "with forward_incremental)");
     batch.add(tokens.subspan(i, 1), *caches[i]);

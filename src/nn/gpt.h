@@ -52,48 +52,6 @@ struct GptConfig {
   void validate() const;
 };
 
-/// One sequence's decode cache: a handle on a paged block table
-/// (PagedKvSeq, which keeps per-layer lengths) plus the token count every
-/// layer holds between forwards. Serving binds it to a pool-owned table with
-/// attach_paged(); everything else (batch-1 generate_cached, tests, benches)
-/// gets a private arena sized for one sequence from reserve() — which the
-/// forward calls itself on an unbound cache. Inference-only state.
-struct KvCache {
-  std::int64_t length = 0;
-
-  /// The bound block table; null until attach_paged() or reserve().
-  PagedKvSeq* seq() const { return own_seq_ ? own_seq_.get() : table_; }
-
-  /// Lease a private arena of `capacity_tokens` (0 = config.max_seq) for
-  /// config.n_layers layers and bind to it. The cache must be unbound.
-  void reserve(const GptConfig& config, std::int64_t capacity_tokens = 0);
-  /// Bind to `table` (owned elsewhere, e.g. by a KvCachePool slot). The
-  /// cache must be empty; the binding survives reset() for reuse.
-  void attach_paged(PagedKvSeq* table);
-  /// Drop the history: releases every block reference and leftover
-  /// reservation, keeping the binding.
-  void reset();
-  /// Roll every layer back to `len` tokens (len <= length). Speculative
-  /// decoding appends draft tokens optimistically and truncates to the
-  /// accepted prefix; the result is bit-identical to a cache that never saw
-  /// the rejected tokens.
-  void truncate(std::int64_t len);
-  /// Adopt the first `len` cached tokens of `src` (same layer geometry) by
-  /// row memcpy — no forward pass. This cache must be empty; afterwards it
-  /// is bit-identical to one that fed the same `len` tokens itself.
-  void copy_prefix_from(const KvCache& src, std::int64_t len);
-
-  /// Bytes a real accelerator would hold for this cache at bf16.
-  double bytes() const;
-
- private:
-  PagedKvSeq* table_ = nullptr;  // attach_paged's table, owned elsewhere
-  // Private storage from reserve(); declared arena-first so the table is
-  // destroyed (releasing its blocks) before the arena it draws from.
-  std::unique_ptr<PagedKvArena> own_arena_;
-  std::unique_ptr<PagedKvSeq> own_seq_;
-};
-
 /// Which logits rows a ragged forward returns.
 enum class LogitRows : std::uint8_t {
   /// One row per sequence, for its last fed token (prefill and decode).
@@ -103,7 +61,7 @@ enum class LogitRows : std::uint8_t {
 };
 
 /// The single inference forward's input: sequence i feeds `counts[i]` new
-/// tokens (stored sequence-major in `tokens`) after the caches[i]->length
+/// tokens (stored sequence-major in `tokens`) after the caches[i]->length()
 /// rows it already holds. A decode step is counts[i] = 1, a speculative
 /// verify counts[i] = k + 1, a prefill chunk counts[i] = chunk — and any mix
 /// of them shares one set of projection GEMMs. Every query row attends over
@@ -135,7 +93,7 @@ struct RaggedBatch {
   std::vector<std::int64_t> prepare(const GptConfig& config) const;
   /// Row index of each sequence's last fed token — the kLast logits rows.
   std::vector<std::int64_t> last_rows() const;
-  /// Advance every cache's length by its count, once all layers appended.
+  /// Commit every cache's appended rows, once all layers appended.
   void commit() const;
 };
 
@@ -250,7 +208,7 @@ class GptModel : public Module {
   Var forward(Tape& tape, const RaggedBatch& batch) const;
 
   /// Batch-1 convenience: logits [1, V] for the last of `tokens` fed after
-  /// cache.length cached rows. The two-argument form infers kDecode for a
+  /// cache.length() cached rows. The two-argument form infers kDecode for a
   /// single token on a primed cache and kPrefill otherwise; pass `path`
   /// when the call site knows better (a one-token prefill chunk must stay
   /// kPrefill so chunked == whole prefill holds under quantized decode).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "nn/gpt.h"
 
 namespace matgpt::nn {
 
@@ -162,39 +163,48 @@ void PagedKvArena::note_cow(std::int64_t rows_copied) {
   cow_rows_ += static_cast<std::uint64_t>(rows_copied);
 }
 
-PagedKvSeq::PagedKvSeq(PagedKvArena* arena, std::int64_t token_capacity)
-    : arena_(arena), token_capacity_(token_capacity) {
-  MGPT_CHECK(arena_ != nullptr, "PagedKvSeq requires an arena");
+KvCache::KvCache(PagedKvArena* arena, std::int64_t token_capacity) {
+  bind(arena, token_capacity);
+}
+
+KvCache::~KvCache() { reset(); }
+
+void KvCache::bind(PagedKvArena* arena, std::int64_t token_capacity) {
+  MGPT_CHECK(arena != nullptr, "KvCache requires an arena");
+  arena_ = arena;
+  token_capacity_ = token_capacity;
   const auto layers = static_cast<std::size_t>(arena_->layout().n_layers);
-  lengths_.assign(layers, 0);
   k_ptrs_.resize(layers);
   v_ptrs_.resize(layers);
 }
 
-PagedKvSeq::~PagedKvSeq() { reset(); }
+void KvCache::reserve(const GptConfig& config, std::int64_t capacity_tokens) {
+  MGPT_CHECK(arena_ == nullptr, "KvCache::reserve requires an unbound cache");
+  const std::int64_t cap =
+      capacity_tokens > 0 ? capacity_tokens : config.max_seq;
+  PagedKvLayout layout;
+  layout.n_layers = config.n_layers;
+  layout.kv_heads = config.kv_heads();
+  layout.head_dim = config.head_dim();
+  own_arena_ = std::make_unique<PagedKvArena>(
+      layout, ceil_div(cap, layout.block_tokens));
+  bind(own_arena_.get(), cap);
+}
 
-void PagedKvSeq::adopt_reservation(std::int64_t blocks) {
+void KvCache::adopt_reservation(std::int64_t blocks) {
   MGPT_CHECK(blocks >= 0, "cannot adopt a negative reservation");
   reserved_ += blocks;
 }
 
-std::int64_t PagedKvSeq::length(std::int64_t layer) const {
-  return lengths_[static_cast<std::size_t>(layer)];
-}
-
-std::int64_t PagedKvSeq::max_length() const {
-  return *std::max_element(lengths_.begin(), lengths_.end());
-}
-
-const float* const* PagedKvSeq::k_blocks(std::int64_t layer) const {
+const float* const* KvCache::k_blocks(std::int64_t layer) const {
   return k_ptrs_[static_cast<std::size_t>(layer)].data();
 }
 
-const float* const* PagedKvSeq::v_blocks(std::int64_t layer) const {
+const float* const* KvCache::v_blocks(std::int64_t layer) const {
   return v_ptrs_[static_cast<std::size_t>(layer)].data();
 }
 
-void PagedKvSeq::refresh_ptrs(std::int64_t block_idx) {
+void KvCache::refresh_ptrs(std::int64_t block_idx) {
   const std::int32_t id = blocks_[static_cast<std::size_t>(block_idx)];
   for (std::size_t l = 0; l < k_ptrs_.size(); ++l) {
     k_ptrs_[l][static_cast<std::size_t>(block_idx)] =
@@ -204,7 +214,7 @@ void PagedKvSeq::refresh_ptrs(std::int64_t block_idx) {
   }
 }
 
-void PagedKvSeq::ensure_block(std::int64_t block_idx) {
+void KvCache::ensure_block(std::int64_t block_idx) {
   while (static_cast<std::int64_t>(blocks_.size()) <= block_idx) {
     const std::int32_t id = arena_->allocate(&reserved_);
     MGPT_CHECK(id >= 0,
@@ -217,77 +227,77 @@ void PagedKvSeq::ensure_block(std::int64_t block_idx) {
   }
 }
 
-void PagedKvSeq::make_private(std::int64_t block_idx) {
+void KvCache::make_private(std::int64_t block_idx) {
   const std::int32_t old_id = blocks_[static_cast<std::size_t>(block_idx)];
   if (arena_->ref_count(old_id) <= 1) return;  // already exclusive
-  // Copy-on-write fork: materialize a private copy of every layer's valid
-  // rows, then drop our reference on the shared original. Only the rows the
-  // table currently covers are copied — at most one block's worth per hit,
-  // never the whole prefix.
+  // Copy-on-write fork: materialize a private copy of every layer's
+  // committed rows, then drop our reference on the shared original. Only
+  // the rows the table covers are copied — at most one block's worth per
+  // hit, never the whole prefix.
   const std::int32_t new_id = arena_->allocate(&reserved_);
   MGPT_CHECK(new_id >= 0, "paged KV arena out of blocks during CoW fork");
   const PagedKvLayout& layout = arena_->layout();
   const std::int64_t bs = layout.block_tokens;
-  const std::int64_t row = layout.row();
-  std::int64_t max_rows = 0;
-  for (std::size_t l = 0; l < lengths_.size(); ++l) {
-    const std::int64_t rows = std::clamp<std::int64_t>(
-        lengths_[l] - block_idx * bs, 0, bs);
-    if (rows > 0) {
-      const auto layer = static_cast<std::int64_t>(l);
-      std::copy_n(arena_->k_data(old_id, layer), rows * row,
-                  arena_->k_data(new_id, layer));
-      std::copy_n(arena_->v_data(old_id, layer), rows * row,
-                  arena_->v_data(new_id, layer));
-    }
-    max_rows = std::max(max_rows, rows);
+  const std::int64_t rows =
+      std::clamp<std::int64_t>(length_ - block_idx * bs, 0, bs);
+  for (std::int64_t l = 0; l < layout.n_layers; ++l) {
+    std::copy_n(arena_->k_data(old_id, l), rows * layout.row(),
+                arena_->k_data(new_id, l));
+    std::copy_n(arena_->v_data(old_id, l), rows * layout.row(),
+                arena_->v_data(new_id, l));
   }
   blocks_[static_cast<std::size_t>(block_idx)] = new_id;
   refresh_ptrs(block_idx);
   arena_->release(old_id);
-  arena_->note_cow(max_rows);
-  cow_forks_ += 1;
+  arena_->note_cow(rows);
 }
 
-void PagedKvSeq::append(std::int64_t layer, const float* k, const float* v,
-                        std::int64_t n_tokens) {
+void KvCache::append(std::int64_t layer, const float* k, const float* v,
+                     std::int64_t n_tokens) {
   MGPT_CHECK(n_tokens > 0, "KV append requires tokens");
+  MGPT_CHECK(token_capacity_ == 0 || length_ + n_tokens <= token_capacity_,
+             "kv cache capacity " << token_capacity_ << " exceeded (have "
+                                  << length_ << ", appending " << n_tokens
+                                  << ")");
   const PagedKvLayout& layout = arena_->layout();
   const std::int64_t bs = layout.block_tokens;
   const std::int64_t row = layout.row();
-  std::int64_t len = lengths_[static_cast<std::size_t>(layer)];
-  MGPT_CHECK(token_capacity_ == 0 || len + n_tokens <= token_capacity_,
-             "kv slot capacity " << token_capacity_ << " exceeded (have "
-                                 << len << ", appending " << n_tokens << ")");
-  while (n_tokens > 0) {
-    const std::int64_t b = len / bs;
-    const std::int64_t o = len % bs;
+  const auto l = static_cast<std::size_t>(layer);
+  for (std::int64_t pos = length_, end = length_ + n_tokens; pos < end;) {
+    const std::int64_t b = pos / bs;
+    const std::int64_t o = pos % bs;
     ensure_block(b);
     make_private(b);
-    const std::int64_t take = std::min(n_tokens, bs - o);
-    std::copy_n(k, take * row,
-                k_ptrs_[static_cast<std::size_t>(layer)]
-                       [static_cast<std::size_t>(b)] +
-                    o * row);
-    std::copy_n(v, take * row,
-                v_ptrs_[static_cast<std::size_t>(layer)]
-                       [static_cast<std::size_t>(b)] +
-                    o * row);
-    len += take;
+    const std::int64_t take = std::min(end - pos, bs - o);
+    const auto bi = static_cast<std::size_t>(b);
+    std::copy_n(k, take * row, k_ptrs_[l][bi] + o * row);
+    std::copy_n(v, take * row, v_ptrs_[l][bi] + o * row);
+    pos += take;
     k += take * row;
     v += take * row;
-    n_tokens -= take;
   }
-  lengths_[static_cast<std::size_t>(layer)] = len;
 }
 
-void PagedKvSeq::free_tail_blocks() {
-  const std::int64_t bs = arena_->layout().block_tokens;
-  const std::int64_t keep = ceil_div(max_length(), bs);
+void KvCache::commit(std::int64_t n_tokens) {
+  MGPT_CHECK(n_tokens >= 0 &&
+                 length_ + n_tokens <=
+                     static_cast<std::int64_t>(blocks_.size()) *
+                         block_tokens(),
+             "commit of " << n_tokens << " tokens past the appended rows");
+  length_ += n_tokens;
+}
+
+void KvCache::truncate(std::int64_t len) {
+  MGPT_CHECK(len >= 0 && len <= length_,
+             "truncate length " << len << " outside cached history of "
+                                << length_ << " tokens");
+  length_ = len;
+  if (arena_ == nullptr) return;
+  const std::int64_t keep = ceil_div(len, block_tokens());
   while (static_cast<std::int64_t>(blocks_.size()) > keep) {
-    // Whole blocks past every layer's length go back to this sequence's
-    // reservation (if we were their last holder), so a rolled-back sequence
-    // can always re-grow to its admitted budget.
+    // Whole blocks past the new length go back to this cache's reservation
+    // (if we were their last holder), so a rolled-back sequence can always
+    // re-grow to its admitted budget.
     arena_->release(blocks_.back(), &reserved_);
     blocks_.pop_back();
     for (auto& p : k_ptrs_) p.pop_back();
@@ -295,22 +305,12 @@ void PagedKvSeq::free_tail_blocks() {
   }
 }
 
-void PagedKvSeq::truncate_layer(std::int64_t layer, std::int64_t len) {
-  std::int64_t& cur = lengths_[static_cast<std::size_t>(layer)];
-  MGPT_CHECK(len >= 0 && len <= cur,
-             "truncate length " << len << " outside cached history of " << cur
-                                << " tokens");
-  cur = len;
-  free_tail_blocks();
-}
-
-void PagedKvSeq::copy_rows(std::int64_t layer, std::int64_t start,
-                           std::int64_t len, float* k_out,
-                           float* v_out) const {
-  MGPT_CHECK(start >= 0 && len > 0 && start + len <= length(layer),
+void KvCache::copy_rows(std::int64_t layer, std::int64_t start,
+                        std::int64_t len, float* k_out, float* v_out) const {
+  MGPT_CHECK(start >= 0 && len > 0 && start + len <= length_,
              "copy_rows range [" << start << ", " << start + len
-                                 << ") outside cached history of "
-                                 << length(layer) << " tokens");
+                                 << ") outside cached history of " << length_
+                                 << " tokens");
   const PagedKvLayout& layout = arena_->layout();
   const std::int64_t bs = layout.block_tokens;
   const std::int64_t row = layout.row();
@@ -329,17 +329,17 @@ void PagedKvSeq::copy_rows(std::int64_t layer, std::int64_t start,
   }
 }
 
-void PagedKvSeq::alias_blocks(std::span<const std::int32_t> ids,
-                              std::int64_t tokens) {
-  MGPT_CHECK(blocks_.empty() && max_length() == 0,
-             "alias_blocks requires an empty sequence");
-  const std::int64_t bs = arena_->layout().block_tokens;
+void KvCache::alias_blocks(std::span<const std::int32_t> ids,
+                           std::int64_t tokens) {
+  MGPT_CHECK(blocks_.empty() && length_ == 0,
+             "alias_blocks requires an empty cache");
+  const std::int64_t bs = block_tokens();
   MGPT_CHECK(tokens > 0 &&
                  static_cast<std::int64_t>(ids.size()) == ceil_div(tokens, bs),
              "alias of " << ids.size() << " blocks cannot cover " << tokens
                          << " tokens at block size " << bs);
   MGPT_CHECK(token_capacity_ == 0 || tokens <= token_capacity_,
-             "aliased prefix of " << tokens << " tokens exceeds slot capacity "
+             "aliased prefix of " << tokens << " tokens exceeds capacity "
                                   << token_capacity_);
   for (const std::int32_t id : ids) {
     arena_->add_ref(id);
@@ -348,38 +348,27 @@ void PagedKvSeq::alias_blocks(std::span<const std::int32_t> ids,
     for (auto& p : v_ptrs_) p.push_back(nullptr);
     refresh_ptrs(static_cast<std::int64_t>(blocks_.size()) - 1);
   }
-  std::fill(lengths_.begin(), lengths_.end(), tokens);
+  length_ = tokens;
 }
 
-std::int64_t PagedKvSeq::swap_floats(std::int64_t tokens) const {
-  return static_cast<std::int64_t>(lengths_.size()) * 2 * tokens *
-         arena_->layout().row();
+std::int64_t KvCache::swap_floats(std::int64_t tokens) const {
+  return arena_->layout().n_layers * 2 * tokens * arena_->layout().row();
 }
 
-void PagedKvSeq::swap_out(std::vector<float>& host) const {
-  const std::int64_t tokens = max_length();
-  MGPT_CHECK(tokens > 0, "swap_out of an empty sequence");
-  for (std::int64_t l = 0; l < static_cast<std::int64_t>(lengths_.size());
-       ++l) {
-    MGPT_CHECK(length(l) == tokens,
-               "swap_out requires lockstep layers (layer " << l << " holds "
-                                                           << length(l)
-                                                           << " of " << tokens
-                                                           << " tokens)");
-  }
-  const std::int64_t row = arena_->layout().row();
-  const std::int64_t side = tokens * row;
-  host.resize(static_cast<std::size_t>(swap_floats(tokens)));
+void KvCache::swap_out(std::vector<float>& host) const {
+  MGPT_CHECK(length_ > 0, "swap_out of an empty cache");
+  const std::int64_t side = length_ * arena_->layout().row();
+  host.resize(static_cast<std::size_t>(swap_floats(length_)));
   float* out = host.data();
-  for (std::size_t l = 0; l < lengths_.size(); ++l) {
-    copy_rows(static_cast<std::int64_t>(l), 0, tokens, out, out + side);
+  for (std::int64_t l = 0; l < arena_->layout().n_layers; ++l) {
+    copy_rows(l, 0, length_, out, out + side);
     out += 2 * side;
   }
 }
 
-void PagedKvSeq::swap_in(std::span<const float> host, std::int64_t tokens) {
-  MGPT_CHECK(blocks_.empty() && max_length() == 0,
-             "swap_in requires an empty sequence");
+void KvCache::swap_in(std::span<const float> host, std::int64_t tokens) {
+  MGPT_CHECK(blocks_.empty() && length_ == 0,
+             "swap_in requires an empty cache");
   MGPT_CHECK(tokens > 0, "swap_in requires tokens");
   MGPT_CHECK(static_cast<std::int64_t>(host.size()) == swap_floats(tokens),
              "swap_in buffer holds " << host.size() << " floats; " << tokens
@@ -387,18 +376,20 @@ void PagedKvSeq::swap_in(std::span<const float> host, std::int64_t tokens) {
                                      << swap_floats(tokens));
   const std::int64_t side = tokens * arena_->layout().row();
   const float* in = host.data();
-  for (std::size_t l = 0; l < lengths_.size(); ++l) {
-    append(static_cast<std::int64_t>(l), in, in + side, tokens);
+  for (std::int64_t l = 0; l < arena_->layout().n_layers; ++l) {
+    append(l, in, in + side, tokens);
     in += 2 * side;
   }
+  commit(tokens);
 }
 
-void PagedKvSeq::reset() {
+void KvCache::reset() {
+  length_ = 0;
+  if (arena_ == nullptr) return;
   for (const std::int32_t id : blocks_) arena_->release(id);
   blocks_.clear();
   for (auto& p : k_ptrs_) p.clear();
   for (auto& p : v_ptrs_) p.clear();
-  std::fill(lengths_.begin(), lengths_.end(), 0);
   if (reserved_ > 0) {
     arena_->unreserve(reserved_);
     reserved_ = 0;

@@ -2,9 +2,9 @@
 // Block-paged KV storage for serving (the PagedAttention idea): instead of
 // one fixed-capacity slab per sequence, KV memory is a pool ("arena") of
 // fixed-size blocks of `block_tokens` tokens x all layers x K+V, and each
-// sequence holds a block table that grows on demand. Short sequences stop
-// stranding a max_seq-sized reservation, and a shared prompt prefix can be
-// ALIASED into several tables at once (refcounted, zero-copy) with
+// sequence's KvCache is a block table that grows on demand. Short sequences
+// stop stranding a max_seq-sized reservation, and a shared prompt prefix can
+// be ALIASED into several tables at once (refcounted, zero-copy) with
 // copy-on-write when a holder first appends into a shared block.
 //
 // Reservation discipline: admission reserves the worst-case block count for
@@ -20,11 +20,14 @@
 // exclusively (refcount 1), which the copy-on-write fork enforces.
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 namespace matgpt::nn {
+
+struct GptConfig;
 
 struct PagedKvLayout {
   std::int64_t block_tokens = 16;
@@ -95,7 +98,7 @@ class PagedKvArena {
   const float* k_data(std::int32_t id, std::int64_t layer) const;
   const float* v_data(std::int32_t id, std::int64_t layer) const;
 
-  /// Copy-on-write bookkeeping (called by PagedKvSeq when it forks).
+  /// Copy-on-write bookkeeping (called by KvCache when it forks).
   void note_cow(std::int64_t rows_copied);
 
  private:
@@ -113,89 +116,103 @@ class PagedKvArena {
   mutable std::mutex mutex_;
 };
 
-/// One sequence's growable block table over a PagedKvArena, with per-layer
-/// lengths (layers advance in lockstep but differ transiently mid-forward)
-/// and cached per-layer block base-pointer arrays for the attention kernels.
-class PagedKvSeq {
+/// One sequence's KV cache: a growable block table over a PagedKvArena
+/// with cached per-layer block base-pointer arrays for the attention
+/// kernels. `length()` is the committed token count every layer holds; a
+/// forward appends each layer's rows past it and commits them once every
+/// layer has appended (RaggedBatch::commit). Serving constructs it on the
+/// pool's arena (a KvLease owns it); everything else — batch-1
+/// generate_cached, tests, benches — binds a private arena sized for one
+/// sequence with reserve(), which the forward calls itself on an unbound
+/// cache. Inference-only state.
+class KvCache {
  public:
-  /// `token_capacity` caps the sequence length (0 = arena-bounded only).
-  explicit PagedKvSeq(PagedKvArena* arena, std::int64_t token_capacity = 0);
-  ~PagedKvSeq();
+  /// An unbound cache; reserve() (or the first forward) binds it.
+  KvCache() = default;
+  /// A cache on `arena`. `token_capacity` caps the length (0 = bounded by
+  /// the arena only).
+  explicit KvCache(PagedKvArena* arena, std::int64_t token_capacity = 0);
+  ~KvCache();
 
-  PagedKvSeq(const PagedKvSeq&) = delete;
-  PagedKvSeq& operator=(const PagedKvSeq&) = delete;
+  KvCache(const KvCache&) = delete;
+  KvCache& operator=(const KvCache&) = delete;
 
+  /// Bind a private arena of `capacity_tokens` (0 = config.max_seq) for
+  /// config.n_layers layers. The cache must be unbound.
+  void reserve(const GptConfig& config, std::int64_t capacity_tokens = 0);
+
+  /// The bound arena; null until constructed on one or reserve()d.
   PagedKvArena* arena() const { return arena_; }
   std::int64_t block_tokens() const { return arena_->layout().block_tokens; }
-  void set_token_capacity(std::int64_t cap) { token_capacity_ = cap; }
+  std::int64_t length() const { return length_; }
 
   /// Adopt `blocks` reservation units the caller already took via
   /// PagedKvArena::try_reserve — future growth draws them down first.
   void adopt_reservation(std::int64_t blocks);
   std::int64_t reserved_blocks() const { return reserved_; }
 
-  /// Append `n_tokens` contiguous [row()] rows to `layer`, allocating and
-  /// copy-on-write-forking blocks as needed. Throws when the arena can
-  /// supply no block (reservation exhausted and no unreserved slack).
+  /// Write `n_tokens` contiguous [row()] rows to `layer` at positions
+  /// [length(), length() + n_tokens), allocating and copy-on-write-forking
+  /// blocks as needed. The rows count once commit() takes them. Throws when
+  /// the arena can supply no block (reservation exhausted and no unreserved
+  /// slack).
   void append(std::int64_t layer, const float* k, const float* v,
               std::int64_t n_tokens);
-  /// Shrink `layer` to `len` tokens; whole blocks beyond every layer's
-  /// length are released back to this sequence's reservation.
-  void truncate_layer(std::int64_t layer, std::int64_t len);
-  std::int64_t length(std::int64_t layer) const;
-  std::int64_t max_length() const;
+  /// Advance length() over `n_tokens` rows every layer has appended.
+  void commit(std::int64_t n_tokens);
+  /// Roll back to `len` tokens (len <= length()). Whole blocks past it
+  /// return to this cache's reservation, so the sequence can re-grow to its
+  /// admitted budget. Speculative decoding appends draft tokens
+  /// optimistically and truncates to the accepted prefix; the result is
+  /// bit-identical to a cache that never saw the rejected tokens.
+  void truncate(std::int64_t len);
 
-  /// Gather rows [start, start+len) of `layer` into contiguous buffers.
+  /// Gather committed rows [start, start+len) of `layer` into contiguous
+  /// buffers.
   void copy_rows(std::int64_t layer, std::int64_t start, std::int64_t len,
                  float* k_out, float* v_out) const;
 
-  /// Gather the whole sequence (all layers, lockstep lengths required) into
-  /// one contiguous host buffer laid out [layer][K rows][V rows] — the
-  /// serving scheduler's swap-preemption format. The sequence itself is
-  /// untouched; freeing its blocks is the owning lease's job.
+  /// Gather the whole history into one contiguous host buffer laid out
+  /// [layer][K rows][V rows] — the serving scheduler's swap-preemption
+  /// format. The cache itself is untouched.
   void swap_out(std::vector<float>& host) const;
-  /// Inverse of swap_out: append `tokens` rows per layer from `host` into
-  /// this (empty) sequence, drawing on its adopted reservation.
+  /// Inverse of swap_out: fill this (empty) cache with `tokens` rows per
+  /// layer from `host`, drawing on its adopted reservation.
   void swap_in(std::span<const float> host, std::int64_t tokens);
   /// Floats swap_out produces / swap_in expects for `tokens` tokens.
   std::int64_t swap_floats(std::int64_t tokens) const;
 
   /// Adopt a shared prefix: take one reference on each of `ids` (in table
-  /// order) and set every layer's length to `tokens`. The sequence must be
-  /// empty. The last block may be partial — the first append into it forks
-  /// it (copy-on-write); full blocks are never copied.
+  /// order) and set the length to `tokens`. The cache must be empty. The
+  /// last block may be partial — the first append into it forks it
+  /// (copy-on-write); full blocks are never copied.
   void alias_blocks(std::span<const std::int32_t> ids, std::int64_t tokens);
 
   std::span<const std::int32_t> block_ids() const { return blocks_; }
-  std::int64_t block_count() const {
-    return static_cast<std::int64_t>(blocks_.size());
-  }
   /// Per-layer block base pointers for the paged attention kernels. Row tk
   /// of `layer` lives at k_blocks(layer)[tk / block_tokens()] +
   /// (tk % block_tokens()) * row().
   const float* const* k_blocks(std::int64_t layer) const;
   const float* const* v_blocks(std::int64_t layer) const;
 
-  /// Release every block reference and leftover reservation; the sequence
-  /// is reusable (empty) afterwards.
+  /// Release every block reference and leftover reservation; the cache is
+  /// empty (and still bound) afterwards.
   void reset();
 
-  std::uint64_t cow_forks() const { return cow_forks_; }
-
  private:
+  void bind(PagedKvArena* arena, std::int64_t token_capacity);
   void ensure_block(std::int64_t block_idx);
   void make_private(std::int64_t block_idx);
   void refresh_ptrs(std::int64_t block_idx);
-  void free_tail_blocks();
 
-  PagedKvArena* arena_;
-  std::int64_t token_capacity_;
+  PagedKvArena* arena_ = nullptr;
+  std::unique_ptr<PagedKvArena> own_arena_;  // reserve()'s private arena
+  std::int64_t token_capacity_ = 0;
+  std::int64_t length_ = 0;
   std::int64_t reserved_ = 0;
   std::vector<std::int32_t> blocks_;
-  std::vector<std::int64_t> lengths_;            // per layer
-  std::vector<std::vector<float*>> k_ptrs_;      // [layer][block]
+  std::vector<std::vector<float*>> k_ptrs_;  // [layer][block]
   std::vector<std::vector<float*>> v_ptrs_;
-  std::uint64_t cow_forks_ = 0;
 };
 
 }  // namespace matgpt::nn

@@ -95,8 +95,8 @@ KvPoolConfig pool_config(const nn::GptConfig& model,
 // rows]) through the block-table gather.
 kv_tier::KvTierStore::Entry gather_kv(const nn::KvCache& cache) {
   kv_tier::KvTierStore::Entry entry;
-  entry.tokens = cache.length;
-  cache.seq()->swap_out(entry.data);
+  entry.tokens = cache.length();
+  cache.swap_out(entry.data);
   return entry;
 }
 
@@ -104,9 +104,8 @@ kv_tier::KvTierStore::Entry gather_kv(const nn::KvCache& cache) {
 // are the exact bytes the forward pass wrote, so the resumed sequence is
 // indistinguishable from one that was never preempted.
 void restore_kv(nn::KvCache& cache, const kv_tier::KvTierStore::Entry& entry) {
-  MGPT_CHECK(cache.length == 0, "swap restore needs an empty lease");
-  cache.seq()->swap_in(std::span<const float>(entry.data), entry.tokens);
-  cache.length = entry.tokens;
+  MGPT_CHECK(cache.length() == 0, "swap restore needs an empty lease");
+  cache.swap_in(std::span<const float>(entry.data), entry.tokens);
 }
 
 }  // namespace
@@ -129,7 +128,7 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
     const nn::GptConfig& dc = config_.proposer->cache_config();
     MGPT_CHECK(dc.max_seq >= pool_.capacity_tokens(),
                "draft proposer max_seq " << dc.max_seq
-                                         << " cannot cover KV slot capacity "
+                                         << " cannot cover KV lease cap "
                                          << pool_.capacity_tokens());
     KvPoolConfig draft_cfg;
     draft_cfg.slots = config_.kv_slots;
@@ -281,7 +280,7 @@ InferenceEngine::Sequence InferenceEngine::make_sequence(Request request) {
                "request needs " << budget << " tokens; model max_seq is "
                                 << model_.config().max_seq);
     MGPT_CHECK(budget <= pool_.capacity_tokens(),
-               "request needs " << budget << " tokens; KV slots hold "
+               "request needs " << budget << " tokens; a KV lease holds "
                                 << pool_.capacity_tokens());
   };
   Sequence seq;
@@ -594,14 +593,14 @@ bool InferenceEngine::try_activate(Sequence seq, Clock::time_point now) {
   const sched::QueueItem incoming = queue_item(seq);
 
   auto lease_target = [&]() -> KvLease {
-    KvLease slot = pool_.try_lease(budget, reused);
-    if (!slot && prefix_cache_ != nullptr &&
+    KvLease lease = pool_.try_lease(budget, reused);
+    if (!lease && prefix_cache_ != nullptr &&
         prefix_cache_->evict_for_blocks(
             pool_.blocks_needed(budget, reused))) {
       // Arena exhausted: cold cached prefixes were traded for headroom.
-      slot = pool_.try_lease(budget, reused);
+      lease = pool_.try_lease(budget, reused);
     }
-    return slot;
+    return lease;
   };
   auto acquire = [&]() -> bool {
     if (!seq.kv) seq.kv = lease_target();
@@ -682,7 +681,7 @@ bool InferenceEngine::try_activate(Sequence seq, Clock::time_point now) {
       stats_.record_session_resume(restored);
     }
   }
-  seq.prefill_done = seq.kv->length == seq.prefill_target;
+  seq.prefill_done = seq.kv->length() == seq.prefill_target;
   // First prefill chunk happens at admission (with chunking disabled this
   // is the whole prompt), so a prompt admitted-and-prefilled here is
   // already in the prefix cache when a sibling admitted later in the same
@@ -708,7 +707,7 @@ void InferenceEngine::prefill(std::span<Sequence* const> seqs,
   nn::RaggedBatch batch;  // kPrefill, one logits row per sequence
   for (Sequence* seq : seqs) {
     note_reached_model(*seq, now);
-    const std::int64_t cur = seq->kv->length;
+    const std::int64_t cur = seq->kv->length();
     const std::int64_t want = seq->prefill_target - cur;
     MGPT_CHECK(want > 0, "prefill step on a fully-prefilled sequence");
     const std::int64_t chunk =
@@ -724,7 +723,7 @@ void InferenceEngine::prefill(std::span<Sequence* const> seqs,
   Var logits = model_.forward(tape, batch);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     Sequence& seq = *seqs[i];
-    if (seq.kv->length < seq.prefill_target) continue;  // more chunks later
+    if (seq.kv->length() < seq.prefill_target) continue;  // more chunks later
     seq.prefill_done = true;
     if (!seq.sample_first) continue;  // resume: decode feeds tokens.back()
     if (seq.fresh() && prefix_cache_ != nullptr) {
@@ -757,7 +756,7 @@ void InferenceEngine::preempt(std::size_t idx) {
   // Swap mode parks the rows in the tier (host RAM, spilling to disk under
   // pressure); a full hierarchy falls back to recompute.
   seq.swapped = config_.preempt_mode == sched::PreemptMode::kSwap &&
-                seq.kv->length > 0 &&
+                seq.kv->length() > 0 &&
                 tier_.store(kv_tier::Space::kPreempt, seq.request.id,
                             gather_kv(*seq.kv));
   seq.kv.release();
@@ -854,7 +853,7 @@ bool InferenceEngine::park_to_session(Sequence& seq) {
   std::optional<kv_tier::KvTierStore::Entry> entry;
   if (seq.swapped) {
     entry = tier_.take(kv_tier::Space::kPreempt, seq.request.id);
-  } else if (seq.kv && seq.kv->length > 0) {
+  } else if (seq.kv && seq.kv->length() > 0) {
     entry = gather_kv(*seq.kv);
   }
   const bool stored =
@@ -976,7 +975,7 @@ std::size_t InferenceEngine::embed_phase(Clock::time_point now) {
 std::size_t InferenceEngine::decode_phase() {
   // Every decoding sequence joins one ragged forward: a plain sequence feeds
   // its last token, a speculative one its last token plus the drafts its
-  // proposer guesses first (against the request's own draft slot). Logits
+  // proposer guesses first (against the request's own draft cache). Logits
   // come back for every fed row — a verify gets its k+1 rows, a plain step
   // its one — and each row is bit-identical to a batch-1 generate_cached
   // step. Sequences still mid-way through a chunked prefill sit this out.
@@ -1086,7 +1085,7 @@ void InferenceEngine::flush_step_stats() {
 }
 
 void InferenceEngine::retire_finished() {
-  // Retire finished sequences; their slots are free for the next admit().
+  // Retire finished sequences; their leases are free for the next admit().
   const auto first = std::stable_partition(
       active_.begin(), active_.end(), [](const Sequence& seq) {
         return !seq.finished && (seq.request.embed ||

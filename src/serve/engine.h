@@ -147,14 +147,14 @@ struct EngineConfig {
   /// sessions. See KvTierConfig.
   KvTierConfig kv_tier;
   /// Draft proposer for speculative requests (spec_k > 0). When set, the
-  /// engine reserves a second KV pool with `kv_slots` draft slots sized by
-  /// the proposer's cache_config(). Null = plain decoding only.
+  /// engine reserves a second KV pool, `kv_slots` full-length draft caches
+  /// sized by the proposer's cache_config(). Null = plain decoding only.
   std::shared_ptr<spec::DraftProposer> proposer;
   /// Prompt prefix-cache byte budget (bf16 KV accounting; see
   /// PrefixCache). 0 disables the cache; a non-zero budget must hold at
   /// least one KV block (the cache shares arena blocks). The engine grows
   /// the arena by the budget's worth of blocks so cache residency never
-  /// eats admission headroom. Draft slots never touch the cache — it holds
+  /// eats admission headroom. Draft caches never touch the cache — it holds
   /// target-model rows only.
   std::size_t prefix_cache_bytes = 0;
   /// Weight format for decode/verify forwards (kF32 = off). Prefill always
@@ -281,7 +281,7 @@ class InferenceEngine {
   /// progress, but each recorded datum is complete and consistent.
   std::string stats_json() const;
   const KvCachePool& kv_pool() const { return pool_; }
-  /// Draft-slot pool; null unless the engine was built with a proposer.
+  /// Draft-cache pool; null unless the engine was built with a proposer.
   const KvCachePool* draft_pool() const { return draft_pool_.get(); }
   /// Prompt prefix cache; null unless prefix_cache_bytes > 0.
   const PrefixCache* prefix_cache() const { return prefix_cache_.get(); }

@@ -9,15 +9,15 @@
 // is a sizing knob (arena = slots full-length sequences, plus extra_blocks
 // headroom); concurrency is bounded by blocks, not slots.
 //
-// Leases are move-only KvLease handles that return themselves to the pool
-// on destruction, so a lease cannot leak on an early return or an
-// exception, and a double release is unrepresentable.
+// A lease is a move-only KvLease that owns its nn::KvCache (the block
+// table) and resets it on destruction, returning its blocks and leftover
+// reservation to the arena — so a lease cannot leak on an early return or
+// an exception, and a double release is unrepresentable.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "nn/gpt.h"
 #include "nn/paged_kv.h"
@@ -26,38 +26,35 @@ namespace matgpt::serve {
 
 class KvCachePool;
 
-/// Move-only ownership of one pooled KV slot. Destroying (or release()-ing)
-/// the lease resets the slot and returns it to the pool. A
-/// default-constructed or moved-from lease is empty (`!lease`);
-/// dereferencing it is a checked error.
+/// Move-only ownership of one sequence's KV cache on a pool's arena.
+/// Destroying (or release()-ing) the lease resets the cache, returning its
+/// blocks and reservation. The cache lives on the heap, so get() stays
+/// stable while the lease moves. A default-constructed or moved-from lease
+/// is empty (`!lease`); dereferencing it is a checked error.
 class KvLease {
  public:
   KvLease() = default;
-  ~KvLease();
+  ~KvLease() { release(); }
 
-  KvLease(KvLease&& other) noexcept;
+  KvLease(KvLease&& other) noexcept = default;
   KvLease& operator=(KvLease&& other) noexcept;
   KvLease(const KvLease&) = delete;
   KvLease& operator=(const KvLease&) = delete;
 
   explicit operator bool() const { return cache_ != nullptr; }
-  nn::KvCache* get() const { return cache_; }
+  nn::KvCache* get() const { return cache_.get(); }
   nn::KvCache& operator*() const;
   nn::KvCache* operator->() const;
 
-  /// Roll the slot back to `len` cached tokens (speculative rollback). Whole
-  /// blocks freed by the rollback return to this lease's reservation, so
-  /// the sequence can still grow to its admitted budget.
-  void truncate(std::int64_t len);
-  /// Return the slot to the pool now instead of at destruction.
+  /// Return the cache's blocks to the arena now instead of at destruction.
   void release();
 
  private:
   friend class KvCachePool;
-  KvLease(KvCachePool* pool, nn::KvCache* cache)
-      : pool_(pool), cache_(cache) {}
+  KvLease(KvCachePool* pool, std::unique_ptr<nn::KvCache> cache)
+      : pool_(pool), cache_(std::move(cache)) {}
   KvCachePool* pool_ = nullptr;
-  nn::KvCache* cache_ = nullptr;
+  std::unique_ptr<nn::KvCache> cache_;
 };
 
 struct KvPoolConfig {
@@ -73,25 +70,19 @@ struct KvPoolConfig {
 
 class KvCachePool {
  public:
-  /// Pool with the default block size; `capacity_tokens == 0` budgets
-  /// every request at config.max_seq.
-  KvCachePool(const nn::GptConfig& config, std::size_t slots,
-              std::int64_t capacity_tokens = 0);
   KvCachePool(const nn::GptConfig& config, const KvPoolConfig& pool);
 
   KvCachePool(const KvCachePool&) = delete;
   KvCachePool& operator=(const KvCachePool&) = delete;
 
-  /// The sizing knob: arena size in full-length sequences.
-  std::size_t slot_count() const { return slot_count_; }
   /// Per-request token cap.
   std::int64_t capacity_tokens() const { return capacity_tokens_; }
   /// Admission headroom snapshot: unreserved free blocks.
   std::size_t available() const;
-  /// True when every lease has been returned.
-  bool all_free() const;
+  /// True when no lease is live.
+  bool all_free() const { return live_leases_.load() == 0; }
   /// Accelerator bf16 bytes the pool's storage pins.
-  double reserved_bytes() const { return reserved_bytes_; }
+  double reserved_bytes() const;
 
   nn::PagedKvArena* arena() const { return arena_.get(); }
   std::int64_t block_tokens() const;
@@ -106,43 +97,21 @@ class KvCachePool {
   std::int64_t blocks_needed(std::int64_t total_tokens,
                              std::int64_t aliased_tokens) const;
 
-  /// Take a slot, or return an empty lease (`!lease`) when the pool cannot
-  /// admit. `total_tokens` is the request's worst-case KV length (< 0 =
-  /// capacity_tokens()); the lease reserves exactly the blocks that budget
-  /// needs, of which `aliased_tokens` worth of full blocks are expected to
-  /// arrive by prefix aliasing instead of allocation. The leased cache is
-  /// empty; it returns to the pool when the lease dies.
+  /// Lease an empty cache on the arena, or return an empty lease (`!lease`)
+  /// when the pool cannot admit. `total_tokens` is the request's worst-case
+  /// KV length (< 0 = capacity_tokens()) and caps the cache; the lease
+  /// reserves exactly the blocks that budget needs, of which
+  /// `aliased_tokens` worth of full blocks are expected to arrive by prefix
+  /// aliasing instead of allocation.
   KvLease try_lease(std::int64_t total_tokens = -1,
                     std::int64_t aliased_tokens = 0);
 
  private:
   friend class KvLease;
 
-  struct Slot {
-    nn::KvCache cache;
-    std::unique_ptr<nn::PagedKvSeq> seq;
-  };
-
-  void validate_budget(std::int64_t& total_tokens,
-                       std::int64_t aliased_tokens) const;
-  /// Pop or lazily build a slot; caller holds mutex_ and already owns a
-  /// `needed`-block reservation that the slot adopts.
-  nn::KvCache* checkout(std::int64_t total_tokens, std::int64_t needed);
-  /// The checked-out slot holding `cache`; throws for a foreign or
-  /// already-returned cache. Caller holds mutex_.
-  Slot* leased_slot(const nn::KvCache* cache, const char* what) const;
-  void release(nn::KvCache* cache);
-  void truncate(nn::KvCache* cache, std::int64_t len);
-
-  std::size_t slot_count_;
   std::int64_t capacity_tokens_;
-  double reserved_bytes_ = 0.0;
-
   std::unique_ptr<nn::PagedKvArena> arena_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<Slot*> free_;
-
-  mutable std::mutex mutex_;
+  std::atomic<std::int64_t> live_leases_{0};
 };
 
 }  // namespace matgpt::serve

@@ -118,7 +118,7 @@ class KvTierStore {
  public:
   struct Entry {
     /// [layer][K rows][V rows], `tokens` rows per side per layer
-    /// (PagedKvSeq::swap_out's layout).
+    /// (KvCache::swap_out's layout).
     std::vector<float> data;
     std::int64_t tokens = 0;
   };

@@ -118,8 +118,8 @@ PrefixCache::Match PrefixCache::match(std::span<const std::int32_t> tokens,
 
 void PrefixCache::restore(const Match& m, nn::KvCache& dst) {
   if (m.tokens == 0) return;
-  MGPT_CHECK(dst.length == 0, "restore requires an empty KV cache");
-  MGPT_CHECK(dst.seq() != nullptr && dst.seq()->arena() == pool_->arena(),
+  MGPT_CHECK(dst.length() == 0, "restore requires an empty KV cache");
+  MGPT_CHECK(dst.arena() == pool_->arena(),
              "restore: KV cache is bound to a different arena");
   // Assemble the prefix's block table root-most first; a deeper node
   // overwrites the boundary block it shares with its parent. That is
@@ -139,8 +139,7 @@ void PrefixCache::restore(const Match& m, nn::KvCache& dst) {
           node->blocks[static_cast<std::size_t>(b - node_first)];
     }
   }
-  dst.seq()->alias_blocks(table, m.tokens);
-  dst.length = m.tokens;
+  dst.alias_blocks(table, m.tokens);
   stats_.tokens_aliased += static_cast<std::uint64_t>(m.tokens);
 }
 
@@ -199,14 +198,14 @@ bool PrefixCache::split(Node* node, std::int64_t offset) {
 }
 
 void PrefixCache::insert(std::span<const std::int32_t> tokens,
-                         std::int64_t len, const nn::KvCache& kv) {
+                         std::int64_t len, nn::KvCache& kv) {
   MGPT_CHECK(len > 0 && len <= static_cast<std::int64_t>(tokens.size()),
              "insert length " << len << " outside prompt of " << tokens.size()
                               << " tokens");
-  MGPT_CHECK(len <= kv.length,
+  MGPT_CHECK(len <= kv.length(),
              "insert length " << len << " exceeds prefilled history of "
-                              << kv.length << " tokens");
-  MGPT_CHECK(kv.seq() != nullptr && kv.seq()->arena() == pool_->arena(),
+                              << kv.length() << " tokens");
+  MGPT_CHECK(kv.arena() == pool_->arena(),
              "insert: KV cache is bound to a different arena");
   Node* node = root_.get();
   std::int64_t pos = 0;
@@ -243,7 +242,7 @@ void PrefixCache::insert(std::span<const std::int32_t> tokens,
   // the whole blocks.
   if (len % block_tokens_ != 0) {
     if (pool_->arena()->try_reserve(1)) {
-      kv.seq()->adopt_reservation(1);
+      kv.adopt_reservation(1);
     } else {
       len -= len % block_tokens_;
       if (pos >= len) return;
@@ -261,7 +260,7 @@ void PrefixCache::insert(std::span<const std::int32_t> tokens,
   leaf->start = pos;
   const std::int64_t first_block = pos / block_tokens_;
   const std::int64_t last_block = (len - 1) / block_tokens_;
-  std::span<const std::int32_t> seq_blocks = kv.seq()->block_ids();
+  std::span<const std::int32_t> seq_blocks = kv.block_ids();
   MGPT_CHECK(last_block < static_cast<std::int64_t>(seq_blocks.size()),
              "insert: lease block table shorter than the prefilled span");
   for (std::int64_t b = first_block; b <= last_block; ++b) {

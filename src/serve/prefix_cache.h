@@ -22,8 +22,8 @@
 //   restore()  assembles the path's block table (deepest node wins at block
 //              boundaries — a child's boundary block holds bit-identical
 //              copies of the parent-span rows plus the child's own) and
-//              aliases it into an empty KvCache via
-//              PagedKvSeq::alias_blocks — zero-copy, refcounted;
+//              aliases it into an empty lease's KvCache via
+//              KvCache::alias_blocks — zero-copy, refcounted;
 //   unpin()    drops the match's pins;
 //   insert()   walks a freshly prefilled prompt into the tree, splitting
 //              edges at divergence points, and caches the uncached suffix by
@@ -122,7 +122,7 @@ class PrefixCache {
   /// byte_budget() (pinned paths can transiently hold the total above
   /// budget).
   void insert(std::span<const std::int32_t> tokens, std::int64_t len,
-              const nn::KvCache& kv);
+              nn::KvCache& kv);
 
   /// Evict LRU refcount-zero leaves until bytes_used() <= target_bytes or
   /// nothing evictable remains. insert() calls this with the budget;

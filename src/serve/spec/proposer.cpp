@@ -14,7 +14,7 @@ DraftProposal DraftProposer::propose(std::span<const std::int32_t> tokens,
   MGPT_CHECK(!tokens.empty(), "propose requires an accepted sequence");
   MGPT_CHECK(k > 0, "propose requires k > 0");
   const auto len = static_cast<std::int64_t>(tokens.size());
-  MGPT_CHECK(cache.length < len,
+  MGPT_CHECK(cache.length() < len,
              "draft cache is ahead of the accepted sequence");
   const bool greedy = sampling.temperature <= 0.0f;
   const std::int64_t vocab = cache_config().vocab_size;
@@ -23,7 +23,7 @@ DraftProposal DraftProposer::propose(std::span<const std::int32_t> tokens,
   out.tokens.reserve(static_cast<std::size_t>(k));
   // First forward catches the cache up (everything accepted it hasn't seen —
   // at least tokens.back()); each later one feeds the previous draft token.
-  std::vector<std::int32_t> feed(tokens.begin() + cache.length, tokens.end());
+  std::vector<std::int32_t> feed(tokens.begin() + cache.length(), tokens.end());
   for (std::int64_t step = 0; step < k; ++step) {
     Tape tape;
     Var logits = forward(tape, feed, cache);
@@ -93,7 +93,7 @@ ScriptedDraft::ScriptedDraft(std::vector<std::vector<std::int32_t>> scripts,
   MGPT_CHECK(vocab_size_ > 0 && max_seq > 0,
              "scripted draft requires target vocab and max_seq");
   // Minimal valid geometry: the scripted draft never touches its cache, so
-  // its pool slots should pin as little memory as possible.
+  // its draft pool should pin as little memory as possible.
   cache_config_.vocab_size = vocab_size_;
   cache_config_.hidden = 2;
   cache_config_.n_layers = 1;

@@ -17,8 +17,8 @@
 //                     one for worst-case overhead tests.
 //
 // Proposers are stateless across requests: all per-request state lives in
-// the KvCache the caller passes in (the engine hands out slots from a
-// dedicated draft pool sized by cache_config()). propose() first catches the
+// the KvCache the caller passes in (the engine leases it from a dedicated
+// draft pool sized by cache_config()). propose() first catches the
 // cache up to the accepted sequence — after a rejection the decoder
 // truncates the draft cache, after a fully-accepted round it simply lags —
 // then decodes k draft tokens autoregressively.
@@ -112,10 +112,10 @@ class LayerSkipDraft : public DraftProposer {
 
 /// Replays fixed scripts: propose() finds the script the accepted sequence
 /// is a prefix of and serves its next k tokens (token 0 past the end or on
-/// no match). Needs no model forward and touches no KV cache, so its slots
-/// are minimal. Scripting each request's known-correct output gives
-/// acceptance 1.0 with zero draft cost; scripting garbage gives a maximally
-/// adversarial draft.
+/// no match). Needs no model forward and touches no KV cache, so its
+/// draft caches are minimal. Scripting each request's known-correct output
+/// gives acceptance 1.0 with zero draft cost; scripting garbage gives a
+/// maximally adversarial draft.
 class ScriptedDraft : public DraftProposer {
  public:
   ScriptedDraft(std::vector<std::vector<std::int32_t>> scripts,

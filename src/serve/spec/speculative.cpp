@@ -66,8 +66,8 @@ std::int64_t SpeculativeDecoder::accept(const Round& round, const Var& logits,
                                         Rng& rng, SpecStats& stats) const {
   const auto len = static_cast<std::int64_t>(tokens.size());
   const auto k_round = static_cast<std::int64_t>(round.proposal.tokens.size());
-  MGPT_CHECK(target_cache.length == len + k_round,
-             "target cache holds " << target_cache.length
+  MGPT_CHECK(target_cache.length() == len + k_round,
+             "target cache holds " << target_cache.length()
                                    << " tokens; the verified round needs "
                                    << len + k_round);
   const std::int64_t vocab = target_.config().vocab_size;
@@ -139,7 +139,7 @@ std::int64_t SpeculativeDecoder::accept(const Round& round, const Var& logits,
   // the draft may lag (fully-accepted round) but must never run ahead.
   const std::int64_t new_fed = len + accepted;
   target_cache.truncate(new_fed);
-  if (draft_cache.length > new_fed) draft_cache.truncate(new_fed);
+  if (draft_cache.length() > new_fed) draft_cache.truncate(new_fed);
 
   stats.drafts_proposed += k_round;
   stats.drafts_accepted += accepted;

@@ -215,7 +215,7 @@ TEST(KvCacheDecode, IncrementalLogitsMatchFullForward) {
   const std::int32_t fifth = tokens[4];
   const Var last = model.forward_incremental(
       t3, std::span<const std::int32_t>(&fifth, 1), cache);
-  EXPECT_EQ(cache.length, 5);
+  EXPECT_EQ(cache.length(), 5);
   for (std::int64_t vidx = 0; vidx < model.config().vocab_size; ++vidx) {
     EXPECT_NEAR(last.value().at(0, vidx), full.value().at(4, vidx), 1e-4);
   }
@@ -229,7 +229,10 @@ TEST(KvCacheDecode, GqaShrinksTheCache) {
   Tape t1, t2;
   mha.forward_incremental(t1, prompt, cache_mha);
   gqa.forward_incremental(t2, prompt, cache_gqa);
-  EXPECT_NEAR(cache_mha.bytes() / cache_gqa.bytes(), 4.0, 1e-9);
+  EXPECT_EQ(cache_mha.length(), cache_gqa.length());
+  EXPECT_NEAR(cache_mha.arena()->layout().block_bytes_bf16() /
+                  cache_gqa.arena()->layout().block_bytes_bf16(),
+              4.0, 1e-9);
 }
 
 TEST(KvCacheDecode, EnforcesContract) {
@@ -244,7 +247,7 @@ TEST(KvCacheDecode, EnforcesContract) {
   Tape t2, t3;
   const std::vector<std::int32_t> suffix{3, 4};
   Var hot = model.forward_incremental(t2, suffix, cache);
-  EXPECT_EQ(cache.length, 4);
+  EXPECT_EQ(cache.length(), 4);
   nn::KvCache cold_cache;
   const std::vector<std::int32_t> full{1, 2, 3, 4};
   Var cold = model.forward_incremental(t3, full, cold_cache);

@@ -1,18 +1,25 @@
 // Unit tests for the block-paged KV allocator (src/nn/paged_kv): arena
 // alloc/free/reuse and refcounts, the reservation admission discipline,
-// PagedKvSeq append/truncate/gather, copy-on-write fork semantics on shared
-// blocks, out-of-blocks failure, fragmentation churn, and nn-level
+// the KvCache block table's append/commit/truncate/gather, copy-on-write
+// fork semantics on shared blocks, out-of-blocks failure, fragmentation
+// churn (and a seeded churn of whole serving lifecycles checked against
+// the arena's refcount and reservation invariants), and nn-level
 // bit-identity of a paged forward pass against contiguous attention.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "nn/gpt.h"
 #include "nn/paged_kv.h"
 #include "serve/kv_pool.h"
+#include "serve/prefix_cache.h"
 
 namespace matgpt {
 namespace {
@@ -116,12 +123,14 @@ TEST(PagedKvArena, ReservationsGateAdmissionAndFundAllocation) {
 TEST(PagedKvSeq, AppendTruncateAndGatherAcrossBlocks) {
   const nn::PagedKvLayout l = tiny_layout();
   nn::PagedKvArena arena(l, 8);
-  nn::PagedKvSeq seq(&arena);
+  nn::KvCache seq(&arena);
   const auto k = rows_for(l, 10, 0.0f);
   const auto v = rows_for(l, 10, 0.5f);
   seq.append(0, k.data(), v.data(), 10);  // 4 + 4 + 2 -> 3 blocks
-  EXPECT_EQ(seq.length(0), 10);
-  EXPECT_EQ(seq.block_count(), 3);
+  EXPECT_EQ(seq.length(), 0) << "appended rows count only once committed";
+  seq.commit(10);
+  EXPECT_EQ(seq.length(), 10);
+  EXPECT_EQ(seq.block_ids().size(), 3u);
   EXPECT_EQ(arena.used_blocks(), 3);
 
   // Gather straddling block boundaries returns the exact rows.
@@ -138,42 +147,46 @@ TEST(PagedKvSeq, AppendTruncateAndGatherAcrossBlocks) {
 
   // Truncating to 5 rows drops the 3rd block; the freed unit returns to the
   // sequence's reservation, so regrowth cannot fail.
-  seq.truncate_layer(0, 5);
-  EXPECT_EQ(seq.length(0), 5);
-  EXPECT_EQ(seq.block_count(), 2);
+  seq.truncate(5);
+  EXPECT_EQ(seq.length(), 5);
+  EXPECT_EQ(seq.block_ids().size(), 2u);
   EXPECT_EQ(arena.used_blocks(), 2);
   EXPECT_EQ(seq.reserved_blocks(), 1);
   seq.append(0, k.data(), v.data(), 3);
-  EXPECT_EQ(seq.length(0), 8);
+  seq.commit(3);
+  EXPECT_EQ(seq.length(), 8);
+  EXPECT_THROW(seq.commit(1), Error) << "commit past the appended rows";
 
   seq.reset();
   EXPECT_EQ(arena.used_blocks(), 0);
   EXPECT_EQ(arena.reserved_blocks(), 0);
-  EXPECT_EQ(seq.max_length(), 0);
+  EXPECT_EQ(seq.length(), 0);
 }
 
 TEST(PagedKvSeq, TokenCapacityIsEnforced) {
   const nn::PagedKvLayout l = tiny_layout();
   nn::PagedKvArena arena(l, 8);
-  nn::PagedKvSeq seq(&arena, /*token_capacity=*/6);
+  nn::KvCache seq(&arena, /*token_capacity=*/6);
   const auto k = rows_for(l, 7, 0.0f);
   const auto v = rows_for(l, 7, 0.5f);
   seq.append(0, k.data(), v.data(), 6);
+  seq.commit(6);
   EXPECT_THROW(seq.append(0, k.data(), v.data(), 1), Error);
 }
 
 TEST(PagedKvSeq, CopyOnWriteForksOnlyTheSharedPartialBlock) {
   const nn::PagedKvLayout l = tiny_layout();
   nn::PagedKvArena arena(l, 8);
-  nn::PagedKvSeq owner(&arena);
+  nn::KvCache owner(&arena);
   const auto k = rows_for(l, 6, 0.0f);
   const auto v = rows_for(l, 6, 0.5f);
   owner.append(0, k.data(), v.data(), 6);  // blocks: [full, 2-row partial]
+  owner.commit(6);
 
   // A second sequence aliases the 6-token prefix: zero copies, shared refs.
-  nn::PagedKvSeq borrower(&arena);
+  nn::KvCache borrower(&arena);
   borrower.alias_blocks(owner.block_ids(), 6);
-  EXPECT_EQ(borrower.length(0), 6);
+  EXPECT_EQ(borrower.length(), 6);
   EXPECT_EQ(arena.used_blocks(), 2) << "alias must not allocate";
   EXPECT_EQ(arena.shared_blocks(), 2);
   EXPECT_EQ(arena.cow_forks(), 0u);
@@ -183,6 +196,7 @@ TEST(PagedKvSeq, CopyOnWriteForksOnlyTheSharedPartialBlock) {
   const auto nk = rows_for(l, 1, 100.0f);
   const auto nv = rows_for(l, 1, 100.5f);
   borrower.append(0, nk.data(), nv.data(), 1);
+  borrower.commit(1);
   EXPECT_EQ(arena.cow_forks(), 1u);
   EXPECT_EQ(arena.cow_rows(), 2u);
   EXPECT_EQ(arena.used_blocks(), 3);
@@ -214,7 +228,7 @@ TEST(PagedKvSeq, CopyOnWriteForksOnlyTheSharedPartialBlock) {
 
   // Writes into a block-aligned shared boundary need no fork: a third
   // sequence aliasing exactly one full block appends into a NEW block.
-  nn::PagedKvSeq aligned(&arena);
+  nn::KvCache aligned(&arena);
   aligned.alias_blocks(owner.block_ids().subspan(0, 1), 4);
   aligned.append(0, nk.data(), nv.data(), 1);
   EXPECT_EQ(arena.cow_forks(), 1u) << "aligned append must not fork";
@@ -228,14 +242,15 @@ TEST(PagedKvSeq, CopyOnWriteForksOnlyTheSharedPartialBlock) {
 TEST(PagedKvSeq, OutOfBlocksAppendThrows) {
   const nn::PagedKvLayout l = tiny_layout();
   nn::PagedKvArena arena(l, 2);
-  nn::PagedKvSeq seq(&arena);
+  nn::KvCache seq(&arena);
   const auto k = rows_for(l, 9, 0.0f);
   const auto v = rows_for(l, 9, 0.5f);
   seq.append(0, k.data(), v.data(), 8);  // fills both blocks
+  seq.commit(8);
   EXPECT_THROW(seq.append(0, k.data(), v.data(), 1), Error);
   // The failed append must not corrupt the sequence.
-  EXPECT_EQ(seq.length(0), 8);
-  EXPECT_EQ(seq.block_count(), 2);
+  EXPECT_EQ(seq.length(), 8);
+  EXPECT_EQ(seq.block_ids().size(), 2u);
 }
 
 TEST(ServePagedPool, ChurnOfMixedLengthLeasesNeverFragments) {
@@ -283,6 +298,173 @@ TEST(ServePagedPool, ChurnOfMixedLengthLeasesNeverFragments) {
   EXPECT_EQ(pool.used_blocks(), 0);
 }
 
+// One live lease in the lifecycle churn below: the tokens it was planned to
+// feed, the prefix of them its cache holds, and the row count below which
+// the prefix tree may share its blocks. Rollback (the engine's speculative
+// truncate) only ever drops rows the sequence appended past its cached
+// prompt, so the churn truncates no lower than `floor`.
+struct ChurnSeq {
+  serve::KvLease lease;
+  std::vector<std::int32_t> plan;
+  std::int64_t fed = 0;
+  std::int64_t floor = 0;
+};
+
+TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
+  // Seeded random serving lifecycles over one small arena: leases (cold and
+  // prefix-restored, so partial blocks fork copy-on-write), appends through
+  // the ragged forward, rollbacks, prefix-tree inserts and evictions, lease
+  // moves and releases. After every operation each block's refcount must
+  // equal its holders (live tables plus the radix tree), the arena's
+  // reservation must equal the live tables' reservations, and the pool is
+  // all-free exactly when no lease lives.
+  nn::GptConfig c;
+  c.arch = nn::ArchFamily::kLLaMA;
+  c.vocab_size = 40;
+  c.hidden = 16;
+  c.n_layers = 2;
+  c.n_heads = 2;
+  c.n_kv_heads = 1;
+  c.max_seq = 32;
+  nn::GptModel model(c);
+  serve::KvPoolConfig pcfg;
+  pcfg.slots = 3;  // 3 * 8 blocks of 4 tokens ...
+  pcfg.block_tokens = 4;
+  pcfg.extra_blocks = 8;  // ... plus the prefix tree's residency
+  serve::KvCachePool pool(c, pcfg);
+  nn::PagedKvArena& arena = *pool.arena();
+  serve::PrefixCache tree(
+      c, 8 * static_cast<std::size_t>(arena.layout().block_bytes_bf16()),
+      &pool);
+
+  std::uint32_t state = 0x5eed;
+  auto next = [&state](std::uint32_t n) {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<std::int64_t>((state >> 8) % n);
+  };
+  // Three shared system prompts, so plans collide in the tree.
+  const std::vector<std::vector<std::int32_t>> heads{
+      {1, 2, 3, 4, 5, 6}, {1, 2, 3, 9, 9}, {20, 21, 22, 23, 24, 25, 26}};
+  std::vector<ChurnSeq> live;
+
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<std::int64_t> holders(
+        static_cast<std::size_t>(arena.n_blocks()), 0);
+    std::int64_t reserved = 0;
+    for (const ChurnSeq& s : live) {
+      ASSERT_EQ(s.lease->length(), s.fed);
+      for (const std::int32_t id : s.lease->block_ids()) {
+        holders[static_cast<std::size_t>(id)] += 1;
+      }
+      reserved += s.lease->reserved_blocks();
+    }
+    // The tree's references are whatever the tables do not hold: never
+    // negative, and summing to its own count. With the tree empty this is
+    // refcount == table holders for every block.
+    std::int64_t tree_refs = 0;
+    std::int64_t used = 0;
+    for (std::int32_t id = 0; id < arena.n_blocks(); ++id) {
+      const std::int64_t extra =
+          arena.ref_count(id) - holders[static_cast<std::size_t>(id)];
+      ASSERT_GE(extra, 0) << "block " << id << " has fewer refs than holders";
+      tree_refs += extra;
+      used += arena.ref_count(id) > 0 ? 1 : 0;
+    }
+    ASSERT_EQ(tree_refs, tree.block_refs());
+    ASSERT_EQ(used, pool.used_blocks());
+    ASSERT_EQ(arena.reserved_blocks(), reserved);
+    ASSERT_EQ(pool.all_free(), live.empty());
+  };
+
+  for (int step = 0; step < 2000; ++step) {
+    const std::int64_t op = next(8);
+    if (op == 0 || live.empty()) {
+      // Lease a new sequence, restoring its longest cached prefix half the
+      // time; when the arena is short, trade cold prefixes for headroom.
+      ChurnSeq s;
+      s.plan = heads[static_cast<std::size_t>(next(3))];
+      const std::int64_t total = 8 + next(25);
+      while (static_cast<std::int64_t>(s.plan.size()) < total) {
+        s.plan.push_back(static_cast<std::int32_t>(next(c.vocab_size)));
+      }
+      serve::PrefixCache::Match m;
+      if (next(2) == 0) m = tree.match(s.plan, total - 1);
+      s.lease = pool.try_lease(total, m.tokens);
+      if (!s.lease &&
+          tree.evict_for_blocks(pool.blocks_needed(total, m.tokens))) {
+        s.lease = pool.try_lease(total, m.tokens);
+      }
+      if (s.lease) {
+        tree.restore(m, *s.lease);
+        s.fed = s.floor = m.tokens;
+        live.push_back(std::move(s));
+      }
+      tree.unpin(m);
+    } else if (op <= 2) {
+      // Append through one ragged forward over up to three sequences.
+      nn::RaggedBatch batch;
+      for (std::size_t i = 0; i < live.size() && batch.size() < 3; ++i) {
+        ChurnSeq& s = live[(i + static_cast<std::size_t>(step)) % live.size()];
+        const auto room = static_cast<std::int64_t>(s.plan.size()) - s.fed;
+        if (room == 0 || next(2) == 0) continue;
+        const std::int64_t n = 1 + next(static_cast<std::uint32_t>(
+                                       std::min<std::int64_t>(room, 6)));
+        batch.add(std::span<const std::int32_t>(s.plan).subspan(
+                      static_cast<std::size_t>(s.fed),
+                      static_cast<std::size_t>(n)),
+                  *s.lease);
+        s.fed += n;
+      }
+      if (batch.size() > 0) {
+        Tape tape;
+        model.forward(tape, batch);
+      }
+    } else {
+      ChurnSeq& s = live[static_cast<std::size_t>(next(
+          static_cast<std::uint32_t>(live.size())))];
+      if (op == 3 && s.fed > s.floor) {
+        s.fed = s.floor + next(static_cast<std::uint32_t>(s.fed - s.floor));
+        s.lease->truncate(s.fed);
+      } else if (op == 4 && s.fed > 0) {
+        tree.insert(s.plan, s.fed, *s.lease);
+        s.floor = s.fed;
+      } else if (op == 5) {
+        tree.trim(next(3) == 0 ? 0
+                               : static_cast<std::size_t>(next(
+                                     static_cast<std::uint32_t>(
+                                         tree.bytes_used() + 1))));
+      } else if (op == 6) {
+        // Move a lease across the vector: the cache stays where it was.
+        ChurnSeq& other = live[static_cast<std::size_t>(next(
+            static_cast<std::uint32_t>(live.size())))];
+        const nn::KvCache* a = s.lease.get();
+        const nn::KvCache* b = other.lease.get();
+        if (&s != &other) std::swap(s, other);
+        ASSERT_EQ(s.lease.get(), b);
+        ASSERT_EQ(other.lease.get(), a);
+      } else {
+        // Release: explicitly, or by move-assigning the last lease over it.
+        if (next(2) == 0) s.lease.release();
+        if (&s != &live.back()) s = std::move(live.back());
+        live.pop_back();
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  // The churn must have reached every mechanism it claims to check.
+  EXPECT_GT(pool.cow_forks(), 0u);
+  EXPECT_GT(tree.stats().tokens_aliased, 0u);
+  EXPECT_GT(tree.stats().nodes_evicted, 0u);
+
+  live.clear();
+  ASSERT_NO_FATAL_FAILURE(check(-1));
+  tree.trim(0);
+  EXPECT_EQ(tree.block_refs(), 0);
+  EXPECT_EQ(pool.used_blocks(), 0);
+  EXPECT_EQ(arena.reserved_blocks(), 0);
+}
+
 TEST(ServePagedPool, PagedForwardBitIdenticalToContiguousForward) {
   // The whole paged design rests on this: reading K/V through a block table
   // must produce byte-identical logits to the full forward's contiguous
@@ -304,9 +486,7 @@ TEST(ServePagedPool, PagedForwardBitIdenticalToContiguousForward) {
     l.kv_heads = c.kv_heads();
     l.head_dim = c.head_dim();
     nn::PagedKvArena arena(l, 16);
-    nn::PagedKvSeq seq(&arena, c.max_seq);
-    nn::KvCache paged;
-    paged.attach_paged(&seq);
+    nn::KvCache paged(&arena, c.max_seq);
 
     // Last-row logits of a full re-forward over `tokens`.
     auto contiguous = [&](const std::vector<std::int32_t>& tokens) {

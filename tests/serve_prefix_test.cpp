@@ -1,6 +1,6 @@
 // Unit tests for src/serve/prefix_cache over refcounted paged-KV blocks:
 // radix insert/match/split/evict mechanics (now zero-copy block sharing),
-// pin semantics, KvCache prefix copy, KvLease RAII, EngineConfig::validate,
+// pin semantics, KvLease RAII, EngineConfig::validate,
 // and the engine-level guarantee that a prefix-cache hit decodes
 // byte-identically to a cold prefill (greedy and seeded-stochastic, plain
 // and speculative).
@@ -65,9 +65,9 @@ void fill_cache(nn::KvCache& cache, const nn::GptConfig& c,
         v[i] = -k[i];
       }
     }
-    cache.seq()->append(l, k.data(), v.data(), n);
+    cache.append(l, k.data(), v.data(), n);
   }
-  cache.length = n;
+  cache.commit(n);
 }
 
 std::vector<float> uniform_salts(std::int64_t n, float salt) {
@@ -78,13 +78,13 @@ std::vector<float> uniform_salts(std::int64_t n, float salt) {
 // of both block tables.
 void expect_prefix_rows_equal(const nn::KvCache& got, const nn::KvCache& src,
                               std::int64_t tokens, const nn::GptConfig& c) {
-  ASSERT_EQ(got.length, tokens);
+  ASSERT_EQ(got.length(), tokens);
   const std::int64_t row = c.kv_heads() * c.head_dim();
   std::vector<float> gk(static_cast<std::size_t>(tokens * row));
   std::vector<float> gv(gk.size()), sk(gk.size()), sv(gk.size());
   for (std::int64_t l = 0; l < c.n_layers; ++l) {
-    got.seq()->copy_rows(l, 0, tokens, gk.data(), gv.data());
-    src.seq()->copy_rows(l, 0, tokens, sk.data(), sv.data());
+    got.copy_rows(l, 0, tokens, gk.data(), gv.data());
+    src.copy_rows(l, 0, tokens, sk.data(), sv.data());
     for (std::size_t i = 0; i < gk.size(); ++i) {
       ASSERT_EQ(gk[i], sk[i]) << "layer " << l << " key elem " << i;
       ASSERT_EQ(gv[i], sv[i]) << "layer " << l << " value elem " << i;
@@ -317,58 +317,17 @@ TEST(PrefixCacheRadix, BudgetSmallerThanOneBlockThrows) {
   EXPECT_THROW(serve::PrefixCache(c, 1, &pool), Error);
 }
 
-// --- KvCache::copy_prefix_from: prefix adoption by row memcpy ---
-
-TEST(KvCachePrefixCopy, CopiedPrefixMatchesColdPrefillBitExact) {
-  for (auto arch : {nn::ArchFamily::kNeoX, nn::ArchFamily::kLLaMA}) {
-    const nn::GptConfig c = prefix_config(arch);
-    nn::GptModel model(c);
-    const std::vector<std::int32_t> prompt{3, 14, 15, 9, 2, 6, 5};
-    const std::int64_t prefix_len = 4;
-
-    nn::KvCache full;
-    full.reserve(c);
-    {
-      Tape tape;
-      model.forward_incremental(tape, prompt, full);
-    }
-
-    // Adopt the first 4 rows by memcpy, then prefill the suffix: the cache
-    // AND the last-position logits must equal the cold full-prompt run.
-    nn::KvCache copied;
-    copied.reserve(c);
-    copied.copy_prefix_from(full, prefix_len);
-    expect_prefix_rows_equal(copied, full, prefix_len, c);
-
-    nn::KvCache cold;
-    cold.reserve(c);
-    Tape t_hot, t_cold;
-    Var hot_logits = model.forward_incremental(
-        t_hot,
-        std::span<const std::int32_t>(prompt).subspan(
-            static_cast<std::size_t>(prefix_len)),
-        copied);
-    Var cold_logits = model.forward_incremental(t_cold, prompt, cold);
-    for (std::int64_t v = 0; v < c.vocab_size; ++v) {
-      ASSERT_EQ(hot_logits.value().at(0, v), cold_logits.value().at(0, v))
-          << "arch " << static_cast<int>(arch) << " vocab " << v;
-    }
-    expect_prefix_rows_equal(copied, cold,
-                             static_cast<std::int64_t>(prompt.size()), c);
-  }
-}
-
 // --- KvLease RAII over the pool ---
 
 TEST(KvLease, ReturnsSlotOnScopeExit) {
   const nn::GptConfig c = prefix_config();
-  serve::KvCachePool pool(c, 1);
+  serve::KvCachePool pool(c, serve::KvPoolConfig{.slots = 1});
   const std::size_t idle = pool.available();
   {
     serve::KvLease lease = pool.try_lease();
     ASSERT_TRUE(lease);
     EXPECT_EQ(pool.available(), 0u);
-    EXPECT_EQ(lease->length, 0);
+    EXPECT_EQ(lease->length(), 0);
     // Pool drained: the non-blocking path reports exhaustion.
     serve::KvLease second = pool.try_lease();
     EXPECT_FALSE(second);
@@ -379,7 +338,7 @@ TEST(KvLease, ReturnsSlotOnScopeExit) {
 
 TEST(KvLease, MoveTransfersOwnershipWithoutDoubleRelease) {
   const nn::GptConfig c = prefix_config();
-  serve::KvCachePool pool(c, 2);
+  serve::KvCachePool pool(c, serve::KvPoolConfig{.slots = 2});
   const std::size_t idle = pool.available();
   serve::KvLease a = pool.try_lease();
   ASSERT_TRUE(a);
@@ -406,15 +365,15 @@ TEST(KvLease, MoveTransfersOwnershipWithoutDoubleRelease) {
 TEST(KvLease, TruncateRollsBackThroughTheHandle) {
   const nn::GptConfig c = prefix_config();
   nn::GptModel model(c);
-  serve::KvCachePool pool(c, 1);
+  serve::KvCachePool pool(c, serve::KvPoolConfig{.slots = 1});
   serve::KvLease lease = pool.try_lease();
   ASSERT_TRUE(lease);
   Tape tape;
   const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5};
   model.forward_incremental(tape, prompt, *lease);
-  EXPECT_EQ(lease->length, 5);
-  lease.truncate(2);
-  EXPECT_EQ(lease->length, 2);
+  EXPECT_EQ(lease->length(), 5);
+  lease->truncate(2);
+  EXPECT_EQ(lease->length(), 2);
 }
 
 // --- EngineConfig::validate ---

@@ -32,10 +32,10 @@ nn::GptConfig spec_config(nn::ArchFamily arch) {
 }
 
 void expect_cache_equal(const nn::KvCache& a, const nn::KvCache& b) {
-  ASSERT_EQ(a.length, b.length);
+  ASSERT_EQ(a.length(), b.length());
   std::vector<float> rows_a, rows_b;
-  a.seq()->swap_out(rows_a);
-  b.seq()->swap_out(rows_b);
+  a.swap_out(rows_a);
+  b.swap_out(rows_b);
   EXPECT_EQ(rows_a, rows_b);
 }
 
@@ -112,7 +112,7 @@ TEST(SpecKvRollback, TruncatedCacheEqualsNeverSpeculatedCache) {
       Tape tape;
       verify(model, tape, rejected, speculated);
     }
-    ASSERT_EQ(speculated.length,
+    ASSERT_EQ(speculated.length(),
               static_cast<std::int64_t>(prompt.size() + rejected.size()));
     speculated.truncate(static_cast<std::int64_t>(prompt.size()));
     expect_cache_equal(speculated, clean);
@@ -140,10 +140,10 @@ TEST(SpecKvRollback, TruncateValidatesLength) {
   EXPECT_THROW(cache.truncate(4), Error);
   EXPECT_THROW(cache.truncate(-1), Error);
   cache.truncate(3);  // no-op
-  EXPECT_EQ(cache.length, 3);
+  EXPECT_EQ(cache.length(), 3);
   cache.truncate(0);
-  EXPECT_EQ(cache.length, 0);
-  EXPECT_EQ(cache.seq()->length(0), 0);
+  EXPECT_EQ(cache.length(), 0);
+  EXPECT_TRUE(cache.block_ids().empty());
 }
 
 // The exactness contract: greedy speculative output is byte-identical to

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <future>
 #include <iterator>
 #include <map>
@@ -116,7 +117,7 @@ StepBytes mixed_step(const nn::GptModel& model) {
                     logits.value().data() + logits.value().numel());
   for (const nn::KvCache& cache : caches) {
     std::vector<float> rows;
-    cache.seq()->swap_out(rows);
+    cache.swap_out(rows);
     out.kv.insert(out.kv.end(), rows.begin(), rows.end());
   }
   return out;
@@ -166,12 +167,8 @@ StepBytes shared_arena_steps(const nn::GptModel& model) {
   layout.kv_heads = c.kv_heads();
   layout.head_dim = c.head_dim();
   nn::PagedKvArena arena(layout, 16);
-  std::vector<std::unique_ptr<nn::PagedKvSeq>> seqs;
-  std::vector<nn::KvCache> caches(3);
-  for (nn::KvCache& cache : caches) {
-    seqs.push_back(std::make_unique<nn::PagedKvSeq>(&arena));
-    cache.attach_paged(seqs.back().get());
-  }
+  std::deque<nn::KvCache> caches;
+  for (int s = 0; s < 3; ++s) caches.emplace_back(&arena);
   const std::vector<std::vector<std::int32_t>> prompts{
       {3, 14, 15, 9, 2, 6, 5, 35, 8, 41},
       {11, 4, 30, 2, 19},
@@ -206,7 +203,7 @@ StepBytes shared_arena_steps(const nn::GptModel& model) {
   }
   for (const nn::KvCache& cache : caches) {
     std::vector<float> rows;
-    cache.seq()->swap_out(rows);
+    cache.swap_out(rows);
     out.kv.insert(out.kv.end(), rows.begin(), rows.end());
   }
   return out;
