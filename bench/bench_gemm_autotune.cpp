@@ -1,35 +1,30 @@
-// GEMM tiling rule + quantized decode: the analytic cost model's
-// predicted-vs-measured loop (the AMOS idiom at CPU scale), the speedup of
-// kernels::pick_variant's tiling over the fixed one on the serving
-// engine's decode shapes, and the int8 decode path's accuracy gates.
+// The GEMM paths that serve, timed as they serve: the analytic cost
+// model's predicted-vs-measured loop (the AMOS idiom at CPU scale), the
+// packed bf16/int8 decode GEMM against packed fp32 on the serving engine's
+// lm_head shape, and the int8 decode path's accuracy and identity gates.
 //
 // The serving engine's GEMMs live in the *streaming* regime: every decode
-// step re-reads weight matrices far larger than cache while M is tiny. The
-// fixed {mr=8, nc=512} tiling that wins hot-L2 microbenches loses on
-// quantized weights there — a batch-1 GEMM touches each 512-column chunk
-// for one row's worth of work, so the whole weight matrix streams k times
-// in short segments. pick_variant gives quantized small-M shapes one wide
-// column chunk and leaves fp32 on the default; every tiling is
-// byte-identical, so the gate is pure speed. All measurements here cycle
+// step re-reads weight matrices far larger than cache while M is tiny, so
+// a batch-1 decode GEMM is bound by the bytes of its weights. A prepared
+// model's layers run packed panels (kernels::gemm_packed) in every weight
+// format; fp32 over row-major B (kernels::gemm_nn) runs training and
+// prefill on a model no engine has prepared. All measurements here cycle
 // through enough weight copies to defeat the LLC, matching the engine's
 // cold-weights reality.
 //
 // Phases:
 //   1. calibration — the measured host anchors the model extrapolates from;
-//   2. predicted vs measured — relative error over a shape x format x
-//      tiling grid of row-major weights (gate: median error <= 50%: a
-//      model anchored on measured reference shapes must extrapolate to
-//      the rest), and for the record the same shapes over packed panels;
-//   3. rule vs fixed — autotune_speedup (int8 decode shape, gate >= 1.3x),
-//      fp32_autotune_speedup (geomean over M in {1,4,8}; the rule keeps
-//      fp32 on the default, so this reads ~1.0x), and int8_decode_speedup
-//      (int8 under the rule vs fixed-tiling fp32 at M=1);
+//   2. predicted vs measured — relative error over a shape grid of
+//      row-major fp32 weights (gate: median error <= 50%: a model anchored
+//      on measured reference shapes must extrapolate to the rest), and for
+//      the record the same shapes over packed fp32 and int8 panels;
+//   3. quantized vs fp32 decode — packed_int8_decode_speedup and
+//      packed_bf16_decode_speedup: cold packed int8 / bf16 weights against
+//      cold packed fp32 at M=1 on lm_head (256->8192), cycles paired ABBA;
 //   4. accuracy — int8 decode logit error vs fp32 on a serving-shaped
 //      model (exact_max gate) and token identity: engine int8 (batched,
 //      chunked prefill, speculative) vs batch-1 generate_cached int8,
 //      zero mismatches allowed.
-// The metric names predate the rule (they were measured against a
-// run-time autotuner) and are kept so the committed baselines still apply.
 
 #include <algorithm>
 #include <chrono>
@@ -48,7 +43,6 @@
 
 using namespace matgpt;
 using Clock = std::chrono::steady_clock;
-using kernels::GemmVariant;
 using kernels::WeightFormat;
 
 namespace {
@@ -74,17 +68,18 @@ std::vector<float> pattern_matrix(std::int64_t rows, std::int64_t cols,
 /// One GEMM shape's cold-weights working set: enough weight copies that
 /// cycling through them defeats the last-level cache between timed calls.
 /// `packed` copies hold kernels::pack_panels' layout, as a served model's
-/// layers do.
+/// layers do; bf16/int8 sidecars exist only packed.
 struct ColdWeights {
   std::int64_t k = 0, n = 0;
+  WeightFormat format = WeightFormat::kF32;
   bool packed = false;
   std::size_t copies = 0;
   std::vector<std::vector<float>> f32;
   std::vector<gemm_tune::QuantWeights> quant;
 
-  ColdWeights(std::int64_t k_, std::int64_t n_, WeightFormat format,
-              bool packed_ = false)
-      : k(k_), n(n_), packed(packed_) {
+  ColdWeights(std::int64_t k_, std::int64_t n_, WeightFormat format_,
+              bool packed_)
+      : k(k_), n(n_), format(format_), packed(packed_) {
     // >= 96 MB in the format actually streamed — int8 weights are 4x
     // smaller than fp32, so sizing by the fp32 footprint would leave the
     // int8 working set LLC-resident and the "cold" numbers hot.
@@ -100,72 +95,73 @@ struct ColdWeights {
       if (format == WeightFormat::kF32) {
         f32.push_back(std::move(w));
       } else {
-        quant.push_back(
-            gemm_tune::quantize_weights(w.data(), k, n, format, packed));
+        quant.push_back(gemm_tune::quantize_weights(w.data(), k, n, format));
       }
     }
   }
 };
 
-double one_cycle(const ColdWeights& w, WeightFormat format, const float* a,
-                 float* c, std::int64_t m, const GemmVariant& variant) {
+/// Seconds per call over one pass of the working set, as it serves:
+/// gemm_packed over packed copies, gemm_nn over row-major ones.
+double one_cycle(const ColdWeights& w, const float* a, float* c,
+                 std::int64_t m) {
   const double t0 = now_s();
-  const bool f32 = format == WeightFormat::kF32;
   for (std::size_t i = 0; i < w.copies; ++i) {
-    const float* b = f32 ? w.f32[i].data() : nullptr;
-    const gemm_tune::QuantWeights* qw = f32 ? nullptr : &w.quant[i];
-    if (w.packed) {
-      kernels::PackedGemm g{b, nullptr, c, w.n};
-      if (format == WeightFormat::kInt8) {
-        g.b = qw->q8.data();
-        g.scale = qw->scale.data();
-      }
-      kernels::gemm_packed(a, m, w.k, format, {&g, 1}, variant);
-    } else {
-      gemm_tune::run_gemm(a, b, qw, c, m, w.n, w.k, variant);
+    if (!w.packed) {
+      kernels::gemm_nn(a, w.f32[i].data(), c, m, w.n, w.k,
+                       /*accumulate=*/false);
+      continue;
     }
+    kernels::PackedGemm g{nullptr, nullptr, c, w.n};
+    switch (w.format) {
+      case WeightFormat::kF32: g.b = w.f32[i].data(); break;
+      case WeightFormat::kBf16: g.b = w.quant[i].bf16.data(); break;
+      case WeightFormat::kInt8:
+        g.b = w.quant[i].q8.data();
+        g.scale = w.quant[i].scale.data();
+        break;
+    }
+    kernels::gemm_packed(a, m, w.k, w.format, {&g, 1});
   }
   return (now_s() - t0) / static_cast<double>(w.copies);
 }
 
-/// Best-of-3 seconds per call for one tiling over the cold working set.
-double time_cold(const ColdWeights& w, WeightFormat format, std::int64_t m,
-                 const GemmVariant& variant) {
+/// Best-of-5 seconds per call over the cold working set.
+double time_cold(const ColdWeights& w, std::int64_t m) {
   const auto a = pattern_matrix(m, w.k, 5);
   std::vector<float> c(static_cast<std::size_t>(m * w.n));
   double best = 1e30;
   for (int cycle = 0; cycle < 5; ++cycle) {
-    best = std::min(best, one_cycle(w, format, a.data(), c.data(), m, variant));
+    best = std::min(best, one_cycle(w, a.data(), c.data(), m));
   }
   return best;
 }
 
-/// Time two tilings with their cycles interleaved in ABBA order, so slow
-/// drift on a shared 1-core host hits both equally, and return the best of
-/// 16 cycles each — enough rounds that both variants land quiet windows
-/// and the min converges. Comparing two independent time_cold calls is NOT
-/// reliable
-/// here: back-to-back runs of the identical variant were observed 40%
-/// apart. Strict ABAB ordering is not enough either — under progressive
-/// frequency throttling the first slot always runs earlier on average,
-/// which showed up as an 11% bias between identical variants.
-std::pair<double, double> time_cold_pair(const ColdWeights& w,
-                                         WeightFormat format, std::int64_t m,
-                                         const GemmVariant& v1,
-                                         const GemmVariant& v2) {
-  const auto a = pattern_matrix(m, w.k, 5);
-  std::vector<float> c(static_cast<std::size_t>(m * w.n));
+/// Time two working sets of one shape with their cycles interleaved in
+/// ABBA order, so slow drift on a shared host hits both equally, and
+/// return the best of 16 cycles each — enough rounds that both sides land
+/// quiet windows and the min converges. Comparing two independent
+/// time_cold calls is NOT reliable here: back-to-back runs of the identical
+/// GEMM were observed 40% apart. Strict ABAB ordering is not enough either
+/// — under progressive frequency throttling the first slot always runs
+/// earlier on average, which showed up as an 11% bias between identical
+/// GEMMs.
+std::pair<double, double> time_cold_pair(const ColdWeights& w1,
+                                         const ColdWeights& w2,
+                                         std::int64_t m) {
+  const auto a = pattern_matrix(m, w1.k, 5);
+  std::vector<float> c(static_cast<std::size_t>(m * w1.n));
   double best1 = 1e30, best2 = 1e30;
   for (int round = 0; round < 8; ++round) {
     const bool swap = (round % 2) != 0;
-    const GemmVariant& first = swap ? v2 : v1;
-    const GemmVariant& second = swap ? v1 : v2;
+    const ColdWeights& first = swap ? w2 : w1;
+    const ColdWeights& second = swap ? w1 : w2;
     double& bf = swap ? best2 : best1;
     double& bs = swap ? best1 : best2;
-    bf = std::min(bf, one_cycle(w, format, a.data(), c.data(), m, first));
-    bs = std::min(bs, one_cycle(w, format, a.data(), c.data(), m, second));
-    bs = std::min(bs, one_cycle(w, format, a.data(), c.data(), m, second));
-    bf = std::min(bf, one_cycle(w, format, a.data(), c.data(), m, first));
+    bf = std::min(bf, one_cycle(first, a.data(), c.data(), m));
+    bs = std::min(bs, one_cycle(second, a.data(), c.data(), m));
+    bs = std::min(bs, one_cycle(second, a.data(), c.data(), m));
+    bf = std::min(bf, one_cycle(first, a.data(), c.data(), m));
   }
   return {best1, best2};
 }
@@ -252,19 +248,18 @@ std::size_t identity_mismatches(serve::InferenceEngine& engine,
 }  // namespace
 
 int main() {
-  bench::print_header("GEMM tiling rule + int8 decode",
-                      "shape-picked tiling on the serving shapes");
+  bench::print_header("GEMM paths that serve + int8 decode",
+                      "cost model, packed quantized decode, int8 accuracy");
   if (!kernels::gemm_simd_active()) {
     std::printf("WARNING: SIMD dispatch inactive (portable build / no AVX2); "
-                "tilings collapse to the scalar kernel and speedups read "
-                "1.0x.\n");
+                "every GEMM runs the scalar loops.\n");
   }
 
   // --- 1. calibration -------------------------------------------------------
   bench::print_section("host anchors (measured reference shapes)");
   const auto& anchors = gemm_tune::host_anchors();
   std::printf("hot compute peaks: f32 %.1f / bf16 %.1f / int8 %.1f GFLOP/s "
-              "on one thread, f32 %.1f GFLOP/s on %zu\n",
+              "on one thread (bf16/int8 packed), f32 %.1f GFLOP/s on %zu\n",
               anchors.f32_gflops, anchors.bf16_gflops, anchors.int8_gflops,
               anchors.pool_f32_gflops, anchors.threads);
   std::printf("streaming weight bandwidth: %.1f GB/s on one thread, %.1f GB/s "
@@ -278,37 +273,27 @@ int main() {
   };
   const GridShape grid[] = {{1, 2048, 512}, {4, 2048, 512}, {8, 2048, 512},
                             {1, 8192, 256}, {8, 512, 512}};
-  auto check = [&](const GridShape& s, WeightFormat format,
-                   const ColdWeights& w, const GemmVariant& v) {
+  auto check = [&](const GridShape& s, const ColdWeights& w) {
     const double predicted = gemm_tune::predict_seconds(
-        s.m, s.n, s.k, format, v, anchors, w.packed);
-    const double measured = time_cold(w, format, s.m, v);
+        s.m, s.n, s.k, w.format, anchors, w.packed);
+    const double measured = time_cold(w, s.m);
     const double err = std::abs(predicted - measured) / measured;
-    std::printf("  %4s %2lldx%lldx%lld mr=%2d nc=%4lld%s: predicted %7.1f "
-                "us, measured %7.1f us (%.1f GFLOP/s), err %4.0f%%\n",
-                kernels::format_name(format), static_cast<long long>(s.m),
+    std::printf("  %4s %2lldx%lldx%lld%s: predicted %7.1f us, measured "
+                "%7.1f us (%.1f GFLOP/s), err %4.0f%%\n",
+                kernels::format_name(w.format), static_cast<long long>(s.m),
                 static_cast<long long>(s.n), static_cast<long long>(s.k),
-                v.mr, static_cast<long long>(v.nc), w.packed ? " packed" : "",
-                predicted * 1e6, measured * 1e6,
+                w.packed ? " packed" : "", predicted * 1e6, measured * 1e6,
                 gflops(s.m, s.n, s.k, measured), 100 * err);
     return err;
   };
-  // The gate: row-major weights at the default tiling plus the rule's
-  // pick, the two tilings the dispatcher will actually run.
+  // The gate: row-major fp32, the only format row-major B runs.
   std::vector<double> rel_errors;
   double worst_err = 0.0;
-  for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
-    for (const auto& s : grid) {
-      ColdWeights w(s.k, s.n, format);
-      std::vector<GemmVariant> tilings{kernels::gemm_default_variant()};
-      const GemmVariant pick = kernels::pick_variant(s.m, format);
-      if (!(pick == tilings[0])) tilings.push_back(pick);
-      for (const auto& v : tilings) {
-        const double err = check(s, format, w, v);
-        rel_errors.push_back(err);
-        worst_err = std::max(worst_err, err);
-      }
-    }
+  for (const auto& s : grid) {
+    const double err =
+        check(s, ColdWeights(s.k, s.n, WeightFormat::kF32, /*packed=*/false));
+    rel_errors.push_back(err);
+    worst_err = std::max(worst_err, err);
   }
   const double predict_error_median = median(rel_errors);
   std::printf("relative error: median %.0f%%, worst %.0f%% over %zu points\n",
@@ -319,76 +304,33 @@ int main() {
   for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
     for (const auto& s : grid) {
       packed_errors.push_back(
-          check(s, format, ColdWeights(s.k, s.n, format, /*packed=*/true),
-                kernels::pick_variant(s.m, format)));
+          check(s, ColdWeights(s.k, s.n, format, /*packed=*/true)));
     }
   }
   const double packed_predict_error_median = median(packed_errors);
   std::printf("packed relative error: median %.0f%% over %zu points\n",
               100 * packed_predict_error_median, packed_errors.size());
 
-  // --- 3. rule vs fixed tiling ---------------------------------------------
-  bench::print_section("rule vs fixed tiling (decode shapes, cold weights)");
-  const GemmVariant fixed = kernels::gemm_default_variant();
-
-  // The flagship gate: batch-1 int8 decode through the lm_head shape
-  // (k=256 -> n=8192, this file's accuracy-model head). With nc=512 the
-  // inner stream is 512-byte segments at an 8 KB stride — the pattern the
-  // fixed tiling was never designed for; wide chunks restore contiguity.
-  // bf16 runs the same shape for the record (no gate).
-  double autotune_speedup = 0.0;
+  // --- 3. quantized vs fp32 decode -----------------------------------------
+  // Batch-1 decode through the lm_head shape (k=256 -> n=8192, this file's
+  // accuracy-model head), the largest GEMM of a decode step: packed
+  // quantized weights stream 2x (bf16) or 4x (int8) fewer bytes than
+  // packed fp32, on the pool the engine runs them on.
+  bench::print_section("packed quantized vs packed fp32 decode (M=1, cold)");
+  const ColdWeights head_f32(256, 8192, WeightFormat::kF32, /*packed=*/true);
+  double packed_int8_decode_speedup = 0.0;
+  double packed_bf16_decode_speedup = 0.0;
   for (const auto format : {WeightFormat::kInt8, WeightFormat::kBf16}) {
-    ColdWeights head_w(256, 8192, format);
-    const GemmVariant pick = kernels::pick_variant(1, format);
-    const auto [t_fixed, t_rule] =
-        time_cold_pair(head_w, format, 1, fixed, pick);
-    if (format == WeightFormat::kInt8) autotune_speedup = t_fixed / t_rule;
-    std::printf("%-4s M=1 lm_head (256->8192): fixed {8,512} %.1f us vs rule "
-                "{%d,%lld} %.1f us -> %.2fx\n",
-                kernels::format_name(format), t_fixed * 1e6, pick.mr,
-                static_cast<long long>(pick.nc), t_rule * 1e6,
-                t_fixed / t_rule);
-  }
-
-  // Secondary: the MLP up-projection decode shape (k=512 -> n=2048), where
-  // the stride is short enough for the prefetcher to mostly keep up.
-  ColdWeights int8_w(512, 2048, WeightFormat::kInt8);
-  const GemmVariant int8_pick = kernels::pick_variant(1, WeightFormat::kInt8);
-  const auto [int8_fixed, int8_rule] =
-      time_cold_pair(int8_w, WeightFormat::kInt8, 1, fixed, int8_pick);
-  const double mlp_autotune_speedup = int8_fixed / int8_rule;
-  std::printf("int8 M=1 mlp_up (512->2048): fixed {8,512} %.1f us vs rule "
-              "{%d,%lld} %.1f us -> %.2fx\n",
-              int8_fixed * 1e6, int8_pick.mr,
-              static_cast<long long>(int8_pick.nc), int8_rule * 1e6,
-              mlp_autotune_speedup);
-
-  // fp32 is a regression guard, not a win: at these decode shapes fp32
-  // streams 4 bytes/weight and is bandwidth-bound under every tiling, so
-  // the rule keeps the default and the geomean measures only timing noise.
-  ColdWeights f32_w(512, 2048, WeightFormat::kF32);
-  double fp32_geomean = 1.0;
-  int fp32_points = 0;
-  double f32_m1_fixed = 0.0;
-  for (const std::int64_t m : {1, 4, 8}) {
-    const GemmVariant pick = kernels::pick_variant(m, WeightFormat::kF32);
-    const auto [t_fixed, t_rule] =
-        time_cold_pair(f32_w, WeightFormat::kF32, m, fixed, pick);
-    if (m == 1) f32_m1_fixed = t_fixed;
-    const double speedup = t_fixed / t_rule;
-    fp32_geomean *= speedup;
-    ++fp32_points;
-    std::printf("f32  M=%lld: fixed %.1f us vs rule {%d,%lld} %.1f us -> "
+    const ColdWeights head_q(256, 8192, format, /*packed=*/true);
+    const auto [t_f32, t_q] = time_cold_pair(head_f32, head_q, 1);
+    const double speedup = t_f32 / t_q;
+    (format == WeightFormat::kInt8 ? packed_int8_decode_speedup
+                                   : packed_bf16_decode_speedup) = speedup;
+    std::printf("%-4s M=1 lm_head (256->8192): f32 %.1f us vs %s %.1f us -> "
                 "%.2fx\n",
-                static_cast<long long>(m), t_fixed * 1e6, pick.mr,
-                static_cast<long long>(pick.nc), t_rule * 1e6, speedup);
+                kernels::format_name(format), t_f32 * 1e6,
+                kernels::format_name(format), t_q * 1e6, speedup);
   }
-  const double fp32_autotune_speedup =
-      std::pow(fp32_geomean, 1.0 / fp32_points);
-  const double int8_decode_speedup = f32_m1_fixed / int8_rule;
-  std::printf("fp32 rule geomean %.2fx; int8 under the rule vs fixed fp32 "
-              "at M=1: %.2fx\n",
-              fp32_autotune_speedup, int8_decode_speedup);
 
   // --- 4. accuracy: int8 decode vs fp32 ------------------------------------
   bench::print_section("int8 decode accuracy (serving-shaped model)");
@@ -491,10 +433,8 @@ int main() {
 
   bench::write_bench_json(
       "BENCH_gemm.json",
-      {{"autotune_speedup", autotune_speedup},
-       {"mlp_autotune_speedup", mlp_autotune_speedup},
-       {"fp32_autotune_speedup", fp32_autotune_speedup},
-       {"int8_decode_speedup", int8_decode_speedup},
+      {{"packed_int8_decode_speedup", packed_int8_decode_speedup},
+       {"packed_bf16_decode_speedup", packed_bf16_decode_speedup},
        {"predict_error_median", predict_error_median},
        {"packed_predict_error_median", packed_predict_error_median},
        {"predict_error_worst", worst_err},
@@ -502,8 +442,6 @@ int main() {
        {"int8_argmax_agreement",
         static_cast<double>(argmax_agree) / static_cast<double>(steps)},
        {"int8_identity_mismatches",
-        static_cast<double>(int8_identity_mismatches)},
-       // No shape cache exists: the rule is a pure function of the shape.
-       {"tuner_shapes_cached", 0.0}});
+        static_cast<double>(int8_identity_mismatches)}});
   return 0;
 }

@@ -39,9 +39,7 @@ std::vector<Var> Linear::forward_many(Tape& tape, const Var& x,
     ys = forward_packed(tape, flat, group, path);
   } else {
     for (const Linear* lin : group) {
-      ys.push_back(ops::matmul(
-          tape, flat, lin->weight_,
-          path == FwdPath::kDecode ? lin->quant_.get() : nullptr));
+      ys.push_back(ops::matmul(tape, flat, lin->weight_));
     }
   }
   for (std::size_t i = 0; i < ys.size(); ++i) {
@@ -52,9 +50,9 @@ std::vector<Var> Linear::forward_many(Tape& tape, const Var& x,
   return ys;
 }
 
-// The packed products of `group` as one job. Like ops::matmul, a prefill
-// (or a forward with no sidecar) reads the fp32 weights; unlike it, there
-// is no backward.
+// The packed products of `group` as one job. A prefill (or a forward with
+// no sidecar) reads the fp32 weights, a decode the bf16/int8 sidecars
+// when set_decode_weights built them. There is no backward.
 std::vector<Var> Linear::forward_packed(Tape& tape, const Var& x,
                                         std::span<const Linear* const> group,
                                         FwdPath path) {
@@ -95,8 +93,7 @@ std::vector<Var> Linear::forward_packed(Tape& tape, const Var& x,
     }
     gemms.push_back(g);
   }
-  kernels::gemm_packed(x.value().data(), m, k, format, gemms,
-                       kernels::pick_variant(m, format));
+  kernels::gemm_packed(x.value().data(), m, k, format, gemms);
   ops::count_matmuls(format, group.size());
   std::vector<Var> ys;
   for (Tensor& out : outs) {
@@ -131,8 +128,7 @@ void Linear::set_decode_weights(kernels::WeightFormat format) const {
     return;
   }
   quant_ = std::make_shared<const gemm_tune::QuantWeights>(
-      gemm_tune::quantize_weights(w.value.data(), in_, out_, format,
-                                  w.packed));
+      gemm_tune::quantize_weights(w.value.data(), in_, out_, format));
 }
 
 kernels::WeightFormat Linear::decode_format() const {

@@ -16,6 +16,10 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
+namespace matgpt::gemm_tune {
+struct QuantWeights;
+}  // namespace matgpt::gemm_tune
+
 namespace matgpt::nn {
 
 /// Which serving phase a forward belongs to. Decode/verify forwards may use

@@ -4,8 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <sstream>
-#include <string>
 
 #include "common/error.h"
 #include "parallel/thread_pool.h"
@@ -15,7 +13,6 @@ namespace matgpt::gemm_tune {
 
 namespace {
 
-using kernels::GemmVariant;
 using kernels::WeightFormat;
 
 double elem_bytes(WeightFormat format) {
@@ -27,11 +24,11 @@ double elem_bytes(WeightFormat format) {
   return 4.0;
 }
 
-// The row blocks kernels::row_block will run for m rows at tiling mr.
-std::vector<int> row_blocks(std::int64_t m, int mr) {
+// The row blocks kernels::row_block will run for m rows.
+std::vector<int> row_blocks(std::int64_t m) {
   std::vector<int> out;
   for (std::int64_t rem = m; rem > 0; rem -= out.back()) {
-    out.push_back(kernels::row_block(rem, mr));
+    out.push_back(kernels::row_block(rem));
   }
   return out;
 }
@@ -66,14 +63,13 @@ double now_seconds() {
       .count();
 }
 
-// Best-of-N wall time for one variant.
-double time_variant(const float* a, const float* b, const QuantWeights* qw,
-                    float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                    const GemmVariant& variant, int reps) {
+// Best-of-N wall time for one call of `gemm`.
+template <typename Fn>
+double best_seconds(int reps, const Fn& gemm) {
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_seconds();
-    run_gemm(a, b, qw, c, m, n, k, variant);
+    gemm();
     best = std::min(best, now_seconds() - t0);
   }
   return best;
@@ -91,23 +87,40 @@ void fill_pattern(float* p, std::size_t count) {
 }
 
 // Best-of-6 rate at which a one-row GEMM streams [k, n] fp32 weights,
-// alternating two copies (`b0`, `b1`) so neither survives in cache. Long
-// column chunks keep the segment-length term at 1.0, and the effective
-// bytes/s includes whatever compute overlap the kernel achieves — which is
-// exactly what the memory term should use.
+// alternating two copies (`b0`, `b1`) so neither survives in cache. The
+// effective bytes/s includes whatever compute overlap the kernel achieves —
+// which is exactly what the memory term should use.
 double stream_anchor_gbs(const float* b0, const float* b1, std::int64_t n,
                          std::int64_t k) {
   std::vector<float> a(static_cast<std::size_t>(k));
   std::vector<float> c(static_cast<std::size_t>(n));
   fill_pattern(a.data(), a.size());
-  double best = 1e30;
-  for (int r = 0; r < 6; ++r) {
-    const double t0 = now_seconds();
-    kernels::gemm_nn_variant(a.data(), r % 2 == 0 ? b0 : b1, c.data(), 1, n,
-                             k, /*accumulate=*/false, GemmVariant{1, 4096});
-    best = std::min(best, now_seconds() - t0);
-  }
+  int r = 0;
+  const double best = best_seconds(6, [&] {
+    kernels::gemm_nn(a.data(), r++ % 2 == 0 ? b0 : b1, c.data(), 1, n, k,
+                     /*accumulate=*/false);
+  });
   return static_cast<double>(k * n) * 4.0 / best / 1e9;
+}
+
+// One thread's rate on the [m, k] x [k, n] reference block with `b` packed
+// and quantized to `format`, through the packed job every served bf16/int8
+// weight runs.
+double packed_gflops(const float* a, std::vector<float> b, float* c,
+                     std::int64_t m, std::int64_t n, std::int64_t k,
+                     WeightFormat format) {
+  kernels::pack_panels(b.data(), k, n);
+  const QuantWeights qw = quantize_weights(b.data(), k, n, format);
+  const kernels::PackedGemm g{
+      format == WeightFormat::kInt8
+          ? static_cast<const void*>(qw.q8.data())
+          : static_cast<const void*>(qw.bf16.data()),
+      format == WeightFormat::kInt8 ? qw.scale.data() : nullptr, c, n};
+  const ScopedThreadPool one_thread(0);
+  return 2.0 * static_cast<double>(m * n * k) /
+         best_seconds(12,
+                      [&] { kernels::gemm_packed(a, m, k, format, {&g, 1}); }) /
+         1e9;
 }
 
 HostAnchors measure_anchors() {
@@ -121,30 +134,24 @@ HostAnchors measure_anchors() {
   std::vector<float> c(static_cast<std::size_t>(m * n));
   fill_pattern(a.data(), a.size());
   fill_pattern(b.data(), b.size());
-  const GemmVariant ref = kernels::gemm_default_variant();
   const double flops = 2.0 * static_cast<double>(m) * n * k;
-  anchors.f32_gflops =
-      flops / time_variant(a.data(), b.data(), nullptr, c.data(), m, n, k, ref,
-                           12) /
-      1e9;
-  const QuantWeights qb = quantize_weights(b.data(), k, n, WeightFormat::kBf16);
+  auto f32_seconds = [&](const float* pa, float* pc, std::int64_t rows) {
+    return best_seconds(12, [&] {
+      kernels::gemm_nn(pa, b.data(), pc, rows, n, k, /*accumulate=*/false);
+    });
+  };
+  anchors.f32_gflops = flops / f32_seconds(a.data(), c.data(), m) / 1e9;
   anchors.bf16_gflops =
-      flops /
-      time_variant(a.data(), nullptr, &qb, c.data(), m, n, k, ref, 12) / 1e9;
-  const QuantWeights qi = quantize_weights(b.data(), k, n, WeightFormat::kInt8);
+      packed_gflops(a.data(), b, c.data(), m, n, k, WeightFormat::kBf16);
   anchors.int8_gflops =
-      flops /
-      time_variant(a.data(), nullptr, &qi, c.data(), m, n, k, ref, 12) / 1e9;
+      packed_gflops(a.data(), b, c.data(), m, n, k, WeightFormat::kInt8);
   // The same block once per thread: one row group each, sharing B.
   const auto pm = static_cast<std::int64_t>(m * anchors.threads);
   std::vector<float> pa(static_cast<std::size_t>(pm * k));
   std::vector<float> pc(static_cast<std::size_t>(pm * n));
   fill_pattern(pa.data(), pa.size());
-  anchors.pool_f32_gflops =
-      static_cast<double>(anchors.threads) * flops /
-      time_variant(pa.data(), b.data(), nullptr, pc.data(), pm, n, k, ref,
-                   12) /
-      1e9;
+  anchors.pool_f32_gflops = static_cast<double>(anchors.threads) * flops /
+                            f32_seconds(pa.data(), pc.data(), pm) / 1e9;
 
   // Streaming bandwidth over two 32 MB weight matrices, read as 512
   // columns (one panel: one thread) and as 2048 (one panel per thread).
@@ -161,7 +168,7 @@ HostAnchors measure_anchors() {
 }  // namespace
 
 QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
-                              WeightFormat format, bool packed) {
+                              WeightFormat format) {
   QuantWeights qw;
   qw.format = format;
   qw.k = k;
@@ -175,15 +182,19 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
     }
   } else if (format == WeightFormat::kInt8) {
     auto at = [&](std::int64_t l, std::int64_t j) {
-      return static_cast<std::size_t>(
-          packed ? kernels::packed_index(l, j, k, n) : l * n + j);
+      return static_cast<std::size_t>(kernels::packed_index(l, j, k, n));
     };
     qw.q8.resize(count);
     qw.scale.resize(static_cast<std::size_t>(n));
     for (std::int64_t j = 0; j < n; ++j) {
       float amax = 0.0f;
       for (std::int64_t l = 0; l < k; ++l) {
-        amax = std::max(amax, std::fabs(w[at(l, j)]));
+        const float x = w[at(l, j)];
+        MGPT_CHECK(std::isfinite(x), "quantize_weights: the " << k << "x" << n
+                                         << " weight holds " << x
+                                         << " at row " << l << ", column "
+                                         << j << "; int8 needs finite weights");
+        amax = std::max(amax, std::fabs(x));
       }
       const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
       qw.scale[static_cast<std::size_t>(j)] = scale;
@@ -204,32 +215,17 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
   return qw;
 }
 
-void run_gemm(const float* a, const float* b, const QuantWeights* qw,
-              float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-              const GemmVariant& variant) {
-  switch (qw != nullptr ? qw->format : WeightFormat::kF32) {
-    case WeightFormat::kF32:
-      kernels::gemm_nn_variant(a, b, c, m, n, k, /*accumulate=*/false,
-                               variant);
-      break;
-    case WeightFormat::kBf16:
-      kernels::gemm_nn_bf16(a, qw->bf16.data(), c, m, n, k, variant);
-      break;
-    case WeightFormat::kInt8:
-      kernels::gemm_nn_int8(a, qw->q8.data(), qw->scale.data(), c, m, n, k,
-                            variant);
-      break;
-  }
-}
-
 const HostAnchors& host_anchors() {
   static const HostAnchors anchors = measure_anchors();
   return anchors;
 }
 
 double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
-                       WeightFormat format, const GemmVariant& variant,
-                       const HostAnchors& anchors, bool packed) {
+                       WeightFormat format, const HostAnchors& anchors,
+                       bool packed) {
+  MGPT_CHECK(packed || format == WeightFormat::kF32,
+             "predict_seconds: " << kernels::format_name(format)
+                                 << " weights are only ever packed");
   // The widest tile of the split prices the GEMM. Concurrent tiles share
   // the pool's aggregate compute rate; a row group reads all of B (shared
   // with the other groups through L3) at one thread's streaming rate, a
@@ -268,9 +264,7 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
 
   // Packed panels run the register kernel: one column chunk per panel and
   // rows four at a time, a lone row at half rate.
-  const std::int64_t nc =
-      packed ? kernels::kPanelFloats : std::max<std::int64_t>(variant.nc, 8);
-  const std::vector<int> blocks = row_blocks(tile_m, variant.mr);
+  const std::vector<int> blocks = row_blocks(tile_m);
   double efficiency = pair_efficiency(blocks, tile_m);
   if (packed) {
     double weighted = 0.0;
@@ -280,6 +274,8 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
     }
     efficiency = weighted / static_cast<double>(tile_m);
   }
+  const std::int64_t nc =
+      packed ? kernels::kPanelFloats : kernels::kStreamChunkFloats;
 
   double peak_gflops = anchors.f32_gflops;
   if (format == WeightFormat::kBf16) peak_gflops = anchors.bf16_gflops;
@@ -289,49 +285,17 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
   const double flops = 2.0 * static_cast<double>(tile_m) * tile_n * k;
   const double t_compute = flops / (peak_gflops * 1e9 * efficiency *
                                     column_efficiency(tile_n, nc));
-
-  // Each row block streams the tile's weights once. Short contiguous
-  // segments (nc * element bytes) defeat the hardware prefetchers; the
-  // clamp floor matches the measured worst case (int8 at nc=512 runs at
-  // ~1/3 of long-segment bandwidth on this host). A packed tile's panels
+  // Each row block streams the tile's weights once; a packed tile's panels
   // are one contiguous run.
   const double bytes_per_pass =
       static_cast<double>(k) * static_cast<double>(tile_n) *
       elem_bytes(format);
-  const double seg_bytes =
-      static_cast<double>(std::min(nc, tile_n)) * elem_bytes(format);
-  const double seg =
-      packed ? 1.0 : std::clamp(seg_bytes / 2048.0, 0.35, 1.0);
   const double t_mem = static_cast<double>(blocks.size()) * bytes_per_pass /
-                       (stream_gbs * 1e9 * seg);
+                       (stream_gbs * 1e9);
 
   // Imperfect overlap between the FMA chain and the weight stream.
   return rounds *
          (std::max(t_compute, t_mem) + 0.3 * std::min(t_compute, t_mem));
-}
-
-std::vector<GemmVariant> candidate_space(std::int64_t m, std::int64_t n,
-                                         std::int64_t k, WeightFormat format) {
-  (void)k;
-  (void)format;
-  static const int kMrs[] = {1, 2, 4, 8, 16, 32};
-  static const std::int64_t kNcs[] = {128, 256, 512, 1024, 4096};
-
-  std::vector<GemmVariant> out;
-  std::vector<std::string> seen;
-  auto add = [&](const GemmVariant& v) {
-    std::ostringstream sig;
-    for (int bs : row_blocks(m, v.mr)) sig << bs << ',';
-    sig << '|' << std::min(v.nc, n);
-    if (std::find(seen.begin(), seen.end(), sig.str()) != seen.end()) return;
-    seen.push_back(sig.str());
-    out.push_back(v);
-  };
-  add(kernels::gemm_default_variant());
-  for (int mr : kMrs) {
-    for (std::int64_t nc : kNcs) add(GemmVariant{mr, nc});
-  }
-  return out;
 }
 
 }  // namespace matgpt::gemm_tune

@@ -125,44 +125,37 @@ inline __m256 load_b(const BT* p) {
   }
 }
 
-// The streaming NN microkernel over one wide panel of B (row-major B as
-// one panel, or one of its column panels): ROWS rows of A (`k` floats
-// apart) times `width` columns of B whose rows lie `ldb` elements apart,
-// into C rows `ldc` floats apart. Templated on the row count and on the B
-// storage format (fp32, bf16 bits, int8), with a runtime column-chunk
-// size `nc` (the cache-block knob pick_variant sets).
+// The streaming NN microkernel over one wide panel of fp32 B (row-major B
+// as one panel, or one of its column panels): ROWS rows of A (`k` floats
+// apart) times `width` columns of B whose rows lie `ldb` floats apart, into
+// C rows `ldc` floats apart, kStreamChunkFloats columns of C at a time.
 //
 // Loop order is (column chunk, k-block of 4, columns): B is read exactly
 // once per call in row segments (prefetch-friendly — a column-tiled kernel
 // would walk B at stride n and die of cache-miss latency on serving-sized
-// weight matrices), while the ROWS x nc-float C chunk stays L1-resident.
+// weight matrices), while the ROWS-row C chunk stays L1-resident.
 // Sharing each B load across ROWS rows is the whole point: one row
 // (batch-1 decode) is B-bandwidth-bound, eight rows (a full serving batch)
 // run at FMA throughput from the same traffic.
 //
 // Numerics: every C element accumulates its k terms in ascending order with
-// single-rounding FMAs over the widened B value — identical in the vector
-// body, the scalar column tail, and for every ROWS/nc. With a non-null
-// `scale` (int8) each C element then takes one single-rounding multiply by
-// its column scale, after the chunk's k loop completes; quantized callers
-// never accumulate, since the scale pass could not compose with existing
-// partial sums. A row's result depends only on (its A row, B), never on
-// how many rows share the call or how columns are chunked, which is what
-// keeps the serving engine's ragged-batch decode (and any tiling choice)
-// bit-identical to batch-1 decoding.
-template <int ROWS, typename BT>
-void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
-                      std::int64_t ldb, const float* scale, float* c,
-                      std::int64_t ldc, std::int64_t width, bool accumulate,
-                      std::int64_t nc) {
+// single-rounding FMAs — identical in the vector body, the scalar column
+// tail, and for every ROWS. A row's result depends only on (its A row, B),
+// never on how many rows share the call or how columns are chunked, which
+// is what keeps the serving engine's ragged-batch decode bit-identical to
+// batch-1 decoding.
+template <int ROWS>
+void gemm_stream_avx2(const float* a, std::int64_t k, const float* b,
+                      std::int64_t ldb, float* c, std::int64_t ldc,
+                      std::int64_t width, bool accumulate) {
   const float* arow[ROWS];
   float* crow[ROWS];
   for (int r = 0; r < ROWS; ++r) {
     arow[r] = a + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
     crow[r] = c + static_cast<std::size_t>(r) * static_cast<std::size_t>(ldc);
   }
-  for (std::int64_t j0 = 0; j0 < width; j0 += nc) {
-    const std::int64_t jend = std::min(width, j0 + nc);
+  for (std::int64_t j0 = 0; j0 < width; j0 += kStreamChunkFloats) {
+    const std::int64_t jend = std::min(width, j0 + kStreamChunkFloats);
     const std::int64_t jvec = j0 + ((jend - j0) / 8) * 8;
     if (!accumulate) {
       for (int r = 0; r < ROWS; ++r) {
@@ -172,10 +165,10 @@ void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
     }
     std::int64_t l = 0;
     for (; l + 4 <= k; l += 4) {
-      const BT* b0 = b + static_cast<std::size_t>(l) * ldb;
-      const BT* b1 = b0 + ldb;
-      const BT* b2 = b1 + ldb;
-      const BT* b3 = b2 + ldb;
+      const float* b0 = b + static_cast<std::size_t>(l) * ldb;
+      const float* b1 = b0 + ldb;
+      const float* b2 = b1 + ldb;
+      const float* b3 = b2 + ldb;
       // Row pairs with all eight broadcasts hoisted into registers: each
       // B load feeds two C rows, and after the first pair streams this
       // 4-row B segment in, later pairs re-read it from L1.
@@ -192,10 +185,10 @@ void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
         float* c0 = crow[r];
         float* c1 = crow[r + 1];
         for (std::int64_t j = j0; j < jvec; j += 8) {
-          const __m256 bv0 = load_b(b0 + j);
-          const __m256 bv1 = load_b(b1 + j);
-          const __m256 bv2 = load_b(b2 + j);
-          const __m256 bv3 = load_b(b3 + j);
+          const __m256 bv0 = _mm256_loadu_ps(b0 + j);
+          const __m256 bv1 = _mm256_loadu_ps(b1 + j);
+          const __m256 bv2 = _mm256_loadu_ps(b2 + j);
+          const __m256 bv3 = _mm256_loadu_ps(b3 + j);
           __m256 cv0 = _mm256_loadu_ps(c0 + j);
           cv0 = _mm256_fmadd_ps(a0, bv0, cv0);
           cv0 = _mm256_fmadd_ps(a1, bv1, cv0);
@@ -218,46 +211,37 @@ void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
         float* crr = crow[r];
         for (std::int64_t j = j0; j < jvec; j += 8) {
           __m256 cv = _mm256_loadu_ps(crr + j);
-          cv = _mm256_fmadd_ps(a0, load_b(b0 + j), cv);
-          cv = _mm256_fmadd_ps(a1, load_b(b1 + j), cv);
-          cv = _mm256_fmadd_ps(a2, load_b(b2 + j), cv);
-          cv = _mm256_fmadd_ps(a3, load_b(b3 + j), cv);
+          cv = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + j), cv);
+          cv = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + j), cv);
+          cv = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b2 + j), cv);
+          cv = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b3 + j), cv);
           _mm256_storeu_ps(crr + j, cv);
         }
       }
       for (std::int64_t j = jvec; j < jend; ++j) {
         for (int rr = 0; rr < ROWS; ++rr) {
           float acc = crow[rr][j];
-          acc = std::fmaf(arow[rr][l], b_value(b0[j]), acc);
-          acc = std::fmaf(arow[rr][l + 1], b_value(b1[j]), acc);
-          acc = std::fmaf(arow[rr][l + 2], b_value(b2[j]), acc);
-          acc = std::fmaf(arow[rr][l + 3], b_value(b3[j]), acc);
+          acc = std::fmaf(arow[rr][l], b0[j], acc);
+          acc = std::fmaf(arow[rr][l + 1], b1[j], acc);
+          acc = std::fmaf(arow[rr][l + 2], b2[j], acc);
+          acc = std::fmaf(arow[rr][l + 3], b3[j], acc);
           crow[rr][j] = acc;
         }
       }
     }
     for (; l < k; ++l) {
-      const BT* brow = b + static_cast<std::size_t>(l) * ldb;
+      const float* brow = b + static_cast<std::size_t>(l) * ldb;
       for (int r = 0; r < ROWS; ++r) {
         const __m256 av = _mm256_broadcast_ss(arow[r] + l);
         float* crr = crow[r];
         for (std::int64_t j = j0; j < jvec; j += 8) {
           const __m256 cv = _mm256_loadu_ps(crr + j);
-          _mm256_storeu_ps(crr + j, _mm256_fmadd_ps(av, load_b(brow + j), cv));
+          _mm256_storeu_ps(crr + j,
+                           _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), cv));
         }
         for (std::int64_t j = jvec; j < jend; ++j) {
-          crr[j] = std::fmaf(arow[r][l], b_value(brow[j]), crr[j]);
+          crr[j] = std::fmaf(arow[r][l], brow[j], crr[j]);
         }
-      }
-    }
-    if (scale != nullptr) {
-      for (int r = 0; r < ROWS; ++r) {
-        float* crr = crow[r];
-        for (std::int64_t j = j0; j < jvec; j += 8) {
-          _mm256_storeu_ps(crr + j, _mm256_mul_ps(_mm256_loadu_ps(crr + j),
-                                                  _mm256_loadu_ps(scale + j)));
-        }
-        for (std::int64_t j = jvec; j < jend; ++j) crr[j] *= scale[j];
       }
     }
   }
@@ -265,18 +249,14 @@ void gemm_stream_avx2(const float* a, std::int64_t k, const BT* b,
 
 // One row block of `rows` C rows (a size row_block can return) over one
 // panel.
-template <typename BT>
-void gemm_avx2_block(const float* a, std::int64_t k, const BT* b,
-                     std::int64_t ldb, const float* scale, float* c,
-                     std::int64_t ldc, std::int64_t width, bool accumulate,
-                     int rows, std::int64_t nc) {
+void gemm_stream_block(const float* a, std::int64_t k, const float* b,
+                       std::int64_t ldb, float* c, std::int64_t ldc,
+                       std::int64_t width, bool accumulate, int rows) {
   switch (rows) {
-#define MATGPT_GEMM_ROWS(R)                                                \
-  case R:                                                                  \
-    gemm_stream_avx2<R>(a, k, b, ldb, scale, c, ldc, width, accumulate, nc); \
+#define MATGPT_GEMM_ROWS(R)                                           \
+  case R:                                                             \
+    gemm_stream_avx2<R>(a, k, b, ldb, c, ldc, width, accumulate);     \
     break;
-    MATGPT_GEMM_ROWS(32)
-    MATGPT_GEMM_ROWS(16)
     MATGPT_GEMM_ROWS(8)
     MATGPT_GEMM_ROWS(7)
     MATGPT_GEMM_ROWS(6)
@@ -295,7 +275,7 @@ void gemm_avx2_block(const float* a, std::int64_t k, const BT* b,
 // all k, one B row segment loaded per step and shared by the R rows, and C
 // is written once. The k terms of each element still form one ascending
 // single-rounding FMA chain from zero, then (int8) one multiply by the
-// column scale, so the bytes equal the streaming kernel's.
+// column scale, so fp32 bytes equal the streaming kernel's.
 template <int R, int V, typename BT>
 inline void panel_strip_avx2(const float* a, std::int64_t k, const BT* b,
                              std::int64_t ldb, const float* scale, float* c,
@@ -385,15 +365,14 @@ void panel_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
 // streams each panel of B in once and its later rows re-read it from
 // cache: through the register kernel when the panel is at most
 // kPanelFloats wide (every packed panel), else the streaming kernel in
-// row_block() blocks; without SIMD, the portable loop.
+// row_block() blocks; without SIMD, the portable loop. Quantized B is
+// always packed, so only fp32 reaches the streaming kernel.
 template <typename BT>
 void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
                std::size_t p_lo, std::size_t p_hi, std::int64_t i_lo,
-               std::int64_t i_hi, bool accumulate,
-               [[maybe_unused]] const GemmVariant& variant) {
+               std::int64_t i_hi, bool accumulate) {
 #ifdef MATGPT_X86_DISPATCH
   if (simd_active()) {
-    const std::int64_t nc = std::max<std::int64_t>(variant.nc, 8);
     for (std::size_t p = p_lo; p < p_hi; ++p) {
       const Panel<BT>& pn = panels[p];
       if (pn.width <= kPanelFloats && !accumulate) {
@@ -401,19 +380,18 @@ void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
                        i_hi - i_lo);
         continue;
       }
-      for (std::int64_t i = i_lo; i < i_hi;) {
-        const int rows = row_block(i_hi - i, variant.mr);
-        gemm_avx2_block<BT>(a + i * k, k, pn.b, pn.ldb, pn.scale,
-                            pn.c + i * pn.ldc, pn.ldc, pn.width, accumulate,
-                            rows, nc);
-        i += rows;
+      if constexpr (std::is_same_v<BT, float>) {
+        for (std::int64_t i = i_lo; i < i_hi;) {
+          const int rows = row_block(i_hi - i);
+          gemm_stream_block(a + i * k, k, pn.b, pn.ldb, pn.c + i * pn.ldc,
+                            pn.ldc, pn.width, accumulate, rows);
+          i += rows;
+        }
       }
     }
     return;
   }
 #endif
-  // Without SIMD every variant runs the one scalar loop: tiling cannot
-  // change results OR behavior.
   for (std::size_t p = p_lo; p < p_hi; ++p) {
     const Panel<BT>& pn = panels[p];
     if constexpr (std::is_same_v<BT, float>) {
@@ -426,21 +404,21 @@ void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
   }
 }
 
-// The one GEMM driver behind every public entry point: the tiles of
+// The one GEMM driver behind both public entry points: the tiles of
 // `split` over the pool, each a range of C rows over every panel or a
 // range of panels over every row.
 template <typename BT>
 void gemm_run(const float* a, std::int64_t m, std::int64_t k,
               const std::vector<Panel<BT>>& panels, const GemmSplit& split,
-              bool accumulate, const GemmVariant& variant) {
+              bool accumulate) {
   const auto& cuts = split.cuts;
   auto tiles = [&](std::size_t lo, std::size_t hi) {
     if (split.by_rows) {
       gemm_tile(a, k, panels.data(), 0, panels.size(), cuts[lo], cuts[hi],
-                accumulate, variant);
+                accumulate);
     } else {
       gemm_tile(a, k, panels.data(), static_cast<std::size_t>(cuts[lo]),
-                static_cast<std::size_t>(cuts[hi]), 0, m, accumulate, variant);
+                static_cast<std::size_t>(cuts[hi]), 0, m, accumulate);
     }
   };
   if (split.tiles() == 1) {
@@ -448,30 +426,6 @@ void gemm_run(const float* a, std::int64_t m, std::int64_t k,
   } else {
     ThreadPool::current().parallel_for(0, split.tiles(), tiles);
   }
-}
-
-// A GEMM over row-major B, split by gemm_split(): row groups run B as one
-// panel, column panels as one slice of B's columns each.
-template <typename BT>
-void gemm_row_major(const float* a, const BT* b, const float* scale,
-                    float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                    bool accumulate, const GemmVariant& variant) {
-  GemmSplit split =
-      gemm_split(m, n, k, ThreadPool::current().worker_count() + 1);
-  if (split.by_rows) {
-    gemm_run<BT>(a, m, k, {{b, n, n, scale, c, n}}, split, accumulate,
-                 variant);
-    return;
-  }
-  std::vector<Panel<BT>> panels;
-  for (std::size_t t = 0; t < split.tiles(); ++t) {
-    const std::int64_t j0 = split.cuts[t];
-    panels.push_back({b + j0, n, split.cuts[t + 1] - j0,
-                      scale != nullptr ? scale + j0 : nullptr, c + j0, n});
-    split.cuts[t] = static_cast<std::int64_t>(t);
-  }
-  split.cuts.back() = static_cast<std::int64_t>(panels.size());
-  gemm_run(a, m, k, panels, split, accumulate, variant);
 }
 
 // Every kPanelFloats-column panel of every packed GEMM of a job, in order.
@@ -514,19 +468,8 @@ const char* format_name(WeightFormat format) {
   return "?";
 }
 
-GemmVariant gemm_default_variant() { return GemmVariant{8, 512}; }
-
-GemmVariant pick_variant(std::int64_t m, WeightFormat format) {
-  GemmVariant variant = gemm_default_variant();
-  if (format != WeightFormat::kF32 && m <= 4) variant.nc = 4096;
-  return variant;
-}
-
-int row_block(std::int64_t rows_left, int mr) {
-  const int block = mr >= 32 ? 32 : (mr >= 16 ? 16 : std::clamp(mr, 1, 8));
-  if (rows_left >= block) return block;
-  if (rows_left >= 8) return 8;
-  return static_cast<int>(rows_left);
+int row_block(std::int64_t rows_left) {
+  return static_cast<int>(std::min<std::int64_t>(rows_left, kStreamRows));
 }
 
 GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -627,31 +570,26 @@ bool gemm_simd_active() { return simd_active(); }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
-  gemm_row_major(a, b, nullptr, c, m, n, k, accumulate,
-                 gemm_default_variant());
-}
-
-void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t n, std::int64_t k, bool accumulate,
-                     const GemmVariant& variant) {
-  gemm_row_major(a, b, nullptr, c, m, n, k, accumulate, variant);
-}
-
-void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
-                  std::int64_t m, std::int64_t n, std::int64_t k,
-                  const GemmVariant& variant) {
-  gemm_row_major(a, b, nullptr, c, m, n, k, /*accumulate=*/false, variant);
-}
-
-void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
-                  float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                  const GemmVariant& variant) {
-  gemm_row_major(a, b, scale, c, m, n, k, /*accumulate=*/false, variant);
+  // Row groups run B as one panel, column panels one slice of its columns
+  // each.
+  GemmSplit split =
+      gemm_split(m, n, k, ThreadPool::current().worker_count() + 1);
+  if (split.by_rows) {
+    gemm_run<float>(a, m, k, {{b, n, n, nullptr, c, n}}, split, accumulate);
+    return;
+  }
+  std::vector<Panel<float>> panels;
+  for (std::size_t t = 0; t < split.tiles(); ++t) {
+    const std::int64_t j0 = split.cuts[t];
+    panels.push_back({b + j0, n, split.cuts[t + 1] - j0, nullptr, c + j0, n});
+    split.cuts[t] = static_cast<std::int64_t>(t);
+  }
+  split.cuts.back() = static_cast<std::int64_t>(panels.size());
+  gemm_run(a, m, k, panels, split, accumulate);
 }
 
 void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
-                 WeightFormat format, std::span<const PackedGemm> gemms,
-                 const GemmVariant& variant) {
+                 WeightFormat format, std::span<const PackedGemm> gemms) {
   std::int64_t n = 0;
   for (const PackedGemm& g : gemms) n += g.n;
   const std::size_t threads = ThreadPool::current().worker_count() + 1;
@@ -659,7 +597,7 @@ void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
     gemm_run(a, m, k, panels,
              packed_split(m, n, k, static_cast<std::int64_t>(panels.size()),
                           threads),
-             /*accumulate=*/false, variant);
+             /*accumulate=*/false);
   };
   switch (format) {
     case WeightFormat::kF32:

@@ -84,18 +84,26 @@
 // and row groups share at most the one line straddling each group
 // boundary, and only when n is not a multiple of 16.
 //
+// Two NN GEMM paths, by B's layout:
+//
+//  * fp32 over row-major B (gemm_nn): training, and prefill on a model no
+//    engine has prepared;
+//  * packed panels (gemm_packed): every served weight, fp32, bf16 or int8.
+//    The bf16/int8 decode sidecars exist only in the packed layout.
+//
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
-// every NN GEMM — fp32, bf16 and int8 weights alike — walks its tile's
-// panels one at a time (B's row stride is taken separately from C's, so
-// row-major B is the one-panel case) with one of two microkernels:
+// a GEMM walks its tile's panels one at a time (B's row stride is taken
+// separately from C's, so row-major B is the one-panel case) with one of
+// two microkernels:
 //
 //  * A panel wider than kPanelFloats (row-major B, or one of its column
-//    panels) runs the streaming kernel: B is read once per row block in
-//    contiguous, prefetch-friendly segments while an L1-resident chunk of
-//    C accumulates, re-read and re-written every 4 k terms.
-//  * A panel at most kPanelFloats wide (every packed panel) runs the
-//    register kernel: up to four rows' 64 columns of C stay in registers
-//    over all k and C is written once.
+//    panels) runs the fp32 streaming kernel: B is read once per block of
+//    row_block() rows in contiguous, prefetch-friendly segments while an
+//    L1-resident chunk of kStreamChunkFloats columns of C accumulates,
+//    re-read and re-written every 4 k terms.
+//  * A panel at most kPanelFloats wide (every packed panel, in every
+//    format) runs the register kernel: up to four rows' 64 columns of C
+//    stay in registers over all k and C is written once.
 //
 // The FMA chain per element is the same in both. The register kernel
 // exists because the streaming kernel loses on packed panels at every
@@ -109,7 +117,7 @@
 //     down     10 / 12    24 / 112     48 / 407       169 / 238
 //     lm_head 124 / 128  225 / 226    623 / 745      3663 / 3544
 //
-// int8 reads the same way, with lm_head 1.2-1.4x slower streaming. The
+// int8 read the same way, with lm_head 1.2-1.4x slower streaming. The
 // streaming kernel ties at best (fp32 lm_head and gate|up, within the
 // noise), so there is no row count from which it should take packed
 // panels over.
@@ -119,22 +127,16 @@
 // differ only in how a B vector is loaded (bf16 and int8 are widened to
 // fp32, exactly) and in int8's final per-column scale multiply.
 //
-// The microkernel's tiling is a GemmVariant: `mr` rows of C per block and
-// `nc` floats of C per row per column chunk. Rows split into blocks by the
-// one rule in row_block(), for every format. gemm_nn always runs the
-// default variant; pick_variant chooses a tiling from the shape and weight
-// format by a fixed rule, and gemm_nn_variant runs any explicit one. Every
-// variant accumulates each C element's k terms in ascending order with
+// Every C element accumulates its k terms in ascending order with
 // single-rounding FMAs over the widened B value — identical in the vector
-// body, the scalar column tail, and for every mr/nc — so variant choice
-// NEVER changes output bytes. That is the property the serving engine's
-// batched-vs-batch-1 token identity rests on.
+// body, the scalar column tail, both microkernels and every row block — so
+// neither the row count nor the split changes output bytes. That is the
+// property the serving engine's batched-vs-batch-1 token identity rests on.
 //
-// gemm_nn_bf16 / gemm_nn_int8 are the weight-quantized decode GEMMs: B is
-// stored as bf16 bit patterns or int8 with per-output-column scales. Their
-// portable scalar fallback replays the identical operation sequence, so
-// quantized results match across the SIMD and portable builds bit-for-bit.
-// The portable fp32 loop is a plain multiply-add, not an FMA chain.
+// The portable scalar fallback for bf16/int8 panels replays the identical
+// operation sequence, so quantized results match across the SIMD and
+// portable builds bit-for-bit. The portable fp32 loop is a plain
+// multiply-add, not an FMA chain.
 
 #include <cstddef>
 #include <cstdint>
@@ -152,10 +154,9 @@ inline constexpr std::int64_t kParallelRowThreshold = 64;
 /// groups or column panels. Set from measurement on a 4-core AVX2 host,
 /// before serving packed its weights: it threaded the serving model's
 /// lm_head (256 x 8192) from batch 1 and its MLP from batch 12. Half of it
-/// also split q and o at batch 16 (45 -> 38 us) but moved every 1-2e6 GEMM
-/// onto the pool; with both sides of bench_gemm_autotune's int8-vs-fp32
-/// decode ratio (512 -> 2048 at batch 1, row-major) split, that ratio read
-/// ~0.8-1.1 against ~1.2-1.5.
+/// also split q and o at batch 16 (45 -> 38 us), but moved every 1-2e6
+/// GEMM onto the pool. Row-major B now carries only fp32 training and
+/// prefill on a model no engine has prepared.
 inline constexpr std::int64_t kParallelPanelFmas = 2'000'000;
 
 /// The narrowest column panel a GEMM over row-major B splits into (2 KB of
@@ -185,41 +186,23 @@ inline constexpr std::int64_t kPanelFloats = 64;
 /// m = 1); the fork-join costs a few us.
 inline constexpr std::int64_t kPackedSplitFmas = 300'000;
 
+/// C rows per block of the fp32 streaming kernel.
+inline constexpr int kStreamRows = 8;
+
+/// Columns of C per chunk of the fp32 streaming kernel (2 KB of each C
+/// row, L1-resident across a block's rows).
+inline constexpr std::int64_t kStreamChunkFloats = 512;
+
 /// Storage format of a GEMM's B (weight) operand.
 enum class WeightFormat : std::uint8_t { kF32 = 0, kBf16 = 1, kInt8 = 2 };
 
 const char* format_name(WeightFormat format);
 
-/// Microkernel tiling: `mr` C rows per block (1/2/4/8/16/32), `nc` floats
-/// of C per row per column chunk (>= 8). Never affects output bytes.
-struct GemmVariant {
-  int mr = 8;
-  std::int64_t nc = 512;
-  bool operator==(const GemmVariant& o) const {
-    return mr == o.mr && nc == o.nc;
-  }
-};
-
-/// The fixed tiling gemm_nn has always used ({8, 512}).
-GemmVariant gemm_default_variant();
-
-/// The tiling to run an [m, k] x [k, n] GEMM with, by a rule fixed from
-/// measurement rather than searched at run time. fp32 B always gets
-/// gemm_default_variant(): at every serving shape the fp32 kernel is
-/// weight-bandwidth-bound and no tiling beats it by more than the noise.
-/// Quantized B at m <= 4 gets one column chunk of up to 4096 floats, so
-/// each short weight row streams as one long contiguous run (on a 4-core
-/// AVX2 host, int8 256 -> 8192 at m = 1 runs ~2x faster than with
-/// nc = 512); at larger m the wide chunk stops paying off.
-/// With mr = 8 every m <= 8 runs as one row block, so only nc changes.
-GemmVariant pick_variant(std::int64_t m, WeightFormat format);
-
-/// The row-block rule every NN GEMM runs and the cost model prices: with
-/// `rows_left` C rows still to do at tiling `mr`, the size of the next
-/// block. That is mr (taken as 32, 16, or clamped to 1..8) while that many
-/// rows remain, then 8 while 8 remain, then one fringe block of the rest,
+/// The row-block rule the streaming kernel runs and the cost model prices:
+/// with `rows_left` C rows still to do, the size of the next block, i.e.
+/// kStreamRows while that many remain, then one fringe block of the rest,
 /// so every row range is covered and B streams once per block.
-int row_block(std::int64_t rows_left, int mr);
+int row_block(std::int64_t rows_left);
 
 /// How an NN GEMM splits C over the thread pool: `cuts` bound its tiles,
 /// 0 = cuts[0] < cuts[1] < ... < cuts.back(), over rows of C (`by_rows`,
@@ -269,30 +252,10 @@ bool gemm_simd_active();
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate);
 
-/// gemm_nn with an explicit tiling. Bit-identical to gemm_nn for every
-/// variant; the portable (non-SIMD) build ignores the variant entirely and
-/// runs gemm_nn's scalar loop.
-void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t n, std::int64_t k, bool accumulate,
-                     const GemmVariant& variant);
-
-/// C[m,n] = A[m,k] * widen(B[k,n]) where B holds bf16 bit patterns
-/// (value = bits << 16). No accumulate mode (the decode forward never
-/// accumulates).
-void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
-                  std::int64_t m, std::int64_t n, std::int64_t k,
-                  const GemmVariant& variant);
-
-/// C[m,n] = (A[m,k] * widen(B[k,n])) * scale[col] where B is int8 and
-/// `scale` has one fp32 factor per output column (per-output-channel
-/// weight-only quantization, fp32 accumulate). No accumulate mode.
-void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
-                  float* c, std::int64_t m, std::int64_t n, std::int64_t k,
-                  const GemmVariant& variant);
-
-/// One GEMM of a packed job: C[m, n] = A[m, k] * B, B packed (fp32 floats,
-/// bf16 bits or int8 by the job's format), then for int8 times the
-/// per-column `scale`. C rows are n floats apart.
+/// One GEMM of a packed job: C[m, n] = A[m, k] * widen(B), B packed (fp32
+/// floats, bf16 bit patterns with value = bits << 16, or int8 by the job's
+/// format), then for int8 times the per-column `scale` (per-output-channel
+/// weight-only quantization, fp32 accumulate). C rows are n floats apart.
 struct PackedGemm {
   const void* b = nullptr;
   const float* scale = nullptr;
@@ -302,11 +265,11 @@ struct PackedGemm {
 
 /// Run GEMMs that share A (q|k|v, gate|up, or one alone) as one job over
 /// the union of their panels: one split by packed_split, one fork-join.
-/// Every C element gets the bytes gemm_nn / gemm_nn_bf16 / gemm_nn_int8
-/// write for the same B row-major (accumulate = false), on every pool.
+/// Every C element is the ascending-k FMA chain over its widened B column
+/// (then, int8, times its scale), on every pool; fp32 bytes equal
+/// gemm_nn's for the same B row-major (accumulate = false).
 void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
-                 WeightFormat format, std::span<const PackedGemm> gemms,
-                 const GemmVariant& variant);
+                 WeightFormat format, std::span<const PackedGemm> gemms);
 
 /// C[m,n] (+)= A[m,k] * B[n,k]^T
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "tensor/gemm_tune.h"
 #include "tensor/kernels.h"
 
 namespace matgpt::ops {
@@ -124,8 +123,7 @@ Var scale(Tape& tape, const Var& a, float s) {
   return result;
 }
 
-Var matmul(Tape& tape, const Var& a, const Var& b,
-           const gemm_tune::QuantWeights* qw) {
+Var matmul(Tape& tape, const Var& a, const Var& b) {
   MGPT_CHECK(a.value().ndim() == 2 && b.value().ndim() == 2,
              "matmul requires rank-2 operands");
   const std::int64_t m = a.value().dim(0);
@@ -139,19 +137,10 @@ Var matmul(Tape& tape, const Var& a, const Var& b,
                             << " weight is packed into decode panels; only "
                                "nn::Linear multiplies by it");
   const bool needs_grad = any_requires_grad({&a, &b});
-  // The sidecar has no gradient story: a result the backward will read
-  // always comes from the fp32 weights.
-  const WeightFormat format = qw != nullptr && !(tape.recording() && needs_grad)
-                                  ? qw->format
-                                  : WeightFormat::kF32;
-  MGPT_CHECK(format == WeightFormat::kF32 || (qw->k == k && qw->n == n),
-             "quantized weights shape mismatch: have "
-                 << qw->k << "x" << qw->n << ", need " << k << "x" << n);
-  count_matmuls(format, 1);
+  count_matmuls(WeightFormat::kF32, 1);
   Tensor out({m, n});
-  gemm_tune::run_gemm(a.value().data(), b.value().data(),
-                      format == WeightFormat::kF32 ? nullptr : qw, out.data(),
-                      m, n, k, kernels::pick_variant(m, format));
+  kernels::gemm_nn(a.value().data(), b.value().data(), out.data(), m, n, k,
+                   /*accumulate=*/false);
   Var result = tape.intermediate(std::move(out), needs_grad);
   if (result.requires_grad()) {
     tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {

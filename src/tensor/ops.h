@@ -14,10 +14,6 @@
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
 
-namespace matgpt::gemm_tune {
-struct QuantWeights;
-}  // namespace matgpt::gemm_tune
-
 namespace matgpt::ops {
 
 // ---- arithmetic -----------------------------------------------------------
@@ -30,14 +26,10 @@ Var add_bias(Tape& tape, const Var& x, const Var& bias);
 Var mul(Tape& tape, const Var& a, const Var& b);
 /// a * s.
 Var scale(Tape& tape, const Var& a, float s);
-/// Row-major [m,k] x [k,n] matrix product, tiled by kernels::pick_variant.
-/// When `qw` carries a bf16/int8 sidecar of `b` and no backward will read
-/// the result, the weight-quantized kernel runs instead of the fp32 one;
-/// a recording tape with gradients always sees the fp32 weights. Tiling
-/// never changes output bytes; the format does. `b` must not be packed
-/// (VarNode::packed): nn::Linear runs its packed weights itself.
-Var matmul(Tape& tape, const Var& a, const Var& b,
-           const gemm_tune::QuantWeights* qw = nullptr);
+/// Row-major [m,k] x [k,n] fp32 matrix product (kernels::gemm_nn). `b`
+/// must not be packed (VarNode::packed): nn::Linear runs its packed
+/// weights, and their bf16/int8 decode sidecars, itself.
+Var matmul(Tape& tape, const Var& a, const Var& b);
 /// Process-lifetime count of matmul forwards that ran with `format`:
 /// ops::matmul's, plus those count_matmuls records for products run
 /// outside it (nn::Linear's packed jobs).

@@ -1,21 +1,21 @@
-// Unit tests for src/tensor/gemm_tune + the quantized decode path: every
-// kernel variant is byte-identical to the reference tiling (the invariant
-// that lets pick_variant choose tilings freely) and to an explicit fmaf-chain
-// reference for every weight format, pick_variant keeps fp32 on
-// the default tiling, quantized sidecars stay within their accuracy
-// bounds, ops::matmul routes a sidecar only where no gradient reads it, and
-// the serving engine's decode_quant mode is token-identical to batch-1
-// generate_cached under the same format — including speculative decoding
-// and chunked prefill.
+// Unit tests for the two NN GEMM paths and src/tensor/gemm_tune: fp32 over
+// row-major B and packed panels in every format are byte-identical to an
+// explicit fmaf-chain reference at every row count, split and C alignment;
+// quantized sidecars stay within their accuracy bounds and refuse
+// non-finite weights; and the serving engine's decode_quant mode is
+// token-identical to batch-1 generate_cached under the same format —
+// including speculative decoding and chunked prefill.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -25,14 +25,13 @@
 #include "serve/engine.h"
 #include "serve/spec/proposer.h"
 #include "serve/trace.h"
+#include "tensor/dtype.h"
 #include "tensor/gemm_tune.h"
 #include "tensor/kernels.h"
-#include "tensor/ops.h"
 
 namespace matgpt {
 namespace {
 
-using kernels::GemmVariant;
 using kernels::WeightFormat;
 
 std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
@@ -45,85 +44,10 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
 }
 
 // ---------------------------------------------------------------------------
-// Variant byte identity: the invariant every tiling choice rests on
-// ---------------------------------------------------------------------------
-
-TEST(GemmVariants, F32AllTilingsMatchReferenceBytes) {
-  const struct {
-    std::int64_t m, n, k;
-  } shapes[] = {{1, 8, 16},    {3, 17, 5},   {7, 64, 33},
-                {8, 512, 256}, {13, 100, 70}, {33, 24, 40}};
-  const GemmVariant variants[] = {{1, 128},  {2, 256}, {4, 4096},
-                                  {8, 512},  {16, 64}, {32, 1024}};
-  for (const auto& s : shapes) {
-    const auto a = random_matrix(s.m, s.k, 1);
-    const auto b = random_matrix(s.k, s.n, 2);
-    for (const bool accumulate : {false, true}) {
-      std::vector<float> ref(static_cast<std::size_t>(s.m * s.n), 0.5f);
-      std::vector<float> got = ref;
-      kernels::gemm_nn(a.data(), b.data(), ref.data(), s.m, s.n, s.k,
-                       accumulate);
-      for (const auto& v : variants) {
-        std::vector<float> c(static_cast<std::size_t>(s.m * s.n), 0.5f);
-        kernels::gemm_nn_variant(a.data(), b.data(), c.data(), s.m, s.n, s.k,
-                                 accumulate, v);
-        ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
-                                 c.size() * sizeof(float)))
-            << s.m << "x" << s.n << "x" << s.k << " mr=" << v.mr
-            << " nc=" << v.nc << " acc=" << accumulate;
-        (void)got;
-      }
-    }
-  }
-}
-
-TEST(GemmVariants, QuantTilingsMatchEachOtherBytes) {
-  const struct {
-    std::int64_t m, n, k;
-  } shapes[] = {{1, 50, 16}, {4, 33, 20}, {8, 128, 64}, {5, 17, 9}};
-  const GemmVariant variants[] = {{1, 128}, {2, 4096}, {4, 256}, {8, 512}};
-  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
-    for (const auto& s : shapes) {
-      const auto a = random_matrix(s.m, s.k, 3);
-      const auto w = random_matrix(s.k, s.n, 4);
-      const auto qw = gemm_tune::quantize_weights(w.data(), s.k, s.n, format);
-      std::vector<float> ref(static_cast<std::size_t>(s.m * s.n));
-      bool have_ref = false;
-      for (const auto& v : variants) {
-        std::vector<float> c(static_cast<std::size_t>(s.m * s.n), -7.0f);
-        if (format == WeightFormat::kBf16) {
-          kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c.data(), s.m, s.n,
-                                s.k, v);
-        } else {
-          kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(),
-                                c.data(), s.m, s.n, s.k, v);
-        }
-        if (!have_ref) {
-          ref = c;
-          have_ref = true;
-        } else {
-          ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
-                                   c.size() * sizeof(float)))
-              << kernels::format_name(format) << " " << s.m << "x" << s.n
-              << "x" << s.k << " mr=" << v.mr << " nc=" << v.nc;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // The GEMM contract against an explicit reference: each C element is the
 // ascending-k fmaf chain over the widened B column, then (int8) one multiply
-// by the column scale. Byte-exact for every format, row count and tiling.
+// by the column scale. Byte-exact for every format, row count and split.
 // ---------------------------------------------------------------------------
-
-struct ContractShape {
-  std::int64_t n, k;
-};
-constexpr ContractShape kContractShapes[] = {{17, 5}, {33, 13}, {9, 31}};
-constexpr GemmVariant kContractTilings[] = {{1, 8},    {2, 16},  {4, 4096},
-                                            {8, 512},  {16, 24}, {32, 128}};
 
 // C = fma-chain(A, widen(B)) (+ c0 when accumulating), then * scale[col].
 std::vector<float> fma_chain_reference(const std::vector<float>& a,
@@ -143,14 +67,21 @@ std::vector<float> fma_chain_reference(const std::vector<float>& a,
   return c;
 }
 
+// A packed sidecar's elements widened to fp32, laid out row-major.
 std::vector<float> widen_quantized(const gemm_tune::QuantWeights& qw) {
   std::vector<float> wide(static_cast<std::size_t>(qw.k * qw.n));
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    if (qw.format == WeightFormat::kInt8) {
-      wide[i] = static_cast<float>(qw.q8[i]);
-    } else {
-      const std::uint32_t bits = static_cast<std::uint32_t>(qw.bf16[i]) << 16;
-      std::memcpy(&wide[i], &bits, sizeof(float));
+  for (std::int64_t l = 0; l < qw.k; ++l) {
+    for (std::int64_t j = 0; j < qw.n; ++j) {
+      const auto p =
+          static_cast<std::size_t>(kernels::packed_index(l, j, qw.k, qw.n));
+      float& out = wide[static_cast<std::size_t>(l * qw.n + j)];
+      if (qw.format == WeightFormat::kInt8) {
+        out = static_cast<float>(qw.q8[p]);
+      } else {
+        const std::uint32_t bits = static_cast<std::uint32_t>(qw.bf16[p])
+                                   << 16;
+        std::memcpy(&out, &bits, sizeof(float));
+      }
     }
   }
   return wide;
@@ -158,10 +89,15 @@ std::vector<float> widen_quantized(const gemm_tune::QuantWeights& qw) {
 
 TEST(GemmContract, F32MatchesFmaChainReferenceBytes) {
   // The portable scalar fp32 loop is not an FMA chain; only the SIMD kernel
-  // carries this contract.
+  // carries this contract. m = 1..17 covers one and two full 8-row blocks
+  // and every fringe block; n = 1029 crosses two 512-column chunk
+  // boundaries and ends in a 5-column scalar tail.
   if (!kernels::gemm_simd_active()) GTEST_SKIP() << "SIMD dispatch inactive";
-  for (std::int64_t m = 1; m <= 9; ++m) {
-    for (const auto& s : kContractShapes) {
+  const struct {
+    std::int64_t n, k;
+  } shapes[] = {{17, 5}, {33, 13}, {9, 31}, {1029, 7}};
+  for (std::int64_t m = 1; m <= 17; ++m) {
+    for (const auto& s : shapes) {
       const auto a = random_matrix(m, s.k, 31);
       const auto b = random_matrix(s.k, s.n, 32);
       const auto c0 = random_matrix(m, s.n, 33);
@@ -170,47 +106,12 @@ TEST(GemmContract, F32MatchesFmaChainReferenceBytes) {
             a, b, nullptr,
             accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), m, s.n,
             s.k);
-        for (const auto& v : kContractTilings) {
-          std::vector<float> c = c0;
-          kernels::gemm_nn_variant(a.data(), b.data(), c.data(), m, s.n, s.k,
-                                   accumulate, v);
-          ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
-                                   c.size() * sizeof(float)))
-              << m << "x" << s.n << "x" << s.k << " mr=" << v.mr
-              << " nc=" << v.nc << " acc=" << accumulate;
-        }
-      }
-    }
-  }
-}
-
-TEST(GemmContract, QuantizedMatchesFmaChainReferenceBytes) {
-  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
-    for (std::int64_t m = 1; m <= 9; ++m) {
-      for (const auto& s : kContractShapes) {
-        const auto a = random_matrix(m, s.k, 34);
-        const auto w = random_matrix(s.k, s.n, 35);
-        const auto qw =
-            gemm_tune::quantize_weights(w.data(), s.k, s.n, format);
-        const auto ref = fma_chain_reference(
-            a, widen_quantized(qw),
-            format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
-            std::vector<float>(static_cast<std::size_t>(m * s.n), 0.0f), m,
-            s.n, s.k);
-        for (const auto& v : kContractTilings) {
-          std::vector<float> c(static_cast<std::size_t>(m * s.n), -7.0f);
-          if (format == WeightFormat::kBf16) {
-            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c.data(), m, s.n,
-                                  s.k, v);
-          } else {
-            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(),
-                                  c.data(), m, s.n, s.k, v);
-          }
-          ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
-                                   c.size() * sizeof(float)))
-              << kernels::format_name(format) << " " << m << "x" << s.n
-              << "x" << s.k << " mr=" << v.mr << " nc=" << v.nc;
-        }
+        std::vector<float> c = c0;
+        kernels::gemm_nn(a.data(), b.data(), c.data(), m, s.n, s.k,
+                         accumulate);
+        ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                 c.size() * sizeof(float)))
+            << m << "x" << s.n << "x" << s.k << " acc=" << accumulate;
       }
     }
   }
@@ -322,117 +223,82 @@ TEST(GemmSplit, ServingShapesSplitByTheRule) {
   EXPECT_EQ(split(kernels::kParallelRowThreshold, 1, 1).tiles(), 16u);
 }
 
+// gemm_nn's accumulating bytes for rows of A times row-major `w` onto `c`:
+// the fmaf chain under SIMD. The portable fp32 loop is a plain multiply-add,
+// so there gemm_nn run as one serial tile stands in, and the tests below
+// check that no split changes its bytes.
+std::vector<float> f32_reference(const std::vector<float>& a,
+                                 const std::vector<float>& w,
+                                 std::vector<float> c, std::int64_t m,
+                                 std::int64_t n, std::int64_t k) {
+  if (kernels::gemm_simd_active()) {
+    return fma_chain_reference(a, w, nullptr, std::move(c), m, n, k);
+  }
+  const ScopedThreadPool serial(0);
+  kernels::gemm_nn(a.data(), w.data(), c.data(), m, n, k,
+                   /*accumulate=*/true);
+  return c;
+}
+
 TEST(GemmContract, RowGroupsMatchFmaChainReferenceBytes) {
-  // m = 5..63 rows (serial, two-group and one-group-per-thread splits) at
-  // the serving widths (n = 64/256/704 split rows, 8192 columns), k large
-  // enough that most m cross kParallelPanelFmas, C at a float offset that
-  // cycles through 0..15 from a 64-byte line. Byte-exact against the
-  // fmaf-chain reference whether or not the host has workers to split over.
+  // fp32 over row-major B, m = 5..63 rows (serial, two-group and
+  // one-group-per-thread splits) at the serving widths (n = 64/256/704
+  // split rows, 8192 columns), k large enough that most m cross
+  // kParallelPanelFmas, C at a float offset that cycles through 0..15 from
+  // a 64-byte line. Byte-exact against f32_reference whether or not the
+  // host has workers to split over.
   constexpr std::int64_t kRows = 63;
-  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
-                                  WeightFormat::kInt8};
   const std::int64_t widths[] = {64, 256, 688, 704, 8192};
-  for (const WeightFormat format : formats) {
-    // The portable scalar fp32 loop is not an FMA chain.
-    if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) continue;
-    for (const std::int64_t n : widths) {
-      const std::int64_t k =
-          std::min<std::int64_t>(1001, kernels::kParallelPanelFmas / (5 * n) +
-                                           1) |
-          1;
-      const auto a = random_matrix(kRows, k, 51);
-      const auto w = random_matrix(k, n, 52);
-      const auto c0 = random_matrix(kRows, n, 53);
-      const auto qw = format == WeightFormat::kF32
-                          ? gemm_tune::QuantWeights{}
-                          : gemm_tune::quantize_weights(w.data(), k, n, format);
-      const bool accumulate = format == WeightFormat::kF32;
-      const auto ref = fma_chain_reference(
-          a, format == WeightFormat::kF32 ? w : widen_quantized(qw),
-          format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
-          accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), kRows, n, k);
-      std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
-      for (std::int64_t m = 5; m <= kRows; ++m) {
-        float* c = line_offset_ptr(buf, m % 16);
-        const auto cn = static_cast<std::size_t>(m * n);
-        std::copy_n(c0.begin(), cn, c);
-        switch (format) {
-          case WeightFormat::kF32:
-            kernels::gemm_nn(a.data(), w.data(), c, m, n, k, accumulate);
-            break;
-          case WeightFormat::kBf16:
-            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c, m, n, k,
-                                  kernels::pick_variant(m, format));
-            break;
-          case WeightFormat::kInt8:
-            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(), c,
-                                  m, n, k, kernels::pick_variant(m, format));
-            break;
-        }
-        ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
-            << kernels::format_name(format) << " " << m << "x" << n << "x"
-            << k << " split into "
-            << kernels::gemm_split(m, n, k, 4).tiles() << " on 4 threads";
-      }
+  for (const std::int64_t n : widths) {
+    const std::int64_t k =
+        std::min<std::int64_t>(1001,
+                               kernels::kParallelPanelFmas / (5 * n) + 1) |
+        1;
+    const auto a = random_matrix(kRows, k, 51);
+    const auto w = random_matrix(k, n, 52);
+    const auto c0 = random_matrix(kRows, n, 53);
+    const auto ref = f32_reference(a, w, c0, kRows, n, k);
+    std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
+    for (std::int64_t m = 5; m <= kRows; ++m) {
+      float* c = line_offset_ptr(buf, m % 16);
+      const auto cn = static_cast<std::size_t>(m * n);
+      std::copy_n(c0.begin(), cn, c);
+      kernels::gemm_nn(a.data(), w.data(), c, m, n, k, /*accumulate=*/true);
+      ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
+          << m << "x" << n << "x" << k << " split into "
+          << kernels::gemm_split(m, n, k, 4).tiles() << " on 4 threads";
     }
   }
 }
 
 TEST(GemmContract, ColumnPanelsMatchFmaChainReferenceBytes) {
-  // m = 1..17 rows, n from serial-only widths through lm_head's (17 and 8200
-  // are not multiples of 16 and stay serial), odd k large enough that the
-  // wide GEMMs cross kParallelPanelFmas from m = 1, and C at every float
-  // offset 0..15 from a 64-byte line for each (format, n). Byte-exact
-  // against the fmaf-chain reference whether or not the host has workers
-  // to split over. A row's reference depends only on its own A row, so one
-  // 17-row reference per (format, n) serves every m.
+  // fp32 over row-major B, m = 1..17 rows, n from serial-only widths
+  // through lm_head's (17 and 8200 are not multiples of 16 and stay
+  // serial), odd k large enough that the wide GEMMs cross
+  // kParallelPanelFmas from m = 1, and C at every float offset 0..15 from a
+  // 64-byte line for each n. Byte-exact against f32_reference whether or
+  // not the host has workers to split over. A row's reference depends only
+  // on its own A row, so one 17-row reference per n serves every m.
   constexpr std::int64_t kRows = 17;
-  const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
-                                  WeightFormat::kInt8};
   const std::int64_t widths[] = {17, 64, 704, 8192, 8200};
-  for (std::size_t fi = 0; fi < std::size(formats); ++fi) {
-    const WeightFormat format = formats[fi];
-    // The portable scalar fp32 loop is not an FMA chain.
-    if (format == WeightFormat::kF32 && !kernels::gemm_simd_active()) continue;
-    for (std::size_t ni = 0; ni < std::size(widths); ++ni) {
-      const std::int64_t n = widths[ni];
-      const std::int64_t k =
-          std::min<std::int64_t>(1001, kernels::kParallelPanelFmas / n + 1) | 1;
-      const auto a = random_matrix(kRows, k, 41);
-      const auto w = random_matrix(k, n, 42);
-      const auto c0 = random_matrix(kRows, n, 43);
-      const auto qw = format == WeightFormat::kF32
-                          ? gemm_tune::QuantWeights{}
-                          : gemm_tune::quantize_weights(w.data(), k, n, format);
-      const bool accumulate = format == WeightFormat::kF32;
-      const auto ref = fma_chain_reference(
-          a, format == WeightFormat::kF32 ? w : widen_quantized(qw),
-          format == WeightFormat::kInt8 ? qw.scale.data() : nullptr,
-          accumulate ? c0 : std::vector<float>(c0.size(), 0.0f), kRows, n, k);
-      std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
-      for (std::int64_t m = 1; m <= kRows; ++m) {
-        const std::int64_t offset =
-            (m + static_cast<std::int64_t>(fi * 5 + ni * 3)) % 16;
-        float* c = line_offset_ptr(buf, offset);
-        const auto cn = static_cast<std::size_t>(m * n);
-        std::copy_n(c0.begin(), cn, c);
-        switch (format) {
-          case WeightFormat::kF32:
-            kernels::gemm_nn(a.data(), w.data(), c, m, n, k, accumulate);
-            break;
-          case WeightFormat::kBf16:
-            kernels::gemm_nn_bf16(a.data(), qw.bf16.data(), c, m, n, k,
-                                  kernels::pick_variant(m, format));
-            break;
-          case WeightFormat::kInt8:
-            kernels::gemm_nn_int8(a.data(), qw.q8.data(), qw.scale.data(), c,
-                                  m, n, k, kernels::pick_variant(m, format));
-            break;
-        }
-        ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
-            << kernels::format_name(format) << " " << m << "x" << n << "x" << k
-            << " C offset " << offset;
-      }
+  for (std::size_t ni = 0; ni < std::size(widths); ++ni) {
+    const std::int64_t n = widths[ni];
+    const std::int64_t k =
+        std::min<std::int64_t>(1001, kernels::kParallelPanelFmas / n + 1) | 1;
+    const auto a = random_matrix(kRows, k, 41);
+    const auto w = random_matrix(k, n, 42);
+    const auto c0 = random_matrix(kRows, n, 43);
+    const auto ref = f32_reference(a, w, c0, kRows, n, k);
+    std::vector<float> buf(static_cast<std::size_t>(kRows * n + 32));
+    for (std::int64_t m = 1; m <= kRows; ++m) {
+      const std::int64_t offset =
+          (m + static_cast<std::int64_t>(ni * 3)) % 16;
+      float* c = line_offset_ptr(buf, offset);
+      const auto cn = static_cast<std::size_t>(m * n);
+      std::copy_n(c0.begin(), cn, c);
+      kernels::gemm_nn(a.data(), w.data(), c, m, n, k, /*accumulate=*/true);
+      ASSERT_EQ(0, std::memcmp(ref.data(), c, cn * sizeof(float)))
+          << m << "x" << n << "x" << k << " C offset " << offset;
     }
   }
 }
@@ -475,10 +341,9 @@ TEST(PackPanels, InPlacePackMatchesPackedIndexAndUnpacks) {
 struct PackedJob {
   std::int64_t k;
   std::vector<std::int64_t> ns;
-  std::vector<std::vector<float>> w;          // row-major fp32
-  std::vector<gemm_tune::QuantWeights> rowq;  // row-major sidecars
-  std::vector<std::vector<float>> wp;         // packed fp32
-  std::vector<gemm_tune::QuantWeights> q;     // packed sidecars
+  std::vector<std::vector<float>> w;       // row-major fp32
+  std::vector<std::vector<float>> wp;      // packed fp32
+  std::vector<gemm_tune::QuantWeights> q;  // packed sidecars
 
   PackedJob(std::int64_t k_, std::vector<std::int64_t> ns_,
             WeightFormat format, std::uint32_t seed)
@@ -487,10 +352,8 @@ struct PackedJob {
       w.push_back(random_matrix(k, n, seed++));
       wp.push_back(packed_copy(w.back(), k, n));
       if (format != WeightFormat::kF32) {
-        rowq.push_back(
-            gemm_tune::quantize_weights(w.back().data(), k, n, format));
-        q.push_back(gemm_tune::quantize_weights(wp.back().data(), k, n,
-                                                format, /*packed=*/true));
+        q.push_back(
+            gemm_tune::quantize_weights(wp.back().data(), k, n, format));
       }
     }
   }
@@ -519,13 +382,13 @@ struct PackedJob {
       gemms.push_back(pg);
       at += m * ns[g];
     }
-    kernels::gemm_packed(a.data(), m, k, format, gemms,
-                         kernels::pick_variant(m, format));
+    kernels::gemm_packed(a.data(), m, k, format, gemms);
     return std::vector<float>(c, c + total);
   }
 
   // The row-major reference for the first m rows: the fmaf chain (fp32 with
-  // SIMD, bf16, int8), else the portable build's row-major gemm_nn.
+  // SIMD, bf16, int8; a sidecar read through packed_index), else the
+  // portable build's row-major gemm_nn.
   std::vector<float> reference(const std::vector<float>& a, std::int64_t m,
                                WeightFormat format) const {
     std::vector<float> out;
@@ -537,8 +400,8 @@ struct PackedJob {
                          /*accumulate=*/false);
       } else {
         c = fma_chain_reference(
-            a, format == WeightFormat::kF32 ? w[g] : widen_quantized(rowq[g]),
-            format == WeightFormat::kInt8 ? rowq[g].scale.data() : nullptr, c,
+            a, format == WeightFormat::kF32 ? w[g] : widen_quantized(q[g]),
+            format == WeightFormat::kInt8 ? q[g].scale.data() : nullptr, c,
             m, n, k);
       }
       out.insert(out.end(), c.begin(), c.end());
@@ -702,42 +565,69 @@ TEST(GemmSplit, PackedServingJobsSplitByTheRule) {
 }
 
 TEST(GemmTune, PackedSidecarHoldsTheRowMajorSidecarsElements) {
+  // Element (l, j) of the sidecar, at packed_index(l, j), is what the
+  // quantizer's rule gives the row-major weight's (l, j): bf16's rounded
+  // bits, or int8's nearbyint(w * (1 / scale)) with the column's
+  // amax / 127 scale.
   const std::int64_t k = 37, n = 150;
   const auto w = random_matrix(k, n, 90);
   const auto wp = packed_copy(w, k, n);
-  for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
-    const auto row = gemm_tune::quantize_weights(w.data(), k, n, format);
-    const auto packed =
-        gemm_tune::quantize_weights(wp.data(), k, n, format, /*packed=*/true);
-    EXPECT_EQ(row.scale, packed.scale);
+  const auto bf16 = gemm_tune::quantize_weights(wp.data(), k, n,
+                                                WeightFormat::kBf16);
+  const auto int8 = gemm_tune::quantize_weights(wp.data(), k, n,
+                                                WeightFormat::kInt8);
+  ASSERT_EQ(int8.scale.size(), static_cast<std::size_t>(n));
+  for (std::int64_t j = 0; j < n; ++j) {
+    float amax = 0.0f;
     for (std::int64_t l = 0; l < k; ++l) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const auto r = static_cast<std::size_t>(l * n + j);
-        const auto p =
-            static_cast<std::size_t>(kernels::packed_index(l, j, k, n));
-        if (format == WeightFormat::kInt8) {
-          ASSERT_EQ(row.q8[r], packed.q8[p]) << l << "," << j;
-        } else {
-          ASSERT_EQ(row.bf16[r], packed.bf16[p]) << l << "," << j;
-        }
-      }
+      amax = std::max(amax, std::fabs(w[static_cast<std::size_t>(l * n + j)]));
+    }
+    const float scale = amax / 127.0f;
+    ASSERT_EQ(int8.scale[static_cast<std::size_t>(j)], scale) << j;
+    for (std::int64_t l = 0; l < k; ++l) {
+      const float x = w[static_cast<std::size_t>(l * n + j)];
+      const auto p =
+          static_cast<std::size_t>(kernels::packed_index(l, j, k, n));
+      ASSERT_EQ(int8.q8[p], static_cast<std::int8_t>(std::clamp(
+                                std::nearbyintf(x * (1.0f / scale)), -127.0f,
+                                127.0f)))
+          << l << "," << j;
+      ASSERT_EQ(bf16.bf16[p], static_cast<std::uint16_t>(
+                                  std::bit_cast<std::uint32_t>(round_bf16(x)) >>
+                                  16))
+          << l << "," << j;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Quantization round-trip accuracy
+// Quantization round-trip accuracy and non-finite weights
 // ---------------------------------------------------------------------------
+
+// The sidecar of row-major [k, n] `w`, built as serving builds it: from
+// the packed weight.
+gemm_tune::QuantWeights packed_sidecar(const std::vector<float>& w,
+                                       std::int64_t k, std::int64_t n,
+                                       WeightFormat format) {
+  const auto wp = packed_copy(w, k, n);
+  return gemm_tune::quantize_weights(wp.data(), k, n, format);
+}
+
+// Element (l, j) of a [k, n] sidecar's int8 weights.
+std::int8_t q8_at(const gemm_tune::QuantWeights& qw, std::int64_t l,
+                  std::int64_t j) {
+  return qw.q8[static_cast<std::size_t>(
+      kernels::packed_index(l, j, qw.k, qw.n))];
+}
 
 TEST(QuantizeWeights, Int8RoundTripWithinHalfScalePerElement) {
   const std::int64_t k = 37, n = 23;
   const auto w = random_matrix(k, n, 5);
-  const auto qw = gemm_tune::quantize_weights(w.data(), k, n,
-                                              WeightFormat::kInt8);
+  const auto qw = packed_sidecar(w, k, n, WeightFormat::kInt8);
   ASSERT_EQ(qw.scale.size(), static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < k; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      const float back = static_cast<float>(qw.q8[i * n + j]) * qw.scale[j];
+      const float back = static_cast<float>(q8_at(qw, i, j)) * qw.scale[j];
       EXPECT_NEAR(back, w[i * n + j], 0.5f * qw.scale[j] + 1e-7f)
           << i << "," << j;
     }
@@ -747,148 +637,90 @@ TEST(QuantizeWeights, Int8RoundTripWithinHalfScalePerElement) {
 TEST(QuantizeWeights, Bf16RoundTripWithinRelativeUlp) {
   const std::int64_t k = 19, n = 31;
   const auto w = random_matrix(k, n, 6);
-  const auto qw = gemm_tune::quantize_weights(w.data(), k, n,
-                                              WeightFormat::kBf16);
+  const auto qw = packed_sidecar(w, k, n, WeightFormat::kBf16);
+  const auto back = widen_quantized(qw);
   for (std::size_t i = 0; i < w.size(); ++i) {
-    float back;
-    const std::uint32_t bits = static_cast<std::uint32_t>(qw.bf16[i]) << 16;
-    std::memcpy(&back, &bits, sizeof(back));
     // bf16 keeps 8 mantissa bits: relative error <= 2^-8 after rounding.
-    EXPECT_NEAR(back, w[i], std::abs(w[i]) * (1.0f / 256.0f) + 1e-38f) << i;
+    EXPECT_NEAR(back[i], w[i], std::abs(w[i]) * (1.0f / 256.0f) + 1e-38f)
+        << i;
   }
 }
 
 TEST(QuantizeWeights, Int8TinyColumnRoundTripsWithinHalfScale) {
   // amax / 127 is subnormal here, so 1 / scale overflows to +inf.
   const std::vector<float> w{3e-37f, 0.0f, -1e-37f};
-  const auto qw = gemm_tune::quantize_weights(w.data(), 3, 1,
-                                              WeightFormat::kInt8);
+  const auto qw = packed_sidecar(w, 3, 1, WeightFormat::kInt8);
   const float scale = qw.scale[0];
   EXPECT_GT(scale, 0.0f);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const float back = static_cast<float>(qw.q8[i]) * scale;
-    EXPECT_LE(std::abs(back - w[i]), 0.5f * scale)
-        << i << ": q=" << static_cast<int>(qw.q8[i]);
+  for (std::int64_t l = 0; l < 3; ++l) {
+    const float back = static_cast<float>(q8_at(qw, l, 0)) * scale;
+    EXPECT_LE(std::abs(back - w[static_cast<std::size_t>(l)]), 0.5f * scale)
+        << l << ": q=" << static_cast<int>(q8_at(qw, l, 0));
   }
 }
 
 TEST(QuantizeWeights, Int8ZeroColumnGetsUnitScale) {
   std::vector<float> w(8 * 2, 0.0f);
   for (int i = 0; i < 8; ++i) w[i * 2 + 1] = 0.5f;  // column 0 all-zero
-  const auto qw = gemm_tune::quantize_weights(w.data(), 8, 2,
-                                              WeightFormat::kInt8);
+  const auto qw = packed_sidecar(w, 8, 2, WeightFormat::kInt8);
   EXPECT_EQ(qw.scale[0], 1.0f);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(qw.q8[i * 2 + 0], 0);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(q8_at(qw, i, 0), 0);
+}
+
+// int8 quantization of `w` with `bad` at (2, 70) throws, naming row 2 and
+// column 70; bf16 keeps `bad` as fp32 does.
+void expect_int8_refuses(float bad) {
+  const std::int64_t k = 5, n = 90;
+  auto w = random_matrix(k, n, 7);
+  w[2 * n + 70] = bad;
+  try {
+    packed_sidecar(w, k, n, WeightFormat::kInt8);
+    ADD_FAILURE() << "int8 quantized " << bad;
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("row 2, column 70"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto bf16 = widen_quantized(packed_sidecar(w, k, n,
+                                                   WeightFormat::kBf16));
+  EXPECT_EQ(std::isnan(bf16[2 * n + 70]), std::isnan(bad));
+  if (!std::isnan(bad)) {
+    EXPECT_EQ(bf16[2 * n + 70], bad);
+  }
+}
+
+TEST(QuantizeWeights, Int8InfWeightThrows) {
+  expect_int8_refuses(std::numeric_limits<float>::infinity());
+  expect_int8_refuses(-std::numeric_limits<float>::infinity());
+}
+
+TEST(QuantizeWeights, Int8NanWeightThrows) {
+  expect_int8_refuses(std::numeric_limits<float>::quiet_NaN());
 }
 
 // ---------------------------------------------------------------------------
-// Cost model + candidate space
+// Cost model
 // ---------------------------------------------------------------------------
 
 TEST(CostModel, PredictionsArePositiveAndShapeMonotone) {
   const auto& anchors = gemm_tune::host_anchors();
-  const GemmVariant v = kernels::gemm_default_variant();
-  const double small =
-      gemm_tune::predict_seconds(1, 256, 256, WeightFormat::kF32, v, anchors);
-  const double big =
-      gemm_tune::predict_seconds(64, 2048, 2048, WeightFormat::kF32, v,
-                                 anchors);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(big, 64.0 * small);  // 512x the FLOPs, allow model slack
-}
-
-TEST(CandidateSpace, ContainsDefaultAndDeduplicates) {
-  for (const auto format : {WeightFormat::kF32, WeightFormat::kInt8}) {
-    const auto cands = gemm_tune::candidate_space(1, 50, 16, format);
-    ASSERT_FALSE(cands.empty());
-    EXPECT_TRUE(cands[0] == kernels::gemm_default_variant());
-    // m = 1: every mr collapses onto the same single-row decomposition, and
-    // n = 50 < every nc: the space must collapse accordingly.
-    EXPECT_LE(cands.size(), 2u);
+  for (const bool packed : {false, true}) {
+    const double small = gemm_tune::predict_seconds(
+        1, 256, 256, WeightFormat::kF32, anchors, packed);
+    const double big = gemm_tune::predict_seconds(
+        64, 2048, 2048, WeightFormat::kF32, anchors, packed);
+    EXPECT_GT(small, 0.0) << packed;
+    EXPECT_GT(big, 64.0 * small) << packed;  // 512x the FLOPs, model slack
   }
-}
-
-TEST(PickVariant, Fp32AlwaysRunsTheDefaultTiling) {
-  for (const std::int64_t m : {1, 2, 4, 5, 8, 16, 128, 4096}) {
-    EXPECT_TRUE(kernels::pick_variant(m, WeightFormat::kF32) ==
-                kernels::gemm_default_variant())
-        << "m=" << m;
-  }
-}
-
-TEST(PickVariant, QuantizedSmallMTakesWideColumnChunks) {
   for (const auto format : {WeightFormat::kBf16, WeightFormat::kInt8}) {
-    for (const std::int64_t m : {1, 2, 3, 4}) {
-      const GemmVariant v = kernels::pick_variant(m, format);
-      EXPECT_EQ(v.mr, kernels::gemm_default_variant().mr);
-      EXPECT_EQ(v.nc, 4096);
-    }
-    for (const std::int64_t m : {5, 8, 16, 64}) {
-      EXPECT_TRUE(kernels::pick_variant(m, format) ==
-                  kernels::gemm_default_variant())
-          << kernels::format_name(format) << " m=" << m;
-    }
+    EXPECT_GT(gemm_tune::predict_seconds(1, 256, 256, format, anchors,
+                                         /*packed=*/true),
+              0.0);
+    // Quantized weights are only ever packed.
+    EXPECT_THROW(gemm_tune::predict_seconds(1, 256, 256, format, anchors,
+                                            /*packed=*/false),
+                 std::exception);
   }
-}
-
-// ---------------------------------------------------------------------------
-// ops::matmul: quantized sidecar vs fp32 training path
-// ---------------------------------------------------------------------------
-
-TEST(MatmulOp, QuantSidecarRunsInt8KernelWithoutGradients) {
-  const std::int64_t m = 3, k = 40, n = 24;
-  const auto a_data = random_matrix(m, k, 17);
-  const auto w_data = random_matrix(k, n, 18);
-  const auto qw = gemm_tune::quantize_weights(w_data.data(), k, n,
-                                              WeightFormat::kInt8);
-  std::vector<float> expected(static_cast<std::size_t>(m * n));
-  kernels::gemm_nn_int8(a_data.data(), qw.q8.data(), qw.scale.data(),
-                        expected.data(), m, n, k,
-                        kernels::gemm_default_variant());
-
-  Tape tape;  // recording, but nothing requires gradients
-  Var a = tape.leaf(Tensor::from_data({m, k}, a_data), false);
-  Var w = tape.leaf(Tensor::from_data({k, n}, w_data), false);
-  Var y = ops::matmul(tape, a, w, &qw);
-  ASSERT_EQ(y.value().numel(), m * n);
-  EXPECT_EQ(0, std::memcmp(y.value().data(), expected.data(),
-                           expected.size() * sizeof(float)));
-  EXPECT_EQ(tape.op_count(), 0u);
-}
-
-TEST(MatmulOp, RecordingTapeUsesFp32WeightsAndGradients) {
-  const std::int64_t m = 4, k = 20, n = 12;
-  const auto a_data = random_matrix(m, k, 19);
-  const auto w_data = random_matrix(k, n, 20);
-  const auto g_data = random_matrix(m, n, 21);
-  const auto qw = gemm_tune::quantize_weights(w_data.data(), k, n,
-                                              WeightFormat::kInt8);
-
-  struct Result {
-    std::vector<float> y, da, dw;
-  };
-  auto run = [&](const gemm_tune::QuantWeights* sidecar) {
-    Tape tape;
-    Var a = tape.leaf(Tensor::from_data({m, k}, a_data), true);
-    Var w = tape.leaf(Tensor::from_data({k, n}, w_data), true);
-    Var g = tape.leaf(Tensor::from_data({m, n}, g_data), false);
-    Var y = ops::matmul(tape, a, w, sidecar);
-    tape.backward(ops::sum_all(tape, ops::mul(tape, y, g)));
-    auto copy = [](const Tensor& t) {
-      return std::vector<float>(t.data(), t.data() + t.numel());
-    };
-    return Result{copy(y.value()), copy(a.grad()), copy(w.grad())};
-  };
-  const Result fp32 = run(nullptr);
-  const Result quant = run(&qw);
-  auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
-  };
-  EXPECT_TRUE(same(fp32.y, quant.y));
-  EXPECT_TRUE(same(fp32.da, quant.da));
-  EXPECT_TRUE(same(fp32.dw, quant.dw));
-  EXPECT_EQ(fp32.dw.size(), static_cast<std::size_t>(k * n));
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,6 +903,35 @@ TEST(DecodeQuant, EngineStatsReportQuantAndGemmCounters) {
   const std::string json = engine.stats().to_json(1.0);
   EXPECT_NE(json.find("\"decode_quant\": \"int8\""), std::string::npos);
   EXPECT_NE(json.find("\"gemm_int8_calls\""), std::string::npos);
+}
+
+TEST(DecodeQuant, Int8EngineRefusesNonFiniteWeights) {
+  // A checkpoint is loaded without a finiteness check, so an int8 engine
+  // is where a non-finite weight must be refused; fp32 and bf16 engines
+  // serve it as it is.
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    for (const auto format : {WeightFormat::kInt8, WeightFormat::kBf16}) {
+      nn::GptModel model(quant_model_config());
+      bool planted = false;
+      for (const auto& p : model.parameters()) {
+        if (p.name.find("mlp.down.weight") != std::string::npos) {
+          p.var.node()->value.data()[3] = bad;
+          planted = true;
+          break;
+        }
+      }
+      ASSERT_TRUE(planted);
+      serve::EngineConfig ec;
+      ec.decode_quant = format;
+      const auto build = [&] { serve::InferenceEngine engine(model, ec); };
+      if (format == WeightFormat::kInt8) {
+        EXPECT_THROW(build(), std::exception) << bad;
+      } else {
+        EXPECT_NO_THROW(build()) << bad;
+      }
+    }
+  }
 }
 
 }  // namespace
