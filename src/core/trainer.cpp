@@ -1,10 +1,10 @@
 #include "core/trainer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include "common/error.h"
-#include "parallel/comm.h"
 
 namespace matgpt::core {
 
@@ -15,10 +15,9 @@ const char* optimizer_name(OptimizerKind kind) {
 void TrainConfig::validate() const {
   MGPT_CHECK(steps > 0, "steps must be positive");
   MGPT_CHECK(batch_seqs > 0 && seq > 0, "batch and seq must be positive");
-  MGPT_CHECK(dp_ranks >= 1, "dp_ranks must be >= 1");
-  MGPT_CHECK(batch_seqs % dp_ranks == 0,
-             "batch_seqs must divide evenly across dp_ranks");
   MGPT_CHECK(lr > 0.0, "lr must be positive");
+  MGPT_CHECK(eval_every > 0, "eval_every must be positive");
+  MGPT_CHECK(eval_batches > 0, "eval_batches must be positive");
 }
 
 double TrainingCurve::final_train_loss() const {
@@ -73,83 +72,34 @@ double validation_loss(const nn::GptModel& model,
   return total / static_cast<double>(config.eval_batches);
 }
 
-/// One rank's training loop; `model` is this rank's replica.
-TrainingCurve train_rank(nn::GptModel& model, data::TokenDataset data,
-                         const TrainConfig& config, Communicator* comm) {
-  const int rank = comm ? comm->rank() : 0;
-  const int ranks = comm ? comm->size() : 1;
-  const std::int64_t per_rank = config.batch_seqs / ranks;
-
-  auto optimizer = make_optimizer(config, model);
-  optim::CosineSchedule schedule(config.lr, config.steps,
-                                 config.warmup_fraction,
-                                 config.final_lr_fraction);
-  TrainingCurve curve;
-  for (std::int64_t step = 0; step < config.steps; ++step) {
-    // Every rank draws the same global batch (same dataset seed) and trains
-    // on its own contiguous shard — DeepSpeed's data-parallel layout.
-    const auto batch = data.sample_batch(config.batch_seqs, config.seq);
-    const auto shard_tokens = std::span<const std::int32_t>(
-        batch.tokens.data() + rank * per_rank * config.seq,
-        static_cast<std::size_t>(per_rank * config.seq));
-    const auto shard_targets = std::span<const std::int32_t>(
-        batch.targets.data() + rank * per_rank * config.seq,
-        static_cast<std::size_t>(per_rank * config.seq));
-
-    Tape tape;
-    Var loss = model.loss(tape, shard_tokens, shard_targets, per_rank,
-                          config.seq, /*training=*/true);
-    model.zero_grad();
-    tape.backward(loss);
-
-    double train_loss = loss.value()[0];
-    if (comm && ranks > 1) {
-      // Average gradients (and the reported loss) across replicas.
-      for (auto& p : model.parameters()) {
-        if (!p.var.grad().defined()) continue;
-        Tensor& g = p.var.node()->grad;
-        comm->allreduce(g.span());
-        g.scale_(1.0f / static_cast<float>(ranks));
-      }
-      std::vector<float> lbuf{static_cast<float>(train_loss)};
-      comm->allreduce(lbuf);
-      train_loss = lbuf[0] / ranks;
-    }
-
-    optimizer->clip_grad_norm(config.clip_norm);
-    optimizer->step(schedule.lr(step));
-    if (config.precision != DType::kFloat32) {
-      model.quantize_params(config.precision);
-    }
-
-    if (rank == 0 &&
-        (step % config.eval_every == 0 || step + 1 == config.steps)) {
-      curve.points.push_back(
-          {step, train_loss, validation_loss(model, data, config)});
-    }
-  }
-  return curve;
-}
-
 }  // namespace
 
 TrainingCurve train_gpt(nn::GptModel& model, const data::TokenDataset& data,
                         const TrainConfig& config) {
   config.validate();
-  if (config.dp_ranks == 1) {
-    return train_rank(model, data, config, nullptr);
-  }
+  auto optimizer = make_optimizer(config, model);
+  optim::CosineSchedule schedule(config.lr, config.steps,
+                                 config.warmup_fraction,
+                                 config.final_lr_fraction);
+  data::TokenDataset working = data;
   TrainingCurve curve;
-  run_ranks(config.dp_ranks, [&](Communicator& comm) {
-    if (comm.rank() == 0) {
-      curve = train_rank(model, data, config, &comm);
-    } else {
-      // Same config (and seed) => an identical replica that stays in
-      // lockstep through gradient allreduce.
-      nn::GptModel replica(model.config());
-      train_rank(replica, data, config, &comm);
+  for (std::int64_t step = 0; step < config.steps; ++step) {
+    const auto batch = working.sample_batch(config.batch_seqs, config.seq);
+    Tape tape;
+    Var loss = model.loss(tape, batch.tokens, batch.targets, batch.batch,
+                          batch.seq, /*training=*/true);
+    model.zero_grad();
+    tape.backward(loss);
+    optimizer->clip_grad_norm(config.clip_norm);
+    optimizer->step(schedule.lr(step));
+    if (config.precision != DType::kFloat32) {
+      model.quantize_params(config.precision);
     }
-  });
+    if (step % config.eval_every == 0 || step + 1 == config.steps) {
+      curve.points.push_back({step, loss.value()[0],
+                              validation_loss(model, working, config)});
+    }
+  }
   return curve;
 }
 
@@ -157,7 +107,6 @@ TrainingCurve train_bert(nn::BertEncoder& model,
                          const data::TokenDataset& data,
                          const TrainConfig& config, float mask_prob) {
   config.validate();
-  MGPT_CHECK(config.dp_ranks == 1, "BERT trainer is single-rank");
   auto optimizer = make_optimizer(config, model);
   optim::CosineSchedule schedule(config.lr, config.steps,
                                  config.warmup_fraction,

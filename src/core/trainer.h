@@ -2,11 +2,12 @@
 // End-to-end pre-training loops for the scaled-down MatGPT study.
 //
 // train_gpt drives causal-LM pre-training with the paper's recipe shape:
-// Adam or LAMB, cosine LR schedule with warmup, global-norm clipping,
-// optional bf16/fp16 parameter-precision emulation, and optional real
-// data-parallel training across in-process ranks (each rank owns a replica,
-// gradients are allreduced through parallel::Communicator — the same
-// dataflow DeepSpeed runs across GCDs).
+// Adam or LAMB, cosine LR schedule with warmup, global-norm clipping and
+// optional bf16/fp16 parameter-precision emulation. Each step is one
+// forward/backward over the whole global batch; the kernels split it over
+// the current thread pool, and a run yields the same weight bytes and loss
+// curve on any pool size. Data/tensor/pipeline parallelism across GCDs is
+// priced by simfrontier, not run here.
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +25,7 @@ const char* optimizer_name(OptimizerKind kind);
 
 struct TrainConfig {
   std::int64_t steps = 200;
-  /// Global batch in sequences per step (split across dp_ranks).
+  /// Global batch in sequences per step.
   std::int64_t batch_seqs = 8;
   std::int64_t seq = 64;
   OptimizerKind optimizer = OptimizerKind::kAdam;
@@ -35,8 +36,6 @@ struct TrainConfig {
   double final_lr_fraction = 0.1;
   /// Parameter storage precision emulated after each update.
   DType precision = DType::kFloat32;
-  /// Real in-process data-parallel ranks (1 = serial).
-  int dp_ranks = 1;
   std::int64_t eval_every = 25;
   std::int64_t eval_batches = 4;
   std::uint64_t seed = 7;

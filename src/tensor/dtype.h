@@ -14,9 +14,14 @@ namespace matgpt {
 /// Storage precision emulated on top of float32.
 enum class DType { kFloat32, kBFloat16, kFloat16 };
 
-/// Round a float through the bfloat16 grid (round-to-nearest-even).
+/// Round a float through the bfloat16 grid (round-to-nearest-even). A NaN
+/// becomes the quiet NaN of its sign: rounding its payload could carry into
+/// the exponent and turn it into an infinity or a zero.
 inline float round_bf16(float x) {
   auto bits = std::bit_cast<std::uint32_t>(x);
+  if ((bits & 0x7fffffffu) > 0x7f800000u) {
+    return std::bit_cast<float>((bits & 0x80000000u) | 0x7fc00000u);
+  }
   const std::uint32_t lsb = (bits >> 16) & 1u;
   bits += 0x7fffu + lsb;   // round to nearest, ties to even
   bits &= 0xffff0000u;     // drop the low mantissa half

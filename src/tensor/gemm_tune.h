@@ -45,7 +45,8 @@ struct QuantWeights {
 /// kernels::pack_panels. int8 throws on a weight that is not finite,
 /// naming its row and column: an inf would give its column an inf scale
 /// and quantize every element of it to 0, and a NaN has no int8 value.
-/// bf16 rounds every weight by round_bf16 and keeps an inf as it is.
+/// bf16 rounds every weight by round_bf16, keeping an inf as it is and a
+/// NaN as a NaN of its sign.
 QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
                               kernels::WeightFormat format);
 

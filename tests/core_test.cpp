@@ -1,13 +1,17 @@
 // Tests for the core pipeline: trainer mechanics (loss descent, schedules,
-// precision emulation, data-parallel lockstep), config tables, and the
-// comparative-study driver.
+// precision emulation, the same weight bytes on every thread-pool size),
+// config tables, and the comparative-study driver.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 
 #include "core/study.h"
+#include "parallel/thread_pool.h"
+#include "tensor/kernels.h"
 
 namespace matgpt::core {
 namespace {
@@ -49,12 +53,22 @@ nn::GptConfig tiny_gpt(std::int32_t vocab) {
 
 TEST(TrainConfig, Validation) {
   TrainConfig c;
-  c.batch_seqs = 7;
-  c.dp_ranks = 2;
-  EXPECT_THROW(c.validate(), Error);  // 7 % 2 != 0
-  c.batch_seqs = 8;
   EXPECT_NO_THROW(c.validate());
   c.steps = 0;
+  EXPECT_THROW(c.validate(), Error);
+  c = TrainConfig{};
+  c.batch_seqs = 0;
+  EXPECT_THROW(c.validate(), Error);
+  c = TrainConfig{};
+  c.lr = 0.0;
+  EXPECT_THROW(c.validate(), Error);
+  // eval_every = 0 would divide by zero in the step loop; eval_batches = 0
+  // would average no validation batches into a NaN.
+  c = TrainConfig{};
+  c.eval_every = 0;
+  EXPECT_THROW(c.validate(), Error);
+  c = TrainConfig{};
+  c.eval_batches = 0;
   EXPECT_THROW(c.validate(), Error);
 }
 
@@ -88,37 +102,61 @@ TEST(Trainer, LambPathRuns) {
   EXPECT_LT(curve.final_train_loss(), curve.points.front().train_loss);
 }
 
-TEST(Trainer, DataParallelMatchesSerialTraining) {
-  // The lockstep property: DP across 2 ranks with the same global batch
-  // produces (numerically near-)identical weights to serial training.
+TEST(Trainer, PoolSizeDoesNotChangeTrainedWeights) {
+  // The training byte contract serving keeps too: one run on pools of 0
+  // (serial), 1, 2, 3 and 7 workers yields the same parameter bytes and the
+  // same loss curve. 4 x 32 = 128 rows split into GEMM row groups, and
+  // lm_head's 128 x vocab x 64 multiply-adds reach the panel split.
   const auto tk = tiny_tokenizer();
   const auto ds = tiny_dataset(tk);
   TrainConfig tc;
-  tc.steps = 10;
+  tc.steps = 8;
   tc.batch_seqs = 4;
-  tc.seq = 16;
-  tc.eval_every = 5;
-
-  nn::GptModel serial(tiny_gpt(tk.vocab_size()));
-  tc.dp_ranks = 1;
-  train_gpt(serial, ds, tc);
-
-  nn::GptModel parallel(tiny_gpt(tk.vocab_size()));
-  tc.dp_ranks = 2;
-  train_gpt(parallel, ds, tc);
-
-  const auto ps = serial.parameters();
-  const auto pp = parallel.parameters();
-  ASSERT_EQ(ps.size(), pp.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    for (std::int64_t j = 0; j < ps[i].var.value().numel(); ++j) {
-      max_diff = std::max(
-          max_diff, static_cast<double>(std::fabs(
-                        ps[i].var.value()[j] - pp[i].var.value()[j])));
+  tc.seq = 32;
+  tc.eval_every = 3;
+  ASSERT_GE(tc.batch_seqs * tc.seq, kernels::kParallelRowThreshold);
+  for (const auto arch : {nn::ArchFamily::kNeoX, nn::ArchFamily::kLLaMA}) {
+    nn::GptConfig gc = tiny_gpt(tk.vocab_size());
+    gc.arch = arch;
+    gc.hidden = 64;
+    gc.n_heads = 4;
+    ASSERT_GE(tc.batch_seqs * tc.seq * gc.vocab_size * gc.hidden,
+              kernels::kParallelPanelFmas);
+    for (const auto precision : {DType::kFloat32, DType::kBFloat16}) {
+      tc.precision = precision;
+      std::unique_ptr<nn::GptModel> ref;
+      TrainingCurve ref_curve;
+      for (const int workers : {0, 1, 2, 3, 7}) {
+        SCOPED_TRACE(std::string(nn::arch_name(arch)) + " " +
+                     dtype_name(precision) + " on " +
+                     std::to_string(workers) + " workers");
+        const ScopedThreadPool scope(workers);
+        auto model = std::make_unique<nn::GptModel>(gc);
+        const auto curve = train_gpt(*model, ds, tc);
+        if (!ref) {
+          ref = std::move(model);
+          ref_curve = curve;
+          continue;
+        }
+        const auto got = model->parameters();
+        const auto want = ref->parameters();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const auto a = got[i].var.value().span();
+          const auto b = want[i].var.value().span();
+          ASSERT_EQ(a.size(), b.size());
+          EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+              << got[i].name;
+        }
+        ASSERT_EQ(curve.points.size(), ref_curve.points.size());
+        for (std::size_t i = 0; i < curve.points.size(); ++i) {
+          EXPECT_EQ(curve.points[i].step, ref_curve.points[i].step);
+          EXPECT_EQ(curve.points[i].train_loss, ref_curve.points[i].train_loss);
+          EXPECT_EQ(curve.points[i].val_loss, ref_curve.points[i].val_loss);
+        }
+      }
     }
   }
-  EXPECT_LT(max_diff, 5e-3) << "replicas drifted from the serial reference";
 }
 
 TEST(Trainer, PrecisionEmulationQuantizesWeights) {

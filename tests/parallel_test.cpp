@@ -1,16 +1,13 @@
-// Unit tests for the thread pool and the in-process MPI-style communicator.
+// Unit tests for the fork-join thread pool: range coverage, exceptions,
+// concurrent and nested callers, and per-thread scoped pools.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
-#include "parallel/comm.h"
 #include "parallel/thread_pool.h"
 
 namespace matgpt {
@@ -220,193 +217,6 @@ TEST(ThreadPool, ScopedPoolIsCurrentOnItsThreadOnly) {
     EXPECT_EQ(off_pool.load(), 0);
   }
   EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
-}
-
-TEST(Comm, WorldSizeAndRankAssignment) {
-  std::vector<std::atomic<int>> seen(4);
-  run_ranks(4, [&](Communicator& comm) {
-    EXPECT_EQ(comm.size(), 4);
-    seen[static_cast<std::size_t>(comm.rank())].fetch_add(1);
-  });
-  for (auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(Comm, AllreduceSum) {
-  run_ranks(4, [](Communicator& comm) {
-    std::vector<float> data{static_cast<float>(comm.rank() + 1), 10.0f};
-    comm.allreduce(data);
-    EXPECT_FLOAT_EQ(data[0], 10.0f);  // 1+2+3+4
-    EXPECT_FLOAT_EQ(data[1], 40.0f);
-  });
-}
-
-TEST(Comm, AllreduceMaxMin) {
-  run_ranks(3, [](Communicator& comm) {
-    std::vector<float> mx{static_cast<float>(comm.rank())};
-    comm.allreduce(mx, ReduceOp::kMax);
-    EXPECT_FLOAT_EQ(mx[0], 2.0f);
-    std::vector<float> mn{static_cast<float>(comm.rank())};
-    comm.allreduce(mn, ReduceOp::kMin);
-    EXPECT_FLOAT_EQ(mn[0], 0.0f);
-  });
-}
-
-TEST(Comm, AllreduceRepeatedUsesAreIndependent) {
-  run_ranks(4, [](Communicator& comm) {
-    for (int iter = 1; iter <= 5; ++iter) {
-      std::vector<float> data{static_cast<float>(comm.rank() * iter)};
-      comm.allreduce(data);
-      EXPECT_FLOAT_EQ(data[0], static_cast<float>(6 * iter));
-    }
-  });
-}
-
-TEST(Comm, Allgather) {
-  run_ranks(3, [](Communicator& comm) {
-    std::vector<float> send{static_cast<float>(comm.rank()),
-                            static_cast<float>(comm.rank() * 10)};
-    std::vector<float> recv(6);
-    comm.allgather(send, recv);
-    const std::vector<float> expect{0, 0, 1, 10, 2, 20};
-    EXPECT_EQ(recv, expect);
-  });
-}
-
-TEST(Comm, ReduceScatter) {
-  run_ranks(2, [](Communicator& comm) {
-    // Both ranks contribute [0,1,2,3]; reduction is [0,2,4,6].
-    std::vector<float> send{0, 1, 2, 3};
-    std::vector<float> recv(2);
-    comm.reduce_scatter(send, recv);
-    if (comm.rank() == 0) {
-      EXPECT_FLOAT_EQ(recv[0], 0.0f);
-      EXPECT_FLOAT_EQ(recv[1], 2.0f);
-    } else {
-      EXPECT_FLOAT_EQ(recv[0], 4.0f);
-      EXPECT_FLOAT_EQ(recv[1], 6.0f);
-    }
-  });
-}
-
-TEST(Comm, Broadcast) {
-  run_ranks(4, [](Communicator& comm) {
-    std::vector<float> data(3, comm.rank() == 2 ? 5.0f : 0.0f);
-    comm.broadcast(data, /*root=*/2);
-    for (float v : data) EXPECT_FLOAT_EQ(v, 5.0f);
-  });
-}
-
-TEST(Comm, PointToPointRing) {
-  run_ranks(4, [](Communicator& comm) {
-    const int next = (comm.rank() + 1) % comm.size();
-    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-    std::vector<float> out{static_cast<float>(comm.rank())};
-    std::vector<float> in(1);
-    if (comm.rank() % 2 == 0) {
-      comm.send(out, next);
-      comm.recv(in, prev);
-    } else {
-      comm.recv(in, prev);
-      comm.send(out, next);
-    }
-    EXPECT_FLOAT_EQ(in[0], static_cast<float>(prev));
-  });
-}
-
-TEST(Comm, TaggedMessagesDoNotCross) {
-  run_ranks(2, [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      std::vector<float> a{1.0f}, b{2.0f};
-      comm.send(a, 1, /*tag=*/7);
-      comm.send(b, 1, /*tag=*/9);
-    } else {
-      std::vector<float> b(1), a(1);
-      comm.recv(b, 0, /*tag=*/9);  // receive in reverse send order
-      comm.recv(a, 0, /*tag=*/7);
-      EXPECT_FLOAT_EQ(a[0], 1.0f);
-      EXPECT_FLOAT_EQ(b[0], 2.0f);
-    }
-  });
-}
-
-TEST(Comm, SplitFormsSubgroupsWithReorderedRanks) {
-  run_ranks(6, [](Communicator& comm) {
-    // Even ranks form group 0, odd ranks group 1; key reverses order.
-    Communicator sub = comm.split(comm.rank() % 2, -comm.rank());
-    EXPECT_EQ(sub.size(), 3);
-    // Highest parent rank gets child rank 0 because of the negated key.
-    if (comm.rank() == 4) {
-      EXPECT_EQ(sub.rank(), 0);
-    }
-    if (comm.rank() == 0) {
-      EXPECT_EQ(sub.rank(), 2);
-    }
-    std::vector<float> data{1.0f};
-    sub.allreduce(data);
-    EXPECT_FLOAT_EQ(data[0], 3.0f);
-  });
-}
-
-TEST(Comm, SplitGroupsAreIsolated) {
-  run_ranks(4, [](Communicator& comm) {
-    Communicator sub = comm.split(comm.rank() / 2, comm.rank());
-    std::vector<float> data{static_cast<float>(comm.rank())};
-    sub.allreduce(data);
-    const float expect = comm.rank() < 2 ? 1.0f : 5.0f;  // 0+1 or 2+3
-    EXPECT_FLOAT_EQ(data[0], expect);
-  });
-}
-
-TEST(Comm, TrafficCountersAdvance) {
-  run_ranks(2, [](Communicator& comm) {
-    std::vector<float> data{1.0f, 2.0f};
-    comm.allreduce(data);
-    comm.barrier();
-    EXPECT_GT(comm.bytes_reduced(), 0u);
-  });
-}
-
-TEST(Comm, SingleRankCollectivesAreIdentity) {
-  run_ranks(1, [](Communicator& comm) {
-    std::vector<float> data{3.5f};
-    comm.allreduce(data);
-    EXPECT_FLOAT_EQ(data[0], 3.5f);
-    comm.broadcast(data, 0);
-    EXPECT_FLOAT_EQ(data[0], 3.5f);
-    comm.barrier();
-  });
-}
-
-TEST(Comm, ConcurrentSplitGroupsKeepSeparateScratch) {
-  // Two sub-groups cut from one parent stay live simultaneously and
-  // interleave collectives. Each split's GroupState owns its own scratch,
-  // so neither group can see the other's partial sums.
-  run_ranks(4, [](Communicator& comm) {
-    Communicator pair = comm.split(comm.rank() / 2, comm.rank());   // {0,1},{2,3}
-    Communicator stripe = comm.split(comm.rank() % 2, comm.rank()); // {0,2},{1,3}
-    for (int it = 0; it < 16; ++it) {
-      std::vector<float> a{static_cast<float>(comm.rank() + 1)};
-      std::vector<float> b{static_cast<float>((comm.rank() + 1) * 10)};
-      pair.allreduce(a);
-      stripe.allreduce(b);
-      const float want_pair = comm.rank() < 2 ? 3.0f : 7.0f;    // 1+2 / 3+4
-      const float want_stripe =
-          comm.rank() % 2 == 0 ? 40.0f : 60.0f;                 // 10+30 / 20+40
-      EXPECT_FLOAT_EQ(a[0], want_pair) << "iter " << it;
-      EXPECT_FLOAT_EQ(b[0], want_stripe) << "iter " << it;
-      std::vector<float> g(2);
-      pair.allgather(std::vector<float>{static_cast<float>(comm.rank())}, g);
-      EXPECT_FLOAT_EQ(g[0] + g[1], comm.rank() < 2 ? 1.0f : 5.0f);
-    }
-  });
-}
-
-TEST(Comm, RankExceptionPropagatesToLauncher) {
-  EXPECT_THROW(run_ranks(2,
-                         [](Communicator& comm) {
-                           if (comm.rank() == 1) throw Error("rank failure");
-                         }),
-               Error);
 }
 
 }  // namespace

@@ -7,61 +7,12 @@
 
 #include "data/materials.h"
 #include "optim/optimizer.h"
-#include "parallel/comm.h"
 #include "simfrontier/parallelism.h"
 #include "tensor/ops.h"
 #include "tokenizer/bpe.h"
 
 namespace matgpt {
 namespace {
-
-// ---- communicator algebra ----------------------------------------------------
-
-class CommWorlds : public ::testing::TestWithParam<int> {};
-
-TEST_P(CommWorlds, AllreduceEqualsSerialSum) {
-  const int world = GetParam();
-  Rng rng(world * 97);
-  const std::size_t n = 17;
-  std::vector<std::vector<float>> contributions(
-      static_cast<std::size_t>(world), std::vector<float>(n));
-  std::vector<float> expect(n, 0.0f);
-  for (auto& c : contributions) {
-    for (auto& v : c) v = static_cast<float>(rng.uniform(-2.0, 2.0));
-    for (std::size_t i = 0; i < n; ++i) expect[i] += c[i];
-  }
-  run_ranks(world, [&](Communicator& comm) {
-    auto mine = contributions[static_cast<std::size_t>(comm.rank())];
-    comm.allreduce(mine);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(mine[i], expect[i], 1e-4);
-    }
-  });
-}
-
-TEST_P(CommWorlds, ReduceScatterThenAllgatherEqualsAllreduce) {
-  const int world = GetParam();
-  const std::size_t shard = 6;
-  const std::size_t n = shard * static_cast<std::size_t>(world);
-  run_ranks(world, [&](Communicator& comm) {
-    std::vector<float> data(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      data[i] = static_cast<float>(comm.rank() + 1) * static_cast<float>(i);
-    }
-    std::vector<float> via_allreduce = data;
-    comm.allreduce(via_allreduce);
-
-    std::vector<float> my_shard(shard);
-    comm.reduce_scatter(data, my_shard);
-    std::vector<float> reassembled(n);
-    comm.allgather(my_shard, reassembled);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(reassembled[i], via_allreduce[i], 1e-3);
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Worlds, CommWorlds, ::testing::Values(1, 2, 3, 5));
 
 // ---- tokenizer fuzz -----------------------------------------------------------
 

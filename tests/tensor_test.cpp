@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -155,6 +156,17 @@ TEST(DType, BFloat16RoundTripPreservesCoarseValues) {
   EXPECT_NEAR(r, x, x / 128.0f);
   // Idempotence: rounding twice changes nothing.
   EXPECT_EQ(round_bf16(r), r);
+}
+
+TEST(DType, BFloat16KeepsNaNsAndTheirSign) {
+  // Signalling, all-ones and minimal payloads used to carry into the
+  // exponent or sign (0x7f800001 rounded to +inf, 0x7fffffff to -0).
+  for (const std::uint32_t bits :
+       {0x7f800001u, 0x7fffffffu, 0xffffffffu, 0xff800001u, 0x7fc00000u}) {
+    const float r = round_bf16(std::bit_cast<float>(bits));
+    EXPECT_TRUE(std::isnan(r)) << std::hex << bits;
+    EXPECT_EQ(std::signbit(r), (bits >> 31) != 0) << std::hex << bits;
+  }
 }
 
 TEST(DType, Float16Behaviour) {
