@@ -50,7 +50,7 @@
 // Checkpoints written by `train` (model.ckpt + tokenizer.txt) are reloaded
 // by `generate`.
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -70,7 +70,6 @@
 #include "net/server.h"
 #include "nn/bert.h"
 #include "nn/serialize.h"
-#include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/trace.h"
 #include "serve/workloads/grammar.h"
@@ -258,7 +257,7 @@ void print_decode_quant_banner(kernels::WeightFormat decode_quant) {
   std::printf("gemm: decode quant %s\n", kernels::format_name(decode_quant));
 }
 
-// Continuous-batching serving demo: client threads (a dedicated ThreadPool)
+// Continuous-batching serving demo: client threads (one std::async each)
 // replay a synthetic trace through the engine's bounded admission queue while
 // this thread drives the scheduler loop — the deployment shape, minus the
 // network. The model is random-init (the point is the engine, not the prose);
@@ -451,26 +450,30 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
   }
 
   std::vector<std::future<serve::RequestResult>> futures(trace.size());
-  std::atomic<std::size_t> clients_done{0};
-  ThreadPool clients(n_clients);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<void>> client_futures;
+  std::vector<std::future<void>> clients;
   for (std::size_t cidx = 0; cidx < n_clients; ++cidx) {
-    client_futures.push_back(clients.submit([&, cidx] {
+    clients.push_back(std::async(std::launch::async, [&, cidx] {
       // Client cidx owns every n_clients-th request; submit() blocks while
       // the admission queue is full, so a slow scheduler throttles clients
       // instead of dropping work.
       for (std::size_t i = cidx; i < trace.size(); i += n_clients) {
         futures[i] = engine.submit(trace[i]);
       }
-      clients_done.fetch_add(1);
     }));
   }
-  while (clients_done.load() < n_clients || engine.queue_depth() > 0 ||
+  // A client that throws also ends its future, so the loop drains and the
+  // exception reaches get() below.
+  const auto clients_running = [&] {
+    return std::any_of(clients.begin(), clients.end(), [](const auto& f) {
+      return f.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+    });
+  };
+  while (clients_running() || engine.queue_depth() > 0 ||
          engine.active_count() > 0) {
     if (engine.step() == 0) std::this_thread::yield();
   }
-  for (auto& f : client_futures) f.get();
+  for (auto& f : clients) f.get();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

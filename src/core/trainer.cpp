@@ -1,7 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <memory>
 
 #include "common/error.h"
@@ -72,22 +72,25 @@ double validation_loss(const nn::GptModel& model,
   return total / static_cast<double>(config.eval_batches);
 }
 
-}  // namespace
-
-TrainingCurve train_gpt(nn::GptModel& model, const data::TokenDataset& data,
-                        const TrainConfig& config) {
+// The one step loop both objectives share: sample a batch, record its loss
+// (batch_loss), backward, clip, step at the cosine LR, emulate the storage
+// precision, and log a curve point with val_loss(train loss) every
+// eval_every steps and at the last step.
+TrainingCurve train_loop(
+    nn::Module& model, data::TokenDataset working, const TrainConfig& config,
+    const std::function<Var(Tape&, const data::LmBatch&)>& batch_loss,
+    const std::function<double(const data::TokenDataset&, double)>&
+        val_loss) {
   config.validate();
   auto optimizer = make_optimizer(config, model);
   optim::CosineSchedule schedule(config.lr, config.steps,
                                  config.warmup_fraction,
                                  config.final_lr_fraction);
-  data::TokenDataset working = data;
   TrainingCurve curve;
   for (std::int64_t step = 0; step < config.steps; ++step) {
     const auto batch = working.sample_batch(config.batch_seqs, config.seq);
     Tape tape;
-    Var loss = model.loss(tape, batch.tokens, batch.targets, batch.batch,
-                          batch.seq, /*training=*/true);
+    Var loss = batch_loss(tape, batch);
     model.zero_grad();
     tape.backward(loss);
     optimizer->clip_grad_norm(config.clip_norm);
@@ -96,40 +99,43 @@ TrainingCurve train_gpt(nn::GptModel& model, const data::TokenDataset& data,
       model.quantize_params(config.precision);
     }
     if (step % config.eval_every == 0 || step + 1 == config.steps) {
-      curve.points.push_back({step, loss.value()[0],
-                              validation_loss(model, working, config)});
+      const double train_loss = loss.value()[0];
+      curve.points.push_back(
+          {step, train_loss, val_loss(working, train_loss)});
     }
   }
   return curve;
 }
 
+}  // namespace
+
+TrainingCurve train_gpt(nn::GptModel& model, const data::TokenDataset& data,
+                        const TrainConfig& config) {
+  return train_loop(
+      model, data, config,
+      [&](Tape& tape, const data::LmBatch& batch) {
+        return model.loss(tape, batch.tokens, batch.targets, batch.batch,
+                          batch.seq, /*training=*/true);
+      },
+      [&](const data::TokenDataset& working, double) {
+        return validation_loss(model, working, config);
+      });
+}
+
 TrainingCurve train_bert(nn::BertEncoder& model,
                          const data::TokenDataset& data,
                          const TrainConfig& config, float mask_prob) {
-  config.validate();
-  auto optimizer = make_optimizer(config, model);
-  optim::CosineSchedule schedule(config.lr, config.steps,
-                                 config.warmup_fraction,
-                                 config.final_lr_fraction);
   Rng mask_rng(config.seed ^ 0x6d61736bULL);
-  data::TokenDataset working = data;
-  TrainingCurve curve;
-  for (std::int64_t step = 0; step < config.steps; ++step) {
-    const auto lm = working.sample_batch(config.batch_seqs, config.seq);
-    const auto batch = data::to_mlm_batch(lm, tok::SpecialTokens::kMask,
-                                          mask_prob, mask_rng);
-    Tape tape;
-    Var loss = model.mlm_loss(tape, batch.tokens, batch.targets, batch.batch,
+  // The masked-LM curve reports the training loss as its validation loss.
+  return train_loop(
+      model, data, config,
+      [&](Tape& tape, const data::LmBatch& lm) {
+        const auto batch = data::to_mlm_batch(lm, tok::SpecialTokens::kMask,
+                                              mask_prob, mask_rng);
+        return model.mlm_loss(tape, batch.tokens, batch.targets, batch.batch,
                               batch.seq);
-    model.zero_grad();
-    tape.backward(loss);
-    optimizer->clip_grad_norm(config.clip_norm);
-    optimizer->step(schedule.lr(step));
-    if (step % config.eval_every == 0 || step + 1 == config.steps) {
-      curve.points.push_back({step, loss.value()[0], loss.value()[0]});
-    }
-  }
-  return curve;
+      },
+      [](const data::TokenDataset&, double train_loss) { return train_loss; });
 }
 
 }  // namespace matgpt::core

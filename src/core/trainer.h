@@ -1,9 +1,10 @@
 #pragma once
 // End-to-end pre-training loops for the scaled-down MatGPT study.
 //
-// train_gpt drives causal-LM pre-training with the paper's recipe shape:
-// Adam or LAMB, cosine LR schedule with warmup, global-norm clipping and
-// optional bf16/fp16 parameter-precision emulation. Each step is one
+// train_gpt (causal LM) and train_bert (masked LM) run one step loop with
+// the paper's recipe shape: Adam or LAMB, cosine LR schedule with warmup,
+// global-norm clipping and optional bf16/fp16 parameter-precision
+// emulation; only the batch loss and the validation differ. Each step is one
 // forward/backward over the whole global batch; the kernels split it over
 // the current thread pool, and a run yields the same weight bytes and loss
 // curve on any pool size. Data/tensor/pipeline parallelism across GCDs is
@@ -63,7 +64,8 @@ struct TrainingCurve {
 TrainingCurve train_gpt(nn::GptModel& model, const data::TokenDataset& data,
                         const TrainConfig& config);
 
-/// Masked-LM pre-training for the BERT stand-in.
+/// Masked-LM pre-training for the BERT stand-in. Its curve reports each
+/// point's training loss as the validation loss.
 TrainingCurve train_bert(nn::BertEncoder& model,
                          const data::TokenDataset& data,
                          const TrainConfig& config, float mask_prob = 0.15f);

@@ -1,9 +1,9 @@
 #include "parallel/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
-
-#include "common/error.h"
 
 namespace matgpt {
 
@@ -49,26 +49,10 @@ ThreadPool::ThreadPool(std::size_t workers) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
-    stopping_.store(true);
+    stopping_ = true;
   }
   cv_.notify_all();
   for (auto& t : threads_) t.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  if (threads_.empty()) {
-    packaged();  // inline execution mode
-    return future;
-  }
-  {
-    std::lock_guard lock(mutex_);
-    MGPT_CHECK(!stopping_.load(), "submit on a stopped ThreadPool");
-    queue_.push_back(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::parallel_for(
@@ -134,11 +118,17 @@ std::uint64_t ThreadPool::run_chunks() {
   }
 }
 
+std::size_t default_worker_count() {
+  std::size_t cpus = std::thread::hardware_concurrency();
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    cpus = static_cast<std::size_t>(CPU_COUNT(&mask));
+  }
+  return cpus > 1 ? cpus - 1 : 0;
+}
+
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? static_cast<std::size_t>(hw - 1) : std::size_t{0};
-  }());
+  static ThreadPool pool(default_worker_count());
   return pool;
 }
 
@@ -155,27 +145,18 @@ void ThreadPool::worker_loop() {
   tls_current = this;
   std::uint64_t seen = 0;  // id of the last job this worker looked at
   for (;;) {
-    std::packaged_task<void()> task;
     {
       std::unique_lock lock(mutex_);
       sleepers_.fetch_add(1);
       cv_.wait(lock, [&] {
-        return stopping_.load() || !queue_.empty() ||
-               ticket_job(ticket_.load()) != seen;
+        return stopping_ || ticket_job(ticket_.load()) != seen;
       });
       sleepers_.fetch_sub(1);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else if (ticket_job(ticket_.load()) == seen) {
+      if (ticket_job(ticket_.load()) == seen) {
         return;  // stopping; no job can be in flight once the destructor runs
       }
     }
-    if (task.valid()) {
-      task();
-    } else {
-      seen = run_chunks();
-    }
+    seen = run_chunks();
   }
 }
 

@@ -1,12 +1,12 @@
 #pragma once
 // Fork-join thread pool: parallel_for splits a range over the calling thread
-// and the workers; submit() queues standalone tasks.
+// and the workers.
 //
 // parallel_for publishes one job at a time. The caller claims chunks of it
 // from the job's atomic ticket exactly as the workers do, so a pool of W
 // workers runs a range on W + 1 threads and the caller never idles waiting.
-// Idle workers block on one condition variable, which a new job or task
-// wakes.
+// Idle workers block on one condition variable until a new job's ticket is
+// published or the pool stops.
 //
 // The inline rule: only one job is in flight per pool. A nested call (from
 // inside a chunk) or a second caller while a job runs executes its whole
@@ -24,10 +24,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,7 +34,7 @@ namespace matgpt {
 
 class ThreadPool {
  public:
-  /// `workers == 0` means execute all tasks inline on the calling thread.
+  /// `workers == 0` means every parallel_for runs inline on its caller.
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
@@ -44,9 +42,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t worker_count() const { return threads_.size(); }
-
-  /// Enqueue a task; the returned future resolves when it completes.
-  std::future<void> submit(std::function<void()> task);
 
   /// Run fn(lo, hi) over contiguous chunks covering [begin, end), each index
   /// exactly once, on the caller and the workers (or all inline, see the
@@ -56,8 +51,7 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Process-wide pool sized from hardware_concurrency (minus one for the
-  /// caller, never below zero workers).
+  /// Process-wide pool of default_worker_count() workers.
   static ThreadPool& global();
 
   /// The pool the calling thread's kernels run on: the innermost live
@@ -91,10 +85,14 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> queue_;  // guarded by mutex_
-  std::atomic<bool> stopping_{false};             // written under mutex_
+  bool stopping_ = false;  // guarded by mutex_
   std::vector<std::thread> threads_;  // last: the workers use all of the above
 };
+
+/// Workers for a pool that uses every CPU the calling thread may run on:
+/// the CPUs in its affinity mask (hardware_concurrency() where that mask
+/// cannot be read), minus one for the caller, never below zero.
+std::size_t default_worker_count();
 
 /// Runs the calling thread's kernels on a pool of `workers` workers of its
 /// own while in scope: ThreadPool::current() returns it, on this thread

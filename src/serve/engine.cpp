@@ -117,8 +117,7 @@ InferenceEngine::InferenceEngine(const nn::GptModel& model,
       pool_(model.config(), pool_config(model.config(), config_)),
       scheduler_(
           sched::make_scheduler(config_.scheduler, config_.sched_aging_ms)),
-      tier_(config_.kv_tier),
-      stats_(config_.stats) {
+      tier_(config_.kv_tier) {
   if (config_.prefix_cache_bytes > 0) {
     // Throws here if the budget cannot hold even one KV block.
     prefix_cache_ = std::make_unique<PrefixCache>(

@@ -167,7 +167,6 @@ struct EngineConfig {
   kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
   /// Grammar-constrained decoding + batched embedding workload classes.
   WorkloadsConfig workloads;
-  StatsConfig stats;
 
   /// Throws (MGPT_CHECK) on unserviceable knobs: max_batch <= 0,
   /// kv_slots == 0, queue_capacity == 0, paged_kv == false,

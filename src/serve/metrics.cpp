@@ -35,20 +35,20 @@ constexpr StatKind kKinds[] = {
 #undef MATGPT_STAT_KIND
 #undef MATGPT_RATIO_SKIP
 
+// Upper bounds and bin count of the latency histograms.
+constexpr double kMaxTtftMs = 10000.0;
+constexpr double kMaxInterTokenMs = 1000.0;
+constexpr double kMaxQueueDelayMs = 10000.0;
+constexpr std::size_t kHistogramBins = 4000;
+
 }  // namespace
 
-ServerStats::ServerStats(const StatsConfig& config)
-    : ttft_ms_(0.0, config.max_ttft_ms, config.bins),
-      inter_token_ms_(0.0, config.max_inter_token_ms, config.bins),
-      queue_delay_ms_(0.0, config.max_queue_delay_ms, config.bins) {
-  MGPT_CHECK(config.max_ttft_ms > 0.0 && config.max_inter_token_ms > 0.0 &&
-                 config.max_queue_delay_ms > 0.0,
-             "latency bounds must be positive");
-  ttft_class_ms_.reserve(kPriorityClasses);
-  for (std::size_t i = 0; i < kPriorityClasses; ++i) {
-    ttft_class_ms_.emplace_back(0.0, config.max_ttft_ms, config.bins);
-  }
-}
+ServerStats::ServerStats()
+    : ttft_ms_(0.0, kMaxTtftMs, kHistogramBins),
+      inter_token_ms_(0.0, kMaxInterTokenMs, kHistogramBins),
+      queue_delay_ms_(0.0, kMaxQueueDelayMs, kHistogramBins),
+      ttft_class_ms_(kPriorityClasses,
+                     Histogram(0.0, kMaxTtftMs, kHistogramBins)) {}
 
 void ServerStats::record(Stat stat, double v) {
   const auto i = static_cast<std::size_t>(stat);

@@ -103,19 +103,12 @@ enum class StatKind { kCounter, kGauge, kPeak };
   STAT(gemm_bf16_calls, std::uint64_t, kGauge, "gemm")                      \
   STAT(gemm_int8_calls, std::uint64_t, kGauge, "gemm")
 
-/// Bounds for the fixed-bin latency histograms. Samples above the bound are
-/// clamped into the top bin (Histogram semantics), so quantiles saturate
-/// rather than lose data.
-struct StatsConfig {
-  double max_ttft_ms = 10000.0;
-  double max_inter_token_ms = 1000.0;
-  double max_queue_delay_ms = 10000.0;
-  std::size_t bins = 4000;
-};
-
+/// The latency histograms have fixed bounds, set in metrics.cpp. Samples
+/// above a bound are clamped into the top bin (Histogram semantics), so
+/// quantiles saturate rather than lose data.
 class ServerStats {
  public:
-  explicit ServerStats(const StatsConfig& config = {});
+  ServerStats();
 
   /// TTFT lands in the aggregate histogram and the request's class
   /// histogram — the priority scheduler's SLO claims are per-class claims.

@@ -6,13 +6,10 @@
 
 #include <set>
 
-#include <sstream>
-
 #include "data/classifier.h"
 #include "data/corpus.h"
 #include "data/dataset.h"
 #include "data/elements.h"
-#include "data/export.h"
 #include "data/materials.h"
 
 namespace matgpt::data {
@@ -245,51 +242,6 @@ TEST(Dataset, RejectsDegenerateConfigs) {
   EXPECT_THROW(TokenDataset(docs, tk, 0.0, 1), Error);
   TokenDataset ds(docs, tk, 0.4, 1);
   EXPECT_THROW(ds.sample_batch(1, 1000), Error);
-}
-
-TEST(Export, JsonlRoundTripsDocuments) {
-  std::vector<Document> docs{
-      {"CORE", "band gap of LiFePO4 is 3.4 eV", false,
-       DocDomain::kMaterials},
-      {"MAG", "line with \"quotes\", commas\nand a newline\tand tab", true,
-       DocDomain::kBiomedical},
-      {"Aminer", "query optimization on clusters", false,
-       DocDomain::kComputerScience},
-  };
-  std::stringstream buffer;
-  write_jsonl(docs, buffer);
-  const auto restored = read_jsonl(buffer);
-  ASSERT_EQ(restored.size(), docs.size());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    EXPECT_EQ(restored[i].source, docs[i].source);
-    EXPECT_EQ(restored[i].text, docs[i].text);
-    EXPECT_EQ(restored[i].full_text, docs[i].full_text);
-    EXPECT_EQ(restored[i].domain, docs[i].domain);
-  }
-}
-
-TEST(Export, EscapingIsInverse) {
-  const std::string nasty = "a\"b\\c\nd\te\r";
-  EXPECT_EQ(json_unescape(json_escape(nasty)), nasty);
-  EXPECT_EQ(json_escape("plain"), "plain");
-}
-
-TEST(Export, RejectsMalformedInput) {
-  std::stringstream bad("{\"source\": \"X\"}\n");  // missing fields
-  EXPECT_THROW(read_jsonl(bad), Error);
-  EXPECT_THROW(domain_from_name("astrology"), Error);
-  EXPECT_THROW(json_unescape("dangling\\"), Error);
-}
-
-TEST(Export, FileRoundTrip) {
-  CorpusBuilder builder(3, 20);
-  const auto docs = builder.build({{"SCOPUS", 15, 0, 1.0}});
-  const std::string path = "/tmp/matgpt_corpus_test.jsonl";
-  write_jsonl_file(docs, path);
-  const auto restored = read_jsonl_file(path);
-  ASSERT_EQ(restored.size(), docs.size());
-  EXPECT_EQ(restored[3].text, docs[3].text);
-  EXPECT_THROW(read_jsonl_file("/nonexistent/x.jsonl"), Error);
 }
 
 TEST(Dataset, MlmBatchMasksAndRestores) {

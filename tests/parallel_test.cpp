@@ -1,7 +1,9 @@
 // Unit tests for the fork-join thread pool: range coverage, exceptions,
-// concurrent and nested callers, and per-thread scoped pools.
+// concurrent and nested callers, per-thread scoped pools, and the default
+// pool size under a CPU affinity mask.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <thread>
@@ -12,13 +14,6 @@
 
 namespace matgpt {
 namespace {
-
-TEST(ThreadPool, InlineModeExecutesSynchronously) {
-  ThreadPool pool(0);
-  int value = 0;
-  pool.submit([&] { value = 7; }).get();
-  EXPECT_EQ(value, 7);
-}
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
@@ -178,19 +173,40 @@ TEST(ThreadPool, ZeroWorkersRunsTheWholeRangeInline) {
 
 TEST(ThreadPool, DestructionRightAfterAJobJoinsCleanly) {
   // Each pool dies right after a job, while its workers may still be
-  // waking for it; a submitted task queued then must still run.
+  // waking for it; every other round publishes a second job first, which
+  // must still cover its range.
   for (int round = 0; round < 200; ++round) {
     ThreadPool pool(3);
     std::atomic<int> sum{0};
-    pool.parallel_for(0, 16, [&](std::size_t lo, std::size_t hi) {
+    const auto add = [&](std::size_t lo, std::size_t hi) {
       sum.fetch_add(static_cast<int>(hi - lo));
-    });
+    };
+    pool.parallel_for(0, 16, add);
     EXPECT_EQ(sum.load(), 16);
     if (round % 2 == 0) {
-      pool.submit([&] { sum.fetch_add(1); }).get();
-      EXPECT_EQ(sum.load(), 17);
+      pool.parallel_for(0, 5, add);
+      EXPECT_EQ(sum.load(), 21);
     }
   }
+}
+
+TEST(ThreadPool, DefaultWorkerCountFollowsTheCpuMask) {
+  // Confining this thread to one CPU leaves no core for a worker; the
+  // mask is restored before any assertion can return early.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t confined = default_worker_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(confined, 0u);
+  const auto cpus = static_cast<std::size_t>(CPU_COUNT(&saved));
+  EXPECT_EQ(default_worker_count(), cpus - 1);
+  EXPECT_EQ(ThreadPool::global().worker_count(), cpus - 1);
 }
 
 TEST(ThreadPool, ScopedPoolIsCurrentOnItsThreadOnly) {

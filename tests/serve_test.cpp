@@ -491,7 +491,7 @@ TEST(ServeEngine, SubmitBlocksWhenQueueSaturated) {
 }
 
 TEST(ServeStats, QuantilesAndReport) {
-  serve::ServerStats stats{serve::StatsConfig{}};
+  serve::ServerStats stats;
   for (int ms = 1; ms <= 100; ++ms) stats.record_ttft(ms * 1e-3);
   stats.record_inter_token(5e-3);
   serve::RequestResult r;
