@@ -153,7 +153,6 @@ int main() {
 
   serve::EngineConfig prio_ec = base;
   prio_ec.scheduler = serve::sched::Policy::kPriority;
-  prio_ec.preempt_mode = serve::sched::PreemptMode::kSwap;
   const auto prio = run(prio_ec);
   std::printf("priority:         %.3f s, %.0f tok/s | high TTFT p50 %.1f ms "
               "p99 %.1f ms | low p99 %.1f ms | %llu preemptions\n",

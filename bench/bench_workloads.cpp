@@ -123,7 +123,6 @@ int main() {
   base.max_batch = 8;
   base.kv_slots = 8;
   base.queue_capacity = 64;
-  base.workloads.grammar = true;
   base.workloads.embedder = encoder;
 
   // Warm-up.

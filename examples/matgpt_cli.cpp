@@ -393,7 +393,6 @@ int cmd_serve_bench(const ServeBenchOpts& opts) {
   ec.prefill_chunk_tokens = opts.prefill_chunk;
   apply_tier_opts(ec, opts.host_tier_mb, opts.disk_tier_mb, opts.spill_dir);
   ec.decode_quant = opts.decode_quant;
-  ec.workloads.grammar = opts.constrained_fraction > 0.0;
   if (opts.embed_fraction > 0.0) {
     ec.workloads.embedder = std::make_shared<const nn::BertEncoder>(
         bert_config);
@@ -520,7 +519,6 @@ int cmd_serve_http(std::uint16_t port, std::int64_t host_tier_mb,
   ec.queue_capacity = 16;
   apply_tier_opts(ec, host_tier_mb, disk_tier_mb, spill_dir);
   ec.decode_quant = decode_quant;
-  ec.workloads.grammar = grammar;
   if (embed) {
     ec.workloads.embedder =
         std::make_shared<const nn::BertEncoder>(serving_bert_config());

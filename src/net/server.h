@@ -105,8 +105,7 @@ struct HttpServerConfig {
   std::size_t completion_queue_capacity = 4096;
   /// Named compiled grammars a /v1/generate body can select with
   /// "grammar": "<name>" for constrained decoding. Compiled once at
-  /// deployment; unknown names are a 400. Requires the engine to be built
-  /// with EngineConfig::workloads.grammar = true.
+  /// deployment; unknown names are a 400.
   std::map<std::string, std::shared_ptr<const serve::workloads::TokenDfa>>
       grammars;
 

@@ -291,13 +291,38 @@ void KvCache::truncate(std::int64_t len) {
   MGPT_CHECK(len >= 0 && len <= length_,
              "truncate length " << len << " outside cached history of "
                                 << length_ << " tokens");
+  if (arena_ == nullptr) {
+    length_ = len;
+    return;
+  }
+  const std::int64_t bs = block_tokens();
+  const auto keep = static_cast<std::size_t>(ceil_div(len, bs));
+  // A shared block the next append must fork: the partial last block of an
+  // n-token history while another holder references it. Its fork is funded
+  // by a reservation unit already held.
+  auto fork_pending = [&](std::int64_t n) {
+    return n % bs != 0 &&
+           arena_->ref_count(blocks_[static_cast<std::size_t>(
+               ceil_div(n, bs) - 1)]) > 1;
+  };
+  // The sequence must still be able to re-grow to its admitted budget. A
+  // dropped block we were the last holder of returns its unit on release;
+  // one another holder (the prefix tree) still references frees nothing,
+  // so its unit is re-reserved here — as is one for a shared block that
+  // becomes the partial write target. Reserved before any state changes,
+  // so a refusal leaves the cache as it was.
+  std::int64_t units = (fork_pending(len) ? 1 : 0) -
+                       (fork_pending(length_) ? 1 : 0);
+  for (std::size_t b = keep; b < blocks_.size(); ++b) {
+    units += arena_->ref_count(blocks_[b]) > 1 ? 1 : 0;
+  }
+  MGPT_CHECK(arena_->try_reserve(units),
+             "paged KV arena has no block to re-reserve for a truncate "
+             "below a shared prefix ("
+                 << units << " needed)");
+  reserved_ += units;
   length_ = len;
-  if (arena_ == nullptr) return;
-  const std::int64_t keep = ceil_div(len, block_tokens());
-  while (static_cast<std::int64_t>(blocks_.size()) > keep) {
-    // Whole blocks past the new length go back to this cache's reservation
-    // (if we were their last holder), so a rolled-back sequence can always
-    // re-grow to its admitted budget.
+  while (blocks_.size() > keep) {
     arena_->release(blocks_.back(), &reserved_);
     blocks_.pop_back();
     for (auto& p : k_ptrs_) p.pop_back();

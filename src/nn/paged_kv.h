@@ -12,7 +12,8 @@
 // against the reservation can always grow to its token budget — the arena
 // can never deadlock mid-decode. Blocks freed by truncate (speculative
 // rollback) return to the owning sequence's reservation, not the shared
-// pool, preserving the guarantee.
+// pool, and a dropped block the prefix tree still holds is re-reserved,
+// preserving the guarantee.
 //
 // Thread-safety: arena bookkeeping (free list, refcounts, reservations) is
 // mutex-guarded so leases may be released from any thread. Block DATA is
@@ -162,9 +163,12 @@ class KvCache {
   void commit(std::int64_t n_tokens);
   /// Roll back to `len` tokens (len <= length()). Whole blocks past it
   /// return to this cache's reservation, so the sequence can re-grow to its
-  /// admitted budget. Speculative decoding appends draft tokens
-  /// optimistically and truncates to the accepted prefix; the result is
-  /// bit-identical to a cache that never saw the rejected tokens.
+  /// admitted budget; a dropped block another holder still references (and
+  /// a shared block that becomes the partial write target) is re-reserved
+  /// from the arena instead. Throws, with the cache unchanged, when the
+  /// arena has no unreserved block for that. Speculative decoding appends
+  /// draft tokens optimistically and truncates to the accepted prefix; the
+  /// result is bit-identical to a cache that never saw the rejected tokens.
   void truncate(std::int64_t len);
 
   /// Gather committed rows [start, start+len) of `layer` into contiguous

@@ -46,9 +46,6 @@ void EngineConfig::validate() const {
   MGPT_CHECK(sched_aging_ms >= 0.0,
              "EngineConfig: sched_aging_ms must be >= 0 (got "
                  << sched_aging_ms << "); 0 disables aging");
-  MGPT_CHECK(kv_tier.prefetch_depth >= 0,
-             "EngineConfig: kv_tier.prefetch_depth must be >= 0 (got "
-                 << kv_tier.prefetch_depth << "); 0 disables prefetch");
   MGPT_CHECK(kv_tier.disk_tier_bytes == 0 || !kv_tier.spill_dir.empty(),
              "EngineConfig: kv_tier.disk_tier_bytes > 0 requires a "
              "spill_dir for the spill files");
@@ -62,10 +59,6 @@ void EngineConfig::validate() const {
              "EngineConfig: workloads.map_classes maps workload classes onto "
              "scheduler priorities; it requires scheduler == kPriority (FCFS "
              "would silently ignore the mapping)");
-  MGPT_CHECK(!workloads.grammar || proposer == nullptr,
-             "EngineConfig: grammar-constrained decoding and a draft "
-             "proposer cannot coexist — the proposer samples draft tokens "
-             "unmasked, so a verified draft could be grammar-illegal");
 }
 
 namespace {
@@ -215,9 +208,6 @@ InferenceEngine::Sequence InferenceEngine::make_sequence(Request request) {
   MGPT_CHECK(request.deadline_ms >= 0.0,
              "deadline_ms must be >= 0 (got " << request.deadline_ms << ")");
   if (request.grammar != nullptr) {
-    MGPT_CHECK(config_.workloads.grammar,
-               "constrained request needs an engine with "
-               "EngineConfig::workloads.grammar enabled");
     MGPT_CHECK(!request.embed,
                "a request cannot be both grammar-constrained and embed");
     MGPT_CHECK(request.spec_k == 0,
@@ -480,35 +470,6 @@ void InferenceEngine::retire_staged(Clock::time_point now) {
   }
 }
 
-std::optional<InferenceEngine::TierKey> InferenceEngine::restore_key(
-    const Sequence& seq) {
-  if (seq.swapped) return TierKey{kv_tier::Space::kPreempt, seq.request.id};
-  if (seq.session_resume && seq.preemptions == 0) {
-    return TierKey{kv_tier::Space::kSession, seq.request.session_id};
-  }
-  return std::nullopt;
-}
-
-void InferenceEngine::prefetch_waiting() {
-  const std::int64_t depth = config_.kv_tier.prefetch_depth;
-  if (depth <= 0 || config_.kv_tier.disk_tier_bytes == 0) return;
-  // Snapshot the first `depth` resumable waiters under the queue lock,
-  // then hand their keys to the tier's worker outside it: the disk->host
-  // copy overlaps this admission pass (and the model forwards after it),
-  // so by the time the request wins a lease its restore is a host memcpy.
-  std::vector<TierKey> want;
-  {
-    std::lock_guard lock(queue_mutex_);
-    for (const Sequence& seq : waiting_) {
-      if (static_cast<std::int64_t>(want.size()) >= depth) break;
-      if (const std::optional<TierKey> key = restore_key(seq)) {
-        want.push_back(*key);
-      }
-    }
-  }
-  for (const TierKey& key : want) tier_.request_prefetch(key.space, key.id);
-}
-
 sched::QueueItem InferenceEngine::queue_item(const Sequence& seq) {
   sched::QueueItem item;
   item.id = seq.request.id;
@@ -520,7 +481,6 @@ sched::QueueItem InferenceEngine::queue_item(const Sequence& seq) {
 }
 
 std::size_t InferenceEngine::admit(Clock::time_point now) {
-  prefetch_waiting();
   std::size_t activated = 0;
   // Requests that could not get memory this step (priority bypass): left in
   // the queue but hidden from pick_next so admission cannot spin on them.
@@ -662,20 +622,24 @@ bool InferenceEngine::try_activate(Sequence seq, Clock::time_point now) {
     prefix_cache_->unpin(m);
     std::lock_guard lock(stats_mutex_);
     stats_.record_prefix(reused, prompt_len);
-  } else if (const std::optional<TierKey> key = restore_key(seq)) {
-    // Pull the parked rows out of the tier (host hit, disk read, or — when
-    // a spill write failed or the file went corrupt — nothing, and the
-    // prefill below recomputes them: byte-identical, because KV rows
-    // depend only on (token, position)). Equality with the prefill target
-    // is the mid-decode park + empty-prompt resume case: the cache already
-    // sits exactly where decode expects it and prefill is skipped.
+  } else if (seq.swapped || (seq.session_resume && seq.preemptions == 0)) {
+    // Pull the parked rows out of the tier: the ones this sequence's
+    // preemption parked, else — on a session resume's first activation —
+    // the session's. A host hit, a disk read, or — when the tier refused
+    // the rows or the spill file went corrupt — nothing, and the prefill
+    // below recomputes them: byte-identical, because KV rows depend only
+    // on (token, position). Equality with the prefill target is the
+    // mid-decode park + empty-prompt resume case: the cache already sits
+    // exactly where decode expects it and prefill is skipped.
+    const bool session = !seq.swapped;
     std::optional<kv_tier::KvTierStore::Entry> entry =
-        tier_.take(key->space, key->id);
+        session ? tier_.take(kv_tier::Space::kSession, req.session_id)
+                : tier_.take(kv_tier::Space::kPreempt, req.id);
     const bool restored = entry.has_value() && entry->tokens > 0 &&
                           entry->tokens <= seq.prefill_target;
     if (restored) restore_kv(*seq.kv, *entry);
     seq.swapped = false;
-    if (key->space == kv_tier::Space::kSession) {
+    if (session) {
       std::lock_guard lock(stats_mutex_);
       stats_.record_session_resume(restored);
     }
@@ -752,10 +716,9 @@ void InferenceEngine::preempt(std::size_t idx) {
   // `submitted` stays the original arrival: aging and EDF keep measuring
   // real waiting time.
   seq.preemptions += 1;
-  // Swap mode parks the rows in the tier (host RAM, spilling to disk under
-  // pressure); a full hierarchy falls back to recompute.
-  seq.swapped = config_.preempt_mode == sched::PreemptMode::kSwap &&
-                seq.kv->length() > 0 &&
+  // Park the rows in the tier (host RAM, spilling to disk under pressure);
+  // rows the tier refuses are re-prefilled on resume.
+  seq.swapped = seq.kv->length() > 0 &&
                 tier_.store(kv_tier::Space::kPreempt, seq.request.id,
                             gather_kv(*seq.kv));
   seq.kv.release();
@@ -847,8 +810,8 @@ bool InferenceEngine::park_to_session(Sequence& seq) {
   }
   if (!live) return false;  // session dropped mid-flight
   if (!progressed) return true;
-  // The conversation's KV: the lease's rows, or the rows a swap-mode
-  // preemption parked under the request id, migrated to the session slot.
+  // The conversation's KV: the lease's rows, or the rows its preemption
+  // parked under the request id, migrated to the session slot.
   std::optional<kv_tier::KvTierStore::Entry> entry;
   if (seq.swapped) {
     entry = tier_.take(kv_tier::Space::kPreempt, seq.request.id);

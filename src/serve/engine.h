@@ -19,8 +19,8 @@
 //      token budget. When the lease fails the scheduler may name an active
 //      victim to PREEMPT until the lease fits, set the pick aside and try
 //      another (priority bypass), or stop admission (strict FCFS). An
-//      admitted sequence restores its KV from, in order: the rows a
-//      swap-mode preemption parked, its session's parked rows, or the
+//      admitted sequence restores its KV from, in order: the rows its
+//      preemption parked in the tier, its session's parked rows, or the
 //      prefix cache; whatever is missing is recomputed by prefill;
 //   3. prefill: every sequence not yet fully prefilled feeds up to
 //      prefill_chunk_tokens tokens (0 = the whole remainder), all in one
@@ -33,12 +33,13 @@
 //      ServerStats under one lock, never one lock per token;
 //   6. retire finished sequences: KV back to the pool, future resolved.
 //
-// KV rows depend only on (token, position), so a preempted sequence
-// resumes byte-identical to a never-preempted run whether its rows were
-// re-prefilled (PreemptMode::kRecompute) or memcpy-restored from the tiered
-// residency store (kSwap — host RAM, demoted to checksummed disk spill
-// files under pressure; see serve/kv_tier). Speculative drafts' caches are
-// simply dropped and deterministically re-prefilled by the proposer.
+// Preemption has one path: the victim's KV rows go to the tiered residency
+// store (host RAM, demoted to checksummed disk spill files under pressure;
+// see serve/kv_tier) and are memcpy-restored on resume. Only when the tier
+// refuses the rows, or a spill file went bad, does the resume re-prefill
+// them — byte-identical too, since KV rows depend only on (token,
+// position). Speculative drafts' caches are simply dropped and
+// deterministically re-prefilled by the proposer.
 //
 // Sessions ride the same store: Request::session_id names a conversation
 // whose KV goes cold in the tier at every retirement (park), queued or
@@ -87,12 +88,9 @@ namespace matgpt::serve {
 
 /// Knobs for the two extra workload classes PR 10 opens through the engine
 /// (see serve/workloads): grammar-constrained generation and prefill-only
-/// batched embeddings.
+/// batched embeddings. A request is constrained exactly when it carries a
+/// Request::grammar TokenDfa.
 struct WorkloadsConfig {
-  /// Accept requests carrying a Request::grammar TokenDfa. Off by default so
-  /// a deployment that never compiled a grammar rejects stray constrained
-  /// requests loudly instead of silently decoding them unconstrained.
-  bool grammar = false;
   /// Upper bound on a request grammar's compiled DFA state count — a
   /// defense against a hostile/buggy client submitting a grammar whose
   /// per-step legal_mask walk dominates the decode step.
@@ -140,11 +138,10 @@ struct EngineConfig {
   /// forward. Chunked prefill interleaves long-prompt prefills with other
   /// sequences' decode steps and is byte-identical to whole-prompt prefill.
   std::int64_t prefill_chunk_tokens = 0;
-  /// What happens to a preemption victim's KV (see sched::PreemptMode).
-  sched::PreemptMode preempt_mode = sched::PreemptMode::kRecompute;
-  /// Residency hierarchy below the arena (host-RAM tier, disk spill tier,
-  /// admit-time prefetch) backing swap-mode preemption and parked
-  /// sessions. See KvTierConfig.
+  /// Residency hierarchy below the arena (host-RAM tier, disk spill tier)
+  /// holding preempted requests' and parked sessions' KV rows. A victim
+  /// whose rows the tier refuses is re-prefilled on resume. See
+  /// KvTierConfig.
   KvTierConfig kv_tier;
   /// Draft proposer for speculative requests (spec_k > 0). When set, the
   /// engine reserves a second KV pool, `kv_slots` full-length draft caches
@@ -161,9 +158,11 @@ struct EngineConfig {
   /// runs fp32, so prefill identities (chunked == whole, prefix-cache hit
   /// == cold) are untouched; decode and speculative verify always run the
   /// quantized weights, so batched == batch-1 == speculative identities
-  /// hold WITHIN the format. Tokens differ from an fp32 engine (that is
-  /// the point), and recompute-mode preemption resume — which re-prefills
-  /// previously decoded tokens — loses bit-identity to an unpreempted run.
+  /// hold WITHIN the format, and so does preemption resume, which restores
+  /// the decoded rows from the KV tier. Tokens differ from an fp32 engine
+  /// (that is the point). Only a resume whose rows the tier refused — it
+  /// re-prefills previously decoded tokens in fp32 — loses bit-identity to
+  /// an unpreempted run.
   kernels::WeightFormat decode_quant = kernels::WeightFormat::kF32;
   /// Grammar-constrained decoding + batched embedding workload classes.
   WorkloadsConfig workloads;
@@ -171,9 +170,9 @@ struct EngineConfig {
   /// Throws (MGPT_CHECK) on unserviceable knobs: max_batch <= 0,
   /// kv_slots == 0, queue_capacity == 0, paged_kv == false,
   /// kv_block_tokens <= 0, prefill_chunk_tokens < 0,
-  /// sched_aging_ms < 0, a disk tier without a spill_dir, a negative
-  /// kv_tier.prefetch_depth, workloads.map_classes without the priority
-  /// scheduler, or non-positive workloads batch/state bounds. Called by the
+  /// sched_aging_ms < 0, a disk tier without a spill_dir,
+  /// workloads.map_classes without the priority scheduler, or non-positive
+  /// workloads batch/state bounds. Called by the
   /// engine constructor before any allocation; the prefix-cache
   /// budget-vs-block check lives in the PrefixCache constructor on the same
   /// path.
@@ -286,7 +285,7 @@ class InferenceEngine {
   const PrefixCache* prefix_cache() const { return prefix_cache_.get(); }
   /// The admission/preemption policy the engine was built with.
   const sched::Scheduler& scheduler() const { return *scheduler_; }
-  /// The residency hierarchy holding swap-preempted and parked-session KV.
+  /// The residency hierarchy holding preempted and parked-session KV.
   const kv_tier::KvTierStore& tier() const { return tier_; }
   std::size_t queue_depth() const;
   std::size_t active_count() const { return active_.size(); }
@@ -318,8 +317,8 @@ class InferenceEngine {
     /// Continues a parked session: tokens began as history + new prompt and
     /// the first activation restores the session's tier entry.
     bool session_resume = false;
-    /// A swap-mode preemption parked the KV rows in tier_ (kPreempt, keyed
-    /// by request id); the next activation or retirement takes them.
+    /// Its preemption parked the KV rows in tier_ (kPreempt, keyed by
+    /// request id); the next activation or retirement takes them.
     bool swapped = false;
     KvLease kv;
     KvLease draft_kv;  // speculative requests only
@@ -343,16 +342,6 @@ class InferenceEngine {
     /// Never held KV and carries no history: the prefix cache serves it.
     bool fresh() const { return preemptions == 0 && !session_resume; }
   };
-
-  /// A tier-store entry a sequence can restore its KV rows from.
-  struct TierKey {
-    kv_tier::Space space;
-    std::uint64_t id;
-  };
-  /// Where the next activation of `seq` restores from: the rows a swap-mode
-  /// preemption parked, else — on a session resume's first activation —
-  /// the session's parked rows; nullopt = prefix cache or recompute.
-  static std::optional<TierKey> restore_key(const Sequence& seq);
 
   /// Latency samples and grammar steps one step gathers, folded into
   /// stats_ under a single stats_mutex_ acquisition after its decode phase
@@ -387,8 +376,8 @@ class InferenceEngine {
   /// reserved the in-flight slot).
   void release_session_slot(std::uint64_t session_id);
   /// retire()'s session hook: fold the turn's progress (tokens, rng) into
-  /// the registry and park its KV — the live lease's rows, or the rows a
-  /// swap-mode preemption left in the tier — under the session. A turn
+  /// the registry and park its KV — the live lease's rows, or the rows its
+  /// preemption left in the tier — under the session. A turn
   /// that never reached the model only frees the session. False when the
   /// session was dropped mid-flight (nothing to park to).
   bool park_to_session(Sequence& seq);
@@ -400,16 +389,12 @@ class InferenceEngine {
   void stage_retirement(std::uint64_t id, RequestStatus status);
   /// Retire every staged id, waiting or active, in staging order.
   void retire_staged(Clock::time_point now);
-  /// Admit-time prefetch hook: ask the tier to stage the first
-  /// kv_tier.prefetch_depth waiting resumable requests' disk entries into
-  /// host RAM, so their restore is a memcpy by the time they admit.
-  void prefetch_waiting();
   static sched::QueueItem queue_item(const Sequence& seq);
   std::size_t admit(Clock::time_point now);
   bool try_activate(Sequence seq, Clock::time_point now);
-  /// Preempt active_[idx]: release its KV (after parking it in the tier in
-  /// swap mode) and push it to the queue FRONT so FCFS snapshots keep it
-  /// ahead of younger arrivals.
+  /// Preempt active_[idx]: offer its KV rows to the tier, release its
+  /// leases, and push it to the queue FRONT so FCFS snapshots keep it ahead
+  /// of younger arrivals.
   void preempt(std::size_t idx);
   /// The first time `seq` reaches the model: its queue delay is known.
   void note_reached_model(Sequence& seq, Clock::time_point now);

@@ -64,17 +64,10 @@ KvTierStore::KvTierStore(KvTierConfig config) : config_(std::move(config)) {
     std::filesystem::create_directories(config_.spill_dir, ec);
     // A failed mkdir is not fatal: spill writes will fail and the engine
     // falls back to recompute, which is the contract for a sick disk.
-    worker_ = std::thread([this] { prefetch_loop(); });
   }
 }
 
 KvTierStore::~KvTierStore() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
   std::error_code ec;
   for (auto& [key, entry] : disk_) std::filesystem::remove(entry.path, ec);
   if (disk_enabled()) std::filesystem::remove(config_.spill_dir, ec);
@@ -139,25 +132,23 @@ std::optional<KvTierStore::Entry> KvTierStore::read_spill(std::uint64_t key) {
 }
 
 void KvTierStore::erase_disk(
-    std::unordered_map<std::uint64_t, DiskEntry>::iterator it,
-    bool unlink_file) {
-  if (unlink_file) ::unlink(it->second.path.c_str());
+    std::unordered_map<std::uint64_t, DiskEntry>::iterator it) {
+  ::unlink(it->second.path.c_str());
   disk_bytes_ -= it->second.bytes;
   disk_lru_.erase(it->second.lru);
   disk_.erase(it);
 }
 
-void KvTierStore::insert_host(std::uint64_t key, Entry entry,
-                              bool prefetched) {
-  const std::size_t bytes = entry.data.size() * sizeof(float);
-  host_lru_.push_back(key);
-  HostEntry he;
-  he.entry = std::move(entry);
-  he.prefetched = prefetched;
-  he.lru = std::prev(host_lru_.end());
-  host_.emplace(key, std::move(he));
-  host_bytes_ += bytes;
-  counters_.peak_host_bytes = std::max(counters_.peak_host_bytes, host_bytes_);
+void KvTierStore::insert_disk(std::uint64_t key, std::size_t bytes) {
+  disk_lru_.push_back(key);
+  DiskEntry de;
+  de.path = spill_path(key);
+  de.bytes = bytes;
+  de.lru = std::prev(disk_lru_.end());
+  disk_.emplace(key, std::move(de));
+  disk_bytes_ += bytes;
+  counters_.demotions += 1;
+  counters_.demoted_bytes += bytes;
 }
 
 void KvTierStore::rebalance_host() {
@@ -167,15 +158,7 @@ void KvTierStore::rebalance_host() {
     auto it = host_.find(victim);
     const std::size_t bytes = it->second.entry.data.size() * sizeof(float);
     if (write_spill(victim, it->second.entry)) {
-      disk_lru_.push_back(victim);
-      DiskEntry de;
-      de.path = spill_path(victim);
-      de.bytes = bytes;
-      de.lru = std::prev(disk_lru_.end());
-      disk_.emplace(victim, std::move(de));
-      disk_bytes_ += bytes;
-      counters_.demotions += 1;
-      counters_.demoted_bytes += bytes;
+      insert_disk(victim, bytes);
     } else {
       counters_.spill_failures += 1;  // entry is lost; resume recomputes
     }
@@ -188,7 +171,7 @@ void KvTierStore::rebalance_host() {
 
 void KvTierStore::trim_disk() {
   while (disk_bytes_ > config_.disk_tier_bytes && !disk_lru_.empty()) {
-    erase_disk(disk_.find(disk_lru_.front()), /*unlink_file=*/true);
+    erase_disk(disk_.find(disk_lru_.front()));
     counters_.disk_evictions += 1;
   }
 }
@@ -216,18 +199,15 @@ bool KvTierStore::store(Space space, std::uint64_t id, Entry entry) {
       counters_.spill_failures += 1;
       return false;
     }
-    disk_lru_.push_back(key);
-    DiskEntry de;
-    de.path = spill_path(key);
-    de.bytes = bytes;
-    de.lru = std::prev(disk_lru_.end());
-    disk_.emplace(key, std::move(de));
-    disk_bytes_ += bytes;
-    counters_.demotions += 1;
-    counters_.demoted_bytes += bytes;
+    insert_disk(key, bytes);
     trim_disk();
   } else {
-    insert_host(key, std::move(entry), /*prefetched=*/false);
+    host_lru_.push_back(key);
+    host_.emplace(key,
+                  HostEntry{std::move(entry), std::prev(host_lru_.end())});
+    host_bytes_ += bytes;
+    counters_.peak_host_bytes =
+        std::max(counters_.peak_host_bytes, host_bytes_);
     rebalance_host();
   }
   counters_.stores += 1;
@@ -244,14 +224,13 @@ std::optional<KvTierStore::Entry> KvTierStore::take(Space space,
     host_bytes_ -= entry.data.size() * sizeof(float);
     counters_.host_hits += 1;
     counters_.takes += 1;
-    if (it->second.prefetched) counters_.prefetch_hits += 1;
     host_lru_.erase(it->second.lru);
     host_.erase(it);
     return entry;
   }
   if (auto it = disk_.find(key); it != disk_.end()) {
     std::optional<Entry> entry = read_spill(key);
-    erase_disk(it, /*unlink_file=*/true);
+    erase_disk(it);
     if (entry.has_value()) {
       counters_.disk_hits += 1;
       counters_.takes += 1;
@@ -273,7 +252,7 @@ void KvTierStore::drop(Space space, std::uint64_t id) {
     return;
   }
   if (auto it = disk_.find(key); it != disk_.end()) {
-    erase_disk(it, /*unlink_file=*/true);
+    erase_disk(it);
   }
 }
 
@@ -287,46 +266,6 @@ Residency KvTierStore::residency(Space space, std::uint64_t id) const {
   if (host_.count(key) != 0) return Residency::kHost;
   if (disk_.count(key) != 0) return Residency::kDisk;
   return Residency::kNone;
-}
-
-void KvTierStore::request_prefetch(Space space, std::uint64_t id) {
-  const std::uint64_t key = make_key(space, id);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!worker_.joinable() || disk_.count(key) == 0) return;
-    if (std::find(jobs_.begin(), jobs_.end(), key) != jobs_.end()) return;
-    jobs_.push_back(key);
-  }
-  work_cv_.notify_one();
-}
-
-void KvTierStore::prefetch_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    work_cv_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
-    if (stop_) return;
-    const std::uint64_t key = jobs_.front();
-    jobs_.pop_front();
-    auto it = disk_.find(key);
-    if (it == disk_.end()) continue;  // taken or dropped meanwhile
-    const std::size_t bytes = it->second.bytes;
-    if (config_.host_tier_bytes != 0 && bytes > config_.host_tier_bytes) {
-      continue;  // would bounce straight back to disk
-    }
-    // The read happens under the store mutex: a concurrent take() of the
-    // same id simply blocks until the promoted bytes are host-resident
-    // (then hits host RAM), so there is no in-flight window to race.
-    std::optional<Entry> entry = read_spill(key);
-    erase_disk(it, /*unlink_file=*/true);
-    if (!entry.has_value()) {
-      counters_.corrupt_drops += 1;
-      continue;
-    }
-    counters_.promotions += 1;
-    counters_.promoted_bytes += bytes;
-    insert_host(key, std::move(*entry), /*prefetched=*/true);
-    rebalance_host();
-  }
 }
 
 TierStats KvTierStore::stats() const {

@@ -18,18 +18,19 @@
 //     outright. An entry nothing can hold is refused. With the disk tier
 //     disabled the host tier keeps SwapArena's original refusal
 //     semantics (never evicts a resident entry to admit a new one).
-//   * take() removes and returns the entry wherever it lives. A missing,
-//     truncated, or corrupt spill file (FNV-1a checksum over the payload)
-//     returns nullopt — the caller falls back to recompute; wrong bytes
-//     are never returned.
-//   * request_prefetch() queues an async disk->host promotion on a
-//     worker thread, so the engine can warm a parked entry while the
-//     request still waits in the admission queue.
+//   * take() removes and returns the entry wherever it lives: a host
+//     entry moves out, a disk entry is read back from its spill file on
+//     the calling thread. A missing, truncated, or corrupt spill file
+//     (FNV-1a checksum over the payload) returns nullopt — the caller
+//     falls back to recompute; wrong bytes are never returned.
+//
+// The store is synchronous: every movement happens inside the call that
+// causes it. Host and arena share one DRAM, so a host restore is a
+// memcpy; a disk entry costs one file read at the take() that needs it.
 //
 // Thread safety: every public method is safe from any thread (one
-// internal mutex; the prefetch worker does file I/O under it, which keeps
-// promotion race-free against a concurrent take()/drop() of the same id).
-// Spill files are owned by the store and removed on destruction.
+// internal mutex). Spill files are owned by the store and removed on
+// destruction.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,12 +39,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
-
-#include <condition_variable>
-#include <deque>
 
 namespace matgpt::serve {
 
@@ -56,9 +53,6 @@ struct KvTierConfig {
   /// Directory for spill files; required when disk_tier_bytes > 0.
   /// Created on demand, files removed when the store is destroyed.
   std::string spill_dir;
-  /// How many waiting resumable requests the engine prefetches
-  /// (disk -> host) per admission pass. 0 disables prefetch.
-  std::int64_t prefetch_depth = 2;
 };
 
 namespace kv_tier {
@@ -97,13 +91,9 @@ struct TierStats {
   /// take() served from host / from a disk read.
   std::uint64_t host_hits = 0;
   std::uint64_t disk_hits = 0;
-  /// Host hits whose bytes were staged by the prefetch worker.
-  std::uint64_t prefetch_hits = 0;
-  /// Tier movement: host->disk spills and prefetch disk->host promotions.
+  /// Tier movement: host->disk spills.
   std::uint64_t demotions = 0;
-  std::uint64_t promotions = 0;
   std::uint64_t demoted_bytes = 0;
-  std::uint64_t promoted_bytes = 0;
   /// Entries dropped to keep the disk tier under budget.
   std::uint64_t disk_evictions = 0;
   /// store() calls refused because no tier could hold the entry.
@@ -146,17 +136,12 @@ class KvTierStore {
   bool contains(Space space, std::uint64_t id) const;
   Residency residency(Space space, std::uint64_t id) const;
 
-  /// Queue an async disk->host promotion so a later take() hits host RAM.
-  /// No-op when the entry is not on disk or would not fit the host tier.
-  void request_prefetch(Space space, std::uint64_t id);
-
   TierStats stats() const;
   const KvTierConfig& config() const { return config_; }
 
  private:
   struct HostEntry {
     Entry entry;
-    bool prefetched = false;
     std::list<std::uint64_t>::iterator lru;
   };
   struct DiskEntry {
@@ -170,19 +155,15 @@ class KvTierStore {
   // All of the below require `mutex_` to be held.
   bool write_spill(std::uint64_t key, const Entry& entry);
   std::optional<Entry> read_spill(std::uint64_t key);
-  void erase_disk(std::unordered_map<std::uint64_t, DiskEntry>::iterator it,
-                  bool unlink_file);
-  void insert_host(std::uint64_t key, Entry entry, bool prefetched);
+  /// Unlink a disk entry's spill file and forget it.
+  void erase_disk(std::unordered_map<std::uint64_t, DiskEntry>::iterator it);
+  /// Index a spill file just written for `key` as the disk tier's MRU.
+  void insert_disk(std::uint64_t key, std::size_t bytes);
   void rebalance_host();
   void trim_disk();
-  void prefetch_loop();
 
   KvTierConfig config_;
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::deque<std::uint64_t> jobs_;
-  bool stop_ = false;
-  std::thread worker_;
 
   // MRU at the back of each list; demotion/eviction pops the front.
   std::unordered_map<std::uint64_t, HostEntry> host_;

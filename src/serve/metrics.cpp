@@ -136,9 +136,7 @@ void ServerStats::record_tier(const kv_tier::TierStats& tier) {
   record(Stat::kv_tier_takes, tier.takes);
   record(Stat::kv_tier_host_hits, tier.host_hits);
   record(Stat::kv_tier_disk_hits, tier.disk_hits);
-  record(Stat::kv_tier_prefetch_hits, tier.prefetch_hits);
   record(Stat::kv_tier_demotions, tier.demotions);
-  record(Stat::kv_tier_promotions, tier.promotions);
   record(Stat::kv_tier_disk_evictions, tier.disk_evictions);
   record(Stat::kv_tier_store_refusals, tier.store_refusals);
   record(Stat::kv_tier_spill_failures, tier.spill_failures);

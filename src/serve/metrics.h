@@ -82,9 +82,7 @@ enum class StatKind { kCounter, kGauge, kPeak };
   STAT(kv_tier_takes, std::uint64_t, kGauge, "kv tier")                     \
   STAT(kv_tier_host_hits, std::uint64_t, kGauge, "kv tier")                 \
   STAT(kv_tier_disk_hits, std::uint64_t, kGauge, "kv tier")                 \
-  STAT(kv_tier_prefetch_hits, std::uint64_t, kGauge, "kv tier")             \
   STAT(kv_tier_demotions, std::uint64_t, kGauge, "kv tier")                 \
-  STAT(kv_tier_promotions, std::uint64_t, kGauge, "kv tier")                \
   STAT(kv_tier_disk_evictions, std::uint64_t, kGauge, "kv tier")            \
   STAT(kv_tier_store_refusals, std::uint64_t, kGauge, "kv tier")            \
   STAT(kv_tier_spill_failures, std::uint64_t, kGauge, "kv tier")            \

@@ -114,9 +114,9 @@ struct Request {
   /// Grammar constraint (null = unconstrained). Every decode step masks the
   /// logits row to the DFA's legal set before sampling, so every sampled
   /// token is legal by construction; a compiled grammar also halts on EOS
-  /// once the DFA accepts. The engine must be built with
-  /// `EngineConfig::workloads.grammar = true`. Share one compiled TokenDfa
-  /// across requests — it is immutable after compile.
+  /// once the DFA accepts. A constrained request cannot be speculative,
+  /// embed, or ride a session. Share one compiled TokenDfa across requests
+  /// — it is immutable after compile.
   std::shared_ptr<const workloads::TokenDfa> grammar;
   /// Embedding request: prefill-only through the engine's BERT encoder
   /// (EngineConfig::workloads.embedder). The prompt is the sequence to

@@ -26,8 +26,9 @@
 // Preemption: when an incoming request cannot lease KV blocks, the victim is
 // the lowest-priority active sequence whose class is STRICTLY below the
 // incoming request's (original) class — never a peer, so preemption cannot
-// cycle within a class — youngest-submitted first, so the work thrown away
-// is the cheapest to redo and older sequences retain their progress.
+// cycle within a class — youngest-submitted first, so the rows parked (or,
+// when the KV tier refuses them, re-prefilled) are the fewest and older
+// sequences keep their progress.
 
 #include "serve/sched/scheduler.h"
 

@@ -2,8 +2,9 @@
 // Scheduling policy for the serving engine: who is admitted next, and who is
 // preempted when a more urgent request cannot get KV memory.
 //
-// The engine owns the MECHANISM (queues, leases, chunked prefill, swap);
-// a Scheduler owns only the POLICY decisions, taken fresh each step():
+// The engine owns the MECHANISM (queues, leases, chunked prefill, and the
+// preempted rows it parks in the KV tier); a Scheduler owns only the
+// POLICY decisions, taken fresh each step():
 //
 //   * pick_next    — which waiting request to admit next;
 //   * pick_victim  — which active sequence to preempt so an incoming
@@ -40,22 +41,6 @@ inline const char* policy_name(Policy p) {
   return p == Policy::kFcfs ? "fcfs" : "priority";
 }
 
-/// What to do with a victim's KV state when it is preempted.
-enum class PreemptMode {
-  /// Drop the KV and re-prefill prompt + generated-so-far on resume. Costs
-  /// compute, frees the most memory (no host residency).
-  kRecompute,
-  /// Copy the KV rows into the tiered residency store (host RAM, demoted
-  /// to disk under pressure) and restore them on resume — no recompute,
-  /// but tier bytes are held while preempted. Falls back to recompute when
-  /// every tier's byte budget is exhausted or a spill file went bad.
-  kSwap,
-};
-
-inline const char* preempt_mode_name(PreemptMode m) {
-  return m == PreemptMode::kRecompute ? "recompute" : "swap";
-}
-
 /// Scheduler-visible snapshot of one waiting request.
 struct QueueItem {
   std::uint64_t id = 0;
@@ -64,9 +49,9 @@ struct QueueItem {
   /// Absolute deadline (submit + Request::deadline_ms);
   /// Clock::time_point::max() when the request carries none.
   Clock::time_point deadline = Clock::time_point::max();
-  /// True for a preempted-requeued request (it holds generated tokens and
-  /// possibly swapped KV, so finishing it releases more than admitting a
-  /// fresh one).
+  /// True for a preempted-requeued request (it holds generated tokens and,
+  /// unless the tier refused them, KV rows parked in the tier, so finishing
+  /// it releases more than admitting a fresh one).
   bool resuming = false;
 };
 

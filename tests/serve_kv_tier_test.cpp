@@ -1,8 +1,8 @@
 // Tests for src/serve/kv_tier and the engine sessions API built on it:
 // host-tier LRU demotion order, disk spill round trips, fault injection
 // (corrupt / truncated / missing / unwritable spill files must degrade to
-// recompute — never wrong bytes, never a crash), async prefetch promotion,
-// the KvTierConfig validation, and session
+// recompute — never wrong bytes, never a crash), the KvTierConfig
+// validation, and session
 // park/resume byte-identity (greedy, stochastic, speculative) across every
 // residency path: host hit, disk hit after demotion, and recompute
 // fallback.
@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -262,40 +260,6 @@ TEST(KvTierStore, UnwritableSpillDirDegradesToRefusalAndDrop) {
 }
 
 // ---------------------------------------------------------------------------
-// Async prefetch
-// ---------------------------------------------------------------------------
-
-TEST(KvTierStore, PrefetchPromotesDiskEntryToHost) {
-  SpillDir dir("prefetch");
-  serve::KvTierConfig tc;
-  tc.host_tier_bytes = 128;  // one 128-byte entry
-  tc.disk_tier_bytes = 1 << 20;
-  tc.spill_dir = dir.str();
-  KvTierStore store(tc);
-
-  ASSERT_TRUE(store.store(Space::kSession, 1, make_entry(32, 1.0f, 2)));
-  ASSERT_TRUE(store.store(Space::kSession, 2, make_entry(32, 2.0f, 2)));
-  ASSERT_EQ(store.residency(Space::kSession, 1), Residency::kDisk);
-
-  // Free the host slot, then ask the worker to warm entry 1.
-  ASSERT_TRUE(store.take(Space::kSession, 2).has_value());
-  store.request_prefetch(Space::kSession, 1);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (store.residency(Space::kSession, 1) != Residency::kHost &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(store.residency(Space::kSession, 1), Residency::kHost);
-  EXPECT_EQ(store.stats().promotions, 1u);
-
-  const auto entry = store.take(Space::kSession, 1);
-  ASSERT_TRUE(entry.has_value());
-  for (const float v : entry->data) EXPECT_EQ(v, 1.0f);
-  EXPECT_EQ(store.stats().prefetch_hits, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // KvTierConfig validation
 // ---------------------------------------------------------------------------
 
@@ -313,11 +277,6 @@ nn::GptConfig tier_model_config() {
 
 TEST(KvTierConfigValidate, RejectsBadKnobs) {
   nn::GptModel model(tier_model_config());
-  {
-    serve::EngineConfig ec;
-    ec.kv_tier.prefetch_depth = -1;
-    EXPECT_THROW(serve::InferenceEngine(model, ec), Error);
-  }
   {
     serve::EngineConfig ec;
     ec.kv_tier.disk_tier_bytes = 1024;  // disk tier without a spill_dir
@@ -561,12 +520,8 @@ void check_park_resume_byte_identity(Flavor flavor) {
         << "disk-path resume diverged";
     EXPECT_EQ(got_b, reference_tokens(model, flavor, 30, total_new))
         << "demoting-session resume diverged";
-    // The entry came back through a spill-file read either way: directly
-    // at take() (disk hit) or promoted early by the prefetch worker
-    // (prefetch hit) — which one wins is a benign race.
-    EXPECT_GE(engine.tier().stats().disk_hits +
-                  engine.tier().stats().prefetch_hits,
-              1u);
+    // The entry came back through a spill-file read at take().
+    EXPECT_GE(engine.tier().stats().disk_hits, 1u);
     EXPECT_EQ(engine.stats().session_resume_recomputes(), 0u);
   }
 
@@ -632,9 +587,11 @@ TEST(ServeSessions, CorruptSpillResumeRecomputesByteIdentical) {
 
 // A session turn that is preempted and then cancelled while it waits to
 // re-admit still parks its progress: the registry keeps the tokens and rng
-// it reached, swap mode hands its preempt-parked KV to the session, and the
-// next turn continues byte-identically to one uninterrupted request.
-void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
+// it reached, its preempt-parked KV moves to the session (unless the tier
+// refused it: `refusing_tier` sets a 64-byte host tier and no disk tier),
+// and the next turn continues byte-identically to one uninterrupted
+// request.
+void check_preempted_then_cancelled_session(bool refusing_tier) {
   nn::GptModel model(tier_model_config());
   serve::EngineConfig ec;
   ec.max_batch = 4;
@@ -642,7 +599,7 @@ void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
   ec.kv_capacity_tokens = 32;
   ec.kv_block_tokens = 4;
   ec.scheduler = serve::sched::Policy::kPriority;
-  ec.preempt_mode = mode;
+  if (refusing_tier) ec.kv_tier.host_tier_bytes = 64;
   serve::InferenceEngine engine(model, ec);
 
   const std::int64_t total_new = 24;
@@ -671,6 +628,7 @@ void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
   auto f_high = engine.submit(std::move(high));
   engine.step();  // admits the high by preempting the session turn
   ASSERT_EQ(engine.stats().preemptions(), 1u);
+  EXPECT_EQ(engine.stats().preempt_recomputes(), refusing_tier ? 1u : 0u);
   engine.cancel(61);  // retires the re-queued turn before it re-admits
   engine.run_until_idle();
   EXPECT_EQ(f_filler.get().status, serve::RequestStatus::kOk);
@@ -688,7 +646,7 @@ void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
   EXPECT_EQ(info->turns, 1);
   EXPECT_FALSE(info->busy);
   EXPECT_FALSE(engine.tier().contains(Space::kPreempt, 61));
-  if (mode == serve::sched::PreemptMode::kSwap) {
+  if (!refusing_tier) {
     EXPECT_EQ(info->residency, Residency::kHost);
   }
 
@@ -699,23 +657,22 @@ void check_preempted_then_cancelled_session(serve::sched::PreemptMode mode) {
   engine.run_until_idle();
   const serve::RequestResult r2 = f2.get();
   ASSERT_EQ(r2.status, serve::RequestStatus::kOk);
-  if (mode == serve::sched::PreemptMode::kSwap) {
+  if (!refusing_tier) {
     EXPECT_EQ(engine.stats().session_resume_recomputes(), 0u);
   }
   EXPECT_EQ(r2.tokens,
             reference_tokens(model, Flavor::kStochastic, 61, total_new))
       << "resume after a cancelled preempted turn diverged ("
-      << serve::sched::preempt_mode_name(mode) << ")";
+      << (refusing_tier ? "recompute" : "swap") << ")";
   EXPECT_TRUE(engine.kv_pool().all_free());
 }
 
 TEST(ServeSessions, PreemptedThenCancelledTurnParksProgressRecompute) {
-  check_preempted_then_cancelled_session(
-      serve::sched::PreemptMode::kRecompute);
+  check_preempted_then_cancelled_session(/*refusing_tier=*/true);
 }
 
 TEST(ServeSessions, PreemptedThenCancelledTurnParksProgressSwap) {
-  check_preempted_then_cancelled_session(serve::sched::PreemptMode::kSwap);
+  check_preempted_then_cancelled_session(/*refusing_tier=*/false);
 }
 
 TEST(ServeSessions, MultiTurnNewPromptMatchesFreshFullHistory) {

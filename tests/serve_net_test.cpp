@@ -672,9 +672,7 @@ TEST(HttpServerE2E, StatsKeySetIsStable) {
       {"kv_tier_takes", "number"},
       {"kv_tier_host_hits", "number"},
       {"kv_tier_disk_hits", "number"},
-      {"kv_tier_prefetch_hits", "number"},
       {"kv_tier_demotions", "number"},
-      {"kv_tier_promotions", "number"},
       {"kv_tier_disk_evictions", "number"},
       {"kv_tier_store_refusals", "number"},
       {"kv_tier_spill_failures", "number"},
@@ -1296,7 +1294,6 @@ TEST(HttpServerE2E, EmbeddingsWithoutEmbedderYield501) {
 TEST(HttpServerE2E, ConstrainedStreamByteStableAcrossBatchCompositions) {
   serve::EngineConfig ec;
   ec.max_batch = 4;
-  ec.workloads.grammar = true;
   net::HttpServerConfig sc;
   sc.grammars["json"] = tiny_json_grammar();
 

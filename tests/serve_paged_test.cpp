@@ -298,26 +298,33 @@ TEST(ServePagedPool, ChurnOfMixedLengthLeasesNeverFragments) {
   EXPECT_EQ(pool.used_blocks(), 0);
 }
 
+// What KvCache::truncate throws when the arena cannot re-reserve the blocks
+// a truncate below a shared prefix drops.
+constexpr const char* kNoBlockToReReserve =
+    "paged KV arena has no block to re-reserve";
+
+bool is_no_block_to_re_reserve(const Error& e) {
+  return std::string(e.what()).find(kNoBlockToReReserve) != std::string::npos;
+}
+
 // One live lease in the lifecycle churn below: the tokens it was planned to
-// feed, the prefix of them its cache holds, and the row count below which
-// the prefix tree may share its blocks. Rollback (the engine's speculative
-// truncate) only ever drops rows the sequence appended past its cached
-// prompt, so the churn truncates no lower than `floor`.
+// feed (its admitted budget) and the prefix of them its cache holds.
 struct ChurnSeq {
   serve::KvLease lease;
   std::vector<std::int32_t> plan;
   std::int64_t fed = 0;
-  std::int64_t floor = 0;
 };
 
 TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
   // Seeded random serving lifecycles over one small arena: leases (cold and
   // prefix-restored, so partial blocks fork copy-on-write), appends through
   // the ragged forward, rollbacks, prefix-tree inserts and evictions, lease
-  // moves and releases. After every operation each block's refcount must
-  // equal its holders (live tables plus the radix tree), the arena's
-  // reservation must equal the live tables' reservations, and the pool is
-  // all-free exactly when no lease lives.
+  // moves and releases. Rollbacks reach below rows the tree shares, where
+  // truncate must re-reserve the dropped blocks or refuse. After every
+  // operation each block's refcount must equal its holders (live tables
+  // plus the radix tree), the arena's reservation must equal the live
+  // tables' reservations, every table must still be able to grow to its
+  // budget, and the pool is all-free exactly when no lease lives.
   nn::GptConfig c;
   c.arch = nn::ArchFamily::kLLaMA;
   c.vocab_size = 40;
@@ -354,10 +361,22 @@ TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
     std::int64_t reserved = 0;
     for (const ChurnSeq& s : live) {
       ASSERT_EQ(s.lease->length(), s.fed);
-      for (const std::int32_t id : s.lease->block_ids()) {
+      const std::span<const std::int32_t> ids = s.lease->block_ids();
+      for (const std::int32_t id : ids) {
         holders[static_cast<std::size_t>(id)] += 1;
       }
       reserved += s.lease->reserved_blocks();
+      // Growth guarantee: held blocks plus reservation cover the budget,
+      // with one unit set aside for a shared partial last block the next
+      // append forks.
+      const bool fork_pending =
+          s.fed % 4 != 0 &&
+          arena.ref_count(ids[static_cast<std::size_t>((s.fed - 1) / 4)]) >
+              1;
+      ASSERT_GE(static_cast<std::int64_t>(ids.size()) +
+                    s.lease->reserved_blocks() - (fork_pending ? 1 : 0),
+                pool.blocks_needed(
+                    static_cast<std::int64_t>(s.plan.size()), 0));
     }
     // The tree's references are whatever the tables do not hold: never
     // negative, and summing to its own count. With the tree empty this is
@@ -397,7 +416,7 @@ TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
       }
       if (s.lease) {
         tree.restore(m, *s.lease);
-        s.fed = s.floor = m.tokens;
+        s.fed = m.tokens;
         live.push_back(std::move(s));
       }
       tree.unpin(m);
@@ -423,12 +442,18 @@ TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
     } else {
       ChurnSeq& s = live[static_cast<std::size_t>(next(
           static_cast<std::uint32_t>(live.size())))];
-      if (op == 3 && s.fed > s.floor) {
-        s.fed = s.floor + next(static_cast<std::uint32_t>(s.fed - s.floor));
-        s.lease->truncate(s.fed);
+      if (op == 3 && s.fed > 0) {
+        // Roll back anywhere, shared rows included: it succeeds, or it
+        // refuses for want of a block to re-reserve and changes nothing.
+        const std::int64_t len = next(static_cast<std::uint32_t>(s.fed));
+        try {
+          s.lease->truncate(len);
+          s.fed = len;
+        } catch (const Error& e) {
+          ASSERT_TRUE(is_no_block_to_re_reserve(e)) << e.what();
+        }
       } else if (op == 4 && s.fed > 0) {
         tree.insert(s.plan, s.fed, *s.lease);
-        s.floor = s.fed;
       } else if (op == 5) {
         tree.trim(next(3) == 0 ? 0
                                : static_cast<std::size_t>(next(
@@ -463,6 +488,110 @@ TEST(ServePagedPool, SeededLifecycleChurnKeepsRefcountsAndReservationsExact) {
   EXPECT_EQ(tree.block_refs(), 0);
   EXPECT_EQ(pool.used_blocks(), 0);
   EXPECT_EQ(arena.reserved_blocks(), 0);
+}
+
+// A one-slot pool of `capacity` tokens (blocks of 4) with a prefix tree,
+// and one 8-token lease whose prompt the tree has cached: both of the
+// lease's blocks are shared with the tree.
+struct SharedPrefixLease {
+  static nn::GptConfig config() {
+    nn::GptConfig c;
+    c.arch = nn::ArchFamily::kLLaMA;
+    c.vocab_size = 40;
+    c.hidden = 16;
+    c.n_layers = 2;
+    c.n_heads = 2;
+    c.n_kv_heads = 1;
+    c.max_seq = 32;
+    return c;
+  }
+  static serve::KvPoolConfig pool_config(std::int64_t capacity) {
+    serve::KvPoolConfig p;
+    p.slots = 1;
+    p.capacity_tokens = capacity;
+    p.block_tokens = 4;
+    return p;
+  }
+
+  explicit SharedPrefixLease(std::int64_t capacity)
+      : model(config()),
+        pool(config(), pool_config(capacity)),
+        tree(config(),
+             8 * static_cast<std::size_t>(
+                     pool.arena()->layout().block_bytes_bf16()),
+             &pool),
+        lease(pool.try_lease(8)) {
+    Tape tape;
+    model.forward_incremental(tape, prompt, *lease);
+    tree.insert(prompt, 8, *lease);
+  }
+
+  nn::GptModel model;
+  serve::KvCachePool pool;
+  serve::PrefixCache tree;
+  const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5, 6, 7, 8};
+  serve::KvLease lease;
+};
+
+TEST(ServePagedPool, TruncateBelowSharedPrefixKeepsItsBudgetCovered) {
+  SharedPrefixLease f(32);
+  nn::PagedKvArena& arena = *f.pool.arena();
+  for (const std::int32_t id : f.lease->block_ids()) {
+    ASSERT_EQ(arena.ref_count(id), 2);
+  }
+  ASSERT_EQ(f.lease->reserved_blocks(), 0);
+  // Drops block 1, which the tree keeps, and makes the shared block 0 the
+  // partial write target.
+  f.lease->truncate(2);
+  EXPECT_EQ(f.lease->length(), 2);
+  ASSERT_EQ(f.lease->block_ids().size(), 1u);
+  EXPECT_GE(static_cast<std::int64_t>(f.lease->block_ids().size()) +
+                f.lease->reserved_blocks(),
+            f.pool.blocks_needed(8, 0));
+  EXPECT_EQ(arena.reserved_blocks(), f.lease->reserved_blocks());
+}
+
+TEST(ServePagedPool, TruncatedLeaseRegrowsWhileAnotherHoldsEverySpareBlock) {
+  SharedPrefixLease f(32);
+  nn::PagedKvArena& arena = *f.pool.arena();
+  f.lease->truncate(2);
+  // A second lease takes every block no reservation speaks for ...
+  const std::int64_t spare = arena.unreserved_free_blocks();
+  ASSERT_GT(spare, 0);
+  serve::KvLease other = f.pool.try_lease(spare * 4);
+  ASSERT_TRUE(other);
+  ASSERT_EQ(arena.unreserved_free_blocks(), 0);
+  // ... and the truncated lease still grows back to its 8-token budget:
+  // it forks block 0 and allocates a fresh block 1 from its reservation.
+  Tape tape;
+  f.model.forward_incremental(
+      tape, std::span<const std::int32_t>(f.prompt).subspan(2), *f.lease);
+  EXPECT_EQ(f.lease->length(), 8);
+  EXPECT_EQ(f.lease->reserved_blocks(), 0);
+}
+
+TEST(ServePagedPool, TruncateThrowsWhenNoBlockIsLeftToReReserve) {
+  // The whole arena is the lease's two blocks, both shared with the tree:
+  // truncating to 0 would leave nothing to regrow into, so it refuses and
+  // leaves the cache as it was.
+  SharedPrefixLease f(8);
+  nn::PagedKvArena& arena = *f.pool.arena();
+  ASSERT_EQ(arena.n_blocks(), 2);
+  const std::vector<std::int32_t> ids(f.lease->block_ids().begin(),
+                                      f.lease->block_ids().end());
+  try {
+    f.lease->truncate(0);
+    ADD_FAILURE() << "truncate below a fully shared arena must throw";
+  } catch (const Error& e) {
+    EXPECT_TRUE(is_no_block_to_re_reserve(e)) << e.what();
+  }
+  EXPECT_EQ(f.lease->length(), 8);
+  EXPECT_EQ(std::vector<std::int32_t>(f.lease->block_ids().begin(),
+                                      f.lease->block_ids().end()),
+            ids);
+  EXPECT_EQ(f.lease->reserved_blocks(), 0);
+  EXPECT_EQ(arena.reserved_blocks(), 0);
+  for (const std::int32_t id : ids) EXPECT_EQ(arena.ref_count(id), 2);
 }
 
 TEST(ServePagedPool, PagedForwardBitIdenticalToContiguousForward) {

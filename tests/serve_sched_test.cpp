@@ -1,7 +1,8 @@
 // Unit + integration tests for src/serve/sched: priority/EDF/aging admission
-// policy, preempt-resume byte-identity (recompute and swap, plain and
-// speculative), chunked prefill equivalence, cancellation/deadline
-// retirement, try_submit load-shedding, and the KvTierStore host budget.
+// policy, preempt-resume byte-identity (tier restore and the recompute
+// fallback; plain, speculative and int8 decode), chunked prefill
+// equivalence, cancellation/deadline retirement, try_submit load-shedding,
+// and the KvTierStore host budget.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +30,7 @@ using serve::sched::Clock;
 using serve::sched::QueueItem;
 using SchedPolicy = serve::sched::Policy;
 using serve::sched::kNone;
-using serve::sched::PreemptMode;
+using kernels::WeightFormat;
 
 nn::GptConfig sched_config() {
   nn::GptConfig c;
@@ -344,10 +345,21 @@ std::map<std::uint64_t, serve::RequestResult> run_pressure_scenario(
   return results;
 }
 
-void check_preempt_resume_byte_identity(PreemptMode mode, Flavor flavor,
-                                        std::int64_t prefill_chunk,
-                                        std::int64_t low_prompt) {
-  nn::GptModel model(sched_config());
+// How a preemption victim's KV rows come back: restored from the KV tier,
+// or re-prefilled because the tier refuses them (a 64-byte host tier and
+// no disk tier hold no entry).
+enum class Resume { kSwap, kRecompute };
+
+const char* resume_name(Resume r) {
+  return r == Resume::kSwap ? "swap" : "recompute";
+}
+
+void check_preempt_resume_byte_identity(
+    Resume mode, Flavor flavor, std::int64_t prefill_chunk,
+    std::int64_t low_prompt,
+    WeightFormat decode_quant = WeightFormat::kF32,
+    const nn::GptConfig& config = sched_config()) {
+  nn::GptModel model(config);
 
   serve::EngineConfig tight;
   tight.max_batch = 4;
@@ -356,8 +368,9 @@ void check_preempt_resume_byte_identity(PreemptMode mode, Flavor flavor,
   tight.kv_block_tokens = 8;
   tight.queue_capacity = 16;
   tight.scheduler = SchedPolicy::kPriority;
-  tight.preempt_mode = mode;
+  if (mode == Resume::kRecompute) tight.kv_tier.host_tier_bytes = 64;
   tight.prefill_chunk_tokens = prefill_chunk;
+  tight.decode_quant = decode_quant;
   if (flavor == Flavor::kSpeculative) {
     tight.proposer = std::make_shared<serve::spec::LayerSkipDraft>(model, 1);
   }
@@ -372,8 +385,7 @@ void check_preempt_resume_byte_identity(PreemptMode mode, Flavor flavor,
   const auto want = run_pressure_scenario(reference, flavor, low_prompt);
 
   // The scenario must actually preempt, or the test proves nothing.
-  EXPECT_GE(pressured.stats().preemptions(), 1u)
-      << serve::sched::preempt_mode_name(mode);
+  EXPECT_GE(pressured.stats().preemptions(), 1u) << resume_name(mode);
   EXPECT_EQ(reference.stats().preemptions(), 0u);
   std::int64_t low_preemptions = 0;
   for (const auto& [id, result] : got) {
@@ -384,36 +396,40 @@ void check_preempt_resume_byte_identity(PreemptMode mode, Flavor flavor,
     ASSERT_TRUE(want.count(id));
     EXPECT_EQ(result.tokens, want.at(id).tokens)
         << "request " << id << " diverged after preempt-resume ("
-        << serve::sched::preempt_mode_name(mode) << ")";
+        << resume_name(mode) << ")";
     EXPECT_EQ(result.generated_tokens, want.at(id).generated_tokens);
   }
   EXPECT_GE(low_preemptions, 1);
-  if (mode == PreemptMode::kSwap) {
+  if (mode == Resume::kSwap) {
+    EXPECT_EQ(pressured.stats().preempt_recomputes(), 0u);
     EXPECT_GE(pressured.tier().stats().stores, 1u);
     EXPECT_EQ(pressured.tier().stats().host_entries, 0u);  // all taken back
     EXPECT_EQ(pressured.tier().stats().host_bytes_used, 0u);
+  } else {
+    EXPECT_GE(pressured.stats().preempt_recomputes(), 1u);
+    EXPECT_EQ(pressured.stats().preempt_swaps(), 0u);
   }
   EXPECT_TRUE(pressured.kv_pool().all_free());
 }
 
 TEST(ServeSchedEngine, PreemptRecomputeResumesByteIdentical) {
-  check_preempt_resume_byte_identity(PreemptMode::kRecompute,
+  check_preempt_resume_byte_identity(Resume::kRecompute,
                                      Flavor::kGreedy, 0, 8);
-  check_preempt_resume_byte_identity(PreemptMode::kRecompute,
+  check_preempt_resume_byte_identity(Resume::kRecompute,
                                      Flavor::kStochastic, 0, 8);
 }
 
 TEST(ServeSchedEngine, PreemptSwapResumesByteIdentical) {
-  check_preempt_resume_byte_identity(PreemptMode::kSwap, Flavor::kGreedy, 0,
+  check_preempt_resume_byte_identity(Resume::kSwap, Flavor::kGreedy, 0,
                                      8);
-  check_preempt_resume_byte_identity(PreemptMode::kSwap,
+  check_preempt_resume_byte_identity(Resume::kSwap,
                                      Flavor::kStochastic, 0, 8);
 }
 
 TEST(ServeSchedEngine, SpeculativeRequestsSurvivePreemptionByteIdentical) {
-  check_preempt_resume_byte_identity(PreemptMode::kRecompute,
+  check_preempt_resume_byte_identity(Resume::kRecompute,
                                      Flavor::kSpeculative, 0, 8);
-  check_preempt_resume_byte_identity(PreemptMode::kSwap,
+  check_preempt_resume_byte_identity(Resume::kSwap,
                                      Flavor::kSpeculative, 0, 8);
 }
 
@@ -421,10 +437,26 @@ TEST(ServeSchedEngine, PreemptDuringChunkedPrefillResumesByteIdentical) {
   // Long low-priority prompts with a small chunk are still mid-prefill when
   // the high-priority burst lands, so the victims carry zero emitted tokens
   // and partially-filled caches across the preemption.
-  check_preempt_resume_byte_identity(PreemptMode::kRecompute,
+  check_preempt_resume_byte_identity(Resume::kRecompute,
                                      Flavor::kGreedy, 4, 24);
-  check_preempt_resume_byte_identity(PreemptMode::kSwap, Flavor::kGreedy, 4,
+  check_preempt_resume_byte_identity(Resume::kSwap, Flavor::kGreedy, 4,
                                      24);
+}
+
+TEST(ServeSchedEngine, QuantizedPreemptResumesByteIdentical) {
+  // Decode writes int8-path KV rows; the tier hands those exact rows back,
+  // so the resumed requests match an unpreempted int8 run. A re-prefill
+  // recomputes them on the fp32 prefill path instead: on this wider model
+  // that moves a stochastic request's tokens.
+  nn::GptConfig c = sched_config();
+  c.vocab_size = 512;
+  c.hidden = 64;
+  c.n_heads = 4;
+  c.n_kv_heads = 2;
+  check_preempt_resume_byte_identity(Resume::kSwap, Flavor::kGreedy, 0, 8,
+                                     WeightFormat::kInt8, c);
+  check_preempt_resume_byte_identity(Resume::kSwap, Flavor::kStochastic, 0,
+                                     8, WeightFormat::kInt8, c);
 }
 
 TEST(ServeSchedEngine, SwapBudgetExhaustionFallsBackToRecompute) {
@@ -435,7 +467,6 @@ TEST(ServeSchedEngine, SwapBudgetExhaustionFallsBackToRecompute) {
   ec.kv_capacity_tokens = 48;
   ec.kv_block_tokens = 8;
   ec.scheduler = SchedPolicy::kPriority;
-  ec.preempt_mode = PreemptMode::kSwap;
   ec.kv_tier.host_tier_bytes = 8;  // nothing fits: swaps degrade gracefully
   serve::InferenceEngine engine(model, ec);
 

@@ -284,8 +284,6 @@ TEST(ServeEngine, MixedDecodeStepOfSixteenRowsMatchesGenerateCached) {
     ec.queue_capacity = 16;
     if (speculative) {
       ec.proposer = std::make_shared<serve::spec::LayerSkipDraft>(model, 2);
-    } else {
-      ec.workloads.grammar = true;
     }
     serve::InferenceEngine engine(model, ec);
 

@@ -367,8 +367,9 @@ TEST(ThreadInvariance, SpeculativeTokensIdenticalAcrossPools) {
   expect_tokens_identical(runs, "speculative");
 }
 
-// Under KV pressure the engine preempts (recompute mode), resumes, and on
-// every pool still emits the tokens a roomy serial engine does.
+// Under KV pressure the engine preempts, resumes by re-prefilling (a 64-byte
+// host tier and no disk tier refuse every victim's rows), and on every
+// pool still emits the tokens a roomy serial engine does.
 TEST(ThreadInvariance, PreemptResumeTokensIdenticalAcrossPools) {
   const nn::GptConfig c = pool_config(nn::ArchFamily::kLLaMA);
   nn::GptModel model(c);
@@ -379,7 +380,7 @@ TEST(ThreadInvariance, PreemptResumeTokensIdenticalAcrossPools) {
   tight.kv_capacity_tokens = 48;
   tight.kv_block_tokens = 8;
   tight.scheduler = serve::sched::Policy::kPriority;
-  tight.preempt_mode = serve::sched::PreemptMode::kRecompute;
+  tight.kv_tier.host_tier_bytes = 64;
   serve::EngineConfig roomy;
   roomy.max_batch = 4;
   roomy.kv_slots = 8;
@@ -399,7 +400,7 @@ TEST(ThreadInvariance, PreemptResumeTokensIdenticalAcrossPools) {
     req.sampling.seed = 0xabc0 + id;
     return req;
   };
-  // Tokens by request id, and the engine's preemption count.
+  // Tokens by request id, and the engine's recomputed preemptions.
   auto run = [&](const serve::EngineConfig& ec) {
     serve::InferenceEngine engine(model, ec);
     std::vector<std::future<serve::RequestResult>> futures;
@@ -419,7 +420,7 @@ TEST(ThreadInvariance, PreemptResumeTokensIdenticalAcrossPools) {
       EXPECT_EQ(r.status, serve::RequestStatus::kOk) << "request " << r.id;
       by_id.emplace(r.id, std::move(r.tokens));
     }
-    return std::make_pair(by_id, engine.stats().preemptions());
+    return std::make_pair(by_id, engine.stats().preempt_recomputes());
   };
 
   ScopedThreadPool serial(0);
@@ -427,7 +428,8 @@ TEST(ThreadInvariance, PreemptResumeTokensIdenticalAcrossPools) {
   const auto runs = on_every_pool([&] { return run(tight); });
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_GE(runs[i].second, 1u)
-        << "pressure scenario never preempted on " << kWorkers[i]
+        << "pressure scenario never recomputed a preemption on "
+        << kWorkers[i]
         << " workers; the test is vacuous";
     EXPECT_EQ(runs[i].first, want)
         << "preempt/resume on " << kWorkers[i] << " workers diverged";

@@ -17,6 +17,7 @@
 #include "nn/bert.h"
 #include "nn/gpt.h"
 #include "serve/engine.h"
+#include "serve/spec/proposer.h"
 #include "serve/trace.h"
 #include "serve/workloads/embed.h"
 #include "serve/workloads/grammar.h"
@@ -335,7 +336,6 @@ TEST(EngineGrammarTest, EverySampledTokenIsDfaLegal) {
   nn::GptModel model(wl_config());
   serve::EngineConfig ec;
   ec.max_batch = 4;
-  ec.workloads.grammar = true;
   serve::InferenceEngine engine(model, ec);
 
   const auto dfa = std::make_shared<const TokenDfa>(
@@ -380,7 +380,6 @@ TEST(EngineGrammarTest, AllOnesMaskIsByteIdenticalToUnconstrained) {
   nn::GptModel model(wl_config());
   serve::EngineConfig ec;
   ec.max_batch = 4;
-  ec.workloads.grammar = true;
 
   std::map<std::uint64_t, std::vector<std::int32_t>> plain;
   {
@@ -419,7 +418,6 @@ TEST(EngineGrammarTest, AllOnesMaskIsByteIdenticalToUnconstrained) {
 TEST(EngineGrammarTest, DeadStateFailsDeterministicallyNotHangs) {
   nn::GptModel model(wl_config());
   serve::EngineConfig ec;
-  ec.workloads.grammar = true;
   serve::InferenceEngine engine(model, ec);
 
   std::vector<std::string> vocab(50);
@@ -460,16 +458,7 @@ TEST(EngineGrammarTest, ValidationAndAdmissionRejections) {
   const auto dfa = std::make_shared<const TokenDfa>(
       TokenDfa::compile(GrammarSpec{}, json_vocab(), kEos));
   {
-    // Grammar class off: constrained requests are rejected loudly.
     serve::EngineConfig ec;
-    serve::InferenceEngine engine(model, ec);
-    serve::Request req = wl_request(1, 8, 0.0f);
-    req.grammar = dfa;
-    EXPECT_THROW(engine.submit(std::move(req)), Error);
-  }
-  {
-    serve::EngineConfig ec;
-    ec.workloads.grammar = true;
     serve::InferenceEngine engine(model, ec);
     // Vocab mismatch: DFA compiled for 50, engine model also 50 — build a
     // mismatched one to prove the check fires.
@@ -485,11 +474,23 @@ TEST(EngineGrammarTest, ValidationAndAdmissionRejections) {
     serve::Request big = wl_request(3, 8, 0.0f);
     big.grammar = dfa;  // JSON grammar has far more than 2 states
     EXPECT_THROW(capped.submit(std::move(big)), Error);
-    // Grammar + speculation cannot coexist per-request either.
+  }
+  {
+    // An engine with a draft proposer serves constrained requests, but a
+    // constrained request cannot be speculative: the proposer samples its
+    // drafts unmasked, so a verified draft could be grammar-illegal.
+    serve::EngineConfig ec;
+    ec.proposer = std::make_shared<serve::spec::LayerSkipDraft>(model, 1);
+    serve::InferenceEngine engine(model, ec);
     serve::Request spec = wl_request(4, 8, 0.0f);
     spec.grammar = dfa;
     spec.spec_k = 2;
     EXPECT_THROW(engine.submit(std::move(spec)), Error);
+    serve::Request plain = wl_request(5, 8, 0.0f);
+    plain.grammar = dfa;
+    auto future = engine.submit(std::move(plain));
+    engine.run_until_idle();
+    EXPECT_TRUE(future.get().constrained);
   }
 }
 
@@ -591,7 +592,6 @@ TEST(EngineEmbedTest, MixedGenerationAndEmbeddingShareOneEngine) {
   serve::EngineConfig ec;
   ec.max_batch = 4;
   ec.workloads.embedder = encoder;
-  ec.workloads.grammar = true;
   serve::InferenceEngine engine(model, ec);
   const auto dfa = std::make_shared<const TokenDfa>(
       TokenDfa::compile(GrammarSpec{}, json_vocab(), kEos));
