@@ -21,7 +21,14 @@
 //   3. quantized vs fp32 decode — packed_int8_decode_speedup and
 //      packed_bf16_decode_speedup: cold packed int8 / bf16 weights against
 //      cold packed fp32 at M=1 on lm_head (256->8192), cycles paired ABBA;
-//   4. accuracy — int8 decode logit error vs fp32 on a serving-shaped
+//   4. roofline (no gate) — servebench's model shape (hidden 256, kv 64,
+//      ffn 704, vocab 8192): each packed fp32 job of a decode step at
+//      m = 1, 4 and 16, its time, weight GB/s and GFLOP/s next to the
+//      host's streaming rates and packed peak, and the step's packed /
+//      row-major time on pools of 0 and 3 workers, at the active kernel
+//      width. Hosts differ in whether they have AVX-512, so none of it is
+//      gated;
+//   5. accuracy — int8 decode logit error vs fp32 on a serving-shaped
 //      model (exact_max gate) and token identity: engine int8 (batched,
 //      chunked prefill, speculative) vs batch-1 generate_cached int8,
 //      zero mismatches allowed.
@@ -36,6 +43,7 @@
 
 #include "bench_util.h"
 #include "nn/gpt.h"
+#include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/spec/proposer.h"
 #include "tensor/gemm_tune.h"
@@ -177,6 +185,99 @@ double gflops(std::int64_t m, std::int64_t n, std::int64_t k, double secs) {
 }
 
 // ---------------------------------------------------------------------------
+// Roofline: one decode step's GEMMs at servebench's model shape
+// ---------------------------------------------------------------------------
+
+/// One job of a decode step: GEMMs sharing A, as the layers run them.
+struct StepJob {
+  const char* name;
+  std::int64_t k;
+  std::vector<std::int64_t> ns;
+};
+
+const std::vector<StepJob>& step_jobs() {
+  static const std::vector<StepJob> jobs = {{"qkv", 256, {256, 64, 64}},
+                                            {"o", 256, {256}},
+                                            {"gate_up", 256, {704, 704}},
+                                            {"down", 704, {256}},
+                                            {"lm_head", 256, {8192}}};
+  return jobs;
+}
+
+constexpr int kStepLayers = 4;
+
+/// Every weight of a step (four layers of q|k|v, o, gate|up and down, then
+/// lm_head), fp32, both row-major and packed.
+struct StepWeights {
+  // [layer * jobs + job][gemm], lm_head as layer 0 of the last job only.
+  std::vector<std::vector<std::vector<float>>> row_major, packed;
+
+  StepWeights() {
+    std::uint64_t seed = 900;
+    for (int layer = 0; layer < kStepLayers; ++layer) {
+      for (const StepJob& job : step_jobs()) {
+        std::vector<std::vector<float>> rm, pk;
+        for (const std::int64_t n : job.ns) {
+          rm.push_back(pattern_matrix(job.k, n, seed++));
+          pk.push_back(rm.back());
+          kernels::pack_panels(pk.back().data(), job.k, n);
+        }
+        row_major.push_back(std::move(rm));
+        packed.push_back(std::move(pk));
+      }
+    }
+  }
+
+  /// Run job `j` of `layer` on the calling thread's pool: packed through
+  /// gemm_packed, or row-major one gemm_nn per GEMM.
+  void run(int layer, std::size_t j, const float* a, float* c,
+           std::int64_t m, bool packed_b) const {
+    const StepJob& job = step_jobs()[j];
+    const std::size_t at = static_cast<std::size_t>(layer) *
+                               step_jobs().size() + j;
+    std::vector<kernels::PackedGemm> gemms;
+    float* out = c;
+    for (std::size_t g = 0; g < job.ns.size(); ++g) {
+      if (packed_b) {
+        gemms.push_back({packed[at][g].data(), nullptr, out, job.ns[g]});
+      } else {
+        kernels::gemm_nn(a, row_major[at][g].data(), out, m, job.ns[g], job.k,
+                         /*accumulate=*/false);
+      }
+      out += m * job.ns[g];
+    }
+    if (packed_b) kernels::gemm_packed(a, m, job.k, kernels::WeightFormat::kF32,
+                                       gemms);
+  }
+
+  /// One step: every layer's four jobs, then lm_head.
+  void step(const float* a, float* c, std::int64_t m, bool packed_b) const {
+    const std::size_t lm_head = step_jobs().size() - 1;
+    for (int layer = 0; layer < kStepLayers; ++layer) {
+      for (std::size_t j = 0; j < lm_head; ++j) run(layer, j, a, c, m, packed_b);
+    }
+    run(0, lm_head, a, c, m, packed_b);
+  }
+};
+
+/// Median of 21 timed calls of `fn`, in seconds, best of 3 rounds.
+template <typename Fn>
+double median_seconds(const Fn& fn) {
+  double best = 1e30;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<double> t;
+    for (int r = 0; r < 21; ++r) {
+      const double t0 = now_s();
+      fn();
+      t.push_back(now_s() - t0);
+    }
+    std::sort(t.begin(), t.end());
+    best = std::min(best, t[t.size() / 2]);
+  }
+  return best;
+}
+
+// ---------------------------------------------------------------------------
 // Accuracy harness model (the serving shape matgpt_cli uses)
 // ---------------------------------------------------------------------------
 
@@ -258,9 +359,11 @@ int main() {
   // --- 1. calibration -------------------------------------------------------
   bench::print_section("host anchors (measured reference shapes)");
   const auto& anchors = gemm_tune::host_anchors();
-  std::printf("hot compute peaks: f32 %.1f / bf16 %.1f / int8 %.1f GFLOP/s "
-              "on one thread (bf16/int8 packed), f32 %.1f GFLOP/s on %zu\n",
-              anchors.f32_gflops, anchors.bf16_gflops, anchors.int8_gflops,
+  std::printf("hot compute peaks: f32 %.1f (row-major) / %.1f (packed) / "
+              "bf16 %.1f / int8 %.1f GFLOP/s on one thread (bf16/int8 "
+              "packed), f32 %.1f GFLOP/s on %zu\n",
+              anchors.f32_gflops, anchors.packed_f32_gflops,
+              anchors.bf16_gflops, anchors.int8_gflops,
               anchors.pool_f32_gflops, anchors.threads);
   std::printf("streaming weight bandwidth: %.1f GB/s on one thread, %.1f GB/s "
               "on %zu\n",
@@ -332,7 +435,68 @@ int main() {
                 kernels::format_name(format), t_q * 1e6, speedup);
   }
 
-  // --- 4. accuracy: int8 decode vs fp32 ------------------------------------
+  // --- 4. roofline at servebench's model shape -----------------------------
+  bench::print_section("roofline: packed fp32 decode-step jobs (no gate)");
+  const char* width = kernels::gemm_width_name();
+  const double width_bits = std::string(width) == "avx512"
+                                ? 512.0
+                                : (std::string(width) == "avx2" ? 256.0 : 0.0);
+  std::printf("kernel width %s; host: stream %.1f GB/s on one thread, "
+              "%.1f GB/s on %zu; packed fp32 peak %.1f GFLOP/s on one "
+              "thread\n",
+              width, anchors.stream_gbs, anchors.pool_stream_gbs,
+              anchors.threads, anchors.packed_f32_gflops);
+  std::vector<std::pair<std::string, double>> roofline;
+  const StepWeights step_weights;
+  {
+    const auto a = pattern_matrix(16, 704, 3);
+    std::vector<float> c(16 * 8192);
+    std::printf("%-8s %4s %10s %10s %10s  (pool of %zu workers)\n", "job",
+                "m", "us", "weight GB/s", "GFLOP/s",
+                ThreadPool::current().worker_count());
+    for (std::size_t j = 0; j < step_jobs().size(); ++j) {
+      const StepJob& job = step_jobs()[j];
+      std::int64_t n = 0;
+      for (const std::int64_t w : job.ns) n += w;
+      for (const std::int64_t m : {1, 4, 16}) {
+        const double secs = median_seconds([&] {
+          step_weights.run(0, j, a.data(), c.data(), m, /*packed_b=*/true);
+        });
+        const double gbs = static_cast<double>(n * job.k) * 4.0 / secs / 1e9;
+        const double gf = gflops(m, n, job.k, secs);
+        std::printf("%-8s %4lld %10.1f %10.1f %10.1f\n", job.name,
+                    static_cast<long long>(m), secs * 1e6, gbs, gf);
+        const std::string key = std::string("roofline_") + job.name + "_m" +
+                                std::to_string(m);
+        roofline.push_back({key + "_us", secs * 1e6});
+        roofline.push_back({key + "_weight_gbs", gbs});
+        roofline.push_back({key + "_gflops", gf});
+      }
+    }
+    for (const std::size_t workers : {0u, 3u}) {
+      const ScopedThreadPool pool(workers);
+      for (const std::int64_t m : {4, 16}) {
+        const double packed_s = median_seconds(
+            [&] { step_weights.step(a.data(), c.data(), m, true); });
+        const double row_major_s = median_seconds(
+            [&] { step_weights.step(a.data(), c.data(), m, false); });
+        std::printf("step m=%-2lld on %zu workers: packed %.0f us, row-major "
+                    "%.0f us, packed/row-major %.2f\n",
+                    static_cast<long long>(m), workers, packed_s * 1e6,
+                    row_major_s * 1e6, packed_s / row_major_s);
+        roofline.push_back({"step_packed_over_row_major_m" +
+                                std::to_string(m) + "_w" +
+                                std::to_string(workers),
+                            packed_s / row_major_s});
+      }
+    }
+  }
+  roofline.push_back({"stream_gbs", anchors.stream_gbs});
+  roofline.push_back({"pool_stream_gbs", anchors.pool_stream_gbs});
+  roofline.push_back({"packed_f32_gflops", anchors.packed_f32_gflops});
+  roofline.push_back({"kernel_width_bits", width_bits});
+
+  // --- 5. accuracy: int8 decode vs fp32 ------------------------------------
   bench::print_section("int8 decode accuracy (serving-shaped model)");
   const nn::GptConfig mc = serving_config();
   nn::GptModel model(mc);
@@ -431,9 +595,8 @@ int main() {
   }
   model.prepare_decode_quant(WeightFormat::kF32);
 
-  bench::write_bench_json(
-      "BENCH_gemm.json",
-      {{"packed_int8_decode_speedup", packed_int8_decode_speedup},
+  std::vector<std::pair<std::string, double>> metrics = {
+      {"packed_int8_decode_speedup", packed_int8_decode_speedup},
        {"packed_bf16_decode_speedup", packed_bf16_decode_speedup},
        {"predict_error_median", predict_error_median},
        {"packed_predict_error_median", packed_predict_error_median},
@@ -442,6 +605,8 @@ int main() {
        {"int8_argmax_agreement",
         static_cast<double>(argmax_agree) / static_cast<double>(steps)},
        {"int8_identity_mismatches",
-        static_cast<double>(int8_identity_mismatches)}});
+        static_cast<double>(int8_identity_mismatches)}};
+  metrics.insert(metrics.end(), roofline.begin(), roofline.end());
+  bench::write_bench_json("BENCH_gemm.json", metrics);
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "nn/sampling.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -95,51 +97,94 @@ void sampling_candidates(std::span<const float> logits,
   const auto inv = static_cast<float>(1.0 / sum);
   const std::int64_t k =
       options.top_k > 0 ? std::min<std::int64_t>(n, options.top_k) : n;
-  // Every id ranked in the top k has a probability at or above `lowest`.
-  // With k blocks or more, the k-th largest block maximum is such a bound:
-  // k distinct blocks each hold an id at or above it. Multiplying by inv
-  // keeps the order, so the bound carries over to probabilities; only
-  // blocks that reach it are scanned, and only their survivors are sorted.
-  float lowest = std::numeric_limits<float>::denorm_min();
-  if (k < n && k <= blocks) {
-    s.bound.assign(s.block_max.begin(), s.block_max.end());
-    std::nth_element(s.bound.begin(), s.bound.begin() + (k - 1),
-                     s.bound.end(), std::greater<float>());
-    lowest = std::max(lowest, s.bound[static_cast<std::size_t>(k - 1)] * inv);
-  }
-  // Branch-free: every scanned id is written, and the count moves past it
-  // only if it survives.
-  s.survivors.resize(logits.size());
-  std::size_t count = 0;
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    if (s.block_max[static_cast<std::size_t>(b)] * inv < lowest) continue;
-    const std::int64_t end = std::min(n, (b + 1) * kernels::kExpBlockIds);
-    for (std::int64_t i = b * kernels::kExpBlockIds; i < end; ++i) {
-      const float p = s.exps[static_cast<std::size_t>(i)] * inv;
-      s.survivors[count] = {static_cast<std::int32_t>(i), p};
-      count += p >= lowest ? 1 : 0;
+  constexpr float kNonzero = std::numeric_limits<float>::denorm_min();
+  // `out` = every id of probability at least `lowest`, in id order. Only
+  // blocks that reach it are scanned. Branch-free: every scanned id is
+  // written, and the count moves past it only if it survives.
+  auto collect = [&](float lowest) {
+    s.survivors.resize(logits.size());
+    std::size_t count = 0;
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      if (s.block_max[static_cast<std::size_t>(b)] * inv < lowest) continue;
+      const std::int64_t end = std::min(n, (b + 1) * kernels::kExpBlockIds);
+      for (std::int64_t i = b * kernels::kExpBlockIds; i < end; ++i) {
+        const float p = s.exps[static_cast<std::size_t>(i)] * inv;
+        s.survivors[count] = {static_cast<std::int32_t>(i), p};
+        count += p >= lowest ? 1 : 0;
+      }
     }
-  }
-  out.assign(s.survivors.begin(),
-             s.survivors.begin() + static_cast<std::ptrdiff_t>(count));
-  // No filter: the survivors are every id of nonzero probability, in id
-  // order, which Rng::categorical walks as well as any; nothing is ranked.
-  if (k == n && options.top_p >= 1.0f) return;
-  if (static_cast<std::size_t>(k) < out.size()) {
-    std::partial_sort(out.begin(), out.begin() + k, out.end(), ranks_before);
-    out.resize(static_cast<std::size_t>(k));
-  } else {
-    std::sort(out.begin(), out.end(), ranks_before);
-  }
-  if (options.top_p < 1.0f) {
+    out.assign(s.survivors.begin(),
+               s.survivors.begin() + static_cast<std::ptrdiff_t>(count));
+  };
+  // Cut ranked `out` to the shortest prefix whose probabilities sum to
+  // top_p; false (and `out` unchanged) when all of `out` sums to less.
+  auto nucleus = [&] {
     double cumulative = 0.0;
-    std::size_t nucleus = 0;
-    while (nucleus < out.size() && cumulative < options.top_p) {
-      cumulative += out[nucleus].prob;
-      ++nucleus;
+    std::size_t size = 0;
+    while (size < out.size() && cumulative < options.top_p) {
+      cumulative += out[size].prob;
+      ++size;
     }
-    out.resize(std::max<std::size_t>(1, nucleus));
+    if (cumulative < options.top_p) return false;
+    out.resize(std::max<std::size_t>(1, size));
+    return true;
+  };
+
+  // No filter: the candidates are every id of nonzero probability, in id
+  // order, which Rng::categorical walks as well as any; nothing is ranked.
+  if (k == n && options.top_p >= 1.0f) {
+    collect(kNonzero);
+    return;
   }
+  if (k < n) {
+    // Every id ranked in the top k has a probability at or above the k-th
+    // largest block maximum (with k blocks or more): k distinct blocks each
+    // hold an id at or above it. Multiplying by inv keeps the order, so the
+    // bound carries over to probabilities; only the ids at or above it are
+    // ranked.
+    float lowest = kNonzero;
+    if (k <= blocks) {
+      s.bound.assign(s.block_max.begin(), s.block_max.end());
+      std::nth_element(s.bound.begin(), s.bound.begin() + (k - 1),
+                       s.bound.end(), std::greater<float>());
+      lowest = std::max(lowest, s.bound[static_cast<std::size_t>(k - 1)] * inv);
+    }
+    collect(lowest);
+    if (static_cast<std::size_t>(k) < out.size()) {
+      std::partial_sort(out.begin(), out.begin() + k, out.end(), ranks_before);
+      out.resize(static_cast<std::size_t>(k));
+    } else {
+      std::sort(out.begin(), out.end(), ranks_before);
+    }
+    if (options.top_p < 1.0f) nucleus();
+    return;
+  }
+  // top_p alone: the nucleus is a prefix of the whole ranking. Every id
+  // below a bound ranks after every id at or above it, so when the ranked
+  // survivors sum to top_p the nucleus lies among them and is the one the
+  // full ranking gives. The bound is a power of two: the exps' mass per
+  // binary exponent, summed from the top, says from which exponent down
+  // the ids hold top_p of the row. (Block maxima bound a deep nucleus
+  // poorly: the 235-id nucleus of a sigma-3 8192-wide row reaches below the
+  // 64th-largest of its 128 block maxima.) A walk that falls short, by
+  // rounding, retries one exponent lower; past the last, every id is
+  // ranked.
+  std::array<double, 256> mass{};
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float e = s.exps[static_cast<std::size_t>(i)];
+    mass[std::bit_cast<std::uint32_t>(e) >> 23] += e;
+  }
+  double cumulative = 0.0;
+  for (std::uint32_t exponent = 127; exponent > 0; --exponent) {
+    cumulative += mass[exponent];
+    if (cumulative < options.top_p * sum) continue;
+    collect(std::max(kNonzero, std::bit_cast<float>(exponent << 23) * inv));
+    std::sort(out.begin(), out.end(), ranks_before);
+    if (nucleus()) return;
+  }
+  collect(kNonzero);
+  std::sort(out.begin(), out.end(), ranks_before);
+  nucleus();  // false only when rounding leaves the row short of top_p
 }
 
 std::int32_t sample_token(std::span<const float> logits,

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "parallel/thread_pool.h"
 #include "tensor/dtype.h"
+#include "tensor/gemm_width.h"
 
 namespace matgpt::gemm_tune {
 
@@ -43,6 +44,36 @@ double pair_efficiency(const std::vector<int>& blocks, std::int64_t m) {
     weighted += 2.0 * (bs / 2) + 0.5 * (bs % 2);
   }
   return weighted / static_cast<double>(m);
+}
+
+// The register kernel's passes over `m` rows at the active width (its
+// row-tile table walked greedily, as the kernel walks it), and their rate
+// relative to the reference block's (kReferenceRows rows, the anchors'
+// shape): a pass that shares each B load over two or more rows runs at its
+// lanes' share of the widest pass, a lone row at half that.
+constexpr std::int64_t kReferenceRows = 4;
+
+std::vector<kernels::RowTile> packed_passes(std::int64_t m) {
+  std::vector<kernels::RowTile> out;
+  for (const kernels::RowTile& tile :
+       kernels::row_tiles(kernels::active_width())) {
+    for (; m >= tile.rows; m -= tile.rows) out.push_back(tile);
+  }
+  return out;
+}
+
+double packed_rate(std::int64_t m) {
+  const auto tiles = kernels::row_tiles(kernels::active_width());
+  const double widest = static_cast<double>(tiles.front().lanes);
+  double rows_per_unit_time = 0.0;
+  for (const kernels::RowTile& p : packed_passes(m)) {
+    rows_per_unit_time += p.rows * (p.lanes / widest) * (p.rows == 1 ? 0.5 : 1);
+  }
+  return rows_per_unit_time / static_cast<double>(m);
+}
+
+double packed_efficiency(std::int64_t m) {
+  return packed_rate(m) / packed_rate(kReferenceRows);
 }
 
 // Fraction of peak column throughput: fringe columns (n % 8) run through
@@ -104,18 +135,19 @@ double stream_anchor_gbs(const float* b0, const float* b1, std::int64_t n,
 }
 
 // One thread's rate on the [m, k] x [k, n] reference block with `b` packed
-// and quantized to `format`, through the packed job every served bf16/int8
-// weight runs.
+// (and quantized to `format`), through the packed job every served weight
+// runs.
 double packed_gflops(const float* a, std::vector<float> b, float* c,
                      std::int64_t m, std::int64_t n, std::int64_t k,
                      WeightFormat format) {
   kernels::pack_panels(b.data(), k, n);
   const QuantWeights qw = quantize_weights(b.data(), k, n, format);
-  const kernels::PackedGemm g{
-      format == WeightFormat::kInt8
-          ? static_cast<const void*>(qw.q8.data())
-          : static_cast<const void*>(qw.bf16.data()),
-      format == WeightFormat::kInt8 ? qw.scale.data() : nullptr, c, n};
+  kernels::PackedGemm g{b.data(), nullptr, c, n};
+  if (format == WeightFormat::kBf16) g.b = qw.bf16.data();
+  if (format == WeightFormat::kInt8) {
+    g.b = qw.q8.data();
+    g.scale = qw.scale.data();
+  }
   const ScopedThreadPool one_thread(0);
   return 2.0 * static_cast<double>(m * n * k) /
          best_seconds(12,
@@ -141,6 +173,8 @@ HostAnchors measure_anchors() {
     });
   };
   anchors.f32_gflops = flops / f32_seconds(a.data(), c.data(), m) / 1e9;
+  anchors.packed_f32_gflops =
+      packed_gflops(a.data(), b, c.data(), m, n, k, WeightFormat::kF32);
   anchors.bf16_gflops =
       packed_gflops(a.data(), b, c.data(), m, n, k, WeightFormat::kBf16);
   anchors.int8_gflops =
@@ -262,22 +296,18 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
   const double rounds = std::ceil(static_cast<double>(split.tiles()) /
                                   static_cast<double>(threads));
 
-  // Packed panels run the register kernel: one column chunk per panel and
-  // rows four at a time, a lone row at half rate.
-  const std::vector<int> blocks = row_blocks(tile_m);
-  double efficiency = pair_efficiency(blocks, tile_m);
-  if (packed) {
-    double weighted = 0.0;
-    for (std::int64_t rem = tile_m; rem > 0; rem -= 4) {
-      weighted +=
-          rem == 1 ? 0.5 : static_cast<double>(std::min<std::int64_t>(rem, 4));
-    }
-    efficiency = weighted / static_cast<double>(tile_m);
-  }
+  // Row-major B runs the streaming kernel in row_block() blocks; packed
+  // panels run the register kernel, one column chunk per panel, in the
+  // passes of the active width's row-tile table.
+  const std::size_t passes = packed ? packed_passes(tile_m).size()
+                                    : row_blocks(tile_m).size();
+  const double efficiency = packed
+                                ? packed_efficiency(tile_m)
+                                : pair_efficiency(row_blocks(tile_m), tile_m);
   const std::int64_t nc =
       packed ? kernels::kPanelFloats : kernels::kStreamChunkFloats;
 
-  double peak_gflops = anchors.f32_gflops;
+  double peak_gflops = packed ? anchors.packed_f32_gflops : anchors.f32_gflops;
   if (format == WeightFormat::kBf16) peak_gflops = anchors.bf16_gflops;
   if (format == WeightFormat::kInt8) peak_gflops = anchors.int8_gflops;
   peak_gflops *= compute_share;
@@ -285,12 +315,12 @@ double predict_seconds(std::int64_t m, std::int64_t n, std::int64_t k,
   const double flops = 2.0 * static_cast<double>(tile_m) * tile_n * k;
   const double t_compute = flops / (peak_gflops * 1e9 * efficiency *
                                     column_efficiency(tile_n, nc));
-  // Each row block streams the tile's weights once; a packed tile's panels
-  // are one contiguous run.
+  // Each row block or pass streams the tile's weights once; a packed
+  // tile's panels are one contiguous run.
   const double bytes_per_pass =
       static_cast<double>(k) * static_cast<double>(tile_n) *
       elem_bytes(format);
-  const double t_mem = static_cast<double>(blocks.size()) * bytes_per_pass /
+  const double t_mem = static_cast<double>(passes) * bytes_per_pass /
                        (stream_gbs * 1e9);
 
   // Imperfect overlap between the FMA chain and the weight stream.

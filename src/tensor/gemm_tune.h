@@ -16,8 +16,9 @@
 // kernels::gemm_split's over row-major B, kernels::packed_split's over
 // packed panels — by its widest tile, once per round of tiles over the
 // pool, and, within a tile, the row blocks the kernel will run
-// (kernels::row_block's over row-major B, four rows at a time over packed
-// panels). It predicts; it does not choose.
+// (kernels::row_block's over row-major B, the passes of the active width's
+// row-tile table over packed panels, see gemm_width.h). It predicts; it
+// does not choose.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,8 +54,9 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
 /// Measured host anchors for the cost model: rates measured on reference
 /// shapes, which calibrate the model so its prediction matches there and
 /// extrapolates everywhere else. Peaks are one thread's hot-L2
-/// compute rates on the reference shape (fp32 over row-major B, bf16 and
-/// int8 through gemm_packed, the only path they run), and pool_f32_gflops
+/// compute rates on the reference shape (f32_gflops over row-major B;
+/// packed_f32_gflops, bf16_gflops and int8_gflops through gemm_packed, the
+/// register kernel every served weight runs), and pool_f32_gflops
 /// the fp32 aggregate when every thread of the pool (`threads` of them)
 /// computes its own row group. stream_gbs is the effective rate at which one
 /// thread's single-row GEMM streams a RAM-resident weight matrix, and
@@ -62,6 +64,7 @@ QuantWeights quantize_weights(const float* w, std::int64_t k, std::int64_t n,
 /// panel of one.
 struct HostAnchors {
   double f32_gflops = 0.0;
+  double packed_f32_gflops = 0.0;
   double bf16_gflops = 0.0;
   double int8_gflops = 0.0;
   double pool_f32_gflops = 0.0;

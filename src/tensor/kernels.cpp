@@ -4,11 +4,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <type_traits>
 #include <vector>
 
+#include "common/error.h"
 #include "parallel/thread_pool.h"
+#include "tensor/gemm_width.h"
 #include "tensor/simd.h"
 
 namespace matgpt::kernels {
@@ -43,7 +46,7 @@ inline float b_value(BT v) {
 }
 
 // Portable scalar fp32 NN loop over one panel (also the path behind the
-// AVX2 dispatch when the host lacks the ISA): C rows [i_lo, i_hi), `width`
+// SIMD dispatch when the host lacks the ISA): C rows [i_lo, i_hi), `width`
 // columns. l-outer/j-inner keeps B reads contiguous. The zero-skip makes
 // one-hot rows (embedding-style products) cheap.
 void gemm_nn_scalar_rows(const float* a, std::int64_t k, const float* b,
@@ -67,8 +70,9 @@ void gemm_nn_scalar_rows(const float* a, std::int64_t k, const float* b,
 
 // Portable quantized NN loop over one panel. Ascending-k single-rounding
 // FMA per C element, then (int8, `scale` non-null) one single-rounding
-// multiply by the column scale — the exact operation sequence of the AVX2
-// kernel below, so SIMD and portable builds produce identical bytes.
+// multiply by the column scale — the exact operation sequence of the
+// register kernel below, so SIMD and portable builds produce identical
+// bytes.
 template <typename BT>
 void gemm_quant_scalar_rows(const float* a, std::int64_t k, const BT* b,
                             std::int64_t ldb, const float* scale, float* c,
@@ -108,22 +112,6 @@ struct Panel {
 #ifdef MATGPT_X86_DISPATCH
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
-
-// Eight B elements widened to fp32 (fp32: a plain load).
-template <typename BT>
-inline __m256 load_b(const BT* p) {
-  if constexpr (std::is_same_v<BT, std::int8_t>) {
-    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
-  } else if constexpr (std::is_same_v<BT, std::uint16_t>) {
-    return _mm256_castsi256_ps(_mm256_slli_epi32(
-        _mm256_cvtepu16_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-        16));
-  } else {
-    return _mm256_loadu_ps(p);
-  }
-}
 
 // The streaming NN microkernel over one wide panel of fp32 B (row-major B
 // as one panel, or one of its column panels): ROWS rows of A (`k` floats
@@ -270,66 +258,157 @@ void gemm_stream_block(const float* a, std::int64_t k, const float* b,
   }
 }
 
-// The register kernel for a panel at most kPanelFloats wide (every packed
-// panel): R C rows by V vectors of 8 columns accumulate in registers over
+// The register kernel's vector traits, one per width: a B vector widened
+// to fp32 (bf16 and int8 exactly), a broadcast A element, the FMA, the
+// int8 column-scale multiply and the store. Each is compiled for its own
+// ISA; the kernel body below is shared.
+struct Ymm {
+  using V = __m256;
+  static constexpr int kLanes = 8;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V broadcast(const float* p) { return _mm256_broadcast_ss(p); }
+  template <typename BT>
+  static V load(const BT* p) {
+    if constexpr (std::is_same_v<BT, std::int8_t>) {
+      return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+    } else if constexpr (std::is_same_v<BT, std::uint16_t>) {
+      return _mm256_castsi256_ps(_mm256_slli_epi32(
+          _mm256_cvtepu16_epi32(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+          16));
+    } else {
+      return _mm256_loadu_ps(p);
+    }
+  }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V scale(V x, const float* s) {
+    return _mm256_mul_ps(x, _mm256_loadu_ps(s));
+  }
+  static void store(float* p, V x) { _mm256_storeu_ps(p, x); }
+};
+
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma")
+
+struct Zmm {
+  using V = __m512;
+  static constexpr int kLanes = 16;
+  static V zero() { return _mm512_setzero_ps(); }
+  static V broadcast(const float* p) { return _mm512_set1_ps(*p); }
+  template <typename BT>
+  static V load(const BT* p) {
+    // The maskz forms with every lane set are the plain instructions; the
+    // plain intrinsics trip GCC 12's -Wmaybe-uninitialized on their
+    // undefined pass-through operand.
+    constexpr __mmask16 kAll = 0xffff;
+    if constexpr (std::is_same_v<BT, std::int8_t>) {
+      return _mm512_maskz_cvtepi32_ps(
+          kAll, _mm512_maskz_cvtepi8_epi32(
+                    kAll, _mm_loadu_si128(
+                              reinterpret_cast<const __m128i*>(p))));
+    } else if constexpr (std::is_same_v<BT, std::uint16_t>) {
+      return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+          kAll,
+          _mm512_maskz_cvtepu16_epi32(
+              kAll, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))),
+          16));
+    } else {
+      return _mm512_loadu_ps(p);
+    }
+  }
+  static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  static V scale(V x, const float* s) {
+    return _mm512_mul_ps(x, _mm512_loadu_ps(s));
+  }
+  static void store(float* p, V x) { _mm512_storeu_ps(p, x); }
+};
+
+#pragma GCC pop_options
+
+template <int Lanes>
+using VecOf = std::conditional_t<Lanes == 16, Zmm, Ymm>;
+
+// The register kernel body, shared by both widths. It carries no target of
+// its own: every function here is always_inline, so it is compiled inside
+// the width's entry point below, with that entry's ISA. (GCC's -Wpsabi
+// notes that a vector-typed value crosses a function without the ISA; none
+// does once inlined.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// R C rows by V vectors of VT::kLanes columns accumulate in registers over
 // all k, one B row segment loaded per step and shared by the R rows, and C
-// is written once. The k terms of each element still form one ascending
+// is written once. The k terms of each element form one ascending
 // single-rounding FMA chain from zero, then (int8) one multiply by the
-// column scale, so fp32 bytes equal the streaming kernel's.
-template <int R, int V, typename BT>
-inline void panel_strip_avx2(const float* a, std::int64_t k, const BT* b,
-                             std::int64_t ldb, const float* scale, float* c,
-                             std::int64_t ldc) {
-  __m256 acc[R][V];
+// column scale, so fp32 bytes equal the streaming kernel's and neither the
+// width nor the tile changes any format's bytes.
+template <typename VT, int R, int V, typename BT>
+[[gnu::always_inline]] inline void panel_strip(const float* a,
+                                               std::int64_t k, const BT* b,
+                                               std::int64_t ldb,
+                                               const float* scale, float* c,
+                                               std::int64_t ldc) {
+  typename VT::V acc[R][V];
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
-    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+    for (int v = 0; v < V; ++v) acc[r][v] = VT::zero();
   }
   for (std::int64_t l = 0; l < k; ++l) {
     const BT* brow = b + static_cast<std::size_t>(l) * ldb;
-    __m256 av[R];
+    typename VT::V av[R];
 #pragma GCC unroll 8
-    for (int r = 0; r < R; ++r) av[r] = _mm256_broadcast_ss(a + r * k + l);
+    for (int r = 0; r < R; ++r) av[r] = VT::broadcast(a + r * k + l);
 #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
-      const __m256 bv = load_b(brow + 8 * v);
+      typename VT::V bv = VT::template load<BT>(brow + VT::kLanes * v);
+      // Keep the B vector in a register: GCC otherwise folds the load into
+      // each of the R FMAs, and three or two rows then emit R loads per
+      // vector instead of one (the 3 x 4-zmm pass ran ~1.5x slower).
+      if constexpr (R > 1) asm("" : "+v"(bv));
 #pragma GCC unroll 8
-      for (int r = 0; r < R; ++r) {
-        acc[r][v] = _mm256_fmadd_ps(av[r], bv, acc[r][v]);
-      }
+      for (int r = 0; r < R; ++r) acc[r][v] = VT::fma(av[r], bv, acc[r][v]);
     }
   }
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
-      __m256 x = acc[r][v];
-      if (scale != nullptr) {
-        x = _mm256_mul_ps(x, _mm256_loadu_ps(scale + 8 * v));
-      }
-      _mm256_storeu_ps(c + r * ldc + 8 * v, x);
+      typename VT::V x = acc[r][v];
+      if (scale != nullptr) x = VT::scale(x, scale + VT::kLanes * v);
+      VT::store(c + r * ldc + VT::kLanes * v, x);
     }
   }
 }
 
-// R rows of one narrow panel: strips of 8V columns (V = 8 / R vectors, so
-// R x V <= 8 accumulators), then single vectors, then scalar columns.
-template <int R, typename BT>
-void panel_rows_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
-                     float* c) {
-  constexpr int V = R == 1 ? 8 : (R == 2 ? 4 : 2);
+// One pass of `tile` over a narrow panel: strips of lanes x vectors
+// columns, then single vectors, then (512-bit) single 256-bit vectors,
+// then scalar columns.
+template <RowTile tile, typename BT>
+[[gnu::always_inline]] inline void panel_pass(const float* a,
+                                              std::int64_t k,
+                                              const Panel<BT>& pn, float* c) {
+  using VT = VecOf<tile.lanes>;
+  constexpr int R = tile.rows;
+  constexpr std::int64_t kStrip = VT::kLanes * tile.vectors;
   const float* scale = pn.scale;
+  auto at = [&](std::int64_t j) {
+    return scale != nullptr ? scale + j : nullptr;
+  };
   std::int64_t j = 0;
-  for (; j + 8 * V <= pn.width; j += 8 * V) {
-    panel_strip_avx2<R, V>(a, k, pn.b + j, pn.ldb,
-                           scale != nullptr ? scale + j : nullptr, c + j,
-                           pn.ldc);
+  for (; j + kStrip <= pn.width; j += kStrip) {
+    panel_strip<VT, R, tile.vectors>(a, k, pn.b + j, pn.ldb, at(j), c + j,
+                                     pn.ldc);
   }
-  for (; j + 8 <= pn.width; j += 8) {
-    panel_strip_avx2<R, 1>(a, k, pn.b + j, pn.ldb,
-                           scale != nullptr ? scale + j : nullptr, c + j,
-                           pn.ldc);
+  for (; j + VT::kLanes <= pn.width; j += VT::kLanes) {
+    panel_strip<VT, R, 1>(a, k, pn.b + j, pn.ldb, at(j), c + j, pn.ldc);
+  }
+  if constexpr (VT::kLanes > Ymm::kLanes) {
+    for (; j + Ymm::kLanes <= pn.width; j += Ymm::kLanes) {
+      panel_strip<Ymm, R, 1>(a, k, pn.b + j, pn.ldb, at(j), c + j, pn.ldc);
+    }
   }
   for (; j < pn.width; ++j) {
     for (int r = 0; r < R; ++r) {
@@ -342,42 +421,68 @@ void panel_rows_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
   }
 }
 
-// `rows` C rows of one narrow panel, four at a time.
-template <typename BT>
-void panel_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
-                float* c, std::int64_t rows) {
-  for (std::int64_t i = 0; i < rows;) {
-    const float* ai = a + i * k;
-    float* ci = c + i * pn.ldc;
-    switch (std::min<std::int64_t>(rows - i, 4)) {
-      case 4: panel_rows_avx2<4>(ai, k, pn, ci); i += 4; break;
-      case 3: panel_rows_avx2<3>(ai, k, pn, ci); i += 3; break;
-      case 2: panel_rows_avx2<2>(ai, k, pn, ci); i += 2; break;
-      default: panel_rows_avx2<1>(ai, k, pn, ci); i += 1; break;
-    }
+// `rows` C rows of one narrow panel by the row-tile table `tiles`, from
+// entry I on: as many passes of entry I as fit, then the next entry.
+template <const auto& tiles, std::size_t I = 0, typename BT>
+[[gnu::always_inline]] inline void panel_rows(const float* a, std::int64_t k,
+                                              const Panel<BT>& pn, float* c,
+                                              std::int64_t rows) {
+  constexpr RowTile tile = tiles[I];
+  for (; rows >= tile.rows; rows -= tile.rows) {
+    panel_pass<tile>(a, k, pn, c);
+    a += tile.rows * k;
+    c += tile.rows * pn.ldc;
+  }
+  if constexpr (I + 1 < std::size(tiles)) {
+    panel_rows<tiles, I + 1>(a, k, pn, c, rows);
   }
 }
 
+#pragma GCC diagnostic pop
+
+// The entry points, one per width: the shared body compiled for its ISA.
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+template <typename BT>
+void panel_avx2(const float* a, std::int64_t k, const Panel<BT>& pn,
+                float* c, std::int64_t rows) {
+  panel_rows<kAvx2RowTiles>(a, k, pn, c, rows);
+}
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma")
+template <typename BT>
+void panel_avx512(const float* a, std::int64_t k, const Panel<BT>& pn,
+                  float* c, std::int64_t rows) {
+  panel_rows<kAvx512RowTiles>(a, k, pn, c, rows);
+}
 #pragma GCC pop_options
 #endif  // MATGPT_X86_DISPATCH
 
 // C rows [i_lo, i_hi) of panels [p_lo, p_hi), panel by panel, so a tile
 // streams each panel of B in once and its later rows re-read it from
-// cache: through the register kernel when the panel is at most
+// cache: through the register kernel at `width` when the panel is at most
 // kPanelFloats wide (every packed panel), else the streaming kernel in
-// row_block() blocks; without SIMD, the portable loop. Quantized B is
+// row_block() blocks; at kPortable, the portable loop. Quantized B is
 // always packed, so only fp32 reaches the streaming kernel.
 template <typename BT>
-void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
-               std::size_t p_lo, std::size_t p_hi, std::int64_t i_lo,
-               std::int64_t i_hi, bool accumulate) {
+void gemm_tile([[maybe_unused]] VectorWidth width, const float* a,
+               std::int64_t k, const Panel<BT>* panels, std::size_t p_lo,
+               std::size_t p_hi, std::int64_t i_lo, std::int64_t i_hi,
+               bool accumulate) {
 #ifdef MATGPT_X86_DISPATCH
-  if (simd_active()) {
+  if (width != VectorWidth::kPortable) {
     for (std::size_t p = p_lo; p < p_hi; ++p) {
       const Panel<BT>& pn = panels[p];
       if (pn.width <= kPanelFloats && !accumulate) {
-        panel_avx2<BT>(a + i_lo * k, k, pn, pn.c + i_lo * pn.ldc,
-                       i_hi - i_lo);
+        if (width == VectorWidth::kAvx512) {
+          panel_avx512<BT>(a + i_lo * k, k, pn, pn.c + i_lo * pn.ldc,
+                           i_hi - i_lo);
+        } else {
+          panel_avx2<BT>(a + i_lo * k, k, pn, pn.c + i_lo * pn.ldc,
+                         i_hi - i_lo);
+        }
         continue;
       }
       if constexpr (std::is_same_v<BT, float>) {
@@ -408,16 +513,17 @@ void gemm_tile(const float* a, std::int64_t k, const Panel<BT>* panels,
 // `split` over the pool, each a range of C rows over every panel or a
 // range of panels over every row.
 template <typename BT>
-void gemm_run(const float* a, std::int64_t m, std::int64_t k,
-              const std::vector<Panel<BT>>& panels, const GemmSplit& split,
-              bool accumulate) {
+void gemm_run(VectorWidth width, const float* a, std::int64_t m,
+              std::int64_t k, const std::vector<Panel<BT>>& panels,
+              const GemmSplit& split, bool accumulate) {
   const auto& cuts = split.cuts;
   auto tiles = [&](std::size_t lo, std::size_t hi) {
     if (split.by_rows) {
-      gemm_tile(a, k, panels.data(), 0, panels.size(), cuts[lo], cuts[hi],
-                accumulate);
+      gemm_tile(width, a, k, panels.data(), 0, panels.size(), cuts[lo],
+                cuts[hi], accumulate);
     } else {
-      gemm_tile(a, k, panels.data(), static_cast<std::size_t>(cuts[lo]),
+      gemm_tile(width, a, k, panels.data(),
+                static_cast<std::size_t>(cuts[lo]),
                 static_cast<std::size_t>(cuts[hi]), 0, m, accumulate);
     }
   };
@@ -495,9 +601,17 @@ GemmSplit packed_split(std::int64_t m, std::int64_t n, std::int64_t k,
   const auto t = static_cast<std::int64_t>(threads);
   if (t <= 1) return GemmSplit{true, {0, m}};
   if (m >= kParallelRowThreshold) {
-    return even_split(true, m, std::min(4 * t, m / kMinGroupRows), 1);
+    // Groups of whole passes of the widest register tile: cut m / height
+    // units of `height` rows, and the last group takes the rows left over.
+    const std::int64_t height =
+        std::max<std::int64_t>(kMinGroupRows, tile_height());
+    const std::int64_t units = m / height;
+    GemmSplit split = even_split(true, units, std::min(4 * t, units), 1);
+    for (std::int64_t& cut : split.cuts) cut *= height;
+    split.cuts.back() = m;
+    return split;
   }
-  if (m * n * k >= kPackedSplitFmas && panels >= 2) {
+  if (packed_job_splits(m, n, k) && panels >= 2) {
     return even_split(false, panels, std::min(t, panels), 1);
   }
   return GemmSplit{true, {0, m}};
@@ -568,6 +682,43 @@ void unpack_panels(const float* packed, float* out, std::int64_t k,
 
 bool gemm_simd_active() { return simd_active(); }
 
+const char* width_name(VectorWidth width) {
+  switch (width) {
+    case VectorWidth::kPortable: return "portable";
+    case VectorWidth::kAvx2: return "avx2";
+    case VectorWidth::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
+VectorWidth active_width() {
+  if (simd512_active()) return VectorWidth::kAvx512;
+  return simd_active() ? VectorWidth::kAvx2 : VectorWidth::kPortable;
+}
+
+std::span<const RowTile> row_tiles(VectorWidth width) {
+  switch (width) {
+    case VectorWidth::kAvx512: return kAvx512RowTiles;
+    case VectorWidth::kAvx2: return kAvx2RowTiles;
+    case VectorWidth::kPortable: break;
+  }
+  return kPortableRowTiles;
+}
+
+bool packed_job_splits(std::int64_t m, std::int64_t n, std::int64_t k) {
+  if (active_width() != VectorWidth::kAvx512) {
+    return m * n * k >= kPackedSplitFmas;
+  }
+  return (m + 3) / 4 * 4 * n * k >= kPackedSplitFmas512;
+}
+
+int tile_height() {
+  static const int height = row_tiles(active_width()).front().rows;
+  return height;
+}
+
+const char* gemm_width_name() { return width_name(active_width()); }
+
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
   // Row groups run B as one panel, column panels one slice of its columns
@@ -575,7 +726,8 @@ void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
   GemmSplit split =
       gemm_split(m, n, k, ThreadPool::current().worker_count() + 1);
   if (split.by_rows) {
-    gemm_run<float>(a, m, k, {{b, n, n, nullptr, c, n}}, split, accumulate);
+    gemm_run<float>(active_width(), a, m, k, {{b, n, n, nullptr, c, n}},
+                    split, accumulate);
     return;
   }
   std::vector<Panel<float>> panels;
@@ -585,16 +737,25 @@ void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
     split.cuts[t] = static_cast<std::int64_t>(t);
   }
   split.cuts.back() = static_cast<std::int64_t>(panels.size());
-  gemm_run(a, m, k, panels, split, accumulate);
+  gemm_run(active_width(), a, m, k, panels, split, accumulate);
 }
 
 void gemm_packed(const float* a, std::int64_t m, std::int64_t k,
                  WeightFormat format, std::span<const PackedGemm> gemms) {
+  gemm_packed_at(active_width(), a, m, k, format, gemms);
+}
+
+void gemm_packed_at(VectorWidth width, const float* a, std::int64_t m,
+                    std::int64_t k, WeightFormat format,
+                    std::span<const PackedGemm> gemms) {
+  MGPT_CHECK(static_cast<int>(width) <= static_cast<int>(active_width()),
+             "gemm_packed_at: this host cannot run " << width_name(width)
+                                                     << " kernels");
   std::int64_t n = 0;
   for (const PackedGemm& g : gemms) n += g.n;
   const std::size_t threads = ThreadPool::current().worker_count() + 1;
   auto run = [&](auto panels) {
-    gemm_run(a, m, k, panels,
+    gemm_run(width, a, m, k, panels,
              packed_split(m, n, k, static_cast<std::int64_t>(panels.size()),
                           threads),
              /*accumulate=*/false);

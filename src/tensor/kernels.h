@@ -35,10 +35,13 @@
 //
 //  * From kParallelRowThreshold rows (prefill, training) rows split into up
 //    to four groups per thread, so uneven groups still balance; a row
-//    group walks every panel.
-//  * Below it (decode, m = batch), a packed job of at least
-//    kPackedSplitFmas multiply-adds splits into contiguous panel ranges,
-//    one per thread.
+//    group walks every panel. Packed row groups are cut on multiples of
+//    the widest register tile's height (8 rows at 512 bits, 4 at 256), so
+//    every group but the last runs whole tiles.
+//  * Below it (decode, m = batch), a packed job big enough to pay for the
+//    fork-join (packed_job_splits: kPackedSplitFmas multiply-adds at 256
+//    bits, kPackedSplitFmas512 at 512 with m rounded up to four rows)
+//    splits into contiguous panel ranges, one per thread.
 //  * Below it, a row-major GEMM of at least kParallelPanelFmas
 //    multiply-adds splits into one tile per thread. Wide N (room for a
 //    column panel of kMinPanelColumns per thread, i.e. lm_head) takes
@@ -102,8 +105,14 @@
 //    L1-resident chunk of kStreamChunkFloats columns of C accumulates,
 //    re-read and re-written every 4 k terms.
 //  * A panel at most kPanelFloats wide (every packed panel, in every
-//    format) runs the register kernel: up to four rows' 64 columns of C
-//    stay in registers over all k and C is written once.
+//    format) runs the register kernel: a pass of C rows stays in
+//    registers over all k and C is written once. Its passes come from the
+//    row-tile table of the host's vector width (gemm_width.h), chosen once
+//    per process: with AVX-512F, eight rows x 32 columns (16 zmm
+//    accumulators), then four, three or two rows x 64, and a lone row on
+//    the 256-bit 8-accumulator strip; with AVX2 only, four or three rows
+//    x 16 columns, two x 32, one x 64. One template body serves both
+//    widths.
 //
 // The FMA chain per element is the same in both. The register kernel
 // exists because the streaming kernel loses on packed panels at every
@@ -122,6 +131,26 @@
 // noise), so there is no row count from which it should take packed
 // panels over.
 //
+// The 512-bit tiles against the 256-bit-only kernel that preceded them,
+// fp32 packed jobs at servebench's model shape (ffn 704), hot weights, one
+// thread, best of 3 rounds of 41-call medians, in us, on the 4-vCPU
+// AVX-512 KVM host (run-to-run spread 10-30%; m = 1 runs the same 256-bit
+// strip either way, and alternating the two widths in one process timed
+// lm_head at 337 / 333 us):
+//
+//     fp32        m = 1       m = 4        m = 16        m = 128
+//     q|k|v      8 / 7      21 / 11      87 / 41       622 / 211
+//     o          4 / 5       8 / 6       40 / 23       334 / 183
+//     gate|up   28 / 35     83 / 44     306 / 160     2304 / 1270
+//     down      13 / 14     36 / 17     144 / 74      1224 / 584
+//     lm_head  442 / 439   744 / 536   2139 / 1238   12480 / 8916
+//
+// On 3 workers lm_head at m = 16 fell from 561 to 326 us. One decode
+// step's layer GEMMs (four layers of q|k|v, o, gate|up, down, plus
+// lm_head) against row-major gemm_nn: 0 workers, m = 4 0.97x -> 0.69x,
+// m = 16 1.09x -> 0.61x; 3 workers, m = 4 0.58x -> 0.45x, m = 16 0.62x
+// -> 0.45x.
+//
 // Batch-1 decode is therefore weight-bandwidth-bound and a full serving
 // batch rides the same B traffic at FMA throughput. The weight formats
 // differ only in how a B vector is loaded (bf16 and int8 are widened to
@@ -129,9 +158,10 @@
 //
 // Every C element accumulates its k terms in ascending order with
 // single-rounding FMAs over the widened B value — identical in the vector
-// body, the scalar column tail, both microkernels and every row block — so
-// neither the row count nor the split changes output bytes. That is the
-// property the serving engine's batched-vs-batch-1 token identity rests on.
+// body, the scalar column tail, both microkernels, both vector widths and
+// every row block — so neither the row count, the split nor the host's
+// width changes output bytes. That is the property the serving engine's
+// batched-vs-batch-1 token identity rests on.
 //
 // The portable scalar fallback for bf16/int8 panels replays the identical
 // operation sequence, so quantized results match across the SIMD and
@@ -180,11 +210,27 @@ inline constexpr std::int64_t kPanelFloats = 64;
 
 /// Below kParallelRowThreshold rows, the multiply-add count (m * n * k,
 /// over every GEMM of the job) from which a packed job splits its panels
-/// over the thread pool. Measured on a 4-core AVX2 host with hot weights,
-/// a split pays from ~3.5e5 (q|k|v at m = 4: 21 -> 19 us; down at m = 3:
-/// 22 -> 19 us) and breaks even just below (down at m = 2, gate|up at
-/// m = 1); the fork-join costs a few us.
+/// over the thread pool at the 256-bit width (and on portable builds).
+/// Measured on a 4-core AVX2 host with hot weights, a split pays from
+/// ~3.5e5 (q|k|v at m = 4: 21 -> 19 us; down at m = 3: 22 -> 19 us) and
+/// breaks even just below (down at m = 2, gate|up at m = 1); the fork-join
+/// costs a few us. Re-measured with the register tiles at 256 bits on the
+/// 4-vCPU AVX-512 host (serial vs 3 workers, best of 10 alternating
+/// 41-call medians): q|k|v m = 3 16.4 -> 17.6 us, m = 4 21.6 -> 19.3; o
+/// m = 5 17.2 -> 17.2; down m = 2 16.0 -> 17.7, m = 3 25.0 -> 20.3;
+/// gate|up m = 1 31.2 -> 21.0. The break-even has not moved.
 inline constexpr std::int64_t kPackedSplitFmas = 300'000;
+
+/// The same at the 512-bit width, where the job is charged m rounded up to
+/// a multiple of four rows: a pass of up to four rows costs about what a
+/// four-row pass does (B's loads bound it, not the FMAs), and the split's
+/// fork-join (~12 us on that host) pays only once the serial job takes
+/// ~18 us. Measured as above at 512 bits: q|k|v m = 4 10.6 -> 16.5 us,
+/// m = 8 20.1 -> 20.1, m = 12 32.2 -> 24.1; o m = 8 13.5 -> 17.5, m = 12
+/// 22.0 -> 19.0; down m = 1 9.5 -> 15.3, m = 4 18.0 -> 18.3, m = 5 30.8 ->
+/// 21.5; gate|up m = 1 34.0 -> 22.1. At kPackedSplitFmas, q|k|v would
+/// split from m = 4 and o from m = 5, each 1.3-1.8x slower.
+inline constexpr std::int64_t kPackedSplitFmas512 = 800'000;
 
 /// C rows per block of the fp32 streaming kernel.
 inline constexpr int kStreamRows = 8;
@@ -224,8 +270,10 @@ GemmSplit gemm_split(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// The split a packed job of total width `n` (the sum over its GEMMs) and
 /// `panels` panels runs with on `threads` threads: from
-/// kParallelRowThreshold rows, row groups as in gemm_split, each walking
-/// every panel; below it, from kPackedSplitFmas multiply-adds, contiguous
+/// kParallelRowThreshold rows, up to four row groups per thread, each
+/// walking every panel, cut on multiples of the widest register tile's
+/// height (at least kMinGroupRows; the last group takes the rows left
+/// over); below it, when packed_job_splits (gemm_width.h), contiguous
 /// panel ranges, one per thread (cuts count panels, not columns); anything
 /// smaller one serial tile.
 GemmSplit packed_split(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -247,6 +295,10 @@ void unpack_panels(const float* packed, float* out, std::int64_t k,
 /// True when the runtime-dispatched AVX2+FMA path is compiled in AND the
 /// host supports it (false in MATGPT_PORTABLE builds).
 bool gemm_simd_active();
+
+/// The vector width the packed register kernel runs at on this host:
+/// "avx512", "avx2" or "portable".
+const char* gemm_width_name();
 
 /// C[m,n] (+)= A[m,k] * B[k,n]
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,

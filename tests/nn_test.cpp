@@ -580,6 +580,89 @@ TEST(Sampling, CandidatesMatchTheSoftmaxAndSortOracle) {
   EXPECT_GT(cut_checked, compared * 9 / 10);
 }
 
+TEST(Sampling, TopPAloneMatchesTheFullSortBytes) {
+  // top_k 0 and top_p < 1: the sampler ranks only the ids at or above a
+  // power-of-two probability bound. Its candidates (ids, probability bytes,
+  // order) must equal the full sort's: scaled_exp_row's probabilities for
+  // every id of nonzero probability, sorted by (probability descending, id
+  // ascending), cut at the first prefix summing (in double) to top_p. Rows
+  // of few distinct values put ties at the bound; widths that are not a
+  // multiple of 64 end in a short block; a flat row and a sharp one make
+  // the first bound too tight or too loose.
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  enum Kind { kNormal3, kNormal1, kTies, kMasked, kFlat, kSharp };
+  Rng rng(77);
+  std::size_t rows = 0;
+  for (const std::int64_t n : {100, 1000, 4097, 8192, 8200}) {
+    const std::int64_t blocks =
+        (n + kernels::kExpBlockIds - 1) / kernels::kExpBlockIds;
+    for (const Kind kind : {kNormal3, kNormal1, kTies, kMasked, kFlat, kSharp}) {
+      std::vector<float> logits(static_cast<std::size_t>(n));
+      for (float& x : logits) {
+        switch (kind) {
+          case kNormal3: x = static_cast<float>(3.0 * rng.normal()); break;
+          case kNormal1: x = static_cast<float>(rng.normal()); break;
+          case kTies:  // block maxima and the bound fall on shared values
+            x = 0.5f * static_cast<float>(rng.uniform_int(-3, 3));
+            break;
+          case kMasked:
+            x = rng.bernoulli(0.8) ? neg_inf
+                                   : static_cast<float>(2.0 * rng.normal());
+            break;
+          case kFlat: x = static_cast<float>(0.01 * rng.normal()); break;
+          case kSharp: x = static_cast<float>(12.0 * rng.normal()); break;
+        }
+      }
+      for (const float t : {0.8f, 1.0f}) {
+        std::vector<float> exps(logits.size());
+        std::vector<float> block_max(static_cast<std::size_t>(blocks));
+        const double sum = kernels::scaled_exp_row(
+            logits.data(), n, t, exps.data(), block_max.data());
+        const auto inv = static_cast<float>(1.0 / sum);
+        std::vector<nn::TokenProb> ranked;
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float p = exps[static_cast<std::size_t>(i)] * inv;
+          if (p > 0.0f) ranked.push_back({static_cast<std::int32_t>(i), p});
+        }
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const nn::TokenProb& a, const nn::TokenProb& b) {
+                    return a.prob > b.prob || (a.prob == b.prob && a.id < b.id);
+                  });
+        for (const float top_p : {0.1f, 0.5f, 0.9f, 0.95f, 0.999f}) {
+          SCOPED_TRACE(::testing::Message() << "n " << n << " kind " << kind
+                                            << " t " << t << " top_p "
+                                            << top_p);
+          double cumulative = 0.0;
+          std::size_t size = 0;
+          while (size < ranked.size() && cumulative < top_p) {
+            cumulative += ranked[size++].prob;
+          }
+          const std::vector<nn::TokenProb> expect(
+              ranked.begin(),
+              ranked.begin() +
+                  static_cast<std::ptrdiff_t>(std::max<std::size_t>(1, size)));
+          nn::SamplingParams params;
+          params.temperature = t;
+          params.top_k = 0;
+          params.top_p = top_p;
+          std::vector<nn::TokenProb> got;
+          nn::sampling_candidates(logits, params, got);
+          ASSERT_EQ(got.size(), expect.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, expect[i].id) << "rank " << i;
+            ASSERT_EQ(std::memcmp(&got[i].prob, &expect[i].prob,
+                                  sizeof(float)),
+                      0)
+                << "rank " << i;
+          }
+          ++rows;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 5u * 6u * 2u * 5u);
+}
+
 TEST(Sampling, StochasticDrawsMatchTheOracleDraws) {
   // One uniform per draw either way, so the two samplers pick the same id
   // unless it lands within ~1e-7 of a bucket edge. Without a filter the

@@ -27,11 +27,13 @@
 #include "serve/trace.h"
 #include "tensor/dtype.h"
 #include "tensor/gemm_tune.h"
+#include "tensor/gemm_width.h"
 #include "tensor/kernels.h"
 
 namespace matgpt {
 namespace {
 
+using kernels::VectorWidth;
 using kernels::WeightFormat;
 
 std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
@@ -358,9 +360,11 @@ struct PackedJob {
     }
   }
 
+  // At `width` through the test entry, or through gemm_packed (the active
+  // width) when none is given.
   std::vector<float> run(const std::vector<float>& a, std::int64_t m,
-                         WeightFormat format,
-                         std::int64_t c_offset = 0) const {
+                         WeightFormat format, std::int64_t c_offset = 0,
+                         const VectorWidth* width = nullptr) const {
     std::int64_t total = 0;
     for (const std::int64_t n : ns) total += m * n;
     std::vector<float> buf(static_cast<std::size_t>(total + 32), -7.0f);
@@ -382,7 +386,11 @@ struct PackedJob {
       gemms.push_back(pg);
       at += m * ns[g];
     }
-    kernels::gemm_packed(a.data(), m, k, format, gemms);
+    if (width != nullptr) {
+      kernels::gemm_packed_at(*width, a.data(), m, k, format, gemms);
+    } else {
+      kernels::gemm_packed(a.data(), m, k, format, gemms);
+    }
     return std::vector<float>(c, c + total);
   }
 
@@ -410,21 +418,26 @@ struct PackedJob {
   }
 };
 
-TEST(GemmContract, PackedPanelsMatchFmaChainReferenceBytes) {
-  // fp32 / bf16 / int8 packed jobs: one GEMM at the serving widths (64, 256,
-  // 688 and 8192, plus 704) and odd widths with a narrow last panel (17,
-  // 8200), and the two multi-GEMM groups the serving layers run (q|k|v,
-  // gate|up). m = 1..17, 63, 64, 65 and 128 cover serial jobs, panel
-  // ranges and row groups; k is odd and sized so most small-m jobs cross
-  // kPackedSplitFmas. Every C byte equals the row-major fmaf-chain
-  // reference (the portable build's fp32 loop is not an FMA chain, so
-  // there fp32 is held to the row-major gemm_nn's bytes instead).
+// fp32 / bf16 / int8 packed jobs at `width`: one GEMM at the serving widths
+// (64, 256, 688 and 8192, plus 704), tail panels 8 (8200), 24, 40 and 56
+// (120) wide, tails of 17 and 29 (93) columns that are not a multiple of
+// 8 and end in the scalar columns, and the two multi-GEMM groups the
+// serving layers run (q|k|v; gate|up at ffn 704, and at 688, whose GEMMs
+// each end in a 48-wide panel). m = 1..17, 24, 33, 64, 72 and 129
+// reach every register tile and every fringe of rows the tables leave;
+// pools of 0 and 3 workers run them serial, as panel ranges and as row
+// groups. k is odd and sized so most small-m jobs cross kPackedSplitFmas.
+// Every C byte equals the row-major fmaf-chain reference (the portable
+// build's fp32 loop is not an FMA chain, so there fp32 is held to the
+// row-major gemm_nn's bytes instead).
+void expect_packed_panels_match_reference(VectorWidth width) {
   const std::vector<std::vector<std::int64_t>> jobs = {
-      {64}, {256}, {688}, {704}, {8192}, {17}, {8200},
-      {256, 64, 64}, {688, 688}};
+      {64}, {256}, {688}, {704}, {8192}, {8200}, {24}, {40}, {120},
+      {17}, {93}, {256, 64, 64}, {704, 704}, {688, 688}};
   std::vector<std::int64_t> rows;
   for (std::int64_t m = 1; m <= 17; ++m) rows.push_back(m);
-  for (const std::int64_t m : {63, 64, 65, 128}) rows.push_back(m);
+  for (const std::int64_t m : {24, 33, 64, 72, 129}) rows.push_back(m);
+  constexpr std::int64_t kRows = 129;
   const WeightFormat formats[] = {WeightFormat::kF32, WeightFormat::kBf16,
                                   WeightFormat::kInt8};
   for (const WeightFormat format : formats) {
@@ -435,33 +448,57 @@ TEST(GemmContract, PackedPanelsMatchFmaChainReferenceBytes) {
           std::min<std::int64_t>(301, kernels::kPackedSplitFmas / (4 * n) + 1) |
           1;
       const PackedJob job(k, jobs[ji], format, 70);
-      const auto a = random_matrix(128, k, 71);
-      const auto ref = job.reference(a, 128, format);
-      for (const std::int64_t m : rows) {
-        const auto c = job.run(a, m, format, (m + ji) % 16);
-        // The reference's first m rows of each GEMM.
-        std::vector<float> expect;
-        std::size_t at = 0;
-        for (const std::int64_t w : jobs[ji]) {
-          expect.insert(expect.end(), ref.begin() + at,
-                        ref.begin() + at + m * w);
-          at += 128 * w;
+      const auto a = random_matrix(kRows, k, 71);
+      const auto ref = job.reference(a, kRows, format);
+      for (const std::size_t workers : {0u, 3u}) {
+        const ScopedThreadPool pool(workers);
+        for (const std::int64_t m : rows) {
+          const auto c = job.run(a, m, format, (m + ji) % 16, &width);
+          // The reference's first m rows of each GEMM.
+          std::vector<float> expect;
+          std::size_t at = 0;
+          for (const std::int64_t w : jobs[ji]) {
+            expect.insert(expect.end(), ref.begin() + at,
+                          ref.begin() + at + m * w);
+            at += kRows * w;
+          }
+          ASSERT_EQ(0, std::memcmp(expect.data(), c.data(),
+                                   c.size() * sizeof(float)))
+              << kernels::width_name(width) << " "
+              << kernels::format_name(format) << " job " << ji << " m=" << m
+              << " k=" << k << " workers " << workers;
         }
-        ASSERT_EQ(0, std::memcmp(expect.data(), c.data(),
-                                 c.size() * sizeof(float)))
-            << kernels::format_name(format) << " job " << ji << " m=" << m
-            << " k=" << k;
       }
     }
   }
 }
 
+TEST(GemmContract, PackedPanelsMatchFmaChainReferenceBytes) {
+  // The 256-bit tiles (every AVX2 host's, and an AVX-512 host's lone
+  // rows), or the portable loops where there is no SIMD.
+  expect_packed_panels_match_reference(
+      kernels::active_width() == VectorWidth::kAvx512 ? VectorWidth::kAvx2
+                                                      : kernels::active_width());
+}
+
+TEST(GemmContract, PackedPanelsAt512BitsMatchFmaChainReferenceBytes) {
+  if (kernels::active_width() != VectorWidth::kAvx512) {
+    GTEST_SKIP() << "the 512-bit register tiles need an AVX-512F host; this "
+                    "one runs "
+                 << kernels::gemm_width_name();
+  }
+  expect_packed_panels_match_reference(VectorWidth::kAvx512);
+}
+
 TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
   // Over threads 1..8 the packed split computes every (row, panel) tile of
-  // the serving jobs exactly once: row groups of at least kMinGroupRows
-  // rows from kParallelRowThreshold rows, else at most one contiguous
-  // panel range per thread, and one serial tile on one thread or below
-  // kPackedSplitFmas. The jobs' bytes are then the same at every count.
+  // the serving jobs exactly once: from kParallelRowThreshold rows, row
+  // groups cut on multiples of the widest register tile's height (and of
+  // kMinGroupRows), else at most one contiguous panel range per thread,
+  // and one serial tile on one thread or below the split threshold
+  // (packed_job_splits). The jobs' bytes are then the same at every count.
+  const std::int64_t height =
+      std::max<std::int64_t>(kernels::kMinGroupRows, kernels::tile_height());
   struct Job {
     std::int64_t k;
     std::vector<std::int64_t> ns;
@@ -474,7 +511,7 @@ TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
       n += w;
       panels += (w + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
     }
-    for (const std::int64_t m : {1, 2, 4, 8, 16, 63, 64, 65, 128}) {
+    for (const std::int64_t m : {1, 2, 4, 8, 16, 63, 64, 65, 72, 128, 129}) {
       for (std::size_t threads = 1; threads <= 8; ++threads) {
         const kernels::GemmSplit split =
             kernels::packed_split(m, n, job.k, panels, threads);
@@ -490,14 +527,19 @@ TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
         }
         if (threads == 1 ||
             (m < kernels::kParallelRowThreshold &&
-             m * n * job.k < kernels::kPackedSplitFmas)) {
+             !kernels::packed_job_splits(m, n, job.k))) {
           EXPECT_EQ(split.tiles(), 1u) << where;
         } else if (m >= kernels::kParallelRowThreshold) {
           EXPECT_TRUE(split.by_rows) << where;
+          EXPECT_EQ(split.tiles(),
+                    std::min<std::size_t>(4 * threads,
+                                          static_cast<std::size_t>(m / height)))
+              << where;
           for (std::size_t t = 0; t < split.tiles(); ++t) {
-            EXPECT_GE(split.cuts[t + 1] - split.cuts[t],
-                      kernels::kMinGroupRows)
-                << where;
+            EXPECT_GE(split.cuts[t + 1] - split.cuts[t], height) << where;
+            if (t > 0) {
+              EXPECT_EQ(split.cuts[t] % height, 0) << where;
+            }
           }
         } else {
           EXPECT_FALSE(split.by_rows) << where;
@@ -538,9 +580,13 @@ TEST(GemmSplit, PackedTilesCoverEachRowPanelOnceAtEveryThreadCount) {
 }
 
 TEST(GemmSplit, PackedServingJobsSplitByTheRule) {
-  // The serving jobs on four threads: lm_head and gate|up split their
-  // panels from m = 1, q|k|v from m = 4, down from m = 2, o from m = 5;
-  // from kParallelRowThreshold rows every job runs sixteen row groups.
+  // The serving jobs on four threads. lm_head and gate|up split their
+  // panels from m = 1 at either width; at 256 bits q|k|v splits from
+  // m = 4, down from m = 2 and o from m = 5, at 512 bits q|k|v from m = 9,
+  // down from m = 5 and o from m = 13. From kParallelRowThreshold rows
+  // every job runs sixteen row groups of four rows at 256 bits, eight of
+  // eight at 512.
+  const bool wide = kernels::active_width() == VectorWidth::kAvx512;
   const auto tiles = [](std::int64_t m, std::int64_t n, std::int64_t k) {
     const std::int64_t panels =
         (n + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
@@ -549,18 +595,25 @@ TEST(GemmSplit, PackedServingJobsSplitByTheRule) {
   EXPECT_EQ(tiles(1, 8192, 256), 4u);
   EXPECT_EQ(tiles(1, 2 * 688, 256), 4u);
   EXPECT_EQ(tiles(1, 384, 256), 1u);
-  EXPECT_EQ(tiles(4, 384, 256), 4u);
+  EXPECT_EQ(tiles(3, 384, 256), 1u);
+  EXPECT_EQ(tiles(4, 384, 256), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(8, 384, 256), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(9, 384, 256), 4u);
   EXPECT_EQ(tiles(1, 256, 688), 1u);
-  EXPECT_EQ(tiles(2, 256, 688), 4u);
+  EXPECT_EQ(tiles(2, 256, 688), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(4, 256, 688), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(5, 256, 688), 4u);
   EXPECT_EQ(tiles(4, 256, 256), 1u);
-  EXPECT_EQ(tiles(5, 256, 256), 4u);
+  EXPECT_EQ(tiles(5, 256, 256), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(12, 256, 256), wide ? 1u : 4u);
+  EXPECT_EQ(tiles(13, 256, 256), 4u);
   for (const std::int64_t n : {256, 384, 2 * 688, 8192}) {
     const std::int64_t panels =
         (n + kernels::kPanelFloats - 1) / kernels::kPanelFloats;
     const auto split = kernels::packed_split(
         kernels::kParallelRowThreshold, n, 256, panels, 4);
     EXPECT_TRUE(split.by_rows) << n;
-    EXPECT_EQ(split.tiles(), 16u) << n;
+    EXPECT_EQ(split.tiles(), wide ? 8u : 16u) << n;
   }
 }
 
